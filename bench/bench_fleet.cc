@@ -173,10 +173,10 @@ int Run(int homes, int shards, bool smoke) {
         for (int i = p; i < homes; i += producers) {
           for (int r = 0; r < kEventRounds; ++r) {
             BusMessage m;
-            m.kind = BusMessage::Kind::kEvent;
+            m.kind = BusMessage::Kind::kEventBatch;
             m.home = ids[static_cast<size_t>(i)];
-            m.event = EventAt(pool, i, r);
-            if (!bus.Post(std::move(m)).ok()) {
+            m.events = {EventAt(pool, i, r)};
+            if (!bus.PostBatch(std::move(m)).ok()) {
               std::fprintf(stderr, "bus post refused under kBlock\n");
               std::abort();
             }
@@ -326,12 +326,12 @@ int Run(int homes, int shards, bool smoke) {
         }
         fleet::wire::Request req;
         fleet::wire::Reply reply;
-        req.type = fleet::wire::MsgType::kEvent;
+        req.type = fleet::wire::MsgType::kEventBatch;
         for (int i = 0; i < wire_events_per_conn; ++i) {
           const int h = (c + i * conns) % homes;
           req.home = ids[static_cast<size_t>(h)];
-          req.event = EventFor(pool[static_cast<size_t>(h % kPoolSize)],
-                               now + 0.01 * (i + 1));
+          req.events = {EventFor(pool[static_cast<size_t>(h % kPoolSize)],
+                                 now + 0.01 * (i + 1))};
           if (!client.Call(req, &reply).ok() || reply.code != 0) {
             ++wire_failures[static_cast<size_t>(c)];
           }
@@ -354,7 +354,7 @@ int Run(int homes, int shards, bool smoke) {
               "wire events/sec", wire_events_per_sec, conns,
               wire_events_per_conn, wire_failed);
 
-  // ---- Pipelining: one connection, per-event frames, varying depth ------
+  // ---- Pipelining: one connection, batch-of-one frames, varying depth ---
   // depth 1 is the lockstep request/ack baseline (one RTT per event —
   // the pre-pipelining client behavior); deeper windows hide the RTT.
   const int kDepths[] = {1, 16, 256};
@@ -369,13 +369,13 @@ int Run(int homes, int shards, bool smoke) {
     if (!client.Connect("127.0.0.1", server.port()).ok()) return 1;
     fleet::wire::Request req;
     fleet::wire::Reply reply;
-    req.type = fleet::wire::MsgType::kEvent;
+    req.type = fleet::wire::MsgType::kEventBatch;
     t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < pipeline_events; ++i) {
       const int h = i % homes;
       req.home = ids[static_cast<size_t>(h)];
-      req.event = EventFor(pool[static_cast<size_t>(h % kPoolSize)],
-                           now + 1.0 + 0.01 * (i + 1));
+      req.events = {EventFor(pool[static_cast<size_t>(h % kPoolSize)],
+                             now + 1.0 + 0.01 * (i + 1))};
       while (client.pending() >= depth) {
         if (!client.Recv(&reply).ok() || reply.code != 0) {
           pipeline_failed = true;
@@ -623,10 +623,10 @@ int Run(int homes, int shards, bool smoke) {
       }
       const int h = i % homes;
       req = fleet::wire::Request();
-      req.type = fleet::wire::MsgType::kEvent;
+      req.type = fleet::wire::MsgType::kEventBatch;
       req.home = ids[static_cast<size_t>(h)];
-      req.event = EventFor(pool[static_cast<size_t>(h % kPoolSize)],
-                           now + 300.0 + 0.01 * (i + 1));
+      req.events = {EventFor(pool[static_cast<size_t>(h % kPoolSize)],
+                             now + 300.0 + 0.01 * (i + 1))};
       while (client.pending() >= copt.max_window) {
         if (!client.Recv(&reply).ok()) {
           ov_transport_failed = true;
@@ -742,8 +742,8 @@ int Run(int homes, int shards, bool smoke) {
     return 1;
   }
   // The batching gate (tools/check.sh runs this under --smoke): batch-64
-  // pipelined ingestion must beat lockstep per-event frames by >= 3x, or
-  // the batched path has regressed into per-event costs.
+  // pipelined ingestion must beat lockstep batch-of-one frames by >= 3x,
+  // or the batched path has regressed into per-event costs.
   if (batch_speedup < 3.0) {
     std::fprintf(stderr,
                  "BATCHING REGRESSION: batch-64 %.0f ev/s is only %.2fx "

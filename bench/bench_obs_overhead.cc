@@ -70,9 +70,9 @@ Timing MeasureWarm(const core::Glint& glint,
   return out;
 }
 
-/// One warm bus pass: posts `rounds` events per home through a fresh
-/// EventBus (trace per message when telemetry is on — the wire ingest
-/// shape), flushes, and returns the per-event cost in microseconds.
+/// One warm bus pass: posts `rounds` batches of one event per home through
+/// a fresh EventBus (trace per message when telemetry is on — the wire
+/// ingest shape), flushes, and returns the per-event cost in microseconds.
 /// `t_cursor` advances so the LiveGraph windows stay warm, not growing.
 double MeasureBusBlock(fleet::ShardedFleet* fleet, obs::TraceRecorder* rec,
                        const std::vector<core::HomeId>& ids,
@@ -88,21 +88,23 @@ double MeasureBusBlock(fleet::ShardedFleet* fleet, obs::TraceRecorder* rec,
     for (int h = 0; h < homes; ++h) {
       const rules::Rule& rule = pool[static_cast<size_t>(h) % pool.size()];
       fleet::BusMessage m;
-      m.kind = fleet::BusMessage::Kind::kEvent;
+      m.kind = fleet::BusMessage::Kind::kEventBatch;
       m.home = ids[static_cast<size_t>(h)];
-      m.event.time_hours = *t_cursor;
-      m.event.location = rule.location;
-      m.event.device = rule.trigger.device;
-      m.event.state = rule.trigger.state;
+      graph::Event& e = m.events.emplace_back();
+      e.time_hours = *t_cursor;
+      e.location = rule.location;
+      e.device = rule.trigger.device;
+      e.state = rule.trigger.state;
       // The traced-ingest shape: a context per message, shard-routed,
       // finished by the consumer via the recorder (inactive when
       // telemetry is disabled, so the off mode measures the bare bus).
       m.trace = obs::TraceContext::Begin();
       if (m.trace.active()) {
-        m.trace.msg_type = static_cast<uint8_t>(fleet::wire::MsgType::kEvent);
+        m.trace.msg_type =
+            static_cast<uint8_t>(fleet::wire::MsgType::kEventBatch);
         m.trace.shard = fleet->ShardOf(m.home);
       }
-      if (!bus.Post(std::move(m)).ok()) std::abort();
+      if (!bus.PostBatch(std::move(m)).ok()) std::abort();
     }
   }
   bus.Flush();

@@ -39,9 +39,7 @@ EventBus::EventBus(ShardedFleet* fleet, Config config)
 
 EventBus::~EventBus() { Stop(); }
 
-Status EventBus::Post(BusMessage msg) {
-  return PostImpl(std::move(msg), 1);
-}
+Status EventBus::Post(BusMessage msg) { return PostImpl(std::move(msg)); }
 
 Status EventBus::PostBatch(BusMessage msg) {
   if (msg.kind != BusMessage::Kind::kEventBatch) {
@@ -50,15 +48,15 @@ Status EventBus::PostBatch(BusMessage msg) {
   if (msg.events.empty()) {
     return Status::InvalidArgument("PostBatch: empty batch");
   }
-  const uint64_t n = msg.events.size();
-  return PostImpl(std::move(msg), n);
+  return PostImpl(std::move(msg));
 }
 
-Status EventBus::PostImpl(BusMessage msg, uint64_t events) {
+Status EventBus::PostImpl(BusMessage msg) {
   GLINT_FAULT_POINT("fleet.bus.post");
   if (stopping_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("event bus is stopped");
   }
+  const uint64_t events = EventsIn(msg);
   const int k = fleet_->ShardOf(msg.home);
   ShardQueue& sq = *queues_[static_cast<size_t>(k)];
   {
@@ -179,32 +177,18 @@ Status EventBus::Apply(int k, BusMessage& msg) {
       return engine.TryAddRule(msg.home, msg.rule);
     case BusMessage::Kind::kRemoveRule:
       return engine.TryRemoveRule(msg.home, msg.rule_id);
-    case BusMessage::Kind::kEvent: {
-      // Exactly-once apply over an at-least-once transport: a sequenced
-      // event at or below the home's high-water mark was already applied
-      // before the client's reconnect replayed it — drop, not an error.
-      if (msg.seq != 0) {
-        uint64_t& hw = sq.last_seq[msg.home];
-        if (msg.seq <= hw) {
-          dedup_dropped_.fetch_add(1, std::memory_order_relaxed);
-          GLINT_OBS_COUNT("glint.fleet.bus.dedup_dropped", 1);
-          return Status::OK();
-        }
-        Status st = engine.TryOnEvent(msg.home, msg.event);
-        // A failed apply does not advance the mark: the event never took
-        // effect, so a retransmit legitimately retries it.
-        if (st.ok()) hw = msg.seq;
-        return st;
-      }
-      return engine.TryOnEvent(msg.home, msg.event);
-    }
     case BusMessage::Kind::kEventBatch: {
       // Events apply in vector order — the batch is the home's FIFO
       // segment. A failing event does not abort the rest (same
       // keep-going contract as separate messages); the first failure is
       // the message's apply outcome, counted once by the caller.
-      // Sequenced batches (seq = first event's number, rest consecutive)
-      // skip the already-applied prefix of a retransmit.
+      // Exactly-once apply over an at-least-once transport: sequenced
+      // batches (seq = first event's number, rest consecutive) skip the
+      // prefix at or below the home's high-water mark — events applied
+      // before the client's reconnect replayed them. A failed apply does
+      // not advance the mark: the event never took effect, so a
+      // retransmit legitimately retries it (a later event of the same
+      // batch that applies still moves the mark past it).
       size_t skip = 0;
       uint64_t* hw = nullptr;
       if (msg.seq != 0) {

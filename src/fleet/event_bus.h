@@ -55,26 +55,26 @@ namespace glint::fleet {
 
 /// One home-addressed mutation riding the bus. kTask is the control
 /// plane: a closure run on the shard's consumer thread (see RunOnShard).
-/// kEventBatch carries many events for ONE home in one message — the
-/// queue push/pop, lock hold, and trace context amortize over the batch,
-/// and per-home FIFO holds trivially because the whole batch occupies a
-/// single queue slot (events apply in vector order on the consumer).
+/// Events always ride as kEventBatch — one or more events for ONE home in
+/// one message (a single event is a batch of one). The queue push/pop,
+/// lock hold, and trace context amortize over the batch, and per-home
+/// FIFO holds trivially because the whole batch occupies a single queue
+/// slot (events apply in vector order on the consumer).
 struct BusMessage {
   enum class Kind : uint8_t {
-    kAddHome, kAddRule, kRemoveRule, kEvent, kEventBatch, kTask
+    kAddHome, kAddRule, kRemoveRule, kEventBatch, kTask
   };
-  Kind kind = Kind::kEvent;
+  Kind kind = Kind::kEventBatch;
   HomeId home;
   std::vector<rules::Rule> rules;  ///< kAddHome: the deployed rule set
   rules::Rule rule;                ///< kAddRule
   int rule_id = 0;                 ///< kRemoveRule
-  graph::Event event;              ///< kEvent
   std::vector<graph::Event> events;  ///< kEventBatch, per-home FIFO order
   std::function<void()> task;      ///< kTask
-  /// Per-home event sequence number (kEvent: the event's; kEventBatch: the
-  /// FIRST event's, the rest consecutive). 0 = unsequenced. The consumer
-  /// skips seqs at or below the home's high-water mark, so at-least-once
-  /// retransmits (client reconnect replay) apply exactly once.
+  /// kEventBatch: the FIRST event's per-home sequence number, the rest
+  /// consecutive. 0 = unsequenced. The consumer skips seqs at or below
+  /// the home's high-water mark, so at-least-once retransmits (client
+  /// reconnect replay) apply exactly once.
   uint64_t seq = 0;
   /// Request trace carried by value: the message owns it from Post on and
   /// the shard consumer finishes it after apply (DESIGN.md §14). A task's
@@ -216,8 +216,9 @@ class EventBus {
   /// Messages applied by shard `k`'s consumer since construction.
   uint64_t applied(int k) const;
   /// Events applied by shard `k`'s consumer: each non-task message counts
-  /// its event payload (1, or batch size), so rate dashboards see the
-  /// true event throughput rather than undercounting batches 1-per-N.
+  /// its event payload (batch size, 1 for other mutations), so rate
+  /// dashboards see the true event throughput rather than undercounting
+  /// batches 1-per-N.
   uint64_t applied_events(int k) const;
   /// Messages accepted by Post/PostBatch (a batch counts once).
   uint64_t posted() const;
@@ -286,9 +287,8 @@ class EventBus {
     bool wd_wedged = false;
   };
 
-  /// Shared body of Post/PostBatch; `events` is the message's event
-  /// count for the posted vs posted_events counter split.
-  Status PostImpl(BusMessage msg, uint64_t events);
+  /// Shared body of Post/PostBatch.
+  Status PostImpl(BusMessage msg);
   void ConsumerLoop(int k);
   /// Event payload of one message for the applied_events counters
   /// (batch size, 1 for other mutations, 0 for control-plane tasks).

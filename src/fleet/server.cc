@@ -522,8 +522,7 @@ wire::Reply FleetServer::Dispatch(wire::Request& req,
     }
     case wire::MsgType::kAddHome:
     case wire::MsgType::kAddRule:
-    case wire::MsgType::kRemoveRule:
-    case wire::MsgType::kEvent: {
+    case wire::MsgType::kRemoveRule: {
       const int k = fleet_->ShardOf(req.home);
       const ShardHealth h = bus_->health(k);
       if (h == ShardHealth::kDegraded || h == ShardHealth::kDown) {
@@ -536,7 +535,6 @@ wire::Reply FleetServer::Dispatch(wire::Request& req,
       }
       BusMessage msg;
       msg.home = req.home;
-      msg.seq = req.seq;
       switch (req.type) {
         case wire::MsgType::kAddHome:
           msg.kind = BusMessage::Kind::kAddHome;
@@ -546,13 +544,9 @@ wire::Reply FleetServer::Dispatch(wire::Request& req,
           msg.kind = BusMessage::Kind::kAddRule;
           msg.rule = std::move(req.rule);
           break;
-        case wire::MsgType::kRemoveRule:
+        default:
           msg.kind = BusMessage::Kind::kRemoveRule;
           msg.rule_id = req.rule_id;
-          break;
-        default:
-          msg.kind = BusMessage::Kind::kEvent;
-          msg.event = std::move(req.event);
           break;
       }
       if (ctx->active()) {

@@ -33,8 +33,6 @@ const char* MsgTypeName(MsgType t) {
       return "kAddRule";
     case MsgType::kRemoveRule:
       return "kRemoveRule";
-    case MsgType::kEvent:
-      return "kEvent";
     case MsgType::kInspect:
       return "kInspect";
     case MsgType::kStats:
@@ -126,12 +124,6 @@ std::vector<char> EncodeRequest(const Request& req) {
       w.Str(req.home);
       w.I32(req.rule_id);
       break;
-    case MsgType::kEvent:
-      w.U32(req.deadline_ms);
-      w.U64(req.seq);
-      w.Str(req.home);
-      graph::WriteEvent(&w, req.event);
-      break;
     case MsgType::kEventBatch:
       GLINT_CHECK(!req.events.empty() &&
                   req.events.size() <= kMaxBatchEvents);
@@ -192,12 +184,6 @@ Status DecodeRequest(const std::vector<char>& payload, Request* req) {
         return Status::InvalidArgument("wire RemoveRule: truncated body");
       }
       break;
-    case MsgType::kEvent:
-      if (!r.U32(&req->deadline_ms) || !r.U64(&req->seq) ||
-          !r.Str(&req->home) || !graph::ReadEvent(&r, &req->event)) {
-        return Status::InvalidArgument("wire Event: truncated body");
-      }
-      break;
     case MsgType::kEventBatch: {
       uint32_t n = 0;
       if (!r.U32(&req->deadline_ms) || !r.U64(&req->seq) ||
@@ -211,6 +197,11 @@ Status DecodeRequest(const std::vector<char>& payload, Request* req) {
         return Status::InvalidArgument(
             "wire EventBatch: " + std::to_string(n) + " events exceeds max " +
             std::to_string(kMaxBatchEvents));
+      }
+      // The seq range first_seq..first_seq+n-1 must not wrap: a wrapped
+      // high-water mark would disable the home's dedup.
+      if (req->seq > UINT64_MAX - (n - 1)) {
+        return Status::InvalidArgument("wire EventBatch: seq range wraps");
       }
       // An Event is at least 28 bytes (f64 + 4×i32 + empty Str); a count
       // the remaining payload cannot hold is malformed, never allocated.

@@ -12,23 +12,24 @@
 //            event_log codecs — one serialization per type, everywhere)
 //
 // Requests (client → server). Every home-addressed request leads with a
-// u32 deadline_ms (0 = none): the client's patience budget. Work still
-// queued when it expires is shed at dequeue with kOverloaded — never after
-// its accept ack (DESIGN.md §16).
+// u32 deadline_ms (0 = none): the client's patience budget. Only kInspect
+// honours it — an inspect still queued when it expires is shed at dequeue
+// with kOverloaded (DESIGN.md §16). Mutations are acked on enqueue and
+// never shed by deadline; their deadline field is carried but unused.
 //   kPing                          liveness probe
 //   kHealth                        lightweight health probe (no shard hop)
 //   kAddHome    u32 deadline | Str id | u32 n | n rules
 //   kAddRule    u32 deadline | Str id | rule
 //   kRemoveRule u32 deadline | Str id | i32 rule_id
-//   kEvent      u32 deadline | u64 seq | Str id | event
-//               (seq: monotonic per-home sequence number, 0 = unsequenced;
-//               lets the server dedup at-least-once retransmits —
-//               exactly-once apply over an at-least-once transport)
 //   kEventBatch u32 deadline | u64 first_seq | Str id | u32 n | n events
-//               (one home, n ≤ kMaxBatchEvents, in per-home FIFO order;
-//               events carry seqs first_seq..first_seq+n-1; the server
-//               enqueues the whole batch as ONE bus message, so framing,
-//               CRC, queue-lock, and trace cost amortize over n)
+//               (one home, 1 ≤ n ≤ kMaxBatchEvents, in per-home FIFO
+//               order — a single event is a batch of one; events carry
+//               seqs first_seq..first_seq+n-1, a range that must not wrap
+//               u64; first_seq 0 = unsequenced. Seqs are monotonic per
+//               home and let the server dedup at-least-once retransmits —
+//               exactly-once apply over an at-least-once transport. The
+//               server enqueues the whole batch as ONE bus message, so
+//               framing, CRC, queue-lock, and trace cost amortize over n)
 //   kInspect    u32 deadline | Str id | f64 now_hours
 //   kStats                         fleet aggregate counters
 //   kStatsJson                     full observability export (see below)
@@ -106,7 +107,7 @@ enum class MsgType : uint8_t {
   kAddHome = 2,
   kAddRule = 3,
   kRemoveRule = 4,
-  kEvent = 5,
+  // 5 is retired (the former single-event request); never reuse it.
   kInspect = 6,
   kStats = 7,
   kStatsJson = 8,
@@ -122,7 +123,7 @@ enum class MsgType : uint8_t {
   kHealthReply = 70,
 };
 
-/// Human-readable request/reply type name ("kEvent", ...) for dashboards
+/// Human-readable request/reply type name ("kEventBatch", ...) for dashboards
 /// and logs; "?" for bytes that are not a MsgType.
 const char* MsgTypeName(MsgType t);
 
@@ -167,8 +168,9 @@ struct SlowTrace {
   uint64_t id = 0;
   int32_t shard = -1;
   uint8_t msg_type = 0;
-  /// Events the trace spans (1 except kEventBatch). Per-event stage cost
-  /// is stage_us[s] / events — the batch amortization made measurable.
+  /// Events the trace spans (a kEventBatch's size, 1 for any other
+  /// request). Per-event stage cost is stage_us[s] / events — the batch
+  /// amortization made measurable.
   uint32_t events = 1;
   uint64_t total_us = 0;
   uint64_t stage_us[obs::kNumTraceStages] = {};
@@ -177,17 +179,16 @@ struct SlowTrace {
 struct Request {
   MsgType type = MsgType::kPing;
   core::HomeId home;
-  /// Patience budget in ms; 0 = none. Work still queued past this is shed
-  /// with kOverloaded at dequeue — never after its accept ack.
+  /// Patience budget in ms; 0 = none. Only kInspect honours it: an
+  /// inspect still queued past this is shed with kOverloaded at dequeue.
   uint32_t deadline_ms = 0;
-  /// Monotonic per-home sequence number (kEvent: this event's; kEventBatch:
-  /// the FIRST event's, the rest are consecutive). 0 = unsequenced. The
-  /// server skips already-applied seqs, making reconnect replays safe.
+  /// kEventBatch: the FIRST event's monotonic per-home sequence number,
+  /// the rest are consecutive. 0 = unsequenced. The server skips
+  /// already-applied seqs, making reconnect replays safe.
   uint64_t seq = 0;
   std::vector<rules::Rule> rules;     ///< kAddHome
   rules::Rule rule;                   ///< kAddRule
   int32_t rule_id = 0;                ///< kRemoveRule
-  graph::Event event;                 ///< kEvent
   std::vector<graph::Event> events;   ///< kEventBatch (per-home FIFO order)
   double now_hours = 0;               ///< kInspect
 };
@@ -286,7 +287,7 @@ Status RecvFrame(int fd, std::vector<char>* payload,
 ///              connection's frames strictly in order, so replies come
 ///              back FIFO: Recv matches the oldest in-flight request
 ///              (and validates the reply type against it — a kWarning
-///              for a kEvent is a protocol error, not a crash).
+///              for a kEventBatch is a protocol error, not a crash).
 ///
 /// Robustness: connects time out (non-blocking connect + poll), receives
 /// time out (SO_RCVTIMEO, never an infinite hang on a dead server), and

@@ -95,12 +95,6 @@ const KernelBackend* TableFor(Backend b) {
       if (__builtin_cpu_supports("avx2")) return &kAvx2Backend;
 #endif
       return nullptr;
-    case Backend::kNeon:
-#if defined(__aarch64__)
-      return &kNeonBackend;
-#else
-      return nullptr;
-#endif
   }
   return nullptr;
 }
@@ -108,9 +102,6 @@ const KernelBackend* TableFor(Backend b) {
 const KernelBackend* BestAvailable() {
 #if defined(__x86_64__) || defined(_M_X64)
   if (__builtin_cpu_supports("avx2")) return &kAvx2Backend;
-#endif
-#if defined(__aarch64__)
-  return &kNeonBackend;
 #endif
   return &kScalarBackend;
 }
@@ -139,8 +130,6 @@ const KernelBackend* InitBackend() {
       forced = TableFor(Backend::kScalar);
     } else if (want == "avx2") {
       forced = TableFor(Backend::kAvx2);
-    } else if (want == "neon") {
-      forced = TableFor(Backend::kNeon);
     } else {
       GLINT_CHECK(false && "GLINT_KERNEL: unknown backend name");
     }
@@ -172,7 +161,6 @@ const char* BackendName() { return Kernels().name; }
 std::vector<Backend> AvailableBackends() {
   std::vector<Backend> out = {Backend::kScalar};
   if (TableFor(Backend::kAvx2) != nullptr) out.push_back(Backend::kAvx2);
-  if (TableFor(Backend::kNeon) != nullptr) out.push_back(Backend::kNeon);
   return out;
 }
 

@@ -11,8 +11,8 @@ namespace glint::gnn::kernels {
 /// These are the hot primitives behind the tape ops (kMatMul row dots, kSpMM
 /// row accumulation, leaf-gradient accumulation, the elementwise forwards,
 /// and the kSoftmaxRow normalization). One backend is selected once at
-/// startup — AVX2 / NEON when the CPU advertises it, portable scalar
-/// otherwise — overridable with GLINT_KERNEL=scalar|avx2|neon.
+/// startup — AVX2 when the CPU advertises it, portable scalar otherwise —
+/// overridable with GLINT_KERNEL=scalar|avx2.
 ///
 /// Bit-identity contract (the kernel-level twin of the thread-count
 /// determinism proved by parallel_determinism_test): every backend must
@@ -54,7 +54,7 @@ struct KernelBackend {
   void (*DivDouble)(double* x, double denom, int n);
 };
 
-enum class Backend : int { kScalar = 0, kAvx2 = 1, kNeon = 2 };
+enum class Backend : int { kScalar = 0, kAvx2 = 1 };
 
 /// The selected backend (first call resolves GLINT_KERNEL / CPUID and
 /// publishes the glint.kernel.backend gauge). Hot ops load this once per op
@@ -109,9 +109,6 @@ inline double ReduceTree4(const double* lane) {
 extern const KernelBackend kScalarBackend;
 #if defined(__x86_64__) || defined(_M_X64)
 extern const KernelBackend kAvx2Backend;
-#endif
-#if defined(__aarch64__)
-extern const KernelBackend kNeonBackend;
 #endif
 
 }  // namespace glint::gnn::kernels

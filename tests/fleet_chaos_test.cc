@@ -184,11 +184,11 @@ class FleetChaosTest : public ::testing::Test {
       for (int n = 12; n < 14; ++n) {
         wire::Request req;
         wire::Reply reply;
-        req.type = wire::MsgType::kEvent;
+        req.type = wire::MsgType::kEventBatch;
         req.home = homes[i];
         req.seq = static_cast<uint64_t>(n + 1);
-        req.event = EventFor(pool[(i + static_cast<size_t>(n)) % 6],
-                             0.5 + 0.2 * n);
+        req.events = {EventFor(pool[(i + static_cast<size_t>(n)) % 6],
+                               0.5 + 0.2 * n)};
         if (!MustCall(&client, port, req, &reply)) return false;
       }
     }
@@ -407,10 +407,10 @@ TEST_F(FleetChaosTest, WedgedConsumerFlipsDownShedsAndHeals) {
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   for (int i = 0; i < 2; ++i) {
     req = wire::Request();
-    req.type = wire::MsgType::kEvent;
+    req.type = wire::MsgType::kEventBatch;
     req.home = home;
     req.seq = static_cast<uint64_t>(i + 1);
-    req.event = EventFor(pool[i % 2], 0.5 + 0.3 * i);
+    req.events = {EventFor(pool[i % 2], 0.5 + 0.3 * i)};
     ASSERT_TRUE(client.Call(req, &reply).ok());
     ASSERT_EQ(reply.code, 0) << reply.message;
   }
@@ -425,10 +425,10 @@ TEST_F(FleetChaosTest, WedgedConsumerFlipsDownShedsAndHeals) {
   // Mutations shed with the retry hint; the ack is the error, nothing
   // was enqueued.
   req = wire::Request();
-  req.type = wire::MsgType::kEvent;
+  req.type = wire::MsgType::kEventBatch;
   req.home = home;
   req.seq = 3;
-  req.event = EventFor(pool[0], 1.4);
+  req.events = {EventFor(pool[0], 1.4)};
   ASSERT_TRUE(client.Call(req, &reply).ok());
   EXPECT_EQ(reply.code, static_cast<int32_t>(StatusCode::kOverloaded));
   EXPECT_NE(reply.message.find("down"), std::string::npos) << reply.message;
@@ -468,10 +468,10 @@ TEST_F(FleetChaosTest, WedgedConsumerFlipsDownShedsAndHeals) {
   wire::Client retrier(ropt);
   ASSERT_TRUE(retrier.Connect("127.0.0.1", server.port()).ok());
   req = wire::Request();
-  req.type = wire::MsgType::kEvent;
+  req.type = wire::MsgType::kEventBatch;
   req.home = home;
   req.seq = 3;
-  req.event = EventFor(pool[0], 1.4);
+  req.events = {EventFor(pool[0], 1.4)};
   ASSERT_TRUE(retrier.CallRetrying(req, &reply).ok());
   EXPECT_EQ(reply.code, 0) << reply.message;
   server.Stop();
@@ -509,10 +509,10 @@ TEST_F(FleetChaosTest, OverloadDegradesShedsWithHintsAndHeals) {
   ASSERT_EQ(reply.code, 0) << reply.message;
   for (int i = 0; i < 3; ++i) {
     req = wire::Request();
-    req.type = wire::MsgType::kEvent;
+    req.type = wire::MsgType::kEventBatch;
     req.home = home;
     req.seq = static_cast<uint64_t>(i + 1);
-    req.event = EventFor(pool[i % 2], 0.5 + 0.3 * i);
+    req.events = {EventFor(pool[i % 2], 0.5 + 0.3 * i)};
     ASSERT_TRUE(client.Call(req, &reply).ok());
     ASSERT_EQ(reply.code, 0) << reply.message;
   }
@@ -530,10 +530,10 @@ TEST_F(FleetChaosTest, OverloadDegradesShedsWithHintsAndHeals) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   for (int i = 3; i < 8; ++i) {
     req = wire::Request();
-    req.type = wire::MsgType::kEvent;
+    req.type = wire::MsgType::kEventBatch;
     req.home = home;
     req.seq = static_cast<uint64_t>(i + 1);
-    req.event = EventFor(pool[i % 2], 0.6 + 0.25 * i);
+    req.events = {EventFor(pool[i % 2], 0.6 + 0.25 * i)};
     ASSERT_TRUE(client.Call(req, &reply).ok());
     ASSERT_EQ(reply.code, 0) << reply.message;
   }
@@ -554,10 +554,10 @@ TEST_F(FleetChaosTest, OverloadDegradesShedsWithHintsAndHeals) {
   // Mutations shed BEFORE the ack, with the configured hint. Plain Call:
   // CallRetrying would wait out the overload we are asserting on.
   req = wire::Request();
-  req.type = wire::MsgType::kEvent;
+  req.type = wire::MsgType::kEventBatch;
   req.home = home;
   req.seq = 9;
-  req.event = EventFor(pool[0], 2.6);
+  req.events = {EventFor(pool[0], 2.6)};
   ASSERT_TRUE(client.Call(req, &reply).ok());
   EXPECT_EQ(reply.code, static_cast<int32_t>(StatusCode::kOverloaded));
   EXPECT_NE(reply.message.find("degraded"), std::string::npos)
@@ -611,10 +611,10 @@ TEST_F(FleetChaosTest, OverloadDegradesShedsWithHintsAndHeals) {
 
   // And the healed shard accepts ingest again.
   req = wire::Request();
-  req.type = wire::MsgType::kEvent;
+  req.type = wire::MsgType::kEventBatch;
   req.home = home;
   req.seq = 9;
-  req.event = EventFor(pool[0], 2.6);
+  req.events = {EventFor(pool[0], 2.6)};
   ASSERT_TRUE(client.Call(req, &reply).ok());
   EXPECT_EQ(reply.code, 0) << reply.message;
   server.Stop();
@@ -642,10 +642,10 @@ TEST_F(FleetChaosTest, DeadlineExpiredInspectIsShedAtDequeue) {
   ASSERT_TRUE(client.Call(req, &reply).ok());
   ASSERT_EQ(reply.code, 0) << reply.message;
   req = wire::Request();
-  req.type = wire::MsgType::kEvent;
+  req.type = wire::MsgType::kEventBatch;
   req.home = home;
   req.seq = 1;
-  req.event = EventFor(pool[0], 0.6);
+  req.events = {EventFor(pool[0], 0.6)};
   ASSERT_TRUE(client.Call(req, &reply).ok());
   ASSERT_EQ(reply.code, 0) << reply.message;
 
@@ -705,10 +705,10 @@ TEST_F(FleetChaosTest, SequenceNumbersMakeRetransmitsExactlyOnce) {
 
   auto send_event = [&](uint64_t seq, double t) {
     req = wire::Request();
-    req.type = wire::MsgType::kEvent;
+    req.type = wire::MsgType::kEventBatch;
     req.home = home;
     req.seq = seq;
-    req.event = EventFor(pool[seq % 2], t);
+    req.events = {EventFor(pool[seq % 2], t)};
     ASSERT_TRUE(client.Call(req, &reply).ok());
     ASSERT_EQ(reply.code, 0) << reply.message;
   };
@@ -738,6 +738,54 @@ TEST_F(FleetChaosTest, SequenceNumbersMakeRetransmitsExactlyOnce) {
   ASSERT_EQ(reply.type, wire::MsgType::kStatsReply);
   EXPECT_EQ(reply.events, 5u);
   EXPECT_EQ(server.bus().dedup_dropped(), 2u);
+  server.Stop();
+}
+
+// A failed apply does not advance a home's seq mark: an event that never
+// took effect (its home was not registered yet) is retried by the
+// retransmit of the same seq, not dropped as a duplicate.
+TEST_F(FleetChaosTest, FailedApplyDoesNotAdvanceTheSeqMark) {
+  FleetConfig cfg;
+  cfg.num_shards = 2;
+  ShardedFleet fleet(&glint_->detector(), cfg);
+  FleetServer server(&fleet, {});
+  ASSERT_TRUE(server.Start().ok());
+
+  const HomeId home = "sq-late";
+  auto pool = RulePool(4);
+  wire::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  wire::Request event;
+  event.type = wire::MsgType::kEventBatch;
+  event.home = home;
+  event.seq = 1;
+  event.events = {EventFor(pool[0], 0.5)};
+  wire::Reply reply;
+  // Accepted on enqueue; the apply fails NotFound (no such home yet).
+  ASSERT_TRUE(client.Call(event, &reply).ok());
+  ASSERT_EQ(reply.code, 0) << reply.message;
+
+  wire::Request req;
+  req.type = wire::MsgType::kAddHome;
+  req.home = home;
+  req.rules = {pool[0], pool[1]};
+  ASSERT_TRUE(client.Call(req, &reply).ok());
+  ASSERT_EQ(reply.code, 0) << reply.message;
+
+  // The retransmit of seq 1 lands behind the registration (per-home FIFO)
+  // and must apply.
+  ASSERT_TRUE(client.Call(event, &reply).ok());
+  ASSERT_EQ(reply.code, 0) << reply.message;
+
+  req = wire::Request();
+  req.type = wire::MsgType::kStats;
+  ASSERT_TRUE(client.Call(req, &reply).ok());
+  ASSERT_EQ(reply.type, wire::MsgType::kStatsReply);
+  EXPECT_EQ(reply.events, 1u);
+  EXPECT_EQ(reply.bus_apply_errors, 1u);
+  EXPECT_EQ(server.bus().FirstError(fleet.ShardOf(home)).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(server.bus().dedup_dropped(), 0u);
   server.Stop();
 }
 

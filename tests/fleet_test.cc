@@ -225,8 +225,8 @@ class FleetTest : public ::testing::Test {
         m.rule_id = op.rule_id;
         break;
       case Op::kEvent:
-        m.kind = BusMessage::Kind::kEvent;
-        m.event = op.event;
+        m.kind = BusMessage::Kind::kEventBatch;
+        m.events = {op.event};
         break;
     }
     return m;
@@ -549,19 +549,19 @@ TEST_F(FleetTest, RejectPolicySurfacesFullQueues) {
   EventBus bus(&fleet, bc);
   auto pool = RulePool(2);
   BusMessage m;
-  m.kind = BusMessage::Kind::kEvent;
+  m.kind = BusMessage::Kind::kEventBatch;
   m.home = "bp-home";
-  m.event = EventFor(pool[0], 0.5);
-  EXPECT_TRUE(bus.Post(m).ok());
-  EXPECT_TRUE(bus.Post(m).ok());
-  Status st = bus.Post(m);  // queue full
+  m.events = {EventFor(pool[0], 0.5)};
+  EXPECT_TRUE(bus.PostBatch(m).ok());
+  EXPECT_TRUE(bus.PostBatch(m).ok());
+  Status st = bus.PostBatch(m);  // queue full
   // Overloaded, not FailedPrecondition: the caller should retry later,
   // and the wire layer forwards this as a kOverloaded ack with a hint.
   EXPECT_EQ(st.code(), StatusCode::kOverloaded);
   EXPECT_EQ(bus.rejected(), 1u);
   EXPECT_EQ(bus.queue_high_water(0), 2u);
   EXPECT_EQ(bus.DrainOnce(0), 2u);
-  EXPECT_TRUE(bus.Post(m).ok());  // space again
+  EXPECT_TRUE(bus.PostBatch(m).ok());  // space again
   EXPECT_EQ(bus.DrainOnce(0), 1u);
   EXPECT_EQ(bus.apply_errors(), 0u);
   bus.Stop();
@@ -580,10 +580,10 @@ TEST_F(FleetTest, BlockPolicyIsLossless) {
   const int n = 50;
   for (int i = 0; i < n; ++i) {
     BusMessage m;
-    m.kind = BusMessage::Kind::kEvent;
+    m.kind = BusMessage::Kind::kEventBatch;
     m.home = (i & 1) ? "bl-a" : "bl-b";
-    m.event = EventFor(pool[i & 1], 0.1 + 0.01 * i);
-    ASSERT_TRUE(bus.Post(std::move(m)).ok());
+    m.events = {EventFor(pool[i & 1], 0.1 + 0.01 * i)};
+    ASSERT_TRUE(bus.PostBatch(std::move(m)).ok());
   }
   bus.Flush();
   EXPECT_EQ(bus.rejected(), 0u);
@@ -601,10 +601,10 @@ TEST_F(FleetTest, ApplyErrorsAreCountedNotThrown) {
   bc.manual_drain = true;
   EventBus bus(&fleet, bc);
   BusMessage m;
-  m.kind = BusMessage::Kind::kEvent;
+  m.kind = BusMessage::Kind::kEventBatch;
   m.home = "nobody-home";
-  m.event = EventFor(RulePool(1)[0], 0.5);
-  ASSERT_TRUE(bus.Post(m).ok());  // accepted: routing never fails
+  m.events = {EventFor(RulePool(1)[0], 0.5)};
+  ASSERT_TRUE(bus.PostBatch(m).ok());  // accepted: routing never fails
   const int k = fleet.ShardOf("nobody-home");
   EXPECT_EQ(bus.DrainOnce(k), 1u);
   EXPECT_EQ(bus.apply_errors(), 1u);
@@ -626,10 +626,10 @@ TEST_F(FleetTest, RunOnShardRunsBehindEverythingAccepted) {
   const uint64_t n = 32;
   for (uint64_t i = 0; i < n; ++i) {
     BusMessage m;
-    m.kind = BusMessage::Kind::kEvent;
+    m.kind = BusMessage::Kind::kEventBatch;
     m.home = "ros-home";
-    m.event = EventFor(pool[i & 1], 0.1 + 0.01 * static_cast<double>(i));
-    ASSERT_TRUE(bus.Post(std::move(m)).ok());
+    m.events = {EventFor(pool[i & 1], 0.1 + 0.01 * static_cast<double>(i))};
+    ASSERT_TRUE(bus.PostBatch(std::move(m)).ok());
   }
   // FIFO: the task is queued after the n events, so it must observe all
   // of them applied — and it must run on the shard's consumer thread,
@@ -661,10 +661,10 @@ TEST_F(FleetTest, RunOnShardManualDrainAppliesThenRunsInline) {
   auto pool = RulePool(2);
   for (int i = 0; i < 3; ++i) {
     BusMessage m;
-    m.kind = BusMessage::Kind::kEvent;
+    m.kind = BusMessage::Kind::kEventBatch;
     m.home = "ros-md";
-    m.event = EventFor(pool[i & 1], 0.2 + 0.05 * i);
-    ASSERT_TRUE(bus.Post(std::move(m)).ok());
+    m.events = {EventFor(pool[i & 1], 0.2 + 0.05 * i)};
+    ASSERT_TRUE(bus.PostBatch(std::move(m)).ok());
   }
   uint64_t seen = 0;
   std::thread::id task_thread;
@@ -693,10 +693,10 @@ TEST_F(FleetTest, AcceptedPostsAreAppliedDespiteConcurrentStop) {
   auto produce = [&](const HomeId& home) {
     for (int i = 0; i < 400; ++i) {
       BusMessage m;
-      m.kind = BusMessage::Kind::kEvent;
+      m.kind = BusMessage::Kind::kEventBatch;
       m.home = home;
-      m.event = EventFor(pool[i & 1], 0.1 + 0.001 * i);
-      if (bus.Post(std::move(m)).ok()) {
+      m.events = {EventFor(pool[i & 1], 0.1 + 0.001 * i)};
+      if (bus.PostBatch(std::move(m)).ok()) {
         accepted.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -756,9 +756,9 @@ TEST_F(FleetTest, ServerServesTheWireProtocolEndToEnd) {
 
   for (int i = 0; i < 4; ++i) {
     req = wire::Request();
-    req.type = wire::MsgType::kEvent;
+    req.type = wire::MsgType::kEventBatch;
     req.home = "net-a";
-    req.event = EventFor(pool[i % 2], 0.5 + 0.3 * i);
+    req.events = {EventFor(pool[i % 2], 0.5 + 0.3 * i)};
     ASSERT_TRUE(client.Call(req, &reply).ok());
     EXPECT_EQ(reply.code, 0) << reply.message;
   }
@@ -780,9 +780,9 @@ TEST_F(FleetTest, ServerServesTheWireProtocolEndToEnd) {
   // Mutations for unknown homes are *accepted* (ack OK) and fail at apply;
   // the failure surfaces in the stats counters, not the ack.
   req = wire::Request();
-  req.type = wire::MsgType::kEvent;
+  req.type = wire::MsgType::kEventBatch;
   req.home = "net-ghost";
-  req.event = EventFor(pool[0], 1.0);
+  req.events = {EventFor(pool[0], 1.0)};
   ASSERT_TRUE(client.Call(req, &reply).ok());
   EXPECT_EQ(reply.code, 0);
 
@@ -941,9 +941,9 @@ TEST_F(FleetTest, ConcurrentClientsPostAndInspectWithoutRacing) {
         req.home = homes[static_cast<size_t>(i & 1)];
         switch ((t + i) % 3) {
           case 0:
-            req.type = wire::MsgType::kEvent;
-            req.event = EventFor(pool[static_cast<size_t>(i % 4)],
-                                 0.2 + 0.01 * i);
+            req.type = wire::MsgType::kEventBatch;
+            req.events = {EventFor(pool[static_cast<size_t>(i % 4)],
+                                   0.2 + 0.01 * i)};
             break;
           case 1:
             req.type = wire::MsgType::kInspect;
@@ -957,7 +957,7 @@ TEST_F(FleetTest, ConcurrentClientsPostAndInspectWithoutRacing) {
           failures.fetch_add(1);
           return;
         }
-        if (req.type == wire::MsgType::kEvent) posted.fetch_add(1);
+        if (req.type == wire::MsgType::kEventBatch) posted.fetch_add(1);
       }
     });
   }
@@ -1017,7 +1017,7 @@ TEST_F(FleetTest, WireRequestsYieldCompletePerStageTraces) {
           ++sent;
         }
       }
-      const int kOpsPerClient = 24;  // alternating kEvent / kInspect
+      const int kOpsPerClient = 24;  // alternating kEventBatch / kInspect
       std::atomic<uint64_t> ok_ops{0};
       std::vector<std::thread> clients;
       for (int t = 0; t < num_clients; ++t) {
@@ -1032,9 +1032,9 @@ TEST_F(FleetTest, WireRequestsYieldCompletePerStageTraces) {
               req.type = wire::MsgType::kInspect;
               req.now_hours = 2.0;
             } else {
-              req.type = wire::MsgType::kEvent;
-              req.event =
-                  EventFor(pool[static_cast<size_t>(i % 4)], 0.3 + 0.01 * i);
+              req.type = wire::MsgType::kEventBatch;
+              req.events = {
+                  EventFor(pool[static_cast<size_t>(i % 4)], 0.3 + 0.01 * i)};
             }
             if (c.Call(req, &reply).ok() && reply.code == 0) {
               ok_ops.fetch_add(1);
@@ -1273,7 +1273,7 @@ TEST_F(FleetTest, PipelinedBatchedClientsMatchTheSynchronousReference) {
 }
 
 // A batch whose events fail at apply is ONE failed message: the batch was
-// accepted (kBatchAck OK — backpressure semantics match single events),
+// accepted (kBatchAck OK — accepted on enqueue like any mutation),
 // and the apply failure is counted once per batch, not once per event.
 TEST_F(FleetTest, BatchApplyFailureCountsOncePerBatch) {
   FleetConfig cfg;
@@ -1293,7 +1293,7 @@ TEST_F(FleetTest, BatchApplyFailureCountsOncePerBatch) {
   }
   ASSERT_TRUE(c.Call(req, &reply).ok());
   ASSERT_EQ(reply.type, wire::MsgType::kBatchAck);
-  EXPECT_EQ(reply.code, 0) << reply.message;  // accepted, like kEvent
+  EXPECT_EQ(reply.code, 0) << reply.message;  // accepted, then fails at apply
   EXPECT_EQ(reply.batch_events, 5u);
 
   req = wire::Request();

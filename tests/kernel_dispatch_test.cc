@@ -98,9 +98,6 @@ TEST_F(KernelDispatchTest, DispatchSurface) {
     EXPECT_EQ(kernels::Kernels().code, static_cast<int>(b));
     EXPECT_STREQ(kernels::BackendName(), kernels::Kernels().name);
   }
-#if !defined(__aarch64__)
-  EXPECT_FALSE(SetBackend(Backend::kNeon));
-#endif
 }
 
 TEST_F(KernelDispatchTest, DotBitIdentity) {

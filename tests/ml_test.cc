@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
 
 #include "ml/decision_tree.h"
 #include "ml/isolation_forest.h"
@@ -150,65 +151,71 @@ TEST(DatasetHelpers, TrainTestSplitPartitions) {
 
 using Factory = std::function<std::unique_ptr<Classifier>()>;
 
-class ClassifierSuite : public ::testing::TestWithParam<
-                            std::pair<const char*, Factory>> {};
+struct ModelCase {
+  const char* name;
+  Factory make;
+};
+
+// Print a case by its model name only: the default printer dumps the
+// pointers, so the test names would change from run to run.
+void PrintTo(const ModelCase& c, std::ostream* os) { *os << c.name; }
+
+class ClassifierSuite : public ::testing::TestWithParam<ModelCase> {};
 
 TEST_P(ClassifierSuite, LearnsSeparableBlobs) {
-  auto clf = GetParam().second();
+  auto clf = GetParam().make();
   Dataset train = MakeBlobs(80, 4.0, 11);
   Dataset test = MakeBlobs(40, 4.0, 12);
   clf->Fit(train, BalancedClassWeights(train.y, 2));
   auto m = BinaryMetrics(test.y, clf->PredictBatch(test.x));
-  EXPECT_GT(m.accuracy, 0.92) << GetParam().first;
+  EXPECT_GT(m.accuracy, 0.92) << GetParam().name;
 }
 
 TEST_P(ClassifierSuite, ProbaMonotoneWithClass) {
-  auto clf = GetParam().second();
+  auto clf = GetParam().make();
   Dataset train = MakeBlobs(80, 4.0, 13);
   clf->Fit(train, {});
   // Deep inside each blob the probability ordering must hold.
   FloatVec neg(6, 0.f), pos(6, 4.f);
   EXPECT_LT(clf->PredictProba(neg), clf->PredictProba(pos))
-      << GetParam().first;
+      << GetParam().name;
 }
 
 TEST_P(ClassifierSuite, DeterministicAcrossRuns) {
-  auto a = GetParam().second();
-  auto b = GetParam().second();
+  auto a = GetParam().make();
+  auto b = GetParam().make();
   Dataset train = MakeBlobs(60, 3.0, 17);
   a->Fit(train, {});
   b->Fit(train, {});
   Dataset probe = MakeBlobs(20, 3.0, 18);
   EXPECT_EQ(a->PredictBatch(probe.x), b->PredictBatch(probe.x))
-      << GetParam().first;
+      << GetParam().name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllModels, ClassifierSuite,
     ::testing::Values(
-        std::make_pair("svc",
-                       Factory([] {
-                         return std::unique_ptr<Classifier>(new LinearSvc());
-                       })),
-        std::make_pair("mlp",
-                       Factory([] {
-                         Mlp::Params p;
-                         p.epochs = 40;
-                         return std::unique_ptr<Classifier>(new Mlp(p));
-                       })),
-        std::make_pair("knn",
-                       Factory([] {
-                         return std::unique_ptr<Classifier>(new Knn());
-                       })),
-        std::make_pair("rforest",
-                       Factory([] {
-                         return std::unique_ptr<Classifier>(
-                             new RandomForest());
-                       })),
-        std::make_pair("gboost", Factory([] {
-                         return std::unique_ptr<Classifier>(
-                             new GradientBoosting());
-                       }))));
+        ModelCase{"svc",
+                  Factory([] {
+                    return std::unique_ptr<Classifier>(new LinearSvc());
+                  })},
+        ModelCase{"mlp",
+                  Factory([] {
+                    Mlp::Params p;
+                    p.epochs = 40;
+                    return std::unique_ptr<Classifier>(new Mlp(p));
+                  })},
+        ModelCase{"knn",
+                  Factory([] {
+                    return std::unique_ptr<Classifier>(new Knn());
+                  })},
+        ModelCase{"rforest",
+                  Factory([] {
+                    return std::unique_ptr<Classifier>(new RandomForest());
+                  })},
+        ModelCase{"gboost", Factory([] {
+                    return std::unique_ptr<Classifier>(new GradientBoosting());
+                  })}));
 
 TEST(NonLinearModels, SolveXor) {
   // Tree/ensemble/NN models must handle XOR; the linear SVC cannot.

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "nlp/embedding.h"
 #include "util/vecmath.h"
 
@@ -35,6 +37,12 @@ struct SynonymCase {
   const char* b;
   const char* unrelated;
 };
+
+// Print a case by its words: the default printer dumps the pointers, so
+// the test names would change from run to run.
+void PrintTo(const SynonymCase& c, std::ostream* os) {
+  *os << c.a << "~" << c.b << " vs " << c.unrelated;
+}
 
 class EmbeddingGeometry : public ::testing::TestWithParam<SynonymCase> {};
 

@@ -73,11 +73,11 @@ TEST(WireCodec, RequestRoundTripsEveryType) {
     r.rule_id = -3;
     reqs.push_back(r);
     r = Request();
-    r.type = MsgType::kEvent;
+    r.type = MsgType::kEventBatch;  // a single event is a batch of one
     r.home = "home-d";
     r.deadline_ms = 100;
     r.seq = 0xdeadbeefcafeull;
-    r.event = TestEvent(12.25);
+    r.events = {TestEvent(12.25)};
     reqs.push_back(r);
     r = Request();
     r.type = MsgType::kInspect;
@@ -98,7 +98,10 @@ TEST(WireCodec, RequestRoundTripsEveryType) {
     EXPECT_EQ(back.rules.size(), req.rules.size());
     EXPECT_EQ(back.rule.id, req.rule.id);
     EXPECT_EQ(back.rule_id, req.rule_id);
-    EXPECT_EQ(back.event.time_hours, req.event.time_hours);
+    ASSERT_EQ(back.events.size(), req.events.size());
+    for (size_t i = 0; i < req.events.size(); ++i) {
+      EXPECT_EQ(back.events[i].time_hours, req.events[i].time_hours);
+    }
     EXPECT_EQ(back.now_hours, req.now_hours);
   }
 }
@@ -385,6 +388,20 @@ TEST(WireCodec, MalformedRequestBodiesAreInvalidArgument) {
     Status st = DecodeRequest(payload, &req);
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   }
+  // Type byte 5 (the retired single-event request) is unknown too, even
+  // when followed by what used to be a well-formed body.
+  {
+    util::ByteWriter w;
+    w.U8(5);
+    w.U32(0);  // deadline_ms
+    w.U64(1);  // seq
+    w.Str("home-a");
+    graph::WriteEvent(&w, TestEvent(1.0));
+    Status st = DecodeRequest(w.TakeBuffer(), &req);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(st.message().find("unknown type"), std::string::npos)
+        << st.message();
+  }
   // Empty payload: no type at all.
   {
     std::vector<char> payload;
@@ -551,6 +568,27 @@ TEST(WireCodec, EventBatchMalformedBodiesAreInvalidArgument) {
           << "keep=" << keep;
     }
   }
+}
+
+// A seq range first_seq..first_seq+n-1 that wraps u64 is refused: the bus
+// would store a wrapped high-water mark and stop deduping the home.
+TEST(WireCodec, EventBatchSeqRangeMustNotWrap) {
+  Request req;
+  Request wrap = BatchOf(2);
+  wrap.seq = UINT64_MAX;  // events UINT64_MAX and UINT64_MAX+1 (= 0)
+  Status st = DecodeRequest(EncodeRequest(wrap), &req);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("wraps"), std::string::npos) << st.message();
+  // The last seq a batch can legally end on is UINT64_MAX itself.
+  wrap.seq = UINT64_MAX - 1;
+  EXPECT_TRUE(DecodeRequest(EncodeRequest(wrap), &req).ok());
+  wrap = BatchOf(kMaxBatchEvents);
+  wrap.seq = UINT64_MAX - kMaxBatchEvents + 2;
+  EXPECT_EQ(DecodeRequest(EncodeRequest(wrap), &req).code(),
+            StatusCode::kInvalidArgument);
+  // Unsequenced batches (seq 0) stay legal at any size.
+  wrap.seq = 0;
+  EXPECT_TRUE(DecodeRequest(EncodeRequest(wrap), &req).ok());
 }
 
 // ---- Buffer-level framing ----------------------------------------------

@@ -6,6 +6,24 @@ cd "$(dirname "$0")/.."
 
 JOBS="$(nproc)"
 
+# Prints the port a background `glint fleet-serve --port 0` announced in its
+# log ("listening on 127.0.0.1:PORT"), polling for up to 10 s; fails,
+# naming the log, when no port appears.
+wait_for_port() {
+  local log="$1" port=""
+  for _ in $(seq 1 100); do
+    port="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9][0-9]*\).*/\1/p' \
+      "${log}" 2>/dev/null)"
+    if [ -n "${port}" ]; then
+      printf '%s\n' "${port}"
+      return 0
+    fi
+    sleep 0.1
+  done
+  echo "check.sh: no listening port in ${log}" >&2
+  return 1
+}
+
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j"${JOBS}"
 # Native pass: kernels auto-select the most capable backend this host has.
@@ -184,14 +202,7 @@ GLINT_THREADS=2 ./build/tools/glint fleet-serve \
   --state-dir "${FAULT_SMOKE_DIR}/fleet-state" --shards 3 \
   --port 0 --duration 60 >"${FAULT_SMOKE_DIR}/fleet-serve.log" &
 FLEET_SERVE_PID=$!
-FLEET_PORT=""
-for _ in $(seq 1 100); do
-  FLEET_PORT="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9][0-9]*\).*/\1/p' \
-    "${FAULT_SMOKE_DIR}/fleet-serve.log")"
-  if [ -n "${FLEET_PORT}" ]; then break; fi
-  sleep 0.1
-done
-if [ -z "${FLEET_PORT}" ]; then
+if ! FLEET_PORT="$(wait_for_port "${FAULT_SMOKE_DIR}/fleet-serve.log")"; then
   echo "check.sh: fleet-serve never reported a listening port" >&2
   kill "${FLEET_SERVE_PID}" 2>/dev/null || true
   exit 1
@@ -261,14 +272,7 @@ GLINT_THREADS=2 ./build/tools/glint fleet-serve \
   --state-dir "${FAULT_SMOKE_DIR}/drain-state" --shards 3 \
   --port 0 --duration 60 >"${FAULT_SMOKE_DIR}/drain.log" &
 DRAIN_PID=$!
-DRAIN_PORT=""
-for _ in $(seq 1 100); do
-  DRAIN_PORT="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9][0-9]*\).*/\1/p' \
-    "${FAULT_SMOKE_DIR}/drain.log")"
-  if [ -n "${DRAIN_PORT}" ]; then break; fi
-  sleep 0.1
-done
-if [ -z "${DRAIN_PORT}" ]; then
+if ! DRAIN_PORT="$(wait_for_port "${FAULT_SMOKE_DIR}/drain.log")"; then
   echo "check.sh: drain-smoke fleet-serve never reported a port" >&2
   kill "${DRAIN_PID}" 2>/dev/null || true
   exit 1

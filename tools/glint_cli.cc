@@ -32,7 +32,8 @@
 //       Sharded fleet serving: N ServingEngine shards behind a consistent-
 //       hash HomeId router, mutations flowing through a bounded per-shard
 //       event bus. Without --port, drives simulated homes through the bus
-//       locally (the `serve` loop at fleet shape). With --port, listens on
+//       locally (the `serve` loop at fleet shape; each home's new events
+//       of a tick ride one event batch). With --port, listens on
 //       127.0.0.1:P speaking the binary wire protocol (see
 //       src/fleet/wire.h) until --duration seconds elapse (or stdin closes
 //       when --duration is 0). --state-dir DIR journals each shard to
@@ -68,6 +69,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -733,17 +735,19 @@ int CmdFleetServe(const std::map<std::string, std::string>& flags) {
       auto& sim = sims[static_cast<size_t>(h)];
       sim.Simulate(t - sim.now());
       const auto& events = sim.log().events();
-      for (size_t& i = cursor[static_cast<size_t>(h)]; i < events.size();
-           ++i) {
-        fleet::BusMessage msg;
-        msg.kind = fleet::BusMessage::Kind::kEvent;
-        msg.home = ids[static_cast<size_t>(h)];
-        msg.event = events[i];
-        Status st = bus.Post(std::move(msg));
-        if (!st.ok()) {
-          std::fprintf(stderr, "%s\n", st.ToString().c_str());
-          return 1;
-        }
+      size_t& next = cursor[static_cast<size_t>(h)];
+      if (next == events.size()) continue;  // quiet tick: nothing to post
+      // The home's new events for this tick ride one batch, in log order.
+      fleet::BusMessage msg;
+      msg.kind = fleet::BusMessage::Kind::kEventBatch;
+      msg.home = ids[static_cast<size_t>(h)];
+      msg.events.assign(events.begin() + static_cast<std::ptrdiff_t>(next),
+                        events.end());
+      next = events.size();
+      Status st = bus.PostBatch(std::move(msg));
+      if (!st.ok()) {
+        std::fprintf(stderr, "%s\n", st.ToString().c_str());
+        return 1;
       }
     }
     double t_inspect = t;
