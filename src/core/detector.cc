@@ -4,11 +4,13 @@
 
 #include <cerrno>
 #include <cstring>
+#include <future>
 
 #include "core/explain.h"
 #include "gnn/model_io.h"
 #include "graph/threat_analyzer.h"
 #include "obs/obs.h"
+#include "util/thread_pool.h"
 
 namespace glint::core {
 
@@ -26,33 +28,61 @@ void TrainedDetector::TrainOffline() {
   rules::CorpusGenerator gen(options_.corpus);
   corpus_rules_ = gen.Generate();
 
-  // 2. Rule correlation discovery (Sec. 3.2.1).
-  discovery_ =
+  // The correlation ensemble, ITGNN-S and ITGNN-C (with its drift fit) are
+  // independent: separate models, separate RNG streams, and shared inputs
+  // (corpus, graphs, memo caches) that are only read or memoize pure
+  // functions. So they train side by side on caller threads that share the
+  // global pool. Under GLINT_THREADS=1 the deferred tasks run on this
+  // thread when joined, keeping the whole stage serial.
+  const std::launch beside = ThreadPool::Global().threads() > 1
+                                 ? std::launch::async
+                                 : std::launch::deferred;
+
+  // 2. Rule correlation discovery (Sec. 3.2.1), beside steps 3-5. Trained
+  // into a local and published after the join, so a builder edge predicate
+  // installed by an earlier training never sees a half-trained ensemble.
+  auto discovery =
       std::make_unique<correlation::CorrelationDiscovery>(&word_model_);
-  ml::Dataset pairs = correlation::BuildPairDataset(
-      corpus_rules_, discovery_->extractor(), options_.pairs);
-  discovery_->Train(pairs);
+  std::future<void> correlation_done = std::async(beside, [&] {
+    ml::Dataset pairs = correlation::BuildPairDataset(
+        corpus_rules_, discovery->extractor(), options_.pairs);
+    discovery->Train(pairs);
+  });
 
   // 3. Interaction graph dataset, labeled by the analyzer (Sec. 3.2.2).
   graph::GraphDataset ds =
       builder_->BuildDataset(corpus_rules_, options_.num_training_graphs);
   train_graphs_ = gnn::ToGnnGraphs(ds);
+  // Build each graph's lazily cached type operators up front, so the two
+  // trainings below (and the graph copies ITGNN-S oversamples) only ever
+  // read train_graphs_ instead of racing to publish the cache.
+  ParallelFor(0, static_cast<int64_t>(train_graphs_.size()), 16,
+              [this](int64_t lo, int64_t hi) {
+                for (int64_t i = lo; i < hi; ++i) {
+                  train_graphs_[static_cast<size_t>(i)].TypeMetaView();
+                }
+              });
 
-  // 4. ITGNN-S (classification) and ITGNN-C (contrastive) training.
-  gnn::ItgnnModel::Config s_cfg = options_.model;
-  classifier_ = std::make_unique<gnn::ItgnnModel>(s_cfg);
-  gnn::Trainer trainer(options_.train);
-  trainer.TrainSupervised(classifier_.get(), train_graphs_);
-
+  // 4. ITGNN-S (classification) beside ITGNN-C (contrastive); both only
+  // read train_graphs_.
+  classifier_ = std::make_unique<gnn::ItgnnModel>(options_.model);
   gnn::ItgnnModel::Config c_cfg = options_.model;
   c_cfg.seed ^= 0xc0;
   contrastive_ = std::make_unique<gnn::ItgnnModel>(c_cfg);
-  trainer.TrainContrastive(contrastive_.get(), train_graphs_);
+  std::future<void> supervised_done = std::async(beside, [&] {
+    gnn::Trainer(options_.train).TrainSupervised(classifier_.get(),
+                                                 train_graphs_);
+  });
+  gnn::Trainer(options_.train).TrainContrastive(contrastive_.get(),
+                                                train_graphs_);
 
   // 5. Drift detector over the contrastive latent space (Alg. 3).
   drift_ = gnn::DriftDetector({options_.t_mad});
   drift_.FitFromModel(contrastive_.get(), train_graphs_);
 
+  supervised_done.get();
+  correlation_done.get();
+  discovery_ = std::move(discovery);
   ready_ = true;
 }
 

@@ -1334,26 +1334,87 @@ Tensor* SegmentScaleByCol(Tape* tape, Tensor* a, Tensor* s, int col,
   return out;
 }
 
-void Adam::Step(const std::vector<Parameter*>& parameters) {
-  t_ += 1;
-  const double bc1 = 1.0 - std::pow(params_.beta1, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(params_.beta2, static_cast<double>(t_));
-  for (Parameter* p : parameters) {
-    if (!p->frozen) {
-      for (size_t i = 0; i < p->value.data.size(); ++i) {
-        const double g =
-            p->grad.data[i] + params_.weight_decay * p->value.data[i];
-        p->m.data[i] = static_cast<float>(params_.beta1 * p->m.data[i] +
-                                          (1 - params_.beta1) * g);
-        p->v.data[i] = static_cast<float>(params_.beta2 * p->v.data[i] +
-                                          (1 - params_.beta2) * g * g);
-        p->value.data[i] -= static_cast<float>(
-            params_.lr * (p->m.data[i] / bc1) /
-            (std::sqrt(p->v.data[i] / bc2) + params_.eps));
-      }
+namespace {
+
+/// Floats per optimizer tile: small enough that a tile's grad, value,
+/// moments and sink slots stay cache-resident, large enough that claiming a
+/// tile off the pool cursor is noise.
+constexpr size_t kAdamTileFloats = 2048;
+
+}  // namespace
+
+void Adam::Plan(const std::vector<Parameter*>& parameters) {
+  planned_ = parameters;
+  std::vector<Parameter*> sorted = parameters;
+  std::sort(sorted.begin(), sorted.end());
+  // Tiles of one parameter run concurrently; a listed-twice parameter
+  // would race with itself.
+  GLINT_CHECK(std::adjacent_find(sorted.begin(), sorted.end()) ==
+              sorted.end());
+  tiles_.clear();
+  for (size_t p = 0; p < planned_.size(); ++p) {
+    const size_t n = planned_[p]->value.data.size();
+    for (size_t lo = 0; lo < n; lo += kAdamTileFloats) {
+      tiles_.push_back({p, lo, std::min(n, lo + kAdamTileFloats)});
     }
-    p->ZeroGrad();
   }
+}
+
+void Adam::Step(const std::vector<Parameter*>& parameters,
+                std::vector<Tape::GradSink>* sinks, size_t active) {
+  GLINT_CHECK(active == 0 || (sinks != nullptr && active <= sinks->size()));
+  if (parameters != planned_) Plan(parameters);
+  t_ += 1;
+  bc1_ = 1.0 - std::pow(params_.beta1, static_cast<double>(t_));
+  bc2_ = 1.0 - std::pow(params_.beta2, static_cast<double>(t_));
+
+  // Resolve every active sink's Parameter* -> slot once per step, so the
+  // tiles index a flat table instead of searching the maps.
+  const size_t np = planned_.size();
+  active_ = active;
+  slots_.assign(active * np, nullptr);
+  for (size_t s = 0; s < active; ++s) {
+    Tape::GradSink& sink = (*sinks)[s];
+    for (size_t p = 0; p < np; ++p) {
+      auto it = sink.find(planned_[p]);
+      if (it != sink.end()) slots_[s * np + p] = it->second.data.data();
+    }
+  }
+
+  // The per-step state lives in members so the lambda captures only `this`
+  // and its std::function fits the inline buffer (no allocation per step).
+  ParallelFor(0, static_cast<int64_t>(tiles_.size()), 1,
+              [this](int64_t lo, int64_t hi) {
+                for (int64_t i = lo; i < hi; ++i) {
+                  StepTile(tiles_[static_cast<size_t>(i)]);
+                }
+              });
+}
+
+void Adam::StepTile(const Tile& tile) const {
+  Parameter* p = planned_[tile.param];
+  float* grad = p->grad.data.data();
+  const size_t np = planned_.size();
+  for (size_t s = 0; s < active_; ++s) {
+    float* slot = slots_[s * np + tile.param];
+    if (slot == nullptr) continue;
+    for (size_t i = tile.lo; i < tile.hi; ++i) grad[i] += slot[i];
+    std::fill(slot + tile.lo, slot + tile.hi, 0.f);
+  }
+  if (!p->frozen) {
+    float* value = p->value.data.data();
+    float* m = p->m.data.data();
+    float* v = p->v.data.data();
+    for (size_t i = tile.lo; i < tile.hi; ++i) {
+      const double g = grad[i] + params_.weight_decay * value[i];
+      m[i] = static_cast<float>(params_.beta1 * m[i] + (1 - params_.beta1) * g);
+      v[i] = static_cast<float>(params_.beta2 * v[i] +
+                                (1 - params_.beta2) * g * g);
+      value[i] -= static_cast<float>(params_.lr * (m[i] / bc1_) /
+                                     (std::sqrt(v[i] / bc2_) + params_.eps));
+    }
+  }
+  std::fill(grad + tile.lo, grad + tile.hi, 0.f);
 }
 
 }  // namespace glint::gnn

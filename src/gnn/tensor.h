@@ -323,9 +323,10 @@ class Tape {
 
   /// Redirects Leaf gradient accumulation from Parameter::grad into
   /// `sink[param]` (zero-initialized on first touch). The parallel trainer
-  /// gives each per-graph tape a private sink and merges the sinks into the
-  /// parameters serially, in sample order, so gradients are bit-identical
-  /// for any thread count. Set before the first Leaf-touching Backward().
+  /// gives each per-graph tape a private sink and Adam::Step merges the
+  /// sinks into the parameters per element, in sample order, so gradients
+  /// are bit-identical for any thread count. Set before the first
+  /// Leaf-touching Backward().
   void set_grad_sink(GradSink* sink) { grad_sink_ = sink; }
 
   size_t size() const { return arena_.nodes(); }
@@ -472,8 +473,17 @@ void SoftmaxRowInto(const Tensor* logits, double* p);
 /// tensor overload (so per-row results are bit-identical).
 void SoftmaxRowInto(const float* logits, int k, double* p);
 
-/// Adam update over a set of parameters (skips frozen ones) and zeroes
-/// gradients.
+/// Adam optimizer fused with the per-sample gradient reduction. One Step()
+/// is a single pass over element tiles of the parameters, fanned out on the
+/// global pool; for each element it
+///   1. adds the first `active` gradient sinks into grad, in sample order
+///      (a sink holding no entry for the parameter is skipped),
+///   2. applies the Adam update (frozen parameters keep their value),
+///   3. zeroes the grad slot and the sinks' slots.
+/// Each element's float operations run in that fixed order on one thread,
+/// so the result is bit-identical for any thread count. The tile plan is
+/// built on the first step over a parameter list and reused, so a steady
+/// step allocates nothing.
 class Adam {
  public:
   struct Params {
@@ -487,11 +497,31 @@ class Adam {
   Adam() : Adam(Params()) {}
   explicit Adam(Params p) : params_(p) {}
 
-  void Step(const std::vector<Parameter*>& parameters);
+  /// One optimizer step. Without sinks the update reads Parameter::grad
+  /// alone; with them, sinks [0, active) are merged in first. Sink map
+  /// nodes are zeroed, never erased, so they survive to the next step.
+  void Step(const std::vector<Parameter*>& parameters,
+            std::vector<Tape::GradSink>* sinks = nullptr, size_t active = 0);
 
  private:
+  /// A contiguous element range [lo, hi) of parameter `param`.
+  struct Tile {
+    size_t param;
+    size_t lo, hi;
+  };
+
+  void Plan(const std::vector<Parameter*>& parameters);
+  void StepTile(const Tile& tile) const;
+
   Params params_;
   long t_ = 0;
+  std::vector<Parameter*> planned_;  ///< the list tiles_ was built for
+  std::vector<Tile> tiles_;
+  /// This step's sink data per (sample, parameter):
+  /// slots_[sample * planned_.size() + param], nullptr when absent.
+  std::vector<float*> slots_;
+  size_t active_ = 0;
+  double bc1_ = 0, bc2_ = 0;  ///< this step's bias corrections
 };
 
 }  // namespace glint::gnn

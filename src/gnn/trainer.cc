@@ -8,32 +8,6 @@
 
 namespace glint::gnn {
 
-namespace {
-
-/// Merges the first `active` per-sample gradient sinks into the parameters.
-/// Iterates samples in order and parameters in their registration order
-/// (never the unordered_map), so the reduction is deterministic for any
-/// thread count. Sink matrices are zeroed rather than erased so the map
-/// nodes and their storage survive to the next batch; only the active
-/// prefix is merged so short final batches never depend on the subtle
-/// claim that adding a zeroed stale sink is a bitwise no-op.
-void MergeGradSinks(const std::vector<Parameter*>& params, size_t active,
-                    std::vector<Tape::GradSink>* sinks) {
-  for (size_t s = 0; s < active; ++s) {
-    auto& sink = (*sinks)[s];
-    for (Parameter* p : params) {
-      auto it = sink.find(p);
-      if (it == sink.end()) continue;
-      for (size_t i = 0; i < p->grad.data.size(); ++i) {
-        p->grad.data[i] += it->second.data[i];
-      }
-    }
-    for (auto& [p, m] : sink) std::fill(m.data.begin(), m.data.end(), 0.f);
-  }
-}
-
-}  // namespace
-
 void SplitGraphs(const std::vector<GnnGraph>& all, double train_frac,
                  Rng* rng, std::vector<GnnGraph>* train,
                  std::vector<GnnGraph>* test) {
@@ -91,9 +65,9 @@ void Trainer::TrainSupervised(GraphModel* model,
     rng.Shuffle(&order);
     double total_loss = 0;
     // Graphs within a batch are independent: each gets its own tape and a
-    // private gradient sink, so the batch runs in parallel; sinks are then
-    // merged in sample order and the merged result matches the serial run
-    // bit for bit.
+    // private gradient sink, so the batch runs in parallel; the Adam step
+    // then merges the sinks per element in sample order, so the result
+    // matches the serial run bit for bit.
     for (size_t start = 0; start < order.size(); start += kBatch) {
       const size_t stop = std::min(order.size(), start + kBatch);
       ParallelFor(
@@ -131,8 +105,7 @@ void Trainer::TrainSupervised(GraphModel* model,
             }
           });
       for (size_t i = 0; i < stop - start; ++i) total_loss += losses[i];
-      MergeGradSinks(params, stop - start, &sinks);
-      adam.Step(params);
+      adam.Step(params, &sinks, stop - start);
     }
     if (config_.verbose) {
       std::fprintf(stderr, "[%s] epoch %d loss %.4f\n",
@@ -208,8 +181,7 @@ void Trainer::TrainContrastive(GraphModel* model,
                     }
                   });
       for (size_t k = 0; k < batch.size(); ++k) total_loss += losses[k];
-      MergeGradSinks(params, batch.size(), &sinks);
-      adam.Step(params);
+      adam.Step(params, &sinks, batch.size());
     }
     if (config_.verbose) {
       std::fprintf(stderr, "[%s-C] epoch %d loss %.4f\n",

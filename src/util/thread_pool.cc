@@ -12,9 +12,23 @@
 namespace glint {
 namespace {
 
-/// Set for the lifetime of a pool worker thread; nested ParallelFor calls
-/// check it and run inline instead of re-entering the queue.
+/// Set for the lifetime of a pool worker thread, and on a ParallelFor
+/// caller while it drains its own chunks; nested ParallelFor calls check it
+/// and run inline instead of re-entering the queue.
 thread_local bool in_pool_worker = false;
+
+/// Marks the calling thread as draining pool work for one scope, restoring
+/// the previous mark on exit (also when a chunk throws).
+class InPoolScope {
+ public:
+  InPoolScope() : saved_(in_pool_worker) { in_pool_worker = true; }
+  ~InPoolScope() { in_pool_worker = saved_; }
+  InPoolScope(const InPoolScope&) = delete;
+  InPoolScope& operator=(const InPoolScope&) = delete;
+
+ private:
+  bool saved_;
+};
 
 std::unique_ptr<ThreadPool>& GlobalSlot() {
   static std::unique_ptr<ThreadPool>* pool = new std::unique_ptr<ThreadPool>(
@@ -148,7 +162,13 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
       if (--state->active == 0) state->done.notify_one();
     });
   }
-  drain();
+  {
+    // The caller drains like a worker: a nested ParallelFor inside one of
+    // its chunks runs inline instead of queueing helpers behind workers
+    // busy with this same range and then waiting on them.
+    InPoolScope as_worker;
+    drain();
+  }
   std::unique_lock<std::mutex> lk(state->mu);
   state->done.wait(lk, [&]() { return state->active == 0; });
   if (state->error) std::rethrow_exception(state->error);

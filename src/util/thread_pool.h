@@ -21,9 +21,16 @@ namespace glint {
 /// per-index slots (and do all cross-index reduction afterwards, in index
 /// order) produce bit-identical results for any thread count.
 ///
-/// Nested calls: a ParallelFor issued from inside a pool worker runs inline
-/// on that worker (serial). Parallelism is applied at the outermost level
-/// only, which avoids both deadlock and oversubscription.
+/// Nested calls: a ParallelFor issued from inside a pool worker, or from
+/// inside one of the chunks the caller drains itself, runs inline on that
+/// thread (serial). Parallelism is applied at the outermost level only,
+/// which avoids deadlock, oversubscription, and a caller that stalls on
+/// helper tasks queued behind workers busy with its own range.
+///
+/// Several non-pool threads may call ParallelFor at once (the offline
+/// trainer overlaps independent trainings this way); their helper tasks
+/// share the one queue and every call still returns only when its own
+/// range is done.
 class ThreadPool {
  public:
   /// `threads` is the total concurrency (calling thread included), so a

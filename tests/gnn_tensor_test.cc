@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <memory>
 
 #include "gnn/tensor.h"
+#include "util/thread_pool.h"
 
 namespace glint::gnn {
 namespace {
@@ -344,6 +347,129 @@ TEST(AdamTest, SkipsFrozenParameters) {
   adam.Step({&w});
   EXPECT_FLOAT_EQ(w.value.data[0], 1.f);
   EXPECT_FLOAT_EQ(w.grad.data[0], 0.f);  // gradient still cleared
+}
+
+// Fused step oracle: Adam::Step(params, sinks, active) against the serial
+// merge-then-Adam reference below (sinks added into grad in sample order,
+// then the element-wise update, then grads and sinks zeroed), bit for bit.
+
+struct StepState {
+  std::vector<std::unique_ptr<Parameter>> owned;
+  std::vector<Parameter*> params;
+  std::vector<Tape::GradSink> sinks = std::vector<Tape::GradSink>(8);
+};
+
+// Several tiles per parameter for the large shapes; parameter 3 is frozen.
+StepState MakeStepState() {
+  StepState st;
+  const int shapes[][2] = {{50, 70}, {1, 5}, {33, 65}, {10, 10}, {2048, 1}};
+  uint64_t seed = 40;
+  for (const auto& sh : shapes) {
+    st.owned.push_back(
+        std::make_unique<Parameter>(RandMatrix(sh[0], sh[1], seed++)));
+    st.params.push_back(st.owned.back().get());
+  }
+  st.params[3]->frozen = true;
+  return st;
+}
+
+// Fresh random grads and sink contents (inactive sinks included). Each odd
+// sink never holds an entry for parameter (s % 5), as when a sample's graph
+// never reaches that parameter.
+void FillGradients(StepState* st, uint64_t seed) {
+  Rng rng(seed);
+  for (Parameter* p : st->params) {
+    for (auto& x : p->grad.data) x = static_cast<float>(rng.Gaussian(0, 1));
+  }
+  for (size_t s = 0; s < st->sinks.size(); ++s) {
+    for (size_t k = 0; k < st->params.size(); ++k) {
+      if (s % 2 == 1 && k == s % st->params.size()) continue;
+      Parameter* p = st->params[k];
+      Matrix& m = st->sinks[s]
+                      .try_emplace(p, p->value.rows, p->value.cols)
+                      .first->second;
+      for (auto& x : m.data) x = static_cast<float>(rng.Gaussian(0, 1));
+    }
+  }
+}
+
+void ReferenceStep(const Adam::Params& hp, long t, const StepState& st,
+                   std::vector<Tape::GradSink>* sinks, size_t active) {
+  for (size_t s = 0; s < active; ++s) {
+    auto& sink = (*sinks)[s];
+    for (Parameter* p : st.params) {
+      auto it = sink.find(p);
+      if (it == sink.end()) continue;
+      for (size_t i = 0; i < p->grad.data.size(); ++i) {
+        p->grad.data[i] += it->second.data[i];
+      }
+    }
+    for (auto& [p, m] : sink) std::fill(m.data.begin(), m.data.end(), 0.f);
+  }
+  const double bc1 = 1.0 - std::pow(hp.beta1, static_cast<double>(t));
+  const double bc2 = 1.0 - std::pow(hp.beta2, static_cast<double>(t));
+  for (Parameter* p : st.params) {
+    if (!p->frozen) {
+      for (size_t i = 0; i < p->value.data.size(); ++i) {
+        const double g = p->grad.data[i] + hp.weight_decay * p->value.data[i];
+        p->m.data[i] = static_cast<float>(hp.beta1 * p->m.data[i] +
+                                          (1 - hp.beta1) * g);
+        p->v.data[i] = static_cast<float>(hp.beta2 * p->v.data[i] +
+                                          (1 - hp.beta2) * g * g);
+        p->value.data[i] -= static_cast<float>(
+            hp.lr * (p->m.data[i] / bc1) /
+            (std::sqrt(p->v.data[i] / bc2) + hp.eps));
+      }
+    }
+    p->ZeroGrad();
+  }
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.data.size() == b.data.size() &&
+         std::memcmp(a.data.data(), b.data.data(),
+                     a.data.size() * sizeof(float)) == 0;
+}
+
+TEST(AdamTest, FusedStepMatchesSerialMergeThenAdam) {
+  const Adam::Params hp{2e-3, 0.9, 0.999, 1e-8, 1e-5};
+  for (int threads : {1, 4}) {
+    ThreadPool::SetGlobalThreads(threads);
+    StepState ref = MakeStepState();
+    StepState fused = MakeStepState();
+    Adam adam(hp);
+    for (long step = 1; step <= 6; ++step) {
+      // The last step is a short final batch: sinks [3, 8) stay untouched.
+      const size_t active = step == 6 ? 3 : 8;
+      FillGradients(&ref, 100 + static_cast<uint64_t>(step));
+      FillGradients(&fused, 100 + static_cast<uint64_t>(step));
+      ReferenceStep(hp, step, ref, &ref.sinks, active);
+      adam.Step(fused.params, &fused.sinks, active);
+      for (size_t k = 0; k < ref.params.size(); ++k) {
+        const Parameter& r = *ref.params[k];
+        const Parameter& f = *fused.params[k];
+        EXPECT_TRUE(SameBits(r.value, f.value))
+            << "threads " << threads << " step " << step << " param " << k;
+        EXPECT_TRUE(SameBits(r.m, f.m)) << "param " << k;
+        EXPECT_TRUE(SameBits(r.v, f.v)) << "param " << k;
+        EXPECT_TRUE(SameBits(r.grad, f.grad)) << "param " << k;
+        for (size_t s = 0; s < ref.sinks.size(); ++s) {
+          auto rit = ref.sinks[s].find(ref.params[k]);
+          auto fit = fused.sinks[s].find(fused.params[k]);
+          ASSERT_EQ(rit == ref.sinks[s].end(), fit == fused.sinks[s].end());
+          if (rit == ref.sinks[s].end()) continue;
+          EXPECT_TRUE(SameBits(rit->second, fit->second))
+              << "sink " << s << " param " << k;
+        }
+      }
+    }
+    // The frozen parameter never moved; its grad was still cleared.
+    EXPECT_TRUE(SameBits(fused.params[3]->value,
+                         MakeStepState().params[3]->value));
+    for (float x : fused.params[3]->grad.data) EXPECT_EQ(x, 0.f);
+    for (float x : fused.params[3]->m.data) EXPECT_EQ(x, 0.f);
+  }
+  ThreadPool::SetGlobalThreads(ThreadPool::ConfiguredThreads());
 }
 
 TEST(TapeTest, LeafAccumulatesIntoParameter) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/detector.h"
 #include "core/glint.h"
 #include "core/serving.h"
 #include "core/session.h"
@@ -18,6 +19,7 @@
 #include "graph/builder.h"
 #include "nlp/embedding.h"
 #include "rules/corpus.h"
+#include "util/binio.h"
 #include "util/thread_pool.h"
 
 namespace glint {
@@ -181,24 +183,87 @@ TEST(ParallelDeterminismTest, ContrastiveTrainingIdenticalAcrossThreadCounts) {
   }
 }
 
+/// Everything TrainOffline fits, as raw bits: both ITGNN models' values and
+/// Adam moments, the drift statistics, and correlation verdicts over a grid
+/// of corpus pairs.
+struct TrainedState {
+  std::vector<std::vector<float>> classifier, contrastive;
+  std::vector<char> drift;
+  std::vector<bool> verdicts;
+};
+
+std::vector<std::vector<float>> ParameterState(gnn::ItgnnModel* model) {
+  std::vector<std::vector<float>> out;
+  for (gnn::Parameter* p : model->Parameters()) {
+    for (const gnn::Matrix* m : {&p->value, &p->m, &p->v}) {
+      out.emplace_back(m->data.begin(), m->data.end());
+    }
+  }
+  return out;
+}
+
+/// Small-corpus, small-model detector options shared by the whole-detector
+/// tests below (training cost dominates them).
+core::TrainedDetector::Options SmallDetectorOptions() {
+  core::TrainedDetector::Options opts;
+  opts.corpus.ifttt = 300;
+  opts.corpus.smartthings = 50;
+  opts.corpus.alexa = 60;
+  opts.corpus.google_assistant = 60;
+  opts.corpus.home_assistant = 60;
+  opts.num_training_graphs = 80;
+  opts.builder.max_nodes = 8;
+  opts.model.num_scales = 2;
+  opts.model.embed_dim = 32;
+  opts.train.epochs = 2;
+  opts.pairs.num_positive = 60;
+  opts.pairs.num_negative = 90;
+  return opts;
+}
+
+TrainedState TrainSmallDetector(int threads) {
+  ThreadPool::SetGlobalThreads(threads);
+  core::TrainedDetector::Options opts = SmallDetectorOptions();
+  opts.num_training_graphs = 48;  // two full trainings per test
+  core::TrainedDetector detector(opts);
+  detector.TrainOffline();
+
+  TrainedState st;
+  st.classifier = ParameterState(detector.classifier());
+  st.contrastive = ParameterState(detector.contrastive());
+  util::ByteWriter w;
+  detector.drift_detector().SerializeTo(&w);
+  st.drift = w.buffer();
+  const auto& corpus = detector.corpus();
+  for (size_t i = 0; i < 40; ++i) {
+    for (size_t j = 0; j < 40; ++j) {
+      st.verdicts.push_back(detector.Correlated(
+          corpus[(i * 7919) % corpus.size()],
+          corpus[(j * 104729 + 13) % corpus.size()]));
+    }
+  }
+  return st;
+}
+
+TEST(ParallelDeterminismTest, TrainOfflineIdenticalAcrossThreadCounts) {
+  // At more than one thread TrainOffline overlaps the correlation ensemble,
+  // ITGNN-S and ITGNN-C on separate caller threads; at one thread it runs
+  // them serially. Every fitted float must agree.
+  ThreadRestore restore;
+  const TrainedState serial = TrainSmallDetector(1);
+  const TrainedState parallel = TrainSmallDetector(kParallelThreads);
+  ASSERT_FALSE(serial.classifier.empty());
+  EXPECT_EQ(serial.classifier, parallel.classifier);
+  EXPECT_EQ(serial.contrastive, parallel.contrastive);
+  EXPECT_EQ(serial.drift, parallel.drift);
+  EXPECT_EQ(serial.verdicts, parallel.verdicts);
+}
+
 /// One small trained detector shared by the serving determinism tests
 /// (training is the expensive part; both tests only read it).
 core::Glint& SmallTrainedGlint() {
   static core::Glint* g = [] {
-    core::Glint::Options opts;
-    opts.corpus.ifttt = 300;
-    opts.corpus.smartthings = 50;
-    opts.corpus.alexa = 60;
-    opts.corpus.google_assistant = 60;
-    opts.corpus.home_assistant = 60;
-    opts.num_training_graphs = 80;
-    opts.builder.max_nodes = 8;
-    opts.model.num_scales = 2;
-    opts.model.embed_dim = 32;
-    opts.train.epochs = 2;
-    opts.pairs.num_positive = 60;
-    opts.pairs.num_negative = 90;
-    auto* gl = new core::Glint(opts);
+    auto* gl = new core::Glint(SmallDetectorOptions());
     gl->TrainOffline();
     return gl;
   }();

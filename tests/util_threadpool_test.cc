@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <stdexcept>
 #include <thread>
@@ -88,6 +89,62 @@ TEST(ThreadPoolTest, NestedParallelForCompletesWithoutDeadlock) {
     }
   });
   EXPECT_EQ(total.load(), 80);
+}
+
+TEST(ThreadPoolTest, NestedCallInCallersOwnChunkRunsInlineOnCaller) {
+  ThreadPool pool(4);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> caller_chunks{0};
+  std::atomic<int64_t> total{0};
+  pool.ParallelFor(0, 64, 1, [&](int64_t, int64_t) {
+    if (std::this_thread::get_id() != caller) {
+      // Hold the workers (bounded) until the caller has claimed a chunk of
+      // its own, so the nested path below is always exercised.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (caller_chunks == 0 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      return;
+    }
+    ++caller_chunks;
+    int inner_calls = 0;
+    pool.ParallelFor(0, 100, 1, [&](int64_t lo, int64_t hi) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      total += hi - lo;
+      ++inner_calls;
+    });
+    EXPECT_EQ(inner_calls, 1);  // the whole inner range, in one inline call
+  });
+  EXPECT_GE(caller_chunks.load(), 1);
+  EXPECT_EQ(total.load(), 100 * caller_chunks.load());
+}
+
+TEST(ThreadPoolTest, CallerFansOutAgainAfterAThrowingParallelFor) {
+  ThreadPool pool(4);
+  EXPECT_THROW(pool.ParallelFor(0, 64, 1,
+                                [](int64_t, int64_t) {
+                                  throw std::runtime_error("boom");
+                                }),
+               std::runtime_error);
+  // The next top-level call from this thread is not mistaken for a nested
+  // one: its chunks reach the workers again. Each chunk waits (bounded) for
+  // a second thread to arrive, so an inline run would time out.
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> helper_ran{false};
+  pool.ParallelFor(0, 64, 1, [&](int64_t, int64_t) {
+    if (std::this_thread::get_id() != caller) {
+      helper_ran = true;
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!helper_ran && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  });
+  EXPECT_TRUE(helper_ran.load());
 }
 
 TEST(ThreadPoolTest, GlintThreadsEnvVarForcesSerial) {

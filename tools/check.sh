@@ -67,6 +67,14 @@ cmake --build build-tsan -j"${JOBS}" --target threadpool_stress obs_stress \
 cmake --build build-tsan -j"${JOBS}" --target batched_serving_test
 GLINT_THREADS=4 ./build-tsan/tests/batched_serving_test \
   --gtest_filter='BatchedServingTest.MatchesSequentialAcrossThreadCounts'
+# Training under TSAN: the fused parallel Adam step writes disjoint element
+# tiles, and TrainOffline runs the correlation fit, ITGNN-S and ITGNN-C on
+# three caller threads over the shared word-model, feature and correlation
+# caches and the obs registry. Only the training tests run here; the full
+# determinism suite runs in the tier-1 passes above.
+cmake --build build-tsan -j"${JOBS}" --target parallel_determinism_test
+GLINT_THREADS=4 ./build-tsan/tests/parallel_determinism_test \
+  --gtest_filter='*TrainingIdenticalAcrossThreadCounts:*TrainOffline*'
 
 # Arena lifetime / aliasing check: the tape tests under ASan. Guards the
 # bump-pointer arena (slot reuse after Reset, offset-based pools whose
