@@ -37,6 +37,7 @@
 #include "fleet/server.h"
 #include "fleet/sharding.h"
 #include "obs/obs.h"
+#include "util/fault.h"
 #include "util/thread_pool.h"
 
 namespace glint::bench {
@@ -540,7 +541,11 @@ int Run(int homes, int shards, bool smoke) {
   // ---- Overload: offered load >= 2x the sustainable pipelined rate ------
   // A dedicated server with a tiny kReject bus (capacity 64) is driven at
   // twice the window-16 ingest rate measured above (full speed if the
-  // sender cannot reach that). The survivability contract under test:
+  // sender cannot reach that). Overload is made by construction, not left
+  // to a race between the sender and the consumers: the next shard
+  // consumer to loop stalls for kOverloadStallMs, far longer than the
+  // sender takes to fill its 64-slot queue and well inside the bus's
+  // wedge timeout (1000 ms). The survivability contract under test:
   // every offered event is answered — acked OK and applied, or answered
   // kOverloaded (queue reject or health shed) — nothing is dropped
   // silently and nothing crashes; inspects riding the overload keep a
@@ -578,7 +583,9 @@ int Run(int homes, int shards, bool smoke) {
         req = fleet::wire::Request();
         req.type = fleet::wire::MsgType::kInspect;
         req.home = ids[static_cast<size_t>((j * 13) % homes)];
-        req.now_hours = now + 200.0;
+        // Past every event the sender stamps (now + 300 + 0.01 * i), so
+        // TryInspect never sees a time before a home's newest event.
+        req.now_hours = now + 1000.0;
         req.deadline_ms = 100;
         auto ti = std::chrono::steady_clock::now();
         if (!c.Call(req, &reply).ok()) break;
@@ -612,6 +619,9 @@ int Run(int homes, int shards, bool smoke) {
       }
     };
     const int ov_total = smoke ? 4000 : 20000;
+    constexpr int kOverloadStallMs = 300;
+    fault::Registry::Global().Arm("fleet.bus.consumer.run",
+                                  fault::Mode::kDelay, 1, kOverloadStallMs);
     t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < ov_total && !ov_transport_failed; ++i) {
       // Pace to the 2x target; a sender that cannot reach it just runs
@@ -652,6 +662,7 @@ int Run(int homes, int shards, bool smoke) {
     ov_done.store(true);
     ov_inspector.join();
     oserver.bus().Flush();
+    fault::Registry::Global().Disarm("fleet.bus.consumer.run");
     for (int k = 0; k < shards; ++k) {
       ov_applied += oserver.bus().applied_events(k);
     }

@@ -43,6 +43,28 @@ graph::Event EventFor(const rules::Rule& r, bool trigger, double t) {
   return e;
 }
 
+core::HomeId HomeName(int h) { return "home-" + std::to_string(h); }
+
+/// Engine setup here cannot go on after a failed call: report and exit.
+void MustOk(const Status& st, const char* what) {
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s: %s\n", what, st.ToString().c_str());
+    std::exit(1);
+  }
+}
+
+/// Registers `homes` copies of `deployed` and replays `log` into each.
+void BuildFleet(core::ServingEngine* eng, int homes,
+                const std::vector<rules::Rule>& deployed,
+                const graph::EventLog& log) {
+  for (int h = 0; h < homes; ++h) {
+    MustOk(eng->TryAddHome(HomeName(h), deployed).status(), "add home");
+    for (const auto& e : log.events()) {
+      MustOk(eng->TryOnEvent(HomeName(h), e), "replay event");
+    }
+  }
+}
+
 int Run(bool smoke) {
   const int home_rules = smoke ? 16 : 50;
   const int reps = smoke ? 6 : 20;
@@ -141,23 +163,21 @@ int Run(bool smoke) {
   // a noisy shared box cannot flake a sub-millisecond comparison). The two
   // engines are sampled in the same loop, alternating reps, so box-level
   // drift hits both distributions equally.
+  const core::HomeId home = HomeName(0);
   auto warm_engine_rep = [&](core::ServingEngine* eng, int r) {
-    // home_view: `eng` is the durable engine on half the calls, and the
-    // mutable accessor refuses durable engines (WAL-bypass guard).
     const auto cur = eng->home_view(0).CurrentRules();
     const rules::Rule rotated = cur[static_cast<size_t>(r) % cur.size()];
     auto t0 = std::chrono::steady_clock::now();
-    if (!eng->TryRemoveRule(0, rotated.id).ok() ||
-        !eng->TryAddRule(0, rotated).ok() ||
-        !eng->TryInspect(0, now).ok()) {
+    if (!eng->TryRemoveRule(home, rotated.id).ok() ||
+        !eng->TryAddRule(home, rotated).ok() ||
+        !eng->TryInspect(home, now).ok()) {
       std::fprintf(stderr, "warm engine loop op failed\n");
       std::exit(1);
     }
     return Seconds(t0) * 1e3;
   };
   core::ServingEngine plain_engine(&glint.detector());
-  plain_engine.AddHome(deployed);
-  for (const auto& e : log.events()) plain_engine.OnEvent(0, e);
+  BuildFleet(&plain_engine, 1, deployed, log);
 
   char state_dir[] = "/tmp/glint_bench_wal_XXXXXX";
   if (mkdtemp(state_dir) == nullptr) {
@@ -169,8 +189,7 @@ int Run(bool smoke) {
     std::fprintf(stderr, "bench recovery failed\n");
     return 1;
   }
-  durable_engine.AddHome(deployed);
-  for (const auto& e : log.events()) durable_engine.OnEvent(0, e);
+  BuildFleet(&durable_engine, 1, deployed, log);
 
   std::vector<double> plain_ms, durable_ms;
   for (int r = 0; r < reps; ++r) {
@@ -243,7 +262,7 @@ int Run(bool smoke) {
               durable_gate_ok ? "ok" : "FAIL (>10% warm-path regression)");
 
   // Fleet throughput: ServingEngine with `homes` sessions, one 1-rule
-  // delta per home per round, InspectAll across the thread sweep.
+  // delta per home per round, an InspectAll sweep across the thread sweep.
   const int initial = ThreadPool::Global().threads();
   std::vector<int> sweep = {1};
   if (smoke) {
@@ -256,10 +275,7 @@ int Run(bool smoke) {
   }
 
   core::ServingEngine engine(&glint.detector());
-  for (int h = 0; h < homes; ++h) engine.AddHome(deployed);
-  for (int h = 0; h < homes; ++h) {
-    for (const auto& e : log.events()) engine.OnEvent(h, e);
-  }
+  BuildFleet(&engine, homes, deployed, log);
 
   std::printf("\n%8s %16s\n", "threads", "rules/sec");
   std::vector<double> rates;
@@ -275,8 +291,8 @@ int Run(bool smoke) {
             cur[static_cast<size_t>(round) % cur.size()];
         // Route mutations through the engine API (the journaled path on a
         // durable engine) instead of poking the session directly.
-        if (!engine.TryRemoveRule(h, rotated.id).ok() ||
-            !engine.TryAddRule(h, rotated).ok()) {
+        if (!engine.TryRemoveRule(HomeName(h), rotated.id).ok() ||
+            !engine.TryAddRule(HomeName(h), rotated).ok()) {
           std::fprintf(stderr, "thread-sweep rotate op failed\n");
           return 1;
         }
@@ -291,42 +307,41 @@ int Run(bool smoke) {
   ThreadPool::SetGlobalThreads(initial);
 
   // Batched warm fleet: two identical engines walk the same 1-rule-delta
-  // script; each round times sequential InspectAll on one and
-  // InspectAllBatched on the other, and the warnings must match
-  // bit-for-bit (the serving equivalence gate — see batched_serving_test
-  // for the full sweep). Alternating measurement within one loop keeps
-  // box-level drift symmetric.
+  // script; each round times a per-home TryInspect loop on one and the
+  // batched InspectAll sweep on the other, and the warnings and cache
+  // counters must match bit-for-bit (the serving equivalence gate — see
+  // batched_serving_test for the full sweep). Alternating measurement
+  // within one loop keeps box-level drift symmetric.
   core::ServingEngine eng_seq(&glint.detector());
   core::ServingEngine eng_bat(&glint.detector());
-  for (int h = 0; h < homes; ++h) {
-    eng_seq.AddHome(deployed);
-    eng_bat.AddHome(deployed);
-    for (const auto& e : log.events()) {
-      eng_seq.OnEvent(h, e);
-      eng_bat.OnEvent(h, e);
-    }
-  }
+  BuildFleet(&eng_seq, homes, deployed, log);
+  BuildFleet(&eng_bat, homes, deployed, log);
   bool batched_equivalent = true;
   std::vector<double> seq_fleet_ms, bat_fleet_ms;
+  std::vector<core::ThreatWarning> ws(static_cast<size_t>(homes));
   const int bat_rounds = smoke ? 4 : 8;
   for (int r = 0; r < bat_rounds; ++r) {
     for (int h = 0; h < homes; ++h) {
       const auto cur = eng_seq.home_view(h).CurrentRules();
       const rules::Rule rotated =
           cur[static_cast<size_t>(r + 1) % cur.size()];
-      if (!eng_seq.TryRemoveRule(h, rotated.id).ok() ||
-          !eng_seq.TryAddRule(h, rotated).ok() ||
-          !eng_bat.TryRemoveRule(h, rotated.id).ok() ||
-          !eng_bat.TryAddRule(h, rotated).ok()) {
+      if (!eng_seq.TryRemoveRule(HomeName(h), rotated.id).ok() ||
+          !eng_seq.TryAddRule(HomeName(h), rotated).ok() ||
+          !eng_bat.TryRemoveRule(HomeName(h), rotated.id).ok() ||
+          !eng_bat.TryAddRule(HomeName(h), rotated).ok()) {
         std::fprintf(stderr, "batched-fleet rotate op failed\n");
         return 1;
       }
     }
     auto t0 = std::chrono::steady_clock::now();
-    const auto ws = eng_seq.InspectAll(now);
+    for (int h = 0; h < homes; ++h) {
+      auto w = eng_seq.TryInspect(HomeName(h), now);
+      MustOk(w.status(), "per-home inspect");
+      ws[static_cast<size_t>(h)] = std::move(w).value();
+    }
     seq_fleet_ms.push_back(Seconds(t0) * 1e3);
     t0 = std::chrono::steady_clock::now();
-    const auto wb = eng_bat.InspectAllBatched(now);
+    const auto wb = eng_bat.InspectAll(now);
     bat_fleet_ms.push_back(Seconds(t0) * 1e3);
     for (int h = 0; h < homes; ++h) {
       if (ws[static_cast<size_t>(h)].Render() !=
@@ -334,16 +349,24 @@ int Run(bool smoke) {
         batched_equivalent = false;
       }
     }
+    const auto ss = eng_seq.AggregateStats();
+    const auto sb = eng_bat.AggregateStats();
+    if (ss.inspects != sb.inspects || ss.verdict_hits != sb.verdict_hits ||
+        ss.verdict_misses != sb.verdict_misses ||
+        ss.tensor_hits != sb.tensor_hits ||
+        ss.tensor_misses != sb.tensor_misses) {
+      batched_equivalent = false;
+    }
   }
   const double seq_fleet_p50 = Percentile(seq_fleet_ms, 0.50);
   const double bat_fleet_p50 = Percentile(bat_fleet_ms, 0.50);
   const double batched_speedup =
       bat_fleet_p50 > 0 ? seq_fleet_p50 / bat_fleet_p50 : 0;
-  std::printf("\n%-34s %10.2f\n", "warm fleet InspectAll p50 ms",
+  std::printf("\n%-34s %10.2f\n", "warm fleet per-home p50 ms",
               seq_fleet_p50);
-  std::printf("%-34s %10.2f\n", "warm fleet InspectAllBatched p50 ms",
+  std::printf("%-34s %10.2f\n", "warm fleet InspectAll p50 ms",
               bat_fleet_p50);
-  std::printf("batched fleet speedup: %.2fx   batched==sequential: %s\n",
+  std::printf("batched fleet speedup: %.2fx   batched==per-home: %s\n",
               batched_speedup,
               batched_equivalent ? "yes" : "NO — EQUIVALENCE BUG");
 

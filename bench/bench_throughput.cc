@@ -194,7 +194,7 @@ double MeasureSequentialInfer(gnn::ItgnnModel* model,
   return sink == -1 ? 0 : gps;  // keep the verdicts observable
 }
 
-/// Batched classification as InspectAllBatched drives it: batch assembly
+/// Batched classification as the InspectAll sweep drives it: batch assembly
 /// (MakeGnnBatch) is *inside* the timed region, then one ForwardBatched and
 /// a per-row softmax.
 double MeasureBatchedInfer(gnn::ItgnnModel* model,

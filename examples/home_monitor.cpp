@@ -90,22 +90,23 @@ int main() {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
   }
-  Result<int> added = engine.TryAddHome(deployed);
+  // Homes are addressed by a stable id: it is journaled with the home and
+  // survives recovery.
+  const core::HomeId h = "living-room";
+  Result<int> added = engine.TryAddHome(h, deployed);
   if (!added.ok()) {
     std::fprintf(stderr, "%s\n", added.status().ToString().c_str());
     return 1;
   }
-  const int h = added.value();
-  // home_view, not home(h): the engine is durable, and the mutable
-  // accessor refuses to hand out a session the WAL could not see.
-  std::printf("deployed %d rules into home %d (journal: %s)\n\n",
-              engine.home_view(h).num_rules(), h, state_dir);
+  std::printf("deployed %d rules into home %s (journal: %s)\n\n",
+              engine.home_view(added.value()).num_rules(), h.c_str(),
+              state_dir);
 
-  // The validating API turns a frontend's bad home index into a Status
+  // The validating API turns a frontend's unknown home id into a Status
   // instead of a crash:
   graph::Event bogus;
-  Status bad = engine.TryOnEvent(42, bogus);
-  std::printf("routing an event to unknown home 42: %s\n\n",
+  Status bad = engine.TryOnEvent("attic", bogus);
+  std::printf("routing an event to unknown home attic: %s\n\n",
               bad.ToString().c_str());
 
   testbed::SmartHome::Config home_cfg;

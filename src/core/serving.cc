@@ -241,54 +241,31 @@ Result<int> ServingEngine::TryAddHome(
   return static_cast<int>(sessions_.size()) - 1;
 }
 
-Result<int> ServingEngine::TryAddHome(
-    const std::vector<rules::Rule>& deployed) {
-  return TryAddHome("#" + std::to_string(sessions_.size()), deployed);
-}
-
-int ServingEngine::AddHome(const std::vector<rules::Rule>& deployed) {
-  Result<int> h = TryAddHome(deployed);
-  if (!h.ok()) {
-    std::fprintf(stderr, "ServingEngine::AddHome: %s\n",
-                 h.status().ToString().c_str());
-  }
-  GLINT_CHECK(h.ok());
-  return h.value();
-}
-
-Status ServingEngine::TryAddRule(int h, const rules::Rule& rule) {
-  DeploymentSession* session = FindHome(h);
-  if (session == nullptr) {
-    GLINT_OBS_COUNT("glint.serving.bad_home_index", 1);
-    return Status::InvalidArgument(
-        "no home with index " + std::to_string(h) + " (have " +
-        std::to_string(sessions_.size()) + ")");
-  }
+Status ServingEngine::TryAddRule(const HomeId& id, const rules::Rule& rule) {
+  Result<int> h = RequireHome(id);
+  GLINT_RETURN_IF_ERROR(h.status());
   if (journal_ != nullptr) {
     util::ByteWriter w;
     w.U8(kOpAddRule);
-    w.U32(static_cast<uint32_t>(h));
+    w.U32(static_cast<uint32_t>(h.value()));
     rules::WriteRule(&w, rule);
     GLINT_RETURN_IF_ERROR(JournalAppend(w.buffer()));
   } else {
     ++seq_;
   }
-  session->AddRule(rule);
+  sessions_[static_cast<size_t>(h.value())]->AddRule(rule);
   return MaybeAutoSnapshot();
 }
 
-Status ServingEngine::TryRemoveRule(int h, int rule_id, bool* removed) {
-  DeploymentSession* session = FindHome(h);
-  if (session == nullptr) {
-    GLINT_OBS_COUNT("glint.serving.bad_home_index", 1);
-    return Status::InvalidArgument(
-        "no home with index " + std::to_string(h) + " (have " +
-        std::to_string(sessions_.size()) + ")");
-  }
+Status ServingEngine::TryRemoveRule(const HomeId& id, int rule_id,
+                                    bool* removed) {
+  Result<int> h = RequireHome(id);
+  GLINT_RETURN_IF_ERROR(h.status());
+  DeploymentSession& session = *sessions_[static_cast<size_t>(h.value())];
   // Probe first so a no-op removal does not pollute the WAL. CurrentRules
   // is node-ordered, so id lookup mirrors RemoveRule's scan.
   bool present = false;
-  for (const auto& rule : session->CurrentRules()) {
+  for (const auto& rule : session.CurrentRules()) {
     if (rule.id == rule_id) {
       present = true;
       break;
@@ -299,45 +276,30 @@ Status ServingEngine::TryRemoveRule(int h, int rule_id, bool* removed) {
   if (journal_ != nullptr) {
     util::ByteWriter w;
     w.U8(kOpRemoveRule);
-    w.U32(static_cast<uint32_t>(h));
+    w.U32(static_cast<uint32_t>(h.value()));
     w.I32(rule_id);
     GLINT_RETURN_IF_ERROR(JournalAppend(w.buffer()));
   } else {
     ++seq_;
   }
-  session->RemoveRule(rule_id);
+  session.RemoveRule(rule_id);
   return MaybeAutoSnapshot();
 }
 
-void ServingEngine::OnEvent(int h, const graph::Event& e) {
-  GLINT_CHECK(has_home(h));
-  Status st = TryOnEvent(h, e);
-  if (!st.ok()) {
-    std::fprintf(stderr, "ServingEngine::OnEvent: %s\n",
-                 st.ToString().c_str());
-  }
-  GLINT_CHECK(st.ok());
-}
-
-Status ServingEngine::TryOnEvent(int h, const graph::Event& e) {
-  DeploymentSession* session = FindHome(h);
-  if (session == nullptr) {
-    GLINT_OBS_COUNT("glint.serving.bad_home_index", 1);
-    return Status::InvalidArgument(
-        "no home with index " + std::to_string(h) + " (have " +
-        std::to_string(sessions_.size()) + ")");
-  }
+Status ServingEngine::TryOnEvent(const HomeId& id, const graph::Event& e) {
+  Result<int> h = RequireHome(id);
+  GLINT_RETURN_IF_ERROR(h.status());
   if (journal_ != nullptr) {
     util::ByteWriter w;
     w.U8(kOpEvent);
-    w.U32(static_cast<uint32_t>(h));
+    w.U32(static_cast<uint32_t>(h.value()));
     graph::WriteEvent(&w, e);
     GLINT_RETURN_IF_ERROR(JournalAppend(w.buffer()));
   } else {
     ++seq_;
   }
   GLINT_OBS_COUNT("glint.serving.events", 1);
-  session->OnEvent(e);
+  sessions_[static_cast<size_t>(h.value())]->OnEvent(e);
   Status st = MaybeAutoSnapshot();
   // Charge the apply stage of an in-flight fleet request trace (set by
   // the bus consumer around Apply — DESIGN.md §14). WAL append and any
@@ -348,103 +310,26 @@ Status ServingEngine::TryOnEvent(int h, const graph::Event& e) {
   return st;
 }
 
-// ---- Id-addressed twins -------------------------------------------------
-
-Status ServingEngine::TryAddRule(const HomeId& id, const rules::Rule& rule) {
-  Result<int> h = RequireHome(id);
-  GLINT_RETURN_IF_ERROR(h.status());
-  return TryAddRule(h.value(), rule);
-}
-
-Status ServingEngine::TryRemoveRule(const HomeId& id, int rule_id,
-                                    bool* removed) {
-  Result<int> h = RequireHome(id);
-  GLINT_RETURN_IF_ERROR(h.status());
-  return TryRemoveRule(h.value(), rule_id, removed);
-}
-
-Status ServingEngine::TryOnEvent(const HomeId& id, const graph::Event& e) {
-  Result<int> h = RequireHome(id);
-  GLINT_RETURN_IF_ERROR(h.status());
-  return TryOnEvent(h.value(), e);
-}
+// ---- Inspection --------------------------------------------------------
 
 Result<ThreatWarning> ServingEngine::TryInspect(const HomeId& id,
                                                 double now_hours) {
   Result<int> h = RequireHome(id);
   if (!h.ok()) return h.status();
-  return TryInspect(h.value(), now_hours);
+  return sessions_[static_cast<size_t>(h.value())]->TryInspect(now_hours);
 }
 
 Result<ThreatWarning> ServingEngine::TryInspectDegraded(const HomeId& id,
                                                         double now_hours) {
   Result<int> h = RequireHome(id);
   if (!h.ok()) return h.status();
-  DeploymentSession* session = FindHome(h.value());
-  if (session == nullptr) {
-    return Status::InvalidArgument("no home with index " +
-                                   std::to_string(h.value()));
-  }
   GLINT_OBS_COUNT("glint.serving.degraded_inspects", 1);
-  return session->TryInspectDegraded(now_hours);
+  return sessions_[static_cast<size_t>(h.value())]->TryInspectDegraded(
+      now_hours);
 }
 
-// ---- Lookups & inspection ----------------------------------------------
-
-int ServingEngine::ResolveHome(const HomeId& id) const {
-  auto it = index_.find(id);
-  return it == index_.end() ? -1 : it->second;
-}
-
-const HomeId& ServingEngine::home_id(int h) const {
-  GLINT_CHECK(has_home(h));
-  return ids_[static_cast<size_t>(h)];
-}
-
-DeploymentSession& ServingEngine::home(int h) {
-  // Handing out a mutable session on a durable engine would let callers
-  // mutate state the WAL never sees; reads go through home_view(),
-  // mutations through the journaled Try* API.
-  GLINT_CHECK(!durable());
-  GLINT_CHECK(has_home(h));
-  return *sessions_[static_cast<size_t>(h)];
-}
-
-const DeploymentSession& ServingEngine::home_view(int h) const {
-  GLINT_CHECK(has_home(h));
-  return *sessions_[static_cast<size_t>(h)];
-}
-
-const DeploymentSession& ServingEngine::home(int h) const {
-  GLINT_CHECK(has_home(h));
-  return *sessions_[static_cast<size_t>(h)];
-}
-
-DeploymentSession* ServingEngine::FindHome(int h) {
-  return has_home(h) ? sessions_[static_cast<size_t>(h)].get() : nullptr;
-}
-
-const DeploymentSession* ServingEngine::FindHome(int h) const {
-  return has_home(h) ? sessions_[static_cast<size_t>(h)].get() : nullptr;
-}
-
-std::vector<ThreatWarning> ServingEngine::InspectAll(double now_hours) {
-  GLINT_OBS_SPAN(span, "glint.serving.inspect_all_ms");
-  std::vector<ThreatWarning> out(sessions_.size());
-  // One home per chunk: each session is touched by exactly one thread, and
-  // results land in per-home slots (bit-identical for any thread count).
-  ParallelFor(0, static_cast<int64_t>(sessions_.size()), 1,
-              [&](int64_t lo, int64_t hi) {
-                for (int64_t h = lo; h < hi; ++h) {
-                  out[static_cast<size_t>(h)] =
-                      sessions_[static_cast<size_t>(h)]->Inspect(now_hours);
-                }
-              });
-  return out;
-}
-
-std::vector<ThreatWarning> ServingEngine::InspectAllBatched(double now_hours,
-                                                            int max_batch) {
+std::vector<ThreatWarning> ServingEngine::InspectAll(double now_hours,
+                                                     int max_batch) {
   GLINT_OBS_SPAN(span, "glint.serving.inspect_all_ms");
   GLINT_CHECK(max_batch >= 1);
   const size_t n = sessions_.size();
@@ -500,15 +385,21 @@ std::vector<ThreatWarning> ServingEngine::InspectAllBatched(double now_hours,
   return out;
 }
 
-Result<ThreatWarning> ServingEngine::TryInspect(int h, double now_hours) {
-  DeploymentSession* session = FindHome(h);
-  if (session == nullptr) {
-    GLINT_OBS_COUNT("glint.serving.bad_home_index", 1);
-    return Status::InvalidArgument(
-        "no home with index " + std::to_string(h) + " (have " +
-        std::to_string(sessions_.size()) + ")");
-  }
-  return session->TryInspect(now_hours);
+// ---- Read-only lookups -------------------------------------------------
+
+int ServingEngine::ResolveHome(const HomeId& id) const {
+  auto it = index_.find(id);
+  return it == index_.end() ? -1 : it->second;
+}
+
+const HomeId& ServingEngine::home_id(int h) const {
+  GLINT_CHECK(h >= 0 && h < static_cast<int>(ids_.size()));
+  return ids_[static_cast<size_t>(h)];
+}
+
+const DeploymentSession& ServingEngine::home_view(int h) const {
+  GLINT_CHECK(h >= 0 && h < static_cast<int>(sessions_.size()));
+  return *sessions_[static_cast<size_t>(h)];
 }
 
 size_t ServingEngine::total_rules() const {

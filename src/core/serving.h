@@ -22,24 +22,23 @@ using HomeId = std::string;
 
 /// Multiplexes many DeploymentSessions (homes) over one shared
 /// TrainedDetector — the "one detector, N homes" serving shape of the
-/// ROADMAP's production target. Event ingestion is addressed per home;
-/// InspectAll fans the per-home inspections out over the global ThreadPool.
+/// ROADMAP's production target. Every mutation and inspection is addressed
+/// by HomeId; the dense slot a home occupies is private to the engine
+/// (read-only lookups aside). InspectAll fans the per-home inspections out
+/// over the global ThreadPool.
 ///
 /// Determinism: sessions are independent (each mutates only its own state;
 /// the detector's memo caches store pure-function results), so InspectAll
-/// returns bit-identical warnings for any thread count, in home order.
+/// returns bit-identical warnings for any thread count and batch size, in
+/// home order — and identical to a per-home TryInspect loop.
 ///
 /// Durability (optional): Recover(dir) attaches a write-ahead log. Every
-/// state-changing operation routed through the engine (TryAddHome /
-/// TryAddRule / TryRemoveRule / TryOnEvent and their checked twins) is
-/// appended to the WAL *before* it is applied; Snapshot() serializes every
-/// session and truncates the log. After a crash, a fresh engine calling
-/// Recover(dir) replays snapshot + tail and reaches a state whose
-/// InspectAll output is bit-identical to the uninterrupted run's (the
-/// recovery extension of the session-vs-cold determinism proof). Direct
-/// home(h) mutation would bypass the WAL, so the mutable accessor refuses
-/// (aborts) on durable engines — durable deployments mutate through the
-/// Try* API and read through home_view().
+/// state-changing operation (TryAddHome / TryAddRule / TryRemoveRule /
+/// TryOnEvent) is appended to the WAL *before* it is applied; Snapshot()
+/// serializes every session and truncates the log. After a crash, a fresh
+/// engine calling Recover(dir) replays snapshot + tail and reaches a state
+/// whose InspectAll output is bit-identical to the uninterrupted run's (the
+/// recovery extension of the session-vs-cold determinism proof).
 class ServingEngine {
  public:
   struct Config {
@@ -76,45 +75,31 @@ class ServingEngine {
   // ---- Deployment mutations -------------------------------------------
 
   /// Registers a home under a caller-chosen stable id; returns the home's
-  /// dense index inside this engine. InvalidArgument on an empty or
+  /// dense slot inside this engine. InvalidArgument on an empty or
   /// duplicate id; journaled when durable (IOError if the WAL append
   /// fails — the home is then not registered).
   Result<int> TryAddHome(const HomeId& id,
                          const std::vector<rules::Rule>& deployed);
 
-  /// Id-less variant: auto-assigns the id "#<index>" (single-engine tests
-  /// and demos; fleet callers always address homes by explicit id).
-  Result<int> TryAddHome(const std::vector<rules::Rule>& deployed);
+  // Every id-addressed call below returns NotFound, journals nothing and
+  // touches no session when `id` names no home in this engine. Mutations
+  // return IOError on a WAL failure, and then nothing is applied.
 
-  /// Checked twin of TryAddHome: aborts on journal failure (for callers
-  /// without an error path; non-durable engines cannot fail).
-  int AddHome(const std::vector<rules::Rule>& deployed);
-
-  /// Deploys one rule into home `h` (journaled). InvalidArgument on a bad
-  /// index, IOError on a WAL failure; on error nothing is applied.
-  Status TryAddRule(int h, const rules::Rule& rule);
-
-  /// Retires rule `rule_id` from home `h` (journaled). `*removed` (when
+  /// Deploys one rule into home `id` (journaled).
+  Status TryAddRule(const HomeId& id, const rules::Rule& rule);
+  /// Retires rule `rule_id` from home `id` (journaled). `*removed` (when
   /// non-null) reports whether the rule existed. A no-op removal is not
   /// journaled.
-  Status TryRemoveRule(int h, int rule_id, bool* removed = nullptr);
-
-  /// Routes one event to a home's session (journaled). Aborts on an
-  /// invalid index or journal failure.
-  void OnEvent(int h, const graph::Event& e);
-
-  /// Validating variant: InvalidArgument instead of aborting when `h` does
-  /// not name a registered home, IOError on a WAL failure.
-  Status TryOnEvent(int h, const graph::Event& e);
-
-  // ---- Id-addressed twins (the fleet/network-facing surface) ----------
-
-  /// NotFound when `id` names no home in this engine; otherwise identical
-  /// to the index-addressed variants (including journaling).
-  Status TryAddRule(const HomeId& id, const rules::Rule& rule);
   Status TryRemoveRule(const HomeId& id, int rule_id,
                        bool* removed = nullptr);
+  /// Routes one event to home `id`'s session (journaled).
   Status TryOnEvent(const HomeId& id, const graph::Event& e);
+
+  // ---- Inspection ------------------------------------------------------
+
+  /// Inspects one home: InvalidArgument when `now` precedes the home's
+  /// event watermark — nothing an untrusted caller passes here can abort
+  /// the process.
   Result<ThreatWarning> TryInspect(const HomeId& id, double now_hours);
   /// Degraded-mode inspection (overloaded shard, DESIGN.md §16):
   /// verdict-cache hit or explainer-free analysis, verdict not recorded —
@@ -122,57 +107,31 @@ class ServingEngine {
   Result<ThreatWarning> TryInspectDegraded(const HomeId& id,
                                            double now_hours);
 
-  // ---- Lookups & inspection -------------------------------------------
+  /// Inspects every home at `now`; result i belongs to home_ids()[i]. The
+  /// per-home cache/materialize/tensorize stage fans out over the
+  /// ThreadPool, then the verdict-cache misses are packed into
+  /// block-diagonal super-graphs of up to `max_batch` member graphs and
+  /// analyzed with one ITGNN forward per super-graph, amortizing tape and
+  /// dispatch overhead across the fleet. Warnings — and the per-home
+  /// verdict caches afterwards — are bit-identical to a per-home TryInspect
+  /// loop for every batch size, thread count and kernel backend (the
+  /// segment-op contract in gnn/tensor.h).
+  std::vector<ThreatWarning> InspectAll(double now_hours, int max_batch = 256);
+
+  // ---- Read-only lookups -----------------------------------------------
 
   size_t num_homes() const { return sessions_.size(); }
-  bool has_home(int h) const {
-    return h >= 0 && h < static_cast<int>(sessions_.size());
-  }
-
-  /// Dense index of `id` in this engine, -1 when unknown.
+  /// Dense slot of `id` in this engine, -1 when unknown.
   int ResolveHome(const HomeId& id) const;
   bool has_home(const HomeId& id) const { return ResolveHome(id) >= 0; }
   /// Stable id of slot `h` (checked).
   const HomeId& home_id(int h) const;
-  /// Every home id, in registration (= dense index) order.
+  /// Every home id, in registration (= dense slot) order.
   const std::vector<HomeId>& home_ids() const { return ids_; }
-
-  /// Checked *mutable* accessor: an out-of-range home index is a
-  /// programmer error and aborts loudly (GLINT_CHECK) — and so is calling
-  /// this on a durable engine at all: direct session mutation would bypass
-  /// the WAL, so durable engines only hand out home_view() and route every
-  /// mutation through the journaled Try* API. Callers routing *untrusted*
-  /// indices (CLI input, network frontends) use FindHome / TryOnEvent /
-  /// TryInspect instead.
-  DeploymentSession& home(int h);
-  const DeploymentSession& home(int h) const;
-
-  /// Read-only accessor for durable engines' read paths (stats, rule
-  /// listings): never a WAL-bypass hazard, so no durability check.
+  /// Read-only session of slot `h` (checked) for stats and rule listings.
+  /// There is no mutable accessor: every mutation goes through the
+  /// journaled Try* API.
   const DeploymentSession& home_view(int h) const;
-
-  /// Status-style lookup: nullptr when `h` is out of range.
-  DeploymentSession* FindHome(int h);
-  const DeploymentSession* FindHome(int h) const;
-
-  /// Inspects every home at `now` in parallel; result i belongs to home i.
-  std::vector<ThreatWarning> InspectAll(double now_hours);
-
-  /// Batched InspectAll: the per-home cache/materialize/tensorize stage
-  /// still fans out over the ThreadPool, but the verdict-cache misses are
-  /// then packed into block-diagonal super-graphs of up to `max_batch`
-  /// member graphs and analyzed with one ITGNN forward per super-graph,
-  /// amortizing tape and dispatch overhead across the fleet. Warnings are
-  /// bit-identical to InspectAll for every batch size, thread count and
-  /// kernel backend (the segment-op contract in gnn/tensor.h), and the
-  /// per-home verdict caches end up in the same state.
-  std::vector<ThreatWarning> InspectAllBatched(double now_hours,
-                                               int max_batch = 256);
-
-  /// Validating single-home inspection: InvalidArgument when `h` is out of
-  /// range or `now` precedes the home's event watermark — nothing an
-  /// untrusted caller passes here can abort the process.
-  Result<ThreatWarning> TryInspect(int h, double now_hours);
 
   /// Total rules deployed across all homes.
   size_t total_rules() const;
@@ -194,7 +153,7 @@ class ServingEngine {
   std::unique_ptr<DeploymentSession> MakeSession() const;
   /// Registers `id` for the next dense slot (ids_ + index_ bookkeeping).
   void RegisterHomeId(HomeId id);
-  /// NotFound (with the id in the message) when `id` is unknown.
+  /// Dense slot of `id`, or NotFound (with the id in the message).
   Result<int> RequireHome(const HomeId& id) const;
   /// Appends `payload` as the next journaled op (no-op when not durable);
   /// on success bumps seq_. The caller applies the op only on OK.
@@ -208,7 +167,7 @@ class ServingEngine {
 
   const TrainedDetector* detector_;
   Config config_;
-  /// unique_ptr for stable addresses across AddHome growth.
+  /// unique_ptr for stable addresses across TryAddHome growth.
   std::vector<std::unique_ptr<DeploymentSession>> sessions_;
   /// ids_[h] is the stable id of sessions_[h]; index_ is the reverse map.
   std::vector<HomeId> ids_;

@@ -190,12 +190,12 @@ FleetWarnings ShardedFleet::InspectAll(double now_hours, int max_batch) {
   FleetWarnings out;
   out.ids.reserve(num_homes());
   out.warnings.reserve(num_homes());
-  // Shard by shard, serially: each shard's InspectAllBatched already fans
-  // the per-home stage over the global thread pool, and serial shard order
+  // Shard by shard, serially: each shard's InspectAll already fans the
+  // per-home stage over the global thread pool, and serial shard order
   // keeps the output layout a pure function of fleet state.
   for (const auto& shard : shards_) {
     std::vector<core::ThreatWarning> w =
-        shard->InspectAllBatched(now_hours, max_batch);
+        shard->InspectAll(now_hours, max_batch);
     out.ids.insert(out.ids.end(), shard->home_ids().begin(),
                    shard->home_ids().end());
     out.warnings.insert(out.warnings.end(),

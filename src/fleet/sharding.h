@@ -24,8 +24,8 @@
 // Determinism: shards are disjoint (a home maps to exactly one shard) and
 // a ServingEngine's sessions are already independent, so fleet inspection
 // is bit-identical to a single engine serving the same homes — for any
-// shard count and any thread count. InspectAll drives per-shard
-// InspectAllBatched (SIMD batching amortizes within a shard) and returns
+// shard count and any thread count. InspectAll drives each shard's batched
+// InspectAll (SIMD batching amortizes within a shard) and returns
 // warnings in (shard, within-shard registration) order; match them to
 // homes via Warnings()'s parallel id vector, since cross-shard order is a
 // function of the ring, not of registration order.

@@ -1,11 +1,12 @@
-// Property suite for ServingEngine::InspectAllBatched: for every batch
-// size, thread count and kernel backend, the batched fleet inspection must
-// be *bit-identical* to the sequential InspectAll — same verdicts, same
-// confidences (compared as hex doubles), same explainer culprits, same
-// rendered warnings — and the per-home verdict/tensor caches must end up
-// in the same state (AggregateStats equality, verdict hits on re-inspect).
-// A recovery leg runs the same equivalence through a durable engine with
-// an injected WAL append failure and a post-snapshot Recover().
+// Property suite for ServingEngine::InspectAll: for every batch size,
+// thread count and kernel backend, the batched fleet sweep must be
+// *bit-identical* to a serial loop of per-home TryInspect on a twin engine
+// (the session path) — same verdicts, same confidences (compared as hex
+// doubles), same explainer culprits, same rendered warnings — and the
+// per-home verdict/tensor caches must end up in the same state
+// (AggregateStats equality, verdict hits on re-inspect). A recovery leg
+// runs the same equivalence through a durable engine with an injected WAL
+// append failure and a post-snapshot Recover().
 
 #include <gtest/gtest.h>
 #include <stdlib.h>
@@ -25,6 +26,14 @@
 
 namespace glint::core {
 namespace {
+
+// Test setup goes through the Status-returning engine API; a failure there
+// is a broken fixture, so stop the test.
+#define ASSERT_OK(expr)                                        \
+  do {                                                         \
+    const Status assert_ok_st = (expr);                        \
+    ASSERT_TRUE(assert_ok_st.ok()) << assert_ok_st.ToString(); \
+  } while (0)
 
 // One small trained detector shared by every test here; quality is
 // irrelevant — equivalence only depends on the computation graph.
@@ -118,15 +127,16 @@ class BatchedServingTest : public ::testing::Test {
     return buf;
   }
 
+  static HomeId Id(int h) { return "home-" + std::to_string(h); }
+
   /// Registers the same small fleet into `eng`: homes with different rule
   /// counts (1-rule through 7-rule graphs) so super-graph segments have
   /// heterogeneous sizes.
   static void BuildFleet(ServingEngine* eng) {
     const int counts[] = {3, 5, 2, 7, 1, 4, 6, 3};
-    int base = 9000;
-    for (int n : counts) {
-      eng->AddHome(HomeRules(n, base));
-      base += 100;
+    for (int h = 0; h < 8; ++h) {
+      ASSERT_OK(eng->TryAddHome(Id(h), HomeRules(counts[h], 9000 + 100 * h))
+                    .status());
     }
   }
 
@@ -138,8 +148,21 @@ class BatchedServingTest : public ::testing::Test {
       if ((h + round) % 3 == 0) continue;  // skip some homes each round
       auto rules = HomeRules(counts[h], 9000 + 100 * h);
       const auto& r = rules[static_cast<size_t>(round) % rules.size()];
-      eng->OnEvent(h, EventFor(r, t));
+      ASSERT_OK(eng->TryOnEvent(Id(h), EventFor(r, t)));
     }
+  }
+
+  /// The reference every sweep must match: one TryInspect per home, in
+  /// registration order.
+  static std::vector<ThreatWarning> InspectEach(ServingEngine* eng,
+                                                double now) {
+    std::vector<ThreatWarning> out;
+    for (const HomeId& id : eng->home_ids()) {
+      Result<ThreatWarning> w = eng->TryInspect(id, now);
+      EXPECT_TRUE(w.ok()) << id << ": " << w.status().ToString();
+      out.push_back(w.ok() ? w.value() : ThreatWarning());
+    }
+    return out;
   }
 
   static Glint* glint_;
@@ -147,9 +170,10 @@ class BatchedServingTest : public ::testing::Test {
 
 Glint* BatchedServingTest::glint_ = nullptr;
 
-/// Drives two engines (one sequential, one batched with `max_batch`)
-/// through an identical script and asserts bit-identical warnings and
-/// identical aggregate cache counters after every round.
+/// Drives two engines (a per-home TryInspect reference and a batched
+/// sweep with `max_batch`) through an identical script and asserts
+/// bit-identical warnings and identical aggregate cache counters after
+/// every round.
 void RunEquivalenceScript(Glint* glint, int max_batch) {
   ServingEngine seq(&glint->detector());
   ServingEngine bat(&glint->detector());
@@ -160,8 +184,8 @@ void RunEquivalenceScript(Glint* glint, int max_batch) {
   for (int round = 0; round < 3; ++round) {
     BatchedServingTest::FireRound(&seq, round, now - 0.25);
     BatchedServingTest::FireRound(&bat, round, now - 0.25);
-    const auto ws = seq.InspectAll(now);
-    const auto wb = bat.InspectAllBatched(now, max_batch);
+    const auto ws = BatchedServingTest::InspectEach(&seq, now);
+    const auto wb = bat.InspectAll(now, max_batch);
     ASSERT_EQ(ws.size(), wb.size());
     EXPECT_EQ(BatchedServingTest::Fp(ws), BatchedServingTest::Fp(wb))
         << "round " << round << " max_batch " << max_batch;
@@ -173,11 +197,11 @@ void RunEquivalenceScript(Glint* glint, int max_batch) {
 
   // Re-inspect at the same instant: every home must serve its warning from
   // the verdict cache on both sides — FinishInspect left the batched
-  // caches in the same state the sequential path did.
+  // caches in the same state the per-home path did.
   const double pre_hits_now = now - 1.0;
   const auto s0 = bat.AggregateStats();
-  const auto ws = seq.InspectAll(pre_hits_now);
-  const auto wb = bat.InspectAllBatched(pre_hits_now, max_batch);
+  const auto ws = BatchedServingTest::InspectEach(&seq, pre_hits_now);
+  const auto wb = bat.InspectAll(pre_hits_now, max_batch);
   EXPECT_EQ(BatchedServingTest::Fp(ws), BatchedServingTest::Fp(wb));
   const auto s1 = bat.AggregateStats();
   EXPECT_EQ(s1.verdict_hits - s0.verdict_hits, bat.num_homes());
@@ -209,17 +233,17 @@ TEST_F(BatchedServingTest, MatchesSequentialOnForcedScalarBackend) {
 
 TEST_F(BatchedServingTest, SingleHomeAndEmptyFleet) {
   ServingEngine eng(&glint_->detector());
-  EXPECT_TRUE(eng.InspectAllBatched(1.0).empty());
-  eng.AddHome(HomeRules(4));
+  EXPECT_TRUE(eng.InspectAll(1.0).empty());
+  ASSERT_OK(eng.TryAddHome("solo", HomeRules(4)).status());
   ServingEngine ref(&glint_->detector());
-  ref.AddHome(HomeRules(4));
-  EXPECT_EQ(Fp(ref.InspectAll(1.0)), Fp(eng.InspectAllBatched(1.0)));
+  ASSERT_OK(ref.TryAddHome("solo", HomeRules(4)).status());
+  EXPECT_EQ(Fp(InspectEach(&ref, 1.0)), Fp(eng.InspectAll(1.0)));
 }
 
 /// GLINT_FAULTS leg: a durable engine suffers a WAL append failure (the op
 /// must not be applied), recovers from snapshot + tail in a fresh engine,
 /// and the recovered fleet's batched inspection still matches an
-/// uninterrupted non-durable engine's sequential InspectAll bit-for-bit.
+/// uninterrupted non-durable engine's per-home TryInspect bit-for-bit.
 TEST_F(BatchedServingTest, BatchedMatchesSequentialAfterFaultAndRecovery) {
   char tmpl[] = "/tmp/glint_batched_XXXXXX";
   ASSERT_NE(::mkdtemp(tmpl), nullptr);
@@ -239,7 +263,7 @@ TEST_F(BatchedServingTest, BatchedMatchesSequentialAfterFaultAndRecovery) {
   FireRound(dur.get(), 0, 0.75);
   fault::Registry::Global().Arm("wal.append.write", fault::Mode::kFail);
   auto rules0 = HomeRules(3, 9000);
-  EXPECT_FALSE(dur->TryOnEvent(0, EventFor(rules0[0], 0.9)).ok());
+  EXPECT_FALSE(dur->TryOnEvent(Id(0), EventFor(rules0[0], 0.9)).ok());
   fault::Registry::Global().Clear();
 
   ASSERT_TRUE(dur->Snapshot().ok());
@@ -254,8 +278,8 @@ TEST_F(BatchedServingTest, BatchedMatchesSequentialAfterFaultAndRecovery) {
   ASSERT_TRUE(rec.Recover(dir).ok());
   ASSERT_EQ(rec.num_homes(), ref.num_homes());
 
-  const auto ws = ref.InspectAll(2.0);
-  const auto wb = rec.InspectAllBatched(2.0, 3);
+  const auto ws = InspectEach(&ref, 2.0);
+  const auto wb = rec.InspectAll(2.0, 3);
   EXPECT_EQ(Fp(ws), Fp(wb));
 }
 

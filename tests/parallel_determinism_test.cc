@@ -344,7 +344,10 @@ TEST(ParallelDeterminismTest, ServingEngineInspectAllIdenticalAcrossThreadCounts
   auto run = [&](int threads) {
     ThreadPool::SetGlobalThreads(threads);
     core::ServingEngine engine(&glint.detector());
-    for (const auto& h : homes) engine.AddHome(h);
+    for (size_t h = 0; h < homes.size(); ++h) {
+      const std::string id = "home-" + std::to_string(h);
+      EXPECT_TRUE(engine.TryAddHome(id, homes[h]).ok());
+    }
     Rng rng(9);
     double now = 10.0;
     std::vector<std::string> out;
@@ -358,7 +361,7 @@ TEST(ParallelDeterminismTest, ServingEngineInspectAllIdenticalAcrossThreadCounts
         e.device = rule.trigger.device;
         e.state = rule.trigger.state;
         e.location = rule.location;
-        engine.OnEvent(h, e);
+        EXPECT_TRUE(engine.TryOnEvent(engine.home_id(h), e).ok());
       }
       for (const auto& w : engine.InspectAll(now)) {
         out.push_back(w.Render());

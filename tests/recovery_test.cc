@@ -192,9 +192,8 @@ class RecoveryTest : public ::testing::Test {
     };
     auto warnings = engine->InspectAll(kInspectHour);
     for (size_t h = 0; h < engine->num_homes(); ++h) {
-      // home_view: most fingerprinted engines here are durable, and the
-      // mutable home() accessor refuses those (WAL-bypass guard). The home
-      // id is part of the fingerprint — id recovery is part of the proof.
+      // The home id is part of the fingerprint — id recovery is part of
+      // the proof.
       const DeploymentSession& s = engine->home_view(static_cast<int>(h));
       out += "home " + engine->home_id(static_cast<int>(h)) + " rules";
       for (const auto& r : s.CurrentRules()) {
@@ -270,20 +269,6 @@ TEST_F(RecoveryTest, DurableUninterruptedMatchesReference) {
   // A clean restart (snapshot + WAL tail, nothing torn) is also identical.
   ASSERT_TRUE(engine.Snapshot().ok());
   RecoverAndVerify(dir, "clean restart");
-}
-
-TEST_F(RecoveryTest, MutableHomeAccessorRefusesDurableEngine) {
-  // The WAL-bypass hole: a mutable session handle on a durable engine
-  // would let callers mutate state the journal never sees. Reads go
-  // through home_view(); the mutable accessor aborts.
-  const std::string dir = Dir("walbypass");
-  ServingEngine engine(&glint_->detector());
-  ASSERT_TRUE(engine.Recover(dir).ok());
-  ASSERT_TRUE(engine.TryAddHome("home-x", HomeRules(2)).ok());
-  EXPECT_EQ(engine.home_view(0).num_rules(), 2);
-  EXPECT_EQ(engine.home_id(0), "home-x");
-  EXPECT_EQ(engine.ResolveHome("home-x"), 0);
-  EXPECT_DEATH((void)engine.home(0), "durable");
 }
 
 TEST_F(RecoveryTest, HomeIdsSurviveSnapshotAndReplay) {

@@ -1,11 +1,16 @@
 // Ground-truth property test for the per-session cache counters surfaced
 // through DeploymentSession::Stats() / ServingEngine::AggregateStats(): a
 // scripted AddRule / OnEvent / Inspect sequence whose verdict-LRU and
-// GnnGraphCache hit counts are derivable by hand, plus the bounds-guard
-// behavior of ServingEngine (has_home / FindHome / TryOnEvent / home).
+// GnnGraphCache hit counts are derivable by hand, plus the unknown-id
+// contract of ServingEngine's id-addressed Try* API (NotFound, nothing
+// journaled, no session counter moved).
 
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
+#include <filesystem>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "core/glint.h"
@@ -14,6 +19,14 @@
 
 namespace glint::core {
 namespace {
+
+// Test setup goes through the Status-returning engine API; a failure there
+// is a broken fixture, so stop the test.
+#define ASSERT_OK(expr)                                        \
+  do {                                                         \
+    const Status assert_ok_st = (expr);                        \
+    ASSERT_TRUE(assert_ok_st.ok()) << assert_ok_st.ToString(); \
+  } while (0)
 
 // One small trained detector shared by every test here; quality is
 // irrelevant — the counters only depend on cache keys and LRU mechanics.
@@ -145,16 +158,16 @@ TEST_F(SessionStatsTest, EventsAreCountedAndChangeTheKey) {
 TEST_F(SessionStatsTest, AggregateStatsSumsHomes) {
   auto rules = HomeRules(4);
   ServingEngine engine(&glint_->detector());
-  engine.AddHome(rules);
-  engine.AddHome(rules);
-  engine.AddHome(rules);
-  engine.OnEvent(0, EventFor(rules[0], 1.0));
-  engine.OnEvent(2, EventFor(rules[1], 1.1));
+  for (const char* id : {"h0", "h1", "h2"}) {
+    ASSERT_OK(engine.TryAddHome(id, rules).status());
+  }
+  ASSERT_OK(engine.TryOnEvent("h0", EventFor(rules[0], 1.0)));
+  ASSERT_OK(engine.TryOnEvent("h2", EventFor(rules[1], 1.1)));
   (void)engine.InspectAll(1.5);
   (void)engine.InspectAll(1.5);  // unchanged structures: all verdict hits
 
   DeploymentSession::CacheStats manual;
-  for (int h = 0; h < 3; ++h) manual += engine.home(h).Stats();
+  for (int h = 0; h < 3; ++h) manual += engine.home_view(h).Stats();
   const auto agg = engine.AggregateStats();
   EXPECT_EQ(agg.inspects, manual.inspects);
   EXPECT_EQ(agg.events, manual.events);
@@ -166,30 +179,57 @@ TEST_F(SessionStatsTest, AggregateStatsSumsHomes) {
   EXPECT_EQ(agg.verdict_hits, 3u);  // the second InspectAll, per home
 }
 
-TEST_F(SessionStatsTest, BoundsGuards) {
+TEST_F(SessionStatsTest, UnknownIdIsNotFoundAndTouchesNothing) {
+  // A durable engine, so "nothing journaled" is observable as journal_seq.
+  char tmpl[] = "/tmp/glint_unknown_id_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
   auto rules = HomeRules(3);
   ServingEngine engine(&glint_->detector());
-  const int h = engine.AddHome(rules);
-  EXPECT_TRUE(engine.has_home(h));
-  EXPECT_FALSE(engine.has_home(-1));
-  EXPECT_FALSE(engine.has_home(1));
-  EXPECT_NE(engine.FindHome(h), nullptr);
-  EXPECT_EQ(engine.FindHome(-1), nullptr);
-  EXPECT_EQ(engine.FindHome(7), nullptr);
+  ASSERT_OK(engine.Recover(std::string(tmpl) + "/state"));
+  ASSERT_OK(engine.TryAddHome("known", rules).status());
+  ASSERT_OK(engine.TryOnEvent("known", EventFor(rules[0], 1.0)));
+  ASSERT_OK(engine.TryInspect("known", 1.5).status());
 
-  const graph::Event e = EventFor(rules[0], 1.0);
-  EXPECT_TRUE(engine.TryOnEvent(h, e).ok());
-  const Status bad = engine.TryOnEvent(5, e);
-  EXPECT_FALSE(bad.ok());
-  EXPECT_NE(bad.ToString().find("no home with index 5"), std::string::npos);
-  EXPECT_EQ(engine.home(h).Stats().events, 1u);  // bad route touched nothing
-}
-
-TEST_F(SessionStatsTest, CheckedAccessorAbortsOutOfRange) {
-  auto rules = HomeRules(3);
-  ServingEngine engine(&glint_->detector());
-  engine.AddHome(rules);
-  EXPECT_DEATH((void)engine.home(3), "");
+  const graph::Event e = EventFor(rules[1], 2.0);
+  const struct {
+    const char* call;
+    std::function<Status(ServingEngine&)> run;
+  } cases[] = {
+      {"TryAddRule",
+       [&](ServingEngine& eng) { return eng.TryAddRule("nope", rules[2]); }},
+      {"TryRemoveRule",
+       [&](ServingEngine& eng) {
+         return eng.TryRemoveRule("nope", rules[0].id);
+       }},
+      {"TryOnEvent",
+       [&](ServingEngine& eng) { return eng.TryOnEvent("nope", e); }},
+      {"TryInspect",
+       [](ServingEngine& eng) { return eng.TryInspect("nope", 3.0).status(); }},
+      {"TryInspectDegraded",
+       [](ServingEngine& eng) {
+         return eng.TryInspectDegraded("nope", 3.0).status();
+       }},
+  };
+  for (const auto& c : cases) {
+    const uint64_t seq = engine.journal_seq();
+    const DeploymentSession::CacheStats before = engine.AggregateStats();
+    const Status st = c.run(engine);
+    EXPECT_EQ(st.code(), StatusCode::kNotFound) << c.call << ": "
+                                                << st.ToString();
+    EXPECT_NE(st.ToString().find("'nope'"), std::string::npos) << c.call;
+    EXPECT_EQ(engine.journal_seq(), seq) << c.call;
+    const DeploymentSession::CacheStats after = engine.AggregateStats();
+    EXPECT_EQ(after.inspects, before.inspects) << c.call;
+    EXPECT_EQ(after.events, before.events) << c.call;
+    EXPECT_EQ(after.rules, before.rules) << c.call;
+    EXPECT_EQ(after.verdict_hits, before.verdict_hits) << c.call;
+    EXPECT_EQ(after.verdict_misses, before.verdict_misses) << c.call;
+    EXPECT_EQ(after.tensor_hits, before.tensor_hits) << c.call;
+    EXPECT_EQ(after.tensor_misses, before.tensor_misses) << c.call;
+  }
+  EXPECT_EQ(engine.num_homes(), 1u);
+  std::error_code ec;
+  std::filesystem::remove_all(tmpl, ec);
 }
 
 }  // namespace

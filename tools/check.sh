@@ -59,8 +59,8 @@ cmake --build build-tsan -j"${JOBS}" --target threadpool_stress obs_stress \
 ./build-tsan/tests/threadpool_stress
 ./build-tsan/tests/obs_stress
 ./build-tsan/tests/trace_test
-# Batched serving under TSAN: InspectAllBatched fans BeginInspect out over
-# the pool while sharing the detector's memo caches, then assembles the
+# Batched serving under TSAN: InspectAll fans BeginInspect out over the
+# pool while sharing the detector's memo caches, then assembles the
 # super-graph serially — the thread-count equivalence test is the racy
 # surface. (Single suite under TSAN; the full sweep runs in the tier-1
 # passes above.)
@@ -104,25 +104,27 @@ GLINT_THREADS=1 ./build-asan/tests/recovery_test
 
 # Env-spec smoke through the real CLI surface (GLINT_FAULTS is what an
 # operator arms against a production binary). Train a tiny model (also
-# exercises the hardened model save/load path), serve durably with a delay
-# fault armed (must pass through), then with a WAL-append failure armed
-# (must exit non-zero via a handled IOError — never crash or hang), then
-# serve again clean on the same state dir (must recover what was durable).
+# exercises the hardened model save/load path), serve durably from one
+# shard with a delay fault armed (must pass through), then with a
+# WAL-append failure armed on the now-registered homes (the dropped event
+# must fail the run with a non-zero exit — never crash, hang or exit 0),
+# then serve again clean on the same state dir (must recover what was
+# durable).
 FAULT_SMOKE_DIR="$(mktemp -d /tmp/glint_check_fault_XXXXXX)"
 trap 'rm -rf "${FAULT_SMOKE_DIR}"' EXIT
 GLINT_THREADS=2 ./build/tools/glint train \
   --model-dir "${FAULT_SMOKE_DIR}/models" --graphs 40 --epochs 2
 GLINT_FAULTS='wal.append.write=delay:1' GLINT_THREADS=2 ./build/tools/glint \
-  serve --model-dir "${FAULT_SMOKE_DIR}/models" \
+  fleet-serve --shards 1 --model-dir "${FAULT_SMOKE_DIR}/models" \
   --state-dir "${FAULT_SMOKE_DIR}/state" --homes 2 --hours 2
 if GLINT_FAULTS='wal.append.write=fail' GLINT_THREADS=2 ./build/tools/glint \
-    serve --model-dir "${FAULT_SMOKE_DIR}/models" \
+    fleet-serve --shards 1 --model-dir "${FAULT_SMOKE_DIR}/models" \
     --state-dir "${FAULT_SMOKE_DIR}/state" --homes 2 --hours 2 \
     >/dev/null 2>&1; then
   echo "check.sh: GLINT_FAULTS=wal.append.write=fail should have surfaced" >&2
   exit 1
 fi
-GLINT_THREADS=2 ./build/tools/glint serve \
+GLINT_THREADS=2 ./build/tools/glint fleet-serve --shards 1 \
   --model-dir "${FAULT_SMOKE_DIR}/models" \
   --state-dir "${FAULT_SMOKE_DIR}/state" --homes 2 --hours 2
 
@@ -168,9 +170,10 @@ GLINT_THREADS=2 ./build-tsan/tests/fleet_chaos_test
 # Fleet bench smoke: register/ingest/inspect/wire legs; exits non-zero if
 # the fleet-vs-single-engine sample diverges or the bus/wire legs lose
 # messages. The overload leg drives a tiny kReject bus at 2x the measured
-# sustainable rate; re-check its accounting here from the JSON so the gate
-# survives even if the binary's own exit gates are refactored: every
-# offered event must be acked-and-applied or answered kOverloaded.
+# sustainable rate while one shard consumer is stalled by a one-shot
+# fleet.bus.consumer.run delay; re-check its accounting here from the JSON
+# so the gate survives even if the binary's own exit gates are refactored:
+# every offered event must be acked-and-applied or answered kOverloaded.
 BENCH_FLEET_OUT="$(GLINT_THREADS=2 ./build/bench/bench_fleet --smoke)"
 printf '%s\n' "${BENCH_FLEET_OUT}"
 ov_field() {

@@ -14,33 +14,25 @@
 //       Run the offline stage and save the ITGNN-S / ITGNN-C models.
 //   inspect --model-dir DIR [--demo table1|table4|blueprints]
 //       Load trained models and inspect a rule deployment (demo rule sets).
-//   serve [--model-dir DIR] [--homes N] [--hours H] [--inspect-every H]
-//         [--batch N] [--stats] [--stats-every H]
-//       Serve many simulated homes from one shared detector: per-home
-//       DeploymentSessions ingest event streams and are inspected in
-//       parallel by the ServingEngine (warm incremental pipeline).
-//       --stats prints per-stage latency and cache-hit telemetry at the end
-//       (plus a machine-readable STATS_JSON line); --stats-every H also
-//       prints a periodic snapshot every H simulated hours. --state-dir DIR
-//       makes serving durable: state is recovered from DIR on startup
-//       (snapshot + WAL replay, torn tails truncated), every mutation is
-//       journaled, and a snapshot is written on exit.
 //   fleet-serve [--model-dir DIR] [--shards N] [--homes N] [--hours H]
 //         [--inspect-every H] [--batch N] [--state-dir DIR] [--stats]
 //         [--bus-capacity N] [--bus-policy block|reject]
 //         [--port P [--duration SECS] [--drain-ms MS]]
 //       Sharded fleet serving: N ServingEngine shards behind a consistent-
 //       hash HomeId router, mutations flowing through a bounded per-shard
-//       event bus. Without --port, drives simulated homes through the bus
-//       locally (the `serve` loop at fleet shape; each home's new events
-//       of a tick ride one event batch). With --port, listens on
-//       127.0.0.1:P speaking the binary wire protocol (see
-//       src/fleet/wire.h) until --duration seconds elapse (or stdin closes
-//       when --duration is 0). --state-dir DIR journals each shard to
-//       DIR/shard-K/ and recovers on startup. SIGTERM/SIGINT drain
-//       gracefully: owed replies are flushed, the bus empties, durable
-//       shards snapshot, then the process exits (--drain-ms bounds the
-//       wait, default 2000).
+//       event bus (--shards 1 serves from one engine). Without --port,
+//       drives simulated homes through the bus locally and inspects every
+//       home each --inspect-every simulated hours (each home's new events
+//       of a tick ride one event batch); --stats prints per-stage latency,
+//       cache-hit and per-shard telemetry before the STATS_JSON line. With
+//       --port, listens on 127.0.0.1:P speaking the binary wire protocol
+//       (see src/fleet/wire.h) until --duration seconds elapse (or stdin
+//       closes when --duration is 0). --state-dir DIR makes serving
+//       durable: each shard journals to DIR/shard-K/, recovers on startup
+//       (snapshot + WAL replay, torn tails truncated) and snapshots on
+//       exit. SIGTERM/SIGINT drain gracefully: owed replies are flushed,
+//       the bus empties, durable shards snapshot, then the process exits
+//       (--drain-ms bounds the wait, default 2000).
 //   fleet-top [--host H] [--port P] [--interval SECS] [--once] [--count N]
 //         [--json]
 //       Live fleet dashboard: polls a running fleet-serve over the wire
@@ -96,7 +88,7 @@ namespace {
 
 // Minimal flag parser: --key value pairs after the subcommand. A --key
 // followed by another --flag (or by nothing) is a valueless boolean flag
-// and parses as "1" (e.g. `serve --stats`).
+// and parses as "1" (e.g. `fleet-serve --stats`).
 std::map<std::string, std::string> ParseFlags(int argc, char** argv,
                                               int start) {
   std::map<std::string, std::string> flags;
@@ -322,21 +314,18 @@ std::string StatsJson(size_t homes,
   return std::string(buf) + registry.substr(1);
 }
 
-std::string StatsJson(const core::ServingEngine& engine) {
-  return StatsJson(engine.num_homes(), engine.AggregateStats());
-}
-
 double HitRate(uint64_t hits, uint64_t misses) {
   const uint64_t total = hits + misses;
   return total == 0 ? 0.0 : 100.0 * double(hits) / double(total);
 }
 
-void PrintStatsReport(const core::Glint& detector,
-                      const core::ServingEngine& engine) {
-  std::printf("\n---- telemetry (glint::obs) ----\n");
+void PrintFleetStatsReport(const core::Glint& detector,
+                           const fleet::ShardedFleet& fleet,
+                           const fleet::EventBus& bus) {
+  std::printf("\n---- fleet telemetry ----\n");
   std::printf("%s",
               obs::Registry::Global().TakeSnapshot().RenderText().c_str());
-  const auto agg = engine.AggregateStats();
+  const auto agg = fleet.AggregateStats();
   const auto& corr = detector.detector().correlation_cache();
   std::printf("cache hit rates:\n");
   std::printf("  %-44s %6.1f%%  (%llu/%llu)\n", "verdict (no-change inspect)",
@@ -352,187 +341,6 @@ void PrintStatsReport(const core::Glint& detector,
   std::printf("  %-44s %6.1f%%  (%zu/%zu)\n", "correlation verdict memo",
               HitRate(corr.hits(), corr.misses()), corr.hits(),
               corr.hits() + corr.misses());
-  std::printf("per-home:\n");
-  for (int h = 0; h < static_cast<int>(engine.num_homes()); ++h) {
-    // home_view: the durable-safe read accessor (serve may be journaled).
-    const auto s = engine.home_view(h).Stats();
-    std::printf(
-        "  %-8s rules=%-4llu events=%-6llu inspects=%-5llu "
-        "verdict_hits=%-5llu tensor_hits=%llu\n",
-        engine.home_id(h).c_str(), static_cast<unsigned long long>(s.rules),
-        static_cast<unsigned long long>(s.events),
-        static_cast<unsigned long long>(s.inspects),
-        static_cast<unsigned long long>(s.verdict_hits),
-        static_cast<unsigned long long>(s.tensor_hits));
-  }
-}
-
-int CmdServe(const std::map<std::string, std::string>& flags) {
-  const int homes = std::atoi(FlagOr(flags, "homes", "4").c_str());
-  const double hours = std::atof(FlagOr(flags, "hours", "6").c_str());
-  const double every = std::atof(FlagOr(flags, "inspect-every", "1").c_str());
-  const double stats_every =
-      std::atof(FlagOr(flags, "stats-every", "0").c_str());
-  const bool stats = flags.count("stats") > 0 || stats_every > 0;
-  // 0 = sequential InspectAll; N > 0 packs up to N homes per super-graph.
-  const int batch = std::atoi(FlagOr(flags, "batch", "0").c_str());
-  const uint64_t seed =
-      std::strtoull(FlagOr(flags, "seed", "2026").c_str(), nullptr, 10);
-  const std::string dir = FlagOr(flags, "model-dir", "");
-  const std::string state_dir = FlagOr(flags, "state-dir", "");
-
-  core::Glint detector(DefaultOptions(600, 14, 97));
-  if (!dir.empty()) {
-    Status st = detector.LoadModels(dir);
-    if (!st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::printf("loaded models from %s\n", dir.c_str());
-  } else {
-    std::printf("no --model-dir given; training a fresh detector...\n");
-    detector.TrainOffline();
-  }
-
-  // One detector, many homes: each home gets a DeploymentSession sharing
-  // the trained models; events stream in and periodic InspectAll calls run
-  // the warm incremental pipeline across the thread pool.
-  core::ServingEngine engine(&detector.detector());
-  if (!state_dir.empty()) {
-    // Durable serving: replay whatever a previous run left in the state
-    // dir, then journal everything this run does.
-    Status st = engine.Recover(state_dir);
-    if (!st.ok()) {
-      std::fprintf(stderr, "recovery failed: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    const auto& ri = engine.recovery_info();
-    std::printf(
-        "recovered %zu homes from %s (snapshot=%s seq=%llu, %zu WAL records "
-        "replayed, %zu skipped%s)\n",
-        engine.num_homes(), state_dir.c_str(),
-        ri.snapshot_loaded ? "yes" : "no",
-        static_cast<unsigned long long>(ri.snapshot_seq), ri.tail_records,
-        ri.skipped_records,
-        ri.tail_torn ? ", torn tail truncated" : "");
-  }
-
-  // Resume the simulated clock past anything already journaled so replayed
-  // state and fresh events stay chronological.
-  double resume_hour = 18.0;
-  for (int h = 0; h < static_cast<int>(engine.num_homes()); ++h) {
-    const core::DeploymentSession* s = engine.FindHome(h);
-    if (s != nullptr) {
-      resume_hour = std::max(resume_hour, s->live().latest_event_hours());
-    }
-  }
-
-  std::vector<testbed::SmartHome> sims;
-  std::vector<core::HomeId> ids;
-  std::vector<size_t> cursor(static_cast<size_t>(homes), 0);
-  sims.reserve(static_cast<size_t>(homes));
-  ids.reserve(static_cast<size_t>(homes));
-  for (int h = 0; h < homes; ++h) {
-    testbed::SmartHome::Config cfg;
-    cfg.seed = seed + static_cast<uint64_t>(h);
-    cfg.start_hour = resume_hour;
-    auto deployed = testbed::ScenarioGenerator::BenignDeployment();
-    sims.emplace_back(cfg, deployed);
-    // Stable ids: a rerun against the same --state-dir finds its homes
-    // again instead of re-registering them.
-    ids.push_back("home-" + std::to_string(h));
-    if (!engine.has_home(ids.back())) {
-      auto added = engine.TryAddHome(ids.back(), deployed);
-      if (!added.ok()) {
-        std::fprintf(stderr, "%s\n", added.status().ToString().c_str());
-        return 1;
-      }
-    }
-  }
-  std::printf("serving %d homes, %zu rules total%s\n", homes,
-              engine.total_rules(),
-              engine.durable() ? " (journaled)" : "");
-
-  const double start = sims.empty() ? resume_hour : sims[0].now();
-  double next_stats = stats_every > 0 ? start + stats_every : 0;
-  for (double t = start + every; t <= start + hours + 1e-9; t += every) {
-    for (int h = 0; h < homes; ++h) {
-      auto& sim = sims[static_cast<size_t>(h)];
-      sim.Simulate(t - sim.now());
-      const auto& events = sim.log().events();
-      for (size_t& i = cursor[static_cast<size_t>(h)]; i < events.size();
-           ++i) {
-        // Address homes by stable id through the validating path: serve
-        // is the untrusted-frontend shape.
-        Status st = engine.TryOnEvent(ids[static_cast<size_t>(h)], events[i]);
-        if (!st.ok()) {
-          std::fprintf(stderr, "%s\n", st.ToString().c_str());
-          return 1;
-        }
-      }
-    }
-    // The sims accumulate their clocks in 10-minute ticks, so after enough
-    // steps sim.now() (and the stamp of its last event) can drift a few ulp
-    // past the loop's t; inspect at the true event frontier so a long run
-    // never asks LiveGraph about a time before its latest event.
-    double t_inspect = t;
-    for (const auto& sim : sims) t_inspect = std::max(t_inspect, sim.now());
-    // Batched and sequential fleet inspection are bit-identical
-    // (tests/batched_serving_test.cc); --batch N trades per-home dispatch
-    // for one block-diagonal forward per N homes.
-    auto warnings = batch > 0 ? engine.InspectAllBatched(t_inspect, batch)
-                              : engine.InspectAll(t_inspect);
-    int threats = 0, drifting = 0;
-    for (const auto& w : warnings) {
-      threats += w.threat;
-      drifting += w.drifting;
-    }
-    std::printf("t=%5.1fh  homes=%d threats=%d drifting=%d\n", t, homes,
-                threats, drifting);
-    for (int h = 0; h < homes; ++h) {
-      const auto& w = warnings[static_cast<size_t>(h)];
-      if (w.threat || w.drifting) {
-        std::printf("-- %s --\n%s\n", engine.home_id(h).c_str(),
-                    w.Render().c_str());
-      }
-    }
-    if (stats_every > 0 && t + 1e-9 >= next_stats) {
-      std::printf("---- stats snapshot @ t=%.1fh ----\n%s",
-                  t, obs::Registry::Global().TakeSnapshot().RenderText()
-                         .c_str());
-      next_stats += stats_every;
-    }
-  }
-  if (engine.durable()) {
-    Status st = engine.Snapshot();
-    if (!st.ok()) {
-      std::fprintf(stderr, "snapshot failed: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::printf("state snapshotted to %s (seq=%llu)\n", state_dir.c_str(),
-                static_cast<unsigned long long>(engine.journal_seq()));
-  }
-  if (stats) {
-    PrintStatsReport(detector, engine);
-    std::printf("STATS_JSON %s\n", StatsJson(engine).c_str());
-  } else {
-    const auto agg = engine.AggregateStats();
-    std::printf(
-        "cache stats: %llu inspections, %llu verdict hits, %llu tensor "
-        "hits, %zu correlation memo hits\n",
-        static_cast<unsigned long long>(agg.inspects),
-        static_cast<unsigned long long>(agg.verdict_hits),
-        static_cast<unsigned long long>(agg.tensor_hits),
-        detector.detector().correlation_cache().hits());
-  }
-  return 0;
-}
-
-void PrintFleetStatsReport(const fleet::ShardedFleet& fleet,
-                           const fleet::EventBus& bus) {
-  std::printf("\n---- fleet telemetry ----\n");
-  std::printf("%s",
-              obs::Registry::Global().TakeSnapshot().RenderText().c_str());
   std::printf("per-shard:\n");
   for (int k = 0; k < fleet.num_shards(); ++k) {
     const auto& shard = fleet.shard(k);
@@ -570,8 +378,8 @@ int CmdFleetServe(const std::map<std::string, std::string>& flags) {
   const int port = std::atoi(FlagOr(flags, "port", "-1").c_str());
   const double duration = std::atof(FlagOr(flags, "duration", "0").c_str());
   const std::string policy = FlagOr(flags, "bus-policy", "block");
-  if (shards < 1) {
-    std::fprintf(stderr, "--shards must be >= 1\n");
+  if (shards < 1 || batch < 1) {
+    std::fprintf(stderr, "--shards and --batch must be >= 1\n");
     return 2;
   }
   if (policy != "block" && policy != "reject") {
@@ -687,21 +495,23 @@ int CmdFleetServe(const std::map<std::string, std::string>& flags) {
       }
     }
     fleet.PublishShardGauges();
-    if (stats) PrintFleetStatsReport(fleet, server.bus());
+    if (stats) PrintFleetStatsReport(detector, fleet, server.bus());
     std::printf("STATS_JSON %s\n",
                 StatsJson(fleet.num_homes(), fleet.AggregateStats()).c_str());
     return 0;
   }
 
   // Driver mode: simulate homes locally, posting every event through the
-  // bus — the serve loop at fleet shape. Registration is control-plane and
-  // synchronous; the event stream is data-plane and rides the bus.
+  // bus. Registration is control-plane and synchronous; the event stream
+  // is data-plane and rides the bus.
   fleet::EventBus bus(&fleet, bus_cfg);
   std::vector<testbed::SmartHome> sims;
   std::vector<core::HomeId> ids;
   std::vector<size_t> cursor(static_cast<size_t>(homes), 0);
   sims.reserve(static_cast<size_t>(homes));
   ids.reserve(static_cast<size_t>(homes));
+  // Resume the simulated clock past anything already journaled so replayed
+  // state and fresh events stay chronological.
   double resume_hour = 18.0;
   for (int k = 0; k < fleet.num_shards(); ++k) {
     const auto& shard = fleet.shard(k);
@@ -716,6 +526,8 @@ int CmdFleetServe(const std::map<std::string, std::string>& flags) {
     cfg.start_hour = resume_hour;
     auto deployed = testbed::ScenarioGenerator::BenignDeployment();
     sims.emplace_back(cfg, deployed);
+    // Stable ids: a rerun against the same --state-dir finds its homes
+    // again instead of re-registering them.
     ids.push_back("home-" + std::to_string(h));
     if (!fleet.has_home(ids.back())) {
       auto added = fleet.TryAddHome(ids.back(), deployed);
@@ -769,6 +581,18 @@ int CmdFleetServe(const std::map<std::string, std::string>& flags) {
     }
   }
   bus.Stop();
+  // Apply errors are asynchronous (the post was accepted), so surface them
+  // here: a dropped event (e.g. a failed WAL append) fails the run.
+  if (bus.apply_errors() > 0) {
+    for (int k = 0; k < fleet.num_shards(); ++k) {
+      const Status st = bus.FirstError(k);
+      if (!st.ok()) {
+        std::fprintf(stderr, "shard %d apply failed: %s\n", k,
+                     st.ToString().c_str());
+      }
+    }
+    return 1;
+  }
   if (fleet.durable()) {
     Status st = fleet.Snapshot();
     if (!st.ok()) {
@@ -778,7 +602,7 @@ int CmdFleetServe(const std::map<std::string, std::string>& flags) {
     std::printf("fleet state snapshotted to %s\n", fc.state_dir.c_str());
   }
   fleet.PublishShardGauges();
-  if (stats) PrintFleetStatsReport(fleet, bus);
+  if (stats) PrintFleetStatsReport(detector, fleet, bus);
   std::printf("STATS_JSON %s\n",
               StatsJson(fleet.num_homes(), fleet.AggregateStats()).c_str());
   return 0;
@@ -1272,7 +1096,7 @@ int CmdStats() {
       "  glint.kernel.*      selected SIMD kernel backend (gauge: the\n"
       "                      kernels::Backend code; GLINT_KERNEL overrides)\n"
       "  glint.batch.*       block-diagonal super-graph sizes per batched\n"
-      "                      fleet inspection (InspectAllBatched)\n"
+      "                      fleet inspection (InspectAll)\n"
       "  glint.explain.*     gradient screen + occlusion refinement\n"
       "  glint.drift.*       behavioral drift detector\n"
       "  glint.detector.*    end-to-end Analyze verdicts\n"
@@ -1280,8 +1104,8 @@ int CmdStats() {
       "  glint.serving.*     fleet event routing + InspectAll + WAL append\n"
       "  glint.journal.*     WAL appends, snapshot writes (durable serving)\n"
       "  glint.recovery.*    snapshots loaded, records replayed, torn tails\n"
-      "                      truncated + bytes dropped (glint serve\n"
-      "                      --state-dir DIR)\n"
+      "                      truncated + bytes dropped (glint\n"
+      "                      fleet-serve --state-dir DIR)\n"
       "  glint.threadpool.*  queue depth, task wait/run latency\n"
       "  glint.fleet.*       sharded fleet: shard/home gauges, per-server\n"
       "                      connection + request counters, bus queue\n"
@@ -1310,8 +1134,8 @@ int CmdStats() {
       "                      .server.<stage>_ms  — requests touching no\n"
       "                        single shard (ping, stats)\n"
       "                      view live with `glint fleet-top --port P`\n\n"
-      "`glint serve --stats` prints a human-readable report, then one\n"
-      "machine-readable line:\n\n"
+      "`glint fleet-serve` ends with one machine-readable line (after a\n"
+      "human-readable report when --stats is given):\n\n"
       "  STATS_JSON {\"serving\":{\"homes\":N,\"rules\":N,\"inspects\":N,\n"
       "    \"events\":N,\"verdict_hits\":N,\"verdict_misses\":N,\n"
       "    \"tensor_hits\":N,\"tensor_misses\":N},\n"
@@ -1389,9 +1213,6 @@ void Usage() {
       "  dataset-info    FILE\n"
       "  train           --model-dir DIR [--graphs N] [--epochs E]\n"
       "  inspect         [--model-dir DIR] [--demo table1|table4|blueprints]\n"
-      "  serve           [--model-dir DIR] [--homes N] [--hours H]\n"
-      "                  [--inspect-every H] [--batch N] [--seed S]\n"
-      "                  [--stats] [--stats-every H] [--state-dir DIR]\n"
       "  fleet-serve     [--model-dir DIR] [--shards N] [--homes N]\n"
       "                  [--hours H] [--inspect-every H] [--batch N]\n"
       "                  [--state-dir DIR] [--stats] [--bus-capacity N]\n"
@@ -1428,7 +1249,6 @@ int main(int argc, char** argv) {
   }
   if (cmd == "train") return CmdTrain(flags);
   if (cmd == "inspect") return CmdInspect(flags);
-  if (cmd == "serve") return CmdServe(flags);
   if (cmd == "fleet-serve") return CmdFleetServe(flags);
   if (cmd == "fleet-top") return CmdFleetTop(flags);
   if (cmd == "fleet-replay") return CmdFleetReplay(flags);
