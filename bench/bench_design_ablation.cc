@@ -103,24 +103,12 @@ int main() {
       pc.num_positive = 250;
       pc.num_negative = 350;
       ml::Dataset pairs = correlation::BuildPairDataset(corpus, extractor, pc);
-      correlation::CorrelationDiscovery discovery(&model);
       // Hold out 20% of pairs for evaluation.
       Rng rng(406);
       auto split = ml::TrainTestSplit(pairs, 0.8, &rng);
-      discovery.Train(split.train);
-      // Ensemble accuracy on held-out features requires re-deriving pair
-      // predictions: evaluate the ensemble's component-majority on x.
-      std::vector<int> pred;
-      for (const auto& x : split.test.x) {
-        // VoteShare needs rules; emulate with the trained components by
-        // refitting a single MLP on features instead. Simplest: use the
-        // trained forest-style ensemble through CorrelationDiscovery's
-        // interface is rule-based, so here we use a fresh MLP on the split.
-        (void)x;
-        break;
-      }
-      // Direct evaluation: train an MLP on the split (the ensemble's
-      // strongest member) — this isolates the feature-geometry effect.
+      // The ensemble's interface scores rule pairs, not feature rows, so
+      // evaluate an MLP trained on the split (the ensemble's strongest
+      // member) — this isolates the feature-geometry effect.
       ml::Mlp::Params mp;
       mp.epochs = 35;
       ml::Mlp mlp(mp);

@@ -131,7 +131,8 @@ ThreatWarning TrainedDetector::Analyze(const gnn::GnnGraph& gg,
     GLINT_OBS_COUNT("glint.detector.threats", 1);
     if (explain) {
       // Explanation: top culprit rules, PGExplainer-style (Sec. 3.1).
-      auto importance = ExplainNodes(classifier_.get(), gg);
+      auto importance = ExplainNodes(classifier_.get(), gg,
+                                     r.logits->value.data.data());
       for (int v : TopCulprits(importance, 3)) {
         const auto& node = g.nodes()[static_cast<size_t>(v)];
         warning.culprits.push_back(
@@ -197,8 +198,11 @@ std::vector<ThreatWarning> TrainedDetector::AnalyzeBatch(
     if (!warning.threat) continue;
     GLINT_OBS_COUNT("glint.detector.threats", 1);
     // Explanation stays per-graph: the saliency screen needs per-graph
-    // input gradients, and threats are the rare case.
-    auto importance = ExplainNodes(classifier_.get(), *ggs[static_cast<size_t>(b)]);
+    // input gradients, and threats are the rare case. Its exact scan takes
+    // the base margin from this graph's row of the batched logits.
+    auto importance = ExplainNodes(
+        classifier_.get(), *ggs[static_cast<size_t>(b)],
+        r.logits->value.data.data() + static_cast<size_t>(b) * 2);
     for (int v : TopCulprits(importance, 3)) {
       const auto& node = gs[static_cast<size_t>(b)]->nodes()[static_cast<size_t>(v)];
       warning.culprits.push_back(

@@ -16,11 +16,14 @@ constexpr int kExactOcclusionMax = 24;
 /// surfaces 3 culprits; the extra slot absorbs screening-rank noise).
 constexpr int kRefineCandidates = 4;
 
+/// Threat margin of a (1 x 2) logit row.
+double Margin(const float* logits) { return double(logits[1]) - logits[0]; }
+
 double ThreatMargin(gnn::GraphModel* model, const gnn::GnnGraph& g) {
   gnn::ScopedTape tape;  // pooled tape: occlusion scans reuse one arena
   tape->set_freeze_leaves(true);  // inference only: skip grad bookkeeping
   auto r = model->Forward(tape.get(), g);
-  return double(r.logits->value.At(0, 1)) - r.logits->value.At(0, 0);
+  return Margin(r.logits->value.data.data());
 }
 
 /// Margin drop when node v's feature row is zeroed (one full forward).
@@ -47,14 +50,16 @@ void ShiftNormalize(std::vector<double>* importance) {
 }  // namespace
 
 std::vector<double> ExplainNodes(gnn::GraphModel* model,
-                                 const gnn::GnnGraph& g) {
+                                 const gnn::GnnGraph& g,
+                                 const float* logits) {
   const size_t n = static_cast<size_t>(g.num_nodes);
   std::vector<double> importance(n, 0.0);
 
   GLINT_OBS_COUNT("glint.explain.runs", 1);
   if (g.num_nodes <= kExactOcclusionMax) {
     GLINT_OBS_SPAN(span, "glint.explain.occlusion_ms");
-    const double base = ThreatMargin(model, g);
+    const double base =
+        logits != nullptr ? Margin(logits) : ThreatMargin(model, g);
     for (int v = 0; v < g.num_nodes; ++v) {
       importance[static_cast<size_t>(v)] = OcclusionDrop(model, g, base, v);
     }

@@ -16,8 +16,16 @@ namespace glint::core {
 /// followed by exact occlusion on the screened top candidates — so the
 /// serving-path cost stays O(1) forwards instead of O(n). Scores are
 /// normalized to [0, 1].
+///
+/// `logits`, when given, points at the model's two classification logits
+/// for `g` from a forward the caller already ran (a row of Analyze's or
+/// AnalyzeBatch's forward, bit-identical to a per-graph forward). The exact
+/// scan takes its base margin from them instead of repeating that forward;
+/// without them it runs the forward itself. The screen path always runs its
+/// own tracked forward, since it needs input gradients.
 std::vector<double> ExplainNodes(gnn::GraphModel* model,
-                                 const gnn::GnnGraph& g);
+                                 const gnn::GnnGraph& g,
+                                 const float* logits = nullptr);
 
 /// Indices of the top-k most important nodes.
 std::vector<int> TopCulprits(const std::vector<double>& importance, int k);

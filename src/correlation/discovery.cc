@@ -62,12 +62,28 @@ double CorrelationDiscovery::VoteShare(const rules::Rule& src,
 bool CorrelationDiscovery::Correlated(const rules::Rule& src,
                                       const rules::Rule& dst,
                                       CorrelationCache* cache) const {
-  if (cache == nullptr) return VoteShare(src, dst) >= 0.5;
-  const uint64_t hs = rules::RuleContentHash(src);
-  const uint64_t hd = rules::RuleContentHash(dst);
-  if (auto hit = cache->Lookup(hs, hd)) return *hit;
-  const bool verdict = VoteShare(src, dst) >= 0.5;
-  cache->Insert(hs, hd, verdict);
+  GLINT_CHECK(trained_);
+  uint64_t hs = 0;
+  uint64_t hd = 0;
+  if (cache != nullptr) {
+    hs = rules::RuleContentHash(src);
+    hd = rules::RuleContentHash(dst);
+    if (auto hit = cache->Lookup(hs, hd)) return *hit;
+  }
+  bool verdict;
+  {
+    GLINT_OBS_TIMER(timer, "glint.correlation.predict_ms");
+    const FloatVec f = extractor_.ExtractPair(src, dst);
+    // 2-of-3 majority: when MLP and forest agree, KNN's vote cannot change
+    // the outcome, so the KNN scan (the costliest voter) runs only to break
+    // their tie. Equal to VoteShare(src, dst) >= 0.5 by construction.
+    verdict = mlp_.Predict(f) == 1;
+    if ((forest_.Predict(f) == 1) != verdict) {
+      GLINT_OBS_COUNT("glint.correlation.tiebreaks", 1);
+      verdict = knn_.Predict(f) == 1;
+    }
+  }
+  if (cache != nullptr) cache->Insert(hs, hd, verdict);
   return verdict;
 }
 

@@ -64,9 +64,12 @@ class CorrelationDiscovery {
   /// Trains the ensemble on a labeled pair dataset.
   void Train(const ml::Dataset& pairs);
 
-  /// Predicts whether src's action can trigger dst. When `cache` is given,
-  /// the verdict is memoized by rule content hash (ensemble inference runs
-  /// only on the first encounter of a pair).
+  /// Predicts whether src's action can trigger dst: the ensemble's majority
+  /// vote, equal to VoteShare(src, dst) >= 0.5. KNN is consulted only when
+  /// MLP and forest disagree (each consultation counts one
+  /// glint.correlation.tiebreaks). When `cache` is given, the verdict is
+  /// memoized by rule content hash (ensemble inference runs only on the
+  /// first encounter of a pair).
   bool Correlated(const rules::Rule& src, const rules::Rule& dst,
                   CorrelationCache* cache = nullptr) const;
 

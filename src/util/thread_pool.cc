@@ -70,6 +70,11 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
+size_t ThreadPool::queue_depth() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return tasks_.size();
+}
+
 void ThreadPool::WorkerLoop() {
   in_pool_worker = true;
   while (true) {

@@ -43,6 +43,11 @@ class ThreadPool {
 
   int threads() const { return threads_; }
 
+  /// Helper tasks queued and not yet taken by a worker (diagnostics: a
+  /// stalled ParallelFor with an empty queue and idle workers has lost a
+  /// helper).
+  size_t queue_depth() const;
+
   /// Runs fn(lo, hi) over disjoint chunks [lo, hi) covering [begin, end),
   /// with hi - lo <= grain. Blocks until every chunk has completed.
   void ParallelFor(int64_t begin, int64_t end, int64_t grain,
@@ -67,7 +72,7 @@ class ThreadPool {
 
   int threads_;
   std::vector<std::thread> workers_;
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::condition_variable cv_;
   std::queue<std::function<void()>> tasks_;
   bool stop_ = false;

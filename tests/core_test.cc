@@ -170,6 +170,30 @@ TEST_F(GlintTest, ExplainScoresNormalized) {
   }
 }
 
+TEST_F(GlintTest, ExplainFromCallerLogitsMatchesOwnForward) {
+  auto table1 = rules::CorpusGenerator::Table1Rules();
+  auto g = glint_->builder()->BuildFromRules(table1);
+  auto gg = gnn::ToGnnGraph(g);
+  gnn::ScopedTape tape;
+  tape->set_freeze_leaves(true);
+  auto r = glint_->classifier()->Forward(tape.get(), gg);
+  const auto own = ExplainNodes(glint_->classifier(), gg);
+  EXPECT_EQ(ExplainNodes(glint_->classifier(), gg,
+                         r.logits->value.data.data()),
+            own);
+
+  // Analyze hands the explainer its own classification logits; the
+  // culprits it reports carry the same scores.
+  const ThreatWarning w = glint_->detector().Analyze(gg, g);
+  ASSERT_TRUE(w.threat);
+  const auto top = TopCulprits(own, 3);
+  ASSERT_EQ(w.culprits.size(), top.size());
+  for (size_t i = 0; i < top.size(); ++i) {
+    EXPECT_EQ(w.culprits[i].node, top[i]);
+    EXPECT_EQ(w.culprits[i].importance, own[static_cast<size_t>(top[i])]);
+  }
+}
+
 TEST(TopCulpritsTest, OrdersByImportance) {
   auto top = TopCulprits({0.1, 0.9, 0.5}, 2);
   ASSERT_EQ(top.size(), 2u);

@@ -2,6 +2,7 @@
 
 #include "correlation/discovery.h"
 #include "ml/metrics.h"
+#include "obs/obs.h"
 #include "rules/corpus.h"
 
 namespace glint::correlation {
@@ -140,6 +141,67 @@ TEST_F(CorrelationTest, KnownPositivePairClassified) {
   // windows") is a textbook positive.
   auto table1 = rules::CorpusGenerator::Table1Rules();
   EXPECT_TRUE(discovery.Correlated(table1[3], table1[4]));
+}
+
+TEST_F(CorrelationTest, ShortCircuitVerdictMatchesFullVoteOnPairGrid) {
+  PairDatasetConfig cfg;
+  cfg.num_positive = 250;
+  cfg.num_negative = 350;
+  CorrelationDiscovery discovery(&model_);
+  discovery.Train(BuildPairDataset(corpus_, extractor_, cfg));
+
+  // 60 corpus rules spread over every platform block, all ordered pairs,
+  // plus every ordered pair of the Table 1 rules.
+  std::vector<std::pair<const rules::Rule*, const rules::Rule*>> grid;
+  std::vector<const rules::Rule*> picks;
+  for (size_t i = 0; i < 60; ++i) picks.push_back(&corpus_[i * 9]);
+  for (const auto* a : picks) {
+    for (const auto* b : picks) grid.emplace_back(a, b);
+  }
+  const auto table1 = rules::CorpusGenerator::Table1Rules();
+  for (const auto& a : table1) {
+    for (const auto& b : table1) grid.emplace_back(&a, &b);
+  }
+
+  const bool obs_was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  obs::Counter* tiebreaks =
+      obs::Registry::Global().GetCounter("glint.correlation.tiebreaks");
+  const uint64_t before = tiebreaks->Value();
+  std::vector<bool> expected;
+  for (const auto& [a, b] : grid) {
+    const bool full_vote = discovery.VoteShare(*a, *b) >= 0.5;
+    expected.push_back(full_vote);
+    EXPECT_EQ(discovery.Correlated(*a, *b), full_vote)
+        << "uncached: " << a->text << " -> " << b->text;
+  }
+  const uint64_t ties = tiebreaks->Value() - before;
+  obs::SetEnabled(obs_was_enabled);
+
+  CorrelationCache cache;
+  for (size_t k = 0; k < grid.size(); ++k) {
+    EXPECT_EQ(discovery.Correlated(*grid[k].first, *grid[k].second, &cache),
+              expected[k])
+        << "cold cache: " << grid[k].first->text << " -> "
+        << grid[k].second->text;
+  }
+  const size_t cold_hits = cache.hits();
+  for (size_t k = 0; k < grid.size(); ++k) {
+    EXPECT_EQ(discovery.Correlated(*grid[k].first, *grid[k].second, &cache),
+              expected[k])
+        << "warm cache: " << grid[k].first->text << " -> "
+        << grid[k].second->text;
+  }
+  EXPECT_EQ(cache.hits() - cold_hits, grid.size());
+
+  // The grid exercises both branches: some pairs needed KNN to break an
+  // MLP/forest tie, and some were settled by their agreement alone.
+#ifndef GLINT_OBS_DISABLED
+  EXPECT_GT(ties, 0u);
+  EXPECT_LT(ties, grid.size());
+#else
+  (void)ties;
+#endif
 }
 
 }  // namespace

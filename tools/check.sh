@@ -50,8 +50,11 @@ GLINT_THREADS=2 ./build/bench/bench_serving --smoke
 GLINT_THREADS=2 ./build/bench/bench_obs_overhead --smoke
 
 # Data-race check: build the thread-pool and obs stress targets under TSAN
-# and run all three drivers (obs_stress covers the counter shards, the
-# slow-trace seqlock ring, and the time-series rings; trace_test pins the
+# and run all three binaries (threadpool_stress includes three concurrent
+# non-pool callers with nested calls, as TrainOffline issues them, and
+# aborts with a diagnostic if any round stalls past 60 s instead of
+# hanging; obs_stress covers the counter shards, the slow-trace seqlock
+# ring, and the time-series rings; trace_test pins the
 # request-trace semantics under the same instrumentation).
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGLINT_TSAN=ON
 cmake --build build-tsan -j"${JOBS}" --target threadpool_stress obs_stress \
