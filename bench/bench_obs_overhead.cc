@@ -146,10 +146,6 @@ int Run(bool smoke) {
 
   Banner("obs overhead: warm Inspect with telemetry on vs. off",
          "the DESIGN.md §9 overhead budget");
-#ifdef GLINT_OBS_DISABLED
-  std::printf("glint::obs compiled out (GLINT_OBS_DISABLE); both modes are "
-              "the disabled path — gate trivially passes.\n");
-#endif
 
   // Alternate off/on per block so slow drift (thermal, other processes)
   // lands on both modes equally; first block is discarded implicitly by
@@ -241,13 +237,9 @@ int Run(bool smoke) {
   // Tracing must actually have traced: every on-mode event finishes one
   // trace through the recorder.
   const uint64_t traced = recorder.completed();
-#ifdef GLINT_OBS_DISABLED
-  const uint64_t expected_traced = 0;  // Begin() is inactive when compiled out
-#else
   const uint64_t expected_traced =
       static_cast<uint64_t>(bus_homes) *
       static_cast<uint64_t>(bus_rounds) * (blocks + 1);
-#endif
   const bool bus_traced_ok = traced == expected_traced;
   std::printf("%-28s %10s\n", "tracing", "us/event p50");
   std::printf("%-28s %10.3f\n", "disabled (GLINT_OBS=off)", bus_off_p50);

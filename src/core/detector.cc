@@ -103,13 +103,13 @@ ThreatWarning TrainedDetector::Analyze(const gnn::GnnGraph& gg,
                                        const graph::InteractionGraph& g,
                                        bool explain) const {
   GLINT_CHECK(ready_);
-  GLINT_OBS_SPAN(analyze_span, "glint.detector.analyze_ms");
+  GLINT_OBS_TIMER(analyze_timer, "glint.detector.analyze_ms");
   ThreatWarning warning;
 
   // Drift check first (Fig. 2 step 5): unfamiliar patterns go to the user
   // rather than the classifier.
   {
-    GLINT_OBS_SPAN(span, "glint.drift.check_ms");
+    GLINT_OBS_TIMER(timer, "glint.drift.check_ms");
     FloatVec z = gnn::Trainer::Embed(contrastive_.get(), gg);
     warning.drifting = drift_.IsDrifting(z);
   }
@@ -159,7 +159,7 @@ std::vector<ThreatWarning> TrainedDetector::AnalyzeBatch(
   GLINT_CHECK(ggs.size() == gs.size());
   std::vector<ThreatWarning> out(ggs.size());
   if (ggs.empty()) return out;
-  GLINT_OBS_SPAN(analyze_span, "glint.detector.analyze_batch_ms");
+  GLINT_OBS_TIMER(analyze_timer, "glint.detector.analyze_batch_ms");
   const gnn::GnnBatch batch = gnn::MakeGnnBatch(ggs);
   const int B = batch.size();
 
@@ -167,7 +167,7 @@ std::vector<ThreatWarning> TrainedDetector::AnalyzeBatch(
   // then per-graph MAD tests on the embedding rows (each row bit-matches
   // Trainer::Embed on that graph).
   {
-    GLINT_OBS_SPAN(span, "glint.drift.check_ms");
+    GLINT_OBS_TIMER(timer, "glint.drift.check_ms");
     gnn::ScopedTape tape;
     tape->set_freeze_leaves(true);
     auto rc = contrastive_->ForwardBatched(tape.get(), batch);

@@ -57,7 +57,7 @@ std::vector<double> ExplainNodes(gnn::GraphModel* model,
 
   GLINT_OBS_COUNT("glint.explain.runs", 1);
   if (g.num_nodes <= kExactOcclusionMax) {
-    GLINT_OBS_SPAN(span, "glint.explain.occlusion_ms");
+    GLINT_OBS_TIMER(timer, "glint.explain.occlusion_ms");
     const double base =
         logits != nullptr ? Margin(logits) : ThreatMargin(model, g);
     for (int v = 0; v < g.num_nodes; ++v) {
@@ -73,7 +73,7 @@ std::vector<double> ExplainNodes(gnn::GraphModel* model,
   // in ascending node-type order (all model families share this layout).
   double base = 0.0;
   {
-    GLINT_OBS_SPAN(span, "glint.explain.screen_ms");
+    GLINT_OBS_TIMER(timer, "glint.explain.screen_ms");
     gnn::ScopedTape lease;  // pooled: nested safely inside detector tapes
     gnn::Tape& tape = *lease;
     tape.set_freeze_leaves(true);  // saliency needs input grads only
@@ -109,7 +109,7 @@ std::vector<double> ExplainNodes(gnn::GraphModel* model,
   // Stage 2 — exact occlusion on the screened top candidates, so the
   // culprits shown in the warning carry true occlusion scores.
   {
-    GLINT_OBS_SPAN(span, "glint.explain.occlusion_ms");
+    GLINT_OBS_TIMER(timer, "glint.explain.occlusion_ms");
     for (int v : TopCulprits(importance, kRefineCandidates)) {
       importance[static_cast<size_t>(v)] = OcclusionDrop(model, g, base, v);
     }

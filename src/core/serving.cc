@@ -26,7 +26,7 @@ std::unique_ptr<DeploymentSession> ServingEngine::MakeSession() const {
 // ---- Durability --------------------------------------------------------
 
 Status ServingEngine::Recover(const std::string& dir) {
-  GLINT_OBS_SPAN(span, "glint.recovery.recover_ms");
+  GLINT_OBS_TIMER(timer, "glint.recovery.recover_ms");
   GLINT_CHECK(sessions_.empty());  // recovery targets a fresh engine
   GLINT_CHECK(journal_ == nullptr);
   auto journal = std::make_unique<Journal>(
@@ -64,7 +64,7 @@ Status ServingEngine::Recover(const std::string& dir) {
 
 Status ServingEngine::Snapshot() {
   GLINT_CHECK(durable());
-  GLINT_OBS_SPAN(span, "glint.recovery.snapshot_ms");
+  GLINT_OBS_TIMER(timer, "glint.recovery.snapshot_ms");
   GLINT_RETURN_IF_ERROR(journal_->WriteSnapshot(seq_, EncodeSnapshot()));
   ops_since_snapshot_ = 0;
   return Status::OK();
@@ -330,7 +330,7 @@ Result<ThreatWarning> ServingEngine::TryInspectDegraded(const HomeId& id,
 
 std::vector<ThreatWarning> ServingEngine::InspectAll(double now_hours,
                                                      int max_batch) {
-  GLINT_OBS_SPAN(span, "glint.serving.inspect_all_ms");
+  GLINT_OBS_TIMER(timer, "glint.serving.inspect_all_ms");
   GLINT_CHECK(max_batch >= 1);
   const size_t n = sessions_.size();
   std::vector<ThreatWarning> out(n);

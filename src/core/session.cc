@@ -144,7 +144,7 @@ ThreatWarning DeploymentSession::FinishInspect(const ThreatWarning& warning) {
 
 ThreatWarning DeploymentSession::Render(
     const std::vector<graph::Edge>& edges) {
-  GLINT_OBS_SPAN(span, "glint.session.inspect_ms");
+  GLINT_OBS_TIMER(timer, "glint.session.inspect_ms");
   Pending pending = Begin(edges);
   if (pending.cached) return pending.warning;
   return FinishInspect(detector_->Analyze(*pending.gg, pending.graph));

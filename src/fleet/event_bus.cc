@@ -85,16 +85,17 @@ Status EventBus::PostImpl(BusMessage msg) {
     }
     sq.q.push_back(std::move(msg));
     sq.high_water = std::max(sq.high_water, sq.q.size());
-    if (obs::Enabled()) {
-      // Stamp while still holding sq.mu: the consumer cannot pop this
-      // message until we release, so writing into the queued slot is
-      // race-free, and the pop under the same mutex publishes it.
-      BusMessage& queued = sq.q.back();
-      queued.trace.Mark(obs::TraceStage::kEnqueue);
-      if ((sq.posted++ & sample_mask_) == 0) {
-        queued.enqueue_ns = queued.trace.active() ? queued.trace.mark_ns
-                                                  : obs::NowNs();
-      }
+    // Stamp while still holding sq.mu: the consumer cannot pop this
+    // message until we release, so writing into the queued slot is
+    // race-free, and the pop under the same mutex publishes it. The
+    // sampled enqueue stamp is taken whether or not telemetry is on: it
+    // feeds the overload detector (load shedding is control, not
+    // telemetry); only the queue-wait histogram honours the off-switch.
+    BusMessage& queued = sq.q.back();
+    queued.trace.Mark(obs::TraceStage::kEnqueue);
+    if ((sq.posted++ & sample_mask_) == 0) {
+      queued.enqueue_ns = queued.trace.active() ? queued.trace.mark_ns
+                                                : obs::NowNs();
     }
   }
   posted_.fetch_add(1, std::memory_order_relaxed);
@@ -245,7 +246,10 @@ Status EventBus::ApplyTimed(int k, BusMessage& msg) {
     // (AddHome/AddRule/RemoveRule): charge the whole apply here.
     msg.trace.Mark(obs::TraceStage::kApply);
   }
-  if (msg.enqueue_ns != 0) {
+  // The stamp is control (overload detection) and is taken with telemetry
+  // off too; this extra clock read only feeds a histogram, so it honours
+  // the switch.
+  if (msg.enqueue_ns != 0 && obs::Enabled()) {
     GLINT_OBS_OBSERVE("glint.fleet.bus.apply_ms",
                       double(obs::NowNs() - pop_ns) * 1e-6);
   }
@@ -260,7 +264,7 @@ Status EventBus::ApplyTimed(int k, BusMessage& msg) {
 }
 
 Status EventBus::RunOnShard(int k, std::function<void()> fn,
-                            obs::TraceContext* trace, int timeout_ms) {
+                            obs::TraceContext* trace) {
   GLINT_CHECK(k >= 0 && k < static_cast<int>(queues_.size()));
   GLINT_CHECK(fn != nullptr);
   if (config_.manual_drain) {
@@ -339,19 +343,16 @@ Status EventBus::RunOnShard(int k, std::function<void()> fn,
     sq.high_water = std::max(sq.high_water, sq.q.size());
   }
   sq.can_pop.notify_one();
-  const int tmo = timeout_ms < 0 ? config_.task_timeout_ms : timeout_ms;
   std::unique_lock<std::mutex> lock(done->mu);
-  if (tmo > 0) {
-    if (!done->cv.wait_for(lock, std::chrono::milliseconds(tmo),
-                           [&] { return done->done || done->started; })) {
-      // Never started: the consumer is dead or wedged. Abandon the task —
-      // the wrapper (if it ever pops) sees the flag and touches nothing.
-      done->abandoned = true;
-      GLINT_OBS_COUNT("glint.fleet.bus.task_timeouts", 1);
-      return Status::Overloaded("shard " + std::to_string(k) +
-                                " task not started after " +
-                                std::to_string(tmo) + "ms");
-    }
+  if (!done->cv.wait_for(lock, std::chrono::milliseconds(kTaskTimeoutMs),
+                         [&] { return done->done || done->started; })) {
+    // Never started: the consumer is dead or wedged. Abandon the task —
+    // the wrapper (if it ever pops) sees the flag and touches nothing.
+    done->abandoned = true;
+    GLINT_OBS_COUNT("glint.fleet.bus.task_timeouts", 1);
+    return Status::Overloaded("shard " + std::to_string(k) +
+                              " task not started after " +
+                              std::to_string(kTaskTimeoutMs) + "ms");
   }
   // Started tasks are always waited out: fn may reference this frame, so
   // returning before done would be a use-after-return, not a timeout.
@@ -404,7 +405,7 @@ void EventBus::Stop() {
   // re-checks stopping_ under the queue lock (the lock a consumer's exit
   // decision is made under), so everything accepted before Stop() has
   // been applied — an OK Post is never silently dropped. The exception is
-  // a consumer that DIED (injected crash, supervision off or too late):
+  // a consumer that DIED (injected crash, watchdog off or too late):
   // its queue is parked with accepted messages. Drain those inline —
   // single-threaded now, so applying here is race-free — to keep the
   // accepted ⇒ applied invariant even across consumer death.
@@ -465,17 +466,10 @@ void EventBus::WatchdogLoop() {
 void EventBus::WatchdogTick(int k, uint64_t now_ns) {
   ShardQueue& sq = *queues_[static_cast<size_t>(k)];
   // Dead consumer: the loop returned (injected fault, uncaught crash
-  // containment). Restart it — or just surface kDown when supervision is
-  // off. Never during shutdown: a normal stop-drained exit also clears
-  // consumer_alive.
+  // containment). Restart it — never during shutdown: a normal
+  // stop-drained exit also clears consumer_alive.
   if (!sq.consumer_alive.load(std::memory_order_acquire)) {
-    if (stopping_.load(std::memory_order_acquire)) return;
-    if (config_.supervise) {
-      RestartConsumer(k);
-    } else {
-      sq.health.store(static_cast<uint8_t>(ShardHealth::kDown),
-                      std::memory_order_release);
-    }
+    if (!stopping_.load(std::memory_order_acquire)) RestartConsumer(k);
     return;
   }
   size_t depth;
@@ -527,7 +521,7 @@ void EventBus::WatchdogTick(int k, uint64_t now_ns) {
   }
   const bool depth_overloaded =
       depth >= static_cast<size_t>(double(config_.capacity) *
-                                   config_.overload_depth_frac);
+                                   kOverloadDepthFrac);
   // Idle = drained AND not mid-apply: while a degraded shard sheds ingest
   // it measures no new waits, so a drained queue is the only calm evidence
   // left — but an empty queue behind a long-running apply is NOT calm.
@@ -563,31 +557,8 @@ void EventBus::RestartConsumer(int k) {
                     std::memory_order_release);
     return;
   }
-  if (config_.requeue == RequeuePolicy::kReject) {
-    // Drop parked mutations (counted as rejected) so the shard returns
-    // with an empty queue. kTask messages are ALWAYS kept: their callers
-    // are blocked on completion latches right now.
-    std::deque<BusMessage> kept;
-    size_t dropped = 0;
-    {
-      std::lock_guard<std::mutex> lock(sq.mu);
-      for (auto& m : sq.q) {
-        if (m.kind == BusMessage::Kind::kTask) {
-          kept.push_back(std::move(m));
-        } else {
-          ++dropped;
-        }
-      }
-      sq.q.swap(kept);
-    }
-    if (dropped > 0) {
-      rejected_.fetch_add(dropped, std::memory_order_relaxed);
-      GLINT_OBS_COUNT("glint.fleet.bus.rejected",
-                      static_cast<int64_t>(dropped));
-      sq.can_push.notify_all();
-    }
-  }
-  // Under kReplay the parked queue re-applies on the fresh consumer; the
+  // The parked queue re-applies on the fresh consumer (kTask messages
+  // too — their callers are blocked on completion latches); the
   // WAL-backed engine plus per-home seq dedup (last_seq survives the
   // restart) makes that exactly-once.
   sq.wd_last_applied = sq.applied.load(std::memory_order_relaxed);

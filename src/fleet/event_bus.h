@@ -91,8 +91,15 @@ struct BusMessage {
 class EventBus {
  public:
   enum class Backpressure : uint8_t { kBlock, kReject };
-  /// Fate of messages left in a dead consumer's queue across a restart.
-  enum class RequeuePolicy : uint8_t { kReplay, kReject };
+
+  /// A shard also counts as overloaded whenever its instantaneous queue
+  /// depth reaches `capacity * kOverloadDepthFrac` — catches a stuffed
+  /// queue before enough applies have happened to move the p99.
+  static constexpr double kOverloadDepthFrac = 0.5;
+  /// RunOnShard timeout: a task not STARTED within this long is abandoned
+  /// and the caller gets kOverloaded instead of blocking forever on a
+  /// wedged shard.
+  static constexpr int kTaskTimeoutMs = 5000;
 
   struct Config {
     /// Per-shard queue bound (messages).
@@ -114,12 +121,9 @@ class EventBus {
     // ---- Survivability (DESIGN.md §16) ----------------------------------
 
     /// Queue-wait-p99 overload detector thresholds, evaluated per shard on
-    /// every watchdog tick; a hot shard flips kHealthy → kDegraded.
+    /// every watchdog tick; a hot shard flips kHealthy → kDegraded (see
+    /// also kOverloadDepthFrac).
     OverloadDetector::Config overload;
-    /// A shard also counts as overloaded whenever its instantaneous queue
-    /// depth reaches `capacity * overload_depth_frac` — catches a stuffed
-    /// queue before enough applies have happened to move the p99.
-    double overload_depth_frac = 0.5;
     /// Watchdog cadence. 0 disables supervision AND overload detection
     /// entirely (no watchdog thread; manual_drain also disables it).
     int watchdog_interval_ms = 50;
@@ -128,24 +132,9 @@ class EventBus {
     /// is never killed (no safe way to); the state is surfaced so dispatch
     /// stops routing to it, and it heals to kHealthy if progress resumes.
     int wedge_timeout_ms = 1000;
-    /// Restart a shard whose consumer thread died (fault injection, crash
-    /// containment): re-Recover the engine from its WAL and spawn a fresh
-    /// consumer. Off = the shard just goes kDown.
-    bool supervise = true;
-    /// What happens to messages still queued when a dead consumer is
-    /// restarted: kReplay re-applies them on the fresh consumer (safe —
-    /// the WAL proves what applied, and seq dedup drops re-delivered
-    /// events); kReject drops queued mutations (counted as rejected) so
-    /// the restarted shard comes back with an empty queue. kTask messages
-    /// are ALWAYS kept — their callers block on completion latches.
-    RequeuePolicy requeue = RequeuePolicy::kReplay;
     /// Retry-after hint (ms) attached to kOverloaded replies derived from
     /// this bus's state.
     uint32_t retry_after_ms = 50;
-    /// RunOnShard default timeout: a task not STARTED within this long is
-    /// abandoned and the caller gets kOverloaded instead of blocking
-    /// forever on a wedged shard. 0 = wait forever.
-    int task_timeout_ms = 5000;
   };
 
   /// The fleet must outlive the bus; the bus owns its consumer threads.
@@ -183,14 +172,13 @@ class EventBus {
   /// returns) gets its enqueue/queue-wait stages stamped and is exposed
   /// as obs::CurrentTrace() while `fn` runs, so engine code can stamp
   /// apply/inspect; the caller finishes it after the reply.
-  /// `timeout_ms` < 0 uses Config::task_timeout_ms; 0 waits forever. If
-  /// the task has not STARTED when the timeout expires it is abandoned
+  /// If the task has not STARTED within kTaskTimeoutMs it is abandoned
   /// (the consumer later pops it and skips it without touching `fn` or
   /// `trace`) and kOverloaded is returned; a task that already started is
   /// always waited out — `fn` touching caller state after return is never
   /// possible.
   Status RunOnShard(int k, std::function<void()> fn,
-                    obs::TraceContext* trace = nullptr, int timeout_ms = -1);
+                    obs::TraceContext* trace = nullptr);
 
   /// Blocks until every queue is empty and every in-flight message has
   /// been applied. Concurrent Posts during a Flush may or may not be
@@ -305,12 +293,12 @@ class EventBus {
   /// uses it to drain queues whose consumer died un-restarted.
   size_t DrainQueue(int k, size_t max);
   /// Supervision thread: ticks every shard's overload detector, detects
-  /// dead/wedged consumers, restarts dead ones (Config::supervise).
+  /// dead/wedged consumers, restarts dead ones.
   void WatchdogLoop();
   void WatchdogTick(int k, uint64_t now_ns);
   /// Rebuilds shard `k` after its consumer thread died: joins the dead
-  /// thread, re-Recovers the engine (ShardedFleet::RestartShard), applies
-  /// the requeue policy to the parked queue, spawns a fresh consumer.
+  /// thread, re-Recovers the engine (ShardedFleet::RestartShard), spawns a
+  /// fresh consumer that replays the parked queue.
   /// Runs on the watchdog thread while nothing else touches the shard.
   void RestartConsumer(int k);
 

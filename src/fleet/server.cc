@@ -36,13 +36,15 @@ constexpr size_t kReadChunk = 64 * 1024;
 /// backpressured.
 constexpr size_t kMaxBufferedInput = wire::kMaxFramePayload + 8 + kReadChunk;
 
+// A backpressured connection must still be able to buffer one whole reply.
+static_assert(FleetServer::kMaxWriteBuffer >= wire::kMaxFramePayload + 8);
+
 }  // namespace
 
 FleetServer::FleetServer(ShardedFleet* fleet, Config config)
     : fleet_(fleet), config_(config) {
   GLINT_CHECK(fleet_ != nullptr);
   GLINT_CHECK(config_.io_workers >= 1);
-  GLINT_CHECK(config_.max_write_buffer >= wire::kMaxFramePayload + 8);
 }
 
 FleetServer::~FleetServer() { Stop(); }
@@ -67,7 +69,7 @@ Status FleetServer::Start() {
     ::close(fd);
     return st;
   }
-  if (::listen(fd, config_.backlog) != 0) {
+  if (::listen(fd, kListenBacklog) != 0) {
     const Status st =
         Status::IOError("listen: " + std::string(std::strerror(errno)));
     ::close(fd);
@@ -107,7 +109,7 @@ Status FleetServer::Start() {
   obs::TraceRecorder::Config trace_cfg = config_.trace;
   trace_cfg.num_shards = fleet_->num_shards();
   recorder_ = std::make_unique<obs::TraceRecorder>(trace_cfg);
-  series_ = std::make_unique<obs::TimeSeriesSet>(config_.series_capacity);
+  series_ = std::make_unique<obs::TimeSeriesSet>(kSeriesCapacity);
   EventBus::Config bus_cfg = config_.bus;
   bus_cfg.recorder = recorder_.get();
   bus_ = std::make_unique<EventBus>(fleet_, bus_cfg);

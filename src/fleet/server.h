@@ -21,7 +21,7 @@
 //   write side   replies append to an output buffer flushed as far as
 //                the socket accepts; the remainder waits for EPOLLOUT.
 //                When a slow reader's output buffer passes
-//                max_write_buffer, the server stops PARSING that
+//                kMaxWriteBuffer, the server stops PARSING that
 //                connection (and stops reading once the input buffer is
 //                also full) until the backlog drains — backpressure
 //                reaches the peer as TCP flow control, and one slow
@@ -80,19 +80,23 @@ namespace glint::fleet {
 
 class FleetServer {
  public:
+  /// listen(2) backlog of the bound socket.
+  static constexpr int kListenBacklog = 64;
+  /// Per-connection output-buffer high water (bytes). Past this the
+  /// connection's frames stop being parsed until the peer drains its
+  /// replies — bounded memory per slow reader.
+  static constexpr size_t kMaxWriteBuffer = 4u << 20;
+  /// Samples retained per time series (bounded memory per server).
+  static constexpr size_t kSeriesCapacity = 128;
+
   struct Config {
     /// TCP port to bind on 127.0.0.1; 0 = ephemeral (read back via port()).
     int port = 0;
-    int backlog = 64;
     /// Fixed epoll worker-pool size. The ONLY per-server thread knob:
     /// connection count never adds threads. Each worker can be parked on
     /// one blocking RunOnShard read at a time, so size this to the
     /// tolerable number of concurrent inspect/stats requests.
     int io_workers = 2;
-    /// Per-connection output-buffer high water (bytes). Past this the
-    /// connection's frames stop being parsed until the peer drains its
-    /// replies — bounded memory per slow reader.
-    size_t max_write_buffer = 4u << 20;
     EventBus::Config bus;
     /// Request tracing (DESIGN.md §14): slow threshold + ring capacity.
     /// prefix/num_shards are overwritten at Start from the fleet shape.
@@ -100,8 +104,6 @@ class FleetServer {
     /// Time-series sampling cadence for queue depth / event rates /
     /// stage quantiles; 0 disables the sampler thread.
     int sample_interval_ms = 1000;
-    /// Samples retained per series (bounded memory per server).
-    size_t series_capacity = 128;
   };
 
   /// Per-server counter snapshot (kStats / kStatsJson replies). Distinct
@@ -200,7 +202,7 @@ class FleetServer {
   /// Writes c->out as far as the socket accepts. False on a dead socket.
   bool FlushOut(Conn* c);
   bool Backpressured(const Conn* c) const {
-    return c->out.size() - c->out_off >= config_.max_write_buffer;
+    return c->out.size() - c->out_off >= kMaxWriteBuffer;
   }
   /// Re-arms epoll interest from the conn's buffer state, or closes it
   /// when nothing remains to do.

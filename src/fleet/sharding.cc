@@ -186,7 +186,7 @@ bool ShardedFleet::has_home(const HomeId& id) const {
 // ---- Fleet-wide inspection ----------------------------------------------
 
 FleetWarnings ShardedFleet::InspectAll(double now_hours, int max_batch) {
-  GLINT_OBS_SPAN(span, "glint.fleet.inspect_all_ms");
+  GLINT_OBS_TIMER(timer, "glint.fleet.inspect_all_ms");
   FleetWarnings out;
   out.ids.reserve(num_homes());
   out.warnings.reserve(num_homes());

@@ -135,7 +135,7 @@ GraphDataset GraphBuilder::BuildDataset(const std::vector<rules::Rule>& pool,
 
 InteractionGraph GraphBuilder::BuildFromRules(
     const std::vector<rules::Rule>& deployed) {
-  GLINT_OBS_SPAN(span, "glint.graph.build_ms");
+  GLINT_OBS_TIMER(timer, "glint.graph.build_ms");
   InteractionGraph g;
   for (const auto& r : deployed) g.AddNode(MakeNode(r));
   AddEdges(deployed, &g);
@@ -146,7 +146,7 @@ InteractionGraph GraphBuilder::BuildFromRules(
 InteractionGraph GraphBuilder::BuildRealTime(
     const std::vector<rules::Rule>& deployed, const EventLog& log,
     double now_hours, double window_hours) {
-  GLINT_OBS_SPAN(span, "glint.graph.build_ms");
+  GLINT_OBS_TIMER(timer, "glint.graph.build_ms");
   InteractionGraph g;
   for (const auto& r : deployed) g.AddNode(MakeNode(r));
 

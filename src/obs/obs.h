@@ -2,9 +2,9 @@
 
 // glint::obs — process-wide telemetry: named Counter / Gauge / Histogram
 // instruments in a Registry (sharded atomic storage, wait-free hot path),
-// RAII ScopedTimer / Span wall-time recorders with a bounded per-thread
-// trace ring, request-scoped fleet tracing (TraceContext / TraceRecorder,
-// DESIGN.md §14), bounded TimeSeries rings for periodic snapshots, and
+// the RAII ScopedTimer wall-time recorder, request-scoped fleet tracing
+// (TraceContext / TraceRecorder / SlowTraceRing, DESIGN.md §14 — the one
+// trace mechanism), bounded TimeSeries rings for periodic snapshots, and
 // text / single-line JSON exporters (STATS_JSON).
 //
 // Instrument names follow `glint.<subsystem>.<name>`; histograms end in a
@@ -12,32 +12,12 @@
 //
 // Call sites use the macros below: the instrument is resolved once per site
 // (function-local static), so the steady-state cost is the Enabled() branch
-// inside the instrument. Building with -DGLINT_OBS_DISABLED compiles every
-// macro away entirely.
+// inside the instrument. GLINT_OBS=off (or SetEnabled(false)) is the one
+// off-switch.
 
 #include "obs/registry.h"
-#include "obs/span.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
-
-#ifdef GLINT_OBS_DISABLED
-
-#define GLINT_OBS_COUNT(name, n) \
-  do {                           \
-  } while (0)
-#define GLINT_OBS_GAUGE_ADD(name, d) \
-  do {                               \
-  } while (0)
-#define GLINT_OBS_GAUGE_SET(name, v) \
-  do {                               \
-  } while (0)
-#define GLINT_OBS_OBSERVE(name, x) \
-  do {                             \
-  } while (0)
-#define GLINT_OBS_TIMER(var, name) ((void)0)
-#define GLINT_OBS_SPAN(var, name) ((void)0)
-
-#else
 
 /// Adds `n` to the counter `name`.
 #define GLINT_OBS_COUNT(name, n)                           \
@@ -76,12 +56,3 @@
   static ::glint::obs::Histogram* var##_obs_hist =          \
       ::glint::obs::Registry::Global().GetHistogram(name);  \
   ::glint::obs::ScopedTimer var(var##_obs_hist)
-
-/// Like GLINT_OBS_TIMER, but also records a stage-tagged TraceEvent in the
-/// per-thread trace ring. `name` doubles as the stage tag.
-#define GLINT_OBS_SPAN(var, name)                          \
-  static ::glint::obs::Histogram* var##_obs_hist =         \
-      ::glint::obs::Registry::Global().GetHistogram(name); \
-  ::glint::obs::Span var(name, var##_obs_hist)
-
-#endif  // GLINT_OBS_DISABLED

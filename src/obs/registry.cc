@@ -1,6 +1,7 @@
 #include "obs/registry.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -14,7 +15,6 @@ uint32_t ShardIndex() {
   return idx;
 }
 
-#ifndef GLINT_OBS_DISABLED
 namespace {
 std::atomic<bool>& EnabledFlag() {
   static std::atomic<bool> on{[] {
@@ -30,7 +30,13 @@ bool Enabled() { return EnabledFlag().load(std::memory_order_relaxed); }
 void SetEnabled(bool on) {
   EnabledFlag().store(on, std::memory_order_relaxed);
 }
-#endif
+
+uint64_t NowNs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 // ---- Counter --------------------------------------------------------------
 

@@ -21,18 +21,17 @@ constexpr uint32_t kShards = 8;
 uint32_t ShardIndex();
 
 /// True unless observability is switched off — by the GLINT_OBS=off (or =0)
-/// environment variable, by SetEnabled(false), or at compile time with
-/// -DGLINT_OBS_DISABLED (which reduces every instrument call site to dead
-/// code). Instruments check this internally, so a disabled build pays one
-/// predictable branch per call and never reads the clock.
-#ifdef GLINT_OBS_DISABLED
-constexpr bool Enabled() { return false; }
-inline void SetEnabled(bool) {}
-#else
+/// environment variable or by SetEnabled(false). Instruments check this
+/// internally, so a disabled process pays one predictable branch per call
+/// and never reads the clock for telemetry. The one exception is control,
+/// not telemetry: the event bus's sampled queue-wait stamps feed its
+/// overload detector and are read regardless of the switch.
 bool Enabled();
 /// Runtime override (benches toggle it to measure their own overhead).
 void SetEnabled(bool on);
-#endif
+
+/// Monotonic nanoseconds since an arbitrary process-local epoch.
+uint64_t NowNs();
 
 /// Monotonic event counter (cache hits, events ingested, ...). Wait-free:
 /// Add is a single relaxed fetch_add on the calling thread's shard.
@@ -106,6 +105,30 @@ class Histogram {
   };
   std::vector<double> bounds_;
   std::vector<std::unique_ptr<Shard>> shards_;
+};
+
+/// RAII wall-time recorder: measures the enclosing scope and feeds the
+/// histogram on destruction. With observability disabled the constructor is
+/// a single branch — no clock read, no record.
+class ScopedTimer {
+ public:
+  explicit ScopedTimer(Histogram* h) {
+    if (Enabled() && h != nullptr) {
+      hist_ = h;
+      start_ns_ = NowNs();
+    }
+  }
+  ~ScopedTimer() {
+    if (hist_ != nullptr) {
+      hist_->Observe(double(NowNs() - start_ns_) * 1e-6);
+    }
+  }
+  ScopedTimer(const ScopedTimer&) = delete;
+  ScopedTimer& operator=(const ScopedTimer&) = delete;
+
+ private:
+  Histogram* hist_ = nullptr;
+  uint64_t start_ns_ = 0;
 };
 
 /// Process-wide instrument registry. Names follow the

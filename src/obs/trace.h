@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "obs/registry.h"
-#include "obs/span.h"
 
 namespace glint::obs {
 

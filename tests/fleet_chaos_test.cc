@@ -15,7 +15,7 @@
 //   5. Degraded mode: queue-wait p99 over threshold flips kDegraded —
 //      mutations shed with the configured hint, kHealth reports it,
 //      inspects still answer with a bit-identical verdict — and the shard
-//      heals once drained.
+//      heals once drained. Telemetry switched off changes none of this.
 //   6. Deadlines are enforced at DEQUEUE: an inspect whose deadline
 //      expired in the queue is shed (kOverloaded + hint), not served late.
 //   7. Graceful drain under live pipelined load: every acked event is
@@ -38,6 +38,7 @@
 #include "fleet/server.h"
 #include "fleet/sharding.h"
 #include "fleet/wire.h"
+#include "obs/registry.h"
 #include "util/fault.h"
 #include "util/thread_pool.h"
 
@@ -230,6 +231,11 @@ class FleetChaosTest : public ::testing::Test {
     }();
     return ref;
   }
+
+  /// Scenario 5 (degraded mode): queue waits past enter_ms flip the shard
+  /// kDegraded, mutations shed with the configured hint, a degraded
+  /// inspect still answers bit-identically, and the drained shard heals.
+  static void RunOverloadScenario();
 
   static Glint* glint_;
   static std::string* base_dir_;
@@ -479,7 +485,7 @@ TEST_F(FleetChaosTest, WedgedConsumerFlipsDownShedsAndHeals) {
 
 // ---- 5. Degraded mode: shed with hints, serve verdicts, heal ------------
 
-TEST_F(FleetChaosTest, OverloadDegradesShedsWithHintsAndHeals) {
+void FleetChaosTest::RunOverloadScenario() {
   FleetConfig cfg;
   cfg.num_shards = 2;
   ShardedFleet fleet(&glint_->detector(), cfg);
@@ -492,37 +498,33 @@ TEST_F(FleetChaosTest, OverloadDegradesShedsWithHintsAndHeals) {
   sc.bus.overload.window = 16;
   sc.bus.overload.recover_ticks = 2;
   sc.bus.retry_after_ms = 37;
-  FleetServer server(&fleet, sc);
-  ASSERT_TRUE(server.Start().ok());
 
   const HomeId home = "ov-alpha";
   const int k = fleet.ShardOf(home);
   auto pool = RulePool(4);
+  // Register and warm the home on the engine directly, before the bus
+  // exists: events queued behind a cold-cache AddHome apply can wait past
+  // enter_ms and degrade the shard before the scenario below has begun.
+  ASSERT_TRUE(fleet.TryAddHome(home, {pool[0], pool[1]}).ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(
+        fleet.TryOnEvent(home, EventFor(pool[i % 2], 0.5 + 0.3 * i)).ok());
+  }
+  FleetServer server(&fleet, sc);
+  ASSERT_TRUE(server.Start().ok());
   wire::Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
   wire::Request req;
   wire::Reply reply;
-  req.type = wire::MsgType::kAddHome;
-  req.home = home;
-  req.rules = {pool[0], pool[1]};
-  ASSERT_TRUE(client.Call(req, &reply).ok());
-  ASSERT_EQ(reply.code, 0) << reply.message;
-  for (int i = 0; i < 3; ++i) {
-    req = wire::Request();
-    req.type = wire::MsgType::kEventBatch;
-    req.home = home;
-    req.seq = static_cast<uint64_t>(i + 1);
-    req.events = {EventFor(pool[i % 2], 0.5 + 0.3 * i)};
-    ASSERT_TRUE(client.Call(req, &reply).ok());
-    ASSERT_EQ(reply.code, 0) << reply.message;
-  }
 
   // Stall A makes the next five events wait ~100ms in the queue; once
   // drained, their sampled waits push the window p99 over enter_ms.
   // Stall B (queued after them) then holds the shard busy — depth 0 but
   // applying, which is NOT idle — so the degraded state is stable while
   // the assertions below run.
-  std::thread stall_a([&server, k] {
+  // jthreads: a failed assertion below returns early, and the stalls must
+  // still be joined (not terminate the binary) before the server stops.
+  std::jthread stall_a([&server, k] {
     (void)server.bus().RunOnShard(k, [] {
       std::this_thread::sleep_for(std::chrono::milliseconds(120));
     });
@@ -537,7 +539,7 @@ TEST_F(FleetChaosTest, OverloadDegradesShedsWithHintsAndHeals) {
     ASSERT_TRUE(client.Call(req, &reply).ok());
     ASSERT_EQ(reply.code, 0) << reply.message;
   }
-  std::thread stall_b([&server, k] {
+  std::jthread stall_b([&server, k] {
     (void)server.bus().RunOnShard(k, [] {
       std::this_thread::sleep_for(std::chrono::milliseconds(800));
     });
@@ -618,6 +620,22 @@ TEST_F(FleetChaosTest, OverloadDegradesShedsWithHintsAndHeals) {
   ASSERT_TRUE(client.Call(req, &reply).ok());
   EXPECT_EQ(reply.code, 0) << reply.message;
   server.Stop();
+}
+
+TEST_F(FleetChaosTest, OverloadDegradesShedsWithHintsAndHeals) {
+  RunOverloadScenario();
+}
+
+// Load shedding is control, not telemetry: with glint::obs switched off
+// (GLINT_OBS=off) the bus must still time its sampled queue waits, or the
+// overload detector never sees a wait and the shard never degrades.
+TEST_F(FleetChaosTest, OverloadDegradesWithTelemetryOff) {
+  struct RestoreObs {
+    bool was = obs::Enabled();
+    ~RestoreObs() { obs::SetEnabled(was); }
+  } restore;
+  obs::SetEnabled(false);
+  RunOverloadScenario();
 }
 
 // ---- 6. Deadline shed at dequeue ----------------------------------------

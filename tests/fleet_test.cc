@@ -1317,6 +1317,22 @@ size_t OsThreadCount() {
   return n;
 }
 
+// A thread another test already joined can stay listed under
+// /proc/self/task for a moment; poll until two reads a few ms apart agree
+// so the count is a stable baseline rather than a snapshot mid-teardown.
+size_t StableOsThreadCount() {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  size_t prev = OsThreadCount();
+  while (std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const size_t now = OsThreadCount();
+    if (now == prev) return now;
+    prev = now;
+  }
+  return prev;
+}
+
 TEST_F(FleetTest, ThousandIdleConnectionsHoldWithBoundedThreads) {
   FleetConfig cfg;
   cfg.num_shards = 2;
@@ -1325,7 +1341,7 @@ TEST_F(FleetTest, ThousandIdleConnectionsHoldWithBoundedThreads) {
   sc.io_workers = 2;
   FleetServer server(&fleet, sc);
   ASSERT_TRUE(server.Start().ok());
-  const size_t threads_after_start = OsThreadCount();
+  const size_t threads_after_start = StableOsThreadCount();
   ASSERT_GT(threads_after_start, 0u);
 
   const int kConns = 1000;
@@ -1350,7 +1366,7 @@ TEST_F(FleetTest, ThousandIdleConnectionsHoldWithBoundedThreads) {
 
   // The C10k assertion: a thousand held connections added ZERO threads —
   // the worker pool is the configured constant.
-  EXPECT_EQ(OsThreadCount(), threads_after_start);
+  EXPECT_EQ(StableOsThreadCount(), threads_after_start);
   EXPECT_EQ(server.io_workers(), sc.io_workers);
 
   // The server is not merely holding the fds — sample some and serve.

@@ -1,7 +1,7 @@
 // Concurrency stress for glint::obs, built with -fsanitize=thread by the
 // TSAN stage of tools/check.sh (minimal linkage: glint_obs only). Writer
-// threads hammer one shared counter/gauge/histogram and the trace ring
-// while a reader repeatedly takes snapshots and merges traces; afterwards
+// threads hammer one shared counter/gauge/histogram (directly and through
+// ScopedTimer) while a reader repeatedly takes snapshots; afterwards
 // the merged totals must equal the work submitted exactly. A second phase
 // hammers the SlowTraceRing seqlock (every record carries the invariant
 // total == sum(stages); a torn read would break it) and the TimeSeriesSet.
@@ -121,17 +121,16 @@ int main() {
         hist->Observe(double((i + t) % 100) * 0.1);
         gauge->Add(-1);
         if (i % 64 == 0) {
-          Span span("stress.span", hist);
+          ScopedTimer timer(hist);
         }
       }
     });
   }
-  // Concurrent readers: snapshots and trace merges must be safe (and
-  // TSAN-clean) while writers are live.
+  // Concurrent reader: snapshots must be safe (and TSAN-clean) while
+  // writers are live.
   std::thread reader([&reg]() {
     for (int i = 0; i < 200; ++i) {
       (void)reg.TakeSnapshot().RenderJson();
-      (void)CollectTrace();
     }
   });
   for (auto& w : writers) w.join();
@@ -139,7 +138,7 @@ int main() {
 
   const uint64_t want = uint64_t(kWriters) * kIters;
   const uint64_t got = counter->Value();
-  // Each span also observes into hist once per 64 iterations.
+  // Each timer also observes into hist once per 64 iterations.
   const uint64_t want_hist = want + uint64_t(kWriters) * ((kIters + 63) / 64);
   const uint64_t got_hist = hist->Count();
   const bool ok = got == want && got_hist == want_hist && gauge->Value() == 0;

@@ -1,7 +1,7 @@
 // Unit tests for the glint::obs telemetry layer: histogram bucket/quantile
 // correctness against an exact sorted reference, concurrent-increment
 // totals, snapshot-merge determinism across thread counts, registry
-// collision enforcement, and the trace ring.
+// collision enforcement, ScopedTimer feeding, and the off-switch.
 //
 // Minimal linkage (glint_obs + gtest only) so the TSAN stage of
 // tools/check.sh can build it without the model stack.
@@ -182,37 +182,15 @@ TEST(Registry, SnapshotAndJsonAreByteStable) {
   EXPECT_EQ(s1.histograms.at("test.obs.snap_ms").count, 1u);
 }
 
-TEST(Span, TraceRingRecordsAndMergesInStartOrder) {
-  ClearTrace();
-  {
-    Span outer("test.outer");
-    Span inner("test.inner");
-  }
-  const auto trace = CollectTrace();
-  ASSERT_EQ(trace.size(), 2u);
-  // Merge order is start time: outer starts before inner but ends after.
-  EXPECT_STREQ(trace[0].stage, "test.outer");
-  EXPECT_STREQ(trace[1].stage, "test.inner");
-  EXPECT_LE(trace[0].start_ns, trace[1].start_ns);
-  EXPECT_GE(trace[0].dur_ns, trace[1].dur_ns);
-  ClearTrace();
-  EXPECT_TRUE(CollectTrace().empty());
-}
-
-TEST(Span, RingIsBounded) {
-  ClearTrace();
-  for (size_t i = 0; i < kTraceRingCapacity + 100; ++i) {
-    Span s("test.bounded");
-  }
-  EXPECT_EQ(CollectTrace().size(), kTraceRingCapacity);
-  ClearTrace();
-}
-
-TEST(Span, FeedsHistogram) {
-  auto& reg = Registry::Global();
-  Histogram* h = reg.GetHistogram("test.obs.span_ms");
-  { Span s("test.span", h); }
+TEST(ScopedTimer, FeedsHistogramWhenEnabled) {
+  Histogram* h = Registry::Global().GetHistogram("test.obs.timer_ms");
+  { ScopedTimer t(h); }
   EXPECT_EQ(h->Count(), 1u);
+  // The macro resolves the name once per site and feeds the same series.
+  for (int i = 0; i < 3; ++i) {
+    GLINT_OBS_TIMER(timer, "test.obs.timer_ms");
+  }
+  EXPECT_EQ(h->Count(), 4u);
 }
 
 TEST(Disabled, NothingRecords) {
@@ -221,17 +199,18 @@ TEST(Disabled, NothingRecords) {
   Counter* c = reg.GetCounter("test.obs.off_counter");
   Gauge* g = reg.GetGauge("test.obs.off_gauge");
   Histogram* h = reg.GetHistogram("test.obs.off_ms");
-  ClearTrace();
+  Histogram* timed = reg.GetHistogram("test.obs.off_timer_ms");
   SetEnabled(false);
   c->Add(7);
   g->Set(7);
   h->Observe(7.0);
-  { Span s("test.off"); }
+  { ScopedTimer t(timed); }
+  { GLINT_OBS_TIMER(timer, "test.obs.off_timer_ms"); }
   SetEnabled(true);
   EXPECT_EQ(c->Value(), 0u);
   EXPECT_EQ(g->Value(), 0);
   EXPECT_EQ(h->Count(), 0u);
-  EXPECT_TRUE(CollectTrace().empty());
+  EXPECT_EQ(timed->Count(), 0u);
 }
 
 }  // namespace

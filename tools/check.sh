@@ -33,6 +33,12 @@ ctest --test-dir build --output-on-failure -j"${JOBS}"
 # per-primitive fingerprints) this proves the SIMD backends change nothing
 # observable.
 GLINT_KERNEL=scalar ctest --test-dir build --output-on-failure -j"${JOBS}"
+# Telemetry-off pass: GLINT_OBS=off is glint::obs's one off-switch, and
+# the fleet's control paths (overload shedding, supervision, dedup, drain)
+# must not depend on it. The request-trace completeness case skips itself
+# here by design: with telemetry off no trace is begun.
+GLINT_OBS=off GLINT_THREADS=2 ./build/tests/fleet_chaos_test
+GLINT_OBS=off GLINT_THREADS=2 ./build/tests/fleet_test
 
 # Smoke the throughput bench with a 2-thread pool (exercises the parallel
 # build/train/inference paths end to end).

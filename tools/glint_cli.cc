@@ -272,20 +272,16 @@ int CmdInspect(const std::map<std::string, std::string>& flags) {
       return 1;
     }
     std::printf("loaded models from %s\n", dir.c_str());
-    std::printf("note: the correlation model is retrained (it is cheap)\n");
-    // The loaded ITGNN needs the corpus-based builder for embeddings only;
-    // retrain the light parts.
+    std::printf("note: interaction edges come from the semantic oracle "
+                "(the correlation ensemble is not saved)\n");
   } else {
     std::printf("no --model-dir given; training a fresh detector...\n");
+    detector.TrainOffline();
   }
-  if (dir.empty()) detector.TrainOffline();
 
   auto deployed = DemoRules(FlagOr(flags, "demo", "table1"));
   std::printf("inspecting %zu deployed rules...\n", deployed.size());
-  nlp::EmbeddingModel wm(300, 97 ^ 0x17), sm(512, 97 ^ 0x18);
-  auto g = detector.ready() && !dir.empty()
-               ? graph::GraphBuilder({}, &wm, &sm).BuildFromRules(deployed)
-               : detector.BuildGraph(deployed);
+  auto g = detector.BuildGraph(deployed);
   auto warning = detector.InspectGraph(g);
   std::printf("%s\n", warning.Render().c_str());
   return 0;
@@ -1144,8 +1140,7 @@ int CmdStats() {
       "   \"histograms\":{\"name\":{\"count\":N,\"sum_ms\":X,\"mean\":X,\n"
       "     \"p50\":X,\"p95\":X,\"p99\":X},...}}\n\n"
       "Collection is on by default; set GLINT_OBS=off to reduce every\n"
-      "instrument to a relaxed-load branch, or configure with\n"
-      "-DGLINT_OBS_DISABLE=ON to compile the layer out entirely.\n"
+      "instrument to a relaxed-load branch.\n"
       "Overhead budget: <= 5%% on the warm serving path (enforced by\n"
       "bench_obs_overhead in tools/check.sh).\n");
   return 0;
