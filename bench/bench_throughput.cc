@@ -1,18 +1,21 @@
 // Throughput bench for the parallel compute layer: graphs/sec for dataset
 // build, ITGNN train-epoch, and inference at 1, 2, and hardware-concurrency
-// threads. Emits one machine-readable JSON line (prefix BENCH_JSON) with the
-// per-thread-count rates and speedups so the numbers can be tracked across
-// commits.
+// threads, plus a per-backend table of the dense MatMulRows kernel on the
+// ITGNN layer shapes. Emits one machine-readable JSON line (prefix
+// BENCH_JSON) with the per-thread-count rates, speedups and kernel timings
+// so the numbers can be tracked across commits.
 //
 // Usage: bench_throughput [--smoke]
 //   --smoke  tiny sizes and a {1, current} thread sweep; used by
 //            tools/check.sh under GLINT_THREADS=2.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <new>
 #include <string>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "bench_common.h"
 #include "gnn/ggraph.h"
 #include "gnn/kernels.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 // Global allocation counter (bench-binary-wide): lets the bench report the
@@ -264,6 +268,73 @@ std::vector<BackendRates> MeasureBackends(
   return out;
 }
 
+// ---- MatMulRows kernel table ---------------------------------------------
+
+/// The (k, m) of every Linear in a default ItgnnModel (hidden 64, embed 128,
+/// 3 scales), plus its m = 1 and m = 2 heads.
+struct MatMulShape {
+  const char* layer;
+  int k, m;
+};
+const MatMulShape kMatMulShapes[] = {
+    {"proj_word", 300, 64},  {"proj_sentence", 512, 64},
+    {"intra", 192, 64},      {"hidden", 64, 64},
+    {"fuse", 384, 128},      {"head", 128, 2},
+    {"pool_score", 128, 1},  {"pool_logit", 64, 1},
+};
+/// A serve-sized graph, and a batch-64 block-diagonal product.
+const int kMatMulRows[] = {4, 384};
+
+/// Microseconds per MatMulRows call on one thread: the fastest of 5 timed
+/// blocks of `reps` calls, each sized to about 4M multiply-adds.
+double MeasureMatMulUs(const gnn::kernels::KernelBackend& kb, int n, int k,
+                       int m) {
+  Rng rng(static_cast<uint64_t>(n * 1000003 + k * 1009 + m));
+  std::vector<float> a(static_cast<size_t>(n) * k);
+  std::vector<float> b(static_cast<size_t>(k) * m);
+  std::vector<float> c(static_cast<size_t>(n) * m);
+  for (auto& v : a) v = static_cast<float>(rng.Uniform() - 0.5);
+  for (auto& v : b) v = static_cast<float>(rng.Uniform() - 0.5);
+  const int64_t flops = static_cast<int64_t>(n) * k * m;
+  const int reps = static_cast<int>(
+      std::max<int64_t>(3, (int64_t{4} << 20) / std::max<int64_t>(1, flops)));
+  kb.MatMulRows(c.data(), a.data(), b.data(), n, k, m);  // warm
+  double best = 1e300;
+  for (int block = 0; block < 5; ++block) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int r = 0; r < reps; ++r) {
+      kb.MatMulRows(c.data(), a.data(), b.data(), n, k, m);
+    }
+    best = std::min(best, Seconds(t0) * 1e6 / reps);
+  }
+  return c[0] == -1.f ? 0 : best;  // keep the product observable
+}
+
+/// Per backend: µs per call, indexed [row count][shape].
+struct MatMulTable {
+  std::string backend;
+  std::vector<std::vector<double>> us;
+};
+
+std::vector<MatMulTable> MeasureMatMulTable() {
+  std::vector<MatMulTable> out;
+  for (gnn::kernels::Backend b : gnn::kernels::AvailableBackends()) {
+    gnn::kernels::SetBackend(b);
+    MatMulTable t;
+    t.backend = gnn::kernels::BackendName();
+    for (int n : kMatMulRows) {
+      std::vector<double> row;
+      for (const MatMulShape& s : kMatMulShapes) {
+        row.push_back(MeasureMatMulUs(gnn::kernels::Kernels(), n, s.k, s.m));
+      }
+      t.us.push_back(std::move(row));
+    }
+    out.push_back(std::move(t));
+  }
+  gnn::kernels::SetBackend(gnn::kernels::AvailableBackends().back());
+  return out;
+}
+
 int Run(bool smoke) {
   const int num_graphs = smoke ? 32 : 160;
   const int epochs = smoke ? 1 : 2;
@@ -339,6 +410,24 @@ int Run(bool smoke) {
       tape.train_mallocs_per_step, tape.infer_mallocs_per_graph,
       tape.tape_nodes_per_step, tape.arena_bytes_retained);
 
+  const std::vector<MatMulTable> matmul = MeasureMatMulTable();
+  std::printf("\nMatMulRows kernel (1 thread): us per call, C[n x m] = "
+              "A[n x k] * B[k x m]\n");
+  std::printf("%8s %6s", "backend", "n");
+  for (const MatMulShape& s : kMatMulShapes) {
+    char head[32];
+    std::snprintf(head, sizeof head, "%dx%d", s.k, s.m);
+    std::printf(" %9s", head);
+  }
+  std::printf("\n");
+  for (const MatMulTable& t : matmul) {
+    for (size_t r = 0; r < t.us.size(); ++r) {
+      std::printf("%8s %6d", t.backend.c_str(), kMatMulRows[r]);
+      for (double us : t.us[r]) std::printf(" %9.2f", us);
+      std::printf("\n");
+    }
+  }
+
   // Machine-readable trajectory line.
   auto column = [&results](double Rates::* field) {
     std::vector<double> xs;
@@ -373,6 +462,23 @@ int Run(bool smoke) {
   for (const auto& r : backends) {
     json.Num("infer_gps_" + r.name, r.infer_gps, 1);
     json.Nums("batched_infer_gps_" + r.name, r.batched_infer_gps);
+  }
+  {
+    std::string layers = "[";
+    for (const MatMulShape& sh : kMatMulShapes) {
+      layers += std::string(layers.size() > 1 ? ",\"" : "\"") + sh.layer +
+                ":" + std::to_string(sh.k) + "x" + std::to_string(sh.m) + "\"";
+    }
+    json.Raw("matmul_shapes", layers + "]");
+  }
+  json.Ints("matmul_rows", std::vector<int>(std::begin(kMatMulRows),
+                                            std::end(kMatMulRows)));
+  for (const MatMulTable& t : matmul) {
+    for (size_t r = 0; r < t.us.size(); ++r) {
+      json.Nums("matmul_us_" + t.backend + "_n" +
+                    std::to_string(kMatMulRows[r]),
+                t.us[r], 2);
+    }
   }
   json.Num("batched_speedup_scalar_b64", scalar_b64 / scalar.infer_gps, 2);
   json.Bool("batched_amortization_ok", amortization_ok);

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "obs/obs.h"
 #include "util/status.h"
@@ -26,6 +27,95 @@ float ScalarDot(const float* a, const float* b, int n) {
   }
   for (int i = n8; i < n; ++i) lane[i & 7] += a[i] * b[i];
   return detail::ReduceTree8(lane);
+}
+
+/// Four floats as a GCC/Clang generic vector, which the compiler lowers to
+/// whatever SIMD the baseline target has, or to scalar code. Its + and *
+/// are the elementwise IEEE ops, so it rounds exactly like the scalar
+/// loops.
+typedef float F4 __attribute__((vector_size(16)));
+
+F4 LoadF4(const float* p) {
+  F4 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// One R-row x 4*CV-column block of C = A * B (see MatMulRows in
+/// kernels.h), register-blocked: lane p of all its outputs is one pass over
+/// l = p, p + 8, ... into R * CV accumulators (a[r][l] times the B row
+/// segment, mul then add). The passes park their lanes in `lane`; the fixed
+/// tree then reduces them with vertical adds.
+template <int R, int CV>
+void ScalarMatMulBlock(float* c, const float* a, const float* b, int k,
+                       int m) {
+  F4 lane[8][R][CV];
+  for (int p = 0; p < 8; ++p) {
+    F4 acc[R][CV] = {};
+    for (int l = p; l < k; l += 8) {
+      const float* brow = b + static_cast<size_t>(l) * m;
+      F4 vb[CV];
+#pragma GCC unroll 2
+      for (int v = 0; v < CV; ++v) vb[v] = LoadF4(brow + 4 * v);
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r) {
+        const float s = a[static_cast<size_t>(r) * k + l];
+        const F4 va = {s, s, s, s};
+#pragma GCC unroll 2
+        for (int v = 0; v < CV; ++v) acc[r][v] = acc[r][v] + va * vb[v];
+      }
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+      for (int v = 0; v < CV; ++v) lane[p][r][v] = acc[r][v];
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < CV; ++v) {
+      const F4 t0 = lane[0][r][v] + lane[4][r][v];
+      const F4 t1 = lane[1][r][v] + lane[5][r][v];
+      const F4 t2 = lane[2][r][v] + lane[6][r][v];
+      const F4 t3 = lane[3][r][v] + lane[7][r][v];
+      const F4 sum = (t0 + t2) + (t1 + t3);
+      std::memcpy(c + static_cast<size_t>(r) * m + 4 * v, &sum, sizeof sum);
+    }
+  }
+}
+
+/// R rows of C in 8-column blocks; the narrower remainder is gathered.
+template <int R>
+void ScalarMatMulRowBlock(float* c, const float* a, const float* b, int k,
+                          int m) {
+  for (int j = 0; j + 8 <= m; j += 8) {
+    ScalarMatMulBlock<R, 2>(c + j, a, b + j, k, m);
+  }
+}
+
+static_assert(kMatMulRowBlock == 4, "the row tail below covers 1-3 rows");
+
+void ScalarMatMulRows(float* c, const float* a, const float* b, int n, int k,
+                      int m) {
+  int i = 0;
+  for (; i + kMatMulRowBlock <= n; i += kMatMulRowBlock) {
+    ScalarMatMulRowBlock<kMatMulRowBlock>(
+        c + static_cast<size_t>(i) * m, a + static_cast<size_t>(i) * k, b, k,
+        m);
+  }
+  float* ct = c + static_cast<size_t>(i) * m;
+  const float* at = a + static_cast<size_t>(i) * k;
+  switch (n - i) {
+    case 3:
+      ScalarMatMulRowBlock<3>(ct, at, b, k, m);
+      break;
+    case 2:
+      ScalarMatMulRowBlock<2>(ct, at, b, k, m);
+      break;
+    case 1:
+      ScalarMatMulRowBlock<1>(ct, at, b, k, m);
+      break;
+  }
+  detail::MatMulColumnTail(ScalarDot, c, a, b, n, k, m, m & ~7);
 }
 
 void ScalarAxpy(float* y, float alpha, const float* x, int n) {
@@ -72,6 +162,7 @@ const KernelBackend kScalarBackend = {
     "scalar",
     static_cast<int>(Backend::kScalar),
     ScalarDot,
+    ScalarMatMulRows,
     ScalarAxpy,
     ScalarAddInto,
     ScalarMulAddInto,
@@ -81,6 +172,28 @@ const KernelBackend kScalarBackend = {
     ScalarSumDouble,
     ScalarDivDouble,
 };
+
+void detail::MatMulColumnTail(float (*dot)(const float*, const float*, int),
+                              float* c, const float* a, const float* b, int n,
+                              int k, int m, int j_begin) {
+  if (j_begin >= m || n == 0) return;
+  const int width = m - j_begin;
+  thread_local std::vector<float> columns;
+  columns.resize(static_cast<size_t>(width) * k);
+  for (int j = 0; j < width; ++j) {
+    float* column = columns.data() + static_cast<size_t>(j) * k;
+    for (int l = 0; l < k; ++l) {
+      column[l] = b[static_cast<size_t>(l) * m + j_begin + j];
+    }
+  }
+  for (int i = 0; i < n; ++i) {
+    const float* arow = a + static_cast<size_t>(i) * k;
+    float* crow = c + static_cast<size_t>(i) * m + j_begin;
+    for (int j = 0; j < width; ++j) {
+      crow[j] = dot(arow, columns.data() + static_cast<size_t>(j) * k, k);
+    }
+  }
+}
 
 // ---- Dispatch ------------------------------------------------------------
 

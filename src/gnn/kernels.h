@@ -8,9 +8,10 @@ namespace glint::gnn::kernels {
 
 /// Runtime-dispatched dense kernel backend.
 ///
-/// These are the hot primitives behind the tape ops (kMatMul row dots, kSpMM
-/// row accumulation, leaf-gradient accumulation, the elementwise forwards,
-/// and the kSoftmaxRow normalization). One backend is selected once at
+/// These are the hot primitives behind the tape ops (the kMatMul forward
+/// product and backward row dots, kSpMM row accumulation, leaf-gradient
+/// accumulation, the elementwise forwards, and the kSoftmaxRow
+/// normalization). One backend is selected once at
 /// startup — AVX2 when the CPU advertises it, portable scalar otherwise —
 /// overridable with GLINT_KERNEL=scalar|avx2.
 ///
@@ -36,6 +37,16 @@ struct KernelBackend {
 
   /// 8-lane striped dot product with the fixed reduction tree.
   float (*Dot)(const float* a, const float* b, int n);
+  /// C = A * B for row-major A (n x k), B (k x m) and C (n x m), with B read
+  /// as stored (no transpose). Every C[i][j] is bit-identical to Dot(A row
+  /// i, column j of B, k): lane p sums a[i][l] * b[l][j] over l = p mod 8
+  /// in ascending l, mul then add, and the lanes reduce through
+  /// ReduceTree8. Across j those lanes and that tree are plain vertical
+  /// vector ops, so a row block of C needs no horizontal reduce. Each
+  /// output depends only on its own row of A, so any row split of a
+  /// product gives the same bits.
+  void (*MatMulRows)(float* c, const float* a, const float* b, int n, int k,
+                     int m);
   /// y[i] += alpha * x[i]
   void (*Axpy)(float* y, float alpha, const float* x, int n);
   /// y[i] += x[i]
@@ -53,6 +64,11 @@ struct KernelBackend {
   /// x[i] /= denom
   void (*DivDouble)(double* x, double denom, int n);
 };
+
+/// Rows per MatMulRows register block in every backend. A caller that
+/// splits one product across threads should cut it at multiples of this,
+/// so no chunk runs its rows through the narrower row-tail blocks.
+inline constexpr int kMatMulRowBlock = 4;
 
 enum class Backend : int { kScalar = 0, kAvx2 = 1 };
 
@@ -86,6 +102,14 @@ inline float ReduceTree8(const float* lane) {
   const float t3 = lane[3] + lane[7];
   return (t0 + t2) + (t1 + t3);
 }
+
+/// MatMulRows' narrow-column tail, shared by every backend: columns
+/// [j_begin, m) of B are gathered once into a per-thread buffer, and every
+/// row of A is `dot`-ed against each of them, which is Dot's contract by
+/// definition.
+void MatMulColumnTail(float (*dot)(const float*, const float*, int), float* c,
+                      const float* a, const float* b, int n, int k, int m,
+                      int j_begin);
 
 /// The fixed 4-lane double reduction.
 inline double ReduceTree4(const double* lane) {

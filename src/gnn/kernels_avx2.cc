@@ -40,6 +40,91 @@ float Avx2Dot(const float* a, const float* b, int n) {
   return detail::ReduceTree8(lane);
 }
 
+/// One R-row x 8*CV-column block of C = A * B (see MatMulRows in
+/// kernels.h), register-blocked: lane p of all its outputs is one pass over
+/// l = p, p + 8, ... into R * CV vector accumulators (a broadcast of
+/// a[r][l] times the B row segment, mul then add). The passes park their
+/// lanes in `lane`; the fixed tree then reduces them with vertical adds.
+template <int R, int CV>
+void Avx2MatMulBlock(float* c, const float* a, const float* b, int k, int m) {
+  __m256 lane[8][R][CV];
+  for (int p = 0; p < 8; ++p) {
+    __m256 acc[R][CV];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+      for (int v = 0; v < CV; ++v) acc[r][v] = _mm256_setzero_ps();
+    }
+    for (int l = p; l < k; l += 8) {
+      const float* brow = b + static_cast<size_t>(l) * m;
+      __m256 vb[CV];
+#pragma GCC unroll 2
+      for (int v = 0; v < CV; ++v) vb[v] = _mm256_loadu_ps(brow + 8 * v);
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r) {
+        const __m256 va =
+            _mm256_broadcast_ss(a + static_cast<size_t>(r) * k + l);
+#pragma GCC unroll 2
+        for (int v = 0; v < CV; ++v) {
+          acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(va, vb[v]));
+        }
+      }
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+      for (int v = 0; v < CV; ++v) lane[p][r][v] = acc[r][v];
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < CV; ++v) {
+      const __m256 t0 = _mm256_add_ps(lane[0][r][v], lane[4][r][v]);
+      const __m256 t1 = _mm256_add_ps(lane[1][r][v], lane[5][r][v]);
+      const __m256 t2 = _mm256_add_ps(lane[2][r][v], lane[6][r][v]);
+      const __m256 t3 = _mm256_add_ps(lane[3][r][v], lane[7][r][v]);
+      _mm256_storeu_ps(c + static_cast<size_t>(r) * m + 8 * v,
+                       _mm256_add_ps(_mm256_add_ps(t0, t2),
+                                     _mm256_add_ps(t1, t3)));
+    }
+  }
+}
+
+/// R rows of C: 16-column blocks, then one 8-column block if it fits; the
+/// narrower remainder is gathered.
+template <int R>
+void Avx2MatMulRowBlock(float* c, const float* a, const float* b, int k,
+                        int m) {
+  int j = 0;
+  for (; j + 16 <= m; j += 16) Avx2MatMulBlock<R, 2>(c + j, a, b + j, k, m);
+  if (j + 8 <= m) Avx2MatMulBlock<R, 1>(c + j, a, b + j, k, m);
+}
+
+static_assert(kMatMulRowBlock == 4, "the row tail below covers 1-3 rows");
+
+void Avx2MatMulRows(float* c, const float* a, const float* b, int n, int k,
+                    int m) {
+  int i = 0;
+  for (; i + kMatMulRowBlock <= n; i += kMatMulRowBlock) {
+    Avx2MatMulRowBlock<kMatMulRowBlock>(
+        c + static_cast<size_t>(i) * m, a + static_cast<size_t>(i) * k, b, k,
+        m);
+  }
+  float* ct = c + static_cast<size_t>(i) * m;
+  const float* at = a + static_cast<size_t>(i) * k;
+  switch (n - i) {
+    case 3:
+      Avx2MatMulRowBlock<3>(ct, at, b, k, m);
+      break;
+    case 2:
+      Avx2MatMulRowBlock<2>(ct, at, b, k, m);
+      break;
+    case 1:
+      Avx2MatMulRowBlock<1>(ct, at, b, k, m);
+      break;
+  }
+  detail::MatMulColumnTail(Avx2Dot, c, a, b, n, k, m, m & ~7);
+}
+
 void Avx2Axpy(float* y, float alpha, const float* x, int n) {
   const __m256 va = _mm256_set1_ps(alpha);
   const int n8 = n & ~7;
@@ -132,6 +217,7 @@ const KernelBackend kAvx2Backend = {
     "avx2",
     static_cast<int>(Backend::kAvx2),
     Avx2Dot,
+    Avx2MatMulRows,
     Avx2Axpy,
     Avx2AddInto,
     Avx2MulAddInto,

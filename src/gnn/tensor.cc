@@ -124,18 +124,6 @@ size_t TapeArena::AllocDoubles(size_t n) {
   return off;
 }
 
-Matrix* TapeArena::Scratch(int rows, int cols) {
-  if (scratch_cursor_ == scratch_.size()) {
-    scratch_.push_back(std::make_unique<Matrix>());
-    ++growth_allocs_;
-    bytes_retained_ += sizeof(Matrix);
-    g_arena_bytes_total.fetch_add(sizeof(Matrix), std::memory_order_relaxed);
-  }
-  Matrix* m = scratch_[scratch_cursor_++].get();
-  Shape(m, rows, cols, /*zero=*/false);
-  return m;
-}
-
 void TapeArena::Shape(Matrix* m, int rows, int cols, bool zero) {
   const size_t need = static_cast<size_t>(rows) * cols;
   const size_t old_cap = m->data.capacity();
@@ -151,7 +139,6 @@ void TapeArena::Shape(Matrix* m, int rows, int cols, bool zero) {
 
 void TapeArena::Reset() {
   tensor_cursor_ = 0;
-  scratch_cursor_ = 0;
   int_cursor_ = 0;
   double_cursor_ = 0;
 }
@@ -299,17 +286,23 @@ bool Track(std::initializer_list<Tensor*> inputs) {
 }
 
 /// Rows are dispatched to the pool in chunks carrying roughly this many
-/// multiply-adds each; smaller products run serially (dispatch overhead
-/// would dominate).
-constexpr int64_t kParallelFlops = 1 << 15;
-
-/// j-tile width of the transposed-B kernel: one tile of B^T rows stays
-/// cache-hot while a chunk of A rows streams through it.
-constexpr int kMatMulTile = 64;
+/// multiply-adds each; smaller products run serially. A pool fan-out costs
+/// about 20 us (4-thread pool, 4-core Xeon), and the MatMulRows kernel
+/// runs 2^19 multiply-adds in about 20-25 us on AVX2 (about twice that on
+/// the scalar backend), so a chunk at least pays for its own dispatch.
+/// It also keeps every serve-sized product (at most 10 rows; the widest
+/// Linear, 384 x 128, is 49152 multiply-adds a row) on the calling thread.
+constexpr int64_t kParallelFlops = 1 << 19;
 
 int64_t RowGrain(int64_t per_row_flops) {
   return std::max<int64_t>(1,
                            kParallelFlops / std::max<int64_t>(1, per_row_flops));
+}
+
+/// RowGrain rounded up to whole MatMulRows row blocks.
+int64_t MatMulRowGrain(int64_t per_row_flops) {
+  constexpr int64_t kBlock = kernels::kMatMulRowBlock;
+  return (RowGrain(per_row_flops) + kBlock - 1) / kBlock * kBlock;
 }
 
 }  // namespace
@@ -674,40 +667,27 @@ Tensor* MatMul(Tape* tape, Tensor* a, Tensor* b) {
   GLINT_CHECK(a->cols() == b->rows());
   Tensor* out = tape->New(a->rows(), b->cols(), Track({a, b}));
   const int n = a->rows(), k = a->cols(), m = b->cols();
-  // Transposed-B kernel: C[i][j] = dot(A row i, B^T row j), both contiguous.
-  // B^T lives in arena scratch (fully overwritten below). Each output
-  // element is produced by exactly one thread with a fixed l-order, so the
-  // result is bit-identical for any thread count.
-  Matrix* bt = tape->arena()->Scratch(b->cols(), b->rows());
-  for (int l = 0; l < b->rows(); ++l) {
-    for (int j = 0; j < b->cols(); ++j) bt->At(j, l) = b->value.At(l, j);
-  }
+  // B is the weight matrix as stored; the kernel reads it row-major. Each
+  // output element is produced by exactly one thread with a fixed l-order,
+  // so the result is bit-identical for any thread count and row split.
   // Single-context capture keeps the ParallelFor std::function inside its
-  // inline buffer — the forward kernel performs no heap allocation.
+  // inline buffer — once warm, the forward performs no heap allocation.
   GLINT_KERNEL_ASSERT_ALIGNED(a->value.data.data());
-  GLINT_KERNEL_ASSERT_ALIGNED(bt->data.data());
+  GLINT_KERNEL_ASSERT_ALIGNED(b->value.data.data());
   GLINT_KERNEL_ASSERT_ALIGNED(out->value.data.data());
   struct Ctx {
     const float* av;
-    const float* bt;
+    const float* bv;
     float* cv;
     const kernels::KernelBackend* kb;
     int k, m;
-  } c{a->value.data.data(), bt->data.data(), out->value.data.data(),
+  } c{a->value.data.data(), b->value.data.data(), out->value.data.data(),
       &kernels::Kernels(), k, m};
-  ParallelFor(0, n, RowGrain(static_cast<int64_t>(k) * m),
+  ParallelFor(0, n, MatMulRowGrain(static_cast<int64_t>(k) * m),
               [&c](int64_t lo, int64_t hi) {
-                for (int j0 = 0; j0 < c.m; j0 += kMatMulTile) {
-                  const int j1 = std::min(c.m, j0 + kMatMulTile);
-                  for (int64_t i = lo; i < hi; ++i) {
-                    const float* arow = c.av + static_cast<size_t>(i) * c.k;
-                    float* crow = c.cv + static_cast<size_t>(i) * c.m;
-                    for (int j = j0; j < j1; ++j) {
-                      const float* btrow = c.bt + static_cast<size_t>(j) * c.k;
-                      crow[j] = c.kb->Dot(arow, btrow, c.k);
-                    }
-                  }
-                }
+                c.kb->MatMulRows(c.cv + static_cast<size_t>(lo) * c.m,
+                                 c.av + static_cast<size_t>(lo) * c.k, c.bv,
+                                 static_cast<int>(hi - lo), c.k, c.m);
               });
   if (out->requires_grad) {
     OpRecord r{};

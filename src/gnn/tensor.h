@@ -211,8 +211,8 @@ struct OpRecord {
   int i0 = 0, i1 = 0;           ///< pool offsets / lengths / labels / flags
 };
 
-/// Bump-pointer arena behind a Tape: owns the Tensor slots plus int, double
-/// and scratch-Matrix pools. Reset() rewinds the cursors but keeps every
+/// Bump-pointer arena behind a Tape: owns the Tensor slots plus int and
+/// double pools. Reset() rewinds the cursors but keeps every
 /// allocation, so replaying an identical op sequence re-uses the same
 /// storage and performs no heap allocation after the first (warm-up) pass.
 class TapeArena {
@@ -237,10 +237,6 @@ class TapeArena {
   double* Doubles(size_t off) { return doubles_.data() + off; }
   const double* Doubles(size_t off) const { return doubles_.data() + off; }
 
-  /// Returns a forward-only temporary shaped rows x cols. The contents are
-  /// NOT zeroed — callers must fully overwrite. Valid until Reset().
-  Matrix* Scratch(int rows, int cols);
-
   /// Shapes `m` to rows x cols, optionally zero-filling. Growth beyond the
   /// retained capacity is counted in the arena stats.
   void Shape(Matrix* m, int rows, int cols, bool zero);
@@ -264,8 +260,6 @@ class TapeArena {
   static constexpr size_t kChunk = 128;  ///< tensors per chunk
   std::vector<std::unique_ptr<Tensor[]>> chunks_;
   size_t tensor_cursor_ = 0;
-  std::vector<std::unique_ptr<Matrix>> scratch_;
-  size_t scratch_cursor_ = 0;
   std::vector<int> ints_;
   size_t int_cursor_ = 0;
   std::vector<double> doubles_;

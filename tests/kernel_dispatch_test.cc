@@ -3,10 +3,11 @@
 // scalar reference table and every SIMD table available on this host, for
 // shapes that exercise full vector bodies, scalar tails, and sub-vector
 // inputs. Fingerprints are compared as hex floats so a mismatch names the
-// exact lane. Also covers the dispatch surface (GLINT_KERNEL is decided at
-// first use; SetBackend is the test hook) and op-level identity through
-// MatMul / softmax, plus the batched segment ops against their sequential
-// twins.
+// exact lane. MatMulRows is checked entry by entry against the scalar Dot
+// of a row and a gathered column. Also covers the dispatch surface
+// (GLINT_KERNEL is decided at first use; SetBackend is the test hook) and
+// op-level identity through MatMul / softmax, plus the batched segment ops
+// against their sequential twins.
 
 #include <gtest/gtest.h>
 
@@ -109,6 +110,51 @@ TEST_F(KernelDispatchTest, DotBitIdentity) {
       const float got = Table(simd).Dot(a.data(), b.data(), n);
       ASSERT_EQ(HexFloat(want), HexFloat(got))
           << "Dot n=" << n << " backend=" << static_cast<int>(simd);
+    }
+  }
+}
+
+TEST_F(KernelDispatchTest, MatMulRowsBitIdentity) {
+  // Row counts hit whole 4-row blocks, every row tail and a large product;
+  // column counts hit the 16- and 8-wide blocks and the gathered tail.
+  const int kRows[] = {1, 3, 4, 5, 9, 384};
+  const int kCols[] = {1, 2, 7, 8, 15, 16, 17, 64, 65};
+  for (Backend backend : AvailableBackends()) {
+    const KernelBackend& kb = Table(backend);
+    for (int n : kRows) {
+      for (int k : kSizes) {
+        for (int m : kCols) {
+          const uint64_t seed = static_cast<uint64_t>(n * 100000 + k * 100 + m);
+          auto a = RandomFloats(n * k, seed);
+          auto b = RandomFloats(k * m, ~seed);
+          // Signed zeros: every 7th A entry is -0.f and A's first row is
+          // all -0.f (each lane then sums -0.f products onto +0.f), and
+          // every 5th B entry is 0.f.
+          for (size_t e = 0; e < a.size(); e += 7) a[e] = -0.f;
+          for (int l = 0; l < k; ++l) a[static_cast<size_t>(l)] = -0.f;
+          for (size_t e = 0; e < b.size(); e += 5) b[e] = 0.f;
+          std::vector<float> c(static_cast<size_t>(n) * m);
+          kb.MatMulRows(c.data(), a.data(), b.data(), n, k, m);
+          std::vector<float> column(static_cast<size_t>(k));
+          for (int j = 0; j < m; ++j) {
+            for (int l = 0; l < k; ++l) {
+              column[static_cast<size_t>(l)] =
+                  b[static_cast<size_t>(l) * m + j];
+            }
+            for (int i = 0; i < n; ++i) {
+              const float want = kScalarBackend.Dot(
+                  a.data() + static_cast<size_t>(i) * k, column.data(), k);
+              const float got = c[static_cast<size_t>(i) * m + j];
+              if (std::memcmp(&want, &got, sizeof want) != 0) {
+                ASSERT_EQ(HexFloat(want), HexFloat(got))
+                    << "MatMulRows backend=" << kb.name << " n=" << n
+                    << " k=" << k << " m=" << m << " at (" << i << ", " << j
+                    << ")";
+              }
+            }
+          }
+        }
+      }
     }
   }
 }

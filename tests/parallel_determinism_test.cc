@@ -1,8 +1,12 @@
 // Serial-vs-parallel determinism contract: corpus generation, dataset
 // construction, training, evaluation, and embedding must produce
 // bit-identical results at 1 thread and at N threads (DESIGN.md,
-// "Concurrency model").
+// "Concurrency model"). One golden case also pins the trained numerics to
+// recorded values, which no thread or backend comparison can do.
 
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +19,7 @@
 #include "core/session.h"
 #include "gnn/ggraph.h"
 #include "gnn/models.h"
+#include "gnn/tensor.h"
 #include "gnn/trainer.h"
 #include "graph/builder.h"
 #include "nlp/embedding.h"
@@ -180,6 +185,90 @@ TEST(ParallelDeterminismTest, ContrastiveTrainingIdenticalAcrossThreadCounts) {
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     ASSERT_EQ(serial[i], parallel[i]) << "embedding " << i;
+  }
+}
+
+/// FNV-1a over the raw bits of `n` floats, chained from `h`.
+uint64_t HashFloatBits(uint64_t h, const float* v, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t bits;
+    std::memcpy(&bits, &v[i], sizeof bits);
+    for (int b = 0; b < 4; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+std::string HexLogits(const gnn::Tensor* logits) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%a %a",
+                static_cast<double>(logits->value.At(0, 0)),
+                static_cast<double>(logits->value.At(0, 1)));
+  return buf;
+}
+
+TEST(ParallelDeterminismTest, TrainedNumericsMatchRecordedGolden) {
+  // Every other case here compares two runs of one build (threads against
+  // threads, backends against backends), so a change that alters every
+  // backend's arithmetic the same way would pass them all. This case pins
+  // the trained arithmetic itself: the parameters (values and Adam moments)
+  // of a small ITGNN-S trained on the shared fixture, and its logits on the
+  // 20 fixture graphs, against values recorded before the dense kernels
+  // last changed. A mismatch means the Table 5 / Fig. 8 numerics moved.
+  // Never re-record these to make a kernel change pass.
+  constexpr uint64_t kParamHash = 0xd3f2751787bddcaaull;
+  const char* const kLogits[20] = {
+      "0x1.5e5e4ep-8 -0x1.78031ep-3",
+      "0x1.7cce78p-7 -0x1.30b482p-3",
+      "0x1.5fd272p-3 -0x1.bbfb52p-3",
+      "0x1.d41016p-4 -0x1.6a6946p-3",
+      "0x1.12d2bcp-3 -0x1.b1085ep-3",
+      "0x1.b82b62p-5 -0x1.a530a2p-3",
+      "0x1.13efa6p-3 -0x1.37289cp-2",
+      "-0x1.01f498p-3 -0x1.f611dcp-4",
+      "0x1.46ad14p-4 -0x1.33b5dep-3",
+      "0x1.ec8b98p-4 -0x1.eff632p-3",
+      "0x1.3af77cp-4 -0x1.9a1286p-3",
+      "-0x1.ef572p-3 0x1.3e024p-4",
+      "-0x1.27a53cp-1 0x1.cf224ep-3",
+      "0x1.26ba26p-3 -0x1.2fa5f4p-2",
+      "0x1.7611dap-4 -0x1.5dba1ep-3",
+      "0x1.4997bep-6 -0x1.659f96p-3",
+      "0x1.99357ep-4 -0x1.3eb562p-3",
+      "-0x1.099bbap-1 0x1.1884f6p-2",
+      "-0x1.353552p-8 -0x1.314c8ep-3",
+      "-0x1.e8a586p-3 0x1.1093a2p-5",
+  };
+
+  ThreadRestore restore;
+  ThreadPool::SetGlobalThreads(kParallelThreads);
+  const auto graphs = BuildGraphs(SmallCorpus(), 20);
+  ASSERT_EQ(graphs.size(), 20u);
+  gnn::ItgnnModel::Config mc;
+  mc.seed = 3;
+  gnn::ItgnnModel model(mc);
+  gnn::TrainConfig tc;
+  tc.epochs = 2;
+  gnn::Trainer(tc).TrainSupervised(&model, graphs);
+
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (gnn::Parameter* p : model.Parameters()) {
+    for (const gnn::Matrix* m : {&p->value, &p->m, &p->v}) {
+      hash = HashFloatBits(hash, m->data.data(), m->data.size());
+    }
+  }
+  char hash_hex[24];
+  std::snprintf(hash_hex, sizeof hash_hex, "0x%016llx",
+                static_cast<unsigned long long>(hash));
+  EXPECT_EQ(hash, kParamHash) << "trained parameter hash is " << hash_hex;
+
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    gnn::ScopedTape tape;
+    tape->set_freeze_leaves(true);
+    const gnn::ForwardResult r = model.Forward(tape.get(), graphs[i]);
+    EXPECT_EQ(HexLogits(r.logits), kLogits[i]) << "logits of graph " << i;
   }
 }
 

@@ -87,8 +87,9 @@ GLINT_THREADS=4 ./build-tsan/tests/parallel_determinism_test \
 
 # Arena lifetime / aliasing check: the tape tests under ASan. Guards the
 # bump-pointer arena (slot reuse after Reset, offset-based pools whose
-# growth moves storage, scratch-matrix aliasing in MatMul's transposed-B
-# kernel) against use-after-free and out-of-bounds regressions.
+# growth moves storage) and MatMulRows' tail arithmetic (row tails below a
+# 4-row block, column tails below an 8-column block, gathered into a
+# per-thread buffer) against use-after-free and out-of-bounds regressions.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGLINT_ASAN=ON
 cmake --build build-asan -j"${JOBS}" --target \
   gnn_tensor_test gnn_tape_reuse_test gnn_layers_test kernel_dispatch_test \
