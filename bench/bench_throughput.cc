@@ -23,6 +23,7 @@
 #include "bench_common.h"
 #include "gnn/ggraph.h"
 #include "gnn/kernels.h"
+#include "obs/obs.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -230,6 +231,51 @@ double MeasureBatchedInfer(gnn::ItgnnModel* model,
   return sink == -1 ? 0 : gps;
 }
 
+/// Work issued per graph by one inference path, at one thread: tape nodes
+/// (one per op run) and ParallelFor calls (one per MatMul, each a potential
+/// pool fan-out). Both are exact counts, independent of host speed.
+struct DispatchCounts {
+  double nodes = 0;
+  double parallel_fors = 0;
+};
+
+uint64_t ParallelForCalls() {
+  return obs::Registry::Global()
+      .GetCounter("glint.threadpool.parallel_for_calls")
+      ->Value();
+}
+
+/// Per-graph counts over the first `batch` graphs of `cycle`: one
+/// sequential Forward each, or (`batched`) one ForwardBatched of them all.
+DispatchCounts CountDispatch(gnn::ItgnnModel* model,
+                             const std::vector<const gnn::GnnGraph*>& cycle,
+                             int batch, bool batched) {
+  std::vector<const gnn::GnnGraph*> members;
+  for (int i = 0; i < batch; ++i) {
+    members.push_back(cycle[static_cast<size_t>(i) % cycle.size()]);
+  }
+  DispatchCounts c;
+  const uint64_t calls_before = ParallelForCalls();
+  if (batched) {
+    const gnn::GnnBatch b = gnn::MakeGnnBatch(members);
+    gnn::ScopedTape tape;
+    tape->set_freeze_leaves(true);
+    model->ForwardBatched(tape.get(), b);
+    c.nodes = static_cast<double>(tape->stats().nodes);
+  } else {
+    for (const gnn::GnnGraph* g : members) {
+      gnn::ScopedTape tape;
+      tape->set_freeze_leaves(true);
+      model->Forward(tape.get(), *g);
+      c.nodes += static_cast<double>(tape->stats().nodes);
+    }
+  }
+  c.parallel_fors = static_cast<double>(ParallelForCalls() - calls_before);
+  c.nodes /= batch;
+  c.parallel_fors /= batch;
+  return c;
+}
+
 struct BackendRates {
   std::string name;
   double infer_gps = 0;
@@ -238,9 +284,11 @@ struct BackendRates {
 
 /// Sweeps every runtime-available kernel backend at one thread (pure
 /// dispatch/tape amortization, no ParallelFor effects). Returns rates in
-/// AvailableBackends() order (scalar first).
+/// AvailableBackends() order (scalar first), and the batch-64 and
+/// sequential dispatch counts in `seq` / `b64`.
 std::vector<BackendRates> MeasureBackends(
-    const std::vector<gnn::GnnGraph>& graphs, int total) {
+    const std::vector<gnn::GnnGraph>& graphs, int total, DispatchCounts* seq,
+    DispatchCounts* b64) {
   ThreadPool::SetGlobalThreads(1);
   gnn::ItgnnModel::Config mc;
   mc.seed = 7;
@@ -249,6 +297,8 @@ std::vector<BackendRates> MeasureBackends(
   for (const auto& g : graphs) {
     if (g.num_nodes > 0) cycle.push_back(&g);
   }
+  *seq = CountDispatch(&model, cycle, kBatchSizes[2], /*batched=*/false);
+  *b64 = CountDispatch(&model, cycle, kBatchSizes[2], /*batched=*/true);
 
   std::vector<BackendRates> out;
   for (gnn::kernels::Backend b : gnn::kernels::AvailableBackends()) {
@@ -381,9 +431,10 @@ int Run(bool smoke) {
   // Kernel-backend sweep: warm per-graph inference vs block-diagonal
   // batched inference on every runtime-available backend, single-threaded.
   const int batched_total = smoke ? 256 : 512;
+  DispatchCounts seq_counts, b64_counts;
   const std::vector<BackendRates> backends = MeasureBackends(
       gnn::ToGnnGraphs(BuildGraphs(pool, num_graphs, /*seed=*/77)),
-      batched_total);
+      batched_total, &seq_counts, &b64_counts);
   ThreadPool::SetGlobalThreads(initial);
   std::printf("\nkernel backends (1 thread): sequential vs batched infer g/s\n");
   std::printf("%8s %14s", "backend", "seq g/s");
@@ -394,16 +445,39 @@ int Run(bool smoke) {
     for (double g : r.batched_infer_gps) std::printf(" %14.1f", g);
     std::printf("\n");
   }
-  // Dispatch-amortization gate: on the scalar backend (first entry — the
-  // floor every host has), batching at >= 64 graphs must beat sequential
-  // per-graph dispatch. A regression here means the batched path stopped
-  // amortizing tape/dispatch overhead.
+  // Dispatch-amortization gate, on counts: a batch of 64 graphs must issue
+  // at most a quarter of the tape ops and ParallelFor calls per graph that
+  // 64 sequential forwards do (ForwardBatched runs each op once per batch,
+  // so the ratio sits near 1/64 plus the per-segment ops). A regression
+  // here means the batched path stopped amortizing tape/dispatch overhead.
+  // The wall-time ratio is printed but not gated: with no per-forward
+  // parameter copy left to amortize, batching no longer beats sequential
+  // scalar inference by a margin a noisy host resolves. ParallelFor calls
+  // are read from telemetry, so under GLINT_OBS=off only the tape-op count
+  // is gated.
+  const double node_ratio = b64_counts.nodes / seq_counts.nodes;
+  const bool calls_counted = obs::Enabled();
+  const double call_ratio =
+      calls_counted ? b64_counts.parallel_fors / seq_counts.parallel_fors : 0;
+  constexpr double kMaxDispatchRatio = 0.25;
+  const bool amortization_ok =
+      node_ratio <= kMaxDispatchRatio && call_ratio <= kMaxDispatchRatio;
+  std::printf(
+      "per graph, sequential vs batch=64: %.1f vs %.1f tape ops (%.3fx), ",
+      seq_counts.nodes, b64_counts.nodes, node_ratio);
+  if (calls_counted) {
+    std::printf("%.1f vs %.1f ParallelFor calls (%.3fx)",
+                seq_counts.parallel_fors, b64_counts.parallel_fors,
+                call_ratio);
+  } else {
+    std::printf("ParallelFor calls not counted (GLINT_OBS=off)");
+  }
+  std::printf(" (%s, gate <= %.2fx)\n", amortization_ok ? "ok" : "REGRESSION",
+              kMaxDispatchRatio);
   const BackendRates& scalar = backends.front();
   const double scalar_b64 = scalar.batched_infer_gps[2];  // kBatchSizes[2]
-  const bool amortization_ok = scalar_b64 > scalar.infer_gps;
-  std::printf("scalar batch=64 speedup over sequential: %.2fx (%s)\n",
-              scalar_b64 / scalar.infer_gps,
-              amortization_ok ? "ok" : "REGRESSION");
+  std::printf("scalar batch=64 speedup over sequential: %.2fx (not gated)\n",
+              scalar_b64 / scalar.infer_gps);
   std::printf(
       "steady state: %.2f mallocs/train-step, %.2f mallocs/warm-infer, "
       "%zu tape nodes/step, %zu arena bytes retained\n",
@@ -481,6 +555,10 @@ int Run(bool smoke) {
     }
   }
   json.Num("batched_speedup_scalar_b64", scalar_b64 / scalar.infer_gps, 2);
+  json.Num("seq_tape_ops_per_graph", seq_counts.nodes, 1);
+  json.Num("b64_tape_ops_per_graph", b64_counts.nodes, 2);
+  json.Num("seq_parallel_fors_per_graph", seq_counts.parallel_fors, 1);
+  json.Num("b64_parallel_fors_per_graph", b64_counts.parallel_fors, 2);
   json.Bool("batched_amortization_ok", amortization_ok);
   std::printf("BENCH_JSON %s\n", json.Render().c_str());
   return amortization_ok ? 0 : 1;

@@ -1,6 +1,8 @@
 #include "gnn/kernels.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -156,6 +158,27 @@ void ScalarDivDouble(double* x, double denom, int n) {
   for (int i = 0; i < n; ++i) x[i] /= denom;
 }
 
+void ScalarAdamStep(const AdamHyper& h, float* value, float* grad, float* m,
+                    float* v, bool frozen, float* const* slots, int num_slots,
+                    size_t lo, size_t hi) {
+  for (int s = 0; s < num_slots; ++s) {
+    float* slot = slots[s];
+    if (slot == nullptr) continue;
+    for (size_t i = lo; i < hi; ++i) grad[i] += slot[i];
+    std::fill(slot + lo, slot + hi, 0.f);
+  }
+  if (!frozen) {
+    for (size_t i = lo; i < hi; ++i) {
+      const double g = grad[i] + h.weight_decay * value[i];
+      m[i] = static_cast<float>(h.beta1 * m[i] + (1 - h.beta1) * g);
+      v[i] = static_cast<float>(h.beta2 * v[i] + (1 - h.beta2) * g * g);
+      value[i] -= static_cast<float>(h.lr * (m[i] / h.bc1) /
+                                     (std::sqrt(v[i] / h.bc2) + h.eps));
+    }
+  }
+  std::fill(grad + lo, grad + hi, 0.f);
+}
+
 }  // namespace
 
 const KernelBackend kScalarBackend = {
@@ -171,6 +194,7 @@ const KernelBackend kScalarBackend = {
     ScalarReluInto,
     ScalarSumDouble,
     ScalarDivDouble,
+    ScalarAdamStep,
 };
 
 void detail::MatMulColumnTail(float (*dot)(const float*, const float*, int),

@@ -1,17 +1,24 @@
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace glint::gnn::kernels {
 
+/// Adam hyper-parameters for one step, bias corrections included.
+struct AdamHyper {
+  double lr, beta1, beta2, eps, weight_decay;
+  double bc1, bc2;  ///< 1 - beta1^t and 1 - beta2^t for this step
+};
+
 /// Runtime-dispatched dense kernel backend.
 ///
 /// These are the hot primitives behind the tape ops (the kMatMul forward
-/// product and backward row dots, kSpMM row accumulation, leaf-gradient
+/// product and backward row dots, kSpMM row accumulation, parameter-gradient
 /// accumulation, the elementwise forwards, and the kSoftmaxRow
-/// normalization). One backend is selected once at
+/// normalization) and behind the Adam step. One backend is selected once at
 /// startup — AVX2 when the CPU advertises it, portable scalar otherwise —
 /// overridable with GLINT_KERNEL=scalar|avx2.
 ///
@@ -63,6 +70,15 @@ struct KernelBackend {
   double (*SumDouble)(const double* x, int n);
   /// x[i] /= denom
   void (*DivDouble)(double* x, double denom, int n);
+  /// One Adam step over elements [lo, hi) of a parameter (see Adam::Step in
+  /// tensor.h). Per element: add slots[0..num_slots) into grad in slot
+  /// order (a null slot is skipped) and zero them; unless `frozen`, apply
+  /// the double-precision Adam update to value, m and v; zero grad. The
+  /// update is elementwise, so a vector backend keeps the scalar loop's
+  /// order of mul, add, div and sqrt per lane and matches it bit for bit.
+  void (*AdamStep)(const AdamHyper& h, float* value, float* grad, float* m,
+                   float* v, bool frozen, float* const* slots, int num_slots,
+                   size_t lo, size_t hi);
 };
 
 /// Rows per MatMulRows register block in every backend. A caller that

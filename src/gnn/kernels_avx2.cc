@@ -11,6 +11,8 @@
 //   - tails run the scalar code into the striped lanes, never a
 //     zero-padded vector step (padding would turn `x + (-0.f * 0.f)`-style
 //     tails into signed-zero hazards);
+//   - the Adam step's double lanes keep the scalar loop's operation order
+//     and float rounding points per element (see Avx2AdamStep);
 //   - loads are unaligned-tolerant (loadu): Matrix base storage is 64-byte
 //     aligned, but row offsets within a matrix are not padded. On every
 //     AVX2-era core loadu on an aligned address costs the same as an
@@ -211,6 +213,65 @@ void Avx2DivDouble(double* x, double denom, int n) {
   for (int i = n4; i < n; ++i) x[i] /= denom;
 }
 
+/// Four elements per step in double lanes. Each lane runs the scalar
+/// expression tree in its order: g = grad + wd * value; m and v rounded to
+/// float before the update reads them back; lr * (m / bc1) divided by
+/// (sqrt(v / bc2) + eps), rounded to float and subtracted in float. The
+/// conversions round like static_cast (MXCSR round-to-nearest), and
+/// vsqrtpd / vdivpd are correctly rounded like sqrtsd / divsd. The scalar
+/// twin runs the last elements and the frozen case, and zeroes grad.
+void Avx2AdamStep(const AdamHyper& h, float* value, float* grad, float* m,
+                  float* v, bool frozen, float* const* slots, int num_slots,
+                  size_t lo, size_t hi) {
+  for (int s = 0; s < num_slots; ++s) {
+    float* slot = slots[s];
+    if (slot == nullptr) continue;
+    size_t i = lo;
+    for (; i + 8 <= hi; i += 8) {
+      _mm256_storeu_ps(grad + i, _mm256_add_ps(_mm256_loadu_ps(grad + i),
+                                               _mm256_loadu_ps(slot + i)));
+      _mm256_storeu_ps(slot + i, _mm256_setzero_ps());
+    }
+    for (; i < hi; ++i) {
+      grad[i] += slot[i];
+      slot[i] = 0.f;
+    }
+  }
+  size_t i = lo;
+  if (!frozen) {
+    const __m256d wd = _mm256_set1_pd(h.weight_decay);
+    const __m256d b1 = _mm256_set1_pd(h.beta1);
+    const __m256d c1 = _mm256_set1_pd(1 - h.beta1);
+    const __m256d b2 = _mm256_set1_pd(h.beta2);
+    const __m256d c2 = _mm256_set1_pd(1 - h.beta2);
+    const __m256d lr = _mm256_set1_pd(h.lr);
+    const __m256d bc1 = _mm256_set1_pd(h.bc1);
+    const __m256d bc2 = _mm256_set1_pd(h.bc2);
+    const __m256d eps = _mm256_set1_pd(h.eps);
+    for (; i + 4 <= hi; i += 4) {
+      const __m128 value4 = _mm_loadu_ps(value + i);
+      const __m256d g =
+          _mm256_add_pd(_mm256_cvtps_pd(_mm_loadu_ps(grad + i)),
+                        _mm256_mul_pd(wd, _mm256_cvtps_pd(value4)));
+      const __m128 m4 = _mm256_cvtpd_ps(
+          _mm256_add_pd(_mm256_mul_pd(b1, _mm256_cvtps_pd(_mm_loadu_ps(m + i))),
+                        _mm256_mul_pd(c1, g)));
+      const __m128 v4 = _mm256_cvtpd_ps(
+          _mm256_add_pd(_mm256_mul_pd(b2, _mm256_cvtps_pd(_mm_loadu_ps(v + i))),
+                        _mm256_mul_pd(_mm256_mul_pd(c2, g), g)));
+      _mm_storeu_ps(m + i, m4);
+      _mm_storeu_ps(v + i, v4);
+      const __m256d step = _mm256_div_pd(
+          _mm256_mul_pd(lr, _mm256_div_pd(_mm256_cvtps_pd(m4), bc1)),
+          _mm256_add_pd(
+              _mm256_sqrt_pd(_mm256_div_pd(_mm256_cvtps_pd(v4), bc2)), eps));
+      _mm_storeu_ps(value + i, _mm_sub_ps(value4, _mm256_cvtpd_ps(step)));
+      _mm_storeu_ps(grad + i, _mm_setzero_ps());
+    }
+  }
+  kScalarBackend.AdamStep(h, value, grad, m, v, frozen, nullptr, 0, i, hi);
+}
+
 }  // namespace
 
 const KernelBackend kAvx2Backend = {
@@ -226,6 +287,7 @@ const KernelBackend kAvx2Backend = {
     Avx2ReluInto,
     Avx2SumDouble,
     Avx2DivDouble,
+    Avx2AdamStep,
 };
 
 }  // namespace glint::gnn::kernels

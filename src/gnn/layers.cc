@@ -14,7 +14,7 @@ Tensor* SemanticAttention::Forward(Tape* t,
   Tensor* scores = nullptr;  // 1 x P
   for (Tensor* p : paths) {
     Tensor* s = MeanRows(t, Sigmoid(t, summar_.Forward(t, p)));
-    Tensor* score = MatMul(t, s, t->Leaf(&q_));  // 1 x 1
+    Tensor* score = MatMul(t, s, &q_);  // 1 x 1
     scores = scores == nullptr ? score : ConcatCols(t, scores, score);
   }
   Tensor* beta = SoftmaxRowOp(t, scores);  // 1 x P
@@ -40,7 +40,7 @@ Tensor* SemanticAttention::ForwardBatched(Tape* t,
   for (Tensor* p : paths) {
     Tensor* s =
         SegmentMeanRows(t, Sigmoid(t, summar_.Forward(t, p)), offsets);
-    Tensor* score = MatMul(t, s, t->Leaf(&q_));  // B x 1
+    Tensor* score = MatMul(t, s, &q_);  // B x 1
     scores = scores == nullptr ? score : ConcatCols(t, scores, score);
   }
   Tensor* beta = SoftmaxRows(t, scores);  // B x P

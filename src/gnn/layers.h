@@ -16,7 +16,7 @@ class Linear {
       : w_(Matrix::HeInit(in, out, rng)), b_(Matrix(1, out)) {}
 
   Tensor* Forward(Tape* t, Tensor* x) {
-    return Add(t, MatMul(t, x, t->Leaf(&w_)), t->Leaf(&b_));
+    return Add(t, MatMul(t, x, &w_), &b_);
   }
 
   std::vector<Parameter*> Parameters() { return {&w_, &b_}; }

@@ -144,7 +144,7 @@ Tensor* InfoGraphModel::AuxLoss(Tape* t, const GnnGraph& g,
 
   // Bilinear discriminator: D(z, h) = z W h^T — BCE with positives 1,
   // corrupted 0. Averaged over nodes.
-  Tensor* zw = MatMul(t, r.embedding, t->Leaf(&disc_w_));  // 1 x hidden
+  Tensor* zw = MatMul(t, r.embedding, &disc_w_);  // 1 x hidden
   Tensor* loss = nullptr;
   const float inv = 1.0f / static_cast<float>(std::max(1, g.num_nodes));
   for (int split = 0; split < 2; ++split) {
@@ -384,7 +384,7 @@ ForwardResult HgslModel::Forward(Tape* t, const GnnGraph& g) {
   // Structure learning: S = sigmoid(H W H^T); mix with the observed
   // adjacency (densified once per graph), then two graph convolutions over
   // the mixture.
-  Tensor* hw = MatMul(t, h, t->Leaf(&sim_w_));  // n x d
+  Tensor* hw = MatMul(t, h, &sim_w_);  // n x d
   Tensor* ht = Transpose(t, h);
   Tensor* sim = Sigmoid(t, MatMul(t, hw, ht));  // n x n
 

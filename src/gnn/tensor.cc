@@ -157,29 +157,6 @@ Tensor* Tape::Constant(const Matrix& value) {
   return t;
 }
 
-Tensor* Tape::Leaf(Parameter* param) {
-  Tensor* t = arena_.NewTensor();
-  arena_.Shape(&t->value, param->value.rows, param->value.cols,
-               /*zero=*/false);
-  std::copy(param->value.data.begin(), param->value.data.end(),
-            t->value.data.begin());
-  if (freeze_leaves_) {
-    // Inference mode: the parameter enters as a plain constant — no grad
-    // buffer, no accumulation record, and ops downstream only track if
-    // some other input (e.g. a tracked constant) does.
-    t->requires_grad = false;
-    return t;
-  }
-  arena_.Shape(&t->grad, param->value.rows, param->value.cols, /*zero=*/true);
-  t->requires_grad = true;
-  OpRecord r{};
-  r.kind = OpKind::kLeaf;
-  r.out = t;
-  r.param = param;
-  Record(r);
-  return t;
-}
-
 Tensor* Tape::New(int rows, int cols, bool requires_grad) {
   Tensor* t = arena_.NewTensor();
   arena_.Shape(&t->value, rows, cols, /*zero=*/true);
@@ -200,6 +177,30 @@ void Tape::RetainCsr(std::shared_ptr<const SparseMatrix::Csr> csr) {
   csr_refs_.push_back(std::move(csr));
   arena_.CountGrowth(old_cap * sizeof(csr_refs_[0]),
                      csr_refs_.capacity() * sizeof(csr_refs_[0]));
+}
+
+void Tape::ReserveParamScratch(size_t n) {
+  Matrix::Storage& data = param_scratch_.data;
+  if (n <= data.capacity()) return;
+  const size_t old_cap = data.capacity();
+  data.reserve(n);
+  arena_.CountGrowth(old_cap * sizeof(float), data.capacity() * sizeof(float));
+}
+
+Matrix* Tape::ParamGradTarget(Parameter* p, Matrix** merge_into) {
+  *merge_into = &p->grad;
+  if (grad_sink_ != nullptr) {
+    GradSlot& slot =
+        grad_sink_->try_emplace(p, p->value.rows, p->value.cols).first->second;
+    if (slot.zero) {
+      slot.zero = false;
+      *merge_into = nullptr;
+      return &slot.grad;
+    }
+    *merge_into = &slot.grad;
+  }
+  arena_.Shape(&param_scratch_, p->value.rows, p->value.cols, /*zero=*/true);
+  return &param_scratch_;
 }
 
 void Tape::Backward(Tensor* loss) {
@@ -305,6 +306,111 @@ int64_t MatMulRowGrain(int64_t per_row_flops) {
   return (RowGrain(per_row_flops) + kBlock - 1) / kBlock * kBlock;
 }
 
+// The worker lambdas below capture a single context reference so the
+// std::function built at the ParallelFor call site fits its inline buffer —
+// no heap allocation per op.
+
+/// out = A * B for A (n x k) and the k x m matrix B as stored.
+void MatMulForward(Tensor* out, const Tensor* a, const Matrix& b) {
+  const int n = a->rows(), k = a->cols(), m = b.cols;
+  // The kernel reads B row-major. Each output element is produced by
+  // exactly one thread with a fixed l-order, so the result is bit-identical
+  // for any thread count and row split.
+  GLINT_KERNEL_ASSERT_ALIGNED(a->value.data.data());
+  GLINT_KERNEL_ASSERT_ALIGNED(b.data.data());
+  GLINT_KERNEL_ASSERT_ALIGNED(out->value.data.data());
+  struct Ctx {
+    const float* av;
+    const float* bv;
+    float* cv;
+    const kernels::KernelBackend* kb;
+    int k, m;
+  } c{a->value.data.data(), b.data.data(), out->value.data.data(),
+      &kernels::Kernels(), k, m};
+  ParallelFor(0, n, MatMulRowGrain(static_cast<int64_t>(k) * m),
+              [&c](int64_t lo, int64_t hi) {
+                c.kb->MatMulRows(c.cv + static_cast<size_t>(lo) * c.m,
+                                 c.av + static_cast<size_t>(lo) * c.k, c.bv,
+                                 static_cast<int>(hi - lo), c.k, c.m);
+              });
+}
+
+/// dA += dC * B^T, row-parallel over i (B rows are contiguous).
+void MatMulGradA(const kernels::KernelBackend& kb, float* ga, const float* gc,
+                 const float* bv, int n, int k, int m) {
+  struct Ctx {
+    float* ga;
+    const float* gc;
+    const float* bv;
+    const kernels::KernelBackend* kb;
+    int k, m;
+  } c{ga, gc, bv, &kb, k, m};
+  ParallelFor(0, n, RowGrain(static_cast<int64_t>(k) * m),
+              [&c](int64_t lo, int64_t hi) {
+                for (int64_t i = lo; i < hi; ++i) {
+                  float* garow = c.ga + static_cast<size_t>(i) * c.k;
+                  const float* gcrow = c.gc + static_cast<size_t>(i) * c.m;
+                  for (int l = 0; l < c.k; ++l) {
+                    const float* brow = c.bv + static_cast<size_t>(l) * c.m;
+                    garow[l] += c.kb->Dot(gcrow, brow, c.m);
+                  }
+                }
+              });
+}
+
+/// dB += A^T * dC, parallel over B rows: each dB row is owned by one thread
+/// and accumulated in ascending-i order (the serial order).
+void MatMulGradB(const kernels::KernelBackend& kb, float* gb, const float* av,
+                 const float* gc, int n, int k, int m) {
+  struct Ctx {
+    float* gb;
+    const float* av;
+    const float* gc;
+    const kernels::KernelBackend* kb;
+    int n, k, m;
+  } c{gb, av, gc, &kb, n, k, m};
+  ParallelFor(0, k, RowGrain(static_cast<int64_t>(n) * m),
+              [&c](int64_t lo, int64_t hi) {
+                for (int64_t l = lo; l < hi; ++l) {
+                  float* gbrow = c.gb + static_cast<size_t>(l) * c.m;
+                  for (int i = 0; i < c.n; ++i) {
+                    const float av = c.av[static_cast<size_t>(i) * c.k +
+                                          static_cast<size_t>(l)];
+                    if (av == 0.f) continue;
+                    const float* gcrow = c.gc + static_cast<size_t>(i) * c.m;
+                    c.kb->Axpy(gbrow, av, gcrow, c.m);
+                  }
+                }
+              });
+}
+
+/// out = A + B, B row-broadcast when `broadcast`.
+void AddForward(Tensor* out, const Tensor* a, const Matrix& b,
+                bool broadcast) {
+  const int cols = a->cols();
+  for (int i = 0; i < a->rows(); ++i) {
+    for (int j = 0; j < cols; ++j) {
+      out->value.At(i, j) =
+          a->value.At(i, j) + (broadcast ? b.At(0, j) : b.At(i, j));
+    }
+  }
+}
+
+/// dB += dC for C = A + B (summed over rows when B was broadcast).
+void AddGradB(const kernels::KernelBackend& kb, Matrix* gb, const Tensor* out,
+              bool broadcast) {
+  if (broadcast) {
+    const int cols = out->cols();
+    for (int i = 0; i < out->rows(); ++i) {
+      kb.AddInto(gb->data.data(),
+                 out->grad.data.data() + static_cast<size_t>(i) * cols, cols);
+    }
+  } else {
+    kb.AddInto(gb->data.data(), out->grad.data.data(),
+               static_cast<int>(gb->data.size()));
+  }
+}
+
 }  // namespace
 
 void Tape::RunBackward(const OpRecord& r) {
@@ -313,92 +419,64 @@ void Tape::RunBackward(const OpRecord& r) {
   Tensor* b = r.b;
   const kernels::KernelBackend& kb = kernels::Kernels();
   switch (r.kind) {
-    case OpKind::kLeaf: {
-      Matrix* dst = &r.param->grad;
-      if (grad_sink_ != nullptr) {
-        dst = &grad_sink_
-                   ->try_emplace(r.param, r.param->value.rows,
-                                 r.param->value.cols)
-                   .first->second;
-      }
-      kb.AddInto(dst->data.data(), out->grad.data.data(),
-                 static_cast<int>(out->grad.data.size()));
-      break;
-    }
     case OpKind::kMatMul: {
       const int n = a->rows(), k = a->cols(), m = b->cols();
-      // The worker lambdas capture a single context reference so the
-      // std::function built at the ParallelFor call site fits its inline
-      // buffer — no heap allocation per backward op.
       if (a->requires_grad) {
-        // dA = dC * B^T, row-parallel over i (B rows are contiguous).
-        struct Ctx {
-          float* ga;
-          const float* gc;
-          const float* bv;
-          const kernels::KernelBackend* kb;
-          int k, m;
-        } c{a->grad.data.data(), out->grad.data.data(), b->value.data.data(),
-            &kb, k, m};
-        ParallelFor(0, n, RowGrain(static_cast<int64_t>(k) * m),
-                    [&c](int64_t lo, int64_t hi) {
-                      for (int64_t i = lo; i < hi; ++i) {
-                        float* garow = c.ga + static_cast<size_t>(i) * c.k;
-                        const float* gcrow =
-                            c.gc + static_cast<size_t>(i) * c.m;
-                        for (int l = 0; l < c.k; ++l) {
-                          const float* brow =
-                              c.bv + static_cast<size_t>(l) * c.m;
-                          garow[l] += c.kb->Dot(gcrow, brow, c.m);
-                        }
-                      }
-                    });
+        MatMulGradA(kb, a->grad.data.data(), out->grad.data.data(),
+                    b->value.data.data(), n, k, m);
       }
       if (b->requires_grad) {
-        // dB = A^T * dC, parallel over B rows: each dB row is owned by one
-        // thread and accumulated in ascending-i order (the serial order).
-        struct Ctx {
-          float* gb;
-          const float* av;
-          const float* gc;
-          const kernels::KernelBackend* kb;
-          int n, k, m;
-        } c{b->grad.data.data(), a->value.data.data(), out->grad.data.data(),
-            &kb, n, k, m};
-        ParallelFor(0, k, RowGrain(static_cast<int64_t>(n) * m),
-                    [&c](int64_t lo, int64_t hi) {
-                      for (int64_t l = lo; l < hi; ++l) {
-                        float* gbrow = c.gb + static_cast<size_t>(l) * c.m;
-                        for (int i = 0; i < c.n; ++i) {
-                          const float av = c.av[static_cast<size_t>(i) * c.k +
-                                                static_cast<size_t>(l)];
-                          if (av == 0.f) continue;
-                          const float* gcrow =
-                              c.gc + static_cast<size_t>(i) * c.m;
-                          c.kb->Axpy(gbrow, av, gcrow, c.m);
-                        }
-                      }
-                    });
+        MatMulGradB(kb, b->grad.data.data(), a->value.data.data(),
+                    out->grad.data.data(), n, k, m);
+      }
+      break;
+    }
+    case OpKind::kMatMulParam: {
+      const Matrix& w = r.param->value;
+      const int n = a->rows(), k = a->cols(), m = w.cols;
+      if (a->requires_grad) {
+        MatMulGradA(kb, a->grad.data.data(), out->grad.data.data(),
+                    w.data.data(), n, k, m);
+      }
+      if (r.i0 != 0) {
+        // dW goes straight into the sink slot when it is known zero. That
+        // differs from accumulating in scratch and then adding it in only
+        // where dW is -0: the add stores +0 + -0 = +0. Adam::Step adds each
+        // slot onto Parameter::grad, which starts at +0 and never becomes
+        // -0 (a sum is -0 only when both terms are), so the merge's first
+        // add erases the sign and the merged gradient has the same bits.
+        Matrix* merge_into = nullptr;
+        Matrix* dw = ParamGradTarget(r.param, &merge_into);
+        MatMulGradB(kb, dw->data.data(), a->value.data.data(),
+                    out->grad.data.data(), n, k, m);
+        if (merge_into != nullptr) {
+          kb.AddInto(merge_into->data.data(), dw->data.data(),
+                     static_cast<int>(dw->data.size()));
+        }
       }
       break;
     }
     case OpKind::kAdd: {
-      const bool broadcast = r.i0 != 0;
-      const int cols = a->cols();
       if (a->requires_grad) {
         kb.AddInto(a->grad.data.data(), out->grad.data.data(),
                    static_cast<int>(a->grad.data.size()));
       }
-      if (b->requires_grad) {
-        if (broadcast) {
-          for (int i = 0; i < out->rows(); ++i) {
-            kb.AddInto(b->grad.data.data(),
-                       out->grad.data.data() + static_cast<size_t>(i) * cols,
-                       cols);
-          }
-        } else {
-          kb.AddInto(b->grad.data.data(), out->grad.data.data(),
-                     static_cast<int>(b->grad.data.size()));
+      if (b->requires_grad) AddGradB(kb, &b->grad, out, r.i0 != 0);
+      break;
+    }
+    case OpKind::kAddParam: {
+      if (a->requires_grad) {
+        kb.AddInto(a->grad.data.data(), out->grad.data.data(),
+                   static_cast<int>(a->grad.data.size()));
+      }
+      if (r.i1 != 0) {
+        // Same sink rule (and -0 note) as kMatMulParam.
+        Matrix* merge_into = nullptr;
+        Matrix* db = ParamGradTarget(r.param, &merge_into);
+        AddGradB(kb, db, out, r.i0 != 0);
+        if (merge_into != nullptr) {
+          kb.AddInto(merge_into->data.data(), db->data.data(),
+                     static_cast<int>(db->data.size()));
         }
       }
       break;
@@ -666,29 +744,7 @@ void Tape::RunBackward(const OpRecord& r) {
 Tensor* MatMul(Tape* tape, Tensor* a, Tensor* b) {
   GLINT_CHECK(a->cols() == b->rows());
   Tensor* out = tape->New(a->rows(), b->cols(), Track({a, b}));
-  const int n = a->rows(), k = a->cols(), m = b->cols();
-  // B is the weight matrix as stored; the kernel reads it row-major. Each
-  // output element is produced by exactly one thread with a fixed l-order,
-  // so the result is bit-identical for any thread count and row split.
-  // Single-context capture keeps the ParallelFor std::function inside its
-  // inline buffer — once warm, the forward performs no heap allocation.
-  GLINT_KERNEL_ASSERT_ALIGNED(a->value.data.data());
-  GLINT_KERNEL_ASSERT_ALIGNED(b->value.data.data());
-  GLINT_KERNEL_ASSERT_ALIGNED(out->value.data.data());
-  struct Ctx {
-    const float* av;
-    const float* bv;
-    float* cv;
-    const kernels::KernelBackend* kb;
-    int k, m;
-  } c{a->value.data.data(), b->value.data.data(), out->value.data.data(),
-      &kernels::Kernels(), k, m};
-  ParallelFor(0, n, MatMulRowGrain(static_cast<int64_t>(k) * m),
-              [&c](int64_t lo, int64_t hi) {
-                c.kb->MatMulRows(c.cv + static_cast<size_t>(lo) * c.m,
-                                 c.av + static_cast<size_t>(lo) * c.k, c.bv,
-                                 static_cast<int>(hi - lo), c.k, c.m);
-              });
+  MatMulForward(out, a, b->value);
   if (out->requires_grad) {
     OpRecord r{};
     r.kind = OpKind::kMatMul;
@@ -700,18 +756,31 @@ Tensor* MatMul(Tape* tape, Tensor* a, Tensor* b) {
   return out;
 }
 
+Tensor* MatMul(Tape* tape, Tensor* a, Parameter* w) {
+  GLINT_CHECK(a->cols() == w->value.rows);
+  const bool track_w = !tape->freeze_leaves();
+  Tensor* out =
+      tape->New(a->rows(), w->value.cols, a->requires_grad || track_w);
+  MatMulForward(out, a, w->value);
+  if (out->requires_grad) {
+    OpRecord r{};
+    r.kind = OpKind::kMatMulParam;
+    r.out = out;
+    r.a = a;
+    r.param = w;
+    r.i0 = track_w ? 1 : 0;
+    tape->Record(r);
+    if (track_w) tape->ReserveParamScratch(w->value.size());
+  }
+  return out;
+}
+
 Tensor* Add(Tape* tape, Tensor* a, Tensor* b) {
   const bool broadcast = (b->rows() == 1 && a->rows() != 1);
   GLINT_CHECK(a->cols() == b->cols());
   GLINT_CHECK(broadcast || a->rows() == b->rows());
   Tensor* out = tape->New(a->rows(), a->cols(), Track({a, b}));
-  const int cols = a->cols();
-  for (int i = 0; i < a->rows(); ++i) {
-    for (int j = 0; j < cols; ++j) {
-      out->value.At(i, j) = a->value.At(i, j) +
-                            (broadcast ? b->value.At(0, j) : b->value.At(i, j));
-    }
-  }
+  AddForward(out, a, b->value, broadcast);
   if (out->requires_grad) {
     OpRecord r{};
     r.kind = OpKind::kAdd;
@@ -720,6 +789,28 @@ Tensor* Add(Tape* tape, Tensor* a, Tensor* b) {
     r.b = b;
     r.i0 = broadcast ? 1 : 0;
     tape->Record(r);
+  }
+  return out;
+}
+
+Tensor* Add(Tape* tape, Tensor* a, Parameter* b) {
+  const Matrix& bv = b->value;
+  const bool broadcast = (bv.rows == 1 && a->rows() != 1);
+  GLINT_CHECK(a->cols() == bv.cols);
+  GLINT_CHECK(broadcast || a->rows() == bv.rows);
+  const bool track_b = !tape->freeze_leaves();
+  Tensor* out = tape->New(a->rows(), a->cols(), a->requires_grad || track_b);
+  AddForward(out, a, bv, broadcast);
+  if (out->requires_grad) {
+    OpRecord r{};
+    r.kind = OpKind::kAddParam;
+    r.out = out;
+    r.a = a;
+    r.param = b;
+    r.i0 = broadcast ? 1 : 0;
+    r.i1 = track_b ? 1 : 0;
+    tape->Record(r);
+    if (track_b) tape->ReserveParamScratch(bv.size());
   }
   return out;
 }
@@ -1345,19 +1436,27 @@ void Adam::Step(const std::vector<Parameter*>& parameters,
   GLINT_CHECK(active == 0 || (sinks != nullptr && active <= sinks->size()));
   if (parameters != planned_) Plan(parameters);
   t_ += 1;
-  bc1_ = 1.0 - std::pow(params_.beta1, static_cast<double>(t_));
-  bc2_ = 1.0 - std::pow(params_.beta2, static_cast<double>(t_));
+  hyper_ = {params_.lr,
+            params_.beta1,
+            params_.beta2,
+            params_.eps,
+            params_.weight_decay,
+            1.0 - std::pow(params_.beta1, static_cast<double>(t_)),
+            1.0 - std::pow(params_.beta2, static_cast<double>(t_))};
 
   // Resolve every active sink's Parameter* -> slot once per step, so the
-  // tiles index a flat table instead of searching the maps.
+  // tiles index a flat table instead of searching the maps. The tiles zero
+  // every resolved slot, so each is marked known-zero here.
   const size_t np = planned_.size();
   active_ = active;
-  slots_.assign(active * np, nullptr);
+  slots_.assign(np * active, nullptr);
   for (size_t s = 0; s < active; ++s) {
     Tape::GradSink& sink = (*sinks)[s];
     for (size_t p = 0; p < np; ++p) {
       auto it = sink.find(planned_[p]);
-      if (it != sink.end()) slots_[s * np + p] = it->second.data.data();
+      if (it == sink.end()) continue;
+      slots_[p * active + s] = it->second.grad.data.data();
+      it->second.zero = true;
     }
   }
 
@@ -1373,28 +1472,10 @@ void Adam::Step(const std::vector<Parameter*>& parameters,
 
 void Adam::StepTile(const Tile& tile) const {
   Parameter* p = planned_[tile.param];
-  float* grad = p->grad.data.data();
-  const size_t np = planned_.size();
-  for (size_t s = 0; s < active_; ++s) {
-    float* slot = slots_[s * np + tile.param];
-    if (slot == nullptr) continue;
-    for (size_t i = tile.lo; i < tile.hi; ++i) grad[i] += slot[i];
-    std::fill(slot + tile.lo, slot + tile.hi, 0.f);
-  }
-  if (!p->frozen) {
-    float* value = p->value.data.data();
-    float* m = p->m.data.data();
-    float* v = p->v.data.data();
-    for (size_t i = tile.lo; i < tile.hi; ++i) {
-      const double g = grad[i] + params_.weight_decay * value[i];
-      m[i] = static_cast<float>(params_.beta1 * m[i] + (1 - params_.beta1) * g);
-      v[i] = static_cast<float>(params_.beta2 * v[i] +
-                                (1 - params_.beta2) * g * g);
-      value[i] -= static_cast<float>(params_.lr * (m[i] / bc1_) /
-                                     (std::sqrt(v[i] / bc2_) + params_.eps));
-    }
-  }
-  std::fill(grad + tile.lo, grad + tile.hi, 0.f);
+  kernels::Kernels().AdamStep(
+      hyper_, p->value.data.data(), p->grad.data.data(), p->m.data.data(),
+      p->v.data.data(), p->frozen, slots_.data() + tile.param * active_,
+      static_cast<int>(active_), tile.lo, tile.hi);
 }
 
 }  // namespace glint::gnn

@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "gnn/kernels.h"
 #include "util/aligned.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -149,8 +150,9 @@ struct Tensor {
 };
 
 /// A trainable parameter: persistent value + accumulated gradient + Adam
-/// moments. Parameters live in layers; each forward pass leases them into
-/// the tape via Tape::Leaf.
+/// moments. Parameters live in layers and never enter the tape as tensors:
+/// the parameter overloads of MatMul and Add read `value` in place, and
+/// their backward sends dW to the tape's gradient sink (or to `grad`).
 struct Parameter {
   Matrix value;
   Matrix grad;
@@ -168,9 +170,10 @@ struct Parameter {
 
 /// Op tag for the closure-free backward dispatch (internal to the tape).
 enum class OpKind : uint8_t {
-  kLeaf,
   kMatMul,
+  kMatMulParam,
   kAdd,
+  kAddParam,
   kMul,
   kScale,
   kRelu,
@@ -204,7 +207,7 @@ struct OpRecord {
   Tensor* out = nullptr;
   Tensor* a = nullptr;
   Tensor* b = nullptr;
-  Parameter* param = nullptr;   ///< kLeaf
+  Parameter* param = nullptr;   ///< kMatMulParam / kAddParam operand
   const void* aux = nullptr;    ///< kSpMM: borrowed SparseMatrix::Csr*
   float f0 = 0.f;               ///< scale factor / sample weight
   double d0 = 0.0, d1 = 0.0;    ///< kContrastiveMargin: norm, margin
@@ -275,8 +278,19 @@ class TapeArena {
 /// subsequent identical passes allocate nothing.
 class Tape {
  public:
+  /// One parameter's gradient in a GradSink.
+  struct GradSlot {
+    GradSlot(int rows, int cols) : grad(rows, cols) {}
+    Matrix grad;
+    /// True while every element of `grad` is known to be +0: set when the
+    /// slot is inserted and when Adam::Step zeroes it, cleared by the first
+    /// backward that writes it. Only then may a parameter op's backward
+    /// accumulate into the slot directly; code that fills a slot by other
+    /// means must clear it.
+    bool zero = true;
+  };
   /// Per-tape gradient buffer keyed by parameter (see set_grad_sink).
-  using GradSink = std::unordered_map<Parameter*, Matrix>;
+  using GradSink = std::unordered_map<Parameter*, GradSlot>;
 
   Tape() = default;
   Tape(const Tape&) = delete;
@@ -297,16 +311,13 @@ class Tape {
     return tracked_constants_;
   }
 
-  /// When enabled, Leaf() tensors are untracked: no gradient buffers are
-  /// allocated for parameters and no parameter gradients are computed on
-  /// Backward(). Inference-only forwards set this to skip all gradient
+  /// When enabled, parameters enter ops untracked: the parameter overloads
+  /// of MatMul and Add record no parameter gradient, so Backward() computes
+  /// none. Inference-only forwards set this to skip all gradient
   /// bookkeeping; combined with set_track_constants(true), Backward()
   /// computes input gradients only (the saliency screen's fast path).
   void set_freeze_leaves(bool on) { freeze_leaves_ = on; }
-
-  /// Creates a gradient-tracked leaf bound to a parameter: the forward pass
-  /// reads param->value, the backward pass accumulates into param->grad.
-  Tensor* Leaf(Parameter* param);
+  bool freeze_leaves() const { return freeze_leaves_; }
 
   /// Allocates an intermediate tensor (value zero-filled; grad zero-filled
   /// when requires_grad).
@@ -315,12 +326,17 @@ class Tape {
   /// Runs backward from `loss` (must be 1x1).
   void Backward(Tensor* loss);
 
-  /// Redirects Leaf gradient accumulation from Parameter::grad into
+  /// Redirects parameter-gradient accumulation from Parameter::grad into
   /// `sink[param]` (zero-initialized on first touch). The parallel trainer
   /// gives each per-graph tape a private sink and Adam::Step merges the
   /// sinks into the parameters per element, in sample order, so gradients
-  /// are bit-identical for any thread count. Set before the first
-  /// Leaf-touching Backward().
+  /// are bit-identical for any thread count. Set before Backward().
+  ///
+  /// A parameter op's backward accumulates dW straight into a slot that is
+  /// known to be zero (GradSlot::zero). Any other destination (a slot
+  /// already written this pass or since the last Adam step, or
+  /// Parameter::grad when there is no sink) receives dW through a zeroed
+  /// scratch buffer and one AddInto.
   void set_grad_sink(GradSink* sink) { grad_sink_ = sink; }
 
   size_t size() const { return arena_.nodes(); }
@@ -344,9 +360,17 @@ class Tape {
   /// Keeps a CSR view alive for the lifetime of the pass (kSpMM borrows a
   /// raw pointer in its record).
   void RetainCsr(std::shared_ptr<const SparseMatrix::Csr> csr);
+  /// Grows the parameter-gradient scratch to at least `n` floats at record
+  /// time, so Backward() never allocates it.
+  void ReserveParamScratch(size_t n);
 
  private:
   void RunBackward(const OpRecord& r);
+  /// Returns the buffer a parameter op's backward accumulates dW into:
+  /// the sink slot itself when it is known zero (`*merge_into` = nullptr),
+  /// else the zeroed scratch, whose contents the caller then adds into
+  /// `*merge_into`.
+  Matrix* ParamGradTarget(Parameter* p, Matrix** merge_into);
 
   TapeArena arena_;
   std::vector<OpRecord> records_;
@@ -355,6 +379,7 @@ class Tape {
   bool track_constants_ = false;
   bool freeze_leaves_ = false;
   std::vector<Tensor*> tracked_constants_;
+  Matrix param_scratch_;  ///< see ParamGradTarget; capacity kept on Reset
   size_t growth_published_ = 0;  ///< growth_allocs already sent to obs
 };
 
@@ -385,6 +410,17 @@ class ScopedTape {
 Tensor* MatMul(Tape* t, Tensor* a, Tensor* b);
 /// C = A + B (same shape), or row-broadcast when B is 1 x cols.
 Tensor* Add(Tape* t, Tensor* a, Tensor* b);
+/// C = A * W for a parameter W, read in place (no copy onto the tape).
+/// Backward accumulates dW into the tape's sink (see set_grad_sink), or
+/// into W->grad without one; under set_freeze_leaves(true) it computes no
+/// dW. C, dA and dW have the tensor overload's bits, except that dW
+/// written straight into a known-zero sink slot may hold -0 where the
+/// overload's would be +0 (erased by the Adam merge; see kMatMulParam).
+Tensor* MatMul(Tape* t, Tensor* a, Parameter* w);
+/// C = A + B for a parameter B (same shape, or row-broadcast when B is
+/// 1 x cols), read in place; gradients as for MatMul(Tape*, Tensor*,
+/// Parameter*).
+Tensor* Add(Tape* t, Tensor* a, Parameter* b);
 /// C = A - B (same shape).
 Tensor* Sub(Tape* t, Tensor* a, Tensor* b);
 /// Elementwise product (same shape).
@@ -469,15 +505,16 @@ void SoftmaxRowInto(const float* logits, int k, double* p);
 
 /// Adam optimizer fused with the per-sample gradient reduction. One Step()
 /// is a single pass over element tiles of the parameters, fanned out on the
-/// global pool; for each element it
+/// global pool; each tile is one call of the kernel backend's AdamStep
+/// (gnn/kernels.h), which for each element
 ///   1. adds the first `active` gradient sinks into grad, in sample order
 ///      (a sink holding no entry for the parameter is skipped),
 ///   2. applies the Adam update (frozen parameters keep their value),
 ///   3. zeroes the grad slot and the sinks' slots.
 /// Each element's float operations run in that fixed order on one thread,
-/// so the result is bit-identical for any thread count. The tile plan is
-/// built on the first step over a parameter list and reused, so a steady
-/// step allocates nothing.
+/// and every backend keeps that order, so the result is bit-identical for
+/// any thread count and backend. The tile plan is built on the first step
+/// over a parameter list and reused, so a steady step allocates nothing.
 class Adam {
  public:
   struct Params {
@@ -493,7 +530,8 @@ class Adam {
 
   /// One optimizer step. Without sinks the update reads Parameter::grad
   /// alone; with them, sinks [0, active) are merged in first. Sink map
-  /// nodes are zeroed, never erased, so they survive to the next step.
+  /// nodes are zeroed, never erased, so they survive to the next step, and
+  /// they are marked known-zero (GradSlot::zero) for the next backward.
   void Step(const std::vector<Parameter*>& parameters,
             std::vector<Tape::GradSink>* sinks = nullptr, size_t active = 0);
 
@@ -511,11 +549,11 @@ class Adam {
   long t_ = 0;
   std::vector<Parameter*> planned_;  ///< the list tiles_ was built for
   std::vector<Tile> tiles_;
-  /// This step's sink data per (sample, parameter):
-  /// slots_[sample * planned_.size() + param], nullptr when absent.
+  /// This step's sink data per (parameter, sample):
+  /// slots_[param * active_ + sample], nullptr when absent.
   std::vector<float*> slots_;
   size_t active_ = 0;
-  double bc1_ = 0, bc2_ = 0;  ///< this step's bias corrections
+  kernels::AdamHyper hyper_{};  ///< this step's hyper-parameters
 };
 
 }  // namespace glint::gnn

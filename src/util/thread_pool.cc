@@ -117,6 +117,7 @@ void ThreadPool::Enqueue(std::function<void()> task) {
 void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
                              const std::function<void(int64_t, int64_t)>& fn) {
   if (begin >= end) return;
+  GLINT_OBS_COUNT("glint.threadpool.parallel_for_calls", 1);
   grain = std::max<int64_t>(1, grain);
   const int64_t num_chunks = (end - begin + grain - 1) / grain;
   if (threads_ == 1 || num_chunks == 1 || in_pool_worker) {

@@ -127,7 +127,7 @@ class TapeReuseTest : public ::testing::Test {
     for (Parameter* p : params) {
       auto it = sink.find(p);
       out.push_back(it == sink.end() ? Matrix::Storage{}
-                                     : it->second.data);
+                                     : it->second.grad.data);
     }
     return out;
   }

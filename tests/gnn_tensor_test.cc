@@ -18,41 +18,81 @@ Matrix RandMatrix(int r, int c, uint64_t seed) {
   return m;
 }
 
-// Numerical gradient check: `forward` maps parameter values to a scalar
-// loss built on a fresh tape. We compare the autograd gradient against
-// central finite differences for every parameter entry.
+// Compares `analytic[k]` against central finite differences of `loss_at()`
+// in every entry of `values[k]`.
+void CompareWithFiniteDifferences(const std::vector<Matrix*>& values,
+                                  const std::vector<Matrix>& analytic,
+                                  const std::function<double()>& loss_at,
+                                  double tol) {
+  const double eps = 1e-3;
+  for (size_t k = 0; k < values.size(); ++k) {
+    Matrix* v = values[k];
+    for (size_t i = 0; i < v->data.size(); ++i) {
+      const float orig = v->data[i];
+      v->data[i] = orig + static_cast<float>(eps);
+      const double up = loss_at();
+      v->data[i] = orig - static_cast<float>(eps);
+      const double down = loss_at();
+      v->data[i] = orig;
+      const double numeric = (up - down) / (2 * eps);
+      const double grad = analytic[k].data[i];
+      EXPECT_NEAR(grad, numeric, tol + 0.05 * std::fabs(numeric))
+          << "operand " << k << " entry " << i;
+    }
+  }
+}
+
+// Numerical gradient check of parameter gradients: `forward` maps parameter
+// values to a scalar loss built on a fresh tape (parameters enter through
+// the MatMul / Add parameter overloads). The autograd gradient, accumulated
+// into Parameter::grad, is compared against central finite differences for
+// every parameter entry.
 void CheckGradients(
     std::vector<Parameter*> params,
     const std::function<Tensor*(Tape*)>& forward, double tol = 2e-2) {
-  // Analytic gradients.
   for (auto* p : params) p->ZeroGrad();
   {
     Tape tape;
     Tensor* loss = forward(&tape);
     tape.Backward(loss);
   }
-  const double eps = 1e-3;
+  std::vector<Matrix*> values;
+  std::vector<Matrix> analytic;
   for (auto* p : params) {
-    for (size_t i = 0; i < p->value.data.size(); ++i) {
-      const float orig = p->value.data[i];
-      p->value.data[i] = orig + static_cast<float>(eps);
-      double up, down;
-      {
-        Tape tape;
-        up = forward(&tape)->value.data[0];
-      }
-      p->value.data[i] = orig - static_cast<float>(eps);
-      {
-        Tape tape;
-        down = forward(&tape)->value.data[0];
-      }
-      p->value.data[i] = orig;
-      const double numeric = (up - down) / (2 * eps);
-      const double analytic = p->grad.data[i];
-      EXPECT_NEAR(analytic, numeric, tol + 0.05 * std::fabs(numeric))
-          << "entry " << i;
-    }
+    values.push_back(&p->value);
+    analytic.push_back(p->grad);
   }
+  CompareWithFiniteDifferences(values, analytic, [&]() {
+    Tape tape;
+    return static_cast<double>(forward(&tape)->value.data[0]);
+  }, tol);
+}
+
+// The same check for a generic op's input gradients: `forward` builds the
+// loss from `inputs` entered as tracked constants (given in order), and the
+// autograd gradient is read off those tensors.
+void CheckInputGradients(
+    std::vector<Matrix*> inputs,
+    const std::function<Tensor*(Tape*, const std::vector<Tensor*>&)>& forward,
+    double tol = 2e-2) {
+  auto loss_on = [&](Tape* tape) {
+    tape->set_track_constants(true);
+    std::vector<Tensor*> xs;
+    for (Matrix* m : inputs) xs.push_back(tape->Constant(*m));
+    tape->set_track_constants(false);
+    return forward(tape, xs);
+  };
+  std::vector<Matrix> analytic;
+  {
+    Tape tape;
+    tape.Backward(loss_on(&tape));
+    for (Tensor* x : tape.tracked_constants()) analytic.push_back(x->grad);
+  }
+  ASSERT_EQ(analytic.size(), inputs.size());
+  CompareWithFiniteDifferences(inputs, analytic, [&]() {
+    Tape tape;
+    return static_cast<double>(loss_on(&tape)->value.data[0]);
+  }, tol);
 }
 
 // ---------------------------------------------------------------------------
@@ -211,7 +251,7 @@ TEST(GradCheck, MatMulChain) {
   Parameter w(RandMatrix(3, 2, 1));
   Matrix x = RandMatrix(2, 3, 2);
   CheckGradients({&w}, [&](Tape* t) {
-    return SumAll(t, MatMul(t, t->Constant(x), t->Leaf(&w)));
+    return SumAll(t, MatMul(t, t->Constant(x), &w));
   });
 }
 
@@ -219,7 +259,7 @@ TEST(GradCheck, AddBroadcastBias) {
   Parameter b(RandMatrix(1, 3, 3));
   Matrix x = RandMatrix(4, 3, 4);
   CheckGradients({&b}, [&](Tape* t) {
-    return SumAll(t, Add(t, t->Constant(x), t->Leaf(&b)));
+    return SumAll(t, Add(t, t->Constant(x), &b));
   });
 }
 
@@ -227,16 +267,16 @@ TEST(GradCheck, ReluSigmoidTanhChain) {
   Parameter w(RandMatrix(3, 3, 5));
   Matrix x = RandMatrix(2, 3, 6);
   CheckGradients({&w}, [&](Tape* t) {
-    Tensor* h = MatMul(t, t->Constant(x), t->Leaf(&w));
+    Tensor* h = MatMul(t, t->Constant(x), &w);
     return SumAll(t, Tanh(t, Sigmoid(t, Relu(t, h))));
   });
 }
 
 TEST(GradCheck, MulAndScale) {
-  Parameter a(RandMatrix(2, 2, 7));
-  Parameter b(RandMatrix(2, 2, 8));
-  CheckGradients({&a, &b}, [&](Tape* t) {
-    return SumAll(t, Scale(t, Mul(t, t->Leaf(&a), t->Leaf(&b)), 0.5f));
+  Matrix a = RandMatrix(2, 2, 7);
+  Matrix b = RandMatrix(2, 2, 8);
+  CheckInputGradients({&a, &b}, [&](Tape* t, const std::vector<Tensor*>& x) {
+    return SumAll(t, Scale(t, Mul(t, x[0], x[1]), 0.5f));
   });
 }
 
@@ -244,19 +284,20 @@ TEST(GradCheck, ConcatAndReadouts) {
   Parameter w(RandMatrix(3, 4, 9));
   Matrix x = RandMatrix(3, 3, 10);
   CheckGradients({&w}, [&](Tape* t) {
-    Tensor* h = MatMul(t, t->Constant(x), t->Leaf(&w));
+    Tensor* h = MatMul(t, t->Constant(x), &w);
     Tensor* ro = ConcatCols(t, MeanRows(t, h), MaxRows(t, h));
     return SumAll(t, ro);
   });
 }
 
 TEST(GradCheck, GatherAndRowScale) {
-  Parameter w(RandMatrix(2, 3, 11));
-  Parameter gate(RandMatrix(2, 1, 12));
-  CheckGradients({&w, &gate}, [&](Tape* t) {
-    Tensor* scaled = RowScale(t, t->Leaf(&w), Sigmoid(t, t->Leaf(&gate)));
-    return SumAll(t, GatherRows(t, scaled, {1, 0, 1}));
-  });
+  Matrix w = RandMatrix(2, 3, 11);
+  Matrix gate = RandMatrix(2, 1, 12);
+  CheckInputGradients({&w, &gate},
+                      [&](Tape* t, const std::vector<Tensor*>& x) {
+                        Tensor* scaled = RowScale(t, x[0], Sigmoid(t, x[1]));
+                        return SumAll(t, GatherRows(t, scaled, {1, 0, 1}));
+                      });
 }
 
 TEST(GradCheck, SpMMGraphConv) {
@@ -268,7 +309,7 @@ TEST(GradCheck, SpMMGraphConv) {
   Parameter w(RandMatrix(2, 2, 13));
   Matrix x = RandMatrix(3, 2, 14);
   CheckGradients({&w}, [&](Tape* t) {
-    Tensor* h = MatMul(t, t->Constant(x), t->Leaf(&w));
+    Tensor* h = MatMul(t, t->Constant(x), &w);
     return SumAll(t, Relu(t, SpMM(t, adj, h)));
   });
 }
@@ -277,7 +318,7 @@ TEST(GradCheck, SoftmaxCrossEntropy) {
   Parameter w(RandMatrix(4, 2, 15));
   Matrix x = RandMatrix(1, 4, 16);
   CheckGradients({&w}, [&](Tape* t) {
-    Tensor* logits = MatMul(t, t->Constant(x), t->Leaf(&w));
+    Tensor* logits = MatMul(t, t->Constant(x), &w);
     return SoftmaxCrossEntropy(t, logits, 1, 1.3f);
   });
 }
@@ -286,29 +327,29 @@ TEST(GradCheck, BceWithLogit) {
   Parameter w(RandMatrix(3, 1, 17));
   Matrix x = RandMatrix(1, 3, 18);
   CheckGradients({&w}, [&](Tape* t) {
-    Tensor* z = MatMul(t, t->Constant(x), t->Leaf(&w));
+    Tensor* z = MatMul(t, t->Constant(x), &w);
     return BceWithLogit(t, z, 0, 0.7f);
   });
 }
 
 TEST(GradCheck, ContrastiveBothBranches) {
-  Parameter wa(RandMatrix(1, 4, 19));
-  Parameter wb(RandMatrix(1, 4, 20));
-  CheckGradients({&wa, &wb}, [&](Tape* t) {
-    return ContrastiveLoss(t, t->Leaf(&wa), t->Leaf(&wb), true, 2.f);
+  Matrix wa = RandMatrix(1, 4, 19);
+  Matrix wb = RandMatrix(1, 4, 20);
+  CheckInputGradients({&wa, &wb}, [&](Tape* t, const std::vector<Tensor*>& x) {
+    return ContrastiveLoss(t, x[0], x[1], true, 2.f);
   });
-  CheckGradients({&wa, &wb}, [&](Tape* t) {
-    return ContrastiveLoss(t, t->Leaf(&wa), t->Leaf(&wb), false, 5.f);
+  CheckInputGradients({&wa, &wb}, [&](Tape* t, const std::vector<Tensor*>& x) {
+    return ContrastiveLoss(t, x[0], x[1], false, 5.f);
   });
 }
 
 TEST(GradCheck, SoftmaxRowOpAttention) {
-  Parameter scores(RandMatrix(1, 3, 21));
+  Matrix scores = RandMatrix(1, 3, 21);
   Matrix h0 = RandMatrix(2, 2, 22);
   Matrix h1 = RandMatrix(2, 2, 23);
   Matrix h2 = RandMatrix(2, 2, 24);
-  CheckGradients({&scores}, [&](Tape* t) {
-    Tensor* beta = SoftmaxRowOp(t, t->Leaf(&scores));
+  CheckInputGradients({&scores}, [&](Tape* t, const std::vector<Tensor*>& x) {
+    Tensor* beta = SoftmaxRowOp(t, x[0]);
     Tensor* out = ScaleByEntry(t, t->Constant(h0), beta, 0);
     out = Add(t, out, ScaleByEntry(t, t->Constant(h1), beta, 1));
     out = Add(t, out, ScaleByEntry(t, t->Constant(h2), beta, 2));
@@ -317,10 +358,10 @@ TEST(GradCheck, SoftmaxRowOpAttention) {
 }
 
 TEST(GradCheck, ConcatRowsPath) {
-  Parameter a(RandMatrix(2, 3, 25));
-  Parameter b(RandMatrix(1, 3, 26));
-  CheckGradients({&a, &b}, [&](Tape* t) {
-    return SumAll(t, ConcatRows(t, t->Leaf(&a), t->Leaf(&b)));
+  Matrix a = RandMatrix(2, 3, 25);
+  Matrix b = RandMatrix(1, 3, 26);
+  CheckInputGradients({&a, &b}, [&](Tape* t, const std::vector<Tensor*>& x) {
+    return SumAll(t, ConcatRows(t, x[0], x[1]));
   });
 }
 
@@ -385,10 +426,13 @@ void FillGradients(StepState* st, uint64_t seed) {
     for (size_t k = 0; k < st->params.size(); ++k) {
       if (s % 2 == 1 && k == s % st->params.size()) continue;
       Parameter* p = st->params[k];
-      Matrix& m = st->sinks[s]
-                      .try_emplace(p, p->value.rows, p->value.cols)
-                      .first->second;
-      for (auto& x : m.data) x = static_cast<float>(rng.Gaussian(0, 1));
+      Tape::GradSlot& slot = st->sinks[s]
+                                 .try_emplace(p, p->value.rows, p->value.cols)
+                                 .first->second;
+      for (auto& x : slot.grad.data) {
+        x = static_cast<float>(rng.Gaussian(0, 1));
+      }
+      slot.zero = false;
     }
   }
 }
@@ -401,10 +445,13 @@ void ReferenceStep(const Adam::Params& hp, long t, const StepState& st,
       auto it = sink.find(p);
       if (it == sink.end()) continue;
       for (size_t i = 0; i < p->grad.data.size(); ++i) {
-        p->grad.data[i] += it->second.data[i];
+        p->grad.data[i] += it->second.grad.data[i];
       }
     }
-    for (auto& [p, m] : sink) std::fill(m.data.begin(), m.data.end(), 0.f);
+    for (auto& [p, slot] : sink) {
+      std::fill(slot.grad.data.begin(), slot.grad.data.end(), 0.f);
+      slot.zero = true;
+    }
   }
   const double bc1 = 1.0 - std::pow(hp.beta1, static_cast<double>(t));
   const double bc2 = 1.0 - std::pow(hp.beta2, static_cast<double>(t));
@@ -458,7 +505,9 @@ TEST(AdamTest, FusedStepMatchesSerialMergeThenAdam) {
           auto fit = fused.sinks[s].find(fused.params[k]);
           ASSERT_EQ(rit == ref.sinks[s].end(), fit == fused.sinks[s].end());
           if (rit == ref.sinks[s].end()) continue;
-          EXPECT_TRUE(SameBits(rit->second, fit->second))
+          EXPECT_TRUE(SameBits(rit->second.grad, fit->second.grad))
+              << "sink " << s << " param " << k;
+          EXPECT_EQ(rit->second.zero, fit->second.zero)
               << "sink " << s << " param " << k;
         }
       }
@@ -472,14 +521,83 @@ TEST(AdamTest, FusedStepMatchesSerialMergeThenAdam) {
   ThreadPool::SetGlobalThreads(ThreadPool::ConfiguredThreads());
 }
 
-TEST(TapeTest, LeafAccumulatesIntoParameter) {
+TEST(TapeTest, ParameterOpsAccumulateIntoParameter) {
   Parameter w(Matrix(1, 2, 1.f));
-  w.ZeroGrad();
+  w.grad.data = {0.5f, -2.f};  // accumulated onto, not overwritten
   Tape tape;
-  Tensor* loss = SumAll(&tape, tape.Leaf(&w));
+  Matrix ones(1, 1, 1.f);
+  Tensor* loss = SumAll(&tape, Add(&tape, tape.Constant(Matrix(1, 2)), &w));
+  loss = AddLoss(&tape, loss, SumAll(&tape, MatMul(&tape, tape.Constant(ones),
+                                                   &w)));
   tape.Backward(loss);
-  EXPECT_FLOAT_EQ(w.grad.data[0], 1.f);
-  EXPECT_FLOAT_EQ(w.grad.data[1], 1.f);
+  EXPECT_FLOAT_EQ(w.grad.data[0], 2.5f);
+  EXPECT_FLOAT_EQ(w.grad.data[1], 0.f);
+}
+
+// The sink rule of the parameter overloads: the first write of a known-zero
+// slot goes straight in, every later one (a second use in the same pass, a
+// second pass without an Adam step) is added through scratch, and
+// Adam::Step hands the slot back zeroed and known-zero.
+TEST(TapeTest, GradSinkTakesRepeatedUsesAndReuse) {
+  Parameter w(RandMatrix(3, 4, 30));
+  const Matrix x1 = RandMatrix(2, 3, 31);
+  const Matrix x2 = RandMatrix(5, 3, 32);
+  auto pass = [&](Tape* t, bool use1, bool use2) {
+    Tensor* loss = nullptr;
+    if (use1) {
+      loss = SumAll(t, Tanh(t, MatMul(t, t->Constant(x1), &w)));
+    }
+    if (use2) {
+      loss = AddLoss(t, loss,
+                     SumAll(t, Sigmoid(t, MatMul(t, t->Constant(x2), &w))));
+    }
+    t->Backward(loss);
+  };
+  // Without a sink every use lands in Parameter::grad.
+  auto grad_of = [&](bool use1, bool use2) {
+    w.ZeroGrad();
+    Tape tape;
+    pass(&tape, use1, use2);
+    Matrix g = w.grad;
+    w.ZeroGrad();
+    return g;
+  };
+  const Matrix want = grad_of(true, true);
+  const Matrix g1 = grad_of(true, false);
+  const Matrix g2 = grad_of(false, true);
+
+  Tape::GradSink sink;
+  {
+    Tape tape;
+    tape.set_grad_sink(&sink);
+    pass(&tape, true, true);
+  }
+  ASSERT_EQ(sink.size(), 1u);
+  Tape::GradSlot& slot = sink.begin()->second;
+  EXPECT_FALSE(slot.zero);
+  EXPECT_TRUE(SameBits(slot.grad, want));
+  for (float g : w.grad.data) EXPECT_EQ(g, 0.f);
+
+  {
+    Tape tape;  // reused sink, no optimizer step in between
+    tape.set_grad_sink(&sink);
+    pass(&tape, true, true);
+  }
+  // Backward runs the later use first: each use's dW is added on in turn.
+  Matrix twice = want;
+  for (size_t i = 0; i < twice.data.size(); ++i) {
+    twice.data[i] += g2.data[i];
+    twice.data[i] += g1.data[i];
+  }
+  EXPECT_TRUE(SameBits(slot.grad, twice));
+
+  std::vector<Tape::GradSink> sinks;
+  sinks.push_back(std::move(sink));
+  Adam adam;
+  adam.Step({&w}, &sinks, 1);
+  const Tape::GradSlot& stepped = sinks[0].begin()->second;
+  EXPECT_TRUE(stepped.zero);
+  for (float g : stepped.grad.data) EXPECT_EQ(g, 0.f);
 }
 
 TEST(TapeTest, ConstantsHaveNoGradient) {

@@ -7,12 +7,15 @@
 // of a row and a gathered column. Also covers the dispatch surface
 // (GLINT_KERNEL is decided at first use; SetBackend is the test hook) and
 // op-level identity through MatMul / softmax, plus the batched segment ops
-// against their sequential twins.
+// against their sequential twins, and the fused Adam step element by
+// element against the scalar twin.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -300,6 +303,122 @@ TEST_F(KernelDispatchTest, SegmentOpsMatchSequentialTwins) {
         ASSERT_EQ(HexFloat(bsm->value.At(0, j)),
                   HexFloat(sm->value.At(static_cast<int>(s), j)))
             << "SoftmaxRows seg=" << s << " col=" << j;
+      }
+    }
+  }
+}
+
+/// Adam kernel operands: Gaussian values with +0, -0 and subnormals mixed
+/// in; `moment` keeps them non-negative (a second moment), -0 included.
+std::vector<float> AdamOperand(size_t n, uint64_t seed, bool moment) {
+  Rng rng(seed);
+  std::vector<float> out(n);
+  for (auto& x : out) {
+    const double u = rng.Uniform();
+    if (u < 0.05) {
+      x = 0.f;
+    } else if (u < 0.10) {
+      x = -0.f;
+    } else if (u < 0.20) {
+      x = std::numeric_limits<float>::denorm_min() *
+          static_cast<float>(1 + rng.Below(1u << 20));
+      if (rng.Chance(0.5)) x = -x;
+    } else {
+      x = static_cast<float>(rng.Gaussian(0, 1));
+    }
+    if (moment && x < 0.f) x = -x;
+  }
+  return out;
+}
+
+TEST_F(KernelDispatchTest, AdamStepBitIdentity) {
+  // Tile lengths hit every 4-double and 8-float tail and a full 2048-float
+  // tile; the tile starts 3 floats into its buffers, and the floats around
+  // it must stay untouched.
+  const size_t kLengths[] = {1, 3, 4, 5, 7, 9, 2047, 2048};
+  const int kActive[] = {0, 1, 3, 8};
+  constexpr size_t kLo = 3, kPad = 2;
+  kernels::AdamHyper h{2e-3, 0.9, 0.999, 1e-8, 1e-5, 0, 0};
+  h.bc1 = 1.0 - std::pow(h.beta1, 3.0);
+  h.bc2 = 1.0 - std::pow(h.beta2, 3.0);
+
+  struct Buffers {
+    std::vector<float> value, grad, m, v;
+    std::vector<std::vector<float>> sinks;
+    std::vector<float*> slots;
+  };
+  for (Backend backend : AvailableBackends()) {
+    const KernelBackend& kb = Table(backend);
+    for (size_t len : kLengths) {
+      for (int active : kActive) {
+        for (bool frozen : {false, true}) {
+          const size_t size = kLo + len + kPad;
+          const uint64_t seed = len * 64 + static_cast<uint64_t>(active) * 2 +
+                                (frozen ? 1 : 0);
+          Buffers init;
+          init.value = AdamOperand(size, seed, false);
+          init.grad = AdamOperand(size, seed + 1, false);
+          init.m = AdamOperand(size, seed + 2, false);
+          init.v = AdamOperand(size, seed + 3, true);
+          for (int s = 0; s < active; ++s) {
+            init.sinks.push_back(
+                AdamOperand(size, seed + 4 + static_cast<uint64_t>(s), false));
+          }
+          auto run = [&](const KernelBackend& table) {
+            Buffers b = init;
+            for (int s = 0; s < active; ++s) {
+              // Every third sink holds no entry for this parameter.
+              b.slots.push_back(s % 3 == 1 ? nullptr
+                                           : b.sinks[static_cast<size_t>(s)]
+                                                 .data());
+            }
+            table.AdamStep(h, b.value.data(), b.grad.data(), b.m.data(),
+                           b.v.data(), frozen, b.slots.data(), active, kLo,
+                           kLo + len);
+            return b;
+          };
+          const Buffers want = run(kScalarBackend);
+          const Buffers got = run(kb);
+
+          auto same = [&](const char* what, const std::vector<float>& w,
+                          const std::vector<float>& g,
+                          const std::vector<float>& before) {
+            for (size_t i = 0; i < size; ++i) {
+              ASSERT_EQ(HexFloat(w[i]), HexFloat(g[i]))
+                  << what << " backend=" << kb.name << " len=" << len
+                  << " active=" << active << " frozen=" << frozen
+                  << " i=" << i;
+              if (i < kLo || i >= kLo + len) {
+                ASSERT_EQ(HexFloat(before[i]), HexFloat(g[i]))
+                    << what << " outside the tile, i=" << i;
+              }
+            }
+          };
+          same("value", want.value, got.value, init.value);
+          same("m", want.m, got.m, init.m);
+          same("v", want.v, got.v, init.v);
+          same("grad", want.grad, got.grad, init.grad);
+          for (int s = 0; s < active; ++s) {
+            const size_t k = static_cast<size_t>(s);
+            same("sink", want.sinks[k], got.sinks[k], init.sinks[k]);
+          }
+          if (frozen) {
+            same("frozen value", init.value, got.value, init.value);
+            same("frozen m", init.m, got.m, init.m);
+            same("frozen v", init.v, got.v, init.v);
+          }
+          // The merged sinks and grad read all zero afterwards; a null slot's
+          // sink is not this parameter's and keeps its data.
+          for (size_t i = kLo; i < kLo + len; ++i) {
+            ASSERT_EQ(HexFloat(got.grad[i]), HexFloat(0.f)) << "grad i=" << i;
+            for (int s = 0; s < active; ++s) {
+              if (s % 3 == 1) continue;
+              ASSERT_EQ(HexFloat(got.sinks[static_cast<size_t>(s)][i]),
+                        HexFloat(0.f))
+                  << "sink " << s << " i=" << i;
+            }
+          }
+        }
       }
     }
   }

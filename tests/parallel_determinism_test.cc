@@ -216,9 +216,12 @@ TEST(ParallelDeterminismTest, TrainedNumericsMatchRecordedGolden) {
   // the trained arithmetic itself: the parameters (values and Adam moments)
   // of a small ITGNN-S trained on the shared fixture, and its logits on the
   // 20 fixture graphs, against values recorded before the dense kernels
-  // last changed. A mismatch means the Table 5 / Fig. 8 numerics moved.
-  // Never re-record these to make a kernel change pass.
+  // last changed. A short ITGNN-C contrastive run pins the path where one
+  // tape uses every parameter twice (two forwards per pair). A mismatch
+  // means the Table 5 / Fig. 8 numerics moved. Never re-record these to
+  // make a kernel change pass.
   constexpr uint64_t kParamHash = 0xd3f2751787bddcaaull;
+  constexpr uint64_t kContrastiveParamHash = 0x452c584efac37637ull;
   const char* const kLogits[20] = {
       "0x1.5e5e4ep-8 -0x1.78031ep-3",
       "0x1.7cce78p-7 -0x1.30b482p-3",
@@ -253,16 +256,23 @@ TEST(ParallelDeterminismTest, TrainedNumericsMatchRecordedGolden) {
   tc.epochs = 2;
   gnn::Trainer(tc).TrainSupervised(&model, graphs);
 
-  uint64_t hash = 0xcbf29ce484222325ull;
-  for (gnn::Parameter* p : model.Parameters()) {
-    for (const gnn::Matrix* m : {&p->value, &p->m, &p->v}) {
-      hash = HashFloatBits(hash, m->data.data(), m->data.size());
+  const auto param_hash = [](gnn::ItgnnModel* m) {
+    uint64_t hash = 0xcbf29ce484222325ull;
+    for (gnn::Parameter* p : m->Parameters()) {
+      for (const gnn::Matrix* x : {&p->value, &p->m, &p->v}) {
+        hash = HashFloatBits(hash, x->data.data(), x->data.size());
+      }
     }
-  }
-  char hash_hex[24];
-  std::snprintf(hash_hex, sizeof hash_hex, "0x%016llx",
-                static_cast<unsigned long long>(hash));
-  EXPECT_EQ(hash, kParamHash) << "trained parameter hash is " << hash_hex;
+    return hash;
+  };
+  const auto hex = [](uint64_t hash) {
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "0x%016llx",
+                  static_cast<unsigned long long>(hash));
+    return std::string(buf);
+  };
+  const uint64_t hash = param_hash(&model);
+  EXPECT_EQ(hash, kParamHash) << "trained parameter hash is " << hex(hash);
 
   for (size_t i = 0; i < graphs.size(); ++i) {
     gnn::ScopedTape tape;
@@ -270,6 +280,19 @@ TEST(ParallelDeterminismTest, TrainedNumericsMatchRecordedGolden) {
     const gnn::ForwardResult r = model.Forward(tape.get(), graphs[i]);
     EXPECT_EQ(HexLogits(r.logits), kLogits[i]) << "logits of graph " << i;
   }
+
+  // Contrastive pairs need both classes in the fixture.
+  int positives = 0;
+  for (const auto& g : graphs) positives += g.label;
+  ASSERT_GT(positives, 0);
+  ASSERT_LT(positives, static_cast<int>(graphs.size()));
+  gnn::ItgnnModel::Config cc;
+  cc.seed = 4;
+  gnn::ItgnnModel contrastive(cc);
+  gnn::Trainer(tc).TrainContrastive(&contrastive, graphs);
+  const uint64_t chash = param_hash(&contrastive);
+  EXPECT_EQ(chash, kContrastiveParamHash)
+      << "contrastive parameter hash is " << hex(chash);
 }
 
 /// Everything TrainOffline fits, as raw bits: both ITGNN models' values and

@@ -122,6 +122,31 @@ GLINT_THREADS=1 ./build-asan/tests/recovery_test
 # durable).
 FAULT_SMOKE_DIR="$(mktemp -d /tmp/glint_check_fault_XXXXXX)"
 trap 'rm -rf "${FAULT_SMOKE_DIR}"' EXIT
+
+# Full-size bit-identity through the CLI: the default-size offline training
+# natively at 4 threads and on the scalar kernels at 1 thread must save
+# byte-identical models, and those must match sha256 digests recorded
+# before parameters were read in place and Adam became a kernel (DESIGN.md
+# §10, §12). A change that moves any trained bit fails here; never
+# re-record the digests to make a speed change pass.
+GLINT_THREADS=4 ./build/tools/glint train \
+  --model-dir "${FAULT_SMOKE_DIR}/identity-native" >/dev/null
+GLINT_KERNEL=scalar GLINT_THREADS=1 ./build/tools/glint train \
+  --model-dir "${FAULT_SMOKE_DIR}/identity-scalar" >/dev/null
+for model in itgnn_s.bin itgnn_c.bin drift.bin; do
+  cmp "${FAULT_SMOKE_DIR}/identity-native/${model}" \
+    "${FAULT_SMOKE_DIR}/identity-scalar/${model}"
+done
+if ! (cd "${FAULT_SMOKE_DIR}/identity-native" && sha256sum --check --quiet \
+    <<'DIGESTS'
+1b9d5666641a13d7f69f370f3f8b03d068c572329350eae392a3daf2f5073ed4  itgnn_s.bin
+5c275b3c5afd3a9da3e6e26fc89d3f4d8496d10dd8e37d054da1aa2b43600ff4  itgnn_c.bin
+cecd323cbe0bb3880a6b31088552b3ba4c31dcda24ddc77a8951bc20bcdc174e  drift.bin
+DIGESTS
+); then
+  echo "check.sh: trained models differ from the recorded digests" >&2
+  exit 1
+fi
 GLINT_THREADS=2 ./build/tools/glint train \
   --model-dir "${FAULT_SMOKE_DIR}/models" --graphs 40 --epochs 2
 GLINT_FAULTS='wal.append.write=delay:1' GLINT_THREADS=2 ./build/tools/glint \

@@ -1102,7 +1102,8 @@ int CmdStats() {
       "  glint.recovery.*    snapshots loaded, records replayed, torn tails\n"
       "                      truncated + bytes dropped (glint\n"
       "                      fleet-serve --state-dir DIR)\n"
-      "  glint.threadpool.*  queue depth, task wait/run latency\n"
+      "  glint.threadpool.*  ParallelFor calls, queue depth, task wait/run "
+      "latency\n"
       "  glint.fleet.*       sharded fleet: shard/home gauges, per-server\n"
       "                      connection + request counters, bus queue\n"
       "                      high-water / rejected / apply_errors, sampled\n"
