@@ -1,7 +1,8 @@
 // Throughput bench for the parallel compute layer: graphs/sec for dataset
 // build, ITGNN train-epoch, and inference at 1, 2, and hardware-concurrency
-// threads, plus a per-backend table of the dense MatMulRows kernel on the
-// ITGNN layer shapes. Emits one machine-readable JSON line (prefix
+// threads, plus per-backend tables of the dense MatMulRows kernel and its
+// two gradient kernels (MatMulGradA, MatMulGradB) on the ITGNN layer
+// shapes. Emits one machine-readable JSON line (prefix
 // BENCH_JSON) with the per-thread-count rates, speedups and kernel timings
 // so the numbers can be tracked across commits.
 //
@@ -335,36 +336,57 @@ const MatMulShape kMatMulShapes[] = {
 /// A serve-sized graph, and a batch-64 block-diagonal product.
 const int kMatMulRows[] = {4, 384};
 
-/// Microseconds per MatMulRows call on one thread: the fastest of 5 timed
+/// Microseconds per call of `call` on one thread: the fastest of 5 timed
 /// blocks of `reps` calls, each sized to about 4M multiply-adds.
-double MeasureMatMulUs(const gnn::kernels::KernelBackend& kb, int n, int k,
-                       int m) {
-  Rng rng(static_cast<uint64_t>(n * 1000003 + k * 1009 + m));
-  std::vector<float> a(static_cast<size_t>(n) * k);
-  std::vector<float> b(static_cast<size_t>(k) * m);
-  std::vector<float> c(static_cast<size_t>(n) * m);
-  for (auto& v : a) v = static_cast<float>(rng.Uniform() - 0.5);
-  for (auto& v : b) v = static_cast<float>(rng.Uniform() - 0.5);
-  const int64_t flops = static_cast<int64_t>(n) * k * m;
+template <typename Call>
+double MeasureKernelUs(int64_t flops, const Call& call) {
   const int reps = static_cast<int>(
       std::max<int64_t>(3, (int64_t{4} << 20) / std::max<int64_t>(1, flops)));
-  kb.MatMulRows(c.data(), a.data(), b.data(), n, k, m);  // warm
+  call();  // warm
   double best = 1e300;
   for (int block = 0; block < 5; ++block) {
     const auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < reps; ++r) {
-      kb.MatMulRows(c.data(), a.data(), b.data(), n, k, m);
-    }
+    for (int r = 0; r < reps; ++r) call();
     best = std::min(best, Seconds(t0) * 1e6 / reps);
   }
-  return c[0] == -1.f ? 0 : best;  // keep the product observable
+  return best;
 }
 
-/// Per backend: µs per call, indexed [row count][shape].
+/// Per backend: µs per call of the forward product and of its two gradient
+/// kernels, each indexed [row count][shape].
 struct MatMulTable {
   std::string backend;
-  std::vector<std::vector<double>> us;
+  std::vector<std::vector<double>> us, grad_a_us, grad_b_us;
 };
+
+/// Times the three MatMul kernels of one (n, k, m) product. A is half
+/// zeros, as after a ReLU, which is what MatMulGradB's skip sees in
+/// training.
+void MeasureMatMulShape(const gnn::kernels::KernelBackend& kb, int n, int k,
+                        int m, MatMulTable* t) {
+  Rng rng(static_cast<uint64_t>(n * 1000003 + k * 1009 + m));
+  auto fill = [&rng](size_t size) {
+    std::vector<float> v(size);
+    for (auto& x : v) x = static_cast<float>(rng.Uniform() - 0.5);
+    return v;
+  };
+  std::vector<float> a = fill(static_cast<size_t>(n) * k);
+  const std::vector<float> b = fill(static_cast<size_t>(k) * m);
+  const std::vector<float> gc = fill(static_cast<size_t>(n) * m);
+  for (auto& x : a) x = std::max(x, 0.f);
+  std::vector<float> c(static_cast<size_t>(n) * m);
+  std::vector<float> ga(a.size()), gb(b.size());
+  const int64_t flops = static_cast<int64_t>(n) * k * m;
+  t->us.back().push_back(MeasureKernelUs(flops, [&] {
+    kb.MatMulRows(c.data(), a.data(), b.data(), n, k, m);
+  }));
+  t->grad_a_us.back().push_back(MeasureKernelUs(flops, [&] {
+    kb.MatMulGradA(ga.data(), gc.data(), b.data(), n, k, m);
+  }));
+  t->grad_b_us.back().push_back(MeasureKernelUs(flops, [&] {
+    kb.MatMulGradB(gb.data(), a.data(), gc.data(), n, k, m, 0, k);
+  }));
+}
 
 std::vector<MatMulTable> MeasureMatMulTable() {
   std::vector<MatMulTable> out;
@@ -373,16 +395,39 @@ std::vector<MatMulTable> MeasureMatMulTable() {
     MatMulTable t;
     t.backend = gnn::kernels::BackendName();
     for (int n : kMatMulRows) {
-      std::vector<double> row;
+      t.us.emplace_back();
+      t.grad_a_us.emplace_back();
+      t.grad_b_us.emplace_back();
       for (const MatMulShape& s : kMatMulShapes) {
-        row.push_back(MeasureMatMulUs(gnn::kernels::Kernels(), n, s.k, s.m));
+        MeasureMatMulShape(gnn::kernels::Kernels(), n, s.k, s.m, &t);
       }
-      t.us.push_back(std::move(row));
     }
     out.push_back(std::move(t));
   }
   gnn::kernels::SetBackend(gnn::kernels::AvailableBackends().back());
   return out;
+}
+
+/// One kernel's table: a row per (backend, row count), a column per shape.
+void PrintMatMulTable(const char* title,
+                      const std::vector<MatMulTable>& tables,
+                      std::vector<std::vector<double>> MatMulTable::* us) {
+  std::printf("\n%s\n", title);
+  std::printf("%8s %6s", "backend", "n");
+  for (const MatMulShape& s : kMatMulShapes) {
+    char head[32];
+    std::snprintf(head, sizeof head, "%dx%d", s.k, s.m);
+    std::printf(" %9s", head);
+  }
+  std::printf("\n");
+  for (const MatMulTable& t : tables) {
+    const auto& rows = t.*us;
+    for (size_t r = 0; r < rows.size(); ++r) {
+      std::printf("%8s %6d", t.backend.c_str(), kMatMulRows[r]);
+      for (double v : rows[r]) std::printf(" %9.2f", v);
+      std::printf("\n");
+    }
+  }
 }
 
 int Run(bool smoke) {
@@ -485,22 +530,15 @@ int Run(bool smoke) {
       tape.tape_nodes_per_step, tape.arena_bytes_retained);
 
   const std::vector<MatMulTable> matmul = MeasureMatMulTable();
-  std::printf("\nMatMulRows kernel (1 thread): us per call, C[n x m] = "
-              "A[n x k] * B[k x m]\n");
-  std::printf("%8s %6s", "backend", "n");
-  for (const MatMulShape& s : kMatMulShapes) {
-    char head[32];
-    std::snprintf(head, sizeof head, "%dx%d", s.k, s.m);
-    std::printf(" %9s", head);
-  }
-  std::printf("\n");
-  for (const MatMulTable& t : matmul) {
-    for (size_t r = 0; r < t.us.size(); ++r) {
-      std::printf("%8s %6d", t.backend.c_str(), kMatMulRows[r]);
-      for (double us : t.us[r]) std::printf(" %9.2f", us);
-      std::printf("\n");
-    }
-  }
+  PrintMatMulTable("MatMulRows kernel (1 thread): us per call, C[n x m] = "
+                   "A[n x k] * B[k x m]",
+                   matmul, &MatMulTable::us);
+  PrintMatMulTable("MatMulGradA kernel (1 thread): us per call, dA[n x k] += "
+                   "dC[n x m] * B^T",
+                   matmul, &MatMulTable::grad_a_us);
+  PrintMatMulTable("MatMulGradB kernel (1 thread): us per call, dB[k x m] += "
+                   "A^T * dC[n x m], A half zeros",
+                   matmul, &MatMulTable::grad_b_us);
 
   // Machine-readable trajectory line.
   auto column = [&results](double Rates::* field) {
@@ -549,9 +587,11 @@ int Run(bool smoke) {
                                             std::end(kMatMulRows)));
   for (const MatMulTable& t : matmul) {
     for (size_t r = 0; r < t.us.size(); ++r) {
-      json.Nums("matmul_us_" + t.backend + "_n" +
-                    std::to_string(kMatMulRows[r]),
-                t.us[r], 2);
+      const std::string key =
+          t.backend + "_n" + std::to_string(kMatMulRows[r]);
+      json.Nums("matmul_us_" + key, t.us[r], 2);
+      json.Nums("matmul_grad_a_us_" + key, t.grad_a_us[r], 2);
+      json.Nums("matmul_grad_b_us_" + key, t.grad_b_us[r], 2);
     }
   }
   json.Num("batched_speedup_scalar_b64", scalar_b64 / scalar.infer_gps, 2);

@@ -24,11 +24,6 @@ void CorrelationCache::Insert(uint64_t src_hash, uint64_t dst_hash,
   map_.emplace(Key{src_hash, dst_hash}, correlated);
 }
 
-size_t CorrelationCache::size() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return map_.size();
-}
-
 size_t CorrelationCache::hits() const {
   std::lock_guard<std::mutex> lk(mu_);
   return hits_;

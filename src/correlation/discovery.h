@@ -24,7 +24,6 @@ class CorrelationCache {
   std::optional<bool> Lookup(uint64_t src_hash, uint64_t dst_hash) const;
   void Insert(uint64_t src_hash, uint64_t dst_hash, bool correlated);
 
-  size_t size() const;
   /// Monotonic hit/miss counters (bench visibility).
   size_t hits() const;
   size_t misses() const;

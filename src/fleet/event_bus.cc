@@ -618,11 +618,6 @@ ShardHealth EventBus::health(int k) const {
       queues_[static_cast<size_t>(k)]->health.load(std::memory_order_acquire));
 }
 
-bool EventBus::consumer_alive(int k) const {
-  return queues_[static_cast<size_t>(k)]->consumer_alive.load(
-      std::memory_order_acquire);
-}
-
 void EventBus::NoteOverloadShed(int k) {
   queues_[static_cast<size_t>(k)]->overload_shed.fetch_add(
       1, std::memory_order_relaxed);

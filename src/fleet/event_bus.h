@@ -225,8 +225,6 @@ class EventBus {
   /// Shard `k`'s health as last published by the watchdog (kHealthy when
   /// supervision is disabled). Lock-free; dispatch reads it per request.
   ShardHealth health(int k) const;
-  /// True while shard `k`'s consumer thread is running its loop.
-  bool consumer_alive(int k) const;
   /// Dispatch-side shed bookkeeping: work turned away because the shard
   /// was degraded/down (NoteOverloadShed) or its deadline had already
   /// expired (NoteDeadlineShed). The bus owns the counters so kStats and

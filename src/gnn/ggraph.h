@@ -149,7 +149,7 @@ std::vector<GnnGraph> ToGnnGraphs(const graph::GraphDataset& ds);
 class GnnGraphCache {
  public:
   struct Key {
-    /// Rule identity hashes in node order (graph::LiveGraph::IdentityHashes).
+    /// Rule identity hashes in node order (graph::LiveGraph::IdentityHashesInto).
     std::vector<uint64_t> node_ids;
     std::vector<std::pair<int, int>> edges;
     bool operator==(const Key& o) const {

@@ -124,6 +124,31 @@ void ScalarAxpy(float* y, float alpha, const float* x, int n) {
   for (int i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
+void ScalarMatMulGradA(float* ga, const float* gc, const float* b, int n,
+                       int k, int m) {
+  for (int i = 0; i < n; ++i) {
+    float* garow = ga + static_cast<size_t>(i) * k;
+    const float* gcrow = gc + static_cast<size_t>(i) * m;
+    for (int l = 0; l < k; ++l) {
+      const float* brow = b + static_cast<size_t>(l) * m;
+      garow[l] += ScalarDot(gcrow, brow, m);
+    }
+  }
+}
+
+void ScalarMatMulGradB(float* gb, const float* a, const float* gc, int n,
+                       int k, int m, int l0, int l1) {
+  for (int l = l0; l < l1; ++l) {
+    float* gbrow = gb + static_cast<size_t>(l) * m;
+    for (int i = 0; i < n; ++i) {
+      const float av = a[static_cast<size_t>(i) * k + static_cast<size_t>(l)];
+      if (av == 0.f) continue;
+      const float* gcrow = gc + static_cast<size_t>(i) * m;
+      ScalarAxpy(gbrow, av, gcrow, m);
+    }
+  }
+}
+
 void ScalarAddInto(float* y, const float* x, int n) {
   for (int i = 0; i < n; ++i) y[i] += x[i];
 }
@@ -186,6 +211,8 @@ const KernelBackend kScalarBackend = {
     static_cast<int>(Backend::kScalar),
     ScalarDot,
     ScalarMatMulRows,
+    ScalarMatMulGradA,
+    ScalarMatMulGradB,
     ScalarAxpy,
     ScalarAddInto,
     ScalarMulAddInto,

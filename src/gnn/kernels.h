@@ -16,11 +16,11 @@ struct AdamHyper {
 /// Runtime-dispatched dense kernel backend.
 ///
 /// These are the hot primitives behind the tape ops (the kMatMul forward
-/// product and backward row dots, kSpMM row accumulation, parameter-gradient
-/// accumulation, the elementwise forwards, and the kSoftmaxRow
-/// normalization) and behind the Adam step. One backend is selected once at
-/// startup — AVX2 when the CPU advertises it, portable scalar otherwise —
-/// overridable with GLINT_KERNEL=scalar|avx2.
+/// product and its two gradient products, kSpMM row accumulation,
+/// parameter-gradient accumulation, the elementwise forwards, and the
+/// kSoftmaxRow normalization) and behind the Adam step. One backend is
+/// selected once at startup — AVX2 when the CPU advertises it, portable
+/// scalar otherwise — overridable with GLINT_KERNEL=scalar|avx2.
 ///
 /// Bit-identity contract (the kernel-level twin of the thread-count
 /// determinism proved by parallel_determinism_test): every backend must
@@ -54,6 +54,22 @@ struct KernelBackend {
   /// product gives the same bits.
   void (*MatMulRows)(float* c, const float* a, const float* b, int n, int k,
                      int m);
+  /// dA += dC * B^T for row-major dC (n x m), B (k x m) and dA (n x k): every
+  /// ga[i][l] += Dot(dC row i, B row l, m), with Dot's 8 striped lanes,
+  /// scalar tail and ReduceTree8, then one add onto the stored value. Each
+  /// dA row depends only on its own dC row, so any row split gives the same
+  /// bits.
+  void (*MatMulGradA)(float* ga, const float* gc, const float* b, int n,
+                      int k, int m);
+  /// dB rows [l0, l1) += A^T * dC for row-major A (n x k), dC (n x m) and
+  /// dB (k x m); gb, a and gc point at the whole matrices. Every
+  /// gb[l][j] takes the terms a[i][l] * gc[i][j] one at a time, mul then
+  /// add, in ascending i, and skips every term whose a[i][l] == 0.f (so a
+  /// -0 is skipped and a NaN is not): exactly Axpy(dB row l, a[i][l],
+  /// dC row i, m) per nonzero (l, i). Rows outside [l0, l1) are untouched,
+  /// so any split of the rows gives the same bits.
+  void (*MatMulGradB)(float* gb, const float* a, const float* gc, int n,
+                      int k, int m, int l0, int l1);
   /// y[i] += alpha * x[i]
   void (*Axpy)(float* y, float alpha, const float* x, int n);
   /// y[i] += x[i]

@@ -141,10 +141,6 @@ class SemanticAttention {
     p.push_back(&q_);
     return p;
   }
-  void SetFrozen(bool f) {
-    summar_.SetFrozen(f);
-    q_.frozen = f;
-  }
 
  private:
   Linear summar_;

@@ -86,11 +86,4 @@ std::vector<Parameter*> MetapathConverter::Parameters() {
   return out;
 }
 
-void MetapathConverter::SetFrozen(bool f) {
-  for (int i = 0; i < kNumNodeTypes; ++i) proj_[i].SetFrozen(f);
-  for (int i = 0; i < kNumNodeTypes; ++i) intra_[i].SetFrozen(f);
-  self_.SetFrozen(f);
-  attention_.SetFrozen(f);
-}
-
 }  // namespace glint::gnn

@@ -35,7 +35,6 @@ class MetapathConverter {
                          const std::vector<int>& offsets);
 
   std::vector<Parameter*> Parameters();
-  void SetFrozen(bool f);
 
  private:
   /// Shared body: `offsets` selects the attention flavour (nullptr =

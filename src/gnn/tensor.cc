@@ -347,14 +347,9 @@ void MatMulGradA(const kernels::KernelBackend& kb, float* ga, const float* gc,
   } c{ga, gc, bv, &kb, k, m};
   ParallelFor(0, n, RowGrain(static_cast<int64_t>(k) * m),
               [&c](int64_t lo, int64_t hi) {
-                for (int64_t i = lo; i < hi; ++i) {
-                  float* garow = c.ga + static_cast<size_t>(i) * c.k;
-                  const float* gcrow = c.gc + static_cast<size_t>(i) * c.m;
-                  for (int l = 0; l < c.k; ++l) {
-                    const float* brow = c.bv + static_cast<size_t>(l) * c.m;
-                    garow[l] += c.kb->Dot(gcrow, brow, c.m);
-                  }
-                }
+                c.kb->MatMulGradA(c.ga + static_cast<size_t>(lo) * c.k,
+                                  c.gc + static_cast<size_t>(lo) * c.m, c.bv,
+                                  static_cast<int>(hi - lo), c.k, c.m);
               });
 }
 
@@ -371,16 +366,8 @@ void MatMulGradB(const kernels::KernelBackend& kb, float* gb, const float* av,
   } c{gb, av, gc, &kb, n, k, m};
   ParallelFor(0, k, RowGrain(static_cast<int64_t>(n) * m),
               [&c](int64_t lo, int64_t hi) {
-                for (int64_t l = lo; l < hi; ++l) {
-                  float* gbrow = c.gb + static_cast<size_t>(l) * c.m;
-                  for (int i = 0; i < c.n; ++i) {
-                    const float av = c.av[static_cast<size_t>(i) * c.k +
-                                          static_cast<size_t>(l)];
-                    if (av == 0.f) continue;
-                    const float* gcrow = c.gc + static_cast<size_t>(i) * c.m;
-                    c.kb->Axpy(gbrow, av, gcrow, c.m);
-                  }
-                }
+                c.kb->MatMulGradB(c.gb, c.av, c.gc, c.n, c.k, c.m,
+                                  static_cast<int>(lo), static_cast<int>(hi));
               });
 }
 

@@ -166,12 +166,6 @@ std::vector<rules::Rule> LiveGraph::CurrentRules() const {
   return out;
 }
 
-std::vector<uint64_t> LiveGraph::IdentityHashes() const {
-  std::vector<uint64_t> out;
-  IdentityHashesInto(&out);
-  return out;
-}
-
 void LiveGraph::IdentityHashesInto(std::vector<uint64_t>* out) const {
   out->clear();
   out->reserve(entries_.size());

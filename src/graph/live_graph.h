@@ -65,12 +65,9 @@ class LiveGraph {
   /// The deployed rules in node order (the order a cold rebuild must use).
   std::vector<rules::Rule> CurrentRules() const;
 
-  /// Per-rule identity hashes (content hash mixed with the rule id), in
-  /// node order; used by sessions to key verdict/tensor caches.
-  std::vector<uint64_t> IdentityHashes() const;
-
-  /// Allocation-reusing variant: overwrites *out with the identity hashes
-  /// so a warm session keys its caches without a fresh vector per Inspect.
+  /// Overwrites *out with the per-rule identity hashes (content hash mixed
+  /// with the rule id), in node order; sessions key their verdict/tensor
+  /// caches on them without a fresh vector per Inspect.
   void IdentityHashesInto(std::vector<uint64_t>* out) const;
 
   /// Directed edges of the static graph, in BuildFromRules insertion order.

@@ -71,11 +71,6 @@ void Gauge::Add(int64_t d) {
   RaisePeak(v_.fetch_add(d, std::memory_order_relaxed) + d);
 }
 
-void Gauge::Reset() {
-  v_.store(0, std::memory_order_relaxed);
-  peak_.store(0, std::memory_order_relaxed);
-}
-
 // ---- Histogram ------------------------------------------------------------
 
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
@@ -135,14 +130,6 @@ double Histogram::Quantile(double q) const {
   h.bounds = bounds_;
   h.counts = BucketCounts();
   return h.Quantile(q);
-}
-
-void Histogram::Reset() {
-  for (auto& s : shards_) {
-    for (auto& c : s->counts) c.store(0, std::memory_order_relaxed);
-    s->count.store(0, std::memory_order_relaxed);
-    s->sum.store(0.0, std::memory_order_relaxed);
-  }
 }
 
 std::vector<double> Histogram::LatencyBucketsMs() {
@@ -247,22 +234,6 @@ Registry::Snapshot Registry::TakeSnapshot() const {
     }
   }
   return snap;
-}
-
-void Registry::ResetAll() {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (auto& [name, e] : entries_) {
-    switch (e.kind) {
-      case Kind::kCounter: e.counter->Reset(); break;
-      case Kind::kGauge: e.gauge->Reset(); break;
-      case Kind::kHistogram: e.histogram->Reset(); break;
-    }
-  }
-}
-
-size_t Registry::num_instruments() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return entries_.size();
 }
 
 // ---- Snapshot rendering ---------------------------------------------------

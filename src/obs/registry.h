@@ -55,7 +55,7 @@ class Counter {
 };
 
 /// Last-write-wins instantaneous value (queue depth, pool size). Also keeps
-/// the high-water mark seen since the last Reset.
+/// the high-water mark it has seen.
 class Gauge {
  public:
   void Set(int64_t v);
@@ -63,7 +63,6 @@ class Gauge {
   void Add(int64_t d);
   int64_t Value() const { return v_.load(std::memory_order_relaxed); }
   int64_t Peak() const { return peak_.load(std::memory_order_relaxed); }
-  void Reset();
 
  private:
   void RaisePeak(int64_t candidate);
@@ -89,7 +88,6 @@ class Histogram {
   /// Quantile estimate: linear interpolation inside the covering bucket.
   /// Error is bounded by that bucket's width (see Snapshot::Hist::Quantile).
   double Quantile(double q) const;
-  void Reset();
 
   /// Default latency bucket ladder (milliseconds): 1us .. 10s, roughly
   /// 1-2.5-5 per decade. Wide enough for the no-change Inspect fast path
@@ -181,12 +179,6 @@ class Registry {
     std::string RenderJson() const;
   };
   Snapshot TakeSnapshot() const;
-
-  /// Zeroes every instrument (names and registrations survive). For benches
-  /// and tests; not meant to race live writers.
-  void ResetAll();
-
-  size_t num_instruments() const;
 
  private:
   enum class Kind { kCounter, kGauge, kHistogram };

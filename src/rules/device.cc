@@ -77,28 +77,6 @@ const char* ChannelName(Channel c) {
   return "?";
 }
 
-const char* CommandWord(Command c) {
-  switch (c) {
-    case Command::kOn: return "turn_on";
-    case Command::kOff: return "turn_off";
-    case Command::kOpen: return "open";
-    case Command::kClose: return "close";
-    case Command::kLock: return "lock";
-    case Command::kUnlock: return "unlock";
-    case Command::kDim: return "dim";
-    case Command::kBrighten: return "brighten";
-    case Command::kPlay: return "play";
-    case Command::kStopPlay: return "stop";
-    case Command::kNotify: return "notify";
-    case Command::kSnapshot: return "capture";
-    case Command::kArm: return "arm";
-    case Command::kDisarm: return "disarm";
-    case Command::kStartClean: return "clean";
-    case Command::kSetLevel: return "set";
-  }
-  return "?";
-}
-
 bool CommandsOppose(Command a, Command b) {
   auto pair = [&](Command x, Command y) {
     return (a == x && b == y) || (a == y && b == x);

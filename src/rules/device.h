@@ -107,8 +107,6 @@ enum class Command {
   kSetLevel,   ///< set an attribute to a fixed value (e.g. brightness 100%)
 };
 
-const char* CommandWord(Command c);
-
 /// True when the two commands drive the same attribute in opposite
 /// directions (on/off, open/close, lock/unlock, dim/brighten, ...).
 bool CommandsOppose(Command a, Command b);

@@ -4,11 +4,12 @@
 // shapes that exercise full vector bodies, scalar tails, and sub-vector
 // inputs. Fingerprints are compared as hex floats so a mismatch names the
 // exact lane. MatMulRows is checked entry by entry against the scalar Dot
-// of a row and a gathered column. Also covers the dispatch surface
-// (GLINT_KERNEL is decided at first use; SetBackend is the test hook) and
-// op-level identity through MatMul / softmax, plus the batched segment ops
-// against their sequential twins, and the fused Adam step element by
-// element against the scalar twin.
+// of a row and a gathered column, and the two MatMul gradient kernels
+// against the per-element Dot / per-row Axpy loops they replace. Also
+// covers the dispatch surface (GLINT_KERNEL is decided at first use;
+// SetBackend is the test hook) and op-level identity through MatMul /
+// softmax, plus the batched segment ops against their sequential twins,
+// and the fused Adam step element by element against the scalar twin.
 
 #include <gtest/gtest.h>
 
@@ -156,6 +157,146 @@ TEST_F(KernelDispatchTest, MatMulRowsBitIdentity) {
               }
             }
           }
+        }
+      }
+    }
+  }
+}
+
+/// Float bits, except that every NaN matches every NaN: the sign and
+/// payload of a NaN depend on which operand of a mul or add the compiler
+/// put first, which the bit-identity contract does not fix.
+bool SameFloat(float want, float got) {
+  if (std::isnan(want) && std::isnan(got)) return true;
+  return std::memcmp(&want, &got, sizeof want) == 0;
+}
+
+/// Compares a kernel's output with the oracle's entry by entry, stopping at
+/// the first mismatch; `what` names the call in the failure message.
+void ExpectSameFloats(const std::vector<float>& want,
+                      const std::vector<float>& got, const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (size_t e = 0; e < want.size(); ++e) {
+    if (!SameFloat(want[e], got[e])) {
+      ASSERT_EQ(HexFloat(want[e]), HexFloat(got[e])) << what << " at " << e;
+    }
+  }
+}
+
+/// Operands that make the dB skip visible. A holds +0, -0, NaN and +-Inf
+/// entries, and its row `zero_row` is all zeros of both signs; dC row
+/// `zero_row` holds +-Inf and negative values, so a lost skip adds
+/// 0 * Inf = NaN or -0 * negative = +0 onto dB; dA and dB start nonzero with
+/// -0 entries, so a skipped term and an added +0 differ in the sign bit.
+struct GradOperands {
+  std::vector<float> a, gc, b, ga, gb;
+};
+
+GradOperands MakeGradOperands(int n, int k, int m) {
+  const uint64_t seed = static_cast<uint64_t>(n * 1000003 + k * 1009 + m);
+  GradOperands o;
+  o.a = RandomFloats(n * k, seed);
+  o.gc = RandomFloats(n * m, seed + 1);
+  o.b = RandomFloats(k * m, seed + 2);
+  o.ga = RandomFloats(n * k, seed + 3);
+  o.gb = RandomFloats(k * m, seed + 4);
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  for (size_t e = 0; e < o.a.size(); e += 7) o.a[e] = -0.f;
+  for (size_t e = 3; e < o.a.size(); e += 11) o.a[e] = 0.f;
+  for (size_t e = 0; e < o.ga.size(); e += 5) o.ga[e] = -0.f;
+  for (size_t e = 0; e < o.gb.size(); e += 3) o.gb[e] = -0.f;
+  for (size_t e = 2; e < o.b.size(); e += 9) o.b[e] = -0.f;
+  const int zero_row = n / 2;
+  for (int l = 0; l < k; ++l) {
+    o.a[static_cast<size_t>(zero_row) * k + l] = (l % 2 == 0) ? -0.f : 0.f;
+  }
+  for (int j = 0; j < m; ++j) {
+    float& x = o.gc[static_cast<size_t>(zero_row) * m + j];
+    x = (j % 3 == 0) ? kInf : (j % 3 == 1) ? -kInf : -std::fabs(x) - 0.5f;
+  }
+  // Sparse non-finite A entries outside the zero row (each poisons one dB
+  // row, so keep them few).
+  if (n > 1 && k > 2) {
+    const int row = zero_row == 0 ? 1 : 0;
+    o.a[static_cast<size_t>(row) * k + 1] =
+        std::numeric_limits<float>::quiet_NaN();
+    o.a[static_cast<size_t>(n - 1) * k + k - 1] =
+        (n - 1 == zero_row) ? 0.f : kInf;
+    if (row + 1 < n && row + 1 != zero_row) {
+      o.a[static_cast<size_t>(row + 1) * k + k / 2] = -kInf;
+    }
+  }
+  return o;
+}
+
+TEST_F(KernelDispatchTest, MatMulGradBitIdentity) {
+  // n hits the dA row blocks and every row tail; m hits the 32- and 8-wide
+  // dB bodies, the in-register and scalar-tail dA reduces, and the m <= 2
+  // heads.
+  const int kRows[] = {1, 3, 4, 5, 9, 30};
+  const int kCols[] = {1, 2, 7, 8, 15, 16, 17, 31, 32, 33, 64, 65, 128};
+  for (Backend backend : AvailableBackends()) {
+    const KernelBackend& kb = Table(backend);
+    for (int n : kRows) {
+      for (int k : kSizes) {
+        for (int m : kCols) {
+          const GradOperands o = MakeGradOperands(n, k, m);
+          const std::string shape = std::string(kb.name) +
+                                    " n=" + std::to_string(n) +
+                                    " k=" + std::to_string(k) +
+                                    " m=" + std::to_string(m);
+
+          // dA: one kScalarBackend.Dot per element, added on.
+          std::vector<float> want_ga = o.ga, got_ga = o.ga;
+          for (int i = 0; i < n; ++i) {
+            for (int l = 0; l < k; ++l) {
+              want_ga[static_cast<size_t>(i) * k + l] += kScalarBackend.Dot(
+                  o.gc.data() + static_cast<size_t>(i) * m,
+                  o.b.data() + static_cast<size_t>(l) * m, m);
+            }
+          }
+          kb.MatMulGradA(got_ga.data(), o.gc.data(), o.b.data(), n, k, m);
+          ASSERT_NO_FATAL_FAILURE(
+              ExpectSameFloats(want_ga, got_ga, "MatMulGradA " + shape));
+
+          // dB over rows [l0, l1), which start and end mid-matrix: one
+          // kScalarBackend.Axpy per (l, i) in ascending i, skipping
+          // a[i][l] == 0.f; rows outside the range stay as they were.
+          auto oracle_gb = [&](int l0, int l1) {
+            std::vector<float> gb = o.gb;
+            for (int l = l0; l < l1; ++l) {
+              for (int i = 0; i < n; ++i) {
+                const float av = o.a[static_cast<size_t>(i) * k + l];
+                if (av == 0.f) continue;
+                kScalarBackend.Axpy(gb.data() + static_cast<size_t>(l) * m,
+                                    av,
+                                    o.gc.data() + static_cast<size_t>(i) * m,
+                                    m);
+              }
+            }
+            return gb;
+          };
+          auto run_gb = [&](std::initializer_list<std::pair<int, int>> parts) {
+            std::vector<float> gb = o.gb;
+            for (const auto& [l0, l1] : parts) {
+              kb.MatMulGradB(gb.data(), o.a.data(), o.gc.data(), n, k, m, l0,
+                             l1);
+            }
+            return gb;
+          };
+          const int l0 = k / 3, l1 = k - k / 4;
+          ASSERT_NO_FATAL_FAILURE(ExpectSameFloats(
+              oracle_gb(l0, l1), run_gb({{l0, l1}}),
+              "MatMulGradB [" + std::to_string(l0) + ", " +
+                  std::to_string(l1) + ") " + shape));
+          const std::vector<float> whole = run_gb({{0, k}});
+          ASSERT_NO_FATAL_FAILURE(
+              ExpectSameFloats(oracle_gb(0, k), whole, "MatMulGradB " + shape));
+          const std::vector<float> split = run_gb({{0, l0}, {l0, k}});
+          ASSERT_EQ(std::memcmp(whole.data(), split.data(),
+                                whole.size() * sizeof(float)),
+                    0)
+              << "MatMulGradB split at " << l0 << " " << shape;
         }
       }
     }

@@ -98,8 +98,10 @@ cmake --build build-asan -j"${JOBS}" --target \
 ./build-asan/tests/gnn_tape_reuse_test
 ./build-asan/tests/gnn_layers_test
 # Kernel backends + the batched serving path under ASan: the SIMD tail
-# handling, the block-diagonal batch assembly (offset-shifted CSR copies),
-# and the segment-op index pools are all raw-pointer arithmetic.
+# handling (including the MatMul gradient kernels' m-tails, row and column
+# tails, and MatMulGradB's 8-wide index-list appends that write past the
+# last kept entry), the block-diagonal batch assembly (offset-shifted CSR
+# copies), and the segment-op index pools are all raw-pointer arithmetic.
 ./build-asan/tests/kernel_dispatch_test
 GLINT_THREADS=2 ./build-asan/tests/batched_serving_test
 
