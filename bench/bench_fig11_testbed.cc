@@ -7,7 +7,7 @@
 #include <ctime>
 
 #include "bench_common.h"
-#include "core/glint.h"
+#include "core/session.h"
 #include "ml/isolation_forest.h"
 #include "ml/ocsvm.h"
 #include "testbed/frames.h"
@@ -58,7 +58,7 @@ int main() {
   std::printf("training Glint offline (corpus -> correlation -> graphs -> "
               "ITGNN)...\n");
   std::clock_t t0 = std::clock();
-  core::Glint::Options opts;
+  core::TrainedDetector::Options opts;
   opts.corpus.ifttt = 500;
   opts.corpus.smartthings = 80;
   opts.corpus.alexa = 150;
@@ -73,8 +73,8 @@ int main() {
   opts.train.oversample_factor = 2.5;
   opts.pairs.num_positive = 200;
   opts.pairs.num_negative = 300;
-  core::Glint glint(opts);
-  glint.TrainOffline();
+  core::TrainedDetector detector(opts);
+  detector.TrainOffline();
   std::printf("Glint trained in %.0fs (paper: \"no more than 1 hour\" on an "
               "A6000)\n",
               static_cast<double>(std::clock() - t0) / CLOCKS_PER_SEC);
@@ -105,14 +105,15 @@ int main() {
       Scenario s = i < n_threat ? (complex ? gen.MakeCct() : gen.MakeBct())
                                 : gen.MakeBenign();
       v.truth.push_back(s.threat ? 1 : 0);
-      // Glint: the deployment's interaction graph (learned correlations)
-      // through the trained classifier — the configuration is what carries
-      // the interactive threat; the logs below are what the event-driven
-      // baselines see.
-      auto graph = glint.BuildGraph(s.deployed);
-      graph.set_threat_types({});  // detector must not see analyzer labels
-      auto warning = glint.InspectGraph(graph);
-      v.glint.push_back(warning.threat ? 1 : 0);
+      // Glint: the initial-setup check of the deployment's interaction
+      // graph (learned correlations) through the trained classifier — the
+      // configuration is what carries the interactive threat; the logs
+      // below are what the event-driven baselines see. The verdict comes
+      // from the model alone; the analyzer's labels only annotate the
+      // warning's threat types, which are not scored here.
+      core::DeploymentSession session(&detector);
+      for (const auto& r : s.deployed) session.AddRule(r);
+      v.glint.push_back(session.InspectStatic().threat ? 1 : 0);
       // HAWatcher: correlation verification over the recent window.
       auto window = s.log.Window(s.now_hours, 3.0);
       v.hawatcher.push_back(hawatcher.Flag(window) ? 1 : 0);

@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/glint.h"
+#include "core/detector.h"
 #include "core/serving.h"
 #include "fleet/event_bus.h"
 #include "fleet/server.h"
@@ -91,7 +91,7 @@ long RssKb() {
 }
 
 int Run(int homes, int shards, bool smoke) {
-  core::Glint::Options opts;
+  core::TrainedDetector::Options opts;
   opts.corpus.ifttt = 200;
   opts.corpus.smartthings = 40;
   opts.corpus.alexa = 60;
@@ -104,14 +104,14 @@ int Run(int homes, int shards, bool smoke) {
   opts.train.epochs = 2;
   opts.pairs.num_positive = 60;
   opts.pairs.num_negative = 90;
-  core::Glint glint(opts);
+  core::TrainedDetector detector(opts);
   std::printf("training the detector (offline stage)...\n");
-  glint.TrainOffline();
+  detector.TrainOffline();
 
   std::vector<rules::Rule> pool(
-      glint.corpus().begin(),
-      glint.corpus().begin() +
-          std::min<size_t>(kPoolSize, glint.corpus().size()));
+      detector.corpus().begin(),
+      detector.corpus().begin() +
+          std::min<size_t>(kPoolSize, detector.corpus().size()));
   for (size_t i = 0; i < pool.size(); ++i) {
     pool[i].id = 9000 + static_cast<int>(i);
   }
@@ -123,7 +123,7 @@ int Run(int homes, int shards, bool smoke) {
 
   fleet::FleetConfig fcfg;
   fcfg.num_shards = shards;
-  ShardedFleet fleet(&glint.detector(), fcfg);
+  ShardedFleet fleet(&detector, fcfg);
 
   std::vector<core::HomeId> ids;
   ids.reserve(static_cast<size_t>(homes));
@@ -257,7 +257,7 @@ int Run(int homes, int shards, bool smoke) {
   // ---- Identity gate: a 64-home sample vs a single engine ---------------
   bool identity_ok = true;
   {
-    core::ServingEngine single(&glint.detector());
+    core::ServingEngine single(&detector);
     const int n = std::min(homes, 64);
     const int id_stride = std::max(1, homes / n);
     for (int s = 0; s < n; ++s) {

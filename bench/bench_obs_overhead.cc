@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/glint.h"
+#include "core/detector.h"
 #include "core/session.h"
 #include "fleet/event_bus.h"
 #include "fleet/sharding.h"
@@ -51,10 +51,10 @@ struct Timing {
 /// One warm measurement pass: `reps` (RemoveRule, AddRule, Inspect) deltas
 /// against a session deployed with `rules`. A fresh session per pass keeps
 /// the two modes symmetric (same cold start, same cache history).
-Timing MeasureWarm(const core::Glint& glint,
+Timing MeasureWarm(const core::TrainedDetector& detector,
                    const std::vector<rules::Rule>& deployed, int reps,
                    double now) {
-  core::DeploymentSession session(&glint.detector());
+  core::DeploymentSession session(&detector);
   for (const auto& r : deployed) session.AddRule(r);
   core::ThreatWarning w = session.Inspect(now);  // untimed warm-up
   Timing out;
@@ -118,7 +118,7 @@ int Run(bool smoke) {
   const int home_rules = smoke ? 12 : 40;
   const int reps = smoke ? 8 : 30;
 
-  core::Glint::Options opts;
+  core::TrainedDetector::Options opts;
   opts.corpus.ifttt = smoke ? 200 : 300;
   opts.corpus.smartthings = 40;
   opts.corpus.alexa = 60;
@@ -131,15 +131,15 @@ int Run(bool smoke) {
   opts.train.epochs = 2;
   opts.pairs.num_positive = 60;
   opts.pairs.num_negative = 90;
-  core::Glint glint(opts);
+  core::TrainedDetector detector(opts);
   std::printf("training the detector (offline stage)...\n");
-  glint.TrainOffline();
+  detector.TrainOffline();
 
   std::vector<rules::Rule> deployed(
-      glint.corpus().begin(),
-      glint.corpus().begin() +
+      detector.corpus().begin(),
+      detector.corpus().begin() +
           std::min<size_t>(static_cast<size_t>(home_rules),
-                           glint.corpus().size()));
+                           detector.corpus().size()));
   for (size_t i = 0; i < deployed.size(); ++i) {
     deployed[i].id = 9000 + static_cast<int>(i);
   }
@@ -161,9 +161,9 @@ int Run(bool smoke) {
   std::string off_render, on_render;
   for (int b = 0; b < blocks; ++b) {
     obs::SetEnabled(false);
-    Timing off = MeasureWarm(glint, deployed, reps, now);
+    Timing off = MeasureWarm(detector, deployed, reps, now);
     obs::SetEnabled(true);
-    Timing on = MeasureWarm(glint, deployed, reps, now);
+    Timing on = MeasureWarm(detector, deployed, reps, now);
     const double off_b = Percentile(off.ms, 0.50);
     const double on_b = Percentile(on.ms, 0.50);
     if (off_b > 0) best_ratio = std::min(best_ratio, on_b / off_b);
@@ -199,7 +199,7 @@ int Run(bool smoke) {
   const int bus_shards = 4;
   fleet::FleetConfig fcfg;
   fcfg.num_shards = bus_shards;
-  fleet::ShardedFleet fleet(&glint.detector(), fcfg);
+  fleet::ShardedFleet fleet(&detector, fcfg);
   obs::TraceRecorder recorder(
       {"glint.fleet.trace", bus_shards, /*slow_threshold_ns=*/10'000'000,
        /*ring_capacity=*/256});

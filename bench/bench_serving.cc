@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/glint.h"
 #include "core/journal.h"
 #include "core/serving.h"
 #include "core/session.h"
@@ -73,7 +72,7 @@ int Run(bool smoke) {
   // A small trained detector: the learned correlation classifier is what
   // makes the cold O(n^2) pair scan expensive, so train it for real; the
   // GNN quality is irrelevant to the timing shape.
-  core::Glint::Options opts;
+  core::TrainedDetector::Options opts;
   opts.corpus.ifttt = smoke ? 200 : 300;
   opts.corpus.smartthings = 40;
   opts.corpus.alexa = 60;
@@ -86,17 +85,17 @@ int Run(bool smoke) {
   opts.train.epochs = 2;
   opts.pairs.num_positive = 60;
   opts.pairs.num_negative = 90;
-  core::Glint glint(opts);
+  core::TrainedDetector detector(opts);
   std::printf("training the detector (offline stage)...\n");
-  glint.TrainOffline();
+  detector.TrainOffline();
 
   // The deployed home: home_rules corpus rules re-id'd, plus an event
   // stream so real-time edges are actually live.
   std::vector<rules::Rule> deployed(
-      glint.corpus().begin(),
-      glint.corpus().begin() + std::min<size_t>(
-                                   static_cast<size_t>(home_rules),
-                                   glint.corpus().size()));
+      detector.corpus().begin(),
+      detector.corpus().begin() +
+          std::min<size_t>(static_cast<size_t>(home_rules),
+                           detector.corpus().size()));
   for (size_t i = 0; i < deployed.size(); ++i) {
     deployed[i].id = 9000 + static_cast<int>(i);
   }
@@ -114,13 +113,25 @@ int Run(bool smoke) {
          "the Sec. 5 deployment regime");
 
   // Cold: the pre-split pipeline — every Inspect re-runs the O(n^2)
-  // learned-correlation scan and rebuilds the graph from scratch. (The
-  // façade's predicate is deliberately unmemoized.)
+  // learned-correlation scan and rebuilds the graph from scratch. The cold
+  // builder is its own, and its predicate is the learned classifier without
+  // the detector's verdict memo, so the reference shares no cache with the
+  // warm path it checks.
+  graph::GraphBuilder cold_builder(detector.options().builder,
+                                   &detector.word_model(),
+                                   &detector.sentence_model());
+  cold_builder.set_edge_predicate(
+      [&detector](const rules::Rule& a, const rules::Rule& b) {
+        return detector.discovery().Correlated(a, b);
+      });
+  auto cold_inspect = [&](const std::vector<rules::Rule>& rules) {
+    return detector.AnalyzeGraph(cold_builder.BuildRealTime(rules, log, now));
+  };
   std::vector<double> cold_ms;
   core::ThreatWarning cold_w;
   for (int r = 0; r < reps; ++r) {
     auto t0 = std::chrono::steady_clock::now();
-    cold_w = glint.Inspect(deployed, log, now);
+    cold_w = cold_inspect(deployed);
     cold_ms.push_back(Seconds(t0) * 1e3);
   }
 
@@ -128,7 +139,7 @@ int Run(bool smoke) {
   // measured op is a 1-rule delta (retire one rule, redeploy it) plus the
   // incremental Inspect — the caches never see an unchanged graph key, so
   // this times real incremental work, not verdict-cache hits.
-  core::DeploymentSession session(&glint.detector());
+  core::DeploymentSession session(&detector);
   for (const auto& r : deployed) session.AddRule(r);
   for (const auto& e : log.events()) session.OnEvent(e);
   core::ThreatWarning warm_w = session.Inspect(now);
@@ -154,7 +165,7 @@ int Run(bool smoke) {
   // Sanity: warm and cold must agree bit-for-bit on the same deployment.
   const bool equivalent =
       session.Inspect(now).Render() ==
-      glint.Inspect(session.CurrentRules(), log, now).Render();
+      cold_inspect(session.CurrentRules()).Render();
 
   // Durability tax: the identical 1-rule-delta warm loop through a
   // ServingEngine with and without a WAL attached. The journaled run pays
@@ -176,7 +187,7 @@ int Run(bool smoke) {
     }
     return Seconds(t0) * 1e3;
   };
-  core::ServingEngine plain_engine(&glint.detector());
+  core::ServingEngine plain_engine(&detector);
   BuildFleet(&plain_engine, 1, deployed, log);
 
   char state_dir[] = "/tmp/glint_bench_wal_XXXXXX";
@@ -184,7 +195,7 @@ int Run(bool smoke) {
     std::fprintf(stderr, "cannot create bench state dir\n");
     return 1;
   }
-  core::ServingEngine durable_engine(&glint.detector());
+  core::ServingEngine durable_engine(&detector);
   if (!durable_engine.Recover(state_dir).ok()) {
     std::fprintf(stderr, "bench recovery failed\n");
     return 1;
@@ -274,7 +285,7 @@ int Run(bool smoke) {
     }
   }
 
-  core::ServingEngine engine(&glint.detector());
+  core::ServingEngine engine(&detector);
   BuildFleet(&engine, homes, deployed, log);
 
   std::printf("\n%8s %16s\n", "threads", "rules/sec");
@@ -312,8 +323,8 @@ int Run(bool smoke) {
   // counters must match bit-for-bit (the serving equivalence gate — see
   // batched_serving_test for the full sweep). Alternating measurement
   // within one loop keeps box-level drift symmetric.
-  core::ServingEngine eng_seq(&glint.detector());
-  core::ServingEngine eng_bat(&glint.detector());
+  core::ServingEngine eng_seq(&detector);
+  core::ServingEngine eng_bat(&detector);
   BuildFleet(&eng_seq, homes, deployed, log);
   BuildFleet(&eng_bat, homes, deployed, log);
   bool batched_equivalent = true;

@@ -5,7 +5,7 @@
 
 #include <cstdio>
 
-#include "core/glint.h"
+#include "core/detector.h"
 #include "gnn/drift.h"
 #include "gnn/transfer.h"
 #include "graph/threat_analyzer.h"
@@ -15,7 +15,7 @@ using namespace glint;  // NOLINT
 int main() {
   std::printf("== Glint cross-platform audit ==\n\n");
 
-  core::Glint::Options options;
+  core::TrainedDetector::Options options;
   options.corpus.ifttt = 600;
   options.corpus.smartthings = 100;
   options.corpus.alexa = 150;
@@ -29,9 +29,9 @@ int main() {
   options.train.epochs = 12;
   options.pairs.num_positive = 200;
   options.pairs.num_negative = 300;
-  core::Glint glint(options);
+  core::TrainedDetector detector(options);
   std::printf("training the heterogeneous detector...\n");
-  glint.TrainOffline();
+  detector.TrainOffline();
 
   // ---- 1. Transfer learning: IFTTT -> SmartThings ------------------------
   // The textbook setup of Sec. 3.3.4: a model pre-trained on the data-rich
@@ -39,7 +39,7 @@ int main() {
   // compared against training on SmartThings alone.
   std::printf("\n[1] transfer learning to the scarce SmartThings domain\n");
   std::vector<rules::Rule> st_rules, ifttt_rules;
-  for (const auto& r : glint.corpus()) {
+  for (const auto& r : detector.corpus()) {
     if (r.platform == rules::Platform::kSmartThings) st_rules.push_back(r);
     if (r.platform == rules::Platform::kIFTTT) ifttt_rules.push_back(r);
   }
@@ -47,8 +47,8 @@ int main() {
   bc.max_nodes = 20;
   bc.size_skew = 2.0;
   bc.seed = 321;
-  graph::GraphBuilder builder(bc, &glint.word_model(),
-                              &glint.sentence_model());
+  graph::GraphBuilder builder(bc, &detector.word_model(),
+                              &detector.sentence_model());
   auto st_graphs = gnn::ToGnnGraphs(builder.BuildDataset(st_rules, 165));
   auto ifttt_graphs =
       gnn::ToGnnGraphs(builder.BuildDataset(ifttt_rules, 500));
@@ -77,13 +77,13 @@ int main() {
 
   // ---- 2. Drifting blueprints: the four new threat types -----------------
   std::printf("\n[2] drifting-sample review of Home Assistant blueprints\n");
-  gnn::DriftDetector drift = glint.drift_detector();
+  gnn::DriftDetector drift = detector.drift_detector();
   auto groups = rules::CorpusGenerator::NewThreatBlueprints();
   for (size_t i = 0; i < groups.size(); ++i) {
     auto g = builder.BuildFromRules(groups[i]);
     auto gg = gnn::ToGnnGraph(g);
     const double degree =
-        drift.DriftingDegree(gnn::Trainer::Embed(glint.contrastive(), gg));
+        drift.DriftingDegree(gnn::Trainer::Embed(detector.contrastive(), gg));
     auto findings = graph::ThreatAnalyzer::DetectNewTypes(g);
     std::printf("  blueprint group %zu: drifting degree %.2f%s\n", i + 1,
                 degree, degree > 3 ? "  << DRIFTING, review:" : "");
@@ -103,9 +103,9 @@ int main() {
   std::printf("\n[3] user feedback: confirming a blueprint threat and "
               "fine-tuning\n");
   auto confirmed = builder.BuildFromRules(groups[2]);  // trigger intake
-  auto warn_before = glint.InspectGraph(confirmed);
-  glint.FineTune({confirmed}, {true});
-  auto warn_after = glint.InspectGraph(confirmed);
+  auto warn_before = detector.AnalyzeGraph(confirmed);
+  detector.FineTune({confirmed}, {true});
+  auto warn_after = detector.AnalyzeGraph(confirmed);
   std::printf("  trigger-intake blueprint confidence: %.2f -> %.2f\n",
               warn_before.confidence, warn_after.confidence);
   std::printf("\naudit complete.\n");

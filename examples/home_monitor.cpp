@@ -18,7 +18,6 @@
 #include <cstdio>
 #include <string>
 
-#include "core/glint.h"
 #include "core/serving.h"
 #include "testbed/attacks.h"
 #include "testbed/scenarios.h"
@@ -28,7 +27,7 @@ using namespace glint;  // NOLINT
 int main() {
   std::printf("== Glint home monitor ==\n\n");
 
-  core::Glint::Options options;
+  core::TrainedDetector::Options options;
   options.corpus.ifttt = 500;
   options.corpus.smartthings = 80;
   options.corpus.alexa = 150;
@@ -43,9 +42,9 @@ int main() {
   options.train.oversample_factor = 2.5;
   options.pairs.num_positive = 200;
   options.pairs.num_negative = 300;
-  core::Glint glint(options);
+  core::TrainedDetector detector(options);
   std::printf("training the public detector model (offline stage)...\n\n");
-  glint.TrainOffline();
+  detector.TrainOffline();
 
   // A house with the benign deployment plus the smoke-unlock / night-lock
   // pair (the settings 8/9 action conflict, latent until smoke).
@@ -85,7 +84,7 @@ int main() {
     std::fprintf(stderr, "cannot create state dir\n");
     return 1;
   }
-  core::ServingEngine engine(&glint.detector());
+  core::ServingEngine engine(&detector);
   if (Status st = engine.Recover(state_dir); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
@@ -182,7 +181,7 @@ int main() {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
   }
-  core::ServingEngine recovered(&glint.detector());
+  core::ServingEngine recovered(&detector);
   if (Status st = recovered.Recover(state_dir); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;

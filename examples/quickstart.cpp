@@ -9,7 +9,7 @@
 
 #include <cstdio>
 
-#include "core/glint.h"
+#include "core/session.h"
 
 using namespace glint;  // NOLINT
 
@@ -18,7 +18,7 @@ int main() {
 
   // 1. Configure a small offline training run (scale up for accuracy; see
   //    bench/ for the paper-scale configurations).
-  core::Glint::Options options;
+  core::TrainedDetector::Options options;
   options.corpus.ifttt = 500;
   options.corpus.smartthings = 80;
   options.corpus.alexa = 150;
@@ -34,10 +34,10 @@ int main() {
   options.pairs.num_positive = 200;
   options.pairs.num_negative = 300;
 
-  core::Glint glint(options);
+  core::TrainedDetector detector(options);
   std::printf("training offline (corpus, correlation model, ITGNN)...\n");
-  glint.TrainOffline();
-  std::printf("done. corpus: %zu rules.\n\n", glint.corpus().size());
+  detector.TrainOffline();
+  std::printf("done. corpus: %zu rules.\n\n", detector.corpus().size());
 
   // 2. A user's deployment: the paper's Table 1 rules across SmartThings,
   //    IFTTT and Alexa.
@@ -48,17 +48,20 @@ int main() {
                 r.text.c_str());
   }
 
-  // 3. Initial-setup check: build the interaction graph and inspect it.
-  auto graph = glint.BuildGraph(deployed);
+  // 3. Initial-setup check: deploy the rules into a session (one per home)
+  //    and inspect the static interaction graph they form.
+  core::DeploymentSession session(&detector);
+  for (const auto& r : deployed) session.AddRule(r);
+  auto graph = session.live().MaterializeStatic();
   std::printf("\ninteraction graph: %d nodes, %d edges (%s)\n",
               graph.num_nodes(), graph.num_edges(),
               graph.IsHeterogeneous() ? "heterogeneous" : "homogeneous");
 
-  auto warning = glint.InspectGraph(graph);
+  auto warning = session.InspectStatic();
   std::printf("\n%s\n", warning.Render().c_str());
 
   // 4. Persist the trained detector for the hub.
-  if (auto st = glint.SaveModels("/tmp"); st.ok()) {
+  if (auto st = detector.SaveModels("/tmp"); st.ok()) {
     std::printf("models saved to /tmp/itgnn_{s,c}.bin\n");
     std::remove("/tmp/itgnn_s.bin");
     std::remove("/tmp/itgnn_c.bin");

@@ -98,25 +98,20 @@ class TrainedDetector {
   /// Tensorizes then analyzes (initial-setup checks, cold inspections).
   ThreatWarning AnalyzeGraph(const graph::InteractionGraph& g) const;
 
-  // ---- Accessors (benches, examples, the Glint façade) ------------------
+  // ---- Accessors (CLI, benches, examples, tests) ------------------------
 
   const Options& options() const { return options_; }
   gnn::ItgnnModel* classifier() const { return classifier_.get(); }
   gnn::ItgnnModel* contrastive() const { return contrastive_.get(); }
   const gnn::DriftDetector& drift_detector() const { return drift_; }
-  bool has_discovery() const { return discovery_ != nullptr; }
   const correlation::CorrelationDiscovery& discovery() const {
     return *discovery_;
   }
-  graph::GraphBuilder* builder() const { return builder_.get(); }
   const std::vector<rules::Rule>& corpus() const { return corpus_rules_; }
   const nlp::EmbeddingModel& word_model() const { return word_model_; }
   const nlp::EmbeddingModel& sentence_model() const { return sentence_model_; }
   const correlation::CorrelationCache& correlation_cache() const {
     return corr_cache_;
-  }
-  const std::vector<gnn::GnnGraph>& train_graphs() const {
-    return train_graphs_;
   }
 
  private:

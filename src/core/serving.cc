@@ -392,11 +392,6 @@ int ServingEngine::ResolveHome(const HomeId& id) const {
   return it == index_.end() ? -1 : it->second;
 }
 
-const HomeId& ServingEngine::home_id(int h) const {
-  GLINT_CHECK(h >= 0 && h < static_cast<int>(ids_.size()));
-  return ids_[static_cast<size_t>(h)];
-}
-
 const DeploymentSession& ServingEngine::home_view(int h) const {
   GLINT_CHECK(h >= 0 && h < static_cast<int>(sessions_.size()));
   return *sessions_[static_cast<size_t>(h)];

@@ -68,6 +68,7 @@ class ServingEngine {
   /// Sequence number of the last journaled (and applied) operation.
   uint64_t journal_seq() const { return seq_; }
   /// What the last Recover() found (zero-initialized when never called).
+  /// Kept for the tests: they check what recovery replayed.
   const Journal::RecoveryInfo& recovery_info() const {
     return recovery_info_;
   }
@@ -124,8 +125,6 @@ class ServingEngine {
   /// Dense slot of `id` in this engine, -1 when unknown.
   int ResolveHome(const HomeId& id) const;
   bool has_home(const HomeId& id) const { return ResolveHome(id) >= 0; }
-  /// Stable id of slot `h` (checked).
-  const HomeId& home_id(int h) const;
   /// Every home id, in registration (= dense slot) order.
   const std::vector<HomeId>& home_ids() const { return ids_; }
   /// Read-only session of slot `h` (checked) for stats and rule listings.

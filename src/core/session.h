@@ -109,7 +109,6 @@ class DeploymentSession {
   const TrainedDetector& detector() const { return *detector_; }
 
   // Cache observability (bench / test instrumentation).
-  size_t inspect_count() const { return inspects_; }
   size_t verdict_hits() const { return verdict_hits_; }
   size_t tensor_hits() const { return tensor_cache_.hits(); }
 

@@ -72,7 +72,8 @@ class CorrelationDiscovery {
   bool Correlated(const rules::Rule& src, const rules::Rule& dst,
                   CorrelationCache* cache = nullptr) const;
 
-  /// Majority-vote probability in {0, 1/3, 2/3, 1}.
+  /// Majority-vote probability in {0, 1/3, 2/3, 1}. Kept for the tests:
+  /// the full three-model vote they check Correlated's short circuit against.
   double VoteShare(const rules::Rule& src, const rules::Rule& dst) const;
 
   const FeatureExtractor& extractor() const { return extractor_; }

@@ -235,7 +235,8 @@ class EventBus {
   uint64_t deadline_shed(int k) const;
   /// Consumer restarts performed by the watchdog for shard `k`.
   uint64_t restarts(int k) const;
-  /// Events dropped by per-home seq dedup (at-least-once retransmits).
+  /// Events dropped by per-home seq dedup (at-least-once retransmits). Kept
+  /// for the tests: it shows a retransmit was deduplicated.
   uint64_t dedup_dropped() const;
   uint32_t retry_after_ms() const { return config_.retry_after_ms; }
 

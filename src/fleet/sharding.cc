@@ -154,16 +154,6 @@ Result<int> ShardedFleet::TryAddHome(const HomeId& id,
   return k;
 }
 
-Status ShardedFleet::TryAddRule(const HomeId& id, const rules::Rule& rule) {
-  return shards_[static_cast<size_t>(ShardOf(id))]->TryAddRule(id, rule);
-}
-
-Status ShardedFleet::TryRemoveRule(const HomeId& id, int rule_id,
-                                   bool* removed) {
-  return shards_[static_cast<size_t>(ShardOf(id))]->TryRemoveRule(id, rule_id,
-                                                                  removed);
-}
-
 Status ShardedFleet::TryOnEvent(const HomeId& id, const graph::Event& e) {
   return shards_[static_cast<size_t>(ShardOf(id))]->TryOnEvent(id, e);
 }

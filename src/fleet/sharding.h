@@ -102,14 +102,13 @@ class ShardedFleet {
   bool durable() const;
 
   // ---- Home-addressed operations (routed) ------------------------------
+  // Rule changes have no fleet-level entry: the EventBus applies them to
+  // shard(ShardOf(id)), the engine that owns the home.
 
   /// Registers a home fleet-wide; InvalidArgument on a duplicate id.
   /// Returns the owning shard index.
   Result<int> TryAddHome(const HomeId& id,
                          const std::vector<rules::Rule>& deployed);
-  Status TryAddRule(const HomeId& id, const rules::Rule& rule);
-  Status TryRemoveRule(const HomeId& id, int rule_id,
-                       bool* removed = nullptr);
   Status TryOnEvent(const HomeId& id, const graph::Event& e);
   Result<core::ThreatWarning> TryInspect(const HomeId& id, double now_hours);
   /// Degraded-mode inspection (verdict cache / no explainer; the verdict

@@ -348,7 +348,9 @@ class Client {
 
   /// Call, additionally retrying (after the server's retry_after_ms hint,
   /// floored by the jittered backoff) while the server answers
-  /// kOverloaded. The polite client loop for shed load.
+  /// kOverloaded. The polite client loop for shed load. Kept for the
+  /// tests, which drive shedding servers with it; no product client
+  /// retries yet.
   Status CallRetrying(const Request& req, Reply* reply);
 
   /// Pipelined send: writes the request frame and returns without
@@ -364,7 +366,8 @@ class Client {
   /// Non-OK once the pipeline is poisoned (recv timeout / reply
   /// mismatch); reset by Connect().
   const Status& poisoned() const { return poison_; }
-  /// Successful automatic reconnections, ever (test/bench introspection).
+  /// Successful automatic reconnections, ever. Kept for the tests: it shows
+  /// a reconnect happened.
   uint64_t reconnects() const { return reconnects_; }
 
   const Options& options() const { return options_; }

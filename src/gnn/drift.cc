@@ -106,14 +106,4 @@ bool DriftDetector::RestoreFrom(util::ByteReader* r) {
   return true;
 }
 
-std::vector<bool> DriftDetector::DetectDrifting(
-    GraphModel* model, const std::vector<GnnGraph>& unlabeled) const {
-  std::vector<bool> out;
-  out.reserve(unlabeled.size());
-  for (const auto& g : unlabeled) {
-    out.push_back(IsDrifting(Trainer::Embed(model, g)));
-  }
-  return out;
-}
-
 }  // namespace glint::gnn

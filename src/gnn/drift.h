@@ -40,11 +40,6 @@ class DriftDetector {
   /// Convenience: fit from a trained model and labeled graphs.
   void FitFromModel(GraphModel* model, const std::vector<GnnGraph>& train);
 
-  /// Batch drift flags for unlabeled graphs.
-  std::vector<bool> DetectDrifting(GraphModel* model,
-                                   const std::vector<GnnGraph>& unlabeled)
-      const;
-
   /// Appends the fitted statistics (centroids, medians, MADs) to `w` in the
   /// layout RestoreFrom reads back. The t_mad threshold is configuration,
   /// not fitted state, and is not serialized.

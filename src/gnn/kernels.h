@@ -109,7 +109,8 @@ enum class Backend : int { kScalar = 0, kAvx2 = 1 };
 /// and call through the function pointers.
 const KernelBackend& Kernels();
 
-/// Kind / name of the selected backend.
+/// Kind / name of the selected backend. CurrentBackend is kept for the
+/// tests: they check which backend GLINT_KERNEL selected.
 Backend CurrentBackend();
 const char* BackendName();
 

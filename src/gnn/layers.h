@@ -20,11 +20,8 @@ class Linear {
   }
 
   std::vector<Parameter*> Parameters() { return {&w_, &b_}; }
-  void SetFrozen(bool frozen) {
-    w_.frozen = frozen;
-    b_.frozen = frozen;
-  }
   int in_dim() const { return w_.value.rows; }
+  /// Kept for the tests: they check layer shapes.
   int out_dim() const { return w_.value.cols; }
 
  private:
@@ -43,7 +40,6 @@ class GcnConv {
   }
 
   std::vector<Parameter*> Parameters() { return lin_.Parameters(); }
-  void SetFrozen(bool f) { lin_.SetFrozen(f); }
 
  private:
   Linear lin_;
@@ -68,10 +64,6 @@ class GinConv {
     auto q = lin2_.Parameters();
     p.insert(p.end(), q.begin(), q.end());
     return p;
-  }
-  void SetFrozen(bool f) {
-    lin1_.SetFrozen(f);
-    lin2_.SetFrozen(f);
   }
 
  private:
@@ -105,9 +97,6 @@ class TagConv {
       out.insert(out.end(), p.begin(), p.end());
     }
     return out;
-  }
-  void SetFrozen(bool f) {
-    for (auto& lin : hop_lins_) lin.SetFrozen(f);
   }
 
  private:
@@ -192,10 +181,6 @@ class VIPool {
     auto q = logit_.Parameters();
     p.insert(p.end(), q.begin(), q.end());
     return p;
-  }
-  void SetFrozen(bool f) {
-    score_.SetFrozen(f);
-    logit_.SetFrozen(f);
   }
 
  private:

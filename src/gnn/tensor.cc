@@ -499,13 +499,6 @@ void Tape::RunBackward(const OpRecord& r) {
       }
       break;
     }
-    case OpKind::kTanh: {
-      for (size_t i = 0; i < a->grad.data.size(); ++i) {
-        const float y = out->value.data[i];
-        a->grad.data[i] += out->grad.data[i] * (1.f - y * y);
-      }
-      break;
-    }
     case OpKind::kConcatCols: {
       for (int i = 0; i < a->rows(); ++i) {
         if (a->requires_grad) {
@@ -879,11 +872,6 @@ Tensor* Sigmoid(Tape* tape, Tensor* a) {
                      [](float x) { return 1.f / (1.f + std::exp(-x)); });
 }
 
-Tensor* Tanh(Tape* tape, Tensor* a) {
-  return Elementwise(tape, a, OpKind::kTanh,
-                     [](float x) { return std::tanh(x); });
-}
-
 Tensor* ConcatCols(Tape* tape, Tensor* a, Tensor* b) {
   GLINT_CHECK(a->rows() == b->rows());
   Tensor* out = tape->New(a->rows(), a->cols() + b->cols(), Track({a, b}));
@@ -1116,16 +1104,10 @@ void SoftmaxRowInto(const float* logits, int k, double* p) {
   SoftmaxFillRow(logits, k, p);
 }
 
-std::vector<double> SoftmaxRow(const Tensor* logits) {
-  std::vector<double> p(logits->value.data.size());
-  SoftmaxRowInto(logits, p.data());
-  return p;
-}
-
 namespace {
 
-/// SoftmaxRow() replicated into the arena double pool (same operation
-/// order, so the float results are bit-identical to the heap version).
+/// SoftmaxRowInto() into the arena double pool (same operation order, so
+/// the float results are bit-identical).
 size_t SoftmaxRowIntoPool(Tape* tape, const Tensor* logits) {
   const int k = logits->cols();
   const size_t off = tape->arena()->AllocDoubles(static_cast<size_t>(k));

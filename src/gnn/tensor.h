@@ -129,10 +129,6 @@ struct SparseMatrix {
   /// use with the same first-build-wins discipline as CsrView().
   std::shared_ptr<const Matrix> DenseView() const;
 
-  const std::vector<int>& RowPtr() const { return CsrView()->row_ptr; }
-  const std::vector<int>& ColIdx() const { return CsrView()->col_idx; }
-  const std::vector<float>& Vals() const { return CsrView()->vals; }
-
  private:
   mutable std::atomic<std::shared_ptr<const Csr>> csr_;
   mutable std::atomic<std::shared_ptr<const Matrix>> dense_;
@@ -165,6 +161,7 @@ struct Parameter {
         m(value.rows, value.cols),
         v(value.rows, value.cols) {}
 
+  /// Kept for the tests: they reset gradients between backward passes.
   void ZeroGrad() { std::fill(grad.data.begin(), grad.data.end(), 0.f); }
 };
 
@@ -178,7 +175,6 @@ enum class OpKind : uint8_t {
   kScale,
   kRelu,
   kSigmoid,
-  kTanh,
   kConcatCols,
   kConcatRows,
   kMeanRows,
@@ -431,8 +427,6 @@ Tensor* Scale(Tape* t, Tensor* a, float s);
 Tensor* Relu(Tape* t, Tensor* a);
 /// Elementwise sigmoid.
 Tensor* Sigmoid(Tape* t, Tensor* a);
-/// Elementwise tanh.
-Tensor* Tanh(Tape* t, Tensor* a);
 /// Column-wise concatenation [A | B] (same row count).
 Tensor* ConcatCols(Tape* t, Tensor* a, Tensor* b);
 /// Row-wise concatenation [A ; B] (same column count).
@@ -490,12 +484,8 @@ Tensor* SoftmaxRows(Tape* t, Tensor* a);
 Tensor* SegmentScaleByCol(Tape* t, Tensor* a, Tensor* s, int col,
                           const std::vector<int>& offsets);
 
-/// Softmax probabilities of a 1 x k logits row (forward only helper).
-std::vector<double> SoftmaxRow(const Tensor* logits);
-
-/// Allocation-free SoftmaxRow: writes the probabilities into `p`, which
-/// must hold logits->value.data.size() doubles. Identical operation order
-/// to SoftmaxRow, so the results are bit-identical.
+/// Softmax probabilities of a 1 x k logits row (forward only helper):
+/// writes them into `p`, which must hold logits->value.data.size() doubles.
 void SoftmaxRowInto(const Tensor* logits, double* p);
 
 /// Row-pointer variant for one row of a batched logits matrix: softmax of

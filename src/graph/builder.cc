@@ -14,8 +14,7 @@ GraphBuilder::GraphBuilder(Config config,
                            const nlp::EmbeddingModel* sentence_model)
     : config_(config),
       word_model_(word_model),
-      sentence_model_(sentence_model),
-      rng_(config.seed) {
+      sentence_model_(sentence_model) {
   GLINT_CHECK(word_model_ != nullptr);
   GLINT_CHECK(sentence_model_ != nullptr);
   edge_pred_ = [](const rules::Rule& a, const rules::Rule& b) {
@@ -77,10 +76,6 @@ Node GraphBuilder::MakeNode(const rules::Rule& rule) const {
   std::lock_guard<std::mutex> lk(feature_mu_);
   feature_cache_.try_emplace(key, node.features);
   return node;
-}
-
-InteractionGraph GraphBuilder::BuildGraph(const std::vector<rules::Rule>& pool) {
-  return BuildGraphWith(pool, &rng_);
 }
 
 InteractionGraph GraphBuilder::BuildGraphWith(

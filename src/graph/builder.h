@@ -58,12 +58,9 @@ class GraphBuilder {
   /// Overrides the edge predicate (default: semantic oracle).
   void set_edge_predicate(EdgePredicate pred) { edge_pred_ = std::move(pred); }
 
-  /// Builds one random interaction graph from the pool (offline stage):
-  /// chained sampling of correlated rules, full pairwise edge scan, labels
-  /// via ThreatAnalyzer.
-  InteractionGraph BuildGraph(const std::vector<rules::Rule>& pool);
-
-  /// Builds a labeled dataset of `num_graphs` graphs.
+  /// Builds a labeled dataset of `num_graphs` random interaction graphs
+  /// (offline stage): per graph, chained sampling of correlated rules from
+  /// the pool, a full pairwise edge scan, and labels via ThreatAnalyzer.
   GraphDataset BuildDataset(const std::vector<rules::Rule>& pool,
                             int num_graphs);
 
@@ -88,9 +85,9 @@ class GraphBuilder {
   Node MakeNode(const rules::Rule& rule) const;
 
  private:
-  /// BuildGraph with an explicit RNG stream. BuildDataset gives graph i the
-  /// stream seeded by `config_.seed ^ i`, so the dataset is identical for
-  /// any thread count; the public BuildGraph draws from the member stream.
+  /// Builds one dataset graph from an explicit RNG stream. BuildDataset
+  /// gives graph i the stream seeded by `config_.seed ^ i`, so the dataset
+  /// is identical for any thread count.
   InteractionGraph BuildGraphWith(const std::vector<rules::Rule>& pool,
                                   Rng* rng) const;
 
@@ -102,7 +99,6 @@ class GraphBuilder {
   const nlp::EmbeddingModel* word_model_;
   const nlp::EmbeddingModel* sentence_model_;
   EdgePredicate edge_pred_;
-  Rng rng_;
   /// MakeNode feature memo, keyed by type-salted text hash.
   mutable std::mutex feature_mu_;
   mutable std::unordered_map<uint64_t, FloatVec> feature_cache_;

@@ -34,7 +34,6 @@ int NodeTypeOf(rules::Platform p) {
 int InteractionGraph::AddNode(Node node) {
   nodes_.push_back(std::move(node));
   out_.emplace_back();
-  in_.emplace_back();
   return static_cast<int>(nodes_.size()) - 1;
 }
 
@@ -44,15 +43,6 @@ void InteractionGraph::AddEdge(int src, int dst) {
   if (HasEdge(src, dst)) return;
   edges_.push_back({src, dst});
   out_[static_cast<size_t>(src)].push_back(dst);
-  in_[static_cast<size_t>(dst)].push_back(src);
-}
-
-const std::vector<int>& InteractionGraph::OutNeighbors(int v) const {
-  return out_[static_cast<size_t>(v)];
-}
-
-const std::vector<int>& InteractionGraph::InNeighbors(int v) const {
-  return in_[static_cast<size_t>(v)];
 }
 
 bool InteractionGraph::HasEdge(int src, int dst) const {
@@ -69,28 +59,6 @@ bool InteractionGraph::IsHeterogeneous() const {
     if (n.type != t0) return true;
   }
   return false;
-}
-
-bool InteractionGraph::IsWeaklyConnected() const {
-  if (nodes_.size() <= 1) return true;
-  std::vector<bool> seen(nodes_.size(), false);
-  std::vector<int> stack{0};
-  seen[0] = true;
-  size_t count = 1;
-  while (!stack.empty()) {
-    const int v = stack.back();
-    stack.pop_back();
-    auto visit = [&](int u) {
-      if (!seen[static_cast<size_t>(u)]) {
-        seen[static_cast<size_t>(u)] = true;
-        ++count;
-        stack.push_back(u);
-      }
-    };
-    for (int u : out_[static_cast<size_t>(v)]) visit(u);
-    for (int u : in_[static_cast<size_t>(v)]) visit(u);
-  }
-  return count == nodes_.size();
 }
 
 }  // namespace glint::graph

@@ -69,13 +69,7 @@ class InteractionGraph {
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   int num_edges() const { return static_cast<int>(edges_.size()); }
   const std::vector<Node>& nodes() const { return nodes_; }
-  std::vector<Node>* mutable_nodes() { return &nodes_; }
   const std::vector<Edge>& edges() const { return edges_; }
-
-  /// Outgoing neighbour indices of `v`.
-  const std::vector<int>& OutNeighbors(int v) const;
-  /// Incoming neighbour indices of `v`.
-  const std::vector<int>& InNeighbors(int v) const;
 
   bool HasEdge(int src, int dst) const;
 
@@ -92,10 +86,6 @@ class InteractionGraph {
     threat_types_ = std::move(t);
   }
 
-  /// True if the graph is weakly connected (singletons count as connected
-  /// only for n <= 1).
-  bool IsWeaklyConnected() const;
-
   /// Nodes flagged as threat culprits (for warnings / Fig. 3 display).
   const std::vector<int>& culprit_nodes() const { return culprits_; }
   void set_culprit_nodes(std::vector<int> c) { culprits_ = std::move(c); }
@@ -104,7 +94,6 @@ class InteractionGraph {
   std::vector<Node> nodes_;
   std::vector<Edge> edges_;
   std::vector<std::vector<int>> out_;
-  std::vector<std::vector<int>> in_;
   bool vulnerable_ = false;
   std::vector<ThreatType> threat_types_;
   std::vector<int> culprits_;

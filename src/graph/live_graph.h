@@ -94,7 +94,8 @@ class LiveGraph {
 
   /// Chronologically sorted events still inside the retained horizon —
   /// together with CurrentRules() and latest_event_hours(), the complete
-  /// logical state of the graph (everything else is derived).
+  /// logical state of the graph (everything else is derived). Kept for the
+  /// tests: they check window pruning and recovery with it.
   const std::vector<Event>& retained_events() const { return retained_; }
 
   /// Serializes the logical state (deployed rules in node order, retained

@@ -215,15 +215,6 @@ const DecisionTree::Node& DecisionTree::Leaf(const FloatVec& x) const {
   return nodes_[cur];
 }
 
-int DecisionTree::PredictClass(const FloatVec& x) const {
-  const auto& dist = Leaf(x).dist;
-  int best = 0;
-  for (size_t c = 1; c < dist.size(); ++c) {
-    if (dist[c] > dist[static_cast<size_t>(best)]) best = static_cast<int>(c);
-  }
-  return best;
-}
-
 const std::vector<double>& DecisionTree::PredictDistribution(
     const FloatVec& x) const {
   return Leaf(x).dist;

@@ -32,16 +32,14 @@ class DecisionTree {
   void FitRegressor(const std::vector<FloatVec>& x,
                     const std::vector<double>& targets);
 
-  /// Classification: most probable class. Requires FitClassifier.
-  int PredictClass(const FloatVec& x) const;
-
   /// Classification: class distribution at the leaf.
   const std::vector<double>& PredictDistribution(const FloatVec& x) const;
 
   /// Regression: leaf mean. Requires FitRegressor.
   double PredictValue(const FloatVec& x) const;
 
-  /// Depth of the learned tree (root = 0; empty tree = -1).
+  /// Depth of the learned tree (root = 0; empty tree = -1). Kept for the
+  /// tests: it is how they check that fitting honours Params::max_depth.
   int Depth() const;
 
  private:

@@ -41,25 +41,4 @@ std::vector<Metrics> CrossValidate(
   return out;
 }
 
-size_t GridSearch(
-    const Dataset& data, int k,
-    const std::vector<std::function<std::unique_ptr<Classifier>()>>& factories,
-    Rng* rng) {
-  GLINT_CHECK(!factories.empty());
-  size_t best = 0;
-  double best_f1 = -1;
-  for (size_t i = 0; i < factories.size(); ++i) {
-    Rng fold_rng = rng->Fork();
-    auto metrics = CrossValidate(data, k, factories[i], &fold_rng);
-    double mean_f1 = 0;
-    for (const auto& m : metrics) mean_f1 += m.f1;
-    mean_f1 /= static_cast<double>(metrics.size());
-    if (mean_f1 > best_f1) {
-      best_f1 = mean_f1;
-      best = i;
-    }
-  }
-  return best;
-}
-
 }  // namespace glint::ml

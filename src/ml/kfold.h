@@ -24,11 +24,4 @@ std::vector<Metrics> CrossValidate(
     const Dataset& data, int k,
     const std::function<std::unique_ptr<Classifier>()>& factory, Rng* rng);
 
-/// Exhaustive grid search: evaluates `factories` by mean CV F1 and returns
-/// the index of the best configuration.
-size_t GridSearch(
-    const Dataset& data, int k,
-    const std::vector<std::function<std::unique_ptr<Classifier>()>>& factories,
-    Rng* rng);
-
 }  // namespace glint::ml

@@ -84,13 +84,4 @@ int KMeans::Assign(const FloatVec& x) const {
   return best;
 }
 
-double KMeans::Inertia(const std::vector<FloatVec>& xs) const {
-  double total = 0;
-  for (const auto& x : xs) {
-    const double d = EuclideanDistance(x, centroids_[static_cast<size_t>(Assign(x))]);
-    total += d * d;
-  }
-  return total;
-}
-
 }  // namespace glint::ml

@@ -31,9 +31,6 @@ class KMeans {
 
   const std::vector<FloatVec>& centroids() const { return centroids_; }
 
-  /// Total within-cluster sum of squared distances (inertia).
-  double Inertia(const std::vector<FloatVec>& xs) const;
-
  private:
   Params params_;
   std::vector<FloatVec> centroids_;

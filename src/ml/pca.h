@@ -32,6 +32,7 @@ class Pca {
   /// Variance captured by each component.
   const std::vector<double>& explained_variance() const { return variance_; }
 
+  /// Kept for the tests: they check the components are orthonormal.
   const std::vector<FloatVec>& components() const { return components_; }
 
  private:

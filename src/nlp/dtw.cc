@@ -1,7 +1,6 @@
 #include "nlp/dtw.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 namespace glint::nlp {
@@ -23,19 +22,6 @@ double DtwDistance(const std::vector<std::vector<double>>& cost,
     }
   }
   return d[n][m];
-}
-
-double DtwDistance(const std::vector<double>& a,
-                   const std::vector<double>& b) {
-  if (a.empty() || b.empty()) {
-    return static_cast<double>(a.size() + b.size());  // gap cost 1 each
-  }
-  std::vector<std::vector<double>> cost(a.size(),
-                                        std::vector<double>(b.size()));
-  for (size_t i = 0; i < a.size(); ++i) {
-    for (size_t j = 0; j < b.size(); ++j) cost[i][j] = std::fabs(a[i] - b[j]);
-  }
-  return DtwDistance(cost);
 }
 
 double DtwWordDistance(const std::vector<std::string>& a,

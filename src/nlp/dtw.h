@@ -18,9 +18,6 @@ namespace glint::nlp {
 double DtwDistance(const std::vector<std::vector<double>>& cost,
                    double gap_cost = 1.0);
 
-/// DTW over scalar sequences with |a_i - b_j| cost (for tests/properties).
-double DtwDistance(const std::vector<double>& a, const std::vector<double>& b);
-
 /// DTW over word sequences with (1 - cosine similarity) cost in the given
 /// embedding model; normalised by the warping path length so values are
 /// comparable across sequence lengths.

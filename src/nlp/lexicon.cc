@@ -299,11 +299,4 @@ const std::string& Lexicon::ChannelOf(const std::string& word) const {
   return it == channel_.end() ? empty_ : it->second;
 }
 
-std::vector<std::string> Lexicon::Words() const {
-  std::vector<std::string> out;
-  out.reserve(pos_.size());
-  for (const auto& [w, p] : pos_) out.push_back(w);
-  return out;
-}
-
 }  // namespace glint::nlp

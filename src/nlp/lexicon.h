@@ -79,9 +79,6 @@ class Lexicon {
   /// E.g. "thermostat" -> "temperature", "smoke" -> "smoke".
   const std::string& ChannelOf(const std::string& word) const;
 
-  /// All words known to the lexicon (for tests and vocabulary stats).
-  std::vector<std::string> Words() const;
-
  private:
   Lexicon();
 

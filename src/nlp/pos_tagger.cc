@@ -57,18 +57,4 @@ std::vector<TaggedToken> PosTagger::TagSentence(const std::string& sentence) {
   return Tag(Tokenizer::Tokenize(sentence));
 }
 
-NounsVerbs ExtractNounsVerbs(const std::vector<TaggedToken>& tagged) {
-  const Lexicon& lex = Lexicon::Instance();
-  NounsVerbs nv;
-  for (const auto& t : tagged) {
-    if (lex.IsNamedEntity(t.text) || lex.IsStopWord(t.text)) continue;
-    if (t.pos == Pos::kNoun) {
-      nv.nouns.push_back(t.text);
-    } else if (t.pos == Pos::kVerb) {
-      nv.verbs.push_back(t.text);
-    }
-  }
-  return nv;
-}
-
 }  // namespace glint::nlp

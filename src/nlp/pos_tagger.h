@@ -29,12 +29,4 @@ class PosTagger {
   static std::vector<TaggedToken> TagSentence(const std::string& sentence);
 };
 
-/// Splits a tagged sentence into (nouns, verbs) as line 2-3 of Algorithm 1,
-/// discarding named entities, stop words, determiners, etc.
-struct NounsVerbs {
-  std::vector<std::string> nouns;
-  std::vector<std::string> verbs;
-};
-NounsVerbs ExtractNounsVerbs(const std::vector<TaggedToken>& tagged);
-
 }  // namespace glint::nlp

@@ -46,10 +46,6 @@ uint64_t Counter::Value() const {
   return total;
 }
 
-void Counter::Reset() {
-  for (auto& s : shards_) s.v.store(0, std::memory_order_relaxed);
-}
-
 // ---- Gauge ----------------------------------------------------------------
 
 void Gauge::RaisePeak(int64_t candidate) {

@@ -45,7 +45,6 @@ class Counter {
   /// point-in-time read during writes may miss in-flight increments but
   /// never double-counts.
   uint64_t Value() const;
-  void Reset();
 
  private:
   struct alignas(64) Shard {

@@ -35,6 +35,7 @@ class TimeSeries {
   std::vector<Sample> Snapshot() const;
   /// Most recent sample ({0, 0} when empty).
   Sample Latest() const;
+  /// Samples held. Kept for the tests: they check ring eviction.
   size_t size() const;
   size_t capacity() const { return ring_.size(); }
 
@@ -55,6 +56,7 @@ class TimeSeriesSet {
   /// Convenience: Get(name)->Push(t_ns, v).
   void Push(const std::string& name, uint64_t t_ns, double v);
 
+  /// Every series name. Kept for the tests: they check registration.
   std::vector<std::string> Names() const;
 
   /// {"name":[[t_ms,v],...],...} — t_ms is the sample's NowNs stamp in

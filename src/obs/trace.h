@@ -94,7 +94,8 @@ struct TraceContext {
   uint64_t StageNs(TraceStage s) const {
     return stage_ns[static_cast<int>(s)];
   }
-  /// Sum of all stage durations (≤ end-to-end wall time).
+  /// Sum of all stage durations (≤ end-to-end wall time). Kept for the
+  /// tests: they check the stages add up.
   uint64_t SumNs() const;
 };
 
@@ -143,6 +144,7 @@ class SlowTraceRing {
   std::vector<CompletedTrace> Snapshot() const;
 
   size_t capacity() const { return slots_.size(); }
+  /// Traces ever recorded. Kept for the tests: it counts ring overwrites.
   uint64_t recorded() const {
     return next_.load(std::memory_order_relaxed);
   }
@@ -194,6 +196,7 @@ class TraceRecorder {
   int num_shards() const { return config_.num_shards; }
   /// `shard` in [0, num_shards]; num_shards = the server bucket.
   Histogram* stage_hist(int shard, TraceStage s) const;
+  /// Kept for the tests: they read back the traces that were kept as slow.
   const SlowTraceRing& slow_ring(int shard) const;
 
   /// Most recent slow traces across every shard, newest first, at most

@@ -66,7 +66,8 @@ class SmartHome {
   const Environment& env() const { return env_; }
   const std::vector<rules::Rule>& deployed() const { return deployed_; }
 
-  /// State of the first device of the given type ("" if absent).
+  /// State of the first device of the given type ("" if absent). Kept for
+  /// the tests: they check the simulated device states.
   std::string DeviceState(rules::DeviceType type) const;
 
  private:

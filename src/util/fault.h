@@ -60,7 +60,8 @@ class Registry {
 
   /// Every point registered so far (sorted). A point registers the first
   /// time its code path executes, so run the workload once before
-  /// enumerating.
+  /// enumerating. Kept for the tests: the crash matrix enumerates its cases
+  /// with it.
   std::vector<std::string> Points() const;
 
   /// Arms `point` to act on its `nth` upcoming hit (1 = next hit). The
@@ -70,7 +71,8 @@ class Registry {
            int delay_ms = 0);
   void Disarm(const std::string& point);
 
-  /// Disarms every point and resets all hit counters.
+  /// Disarms every point and resets all hit counters. Kept for the tests:
+  /// each case starts from a clean registry.
   void Clear();
 
   /// Parses a GLINT_FAULTS-style spec and arms each entry. Returns a
@@ -83,6 +85,7 @@ class Registry {
   Status Hit(const char* point);
 
   /// Total times `point` has been hit (armed or not) since the last Clear.
+  /// Kept for the tests: it shows that a fault site was reached.
   uint64_t hits(const std::string& point) const;
 
  private:

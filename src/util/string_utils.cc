@@ -2,37 +2,8 @@
 
 #include <cstdarg>
 #include <cstdio>
-#include <cctype>
 
 namespace glint {
-
-std::string ToLower(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return out;
-}
-
-std::vector<std::string> Split(const std::string& s,
-                               const std::string& delims) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char c : s) {
-    if (delims.find(c) != std::string::npos) {
-      if (!cur.empty()) out.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  if (!cur.empty()) out.push_back(cur);
-  return out;
-}
-
-std::vector<std::string> SplitWhitespace(const std::string& s) {
-  return Split(s, " \t\r\n");
-}
 
 std::string Join(const std::vector<std::string>& parts,
                  const std::string& sep) {
@@ -42,18 +13,6 @@ std::string Join(const std::vector<std::string>& parts,
     out += parts[i];
   }
   return out;
-}
-
-std::string Strip(const std::string& s) {
-  size_t b = 0;
-  size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
-bool StartsWith(const std::string& s, const std::string& prefix) {
-  return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
 }
 
 bool EndsWith(const std::string& s, const std::string& suffix) {

@@ -5,23 +5,8 @@
 
 namespace glint {
 
-/// Lowercases ASCII characters in-place-free fashion.
-std::string ToLower(const std::string& s);
-
-/// Splits `s` on any character in `delims`, dropping empty pieces.
-std::vector<std::string> Split(const std::string& s, const std::string& delims);
-
-/// Splits on whitespace.
-std::vector<std::string> SplitWhitespace(const std::string& s);
-
 /// Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts, const std::string& sep);
-
-/// Removes leading/trailing whitespace.
-std::string Strip(const std::string& s);
-
-/// True if `s` starts with `prefix`.
-bool StartsWith(const std::string& s, const std::string& prefix);
 
 /// True if `s` ends with `suffix`.
 bool EndsWith(const std::string& s, const std::string& suffix);

@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "util/status.h"
-#include "util/string_utils.h"
 
 namespace glint {
 
@@ -13,14 +12,6 @@ TablePrinter::TablePrinter(std::vector<std::string> headers)
 void TablePrinter::AddRow(std::vector<std::string> cells) {
   GLINT_CHECK(cells.size() == headers_.size());
   rows_.push_back(std::move(cells));
-}
-
-void TablePrinter::AddRow(const std::string& label,
-                          const std::vector<double>& values, int precision) {
-  std::vector<std::string> cells;
-  cells.push_back(label);
-  for (double v : values) cells.push_back(StrFormat("%.*f", precision, v));
-  AddRow(std::move(cells));
 }
 
 std::string TablePrinter::ToString() const {

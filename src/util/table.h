@@ -15,10 +15,6 @@ class TablePrinter {
   /// Appends a row; the number of cells must match the header count.
   void AddRow(std::vector<std::string> cells);
 
-  /// Convenience: formats doubles with `precision` decimals.
-  void AddRow(const std::string& label, const std::vector<double>& values,
-              int precision = 1);
-
   /// Renders the table with aligned columns and separators.
   std::string ToString() const;
 

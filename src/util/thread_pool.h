@@ -45,7 +45,7 @@ class ThreadPool {
 
   /// Helper tasks queued and not yet taken by a worker (diagnostics: a
   /// stalled ParallelFor with an empty queue and idle workers has lost a
-  /// helper).
+  /// helper). Kept for the tests: the stress watchdog reports it.
   size_t queue_depth() const;
 
   /// Runs fn(lo, hi) over disjoint chunks [lo, hi) covering [begin, end),

@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "core/glint.h"
+#include "core/detector.h"
 #include "core/serving.h"
 #include "core/session.h"
 #include "gnn/kernels.h"
@@ -40,7 +40,7 @@ namespace {
 class BatchedServingTest : public ::testing::Test {
  public:  // helpers are shared with the free RunEquivalenceScript driver
   static void SetUpTestSuite() {
-    Glint::Options opts;
+    TrainedDetector::Options opts;
     opts.corpus.ifttt = 200;
     opts.corpus.smartthings = 40;
     opts.corpus.alexa = 60;
@@ -53,8 +53,8 @@ class BatchedServingTest : public ::testing::Test {
     opts.train.epochs = 2;
     opts.pairs.num_positive = 60;
     opts.pairs.num_negative = 90;
-    glint_ = new Glint(opts);
-    glint_->TrainOffline();
+    detector_ = new TrainedDetector(opts);
+    detector_->TrainOffline();
   }
 
   void SetUp() override { fault::Registry::Global().Clear(); }
@@ -66,10 +66,10 @@ class BatchedServingTest : public ::testing::Test {
 
   static std::vector<rules::Rule> HomeRules(int n, int base_id = 9000) {
     std::vector<rules::Rule> out(
-        glint_->corpus().begin(),
-        glint_->corpus().begin() +
+        detector_->corpus().begin(),
+        detector_->corpus().begin() +
             std::min<size_t>(static_cast<size_t>(n),
-                             glint_->corpus().size()));
+                             detector_->corpus().size()));
     for (size_t i = 0; i < out.size(); ++i) {
       out[i].id = base_id + static_cast<int>(i);
     }
@@ -165,18 +165,18 @@ class BatchedServingTest : public ::testing::Test {
     return out;
   }
 
-  static Glint* glint_;
+  static TrainedDetector* detector_;
 };
 
-Glint* BatchedServingTest::glint_ = nullptr;
+TrainedDetector* BatchedServingTest::detector_ = nullptr;
 
 /// Drives two engines (a per-home TryInspect reference and a batched
 /// sweep with `max_batch`) through an identical script and asserts
 /// bit-identical warnings and identical aggregate cache counters after
 /// every round.
-void RunEquivalenceScript(Glint* glint, int max_batch) {
-  ServingEngine seq(&glint->detector());
-  ServingEngine bat(&glint->detector());
+void RunEquivalenceScript(const TrainedDetector* detector, int max_batch) {
+  ServingEngine seq(detector);
+  ServingEngine bat(detector);
   BatchedServingTest::BuildFleet(&seq);
   BatchedServingTest::BuildFleet(&bat);
 
@@ -213,7 +213,7 @@ TEST_F(BatchedServingTest, MatchesSequentialAcrossBatchSizes) {
   // max_batch 1 (every super-graph is one graph), tiny batches that split
   // the fleet unevenly, and one covering the whole fleet.
   for (int max_batch : {1, 2, 3, 256}) {
-    RunEquivalenceScript(glint_, max_batch);
+    RunEquivalenceScript(detector_, max_batch);
     if (HasFatalFailure()) return;
   }
 }
@@ -221,21 +221,21 @@ TEST_F(BatchedServingTest, MatchesSequentialAcrossBatchSizes) {
 TEST_F(BatchedServingTest, MatchesSequentialAcrossThreadCounts) {
   for (int threads : {1, 2, 4}) {
     ThreadPool::SetGlobalThreads(threads);
-    RunEquivalenceScript(glint_, 3);
+    RunEquivalenceScript(detector_, 3);
     if (HasFatalFailure()) return;
   }
 }
 
 TEST_F(BatchedServingTest, MatchesSequentialOnForcedScalarBackend) {
   ASSERT_TRUE(gnn::kernels::SetBackend(gnn::kernels::Backend::kScalar));
-  RunEquivalenceScript(glint_, 256);
+  RunEquivalenceScript(detector_, 256);
 }
 
 TEST_F(BatchedServingTest, SingleHomeAndEmptyFleet) {
-  ServingEngine eng(&glint_->detector());
+  ServingEngine eng(detector_);
   EXPECT_TRUE(eng.InspectAll(1.0).empty());
   ASSERT_OK(eng.TryAddHome("solo", HomeRules(4)).status());
-  ServingEngine ref(&glint_->detector());
+  ServingEngine ref(detector_);
   ASSERT_OK(ref.TryAddHome("solo", HomeRules(4)).status());
   EXPECT_EQ(Fp(InspectEach(&ref, 1.0)), Fp(eng.InspectAll(1.0)));
 }
@@ -249,10 +249,10 @@ TEST_F(BatchedServingTest, BatchedMatchesSequentialAfterFaultAndRecovery) {
   ASSERT_NE(::mkdtemp(tmpl), nullptr);
   const std::string dir = std::string(tmpl) + "/state";
 
-  ServingEngine ref(&glint_->detector());  // uninterrupted reference
+  ServingEngine ref(detector_);  // uninterrupted reference
   BuildFleet(&ref);
 
-  auto dur = std::make_unique<ServingEngine>(&glint_->detector());
+  auto dur = std::make_unique<ServingEngine>(detector_);
   ASSERT_TRUE(dur->Recover(dir).ok());
   BuildFleet(dur.get());
 
@@ -274,7 +274,7 @@ TEST_F(BatchedServingTest, BatchedMatchesSequentialAfterFaultAndRecovery) {
   FireRound(dur.get(), 1, 1.75);
 
   dur.reset();  // drop without snapshotting: round 1 lives only in the WAL
-  ServingEngine rec(&glint_->detector());
+  ServingEngine rec(detector_);
   ASSERT_TRUE(rec.Recover(dir).ok());
   ASSERT_EQ(rec.num_homes(), ref.num_homes());
 

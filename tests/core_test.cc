@@ -6,7 +6,7 @@
 #include <string>
 
 #include "core/explain.h"
-#include "core/glint.h"
+#include "core/detector.h"
 #include "core/session.h"
 #include "graph/threat_analyzer.h"
 
@@ -35,12 +35,12 @@ class ScopedTempDir {
   std::string path_;
 };
 
-// One small trained Glint shared by all tests in this file (training is the
-// expensive part).
+// One small trained detector shared by all tests in this file (training is
+// the expensive part).
 class GlintTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    Glint::Options opts;
+    TrainedDetector::Options opts;
     opts.corpus.ifttt = 500;
     opts.corpus.smartthings = 80;
     opts.corpus.alexa = 150;
@@ -60,21 +60,49 @@ class GlintTest : public ::testing::Test {
     // every training trajectory, and the old seed's run landed on a model
     // that misread the Table-1 graph.
     opts.seed = 101;
-    glint_ = new Glint(opts);
-    glint_->TrainOffline();
+    detector_ = new TrainedDetector(opts);
+    detector_->TrainOffline();
   }
 
-  static Glint* glint_;
+  /// A cold graph builder of the test's own over the detector's embedding
+  /// models and builder config. Its edge predicate is the semantic oracle
+  /// (rules::RuleTriggersRule), or with `learned` the trained correlation
+  /// classifier without the detector's verdict memo: the predicate a
+  /// DeploymentSession serves, computed independently of its cache.
+  static std::unique_ptr<graph::GraphBuilder> ColdBuilder(
+      bool learned, bool device_edges = true) {
+    graph::GraphBuilder::Config config = detector_->options().builder;
+    config.device_edges = device_edges;
+    auto builder = std::make_unique<graph::GraphBuilder>(
+        config, &detector_->word_model(), &detector_->sentence_model());
+    if (learned) {
+      builder->set_edge_predicate(
+          [](const rules::Rule& a, const rules::Rule& b) {
+            return detector_->discovery().Correlated(a, b);
+          });
+    } else {
+      builder->set_edge_predicate(rules::RuleTriggersRule);
+    }
+    return builder;
+  }
+
+  /// The static interaction graph of `rs` under the semantic oracle.
+  static graph::InteractionGraph OracleGraph(
+      const std::vector<rules::Rule>& rs) {
+    return ColdBuilder(/*learned=*/false)->BuildFromRules(rs);
+  }
+
+  static TrainedDetector* detector_;
 };
 
-Glint* GlintTest::glint_ = nullptr;
+TrainedDetector* GlintTest::detector_ = nullptr;
 
-TEST_F(GlintTest, ReadyAfterTraining) { EXPECT_TRUE(glint_->ready()); }
+TEST_F(GlintTest, ReadyAfterTraining) { EXPECT_TRUE(detector_->ready()); }
 
 TEST_F(GlintTest, Table1IsFlaggedAsThreat) {
   auto table1 = rules::CorpusGenerator::Table1Rules();
-  auto g = glint_->builder()->BuildFromRules(table1);
-  auto warning = glint_->InspectGraph(g);
+  auto g = OracleGraph(table1);
+  auto warning = detector_->AnalyzeGraph(g);
   EXPECT_TRUE(warning.threat);
   EXPECT_GT(warning.confidence, 0.5);
   EXPECT_FALSE(warning.culprits.empty());
@@ -99,16 +127,22 @@ TEST_F(GlintTest, BenignDeploymentPasses) {
   benign[1].actions.push_back({DeviceType::kLock, Command::kLock, 0});
   benign[1].text = "When everyone leaves, lock the door.";
 
-  auto g = glint_->builder()->BuildFromRules(benign);
+  auto g = OracleGraph(benign);
   ASSERT_FALSE(g.vulnerable());  // analyzer agrees it is benign
-  auto warning = glint_->InspectGraph(g);
+  auto warning = detector_->AnalyzeGraph(g);
   EXPECT_FALSE(warning.threat);
 }
 
 TEST_F(GlintTest, LearnedCorrelationGraphApproximatesOracle) {
+  // Only the action-trigger edges come from the correlation predicate.
+  // Shared-device links are added whatever it answers, and they are most
+  // of Table 1's edges, so both graphs leave them out: with them in, a
+  // classifier that never predicts an edge would still pass.
   auto table1 = rules::CorpusGenerator::Table1Rules();
-  auto learned = glint_->BuildGraph(table1);
-  auto oracle = glint_->builder()->BuildFromRules(table1);
+  auto learned = ColdBuilder(/*learned=*/true, /*device_edges=*/false)
+                     ->BuildFromRules(table1);
+  auto oracle = ColdBuilder(/*learned=*/false, /*device_edges=*/false)
+                    ->BuildFromRules(table1);
   // The learned classifier rebuilds most oracle edges.
   int shared = 0;
   for (const auto& e : oracle.edges()) {
@@ -130,27 +164,30 @@ TEST_F(GlintTest, InspectRealTimeRunsEndToEnd) {
   lights.device = rules::DeviceType::kLight;
   lights.state = "off";
   log.Append(lights);
-  auto warning = glint_->Inspect(table1, log, 20.5);
+  DeploymentSession session(detector_);
+  for (const auto& r : table1) session.AddRule(r);
+  for (const auto& e : log.events()) session.OnEvent(e);
+  auto warning = session.Inspect(20.5);
   // End-to-end smoke: produces a decision and renderable output.
   EXPECT_FALSE(warning.Render().empty());
 }
 
 TEST_F(GlintTest, SaveLoadRoundTrip) {
   ScopedTempDir dir;
-  ASSERT_TRUE(glint_->SaveModels(dir.path()).ok());
-  // A fresh Glint with the same architecture can load and classify.
-  Glint::Options opts;
+  ASSERT_TRUE(detector_->SaveModels(dir.path()).ok());
+  // A fresh detector with the same architecture can load and classify.
+  TrainedDetector::Options opts;
   opts.model.num_scales = 2;
   opts.model.embed_dim = 64;
-  Glint fresh(opts);
+  TrainedDetector fresh(opts);
   ASSERT_TRUE(fresh.LoadModels(dir.path()).ok());
   EXPECT_TRUE(fresh.ready());
 }
 
 TEST_F(GlintTest, WarningRenderContainsCulprits) {
   auto table1 = rules::CorpusGenerator::Table1Rules();
-  auto g = glint_->builder()->BuildFromRules(table1);
-  auto warning = glint_->InspectGraph(g);
+  auto g = OracleGraph(table1);
+  auto warning = detector_->AnalyzeGraph(g);
   const std::string text = warning.Render();
   EXPECT_NE(text.find("GLINT NOTIFICATION"), std::string::npos);
   if (warning.threat) {
@@ -160,9 +197,9 @@ TEST_F(GlintTest, WarningRenderContainsCulprits) {
 
 TEST_F(GlintTest, ExplainScoresNormalized) {
   auto table1 = rules::CorpusGenerator::Table1Rules();
-  auto g = glint_->builder()->BuildFromRules(table1);
+  auto g = OracleGraph(table1);
   auto gg = gnn::ToGnnGraph(g);
-  auto importance = ExplainNodes(glint_->classifier(), gg);
+  auto importance = ExplainNodes(detector_->classifier(), gg);
   ASSERT_EQ(importance.size(), static_cast<size_t>(gg.num_nodes));
   for (double v : importance) {
     EXPECT_GE(v, 0.0);
@@ -172,19 +209,19 @@ TEST_F(GlintTest, ExplainScoresNormalized) {
 
 TEST_F(GlintTest, ExplainFromCallerLogitsMatchesOwnForward) {
   auto table1 = rules::CorpusGenerator::Table1Rules();
-  auto g = glint_->builder()->BuildFromRules(table1);
+  auto g = OracleGraph(table1);
   auto gg = gnn::ToGnnGraph(g);
   gnn::ScopedTape tape;
   tape->set_freeze_leaves(true);
-  auto r = glint_->classifier()->Forward(tape.get(), gg);
-  const auto own = ExplainNodes(glint_->classifier(), gg);
-  EXPECT_EQ(ExplainNodes(glint_->classifier(), gg,
+  auto r = detector_->classifier()->Forward(tape.get(), gg);
+  const auto own = ExplainNodes(detector_->classifier(), gg);
+  EXPECT_EQ(ExplainNodes(detector_->classifier(), gg,
                          r.logits->value.data.data()),
             own);
 
   // Analyze hands the explainer its own classification logits; the
   // culprits it reports carry the same scores.
-  const ThreatWarning w = glint_->detector().Analyze(gg, g);
+  const ThreatWarning w = detector_->Analyze(gg, g);
   ASSERT_TRUE(w.threat);
   const auto top = TopCulprits(own, 3);
   ASSERT_EQ(w.culprits.size(), top.size());
@@ -243,12 +280,13 @@ TEST_F(GlintTest, SessionMatchesColdPipelineUnderRandomOps) {
   // The serving determinism contract, on the *learned* correlation
   // pipeline: after any sequence of AddRule / RemoveRule / OnEvent, a
   // session's warm incremental Inspect is bit-identical to the cold
-  // full-rebuild Glint::Inspect over the same rules, events, and time.
+  // full rebuild through a cold builder over the same rules, events, and
+  // time.
   std::vector<rules::Rule> pool = rules::CorpusGenerator::Table1Rules();
   {
     auto t4 = rules::CorpusGenerator::Table4Settings();
     pool.insert(pool.end(), t4.begin(), t4.end());
-    const auto& corpus = glint_->corpus();
+    const auto& corpus = detector_->corpus();
     pool.insert(pool.end(), corpus.begin(),
                 corpus.begin() + std::min<size_t>(20, corpus.size()));
   }
@@ -256,7 +294,8 @@ TEST_F(GlintTest, SessionMatchesColdPipelineUnderRandomOps) {
     pool[i].id = 9000 + static_cast<int>(i);
   }
 
-  DeploymentSession session(&glint_->detector());
+  DeploymentSession session(detector_);
+  const auto cold_builder = ColdBuilder(/*learned=*/true);
   graph::EventLog log;
   Rng rng(71);
   size_t next = 0;
@@ -282,7 +321,8 @@ TEST_F(GlintTest, SessionMatchesColdPipelineUnderRandomOps) {
       log.Append(e);
     }
     auto warm = session.Inspect(now);
-    auto cold = glint_->Inspect(session.CurrentRules(), log, now);
+    auto cold = detector_->AnalyzeGraph(
+        cold_builder->BuildRealTime(session.CurrentRules(), log, now));
     ExpectSameWarning(warm, cold, step);
     // A repeated no-change Inspect is a verdict-cache hit and must still
     // equal the cold result.
@@ -294,10 +334,11 @@ TEST_F(GlintTest, SessionMatchesColdPipelineUnderRandomOps) {
 
 TEST_F(GlintTest, SessionStaticMatchesColdBuildGraph) {
   auto table1 = rules::CorpusGenerator::Table1Rules();
-  DeploymentSession session(&glint_->detector());
+  DeploymentSession session(detector_);
   for (const auto& r : table1) session.AddRule(r);
   auto warm = session.InspectStatic();
-  auto cold = glint_->InspectGraph(glint_->BuildGraph(table1));
+  auto cold = detector_->AnalyzeGraph(
+      ColdBuilder(/*learned=*/true)->BuildFromRules(table1));
   ExpectSameWarning(warm, cold, 0);
 }
 
@@ -305,10 +346,10 @@ TEST_F(GlintTest, FineTuneAdaptsToUserFeedback) {
   // Take a vulnerable graph the user declares a false alarm; after
   // fine-tuning the confidence for that exact graph should not increase.
   auto table1 = rules::CorpusGenerator::Table1Rules();
-  auto g = glint_->builder()->BuildFromRules(table1);
-  auto before = glint_->InspectGraph(g);
-  glint_->FineTune({g}, {false});
-  auto after = glint_->InspectGraph(g);
+  auto g = OracleGraph(table1);
+  auto before = detector_->AnalyzeGraph(g);
+  detector_->FineTune({g}, {false});
+  auto after = detector_->AnalyzeGraph(g);
   EXPECT_LE(after.confidence, before.confidence + 1e-6);
 }
 

@@ -32,7 +32,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/glint.h"
+#include "core/detector.h"
 #include "fleet/event_bus.h"
 #include "fleet/health.h"
 #include "fleet/server.h"
@@ -45,7 +45,7 @@
 namespace glint::fleet {
 namespace {
 
-using core::Glint;
+using core::TrainedDetector;
 
 constexpr double kInspectHour = 3.5;
 
@@ -59,7 +59,7 @@ class FleetChaosTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     ThreadPool::SetGlobalThreads(1);
-    Glint::Options opts;
+    TrainedDetector::Options opts;
     opts.corpus.ifttt = 200;
     opts.corpus.smartthings = 40;
     opts.corpus.alexa = 60;
@@ -72,8 +72,8 @@ class FleetChaosTest : public ::testing::Test {
     opts.train.epochs = 2;
     opts.pairs.num_positive = 60;
     opts.pairs.num_negative = 90;
-    glint_ = new Glint(opts);
-    glint_->TrainOffline();
+    detector_ = new TrainedDetector(opts);
+    detector_->TrainOffline();
 
     char tmpl[] = "/tmp/glint_chaos_XXXXXX";
     ASSERT_NE(mkdtemp(tmpl), nullptr);
@@ -89,10 +89,10 @@ class FleetChaosTest : public ::testing::Test {
 
   static std::vector<rules::Rule> RulePool(int n) {
     std::vector<rules::Rule> out(
-        glint_->corpus().begin(),
-        glint_->corpus().begin() +
+        detector_->corpus().begin(),
+        detector_->corpus().begin() +
             std::min<size_t>(static_cast<size_t>(n),
-                             glint_->corpus().size()));
+                             detector_->corpus().size()));
     for (size_t i = 0; i < out.size(); ++i) {
       out[i].id = 9000 + static_cast<int>(i);
     }
@@ -222,7 +222,7 @@ class FleetChaosTest : public ::testing::Test {
       std::map<HomeId, std::string> m;
       FleetConfig cfg;
       cfg.num_shards = 3;
-      ShardedFleet fleet(&glint_->detector(), cfg);
+      ShardedFleet fleet(detector_, cfg);
       FleetServer server(&fleet, {});
       if (!server.Start().ok()) return m;
       if (!RunWorkload(server.port(), &m)) m.clear();
@@ -237,11 +237,11 @@ class FleetChaosTest : public ::testing::Test {
   /// inspect still answers bit-identically, and the drained shard heals.
   static void RunOverloadScenario();
 
-  static Glint* glint_;
+  static TrainedDetector* detector_;
   static std::string* base_dir_;
 };
 
-Glint* FleetChaosTest::glint_ = nullptr;
+TrainedDetector* FleetChaosTest::detector_ = nullptr;
 std::string* FleetChaosTest::base_dir_ = nullptr;
 
 // ---- 1. Overload detector unit ------------------------------------------
@@ -320,7 +320,7 @@ TEST_F(FleetChaosTest, FaultMatrixConvergesOnTheCleanFingerprint) {
 
     FleetConfig cfg;
     cfg.num_shards = 3;
-    ShardedFleet fleet(&glint_->detector(), cfg);
+    ShardedFleet fleet(detector_, cfg);
     FleetServer server(&fleet, {});
     ASSERT_TRUE(server.Start().ok());
     std::map<HomeId, std::string> got;
@@ -345,7 +345,7 @@ TEST_F(FleetChaosTest, ConsumerDeathIsContainedRestartedAndLossless) {
   FleetConfig cfg;
   cfg.num_shards = 3;
   cfg.state_dir = Dir("supervise");
-  ShardedFleet fleet(&glint_->detector(), cfg);
+  ShardedFleet fleet(detector_, cfg);
   ASSERT_TRUE(fleet.Recover().ok());
   FleetServer::Config sc;
   sc.bus.watchdog_interval_ms = 5;  // restart within one workload beat
@@ -381,7 +381,7 @@ TEST_F(FleetChaosTest, ConsumerDeathIsContainedRestartedAndLossless) {
 TEST_F(FleetChaosTest, WedgedConsumerFlipsDownShedsAndHeals) {
   FleetConfig cfg;
   cfg.num_shards = 2;
-  ShardedFleet fleet(&glint_->detector(), cfg);
+  ShardedFleet fleet(detector_, cfg);
   FleetServer::Config sc;
   sc.bus.watchdog_interval_ms = 5;
   sc.bus.wedge_timeout_ms = 40;
@@ -488,7 +488,7 @@ TEST_F(FleetChaosTest, WedgedConsumerFlipsDownShedsAndHeals) {
 void FleetChaosTest::RunOverloadScenario() {
   FleetConfig cfg;
   cfg.num_shards = 2;
-  ShardedFleet fleet(&glint_->detector(), cfg);
+  ShardedFleet fleet(detector_, cfg);
   FleetServer::Config sc;
   sc.bus.watchdog_interval_ms = 5;
   sc.bus.wedge_timeout_ms = 10000;  // keep the wedge path out of this test
@@ -643,7 +643,7 @@ TEST_F(FleetChaosTest, OverloadDegradesWithTelemetryOff) {
 TEST_F(FleetChaosTest, DeadlineExpiredInspectIsShedAtDequeue) {
   FleetConfig cfg;
   cfg.num_shards = 2;
-  ShardedFleet fleet(&glint_->detector(), cfg);
+  ShardedFleet fleet(detector_, cfg);
   FleetServer server(&fleet, {});
   ASSERT_TRUE(server.Start().ok());
 
@@ -705,7 +705,7 @@ TEST_F(FleetChaosTest, DeadlineExpiredInspectIsShedAtDequeue) {
 TEST_F(FleetChaosTest, SequenceNumbersMakeRetransmitsExactlyOnce) {
   FleetConfig cfg;
   cfg.num_shards = 2;
-  ShardedFleet fleet(&glint_->detector(), cfg);
+  ShardedFleet fleet(detector_, cfg);
   FleetServer server(&fleet, {});
   ASSERT_TRUE(server.Start().ok());
 
@@ -765,7 +765,7 @@ TEST_F(FleetChaosTest, SequenceNumbersMakeRetransmitsExactlyOnce) {
 TEST_F(FleetChaosTest, FailedApplyDoesNotAdvanceTheSeqMark) {
   FleetConfig cfg;
   cfg.num_shards = 2;
-  ShardedFleet fleet(&glint_->detector(), cfg);
+  ShardedFleet fleet(detector_, cfg);
   FleetServer server(&fleet, {});
   ASSERT_TRUE(server.Start().ok());
 
@@ -813,7 +813,7 @@ TEST_F(FleetChaosTest, GracefulDrainUnderPipelinedLoadIsLossless) {
   FleetConfig cfg;
   cfg.num_shards = 2;
   cfg.state_dir = Dir("drain");
-  auto fleet = std::make_unique<ShardedFleet>(&glint_->detector(), cfg);
+  auto fleet = std::make_unique<ShardedFleet>(detector_, cfg);
   auto server = std::make_unique<FleetServer>(fleet.get(),
                                               FleetServer::Config{});
   ASSERT_TRUE(fleet->Recover().ok());
@@ -903,7 +903,7 @@ TEST_F(FleetChaosTest, GracefulDrainUnderPipelinedLoadIsLossless) {
   // drained fleet's verdicts bit-for-bit. (The events counter is a runtime
   // stat, not snapshot state — Drain snapshots and truncates the WAL, so
   // losslessness is proven by state fingerprints, not by the counter.)
-  ShardedFleet recovered(&glint_->detector(), cfg);
+  ShardedFleet recovered(detector_, cfg);
   ASSERT_TRUE(recovered.Recover().ok());
   EXPECT_EQ(recovered.AggregateStats().rules, fleet_rules);
   for (const auto& home : homes) {

@@ -30,7 +30,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/glint.h"
+#include "core/detector.h"
 #include "fleet/event_bus.h"
 #include "fleet/server.h"
 #include "fleet/sharding.h"
@@ -41,7 +41,7 @@ namespace glint::fleet {
 namespace {
 
 using core::DeploymentSession;
-using core::Glint;
+using core::TrainedDetector;
 using core::ServingEngine;
 using core::ThreatWarning;
 
@@ -61,7 +61,7 @@ class FleetTest : public ::testing::Test {
     // worker threads that do not survive fork.
     ThreadPool::SetGlobalThreads(1);
 
-    Glint::Options opts;
+    TrainedDetector::Options opts;
     opts.corpus.ifttt = 200;
     opts.corpus.smartthings = 40;
     opts.corpus.alexa = 60;
@@ -74,13 +74,13 @@ class FleetTest : public ::testing::Test {
     opts.train.epochs = 2;
     opts.pairs.num_positive = 60;
     opts.pairs.num_negative = 90;
-    glint_ = new Glint(opts);
-    glint_->TrainOffline();
+    detector_ = new TrainedDetector(opts);
+    detector_->TrainOffline();
 
     BuildScript();
 
     // The reference: ONE engine serving every home, synchronously.
-    ServingEngine ref(&glint_->detector());
+    ServingEngine ref(detector_);
     for (const auto& op : *script_) {
       ASSERT_TRUE(ApplyToEngine(&ref, op).ok());
     }
@@ -100,10 +100,10 @@ class FleetTest : public ::testing::Test {
 
   static std::vector<rules::Rule> RulePool(int n) {
     std::vector<rules::Rule> out(
-        glint_->corpus().begin(),
-        glint_->corpus().begin() +
+        detector_->corpus().begin(),
+        detector_->corpus().begin() +
             std::min<size_t>(static_cast<size_t>(n),
-                             glint_->corpus().size()));
+                             detector_->corpus().size()));
     for (size_t i = 0; i < out.size(); ++i) {
       out[i].id = 9000 + static_cast<int>(i);
     }
@@ -198,10 +198,12 @@ class FleetTest : public ::testing::Test {
     switch (op.kind) {
       case Op::kAddHome:
         return f->TryAddHome(op.home, op.deployed).status();
+      // Rule changes route to the owning shard, as the EventBus does.
       case Op::kAddRule:
-        return f->TryAddRule(op.home, op.rule);
+        return f->shard(f->ShardOf(op.home)).TryAddRule(op.home, op.rule);
       case Op::kRemoveRule:
-        return f->TryRemoveRule(op.home, op.rule_id);
+        return f->shard(f->ShardOf(op.home))
+            .TryRemoveRule(op.home, op.rule_id);
       case Op::kEvent:
         return f->TryOnEvent(op.home, op.event);
     }
@@ -265,7 +267,7 @@ class FleetTest : public ::testing::Test {
     std::map<HomeId, std::string> m;
     auto warnings = e->InspectAll(kInspectHour);
     for (size_t h = 0; h < e->num_homes(); ++h) {
-      m[e->home_id(static_cast<int>(h))] =
+      m[e->home_ids()[h]] =
           HomeLine(e->home_view(static_cast<int>(h)), warnings[h]);
     }
     return m;
@@ -320,13 +322,13 @@ class FleetTest : public ::testing::Test {
   static constexpr double kInspectHour = 3.5;
   static constexpr int kSnapshotAfter = 17;
 
-  static Glint* glint_;
+  static TrainedDetector* detector_;
   static std::vector<Op>* script_;
   static std::map<HomeId, std::string>* reference_;
   static std::string* base_dir_;
 };
 
-Glint* FleetTest::glint_ = nullptr;
+TrainedDetector* FleetTest::detector_ = nullptr;
 std::vector<Op>* FleetTest::script_ = new std::vector<Op>();
 std::map<HomeId, std::string>* FleetTest::reference_ =
     new std::map<HomeId, std::string>();
@@ -337,8 +339,8 @@ std::string* FleetTest::base_dir_ = nullptr;
 TEST_F(FleetTest, ShardRoutingIsStableAndSpreads) {
   FleetConfig cfg;
   cfg.num_shards = 8;
-  ShardedFleet a(&glint_->detector(), cfg);
-  ShardedFleet b(&glint_->detector(), cfg);
+  ShardedFleet a(detector_, cfg);
+  ShardedFleet b(detector_, cfg);
   std::set<int> used;
   for (int i = 0; i < 1000; ++i) {
     const HomeId id = "home-" + std::to_string(i);
@@ -357,8 +359,8 @@ TEST_F(FleetTest, GrowingTheRingMovesOnlyAFraction) {
   FleetConfig c4, c5;
   c4.num_shards = 4;
   c5.num_shards = 5;
-  ShardedFleet f4(&glint_->detector(), c4);
-  ShardedFleet f5(&glint_->detector(), c5);
+  ShardedFleet f4(detector_, c4);
+  ShardedFleet f5(detector_, c5);
   int moved = 0;
   const int n = 2000;
   for (int i = 0; i < n; ++i) {
@@ -380,7 +382,7 @@ TEST_F(FleetTest, ShardCrashMatrixRecoversBitIdentical) {
     FleetConfig cfg;
     cfg.num_shards = 3;
     cfg.state_dir = Dir("enumerate");
-    ShardedFleet fleet(&glint_->detector(), cfg);
+    ShardedFleet fleet(detector_, cfg);
     ASSERT_TRUE(fleet.Recover().ok());
     ASSERT_TRUE(RunFleetScript(&fleet, kSnapshotAfter).ok());
     ASSERT_TRUE(fleet.Snapshot().ok());
@@ -414,7 +416,7 @@ TEST_F(FleetTest, ShardCrashMatrixRecoversBitIdentical) {
         FleetConfig cfg;
         cfg.num_shards = 3;
         cfg.state_dir = dir;
-        ShardedFleet fleet(&glint_->detector(), cfg);
+        ShardedFleet fleet(detector_, cfg);
         Status st = fleet.Recover();
         if (st.ok()) st = RunFleetScript(&fleet, kSnapshotAfter);
         if (st.ok()) st = fleet.Snapshot();
@@ -433,7 +435,7 @@ TEST_F(FleetTest, ShardCrashMatrixRecoversBitIdentical) {
       FleetConfig cfg;
       cfg.num_shards = 3;
       cfg.state_dir = dir;
-      ShardedFleet fleet(&glint_->detector(), cfg);
+      ShardedFleet fleet(detector_, cfg);
       Status st = fleet.Recover();
       ASSERT_TRUE(st.ok()) << context << ": " << st.ToString();
       st = RunFleetScript(&fleet, -1);
@@ -450,7 +452,7 @@ TEST_F(FleetTest, TornTailOnOneShardDoesNotTouchTheOthers) {
     FleetConfig cfg;
     cfg.num_shards = 3;
     cfg.state_dir = dir;
-    ShardedFleet fleet(&glint_->detector(), cfg);
+    ShardedFleet fleet(detector_, cfg);
     ASSERT_TRUE(fleet.Recover().ok());
     ASSERT_TRUE(RunFleetScript(&fleet, -1).ok());
   }
@@ -468,7 +470,7 @@ TEST_F(FleetTest, TornTailOnOneShardDoesNotTouchTheOthers) {
   FleetConfig cfg;
   cfg.num_shards = 3;
   cfg.state_dir = dir;
-  ShardedFleet fleet(&glint_->detector(), cfg);
+  ShardedFleet fleet(detector_, cfg);
   ASSERT_TRUE(fleet.Recover().ok());
   EXPECT_TRUE(fleet.shard(1).recovery_info().tail_torn);
   EXPECT_FALSE(fleet.shard(0).recovery_info().tail_torn);
@@ -491,7 +493,7 @@ TEST_F(FleetTest, FleetMatchesSingleEngineAcrossShardAndThreadCounts) {
       ThreadPool::SetGlobalThreads(threads);
       FleetConfig cfg;
       cfg.num_shards = shards;
-      ShardedFleet fleet(&glint_->detector(), cfg);
+      ShardedFleet fleet(detector_, cfg);
       for (const auto& op : *script_) {
         ASSERT_TRUE(ApplyToFleet(&fleet, op).ok());
       }
@@ -509,7 +511,7 @@ TEST_F(FleetTest, FleetMatchesSingleEngineAcrossShardAndThreadCounts) {
 TEST_F(FleetTest, BusPathMatchesSynchronousApply) {
   FleetConfig cfg;
   cfg.num_shards = 4;
-  ShardedFleet fleet(&glint_->detector(), cfg);
+  ShardedFleet fleet(detector_, cfg);
   EventBus bus(&fleet, {});
   // Two producers, homes partitioned between them, each posting its homes'
   // ops in script order — per-home order is preserved, which is all the
@@ -540,7 +542,7 @@ TEST_F(FleetTest, BusPathMatchesSynchronousApply) {
 TEST_F(FleetTest, RejectPolicySurfacesFullQueues) {
   FleetConfig cfg;
   cfg.num_shards = 1;
-  ShardedFleet fleet(&glint_->detector(), cfg);
+  ShardedFleet fleet(detector_, cfg);
   ASSERT_TRUE(fleet.TryAddHome("bp-home", RulePool(2)).ok());
   EventBus::Config bc;
   bc.capacity = 2;
@@ -570,7 +572,7 @@ TEST_F(FleetTest, RejectPolicySurfacesFullQueues) {
 TEST_F(FleetTest, BlockPolicyIsLossless) {
   FleetConfig cfg;
   cfg.num_shards = 2;
-  ShardedFleet fleet(&glint_->detector(), cfg);
+  ShardedFleet fleet(detector_, cfg);
   ASSERT_TRUE(fleet.TryAddHome("bl-a", RulePool(2)).ok());
   ASSERT_TRUE(fleet.TryAddHome("bl-b", RulePool(2)).ok());
   EventBus::Config bc;
@@ -596,7 +598,7 @@ TEST_F(FleetTest, BlockPolicyIsLossless) {
 TEST_F(FleetTest, ApplyErrorsAreCountedNotThrown) {
   FleetConfig cfg;
   cfg.num_shards = 2;
-  ShardedFleet fleet(&glint_->detector(), cfg);
+  ShardedFleet fleet(detector_, cfg);
   EventBus::Config bc;
   bc.manual_drain = true;
   EventBus bus(&fleet, bc);
@@ -618,7 +620,7 @@ TEST_F(FleetTest, ApplyErrorsAreCountedNotThrown) {
 TEST_F(FleetTest, RunOnShardRunsBehindEverythingAccepted) {
   FleetConfig cfg;
   cfg.num_shards = 2;
-  ShardedFleet fleet(&glint_->detector(), cfg);
+  ShardedFleet fleet(detector_, cfg);
   ASSERT_TRUE(fleet.TryAddHome("ros-home", RulePool(2)).ok());
   const int k = fleet.ShardOf("ros-home");
   auto pool = RulePool(2);
@@ -653,7 +655,7 @@ TEST_F(FleetTest, RunOnShardRunsBehindEverythingAccepted) {
 TEST_F(FleetTest, RunOnShardManualDrainAppliesThenRunsInline) {
   FleetConfig cfg;
   cfg.num_shards = 1;
-  ShardedFleet fleet(&glint_->detector(), cfg);
+  ShardedFleet fleet(detector_, cfg);
   ASSERT_TRUE(fleet.TryAddHome("ros-md", RulePool(2)).ok());
   EventBus::Config bc;
   bc.manual_drain = true;
@@ -680,7 +682,7 @@ TEST_F(FleetTest, RunOnShardManualDrainAppliesThenRunsInline) {
 TEST_F(FleetTest, AcceptedPostsAreAppliedDespiteConcurrentStop) {
   FleetConfig cfg;
   cfg.num_shards = 2;
-  ShardedFleet fleet(&glint_->detector(), cfg);
+  ShardedFleet fleet(detector_, cfg);
   ASSERT_TRUE(fleet.TryAddHome("st-a", RulePool(2)).ok());
   ASSERT_TRUE(fleet.TryAddHome("st-b", RulePool(2)).ok());
   EventBus::Config bc;
@@ -731,7 +733,7 @@ int RawConnect(int port) {
 TEST_F(FleetTest, ServerServesTheWireProtocolEndToEnd) {
   FleetConfig cfg;
   cfg.num_shards = 2;
-  ShardedFleet fleet(&glint_->detector(), cfg);
+  ShardedFleet fleet(detector_, cfg);
   FleetServer server(&fleet, {});
   ASSERT_TRUE(server.Start().ok());
   ASSERT_GT(server.port(), 0);
@@ -810,7 +812,7 @@ TEST_F(FleetTest, ServerServesTheWireProtocolEndToEnd) {
 TEST_F(FleetTest, ServerSurvivesMalformedFramesAndKeepsServing) {
   FleetConfig cfg;
   cfg.num_shards = 2;
-  ShardedFleet fleet(&glint_->detector(), cfg);
+  ShardedFleet fleet(detector_, cfg);
   FleetServer server(&fleet, {});
   ASSERT_TRUE(server.Start().ok());
 
@@ -903,7 +905,7 @@ TEST_F(FleetTest, ServerSurvivesMalformedFramesAndKeepsServing) {
 TEST_F(FleetTest, ConcurrentClientsPostAndInspectWithoutRacing) {
   FleetConfig cfg;
   cfg.num_shards = 2;
-  ShardedFleet fleet(&glint_->detector(), cfg);
+  ShardedFleet fleet(detector_, cfg);
   FleetServer server(&fleet, {});
   ASSERT_TRUE(server.Start().ok());
   auto pool = RulePool(4);
@@ -993,7 +995,7 @@ TEST_F(FleetTest, WireRequestsYieldCompletePerStageTraces) {
                    " clients=" + std::to_string(num_clients));
       FleetConfig cfg;
       cfg.num_shards = num_shards;
-      ShardedFleet fleet(&glint_->detector(), cfg);
+      ShardedFleet fleet(detector_, cfg);
       FleetServer::Config sc;
       sc.trace.slow_threshold_ns = 0;  // capture every trace
       sc.trace.ring_capacity = 1024;
@@ -1140,7 +1142,7 @@ TEST_F(FleetTest, PipelinedBatchedClientsMatchTheSynchronousReference) {
     }
     seqs.push_back(std::move(seq));
   }
-  ServingEngine ref(&glint_->detector());
+  ServingEngine ref(detector_);
   for (int h = 0; h < kHomesHere; ++h) {
     ASSERT_TRUE(ref.TryAddHome(homes[static_cast<size_t>(h)],
                                {pool[0], pool[1]})
@@ -1159,7 +1161,7 @@ TEST_F(FleetTest, PipelinedBatchedClientsMatchTheSynchronousReference) {
                      " depth=" + std::to_string(depth));
         FleetConfig cfg;
         cfg.num_shards = num_shards;
-        ShardedFleet fleet(&glint_->detector(), cfg);
+        ShardedFleet fleet(detector_, cfg);
         FleetServer server(&fleet, {});
         ASSERT_TRUE(server.Start().ok());
         {
@@ -1278,7 +1280,7 @@ TEST_F(FleetTest, PipelinedBatchedClientsMatchTheSynchronousReference) {
 TEST_F(FleetTest, BatchApplyFailureCountsOncePerBatch) {
   FleetConfig cfg;
   cfg.num_shards = 2;
-  ShardedFleet fleet(&glint_->detector(), cfg);
+  ShardedFleet fleet(detector_, cfg);
   FleetServer server(&fleet, {});
   ASSERT_TRUE(server.Start().ok());
   auto pool = RulePool(2);
@@ -1336,7 +1338,7 @@ size_t StableOsThreadCount() {
 TEST_F(FleetTest, ThousandIdleConnectionsHoldWithBoundedThreads) {
   FleetConfig cfg;
   cfg.num_shards = 2;
-  ShardedFleet fleet(&glint_->detector(), cfg);
+  ShardedFleet fleet(detector_, cfg);
   FleetServer::Config sc;
   sc.io_workers = 2;
   FleetServer server(&fleet, sc);
@@ -1412,7 +1414,7 @@ TEST_F(FleetTest, StopRacesPipelinedBatchedLoadWithoutLossOrLeak) {
   {
     FleetConfig cfg;
     cfg.num_shards = 2;
-    ShardedFleet fleet(&glint_->detector(), cfg);
+    ShardedFleet fleet(detector_, cfg);
     FleetServer server(&fleet, {});
     ASSERT_TRUE(server.Start().ok());
     {
@@ -1485,14 +1487,14 @@ TEST_F(FleetTest, StopRacesPipelinedBatchedLoadWithoutLossOrLeak) {
 TEST_F(FleetTest, RoutedOpsLandOnTheOwningShardOnly) {
   FleetConfig cfg;
   cfg.num_shards = 8;
-  ShardedFleet fleet(&glint_->detector(), cfg);
+  ShardedFleet fleet(detector_, cfg);
   for (const auto& op : *script_) {
     ASSERT_TRUE(ApplyToFleet(&fleet, op).ok());
   }
   size_t total = 0;
   for (int k = 0; k < fleet.num_shards(); ++k) {
     for (size_t h = 0; h < fleet.shard(k).num_homes(); ++h) {
-      const HomeId& id = fleet.shard(k).home_id(static_cast<int>(h));
+      const HomeId& id = fleet.shard(k).home_ids()[h];
       EXPECT_EQ(fleet.ShardOf(id), k) << id << " on the wrong shard";
     }
     total += fleet.shard(k).num_homes();

@@ -51,15 +51,6 @@ TEST(LinearLayer, ShapesAndBias) {
   for (float v : y->value.data) EXPECT_FLOAT_EQ(v, 0.f);
 }
 
-TEST(LinearLayer, FreezeTogglesParameters) {
-  Rng rng(2);
-  Linear lin(2, 2, &rng);
-  lin.SetFrozen(true);
-  for (Parameter* p : lin.Parameters()) EXPECT_TRUE(p->frozen);
-  lin.SetFrozen(false);
-  for (Parameter* p : lin.Parameters()) EXPECT_FALSE(p->frozen);
-}
-
 // ---------------------------------------------------------------------------
 // Convolutions
 // ---------------------------------------------------------------------------

@@ -299,7 +299,9 @@ TEST(DecisionTree, PureNodeIsLeaf) {
   DecisionTree tree;
   tree.FitClassifier(x, y, {}, 2);
   EXPECT_EQ(tree.Depth(), 0);
-  EXPECT_EQ(tree.PredictClass({5}), 1);
+  const auto& dist = tree.PredictDistribution({5});
+  ASSERT_EQ(dist.size(), 2u);
+  EXPECT_GT(dist[1], dist[0]);
 }
 
 // ---------------------------------------------------------------------------
@@ -322,6 +324,16 @@ TEST(KMeansTest, SeparatesTwoBlobs) {
 }
 
 TEST(KMeansTest, InertiaDecreasesWithMoreClusters) {
+  // Inertia: the within-cluster sum of squared distances of the fit.
+  auto inertia = [](const KMeans& km, const std::vector<FloatVec>& xs) {
+    double total = 0;
+    for (const auto& x : xs) {
+      const double d = EuclideanDistance(
+          x, km.centroids()[static_cast<size_t>(km.Assign(x))]);
+      total += d * d;
+    }
+    return total;
+  };
   Dataset ds = MakeBlobs(60, 6.0, 53, 2);
   KMeans::Params p1;
   p1.k = 1;
@@ -331,7 +343,7 @@ TEST(KMeansTest, InertiaDecreasesWithMoreClusters) {
   p4.k = 4;
   KMeans km4(p4);
   km4.Fit(ds.x);
-  EXPECT_LT(km4.Inertia(ds.x), km1.Inertia(ds.x));
+  EXPECT_LT(inertia(km4, ds.x), inertia(km1, ds.x));
 }
 
 TEST(KMeansTest, AssignReturnsNearestCentroid) {
@@ -463,17 +475,6 @@ TEST(KFold, CrossValidateReturnsPerFoldMetrics) {
       ds, 5, [] { return std::unique_ptr<Classifier>(new Knn()); }, &rng);
   ASSERT_EQ(metrics.size(), 5u);
   for (const auto& m : metrics) EXPECT_GT(m.accuracy, 0.85);
-}
-
-TEST(KFold, GridSearchPicksBetterConfig) {
-  Dataset ds = MakeXor(300, 85);
-  Rng rng(86);
-  // Config 0: linear SVC (bad on XOR). Config 1: random forest (good).
-  std::vector<std::function<std::unique_ptr<Classifier>()>> factories = {
-      [] { return std::unique_ptr<Classifier>(new LinearSvc()); },
-      [] { return std::unique_ptr<Classifier>(new RandomForest()); },
-  };
-  EXPECT_EQ(GridSearch(ds, 4, factories, &rng), 1u);
 }
 
 }  // namespace

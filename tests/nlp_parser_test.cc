@@ -47,15 +47,6 @@ TEST(PosTagger, BrandTaggedProperNoun) {
   EXPECT_EQ(tagged[1].pos, Pos::kProperNoun);
 }
 
-TEST(ExtractNounsVerbsTest, DiscardsNamedEntitiesAndStopwords) {
-  auto tagged = PosTagger::TagSentence("the wyze camera captures the door");
-  auto nv = ExtractNounsVerbs(tagged);
-  EXPECT_TRUE(Has(nv.nouns, "camera"));
-  EXPECT_TRUE(Has(nv.nouns, "door"));
-  EXPECT_FALSE(Has(nv.nouns, "wyze"));
-  EXPECT_FALSE(Has(nv.nouns, "the"));
-}
-
 // ---------------------------------------------------------------------------
 // Dependency parser
 // ---------------------------------------------------------------------------

@@ -30,8 +30,6 @@ TEST(Counter, AddAndValue) {
   c.Add();
   c.Add(41);
   EXPECT_EQ(c.Value(), 42u);
-  c.Reset();
-  EXPECT_EQ(c.Value(), 0u);
 }
 
 TEST(Counter, ConcurrentIncrementsAllLand) {

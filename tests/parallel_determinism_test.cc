@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "core/detector.h"
-#include "core/glint.h"
 #include "core/serving.h"
 #include "core/session.h"
 #include "gnn/ggraph.h"
@@ -373,13 +372,13 @@ TEST(ParallelDeterminismTest, TrainOfflineIdenticalAcrossThreadCounts) {
 
 /// One small trained detector shared by the serving determinism tests
 /// (training is the expensive part; both tests only read it).
-core::Glint& SmallTrainedGlint() {
-  static core::Glint* g = [] {
-    auto* gl = new core::Glint(SmallDetectorOptions());
-    gl->TrainOffline();
-    return gl;
+const core::TrainedDetector& SmallTrainedDetector() {
+  static core::TrainedDetector* d = [] {
+    auto* detector = new core::TrainedDetector(SmallDetectorOptions());
+    detector->TrainOffline();
+    return detector;
   }();
-  return *g;
+  return *d;
 }
 
 struct HomeTrace {
@@ -393,7 +392,7 @@ struct HomeTrace {
 /// Runs one home's scripted session (rules, an event stream, periodic
 /// inspections) against the shared detector and records every warning.
 HomeTrace RunHome(const std::vector<rules::Rule>& rules, uint64_t seed) {
-  core::DeploymentSession session(&SmallTrainedGlint().detector());
+  core::DeploymentSession session(&SmallTrainedDetector());
   for (const auto& r : rules) session.AddRule(r);
   HomeTrace trace;
   Rng rng(seed);
@@ -443,7 +442,7 @@ TEST(ParallelDeterminismTest, SharedDetectorSessionsIdenticalAcrossThreads) {
 
 TEST(ParallelDeterminismTest, ServingEngineInspectAllIdenticalAcrossThreadCounts) {
   ThreadRestore restore;
-  const auto& glint = SmallTrainedGlint();
+  const auto& detector = SmallTrainedDetector();
   std::vector<std::vector<rules::Rule>> homes = {
       rules::CorpusGenerator::Table1Rules(),
       rules::CorpusGenerator::Table4Settings(),
@@ -455,7 +454,7 @@ TEST(ParallelDeterminismTest, ServingEngineInspectAllIdenticalAcrossThreadCounts
 
   auto run = [&](int threads) {
     ThreadPool::SetGlobalThreads(threads);
-    core::ServingEngine engine(&glint.detector());
+    core::ServingEngine engine(&detector);
     for (size_t h = 0; h < homes.size(); ++h) {
       const std::string id = "home-" + std::to_string(h);
       EXPECT_TRUE(engine.TryAddHome(id, homes[h]).ok());
@@ -473,7 +472,8 @@ TEST(ParallelDeterminismTest, ServingEngineInspectAllIdenticalAcrossThreadCounts
         e.device = rule.trigger.device;
         e.state = rule.trigger.state;
         e.location = rule.location;
-        EXPECT_TRUE(engine.TryOnEvent(engine.home_id(h), e).ok());
+        const auto& id = engine.home_ids()[static_cast<size_t>(h)];
+        EXPECT_TRUE(engine.TryOnEvent(id, e).ok());
       }
       for (const auto& w : engine.InspectAll(now)) {
         out.push_back(w.Render());

@@ -9,7 +9,6 @@
 #include "graph/builder.h"
 #include "graph/dataset_store.h"
 #include "graph/threat_analyzer.h"
-#include "nlp/dtw.h"
 #include "nlp/tokenizer.h"
 #include "rules/corpus.h"
 #include "util/string_utils.h"
@@ -110,8 +109,7 @@ TEST_P(AnalyzerSweep, LabelInvariantUnderNodePermutation) {
   bc.max_nodes = 8;
   graph::GraphBuilder builder(bc, &wm, &sm);
   Rng rng(GetParam());
-  for (int k = 0; k < 10; ++k) {
-    auto g = builder.BuildGraph(corpus);
+  for (const auto& g : builder.BuildDataset(corpus, 10).graphs) {
     // Rebuild with nodes reversed.
     std::vector<rules::Rule> reversed;
     for (int i = g.num_nodes() - 1; i >= 0; --i) {
@@ -133,8 +131,7 @@ TEST_P(AnalyzerSweep, FindingNodesInRange) {
   graph::GraphBuilder::Config bc;
   bc.seed = GetParam() ^ 0xdef;
   graph::GraphBuilder builder(bc, &wm, &sm);
-  for (int k = 0; k < 15; ++k) {
-    auto g = builder.BuildGraph(corpus);
+  for (const auto& g : builder.BuildDataset(corpus, 15).graphs) {
     for (const auto& f : graph::ThreatAnalyzer::DetectClassic(g)) {
       EXPECT_NE(f.type, graph::ThreatType::kNone);
       EXPECT_FALSE(f.nodes.empty());
@@ -237,16 +234,6 @@ TEST(NlpProperties, AverageEmbeddingPermutationInvariant) {
   }
 }
 
-TEST(NlpProperties, DtwSymmetryRandomSequences) {
-  Rng rng(77);
-  for (int k = 0; k < 50; ++k) {
-    std::vector<double> a(rng.Below(6) + 1), b(rng.Below(6) + 1);
-    for (auto& v : a) v = rng.Uniform(-5, 5);
-    for (auto& v : b) v = rng.Uniform(-5, 5);
-    EXPECT_NEAR(nlp::DtwDistance(a, b), nlp::DtwDistance(b, a), 1e-12);
-    EXPECT_NEAR(nlp::DtwDistance(a, a), 0.0, 1e-12);
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Event-driven cascade safety

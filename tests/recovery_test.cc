@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "core/glint.h"
+#include "core/detector.h"
 #include "core/serving.h"
 #include "util/fault.h"
 #include "util/thread_pool.h"
@@ -43,7 +43,7 @@ class RecoveryTest : public ::testing::Test {
     // survive fork.
     ThreadPool::SetGlobalThreads(1);
 
-    Glint::Options opts;
+    TrainedDetector::Options opts;
     opts.corpus.ifttt = 200;
     opts.corpus.smartthings = 40;
     opts.corpus.alexa = 60;
@@ -56,14 +56,14 @@ class RecoveryTest : public ::testing::Test {
     opts.train.epochs = 2;
     opts.pairs.num_positive = 60;
     opts.pairs.num_negative = 90;
-    glint_ = new Glint(opts);
-    glint_->TrainOffline();
+    detector_ = new TrainedDetector(opts);
+    detector_->TrainOffline();
 
     BuildScript();
 
     // The uninterrupted reference: a non-durable engine running the whole
     // script. Every recovery below must land on this exact fingerprint.
-    ServingEngine ref(&glint_->detector());
+    ServingEngine ref(detector_);
     ASSERT_TRUE(RunScript(&ref, 0, -1).ok());
     *reference_ = Fingerprint(&ref);
     ASSERT_FALSE(reference_->empty());
@@ -78,10 +78,10 @@ class RecoveryTest : public ::testing::Test {
 
   static std::vector<rules::Rule> HomeRules(int n) {
     std::vector<rules::Rule> out(
-        glint_->corpus().begin(),
-        glint_->corpus().begin() +
+        detector_->corpus().begin(),
+        detector_->corpus().begin() +
             std::min<size_t>(static_cast<size_t>(n),
-                             glint_->corpus().size()));
+                             detector_->corpus().size()));
     for (size_t i = 0; i < out.size(); ++i) {
       out[i].id = 9000 + static_cast<int>(i);
     }
@@ -195,7 +195,7 @@ class RecoveryTest : public ::testing::Test {
       // The home id is part of the fingerprint — id recovery is part of
       // the proof.
       const DeploymentSession& s = engine->home_view(static_cast<int>(h));
-      out += "home " + engine->home_id(static_cast<int>(h)) + " rules";
+      out += "home " + engine->home_ids()[h] + " rules";
       for (const auto& r : s.CurrentRules()) {
         out += " " + std::to_string(r.id);
       }
@@ -233,7 +233,7 @@ class RecoveryTest : public ::testing::Test {
   /// was not yet durable, and checks bit-identity with the reference.
   static void RecoverAndVerify(const std::string& dir,
                                const std::string& context) {
-    ServingEngine engine(&glint_->detector());
+    ServingEngine engine(detector_);
     Status st = engine.Recover(dir);
     ASSERT_TRUE(st.ok()) << context << ": " << st.ToString();
     const uint64_t seq = engine.journal_seq();
@@ -246,20 +246,20 @@ class RecoveryTest : public ::testing::Test {
   static constexpr double kInspectHour = 3.5;
   static constexpr int kSnapshotAfter = 8;
 
-  static Glint* glint_;
+  static TrainedDetector* detector_;
   static std::vector<Op>* script_;
   static std::string* reference_;
   static std::string* base_dir_;
 };
 
-Glint* RecoveryTest::glint_ = nullptr;
+TrainedDetector* RecoveryTest::detector_ = nullptr;
 std::vector<Op>* RecoveryTest::script_ = new std::vector<Op>();
 std::string* RecoveryTest::reference_ = new std::string();
 std::string* RecoveryTest::base_dir_ = nullptr;
 
 TEST_F(RecoveryTest, DurableUninterruptedMatchesReference) {
   const std::string dir = Dir("uninterrupted");
-  ServingEngine engine(&glint_->detector());
+  ServingEngine engine(detector_);
   ASSERT_TRUE(engine.Recover(dir).ok());
   EXPECT_TRUE(engine.durable());
   ASSERT_TRUE(RunScript(&engine, 0, kSnapshotAfter).ok());
@@ -274,7 +274,7 @@ TEST_F(RecoveryTest, DurableUninterruptedMatchesReference) {
 TEST_F(RecoveryTest, HomeIdsSurviveSnapshotAndReplay) {
   const std::string dir = Dir("ids");
   {
-    ServingEngine engine(&glint_->detector());
+    ServingEngine engine(detector_);
     ASSERT_TRUE(engine.Recover(dir).ok());
     ASSERT_TRUE(engine.TryAddHome("kitchen-42", HomeRules(2)).ok());
     ASSERT_TRUE(engine.Snapshot().ok());  // id must ride the snapshot...
@@ -283,11 +283,11 @@ TEST_F(RecoveryTest, HomeIdsSurviveSnapshotAndReplay) {
     EXPECT_FALSE(engine.TryAddHome("kitchen-42", HomeRules(1)).ok());
     EXPECT_FALSE(engine.TryAddHome("", HomeRules(1)).ok());
   }
-  ServingEngine engine(&glint_->detector());
+  ServingEngine engine(detector_);
   ASSERT_TRUE(engine.Recover(dir).ok());
   ASSERT_EQ(engine.num_homes(), 2u);
-  EXPECT_EQ(engine.home_id(0), "kitchen-42");
-  EXPECT_EQ(engine.home_id(1), "loft-7");
+  EXPECT_EQ(engine.home_ids()[0], "kitchen-42");
+  EXPECT_EQ(engine.home_ids()[1], "loft-7");
   EXPECT_EQ(engine.ResolveHome("loft-7"), 1);
   EXPECT_EQ(engine.ResolveHome("cellar"), -1);
   EXPECT_FALSE(engine.TryOnEvent("cellar", graph::Event{}).ok());
@@ -295,7 +295,7 @@ TEST_F(RecoveryTest, HomeIdsSurviveSnapshotAndReplay) {
 
 TEST_F(RecoveryTest, RecoverOnFreshDirIsEmptyEngine) {
   const std::string dir = Dir("fresh");
-  ServingEngine engine(&glint_->detector());
+  ServingEngine engine(detector_);
   ASSERT_TRUE(engine.Recover(dir).ok());
   EXPECT_EQ(engine.num_homes(), 0u);
   EXPECT_EQ(engine.journal_seq(), 0u);
@@ -328,7 +328,7 @@ TEST_F(RecoveryTest, CrashMatrixRecoversBitIdentical) {
   // this test runs alone.
   {
     const std::string dir = Dir("enumerate");
-    ServingEngine engine(&glint_->detector());
+    ServingEngine engine(detector_);
     ASSERT_TRUE(engine.Recover(dir).ok());
     ASSERT_TRUE(RunScript(&engine, 0, kSnapshotAfter).ok());
     ASSERT_TRUE(engine.Snapshot().ok());
@@ -352,7 +352,7 @@ TEST_F(RecoveryTest, CrashMatrixRecoversBitIdentical) {
         // _exit keeps gtest/stdio state out of the picture.
         fault::Registry::Global().Clear();
         fault::Registry::Global().Arm(point, fault::Mode::kCrash, nth);
-        ServingEngine engine(&glint_->detector());
+        ServingEngine engine(detector_);
         Status st = engine.Recover(dir);
         if (st.ok()) st = RunScript(&engine, 0, kSnapshotAfter);
         if (st.ok()) st = engine.Snapshot();
@@ -387,7 +387,7 @@ TEST_F(RecoveryTest, FailMatrixRecoversBitIdentical) {
     {
       fault::Registry::Global().Clear();
       fault::Registry::Global().Arm(point, fault::Mode::kFail, 1);
-      ServingEngine engine(&glint_->detector());
+      ServingEngine engine(detector_);
       Status st = engine.Recover(dir);
       // An injected failure during initial recovery leaves the engine
       // non-durable; the workload then runs in-memory only and recovery
@@ -407,7 +407,7 @@ TEST_F(RecoveryTest, FailMatrixRecoversBitIdentical) {
 TEST_F(RecoveryTest, TornTailIsDetectedAndTruncated) {
   const std::string dir = Dir("torn");
   {
-    ServingEngine engine(&glint_->detector());
+    ServingEngine engine(detector_);
     ASSERT_TRUE(engine.Recover(dir).ok());
     ASSERT_TRUE(RunScript(&engine, 0, -1).ok());
   }
@@ -423,7 +423,7 @@ TEST_F(RecoveryTest, TornTailIsDetectedAndTruncated) {
     std::fclose(f);
   }
   {
-    ServingEngine engine(&glint_->detector());
+    ServingEngine engine(detector_);
     ASSERT_TRUE(engine.Recover(dir).ok());
     EXPECT_TRUE(engine.recovery_info().tail_torn);
     EXPECT_EQ(engine.recovery_info().truncated_bytes, 13u);
@@ -432,7 +432,7 @@ TEST_F(RecoveryTest, TornTailIsDetectedAndTruncated) {
   }
   // The truncation repaired the file: a second recovery sees a clean log.
   {
-    ServingEngine engine(&glint_->detector());
+    ServingEngine engine(detector_);
     ASSERT_TRUE(engine.Recover(dir).ok());
     EXPECT_FALSE(engine.recovery_info().tail_torn);
     EXPECT_EQ(Fingerprint(&engine), *reference_);
@@ -442,7 +442,7 @@ TEST_F(RecoveryTest, TornTailIsDetectedAndTruncated) {
 TEST_F(RecoveryTest, FlippedByteEndsReplayAtLastValidRecord) {
   const std::string dir = Dir("flip");
   {
-    ServingEngine engine(&glint_->detector());
+    ServingEngine engine(detector_);
     ASSERT_TRUE(engine.Recover(dir).ok());
     ASSERT_TRUE(RunScript(&engine, 0, -1).ok());
   }
@@ -472,7 +472,7 @@ TEST_F(RecoveryTest, FlippedByteEndsReplayAtLastValidRecord) {
   std::fputc(byte ^ 0x40, f);
   std::fclose(f);
 
-  ServingEngine engine(&glint_->detector());
+  ServingEngine engine(detector_);
   ASSERT_TRUE(engine.Recover(dir).ok());
   EXPECT_TRUE(engine.recovery_info().tail_torn);
   EXPECT_EQ(engine.journal_seq(), target);
@@ -484,7 +484,7 @@ TEST_F(RecoveryTest, FlippedByteEndsReplayAtLastValidRecord) {
 TEST_F(RecoveryTest, CorruptSnapshotIsRefusedNotGuessed) {
   const std::string dir = Dir("badsnap");
   {
-    ServingEngine engine(&glint_->detector());
+    ServingEngine engine(detector_);
     ASSERT_TRUE(engine.Recover(dir).ok());
     ASSERT_TRUE(RunScript(&engine, 0, -1).ok());
     ASSERT_TRUE(engine.Snapshot().ok());
@@ -499,7 +499,7 @@ TEST_F(RecoveryTest, CorruptSnapshotIsRefusedNotGuessed) {
     std::fputc(byte ^ 0x01, f);
     std::fclose(f);
   }
-  ServingEngine engine(&glint_->detector());
+  ServingEngine engine(detector_);
   Status st = engine.Recover(dir);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kIOError);

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "core/glint.h"
+#include "core/detector.h"
 #include "core/serving.h"
 #include "core/session.h"
 
@@ -33,7 +33,7 @@ namespace {
 class SessionStatsTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    Glint::Options opts;
+    TrainedDetector::Options opts;
     opts.corpus.ifttt = 200;
     opts.corpus.smartthings = 40;
     opts.corpus.alexa = 60;
@@ -46,16 +46,16 @@ class SessionStatsTest : public ::testing::Test {
     opts.train.epochs = 2;
     opts.pairs.num_positive = 60;
     opts.pairs.num_negative = 90;
-    glint_ = new Glint(opts);
-    glint_->TrainOffline();
+    detector_ = new TrainedDetector(opts);
+    detector_->TrainOffline();
   }
 
   static std::vector<rules::Rule> HomeRules(int n) {
     std::vector<rules::Rule> out(
-        glint_->corpus().begin(),
-        glint_->corpus().begin() +
+        detector_->corpus().begin(),
+        detector_->corpus().begin() +
             std::min<size_t>(static_cast<size_t>(n),
-                             glint_->corpus().size()));
+                             detector_->corpus().size()));
     for (size_t i = 0; i < out.size(); ++i) {
       out[i].id = 9000 + static_cast<int>(i);
     }
@@ -71,14 +71,14 @@ class SessionStatsTest : public ::testing::Test {
     return e;
   }
 
-  static Glint* glint_;
+  static TrainedDetector* detector_;
 };
 
-Glint* SessionStatsTest::glint_ = nullptr;
+TrainedDetector* SessionStatsTest::detector_ = nullptr;
 
 TEST_F(SessionStatsTest, FreshSessionCountsRulesOnly) {
   auto rules = HomeRules(4);
-  DeploymentSession session(&glint_->detector());
+  DeploymentSession session(detector_);
   for (const auto& r : rules) session.AddRule(r);
   const auto s = session.Stats();
   EXPECT_EQ(s.rules, 4u);
@@ -98,7 +98,7 @@ TEST_F(SessionStatsTest, ScriptedSequenceHitsExactCounts) {
   auto rules = HomeRules(5);
   DeploymentSession::Config cfg;
   cfg.cache_capacity = 2;
-  DeploymentSession session(&glint_->detector(), cfg);
+  DeploymentSession session(detector_, cfg);
   for (const auto& r : rules) session.AddRule(r);
   const double now = 1.0;
 
@@ -140,7 +140,7 @@ TEST_F(SessionStatsTest, ScriptedSequenceHitsExactCounts) {
 
 TEST_F(SessionStatsTest, EventsAreCountedAndChangeTheKey) {
   auto rules = HomeRules(4);
-  DeploymentSession session(&glint_->detector());
+  DeploymentSession session(detector_);
   for (const auto& r : rules) session.AddRule(r);
   (void)session.Inspect(1.0);
   session.OnEvent(EventFor(rules[0], 1.1));
@@ -157,7 +157,7 @@ TEST_F(SessionStatsTest, EventsAreCountedAndChangeTheKey) {
 
 TEST_F(SessionStatsTest, AggregateStatsSumsHomes) {
   auto rules = HomeRules(4);
-  ServingEngine engine(&glint_->detector());
+  ServingEngine engine(detector_);
   for (const char* id : {"h0", "h1", "h2"}) {
     ASSERT_OK(engine.TryAddHome(id, rules).status());
   }
@@ -184,7 +184,7 @@ TEST_F(SessionStatsTest, UnknownIdIsNotFoundAndTouchesNothing) {
   char tmpl[] = "/tmp/glint_unknown_id_XXXXXX";
   ASSERT_NE(::mkdtemp(tmpl), nullptr);
   auto rules = HomeRules(3);
-  ServingEngine engine(&glint_->detector());
+  ServingEngine engine(detector_);
   ASSERT_OK(engine.Recover(std::string(tmpl) + "/state"));
   ASSERT_OK(engine.TryAddHome("known", rules).status());
   ASSERT_OK(engine.TryOnEvent("known", EventFor(rules[0], 1.0)));

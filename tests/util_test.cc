@@ -310,35 +310,12 @@ TEST(BinioTest, TruncationReturnsFalseNotCrash) {
 // String utils
 // ---------------------------------------------------------------------------
 
-TEST(StringUtils, ToLower) {
-  EXPECT_EQ(ToLower("Turn ON the AC"), "turn on the ac");
-}
-
-TEST(StringUtils, SplitDropsEmptyPieces) {
-  auto parts = Split("a,,b,c", ",");
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[2], "c");
-}
-
-TEST(StringUtils, SplitWhitespaceHandlesTabsNewlines) {
-  auto parts = SplitWhitespace(" a\tb\nc ");
-  ASSERT_EQ(parts.size(), 3u);
-}
-
 TEST(StringUtils, JoinRoundTrip) {
   EXPECT_EQ(Join({"a", "b", "c"}, "-"), "a-b-c");
   EXPECT_EQ(Join({}, "-"), "");
 }
 
-TEST(StringUtils, Strip) {
-  EXPECT_EQ(Strip("  hello \n"), "hello");
-  EXPECT_EQ(Strip("   "), "");
-}
-
-TEST(StringUtils, StartsEndsWith) {
-  EXPECT_TRUE(StartsWith("blueprint: x", "blueprint"));
-  EXPECT_FALSE(StartsWith("x", "blueprint"));
+TEST(StringUtils, EndsWith) {
   EXPECT_TRUE(EndsWith("running", "ing"));
   EXPECT_FALSE(EndsWith("run", "ing"));
 }
@@ -359,12 +336,6 @@ TEST(TablePrinterTest, AlignsColumns) {
   const std::string s = t.ToString();
   EXPECT_NE(s.find("| model   |"), std::string::npos);
   EXPECT_NE(s.find("| ITGNN-S |"), std::string::npos);
-}
-
-TEST(TablePrinterTest, NumericRow) {
-  TablePrinter t({"model", "a", "b"});
-  t.AddRow("x", {1.234, 5.0}, 2);
-  EXPECT_NE(t.ToString().find("1.23"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

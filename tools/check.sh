@@ -149,6 +149,24 @@ DIGESTS
   echo "check.sh: trained models differ from the recorded digests" >&2
   exit 1
 fi
+# `glint inspect` regression on the identity models: the initial-setup
+# check of each demo rule set must print what it printed before the CLI
+# moved from the removed Glint façade to a DeploymentSession (digests of
+# stdout recorded then). The "loaded models from <dir>" line names the
+# per-run temp dir, so it is left out of the digest.
+for expected in \
+    "table1 4a45bbcc01c7106d529e0b645c0b109fac1fbe4e462f1febdbcd0f729ca10c7d" \
+    "table4 43644165e8234ca83bee105f5dbc1efaf66d6cfe65065bffafe7be328d5cf823" \
+    "blueprints 4a45bbcc01c7106d529e0b645c0b109fac1fbe4e462f1febdbcd0f729ca10c7d"; do
+  demo="${expected%% *}"
+  got="$(./build/tools/glint inspect --demo "${demo}" \
+    --model-dir "${FAULT_SMOKE_DIR}/identity-native" |
+    grep -v '^loaded models from ' | sha256sum | cut -d' ' -f1)"
+  if [ "${got}" != "${expected#* }" ]; then
+    echo "check.sh: glint inspect --demo ${demo} output changed" >&2
+    exit 1
+  fi
+done
 GLINT_THREADS=2 ./build/tools/glint train \
   --model-dir "${FAULT_SMOKE_DIR}/models" --graphs 40 --epochs 2
 GLINT_FAULTS='wal.append.write=delay:1' GLINT_THREADS=2 ./build/tools/glint \
@@ -347,5 +365,11 @@ if ! GLINT_THREADS=2 ./build/tools/glint fleet-serve \
   echo "check.sh: drained state did not recover on the next serve" >&2
   exit 1
 fi
+
+# Dead-code audit (tools/dead_code.sh): an -O0 --gc-sections build of every
+# product binary, perfbench included, plus a grep for uncalled inline
+# header functions. Fails on any src/ function that no product binary uses
+# and that tools/dead_code.allow does not list with a reason.
+./tools/dead_code.sh
 
 echo "check.sh: all stages passed"

@@ -71,8 +71,9 @@
 #include <thread>
 #include <vector>
 
-#include "core/glint.h"
+#include "core/detector.h"
 #include "core/serving.h"
+#include "core/session.h"
 #include "fleet/server.h"
 #include "graph/dataset_store.h"
 #include "obs/obs.h"
@@ -123,8 +124,9 @@ std::vector<rules::Rule> DemoRules(const std::string& name) {
   return rules::CorpusGenerator::Table1Rules();
 }
 
-core::Glint::Options DefaultOptions(int graphs, int epochs, uint64_t seed) {
-  core::Glint::Options opts;
+core::TrainedDetector::Options DefaultOptions(int graphs, int epochs,
+                                              uint64_t seed) {
+  core::TrainedDetector::Options opts;
   opts.corpus.ifttt = 500;
   opts.corpus.smartthings = 80;
   opts.corpus.alexa = 150;
@@ -249,7 +251,7 @@ int CmdTrain(const std::map<std::string, std::string>& flags) {
   }
   const int graphs = std::atoi(FlagOr(flags, "graphs", "600").c_str());
   const int epochs = std::atoi(FlagOr(flags, "epochs", "14").c_str());
-  core::Glint detector(DefaultOptions(graphs, epochs, 97));
+  core::TrainedDetector detector(DefaultOptions(graphs, epochs, 97));
   std::printf("training offline (%d graphs, %d epochs)...\n", graphs, epochs);
   detector.TrainOffline();
   Status st = detector.SaveModels(dir);
@@ -264,7 +266,7 @@ int CmdTrain(const std::map<std::string, std::string>& flags) {
 
 int CmdInspect(const std::map<std::string, std::string>& flags) {
   const std::string dir = FlagOr(flags, "model-dir", "");
-  core::Glint detector(DefaultOptions(600, 14, 97));
+  core::TrainedDetector detector(DefaultOptions(600, 14, 97));
   if (!dir.empty()) {
     Status st = detector.LoadModels(dir);
     if (!st.ok()) {
@@ -281,9 +283,9 @@ int CmdInspect(const std::map<std::string, std::string>& flags) {
 
   auto deployed = DemoRules(FlagOr(flags, "demo", "table1"));
   std::printf("inspecting %zu deployed rules...\n", deployed.size());
-  auto g = detector.BuildGraph(deployed);
-  auto warning = detector.InspectGraph(g);
-  std::printf("%s\n", warning.Render().c_str());
+  core::DeploymentSession session(&detector);
+  for (const auto& r : deployed) session.AddRule(r);
+  std::printf("%s\n", session.InspectStatic().Render().c_str());
   return 0;
 }
 
@@ -315,14 +317,14 @@ double HitRate(uint64_t hits, uint64_t misses) {
   return total == 0 ? 0.0 : 100.0 * double(hits) / double(total);
 }
 
-void PrintFleetStatsReport(const core::Glint& detector,
+void PrintFleetStatsReport(const core::TrainedDetector& detector,
                            const fleet::ShardedFleet& fleet,
                            const fleet::EventBus& bus) {
   std::printf("\n---- fleet telemetry ----\n");
   std::printf("%s",
               obs::Registry::Global().TakeSnapshot().RenderText().c_str());
   const auto agg = fleet.AggregateStats();
-  const auto& corr = detector.detector().correlation_cache();
+  const auto& corr = detector.correlation_cache();
   std::printf("cache hit rates:\n");
   std::printf("  %-44s %6.1f%%  (%llu/%llu)\n", "verdict (no-change inspect)",
               HitRate(agg.verdict_hits, agg.verdict_misses),
@@ -383,7 +385,7 @@ int CmdFleetServe(const std::map<std::string, std::string>& flags) {
     return 2;
   }
 
-  core::Glint detector(DefaultOptions(600, 14, 97));
+  core::TrainedDetector detector(DefaultOptions(600, 14, 97));
   if (!dir.empty()) {
     Status st = detector.LoadModels(dir);
     if (!st.ok()) {
@@ -402,7 +404,7 @@ int CmdFleetServe(const std::map<std::string, std::string>& flags) {
   fleet::FleetConfig fc;
   fc.num_shards = shards;
   fc.state_dir = FlagOr(flags, "state-dir", "");
-  fleet::ShardedFleet fleet(&detector.detector(), fc);
+  fleet::ShardedFleet fleet(&detector, fc);
   if (!fc.state_dir.empty()) {
     Status st = fleet.Recover();
     if (!st.ok()) {
