@@ -102,49 +102,8 @@ graph::Node TrainedDetector::MakeNode(const rules::Rule& rule) const {
 ThreatWarning TrainedDetector::Analyze(const gnn::GnnGraph& gg,
                                        const graph::InteractionGraph& g,
                                        bool explain) const {
-  GLINT_CHECK(ready_);
   GLINT_OBS_TIMER(analyze_timer, "glint.detector.analyze_ms");
-  ThreatWarning warning;
-
-  // Drift check first (Fig. 2 step 5): unfamiliar patterns go to the user
-  // rather than the classifier.
-  {
-    GLINT_OBS_TIMER(timer, "glint.drift.check_ms");
-    FloatVec z = gnn::Trainer::Embed(contrastive_.get(), gg);
-    warning.drifting = drift_.IsDrifting(z);
-  }
-  if (warning.drifting) GLINT_OBS_COUNT("glint.drift.flagged", 1);
-
-  // Pooled tape: a warm serving session replays classification into the
-  // same arena every Inspect, so the steady state allocates nothing. The
-  // explainer below acquires its own lease; stack discipline keeps the
-  // nesting safe.
-  gnn::ScopedTape tape;
-  tape->set_freeze_leaves(true);  // inference only: skip grad bookkeeping
-  auto r = classifier_->Forward(tape.get(), gg);
-  double p[2];
-  gnn::SoftmaxRowInto(r.logits, p);
-  warning.confidence = p[1];
-  warning.threat = p[1] > 0.5;
-
-  if (warning.threat) {
-    GLINT_OBS_COUNT("glint.detector.threats", 1);
-    if (explain) {
-      // Explanation: top culprit rules, PGExplainer-style (Sec. 3.1).
-      auto importance = ExplainNodes(classifier_.get(), gg,
-                                     r.logits->value.data.data());
-      for (int v : TopCulprits(importance, 3)) {
-        const auto& node = g.nodes()[static_cast<size_t>(v)];
-        warning.culprits.push_back(
-            {v, rules::PlatformName(node.rule.platform), node.rule.text,
-             importance[static_cast<size_t>(v)]});
-      }
-    }
-    // Report the analyzer's threat taxonomy when available (it is attached
-    // to graphs built by our own builder).
-    warning.types = g.threat_types();
-  }
-  return warning;
+  return AnalyzeAll({&gg}, {&g}, explain).front();
 }
 
 ThreatWarning TrainedDetector::AnalyzeGraph(
@@ -155,61 +114,86 @@ ThreatWarning TrainedDetector::AnalyzeGraph(
 std::vector<ThreatWarning> TrainedDetector::AnalyzeBatch(
     const std::vector<const gnn::GnnGraph*>& ggs,
     const std::vector<const graph::InteractionGraph*>& gs) const {
+  GLINT_OBS_TIMER(analyze_timer, "glint.detector.analyze_batch_ms");
+  return AnalyzeAll(ggs, gs, /*explain=*/true);
+}
+
+std::vector<ThreatWarning> TrainedDetector::AnalyzeAll(
+    const std::vector<const gnn::GnnGraph*>& ggs,
+    const std::vector<const graph::InteractionGraph*>& gs,
+    bool explain) const {
   GLINT_CHECK(ready_);
   GLINT_CHECK(ggs.size() == gs.size());
   std::vector<ThreatWarning> out(ggs.size());
-  if (ggs.empty()) return out;
-  GLINT_OBS_TIMER(analyze_timer, "glint.detector.analyze_batch_ms");
-  const gnn::GnnBatch batch = gnn::MakeGnnBatch(ggs);
-  const int B = batch.size();
 
-  // Drift check over the contrastive latent space: one batched forward,
-  // then per-graph MAD tests on the embedding rows (each row bit-matches
-  // Trainer::Embed on that graph).
+  // A zero-node graph has no rules, so nothing in it can interact: it keeps
+  // the default benign warning and joins no forward.
+  std::vector<const gnn::GnnGraph*> members;
+  std::vector<size_t> slots;
+  for (size_t i = 0; i < ggs.size(); ++i) {
+    if (ggs[i]->num_nodes == 0) continue;
+    members.push_back(ggs[i]);
+    slots.push_back(i);
+  }
+  if (members.empty()) return out;
+
+  // One graph runs over its own storage as a one-segment batch; several are
+  // packed block-diagonally. Row b of each forward belongs to members[b].
+  gnn::GnnBatch batch;
+  if (members.size() > 1) batch = gnn::MakeGnnBatch(members);
+  auto forward = [&](gnn::ItgnnModel* model, gnn::Tape* tape) {
+    tape->set_freeze_leaves(true);  // inference only: skip grad bookkeeping
+    return members.size() == 1 ? model->Forward(tape, *members.front())
+                               : model->ForwardBatched(tape, batch);
+  };
+
+  // Drift check first (Fig. 2 step 5): unfamiliar patterns go to the user
+  // rather than the classifier. One MAD test per embedding row.
   {
     GLINT_OBS_TIMER(timer, "glint.drift.check_ms");
     gnn::ScopedTape tape;
-    tape->set_freeze_leaves(true);
-    auto rc = contrastive_->ForwardBatched(tape.get(), batch);
-    const int dim = rc.embeddings->cols();
-    for (int b = 0; b < B; ++b) {
-      const float* row =
-          rc.embeddings->value.data.data() + static_cast<size_t>(b) * dim;
-      FloatVec z(row, row + dim);
-      out[static_cast<size_t>(b)].drifting = drift_.IsDrifting(z);
-      if (out[static_cast<size_t>(b)].drifting) {
-        GLINT_OBS_COUNT("glint.drift.flagged", 1);
-      }
+    const gnn::Tensor* z = forward(contrastive_.get(), tape.get()).embedding;
+    const int dim = z->cols();
+    for (size_t b = 0; b < members.size(); ++b) {
+      const float* row = z->value.data.data() + b * static_cast<size_t>(dim);
+      ThreatWarning& warning = out[slots[b]];
+      warning.drifting = drift_.IsDrifting(FloatVec(row, row + dim));
+      if (warning.drifting) GLINT_OBS_COUNT("glint.drift.flagged", 1);
     }
   }
 
-  // One batched classification forward; per-row softmax uses the exact
-  // sequential row normalization.
+  // Pooled tape: a warm serving session replays classification into the
+  // same arena every Inspect, so the steady state allocates nothing. The
+  // explainer below acquires its own lease; stack discipline keeps the
+  // nesting safe.
   gnn::ScopedTape tape;
-  tape->set_freeze_leaves(true);
-  auto r = classifier_->ForwardBatched(tape.get(), batch);
-  for (int b = 0; b < B; ++b) {
-    ThreatWarning& warning = out[static_cast<size_t>(b)];
+  auto r = forward(classifier_.get(), tape.get());
+  for (size_t b = 0; b < members.size(); ++b) {
+    ThreatWarning& warning = out[slots[b]];
+    const float* logits = r.logits->value.data.data() + 2 * b;
     double p[2];
-    gnn::SoftmaxRowInto(
-        r.logits->value.data.data() + static_cast<size_t>(b) * 2, 2, p);
+    gnn::SoftmaxRowInto(logits, 2, p);
     warning.confidence = p[1];
     warning.threat = p[1] > 0.5;
     if (!warning.threat) continue;
     GLINT_OBS_COUNT("glint.detector.threats", 1);
-    // Explanation stays per-graph: the saliency screen needs per-graph
-    // input gradients, and threats are the rare case. Its exact scan takes
-    // the base margin from this graph's row of the batched logits.
-    auto importance = ExplainNodes(
-        classifier_.get(), *ggs[static_cast<size_t>(b)],
-        r.logits->value.data.data() + static_cast<size_t>(b) * 2);
-    for (int v : TopCulprits(importance, 3)) {
-      const auto& node = gs[static_cast<size_t>(b)]->nodes()[static_cast<size_t>(v)];
-      warning.culprits.push_back(
-          {v, rules::PlatformName(node.rule.platform), node.rule.text,
-           importance[static_cast<size_t>(v)]});
+    const graph::InteractionGraph& g = *gs[slots[b]];
+    if (explain) {
+      // Explanation: top culprit rules, PGExplainer-style (Sec. 3.1). It
+      // runs per graph (the saliency screen needs per-graph input
+      // gradients, and threats are the rare case); the exact scan takes its
+      // base margin from this graph's logits row.
+      auto importance = ExplainNodes(classifier_.get(), *members[b], logits);
+      for (int v : TopCulprits(importance, 3)) {
+        const auto& node = g.nodes()[static_cast<size_t>(v)];
+        warning.culprits.push_back(
+            {v, rules::PlatformName(node.rule.platform), node.rule.text,
+             importance[static_cast<size_t>(v)]});
+      }
     }
-    warning.types = gs[static_cast<size_t>(b)]->threat_types();
+    // Report the analyzer's threat taxonomy when available (it is attached
+    // to graphs built by our own builder).
+    warning.types = g.threat_types();
   }
   return out;
 }

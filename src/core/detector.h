@@ -80,17 +80,17 @@ class TrainedDetector {
   /// `explain = false` skips the occlusion explainer on threats (no
   /// culprits in the warning) — the degraded-mode serving path, where the
   /// verdict itself is bit-identical but attribution is dropped for speed.
+  /// A zero-node graph (a home without rules) gets the default benign
+  /// warning without a forward.
   ThreatWarning Analyze(const gnn::GnnGraph& gg,
                         const graph::InteractionGraph& g,
                         bool explain = true) const;
 
-  /// Batched Analyze: packs the (non-empty) graphs into one block-diagonal
-  /// GnnBatch and runs a single drift-embedding forward and a single
-  /// classification forward for the whole batch, amortizing tape and
-  /// dispatch overhead. Warning i is bit-identical to Analyze(*ggs[i],
-  /// *gs[i]) — the segment-op contract (gnn/tensor.h) makes every batched
-  /// row match its sequential twin, and culprit explanation still runs
-  /// per-graph on the threats.
+  /// Analyze over many graphs at once: the non-empty graphs are packed into
+  /// one block-diagonal GnnBatch, so one drift-embedding forward and one
+  /// classification forward serve them all. Warning i is bit-identical to
+  /// Analyze(*ggs[i], *gs[i]): both run the same body, and the segment ops
+  /// (gnn/tensor.h) give every graph the same bits alone or in any batch.
   std::vector<ThreatWarning> AnalyzeBatch(
       const std::vector<const gnn::GnnGraph*>& ggs,
       const std::vector<const graph::InteractionGraph*>& gs) const;
@@ -129,6 +129,12 @@ class TrainedDetector {
   /// session served by this detector).
   mutable correlation::CorrelationCache corr_cache_;
   bool ready_ = false;
+
+  /// The one analysis body behind Analyze and AnalyzeBatch.
+  std::vector<ThreatWarning> AnalyzeAll(
+      const std::vector<const gnn::GnnGraph*>& ggs,
+      const std::vector<const graph::InteractionGraph*>& gs,
+      bool explain) const;
 };
 
 }  // namespace glint::core

@@ -18,8 +18,8 @@ namespace glint::core {
 /// normalized to [0, 1].
 ///
 /// `logits`, when given, points at the model's two classification logits
-/// for `g` from a forward the caller already ran (a row of Analyze's or
-/// AnalyzeBatch's forward, bit-identical to a per-graph forward). The exact
+/// for `g` from a forward the caller already ran (its row of the detector's
+/// analysis forward, whose bits do not depend on the batch). The exact
 /// scan takes its base margin from them instead of repeating that forward;
 /// without them it runs the forward itself. The screen path always runs its
 /// own tracked forward, since it needs input gradients.

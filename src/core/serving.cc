@@ -364,18 +364,10 @@ std::vector<ThreatWarning> ServingEngine::InspectAll(double now_hours,
     members.clear();
     while (i < todo.size() && members.size() < static_cast<size_t>(max_batch)) {
       const size_t h = todo[i++];
-      if (pending[h].gg->num_nodes == 0) {
-        // Empty graphs cannot join a block-diagonal batch (segments must be
-        // non-empty); route them through the sequential path unchanged.
-        out[h] = sessions_[h]->FinishInspect(
-            detector_->Analyze(*pending[h].gg, pending[h].graph));
-        continue;
-      }
       ggs.push_back(pending[h].gg);
       gs.push_back(&pending[h].graph);
       members.push_back(h);
     }
-    if (members.empty()) continue;
     GLINT_OBS_OBSERVE("glint.batch.size", static_cast<double>(members.size()));
     std::vector<ThreatWarning> warnings = detector_->AnalyzeBatch(ggs, gs);
     for (size_t k = 0; k < members.size(); ++k) {

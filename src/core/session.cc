@@ -1,5 +1,6 @@
 #include "core/session.h"
 
+#include <cmath>
 #include <cstddef>
 #include <utility>
 
@@ -52,13 +53,23 @@ ThreatWarning DeploymentSession::Inspect(double now_hours) {
   return Render(live_.RealTimeEdges(now_hours));
 }
 
-Result<ThreatWarning> DeploymentSession::TryInspect(double now_hours) {
+Status DeploymentSession::CheckInspectTime(double now_hours) const {
+  if (!std::isfinite(now_hours)) {
+    return Status::InvalidArgument("inspection time " +
+                                   std::to_string(now_hours) +
+                                   "h is not a finite number");
+  }
   if (now_hours + 1e-9 < live_.latest_event_hours()) {
     return Status::InvalidArgument(
         "inspection time " + std::to_string(now_hours) +
         "h precedes the latest ingested event at " +
         std::to_string(live_.latest_event_hours()) + "h");
   }
+  return Status::OK();
+}
+
+Result<ThreatWarning> DeploymentSession::TryInspect(double now_hours) {
+  GLINT_RETURN_IF_ERROR(CheckInspectTime(now_hours));
   ThreatWarning w = Inspect(now_hours);
   // Charge the inspect stage of an in-flight fleet request trace (set by
   // the bus consumer around RunOnShard tasks — DESIGN.md §14).
@@ -70,12 +81,7 @@ Result<ThreatWarning> DeploymentSession::TryInspect(double now_hours) {
 
 Result<ThreatWarning> DeploymentSession::TryInspectDegraded(
     double now_hours) {
-  if (now_hours + 1e-9 < live_.latest_event_hours()) {
-    return Status::InvalidArgument(
-        "inspection time " + std::to_string(now_hours) +
-        "h precedes the latest ingested event at " +
-        std::to_string(live_.latest_event_hours()) + "h");
-  }
+  GLINT_RETURN_IF_ERROR(CheckInspectTime(now_hours));
   Pending pending = BeginInspect(now_hours);
   // A cache hit is the healthy verdict (culprits included); a miss skips
   // the explainer AND the FinishInspect verdict record — see the header.

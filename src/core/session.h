@@ -80,8 +80,9 @@ class DeploymentSession {
   ThreatWarning InspectStatic();
 
   /// Validating inspection: InvalidArgument (instead of the RealTimeEdges
-  /// monotonicity CHECK) when `now` precedes the latest ingested event —
-  /// the untrusted-input variant for CLI / frontend callers.
+  /// monotonicity CHECK) when `now` is not finite or precedes the latest
+  /// ingested event — the untrusted-input variant for CLI / frontend
+  /// callers.
   Result<ThreatWarning> TryInspect(double now_hours);
 
   /// Degraded-mode inspection (fleet overload path, DESIGN.md §16):
@@ -89,7 +90,8 @@ class DeploymentSession {
   /// WITHOUT the occlusion explainer (no culprits) and WITHOUT recording
   /// the verdict — a culprit-less warning in the cache would poison later
   /// healthy inspects. The threat verdict + confidence are bit-identical
-  /// to the healthy path; only attribution is shed.
+  /// to the healthy path; only attribution is shed. `now` is validated as
+  /// in TryInspect.
   Result<ThreatWarning> TryInspectDegraded(double now_hours);
 
   /// Serializes the session's logical state (the LiveGraph: deployed rules
@@ -138,6 +140,9 @@ class DeploymentSession {
   CacheStats Stats() const;
 
  private:
+  /// The untrusted-time guard of TryInspect and TryInspectDegraded.
+  Status CheckInspectTime(double now_hours) const;
+
   /// Shared tail of Inspect / InspectStatic: cache lookups, then the
   /// materialize -> tensorize -> analyze pipeline on miss. Composed from
   /// Begin + Analyze + FinishInspect so the batched path is the same code.

@@ -7,8 +7,8 @@
 
 namespace glint::gnn {
 
-SparseMatrix NormalizedAdjacency(
-    int n, const std::vector<std::pair<int, int>>& edges) {
+void AppendNormalizedAdjacency(SparseMatrix* adj, int offset, int n,
+                               std::span<const std::pair<int, int>> edges) {
   // Build symmetrized A + I, then D^-1/2 (A+I) D^-1/2. The presence bitmap
   // and degree scratch are flat thread-local buffers re-used across calls
   // (this runs per VIPool coarsening inside every forward), so the
@@ -23,26 +23,31 @@ SparseMatrix NormalizedAdjacency(
   };
   for (int i = 0; i < n; ++i) at(present, i, i) = 1;
   for (const auto& [s, d] : edges) {
-    at(present, s, d) = 1;
-    at(present, d, s) = 1;
+    at(present, s - offset, d - offset) = 1;
+    at(present, d - offset, s - offset) = 1;
   }
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) degree[static_cast<size_t>(i)] += at(present, i, j);
   }
-  SparseMatrix adj;
-  adj.rows = n;
-  adj.cols = n;
-  adj.Reserve(static_cast<size_t>(n) + 2 * edges.size());
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
       if (at(present, i, j)) {
         const float v = static_cast<float>(
             1.0 / std::sqrt(degree[static_cast<size_t>(i)] *
                             degree[static_cast<size_t>(j)]));
-        adj.Add(i, j, v);
+        adj->Add(offset + i, offset + j, v);
       }
     }
   }
+}
+
+SparseMatrix NormalizedAdjacency(
+    int n, const std::vector<std::pair<int, int>>& edges) {
+  SparseMatrix adj;
+  adj.rows = n;
+  adj.cols = n;
+  adj.Reserve(static_cast<size_t>(n) + 2 * edges.size());
+  AppendNormalizedAdjacency(&adj, 0, n, edges);
   adj.BuildCsrCache();
   return adj;
 }

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -183,18 +184,25 @@ class GnnGraphCache {
   std::vector<std::unique_ptr<Slot>> slots_;
 };
 
-/// Builds the normalized adjacency for an explicit edge set over n nodes.
+/// Builds the normalized adjacency for an explicit edge set over n nodes
+/// (CSR mirror built).
 SparseMatrix NormalizedAdjacency(int n,
                                  const std::vector<std::pair<int, int>>& edges);
+/// Appends the same matrix to `adj` as its diagonal block at rows and
+/// columns [offset, offset + n), entries in the same order; `edges` are in
+/// those shifted indices. Builds no CSR.
+void AppendNormalizedAdjacency(SparseMatrix* adj, int offset, int n,
+                               std::span<const std::pair<int, int>> edges);
 
 /// A block-diagonal super-graph packing B member graphs for one batched
 /// forward: graph b owns the contiguous node range
 /// [offsets[b], offsets[b+1]). Per-type feature blocks are concatenated in
 /// graph order, adjacency entries are offset-shifted copies (so the CSR row
 /// of any node lists exactly its member graph's entries, in the same
-/// order), and no edge crosses a segment boundary. Segment-aware ops
-/// (SegmentMeanRows & co.) consume `offsets` to keep per-graph reductions
-/// bit-identical to B sequential forwards.
+/// order), and no edge crosses a segment boundary. The segment ops
+/// (SegmentMeanRows & co.) consume `offsets` to reduce each graph on its
+/// own rows, so every graph's result has the bits of a forward over that
+/// graph alone (which is the one-segment table {0, n}).
 struct GnnBatch {
   GnnGraph graph;
   std::vector<int> offsets;  ///< B+1 ascending node offsets

@@ -18,7 +18,7 @@ struct AdamHyper {
 /// These are the hot primitives behind the tape ops (the kMatMul forward
 /// product and its two gradient products, kSpMM row accumulation,
 /// parameter-gradient accumulation, the elementwise forwards, and the
-/// kSoftmaxRow normalization) and behind the Adam step. One backend is
+/// softmax-row normalization) and behind the Adam step. One backend is
 /// selected once at startup — AVX2 when the CPU advertises it, portable
 /// scalar otherwise — overridable with GLINT_KERNEL=scalar|avx2.
 ///

@@ -114,16 +114,13 @@ class SemanticAttention {
     (void)num_paths;
   }
 
-  /// `paths` are per-metapath node matrices (same shape). Returns the
-  /// attended combination (same shape).
-  Tensor* Forward(Tape* t, const std::vector<Tensor*>& paths);
-
-  /// Block-diagonal batched twin: rows are grouped into segments by
-  /// `offsets` (B+1 table, see gnn/ggraph.h GnnBatch), each segment gets
-  /// its own per-metapath summary / softmax weights, and segment b of the
-  /// result is bit-identical to Forward on that graph alone.
-  Tensor* ForwardBatched(Tape* t, const std::vector<Tensor*>& paths,
-                         const std::vector<int>& offsets);
+  /// `paths` are per-metapath node matrices (same shape) whose rows are
+  /// grouped into graphs by the segment table `offsets` (B+1 entries, see
+  /// the segment ops in gnn/tensor.h). Each graph gets its own per-metapath
+  /// summary and softmax weights. Returns the attended combination (same
+  /// shape).
+  Tensor* Forward(Tape* t, const std::vector<Tensor*>& paths,
+                  std::span<const int> offsets);
 
   std::vector<Parameter*> Parameters() {
     auto p = summar_.Parameters();
@@ -147,34 +144,22 @@ class VIPool {
   VIPool(int dim, double ratio, Rng* rng)
       : ratio_(ratio), score_(2 * dim, 1, rng), logit_(dim, 1, rng) {}
 
+  /// Pools every graph of the segment table `offsets` (the rows of `h`)
+  /// on its own: its vertices are scored, ranked and coarsened without
+  /// reading any other segment, and the pooled graphs are packed
+  /// block-diagonally again.
   struct Result {
     Tensor* features = nullptr;      ///< pooled node features
     SparseMatrix adj_norm;           ///< pooled normalized adjacency
-    SparseMatrix adj_raw;            ///< pooled raw adjacency
-    std::vector<int> kept;           ///< kept node indices (into input)
-    Tensor* graph_logit = nullptr;   ///< per-scale logit for L_pool
-  };
-
-  Result Forward(Tape* t, const SparseMatrix& adj_norm,
-                 const SparseMatrix& adj_raw, Tensor* h);
-
-  /// Block-diagonal batched pooling: every segment of `offsets` is scored,
-  /// ranked and coarsened independently (the exact Forward algorithm on its
-  /// row range), and the pooled segments are re-packed block-diagonally.
-  /// `offsets` describes the rows of `h`; the result carries the pooled
-  /// segment table.
-  struct BatchedResult {
-    Tensor* features = nullptr;      ///< pooled node features (all segments)
-    SparseMatrix adj_norm;           ///< pooled block-diagonal adjacency
     SparseMatrix adj_raw;            ///< pooled raw adjacency
     std::vector<int> kept;           ///< kept row indices (into input rows)
     std::vector<int> offsets;        ///< pooled B+1 segment table
     Tensor* graph_logits = nullptr;  ///< B x 1 per-scale logits for L_pool
   };
 
-  BatchedResult ForwardBatched(Tape* t, const SparseMatrix& adj_norm,
-                               const SparseMatrix& adj_raw, Tensor* h,
-                               const std::vector<int>& offsets);
+  Result Forward(Tape* t, const SparseMatrix& adj_norm,
+                 const SparseMatrix& adj_raw, Tensor* h,
+                 std::span<const int> offsets);
 
   std::vector<Parameter*> Parameters() {
     auto p = score_.Parameters();

@@ -13,17 +13,8 @@ MetapathConverter::MetapathConverter(Config config, Rng* rng)
   attention_ = SemanticAttention(config_.hidden, kNumNodeTypes + 1, rng);
 }
 
-Tensor* MetapathConverter::Forward(Tape* t, const GnnGraph& g) {
-  return ForwardImpl(t, g, nullptr);
-}
-
-Tensor* MetapathConverter::ForwardBatched(Tape* t, const GnnGraph& g,
-                                          const std::vector<int>& offsets) {
-  return ForwardImpl(t, g, &offsets);
-}
-
-Tensor* MetapathConverter::ForwardImpl(Tape* t, const GnnGraph& g,
-                                       const std::vector<int>* offsets) {
+Tensor* MetapathConverter::Forward(Tape* t, const GnnGraph& g,
+                                   std::span<const int> offsets) {
   // Scatter permutation and type-mean operators are graph-derived and
   // cached on the graph (built once, shared by every forward).
   const auto meta = g.TypeMetaView();
@@ -64,11 +55,8 @@ Tensor* MetapathConverter::ForwardImpl(Tape* t, const GnnGraph& g,
 
   // 3. Inter-metapath aggregation: semantic attention (or plain mean when
   // ablated). Attention is the only stage that reduces over rows, so it is
-  // the only stage with a batched flavour.
-  if (config_.use_inter) {
-    return offsets == nullptr ? attention_.Forward(t, paths)
-                              : attention_.ForwardBatched(t, paths, *offsets);
-  }
+  // the only stage that reads the segment table.
+  if (config_.use_inter) return attention_.Forward(t, paths, offsets);
   Tensor* sum = nullptr;
   for (Tensor* p : paths) sum = AddLoss(t, sum, p);
   return Scale(t, sum, 1.0f / static_cast<float>(paths.size()));

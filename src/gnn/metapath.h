@@ -23,25 +23,16 @@ class MetapathConverter {
   MetapathConverter() = default;
   MetapathConverter(Config config, Rng* rng);
 
-  /// Returns an n x hidden homogeneous node-feature tensor.
-  Tensor* Forward(Tape* t, const GnnGraph& g);
-
-  /// Batched twin over a block-diagonal GnnBatch graph: projection,
-  /// scatter and intra-metapath aggregation are row-local (the batch's
-  /// type-mean operators never cross segments), so only the inter-metapath
-  /// attention needs the segment table. Segment b of the result is
-  /// bit-identical to Forward on that member graph.
-  Tensor* ForwardBatched(Tape* t, const GnnGraph& g,
-                         const std::vector<int>& offsets);
+  /// Returns an n x hidden homogeneous node-feature tensor. `offsets` is
+  /// the segment table of the graphs `g` packs ({0, n} for one graph).
+  /// Projection, scatter and intra-metapath aggregation are row-local (a
+  /// batch's type-mean operators never cross segments), so only the
+  /// inter-metapath attention reads the table.
+  Tensor* Forward(Tape* t, const GnnGraph& g, std::span<const int> offsets);
 
   std::vector<Parameter*> Parameters();
 
  private:
-  /// Shared body: `offsets` selects the attention flavour (nullptr =
-  /// whole-matrix, non-null = per-segment).
-  Tensor* ForwardImpl(Tape* t, const GnnGraph& g,
-                      const std::vector<int>* offsets);
-
   Config config_;
   Linear proj_[kNumNodeTypes];     ///< per-type feature projection
   Linear intra_[kNumNodeTypes];    ///< per-metapath transformation

@@ -31,10 +31,12 @@ GcnModel::GcnModel(int in_dim, int hidden, int num_layers, uint64_t seed)
 }
 
 ForwardResult GcnModel::Forward(Tape* t, const GnnGraph& g) {
+  const int whole[] = {0, g.num_nodes};
   Tensor* h = HomogeneousFeatures(t, g);
   for (auto& conv : convs_) h = conv.Forward(t, g.adj_norm, h);
   ForwardResult r;
-  r.embedding = ConcatCols(t, MeanRows(t, h), MaxRows(t, h));
+  r.embedding = ConcatCols(t, SegmentMeanRows(t, h, whole),
+                           SegmentMaxRows(t, h, whole));
   r.logits = head_.Forward(t, r.embedding);
   return r;
 }
@@ -74,10 +76,12 @@ GinModel::GinModel(int in_dim, int hidden, int num_layers, uint64_t seed)
 
 Tensor* GinModel::Encode(Tape* t, const GnnGraph& g,
                          Tensor** node_embeddings) {
+  const int whole[] = {0, g.num_nodes};
   Tensor* h = HomogeneousFeatures(t, g);
   for (auto& conv : convs_) h = conv.Forward(t, g.adj_raw, h);
   if (node_embeddings != nullptr) *node_embeddings = h;
-  return ConcatCols(t, MeanRows(t, h), MaxRows(t, h));
+  return ConcatCols(t, SegmentMeanRows(t, h, whole),
+                    SegmentMaxRows(t, h, whole));
 }
 
 ForwardResult GinModel::Forward(Tape* t, const GnnGraph& g) {
@@ -186,24 +190,28 @@ GxnModel::GxnModel(int in_dim, int hidden, int num_scales,
 }
 
 ForwardResult GxnModel::Forward(Tape* t, const GnnGraph& g) {
+  const int whole[] = {0, g.num_nodes};
   Tensor* h = Relu(t, input_.Forward(t, HomogeneousFeatures(t, g)));
   // Walk the adjacency chain by pointer: scale 0 reads the graph's own
   // matrices, later scales read the pooled result (no copies either way).
   const SparseMatrix* adj_norm = &g.adj_norm;
   const SparseMatrix* adj_raw = &g.adj_raw;
+  std::span<const int> offsets = whole;
   VIPool::Result pooled;
   ForwardResult r;
   Tensor* readouts = nullptr;
   for (size_t s = 0; s < convs_.size(); ++s) {
     h = convs_[s].Forward(t, *adj_norm, h);
-    Tensor* ro = ConcatCols(t, MeanRows(t, h), MaxRows(t, h));
+    Tensor* ro = ConcatCols(t, SegmentMeanRows(t, h, offsets),
+                            SegmentMaxRows(t, h, offsets));
     readouts = readouts == nullptr ? ro : ConcatCols(t, readouts, ro);
     if (s < pools_.size()) {
-      pooled = pools_[s].Forward(t, *adj_norm, *adj_raw, h);
+      pooled = pools_[s].Forward(t, *adj_norm, *adj_raw, h, offsets);
       h = pooled.features;
       adj_norm = &pooled.adj_norm;
       adj_raw = &pooled.adj_raw;
-      r.pool_logits.push_back(pooled.graph_logit);
+      offsets = pooled.offsets;
+      r.pool_logits.push_back(pooled.graph_logits);
     }
   }
   r.embedding = Relu(t, fuse_.Forward(t, readouts));
@@ -255,10 +263,12 @@ MagcnModel::MagcnModel(int hidden, int num_layers, uint64_t seed)
 }
 
 ForwardResult MagcnModel::Forward(Tape* t, const GnnGraph& g) {
-  Tensor* h = converter_.Forward(t, g);
+  const int whole[] = {0, g.num_nodes};
+  Tensor* h = converter_.Forward(t, g, whole);
   for (auto& conv : convs_) h = conv.Forward(t, g.adj_norm, h);
   ForwardResult r;
-  r.embedding = ConcatCols(t, MeanRows(t, h), MaxRows(t, h));
+  r.embedding = ConcatCols(t, SegmentMeanRows(t, h, whole),
+                           SegmentMaxRows(t, h, whole));
   r.logits = head_.Forward(t, r.embedding);
   return r;
 }
@@ -301,22 +311,26 @@ MagxnModel::MagxnModel(int hidden, int num_scales, double pooling_ratio,
 }
 
 ForwardResult MagxnModel::Forward(Tape* t, const GnnGraph& g) {
-  Tensor* h = converter_.Forward(t, g);
+  const int whole[] = {0, g.num_nodes};
+  Tensor* h = converter_.Forward(t, g, whole);
   const SparseMatrix* adj_norm = &g.adj_norm;
   const SparseMatrix* adj_raw = &g.adj_raw;
+  std::span<const int> offsets = whole;
   VIPool::Result pooled;
   ForwardResult r;
   Tensor* readouts = nullptr;
   for (size_t s = 0; s < convs_.size(); ++s) {
     h = convs_[s].Forward(t, *adj_norm, h);
-    Tensor* ro = ConcatCols(t, MeanRows(t, h), MaxRows(t, h));
+    Tensor* ro = ConcatCols(t, SegmentMeanRows(t, h, offsets),
+                            SegmentMaxRows(t, h, offsets));
     readouts = readouts == nullptr ? ro : ConcatCols(t, readouts, ro);
     if (s < pools_.size()) {
-      pooled = pools_[s].Forward(t, *adj_norm, *adj_raw, h);
+      pooled = pools_[s].Forward(t, *adj_norm, *adj_raw, h, offsets);
       h = pooled.features;
       adj_norm = &pooled.adj_norm;
       adj_raw = &pooled.adj_raw;
-      r.pool_logits.push_back(pooled.graph_logit);
+      offsets = pooled.offsets;
+      r.pool_logits.push_back(pooled.graph_logits);
     }
   }
   r.embedding = Relu(t, fuse_.Forward(t, readouts));
@@ -395,7 +409,8 @@ ForwardResult HgslModel::Forward(Tape* t, const GnnGraph& g) {
   h = Relu(t, MatMul(t, mixed, conv2_.Forward(t, h)));
 
   ForwardResult r;
-  r.embedding = MeanRows(t, h);
+  const int whole[] = {0, g.num_nodes};
+  r.embedding = SegmentMeanRows(t, h, whole);
   r.logits = head_.Forward(t, r.embedding);
   return r;
 }
@@ -456,64 +471,47 @@ ItgnnModel::ItgnnModel(Config config) : config_(config) {
 
 ForwardResult ItgnnModel::Forward(Tape* t, const GnnGraph& g) {
   GLINT_OBS_TIMER(timer, "glint.gnn.forward_ms");
-  // Metapath-based node transformation (lines 1-13 of Algorithm 2).
-  Tensor* h = converter_.Forward(t, g);
+  const int whole[] = {0, g.num_nodes};
+  return Run(t, g, whole);
+}
 
-  // Multi-scale graph generation + TAG propagation (lines 15-21).
+ForwardResult ItgnnModel::ForwardBatched(Tape* t, const GnnBatch& batch) {
+  GLINT_OBS_TIMER(timer, "glint.gnn.forward_batched_ms");
+  return Run(t, batch.graph, batch.offsets);
+}
+
+ForwardResult ItgnnModel::Run(Tape* t, const GnnGraph& g,
+                              std::span<const int> offsets) {
+  GLINT_CHECK(g.num_nodes > 0);  // a zero-node graph has no segment
+  // Metapath-based node transformation (lines 1-13 of Algorithm 2).
+  Tensor* h = converter_.Forward(t, g, offsets);
+
+  // Multi-scale graph generation + TAG propagation (lines 15-21). TagConv
+  // is row/CSR-row local, so the block-diagonal adjacency keeps every
+  // graph's propagation independent; readouts and pooling run per segment.
   const SparseMatrix* adj_norm = &g.adj_norm;
   const SparseMatrix* adj_raw = &g.adj_raw;
+  std::span<const int> segments = offsets;
   VIPool::Result pooled;
   ForwardResult r;
   Tensor* readouts = nullptr;
   for (size_t s = 0; s < scale_convs_.size(); ++s) {
     for (auto& conv : scale_convs_[s]) h = conv.Forward(t, *adj_norm, h);
-    Tensor* ro = ConcatCols(t, MeanRows(t, h), MaxRows(t, h));
+    Tensor* ro = ConcatCols(t, SegmentMeanRows(t, h, segments),
+                            SegmentMaxRows(t, h, segments));
     readouts = readouts == nullptr ? ro : ConcatCols(t, readouts, ro);
     if (s < pools_.size()) {
-      pooled = pools_[s].Forward(t, *adj_norm, *adj_raw, h);
+      pooled = pools_[s].Forward(t, *adj_norm, *adj_raw, h, segments);
       h = pooled.features;
       adj_norm = &pooled.adj_norm;
       adj_raw = &pooled.adj_raw;
-      r.pool_logits.push_back(pooled.graph_logit);
+      segments = pooled.offsets;
+      r.pool_logits.push_back(pooled.graph_logits);
     }
   }
   // Fused multi-scale readout (line 22).
   r.embedding = Relu(t, fuse_.Forward(t, readouts));
   r.logits = head_.Forward(t, r.embedding);
-  return r;
-}
-
-BatchedForwardResult ItgnnModel::ForwardBatched(Tape* t,
-                                                const GnnBatch& batch) {
-  GLINT_OBS_TIMER(timer, "glint.gnn.forward_batched_ms");
-  const GnnGraph& g = batch.graph;
-  Tensor* h = converter_.ForwardBatched(t, g, batch.offsets);
-
-  // The sequential loop, with per-graph readouts and pooling swapped for
-  // their segment twins. TagConv itself is row/CSR-row local, so the
-  // block-diagonal adjacency keeps every graph's propagation independent.
-  const SparseMatrix* adj_norm = &g.adj_norm;
-  const SparseMatrix* adj_raw = &g.adj_raw;
-  const std::vector<int>* offsets = &batch.offsets;
-  VIPool::BatchedResult pooled;
-  BatchedForwardResult r;
-  Tensor* readouts = nullptr;
-  for (size_t s = 0; s < scale_convs_.size(); ++s) {
-    for (auto& conv : scale_convs_[s]) h = conv.Forward(t, *adj_norm, h);
-    Tensor* ro = ConcatCols(t, SegmentMeanRows(t, h, *offsets),
-                            SegmentMaxRows(t, h, *offsets));
-    readouts = readouts == nullptr ? ro : ConcatCols(t, readouts, ro);
-    if (s < pools_.size()) {
-      pooled = pools_[s].ForwardBatched(t, *adj_norm, *adj_raw, h, *offsets);
-      h = pooled.features;
-      adj_norm = &pooled.adj_norm;
-      adj_raw = &pooled.adj_raw;
-      offsets = &pooled.offsets;
-      r.pool_logits.push_back(pooled.graph_logits);
-    }
-  }
-  r.embeddings = Relu(t, fuse_.Forward(t, readouts));
-  r.logits = head_.Forward(t, r.embeddings);
   return r;
 }
 

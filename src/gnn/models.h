@@ -7,20 +7,12 @@
 
 namespace glint::gnn {
 
-/// Output of a model forward pass.
+/// Output of a model forward pass over B graphs (B = 1 for
+/// GraphModel::Forward): row b of every tensor belongs to graph b.
 struct ForwardResult {
-  Tensor* embedding = nullptr;           ///< 1 x embed_dim graph embedding
-  Tensor* logits = nullptr;              ///< 1 x 2 class logits
-  std::vector<Tensor*> pool_logits;      ///< per-scale logits for L_pool
-};
-
-/// Output of a block-diagonal batched forward over a GnnBatch of B graphs:
-/// row b of every tensor is bit-identical to the sequential ForwardResult
-/// of member graph b.
-struct BatchedForwardResult {
-  Tensor* embeddings = nullptr;          ///< B x embed_dim graph embeddings
+  Tensor* embedding = nullptr;           ///< B x embed_dim graph embeddings
   Tensor* logits = nullptr;              ///< B x 2 class logits
-  std::vector<Tensor*> pool_logits;      ///< per-scale B x 1 logits
+  std::vector<Tensor*> pool_logits;      ///< per-scale B x 1 logits for L_pool
 };
 
 /// Common interface for all graph classification models compared in the
@@ -210,13 +202,13 @@ class ItgnnModel : public GraphModel {
   ItgnnModel() : ItgnnModel(Config()) {}
   explicit ItgnnModel(Config config);
 
+  /// Runs the graph as a one-segment batch ({0, n}) over its own storage.
   ForwardResult Forward(Tape* t, const GnnGraph& g) override;
 
   /// One forward over a block-diagonal GnnBatch: amortizes tape/dispatch
-  /// overhead across the fleet while staying bit-identical per graph to B
-  /// sequential Forward calls (see the segment-op contract in
-  /// gnn/tensor.h).
-  BatchedForwardResult ForwardBatched(Tape* t, const GnnBatch& batch);
+  /// overhead across the fleet, and row b of each result has the bits of
+  /// Forward on member graph b (see the segment ops in gnn/tensor.h).
+  ForwardResult ForwardBatched(Tape* t, const GnnBatch& batch);
 
   std::vector<Parameter*> Parameters() override;
   std::vector<std::vector<Parameter*>> ParameterGroups() override;
@@ -226,6 +218,10 @@ class ItgnnModel : public GraphModel {
   const Config& config() const { return config_; }
 
  private:
+  /// The one body behind Forward and ForwardBatched: `g` packs the graphs
+  /// of the segment table `offsets`.
+  ForwardResult Run(Tape* t, const GnnGraph& g, std::span<const int> offsets);
+
   Config config_;
   MetapathConverter converter_;
   std::vector<std::vector<TagConv>> scale_convs_;  ///< [scale][layer]

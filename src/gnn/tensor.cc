@@ -526,21 +526,6 @@ void Tape::RunBackward(const OpRecord& r) {
       }
       break;
     }
-    case OpKind::kMeanRows: {
-      const int cols = a->cols();
-      for (int i = 0; i < a->rows(); ++i) {
-        kb.Axpy(a->grad.data.data() + static_cast<size_t>(i) * cols, r.f0,
-                out->grad.data.data(), cols);
-      }
-      break;
-    }
-    case OpKind::kMaxRows: {
-      const int* argmax = arena_.Ints(static_cast<size_t>(r.i0));
-      for (int j = 0; j < a->cols(); ++j) {
-        a->grad.At(argmax[j], j) += out->grad.At(0, j);
-      }
-      break;
-    }
     case OpKind::kGatherRows: {
       const int* idx = arena_.Ints(static_cast<size_t>(r.i0));
       for (int i = 0; i < r.i1; ++i) {
@@ -621,32 +606,6 @@ void Tape::RunBackward(const OpRecord& r) {
       }
       break;
     }
-    case OpKind::kSoftmaxRow: {
-      // dL/dx_i = p_i * (g_i - sum_j g_j p_j)
-      double dot = 0;
-      for (int j = 0; j < a->cols(); ++j) {
-        dot += double(out->grad.At(0, j)) * out->value.At(0, j);
-      }
-      for (int j = 0; j < a->cols(); ++j) {
-        a->grad.At(0, j) += static_cast<float>(
-            out->value.At(0, j) * (out->grad.At(0, j) - dot));
-      }
-      break;
-    }
-    case OpKind::kScaleByEntry: {
-      if (a->requires_grad) {
-        kb.Axpy(a->grad.data.data(), r.f0, out->grad.data.data(),
-                static_cast<int>(a->grad.data.size()));
-      }
-      if (b->requires_grad) {
-        double g = 0;
-        for (size_t i = 0; i < a->value.data.size(); ++i) {
-          g += double(a->value.data[i]) * out->grad.data[i];
-        }
-        b->grad.At(0, r.i0) += static_cast<float>(g);
-      }
-      break;
-    }
     case OpKind::kTranspose: {
       for (int i = 0; i < a->rows(); ++i) {
         for (int j = 0; j < a->cols(); ++j) {
@@ -682,8 +641,8 @@ void Tape::RunBackward(const OpRecord& r) {
       }
       break;
     }
-    case OpKind::kSoftmaxRows: {
-      // Per row: the exact kSoftmaxRow Jacobian.
+    case OpKind::kRowSoftmax: {
+      // Per row: dL/dx_j = p_j * (g_j - sum_l g_l p_l).
       for (int i = 0; i < a->rows(); ++i) {
         double dot = 0;
         for (int j = 0; j < a->cols(); ++j) {
@@ -910,60 +869,6 @@ Tensor* ConcatRows(Tape* tape, Tensor* a, Tensor* b) {
   return out;
 }
 
-Tensor* MeanRows(Tape* tape, Tensor* a) {
-  Tensor* out = tape->New(1, a->cols(), a->requires_grad);
-  const float inv = 1.0f / static_cast<float>(std::max(1, a->rows()));
-  const int cols = a->cols();
-  for (int i = 0; i < a->rows(); ++i) {
-    kernels::Kernels().Axpy(out->value.data.data(), inv,
-                            a->value.data.data() +
-                                static_cast<size_t>(i) * cols,
-                            cols);
-  }
-  if (out->requires_grad) {
-    OpRecord r{};
-    r.kind = OpKind::kMeanRows;
-    r.out = out;
-    r.a = a;
-    r.f0 = inv;
-    tape->Record(r);
-  }
-  return out;
-}
-
-Tensor* MaxRows(Tape* tape, Tensor* a) {
-  GLINT_CHECK(a->rows() >= 1);
-  Tensor* out = tape->New(1, a->cols(), a->requires_grad);
-  int* argmax = nullptr;
-  size_t off = 0;
-  if (out->requires_grad) {
-    off = tape->arena()->AllocInts(static_cast<size_t>(a->cols()));
-    argmax = tape->arena()->Ints(off);
-  }
-  for (int j = 0; j < a->cols(); ++j) {
-    float best = a->value.At(0, j);
-    int bi = 0;
-    for (int i = 1; i < a->rows(); ++i) {
-      if (a->value.At(i, j) > best) {
-        best = a->value.At(i, j);
-        bi = i;
-      }
-    }
-    if (argmax != nullptr) argmax[j] = bi;
-    out->value.At(0, j) = best;
-  }
-  if (out->requires_grad) {
-    OpRecord r{};
-    r.kind = OpKind::kMaxRows;
-    r.out = out;
-    r.a = a;
-    r.i0 = static_cast<int>(off);
-    r.i1 = a->cols();
-    tape->Record(r);
-  }
-  return out;
-}
-
 Tensor* GatherRows(Tape* tape, Tensor* a, const std::vector<int>& idx) {
   Tensor* out =
       tape->New(static_cast<int>(idx.size()), a->cols(), a->requires_grad);
@@ -1078,9 +983,9 @@ Tensor* Transpose(Tape* tape, Tensor* a) {
 
 namespace {
 
-/// The one softmax-row normalization every call site funnels through (the
-/// 1 x k SoftmaxRowInto / SoftmaxRowOp paths and each row of the batched
-/// SoftmaxRows): exp stays a scalar libm call in every backend, the sum
+/// The one softmax-row normalization every call site funnels through
+/// (SoftmaxRowInto, SoftmaxCrossEntropy and each row of SoftmaxRows): exp
+/// stays a scalar libm call in every backend, the sum
 /// runs the backend's fixed 4-lane double tree, the divide is elementwise
 /// (exactly rounded, so trivially backend-identical).
 void SoftmaxFillRow(const float* logits, int k, double* p) {
@@ -1198,56 +1103,18 @@ Tensor* AddLoss(Tape* tape, Tensor* a, Tensor* b) {
   return Add(tape, a, b);
 }
 
-Tensor* SoftmaxRowOp(Tape* tape, Tensor* a) {
-  GLINT_CHECK(a->rows() == 1);
-  Tensor* out = tape->New(1, a->cols(), a->requires_grad);
-  const size_t off = SoftmaxRowIntoPool(tape, a);
-  const double* p = tape->arena()->Doubles(off);
-  for (int j = 0; j < a->cols(); ++j) {
-    out->value.At(0, j) = static_cast<float>(p[static_cast<size_t>(j)]);
-  }
-  if (out->requires_grad) {
-    OpRecord r{};
-    r.kind = OpKind::kSoftmaxRow;
-    r.out = out;
-    r.a = a;
-    tape->Record(r);
-  }
-  return out;
-}
-
-Tensor* ScaleByEntry(Tape* tape, Tensor* a, Tensor* s, int idx) {
-  GLINT_CHECK(s->rows() == 1 && idx >= 0 && idx < s->cols());
-  Tensor* out = tape->New(a->rows(), a->cols(), Track({a, s}));
-  const float sv = s->value.At(0, idx);
-  kernels::Kernels().ScaleInto(out->value.data.data(), sv,
-                               a->value.data.data(),
-                               static_cast<int>(a->value.data.size()));
-  if (out->requires_grad) {
-    OpRecord r{};
-    r.kind = OpKind::kScaleByEntry;
-    r.out = out;
-    r.a = a;
-    r.b = s;
-    r.f0 = sv;
-    r.i0 = idx;
-    tape->Record(r);
-  }
-  return out;
-}
-
 namespace {
 
 /// Copies a segment table into the arena int pool (records store offsets,
 /// not pointers). `extra` reserves trailing ints in the same block.
-size_t StashOffsets(Tape* tape, const std::vector<int>& offsets,
+size_t StashOffsets(Tape* tape, std::span<const int> offsets,
                     size_t extra) {
   const size_t off = tape->arena()->AllocInts(offsets.size() + extra);
   std::copy(offsets.begin(), offsets.end(), tape->arena()->Ints(off));
   return off;
 }
 
-void CheckOffsets(const Tensor* a, const std::vector<int>& offsets) {
+void CheckOffsets(const Tensor* a, std::span<const int> offsets) {
   GLINT_CHECK(offsets.size() >= 2);
   GLINT_CHECK(offsets.front() == 0 && offsets.back() == a->rows());
   for (size_t s = 0; s + 1 < offsets.size(); ++s) {
@@ -1258,14 +1125,14 @@ void CheckOffsets(const Tensor* a, const std::vector<int>& offsets) {
 }  // namespace
 
 Tensor* SegmentMeanRows(Tape* tape, Tensor* a,
-                        const std::vector<int>& offsets) {
+                        std::span<const int> offsets) {
   CheckOffsets(a, offsets);
   const int B = static_cast<int>(offsets.size()) - 1;
   Tensor* out = tape->New(B, a->cols(), a->requires_grad);
   const kernels::KernelBackend& kb = kernels::Kernels();
   const int cols = a->cols();
   for (int s = 0; s < B; ++s) {
-    // Same per-segment accumulation as MeanRows over that row range.
+    // Rows accumulate in ascending order, scaled by 1/len as they go.
     const float inv =
         1.0f / static_cast<float>(std::max(1, offsets[s + 1] - offsets[s]));
     float* orow = out->value.data.data() + static_cast<size_t>(s) * cols;
@@ -1286,7 +1153,7 @@ Tensor* SegmentMeanRows(Tape* tape, Tensor* a,
 }
 
 Tensor* SegmentMaxRows(Tape* tape, Tensor* a,
-                       const std::vector<int>& offsets) {
+                       std::span<const int> offsets) {
   CheckOffsets(a, offsets);
   const int B = static_cast<int>(offsets.size()) - 1;
   const int cols = a->cols();
@@ -1300,7 +1167,7 @@ Tensor* SegmentMaxRows(Tape* tape, Tensor* a,
   }
   for (int s = 0; s < B; ++s) {
     for (int j = 0; j < cols; ++j) {
-      // MaxRows' strict-> scan, restricted to the segment's rows.
+      // Strict > scan: the first maximal row wins.
       float best = a->value.At(offsets[s], j);
       int bi = offsets[s];
       for (int i = offsets[s] + 1; i < offsets[s + 1]; ++i) {
@@ -1339,7 +1206,7 @@ Tensor* SoftmaxRows(Tape* tape, Tensor* a) {
   }
   if (out->requires_grad) {
     OpRecord r{};
-    r.kind = OpKind::kSoftmaxRows;
+    r.kind = OpKind::kRowSoftmax;
     r.out = out;
     r.a = a;
     tape->Record(r);
@@ -1348,7 +1215,7 @@ Tensor* SoftmaxRows(Tape* tape, Tensor* a) {
 }
 
 Tensor* SegmentScaleByCol(Tape* tape, Tensor* a, Tensor* s, int col,
-                          const std::vector<int>& offsets) {
+                          std::span<const int> offsets) {
   CheckOffsets(a, offsets);
   GLINT_CHECK(s->rows() == static_cast<int>(offsets.size()) - 1);
   GLINT_CHECK(col >= 0 && col < s->cols());

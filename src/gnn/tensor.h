@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -177,8 +178,6 @@ enum class OpKind : uint8_t {
   kSigmoid,
   kConcatCols,
   kConcatRows,
-  kMeanRows,
-  kMaxRows,
   kGatherRows,
   kSpMM,
   kRowScale,
@@ -186,12 +185,10 @@ enum class OpKind : uint8_t {
   kSoftmaxXent,
   kBceLogit,
   kContrastiveMargin,
-  kSoftmaxRow,
-  kScaleByEntry,
   kTranspose,
   kSegmentMeanRows,
   kSegmentMaxRows,
-  kSoftmaxRows,
+  kRowSoftmax,
   kSegmentScaleByCol,
 };
 
@@ -431,10 +428,6 @@ Tensor* Sigmoid(Tape* t, Tensor* a);
 Tensor* ConcatCols(Tape* t, Tensor* a, Tensor* b);
 /// Row-wise concatenation [A ; B] (same column count).
 Tensor* ConcatRows(Tape* t, Tensor* a, Tensor* b);
-/// 1 x cols mean over rows (mean readout).
-Tensor* MeanRows(Tape* t, Tensor* a);
-/// 1 x cols max over rows (max readout).
-Tensor* MaxRows(Tape* t, Tensor* a);
 /// Select a subset of rows (graph pooling): out[i] = a[idx[i]].
 Tensor* GatherRows(Tape* t, Tensor* a, const std::vector<int>& idx);
 /// Sparse-dense product: C = S * A (S untracked).
@@ -458,31 +451,31 @@ Tensor* ContrastiveLoss(Tape* t, Tensor* za, Tensor* zb, bool same_label,
                         float eps);
 /// a + b where either may be nullptr (returns the other).
 Tensor* AddLoss(Tape* t, Tensor* a, Tensor* b);
-/// Row softmax of a 1 x k tensor with exact Jacobian backward (used for
-/// inter-metapath semantic attention).
-Tensor* SoftmaxRowOp(Tape* t, Tensor* a);
-/// out = a * s(0, idx): scales a matrix by one entry of a tracked tensor.
-Tensor* ScaleByEntry(Tape* t, Tensor* a, Tensor* s, int idx);
 
-// ---- Segment ops (block-diagonal batched inference) ----------------------
+// ---- Segment ops (the per-graph reductions) -------------------------------
 //
-// `offsets` is a B+1 ascending segment table: segment b covers rows
-// [offsets[b], offsets[b+1]) of `a`, and every segment is non-empty. Each
-// segment is processed with exactly the iteration (and therefore float
-// summation) order of the corresponding whole-matrix op on that row range,
-// so a batched forward is bit-identical per graph to B sequential forwards.
+// Every model forward runs over a segment table: `offsets` is a B+1
+// ascending table, segment b covers rows [offsets[b], offsets[b+1]) of `a`
+// (one graph of a block-diagonal batch), and every segment is non-empty. A
+// single graph is the one-segment table {0, n}. Each segment is reduced on
+// its own rows only, in a fixed order that does not depend on the other
+// segments, so a graph's result has the same bits whether it runs alone or
+// inside any batch. The offsets (and SegmentMaxRows' argmax rows) are
+// stashed in the tape's int pool for the backward pass.
 
-/// B x cols per-segment mean over rows (batched kMeanRows).
-Tensor* SegmentMeanRows(Tape* t, Tensor* a, const std::vector<int>& offsets);
-/// B x cols per-segment max over rows (batched kMaxRows; strict > argmax).
-Tensor* SegmentMaxRows(Tape* t, Tensor* a, const std::vector<int>& offsets);
-/// Independent row-wise softmax of a B x k tensor (batched kSoftmaxRow;
-/// each row uses the exact SoftmaxRowInto operation order).
+/// B x cols per-segment mean over rows (mean readout).
+Tensor* SegmentMeanRows(Tape* t, Tensor* a, std::span<const int> offsets);
+/// B x cols per-segment max over rows (max readout; the first maximal row
+/// of each column takes the gradient).
+Tensor* SegmentMaxRows(Tape* t, Tensor* a, std::span<const int> offsets);
+/// Independent row-wise softmax of a B x k tensor with exact Jacobian
+/// backward (inter-metapath semantic attention); each row uses the exact
+/// SoftmaxRowInto operation order.
 Tensor* SoftmaxRows(Tape* t, Tensor* a);
-/// Row i in segment b scaled by s(b, col) — the batched twin of
-/// ScaleByEntry for a B x P per-segment weight tensor.
+/// Row i in segment b scaled by s(b, col), for a B x P per-segment weight
+/// tensor `s`.
 Tensor* SegmentScaleByCol(Tape* t, Tensor* a, Tensor* s, int col,
-                          const std::vector<int>& offsets);
+                          std::span<const int> offsets);
 
 /// Softmax probabilities of a 1 x k logits row (forward only helper):
 /// writes them into `p`, which must hold logits->value.data.size() doubles.

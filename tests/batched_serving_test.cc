@@ -240,6 +240,52 @@ TEST_F(BatchedServingTest, SingleHomeAndEmptyFleet) {
   EXPECT_EQ(Fp(InspectEach(&ref, 1.0)), Fp(eng.InspectAll(1.0)));
 }
 
+/// Registers a home without rules ("bare", first) and one whose rules were
+/// all removed ("emptied", last) around the small fleet: both tensorize to
+/// zero-node graphs.
+void BuildFleetWithZeroNodeHomes(ServingEngine* eng) {
+  ASSERT_OK(eng->TryAddHome("bare", {}).status());
+  BatchedServingTest::BuildFleet(eng);
+  const auto rules = BatchedServingTest::HomeRules(3, 7000);
+  ASSERT_OK(eng->TryAddHome("emptied", rules).status());
+  for (const auto& rule : rules) {
+    bool removed = false;
+    ASSERT_OK(eng->TryRemoveRule("emptied", rule.id, &removed));
+    ASSERT_TRUE(removed);
+  }
+}
+
+/// A zero-node graph has nothing that can interact: every inspection path
+/// answers it with the default benign warning, and the batched sweep still
+/// matches per-home TryInspect with those homes inside its batches.
+TEST_F(BatchedServingTest, ZeroNodeHomesInspectBenignOnEveryPath) {
+  const std::string benign = Fp(ThreatWarning());
+  for (int max_batch : {1, 64}) {
+    ServingEngine seq(detector_);
+    ServingEngine bat(detector_);
+    ServingEngine degraded(detector_);
+    BuildFleetWithZeroNodeHomes(&seq);
+    BuildFleetWithZeroNodeHomes(&bat);
+    BuildFleetWithZeroNodeHomes(&degraded);
+    if (HasFatalFailure()) return;
+
+    const auto ws = InspectEach(&seq, 1.0);
+    const auto wb = bat.InspectAll(1.0, max_batch);
+    ASSERT_EQ(ws.size(), wb.size());
+    EXPECT_EQ(Fp(ws), Fp(wb)) << "max_batch " << max_batch;
+    EXPECT_EQ(StatsFp(seq.AggregateStats()), StatsFp(bat.AggregateStats()));
+    const std::vector<HomeId>& ids = bat.home_ids();
+    for (size_t h = 0; h < ids.size(); ++h) {
+      if (ids[h] != "bare" && ids[h] != "emptied") continue;
+      EXPECT_EQ(Fp(ws[h]), benign) << ids[h];
+      EXPECT_EQ(Fp(wb[h]), benign) << ids[h];
+      Result<ThreatWarning> d = degraded.TryInspectDegraded(ids[h], 1.0);
+      ASSERT_TRUE(d.ok()) << d.status().ToString();
+      EXPECT_EQ(Fp(d.value()), benign) << ids[h];
+    }
+  }
+}
+
 /// GLINT_FAULTS leg: a durable engine suffers a WAL append failure (the op
 /// must not be applied), recovers from snapshot + tail in a fresh engine,
 /// and the recovered fleet's batched inspection still matches an

@@ -24,6 +24,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -805,6 +806,91 @@ TEST_F(FleetTest, ServerServesTheWireProtocolEndToEnd) {
   EXPECT_EQ(reply.type, wire::MsgType::kWarning);
   EXPECT_EQ(reply.code, static_cast<int32_t>(StatusCode::kNotFound));
 
+  client.Close();
+  server.Stop();
+}
+
+// A home registered without rules tensorizes to a zero-node graph. Its
+// inspection answers the benign warning, and the server keeps serving.
+TEST_F(FleetTest, ZeroRuleHomeInspectsBenignOverTheWire) {
+  FleetConfig cfg;
+  cfg.num_shards = 2;
+  ShardedFleet fleet(detector_, cfg);
+  FleetServer server(&fleet, {});
+  ASSERT_TRUE(server.Start().ok());
+  wire::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+
+  wire::Request req;
+  wire::Reply reply;
+  req.type = wire::MsgType::kAddHome;
+  req.home = "net-bare";
+  ASSERT_TRUE(client.Call(req, &reply).ok());
+  EXPECT_EQ(reply.type, wire::MsgType::kAck);
+  EXPECT_EQ(reply.code, 0) << reply.message;
+
+  req = wire::Request();
+  req.type = wire::MsgType::kInspect;
+  req.home = "net-bare";
+  req.now_hours = 1.0;
+  ASSERT_TRUE(client.Call(req, &reply).ok());
+  ASSERT_EQ(reply.type, wire::MsgType::kWarning);
+  EXPECT_EQ(reply.code, 0) << reply.message;
+  EXPECT_FALSE(reply.threat);
+  EXPECT_FALSE(reply.drifting);
+  EXPECT_EQ(reply.rendered, ThreatWarning().Render());
+
+  req = wire::Request();
+  req.type = wire::MsgType::kPing;
+  ASSERT_TRUE(client.Call(req, &reply).ok());
+  EXPECT_EQ(reply.type, wire::MsgType::kPong);
+  client.Close();
+  server.Stop();
+}
+
+// The inspection time comes from the client: one that is not a finite
+// number is refused with an error warning, and the server keeps serving.
+TEST_F(FleetTest, NonFiniteInspectTimeIsRefusedOverTheWire) {
+  FleetConfig cfg;
+  cfg.num_shards = 2;
+  ShardedFleet fleet(detector_, cfg);
+  FleetServer server(&fleet, {});
+  ASSERT_TRUE(server.Start().ok());
+  wire::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+
+  auto pool = RulePool(2);
+  wire::Request req;
+  wire::Reply reply;
+  req.type = wire::MsgType::kAddHome;
+  req.home = "net-a";
+  req.rules = {pool[0], pool[1]};
+  ASSERT_TRUE(client.Call(req, &reply).ok());
+  EXPECT_EQ(reply.code, 0) << reply.message;
+
+  for (double now : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    req = wire::Request();
+    req.type = wire::MsgType::kInspect;
+    req.home = "net-a";
+    req.now_hours = now;
+    ASSERT_TRUE(client.Call(req, &reply).ok()) << now;
+    ASSERT_EQ(reply.type, wire::MsgType::kWarning) << now;
+    EXPECT_EQ(reply.code, static_cast<int32_t>(StatusCode::kInvalidArgument))
+        << now << ": " << reply.message;
+  }
+
+  req = wire::Request();
+  req.type = wire::MsgType::kPing;
+  ASSERT_TRUE(client.Call(req, &reply).ok());
+  EXPECT_EQ(reply.type, wire::MsgType::kPong);
+  req = wire::Request();
+  req.type = wire::MsgType::kInspect;
+  req.home = "net-a";
+  req.now_hours = 1.0;
+  ASSERT_TRUE(client.Call(req, &reply).ok());
+  EXPECT_EQ(reply.code, 0) << reply.message;
   client.Close();
   server.Stop();
 }

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "gnn/metapath.h"
@@ -128,7 +129,7 @@ TEST(SemanticAttentionLayer, OutputIsConvexishCombination) {
   // Two constant paths with distinct values.
   Tensor* p0 = t.Constant(Matrix(4, 3, 1.f));
   Tensor* p1 = t.Constant(Matrix(4, 3, 3.f));
-  Tensor* out = att.Forward(&t, {p0, p1});
+  Tensor* out = att.Forward(&t, {p0, p1}, std::vector<int>{0, 4});
   ASSERT_EQ(out->rows(), 4);
   for (float v : out->value.data) {
     EXPECT_GE(v, 1.f - 1e-5);
@@ -141,7 +142,7 @@ TEST(SemanticAttentionLayer, SinglePathIsIdentity) {
   SemanticAttention att(3, 1, &rng);
   Tape t;
   Tensor* p0 = t.Constant(Rand(4, 3, 13));
-  EXPECT_EQ(att.Forward(&t, {p0}), p0);
+  EXPECT_EQ(att.Forward(&t, {p0}, std::vector<int>{0, 4}), p0);
 }
 
 // ---------------------------------------------------------------------------
@@ -153,10 +154,13 @@ TEST(VIPoolLayer, KeepsRequestedFraction) {
   VIPool pool(4, 0.5, &rng);
   Tape t;
   auto result = pool.Forward(&t, ChainAdjNorm(8), ChainAdjRaw(8),
-                             t.Constant(Rand(8, 4, 14)));
+                             t.Constant(Rand(8, 4, 14)),
+                             std::vector<int>{0, 8});
   EXPECT_EQ(result.kept.size(), 4u);  // ceil(0.5 * 8)
   EXPECT_EQ(result.features->rows(), 4);
-  EXPECT_NE(result.graph_logit, nullptr);
+  ASSERT_NE(result.graph_logits, nullptr);
+  EXPECT_EQ(result.graph_logits->rows(), 1);
+  EXPECT_EQ(result.offsets, (std::vector<int>{0, 4}));
   // Kept indices are valid and strictly increasing.
   for (size_t i = 1; i < result.kept.size(); ++i) {
     EXPECT_LT(result.kept[i - 1], result.kept[i]);
@@ -168,7 +172,8 @@ TEST(VIPoolLayer, RatioOneKeepsEverything) {
   VIPool pool(4, 1.0, &rng);
   Tape t;
   auto result = pool.Forward(&t, ChainAdjNorm(5), ChainAdjRaw(5),
-                             t.Constant(Rand(5, 4, 15)));
+                             t.Constant(Rand(5, 4, 15)),
+                             std::vector<int>{0, 5});
   EXPECT_EQ(result.kept.size(), 5u);
 }
 
@@ -177,7 +182,8 @@ TEST(VIPoolLayer, SingleNodeGraphSafe) {
   VIPool pool(4, 0.6, &rng);
   Tape t;
   auto result = pool.Forward(&t, ChainAdjNorm(1), ChainAdjRaw(1),
-                             t.Constant(Rand(1, 4, 16)));
+                             t.Constant(Rand(1, 4, 16)),
+                             std::vector<int>{0, 1});
   EXPECT_EQ(result.kept.size(), 1u);
 }
 
@@ -188,7 +194,8 @@ TEST(VIPoolLayer, TwoHopConnectivityPreserved) {
   VIPool pool(4, 0.5, &rng);
   Tape t;
   auto result = pool.Forward(&t, ChainAdjNorm(6), ChainAdjRaw(6),
-                             t.Constant(Rand(6, 4, 17)));
+                             t.Constant(Rand(6, 4, 17)),
+                             std::vector<int>{0, 6});
   // If two kept nodes are adjacent-or-2-hop in the original chain, the
   // pooled adjacency must contain at least one edge when > 1 node kept.
   bool any_close = false;
@@ -197,6 +204,67 @@ TEST(VIPoolLayer, TwoHopConnectivityPreserved) {
   }
   if (any_close) {
     EXPECT_FALSE(result.adj_raw.entries.empty());
+  }
+}
+
+// Two chains pooled as one block-diagonal batch: each segment is pooled
+// exactly as if it ran alone (kept rows shifted by the segment's offset,
+// same features, same per-graph logit, same adjacency block).
+TEST(VIPoolLayer, SegmentsPoolAsIfAlone) {
+  Rng rng(18);
+  VIPool pool(4, 0.5, &rng);
+  const Matrix h5 = Rand(5, 4, 19);
+  const Matrix h3 = Rand(3, 4, 20);
+  Matrix both(8, 4);
+  std::copy(h5.data.begin(), h5.data.end(), both.data.begin());
+  std::copy(h3.data.begin(), h3.data.end(), both.data.begin() + 20);
+  SparseMatrix norm, raw;
+  norm.rows = norm.cols = raw.rows = raw.cols = 8;
+  for (const int off : {0, 5}) {
+    const int n = off == 0 ? 5 : 3;
+    for (const auto& e : ChainAdjNorm(n).entries) {
+      norm.Add(e.r + off, e.c + off, e.v);
+    }
+    for (const auto& e : ChainAdjRaw(n).entries) {
+      raw.Add(e.r + off, e.c + off, e.v);
+    }
+  }
+
+  Tape t;
+  const std::vector<int> offsets = {0, 5, 8};
+  auto batch = pool.Forward(&t, norm, raw, t.Constant(both), offsets);
+  ASSERT_EQ(batch.offsets.size(), 3u);
+  ASSERT_EQ(batch.graph_logits->rows(), 2);
+  for (int s = 0; s < 2; ++s) {
+    const int off = offsets[static_cast<size_t>(s)];
+    const int n = offsets[static_cast<size_t>(s) + 1] - off;
+    auto alone = pool.Forward(&t, ChainAdjNorm(n), ChainAdjRaw(n),
+                              t.Constant(s == 0 ? h5 : h3),
+                              std::vector<int>{0, n});
+    const int k0 = batch.offsets[static_cast<size_t>(s)];
+    ASSERT_EQ(batch.offsets[static_cast<size_t>(s) + 1] - k0,
+              static_cast<int>(alone.kept.size()));
+    for (size_t i = 0; i < alone.kept.size(); ++i) {
+      EXPECT_EQ(batch.kept[static_cast<size_t>(k0) + i], alone.kept[i] + off);
+      for (int j = 0; j < 4; ++j) {
+        EXPECT_EQ(batch.features->value.At(k0 + static_cast<int>(i), j),
+                  alone.features->value.At(static_cast<int>(i), j));
+      }
+    }
+    EXPECT_EQ(batch.graph_logits->value.At(s, 0),
+              alone.graph_logits->value.At(0, 0));
+    std::vector<SparseMatrix::Entry> block;
+    for (const auto& e : batch.adj_norm.entries) {
+      if (e.r >= k0 && e.r < k0 + static_cast<int>(alone.kept.size())) {
+        block.push_back({e.r - k0, e.c - k0, e.v});
+      }
+    }
+    ASSERT_EQ(block.size(), alone.adj_norm.entries.size());
+    for (size_t i = 0; i < block.size(); ++i) {
+      EXPECT_EQ(block[i].r, alone.adj_norm.entries[i].r);
+      EXPECT_EQ(block[i].c, alone.adj_norm.entries[i].c);
+      EXPECT_EQ(block[i].v, alone.adj_norm.entries[i].v);
+    }
   }
 }
 
@@ -225,7 +293,7 @@ TEST(MetapathConverterLayer, ProjectsToSharedSpaceInNodeOrder) {
   MetapathConverter conv({16, true, true}, &rng);
   Tape t;
   GnnGraph g = MixedGraph();
-  Tensor* h = conv.Forward(&t, g);
+  Tensor* h = conv.Forward(&t, g, std::vector<int>{0, g.num_nodes});
   EXPECT_EQ(h->rows(), 3);
   EXPECT_EQ(h->cols(), 16);
   // Nodes 0 and 2 share the same type and identical raw features but have
@@ -234,7 +302,7 @@ TEST(MetapathConverterLayer, ProjectsToSharedSpaceInNodeOrder) {
   Rng rng2(13);
   MetapathConverter plain({16, false, false}, &rng2);
   Tape t2;
-  Tensor* h2 = plain.Forward(&t2, g);
+  Tensor* h2 = plain.Forward(&t2, g, std::vector<int>{0, g.num_nodes});
   for (int j = 0; j < 16; ++j) {
     EXPECT_NEAR(h2->value.At(0, j), h2->value.At(2, j), 1e-5);
   }
@@ -254,7 +322,7 @@ TEST(MetapathConverterLayer, HandlesSingleTypeGraphs) {
   g.adj_raw.cols = 2;
   g.neighbors = {{1}, {0}};
   Tape t;
-  Tensor* h = conv.Forward(&t, g);
+  Tensor* h = conv.Forward(&t, g, std::vector<int>{0, g.num_nodes});
   EXPECT_EQ(h->rows(), 2);
   for (float v : h->value.data) EXPECT_FALSE(std::isnan(v));
 }

@@ -145,8 +145,8 @@ TEST(TensorOps, MeanMaxRows) {
   Tape t;
   Matrix a(2, 2);
   a.data = {1, 5, 3, 2};
-  Tensor* mean = MeanRows(&t, t.Constant(a));
-  Tensor* mx = MaxRows(&t, t.Constant(a));
+  Tensor* mean = SegmentMeanRows(&t, t.Constant(a), std::vector<int>{0, 2});
+  Tensor* mx = SegmentMaxRows(&t, t.Constant(a), std::vector<int>{0, 2});
   EXPECT_FLOAT_EQ(mean->value.At(0, 0), 2);
   EXPECT_FLOAT_EQ(mean->value.At(0, 1), 3.5);
   EXPECT_FLOAT_EQ(mx->value.At(0, 0), 3);
@@ -286,7 +286,8 @@ TEST(GradCheck, ConcatAndReadouts) {
   Matrix x = RandMatrix(3, 3, 10);
   CheckGradients({&w}, [&](Tape* t) {
     Tensor* h = MatMul(t, t->Constant(x), &w);
-    Tensor* ro = ConcatCols(t, MeanRows(t, h), MaxRows(t, h));
+    Tensor* ro = ConcatCols(t, SegmentMeanRows(t, h, std::vector<int>{0, 3}),
+                            SegmentMaxRows(t, h, std::vector<int>{0, 3}));
     return SumAll(t, ro);
   });
 }
@@ -349,13 +350,74 @@ TEST(GradCheck, SoftmaxRowOpAttention) {
   Matrix h0 = RandMatrix(2, 2, 22);
   Matrix h1 = RandMatrix(2, 2, 23);
   Matrix h2 = RandMatrix(2, 2, 24);
+  const std::vector<int> whole = {0, 2};
   CheckInputGradients({&scores}, [&](Tape* t, const std::vector<Tensor*>& x) {
-    Tensor* beta = SoftmaxRowOp(t, x[0]);
-    Tensor* out = ScaleByEntry(t, t->Constant(h0), beta, 0);
-    out = Add(t, out, ScaleByEntry(t, t->Constant(h1), beta, 1));
-    out = Add(t, out, ScaleByEntry(t, t->Constant(h2), beta, 2));
+    Tensor* beta = SoftmaxRows(t, x[0]);
+    Tensor* out = SegmentScaleByCol(t, t->Constant(h0), beta, 0, whole);
+    out = Add(t, out, SegmentScaleByCol(t, t->Constant(h1), beta, 1, whole));
+    out = Add(t, out, SegmentScaleByCol(t, t->Constant(h2), beta, 2, whole));
     return SumAll(t, out);
   });
+}
+
+// The segment ops over several uneven segments, one of them a single row:
+// the batched-training shape. Each loss weights the op's output by a fixed
+// random matrix, so every output entry carries a distinct gradient.
+const std::vector<int> kUnevenSegments = {0, 1, 4, 6};
+
+Tensor* WeightedSum(Tape* t, Tensor* a, uint64_t seed) {
+  return SumAll(t, Mul(t, a, t->Constant(RandMatrix(a->rows(), a->cols(),
+                                                    seed))));
+}
+
+TEST(GradCheck, SegmentMeanRowsUneven) {
+  Matrix a = RandMatrix(6, 3, 30);
+  CheckInputGradients({&a}, [&](Tape* t, const std::vector<Tensor*>& x) {
+    return WeightedSum(t, SegmentMeanRows(t, x[0], kUnevenSegments), 31);
+  });
+}
+
+TEST(GradCheck, SegmentMaxRowsUneven) {
+  Matrix a = RandMatrix(6, 3, 32);
+  CheckInputGradients({&a}, [&](Tape* t, const std::vector<Tensor*>& x) {
+    return WeightedSum(t, SegmentMaxRows(t, x[0], kUnevenSegments), 33);
+  });
+}
+
+TEST(GradCheck, SoftmaxRowsSeveralRows) {
+  Matrix a = RandMatrix(3, 4, 34);
+  CheckInputGradients({&a}, [&](Tape* t, const std::vector<Tensor*>& x) {
+    return WeightedSum(t, SoftmaxRows(t, x[0]), 35);
+  });
+}
+
+TEST(GradCheck, SegmentScaleByColUneven) {
+  Matrix a = RandMatrix(6, 3, 36);
+  Matrix s = RandMatrix(3, 2, 37);
+  CheckInputGradients({&a, &s}, [&](Tape* t, const std::vector<Tensor*>& x) {
+    Tensor* out = Add(t, SegmentScaleByCol(t, x[0], x[1], 0, kUnevenSegments),
+                      SegmentScaleByCol(t, x[0], x[1], 1, kUnevenSegments));
+    return WeightedSum(t, out, 38);
+  });
+}
+
+// Semantic attention's op chain over three graphs at once: per-segment
+// summaries, per-row softmax weights, per-segment scaling.
+TEST(GradCheck, SegmentAttentionChain) {
+  Matrix p0 = RandMatrix(6, 3, 39);
+  Matrix p1 = RandMatrix(6, 3, 40);
+  Matrix q = RandMatrix(3, 1, 41);
+  CheckInputGradients(
+      {&p0, &p1, &q}, [&](Tape* t, const std::vector<Tensor*>& x) {
+        Tensor* scores = ConcatCols(
+            t, MatMul(t, SegmentMeanRows(t, x[0], kUnevenSegments), x[2]),
+            MatMul(t, SegmentMeanRows(t, x[1], kUnevenSegments), x[2]));
+        Tensor* beta = SoftmaxRows(t, scores);  // 3 x 2
+        Tensor* out =
+            Add(t, SegmentScaleByCol(t, x[0], beta, 0, kUnevenSegments),
+                SegmentScaleByCol(t, x[1], beta, 1, kUnevenSegments));
+        return WeightedSum(t, out, 42);
+      });
 }
 
 TEST(GradCheck, ConcatRowsPath) {

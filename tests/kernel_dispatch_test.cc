@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -407,8 +408,10 @@ TEST_F(KernelDispatchTest, TapeOpsBitIdentical) {
   }
 }
 
-/// The segment ops must match their whole-matrix twins applied per block —
-/// the core lemma behind batched == sequential serving.
+/// The segment ops must match a naive per-block reference written here,
+/// in the same operation order: a graph's reduction reads only its own
+/// rows, so its bits cannot depend on the batch around it — the core lemma
+/// behind batched == sequential serving.
 TEST_F(KernelDispatchTest, SegmentOpsMatchSequentialTwins) {
   const std::vector<int> offsets = {0, 1, 4, 9, 16};
   const int cols = 11;
@@ -418,30 +421,46 @@ TEST_F(KernelDispatchTest, SegmentOpsMatchSequentialTwins) {
 
   for (Backend backend : AvailableBackends()) {
     ASSERT_TRUE(SetBackend(backend));
+    const KernelBackend& kb = kernels::Kernels();
     ScopedTape tape;
     Tensor* full = tape->Constant(a);
     Tensor* mean = SegmentMeanRows(tape.get(), full, offsets);
     Tensor* max = SegmentMaxRows(tape.get(), full, offsets);
     Tensor* sm = SoftmaxRows(tape.get(), mean);
     for (size_t s = 0; s + 1 < offsets.size(); ++s) {
-      Matrix block(offsets[s + 1] - offsets[s], cols);
-      for (int i = 0; i < block.rows; ++i) {
-        for (int j = 0; j < cols; ++j) {
-          block.At(i, j) = a.At(offsets[s] + i, j);
-        }
+      const int r0 = offsets[s], r1 = offsets[s + 1];
+      // Mean: ascending rows, each scaled by 1/len and added by the
+      // backend's Axpy. Max: strict-> scan from the block's first row.
+      const float inv = 1.0f / static_cast<float>(r1 - r0);
+      std::vector<float> bmean(static_cast<size_t>(cols), 0.f);
+      for (int i = r0; i < r1; ++i) {
+        kb.Axpy(bmean.data(), inv, &a.data[static_cast<size_t>(i) * cols],
+                cols);
       }
-      Tensor* bt = tape->Constant(block);
-      Tensor* bmean = MeanRows(tape.get(), bt);
-      Tensor* bmax = MaxRows(tape.get(), bt);
-      Tensor* bsm = SoftmaxRowOp(tape.get(), bmean);
+      std::vector<float> bmax(static_cast<size_t>(cols));
       for (int j = 0; j < cols; ++j) {
-        ASSERT_EQ(HexFloat(bmean->value.At(0, j)),
+        float best = a.At(r0, j);
+        for (int i = r0 + 1; i < r1; ++i) {
+          if (a.At(i, j) > best) best = a.At(i, j);
+        }
+        bmax[static_cast<size_t>(j)] = best;
+      }
+      // Softmax of the block's mean row: shift by the max, exp, then the
+      // backend's double sum and divide.
+      std::vector<double> bsm(bmean.begin(), bmean.end());
+      double mx = bsm[0];
+      for (double v : bsm) mx = std::max(mx, v);
+      for (double& v : bsm) v = std::exp(v - mx);
+      kb.DivDouble(bsm.data(), kb.SumDouble(bsm.data(), cols), cols);
+      for (int j = 0; j < cols; ++j) {
+        const size_t jj = static_cast<size_t>(j);
+        ASSERT_EQ(HexFloat(bmean[jj]),
                   HexFloat(mean->value.At(static_cast<int>(s), j)))
             << "SegmentMeanRows seg=" << s << " col=" << j;
-        ASSERT_EQ(HexFloat(bmax->value.At(0, j)),
+        ASSERT_EQ(HexFloat(bmax[jj]),
                   HexFloat(max->value.At(static_cast<int>(s), j)))
             << "SegmentMaxRows seg=" << s << " col=" << j;
-        ASSERT_EQ(HexFloat(bsm->value.At(0, j)),
+        ASSERT_EQ(HexFloat(static_cast<float>(bsm[jj])),
                   HexFloat(sm->value.At(static_cast<int>(s), j)))
             << "SoftmaxRows seg=" << s << " col=" << j;
       }

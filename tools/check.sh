@@ -94,14 +94,18 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGLINT_ASAN=ON
 cmake --build build-asan -j"${JOBS}" --target \
   gnn_tensor_test gnn_tape_reuse_test gnn_layers_test kernel_dispatch_test \
   batched_serving_test
-./build-asan/tests/gnn_tensor_test
 ./build-asan/tests/gnn_tape_reuse_test
 ./build-asan/tests/gnn_layers_test
-# Kernel backends + the batched serving path under ASan: the SIMD tail
-# handling (including the MatMul gradient kernels' m-tails, row and column
-# tails, and MatMulGradB's 8-wide index-list appends that write past the
-# last kept entry), the block-diagonal batch assembly (offset-shifted CSR
-# copies), and the segment-op index pools are all raw-pointer arithmetic.
+# Kernel backends, the segment ops and the batched serving path under ASan:
+# the SIMD tail handling (including the MatMul gradient kernels' m-tails,
+# row and column tails, and MatMulGradB's 8-wide index-list appends that
+# write past the last kept entry), the block-diagonal batch assembly
+# (offset-shifted CSR copies), and the segment-op index pools are all
+# raw-pointer arithmetic. Every forward, training included, runs the
+# segment ops: they stash their offset tables and SegmentMaxRows' argmax
+# rows in the tape's int pool, and gnn_tensor_test runs their backward
+# over uneven segments.
+./build-asan/tests/gnn_tensor_test
 ./build-asan/tests/kernel_dispatch_test
 GLINT_THREADS=2 ./build-asan/tests/batched_serving_test
 

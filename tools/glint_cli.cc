@@ -1,61 +1,7 @@
 // glint — command-line interface to the Glint interactive-threat detection
-// system.
-//
-// Subcommands:
-//   generate-corpus --out FILE [--scale N] [--seed S]
-//       Generate the 5-platform synthetic rule corpus as text (one rule per
-//       line, tab-separated platform/id/text).
-//   build-dataset --out FILE [--graphs N] [--platform P] [--seed S]
-//       Build a labeled interaction-graph dataset and save it in the binary
-//       store format.
-//   dataset-info FILE
-//       Print summary statistics of a stored dataset.
-//   train --model-dir DIR [--graphs N] [--epochs E]
-//       Run the offline stage and save the ITGNN-S / ITGNN-C models.
-//   inspect --model-dir DIR [--demo table1|table4|blueprints]
-//       Load trained models and inspect a rule deployment (demo rule sets).
-//   fleet-serve [--model-dir DIR] [--shards N] [--homes N] [--hours H]
-//         [--inspect-every H] [--batch N] [--state-dir DIR] [--stats]
-//         [--bus-capacity N] [--bus-policy block|reject]
-//         [--port P [--duration SECS] [--drain-ms MS]]
-//       Sharded fleet serving: N ServingEngine shards behind a consistent-
-//       hash HomeId router, mutations flowing through a bounded per-shard
-//       event bus (--shards 1 serves from one engine). Without --port,
-//       drives simulated homes through the bus locally and inspects every
-//       home each --inspect-every simulated hours (each home's new events
-//       of a tick ride one event batch); --stats prints per-stage latency,
-//       cache-hit and per-shard telemetry before the STATS_JSON line. With
-//       --port, listens on 127.0.0.1:P speaking the binary wire protocol
-//       (see src/fleet/wire.h) until --duration seconds elapse (or stdin
-//       closes when --duration is 0). --state-dir DIR makes serving
-//       durable: each shard journals to DIR/shard-K/, recovers on startup
-//       (snapshot + WAL replay, torn tails truncated) and snapshots on
-//       exit. SIGTERM/SIGINT drain gracefully: owed replies are flushed,
-//       the bus empties, durable shards snapshot, then the process exits
-//       (--drain-ms bounds the wait, default 2000).
-//   fleet-top [--host H] [--port P] [--interval SECS] [--once] [--count N]
-//         [--json]
-//       Live fleet dashboard: polls a running fleet-serve over the wire
-//       protocol (kStatsJson) and renders per-shard queue depth, event
-//       rates, and request-stage latency quantiles (p50/p99), plus the
-//       most recent slow requests with their per-stage breakdown
-//       (DESIGN.md §14). --once prints a single snapshot and exits
-//       (scripts, check.sh); --json dumps the raw STATS_JSON and
-//       SERIES_JSON lines instead of the table.
-//   fleet-replay --port P [--host H] [--conns M] [--depth D] [--batch B]
-//         [--events N] [--homes K] [--log FILE] [--record FILE]
-//       Replay driver against a running fleet-serve: M connections
-//       pipeline kEventBatch frames (window D, B events per frame) while
-//       an extra connection samples kInspect latency under load. Prints
-//       sustained events/sec and inspect p50/p99 (plus a REPLAY_JSON
-//       line). --record FILE writes the event log it sent; --log FILE
-//       replays a previously recorded log instead of synthesizing one.
-//   stats
-//       Document the glint::obs instrument taxonomy and STATS_JSON schema.
-//   simulate [--hours H] [--attack NAME] [--seed S]
-//       Run the smart-home testbed simulator and print its event log.
-//   analyze [--demo table1|table4|blueprints]
-//       Run the rule-semantics threat analyzer (no ML) on a demo rule set.
+// system. Usage() at the bottom is the command and flag list (`glint` with
+// no arguments prints it); the comment above each Cmd* function says what
+// its command does.
 
 #include <algorithm>
 #include <atomic>
@@ -145,6 +91,8 @@ core::TrainedDetector::Options DefaultOptions(int graphs, int epochs,
   return opts;
 }
 
+// Generates the 5-platform synthetic rule corpus as text (one rule per
+// line, tab-separated platform/id/text).
 int CmdGenerateCorpus(const std::map<std::string, std::string>& flags) {
   const std::string out = FlagOr(flags, "out", "");
   if (out.empty()) {
@@ -172,6 +120,8 @@ int CmdGenerateCorpus(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
+// Builds a labeled interaction-graph dataset and saves it in the binary
+// store format.
 int CmdBuildDataset(const std::map<std::string, std::string>& flags) {
   const std::string out = FlagOr(flags, "out", "");
   if (out.empty()) {
@@ -212,6 +162,7 @@ int CmdBuildDataset(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
+// Prints summary statistics of a stored dataset.
 int CmdDatasetInfo(const std::string& path) {
   auto loaded = graph::DatasetStore::Load(path);
   if (!loaded.ok()) {
@@ -243,6 +194,8 @@ int CmdDatasetInfo(const std::string& path) {
   return 0;
 }
 
+// Runs the offline stage and saves the ITGNN-S / ITGNN-C models and the
+// drift statistics.
 int CmdTrain(const std::map<std::string, std::string>& flags) {
   const std::string dir = FlagOr(flags, "model-dir", "");
   if (dir.empty()) {
@@ -264,6 +217,8 @@ int CmdTrain(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
+// Inspects a demo rule deployment with models loaded from --model-dir, or
+// with a freshly trained detector when it is absent.
 int CmdInspect(const std::map<std::string, std::string>& flags) {
   const std::string dir = FlagOr(flags, "model-dir", "");
   core::TrainedDetector detector(DefaultOptions(600, 14, 97));
@@ -363,6 +318,21 @@ volatile std::sig_atomic_t g_shutdown_signal = 0;
 
 void OnShutdownSignal(int sig) { g_shutdown_signal = sig; }
 
+// Sharded fleet serving: N ServingEngine shards behind a consistent-hash
+// HomeId router, mutations flowing through a bounded per-shard event bus
+// (--shards 1 serves from one engine). Without --port, drives simulated
+// homes through the bus locally and inspects every home each
+// --inspect-every simulated hours (each home's new events of a tick ride
+// one event batch); --stats prints per-stage latency, cache-hit and
+// per-shard telemetry before the STATS_JSON line. With --port, listens on
+// 127.0.0.1:P speaking the binary wire protocol (see src/fleet/wire.h)
+// until --duration seconds elapse (or stdin closes when --duration is 0);
+// requests slower than --trace-slow-ms keep their trace. --state-dir DIR
+// makes serving durable: each shard journals to DIR/shard-K/, recovers on
+// startup (snapshot + WAL replay, torn tails truncated) and snapshots on
+// exit. SIGTERM/SIGINT drain gracefully: owed replies are flushed, the bus
+// empties, durable shards snapshot, then the process exits (--drain-ms
+// bounds the wait, default 2000).
 int CmdFleetServe(const std::map<std::string, std::string>& flags) {
   const int shards = std::atoi(FlagOr(flags, "shards", "4").c_str());
   const int homes = std::atoi(FlagOr(flags, "homes", "8").c_str());
@@ -683,6 +653,12 @@ void RenderFleetTop(const wire::Reply& r, bool live) {
   std::fflush(stdout);
 }
 
+// Live fleet dashboard: polls a running fleet-serve over the wire
+// protocol (kStatsJson) and renders per-shard queue depth, event rates,
+// and request-stage latency quantiles (p50/p99), plus the most recent slow
+// requests with their per-stage breakdown (DESIGN.md §14). --once prints a
+// single snapshot and exits; --json dumps the raw STATS_JSON and
+// SERIES_JSON lines instead of the table.
 int CmdFleetTop(const std::map<std::string, std::string>& flags) {
   const std::string host = FlagOr(flags, "host", "127.0.0.1");
   const int port = std::atoi(FlagOr(flags, "port", "0").c_str());
@@ -792,6 +768,12 @@ bool ReadReplayLog(const std::string& path,
   return r.exhausted();
 }
 
+// Replay driver against a running fleet-serve: M connections pipeline
+// kEventBatch frames (window D, B events per frame) while an extra
+// connection samples kInspect latency under load. Prints sustained
+// events/sec and inspect p50/p99 (plus a REPLAY_JSON line). --record FILE
+// writes the event log it sent; --log FILE replays a previously recorded
+// log instead of synthesizing one.
 int CmdFleetReplay(const std::map<std::string, std::string>& flags) {
   const std::string host = FlagOr(flags, "host", "127.0.0.1");
   const int port = std::atoi(FlagOr(flags, "port", "0").c_str());
@@ -1077,6 +1059,7 @@ int CmdFleetReplay(const std::map<std::string, std::string>& flags) {
   return lossless ? 0 : 1;
 }
 
+// Documents the glint::obs instrument taxonomy and STATS_JSON schema.
 int CmdStats() {
   std::printf(
       "glint::obs — process-wide telemetry registry\n\n"
@@ -1149,6 +1132,7 @@ int CmdStats() {
   return 0;
 }
 
+// Runs the smart-home testbed simulator and prints its event log.
 int CmdSimulate(const std::map<std::string, std::string>& flags) {
   const double hours = std::atof(FlagOr(flags, "hours", "24").c_str());
   const std::string attack_name = FlagOr(flags, "attack", "none");
@@ -1177,6 +1161,7 @@ int CmdSimulate(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
+// Runs the rule-semantics threat analyzer (no ML) on a demo rule set.
 int CmdAnalyze(const std::map<std::string, std::string>& flags) {
   auto deployed = DemoRules(FlagOr(flags, "demo", "table1"));
   nlp::EmbeddingModel wm(300, 17), sm(512, 18);
@@ -1216,12 +1201,12 @@ void Usage() {
       "                  [--state-dir DIR] [--stats] [--bus-capacity N]\n"
       "                  [--bus-policy block|reject]\n"
       "                  [--port P [--duration SECS] [--drain-ms MS]]\n"
-      "                  [--trace-slow-ms MS]\n"
+      "                  [--trace-slow-ms MS] [--seed S]\n"
       "  fleet-top       [--host H] [--port P] [--interval SECS] [--once]\n"
       "                  [--count N] [--json]\n"
       "  fleet-replay    --port P [--host H] [--conns M] [--depth D]\n"
       "                  [--batch B] [--events N] [--homes K] [--log FILE]\n"
-      "                  [--record FILE]\n"
+      "                  [--record FILE] [--prefix P]\n"
       "  stats\n"
       "  simulate        [--hours H] [--attack NAME] [--seed S]\n"
       "  analyze         [--demo table1|table4|blueprints]\n");
