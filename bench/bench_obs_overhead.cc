@@ -56,7 +56,8 @@ Timing MeasureWarm(const core::TrainedDetector& detector,
                    double now) {
   core::DeploymentSession session(&detector);
   for (const auto& r : deployed) session.AddRule(r);
-  core::ThreatWarning w = session.Inspect(now);  // untimed warm-up
+  // Untimed warm-up.
+  core::ThreatWarning w = session.TryInspect(now).ValueOrDie();
   Timing out;
   for (int r = 0; r < reps; ++r) {
     const auto cur = session.CurrentRules();
@@ -64,7 +65,7 @@ Timing MeasureWarm(const core::TrainedDetector& detector,
     auto t0 = std::chrono::steady_clock::now();
     session.RemoveRule(rotated.id);
     session.AddRule(rotated);
-    w = session.Inspect(now);
+    w = session.TryInspect(now).ValueOrDie();
     out.ms.push_back(Seconds(t0) * 1e3);
   }
   out.last_render = w.Render();

@@ -142,7 +142,7 @@ int Run(bool smoke) {
   core::DeploymentSession session(&detector);
   for (const auto& r : deployed) session.AddRule(r);
   for (const auto& e : log.events()) session.OnEvent(e);
-  core::ThreatWarning warm_w = session.Inspect(now);
+  core::ThreatWarning warm_w = session.TryInspect(now).ValueOrDie();
 
   std::vector<double> warm_ms;
   for (int r = 0; r < reps; ++r) {
@@ -151,20 +151,20 @@ int Run(bool smoke) {
     auto t0 = std::chrono::steady_clock::now();
     session.RemoveRule(rotated.id);
     session.AddRule(rotated);
-    warm_w = session.Inspect(now);
+    warm_w = session.TryInspect(now).ValueOrDie();
     warm_ms.push_back(Seconds(t0) * 1e3);
   }
   // No-change Inspect: the graph key matches, so the verdict cache answers.
   std::vector<double> hit_ms;
   for (int r = 0; r < reps; ++r) {
     auto t0 = std::chrono::steady_clock::now();
-    warm_w = session.Inspect(now);
+    warm_w = session.TryInspect(now).ValueOrDie();
     hit_ms.push_back(Seconds(t0) * 1e3);
   }
 
   // Sanity: warm and cold must agree bit-for-bit on the same deployment.
   const bool equivalent =
-      session.Inspect(now).Render() ==
+      session.TryInspect(now).ValueOrDie().Render() ==
       cold_inspect(session.CurrentRules()).Render();
 
   // Durability tax: the identical 1-rule-delta warm loop through a

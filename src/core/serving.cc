@@ -106,13 +106,64 @@ Status ServingEngine::ApplySnapshot(const std::vector<char>& payload) {
   return Status::OK();
 }
 
-Status ServingEngine::JournalAppend(const std::vector<char>& payload) {
+namespace {
+
+// The one field list of each WAL op (after the op byte; util/binio.h).
+// The live path runs it with a LayoutWriter over its arguments, replay
+// with a LayoutReader into locals. `slot` is the home's dense slot.
+template <class IO, class Id, class Rules>
+bool AddHomeFields(IO& io, Id& id, Rules& deployed) {
+  return io.Str(id) &&
+         io.List(deployed, util::ListBound{"rule", rules::kMinRuleBytes},
+                 [&io](auto& rule) { return rules::RuleFields(io, rule); });
+}
+
+template <class IO, class Slot, class R>
+bool AddRuleFields(IO& io, Slot& slot, R& rule) {
+  return io.U32(slot) && rules::RuleFields(io, rule);
+}
+
+template <class IO, class Slot, class Id>
+bool RemoveRuleFields(IO& io, Slot& slot, Id& rule_id) {
+  return io.U32(slot) && io.I32(rule_id);
+}
+
+template <class IO, class Slot, class E>
+bool EventFields(IO& io, Slot& slot, E& e) {
+  return io.U32(slot) && graph::EventFields(io, e);
+}
+
+/// Replay's verdict on one decoded record: InvalidArgument naming the op
+/// when its field list failed, bytes trail it, or `valid` (the op's own
+/// precondition) is not OK.
+Status CheckRecord(const char* op, bool decoded, const util::ByteReader& r,
+                   const util::LayoutReader& io, const Status& valid) {
+  const std::string where = std::string("WAL ") + op + ": ";
+  if (!decoded) {
+    return Status::InvalidArgument(
+        where + (io.error().empty() ? "truncated record" : io.error()));
+  }
+  if (!r.exhausted()) {
+    return Status::InvalidArgument("WAL record: trailing bytes");
+  }
+  if (!valid.ok()) return Status::InvalidArgument(where + valid.message());
+  return Status::OK();
+}
+
+}  // namespace
+
+template <class Fields>
+Status ServingEngine::JournalOp(Op op, const Fields& fields) {
   if (journal_ == nullptr) {
     ++seq_;
     return Status::OK();
   }
+  util::ByteWriter w;
+  w.U8(op);
+  util::LayoutWriter io(&w);
+  fields(io);
   GLINT_OBS_TIMER(timer, "glint.serving.wal_append_ms");
-  GLINT_RETURN_IF_ERROR(journal_->Append(seq_ + 1, payload));
+  GLINT_RETURN_IF_ERROR(journal_->Append(seq_ + 1, w.buffer()));
   ++seq_;
   ++ops_since_snapshot_;
   return Status::OK();
@@ -128,75 +179,49 @@ Status ServingEngine::MaybeAutoSnapshot() {
 
 Status ServingEngine::ApplyRecord(const std::vector<char>& payload) {
   util::ByteReader r(payload);
+  util::LayoutReader io(&r);
   uint8_t op = 0;
   if (!r.U8(&op)) return Status::InvalidArgument("WAL record: missing op");
+  // Decode targets; each op's field list fills its own.
+  HomeId id;
+  std::vector<rules::Rule> deployed;
+  uint32_t slot = 0;
+  rules::Rule rule;
+  int32_t rule_id = 0;
+  graph::Event event;
+  auto slot_ok = [&] {
+    return slot < sessions_.size()
+               ? Status::OK()
+               : Status::InvalidArgument("bad home index");
+  };
+  bool decoded = false;  // set before the checks that read the decode
   switch (op) {
-    case kOpAddHome: {
-      HomeId id;
-      uint32_t n = 0;
-      if (!r.Str(&id) || !r.U32(&n) || n > r.remaining()) {
-        return Status::InvalidArgument("WAL AddHome: truncated record");
-      }
-      if (index_.count(id) != 0) {
-        return Status::InvalidArgument("WAL AddHome: duplicate home id '" +
-                                       id + "'");
-      }
-      auto session = MakeSession();
-      for (uint32_t i = 0; i < n; ++i) {
-        rules::Rule rule;
-        if (!rules::ReadRule(&r, &rule)) {
-          return Status::InvalidArgument("WAL AddHome: truncated rule");
-        }
-        session->AddRule(rule);
-      }
-      RegisterHomeId(std::move(id));
-      sessions_.push_back(std::move(session));
-      break;
-    }
-    case kOpAddRule: {
-      uint32_t h = 0;
-      rules::Rule rule;
-      if (!r.U32(&h) || !rules::ReadRule(&r, &rule)) {
-        return Status::InvalidArgument("WAL AddRule: truncated record");
-      }
-      if (h >= sessions_.size()) {
-        return Status::InvalidArgument("WAL AddRule: bad home index");
-      }
-      sessions_[h]->AddRule(rule);
-      break;
-    }
-    case kOpRemoveRule: {
-      uint32_t h = 0;
-      int32_t rule_id = 0;
-      if (!r.U32(&h) || !r.I32(&rule_id)) {
-        return Status::InvalidArgument("WAL RemoveRule: truncated record");
-      }
-      if (h >= sessions_.size()) {
-        return Status::InvalidArgument("WAL RemoveRule: bad home index");
-      }
-      sessions_[h]->RemoveRule(rule_id);
-      break;
-    }
-    case kOpEvent: {
-      uint32_t h = 0;
-      graph::Event e;
-      if (!r.U32(&h) || !graph::ReadEvent(&r, &e)) {
-        return Status::InvalidArgument("WAL Event: truncated record");
-      }
-      if (h >= sessions_.size()) {
-        return Status::InvalidArgument("WAL Event: bad home index");
-      }
-      sessions_[h]->OnEvent(e);
-      break;
-    }
+    case kOpAddHome:
+      decoded = AddHomeFields(io, id, deployed);
+      GLINT_RETURN_IF_ERROR(
+          CheckRecord("AddHome", decoded, r, io, CheckNewHome(id)));
+      ApplyAddHome(std::move(id), deployed);
+      return Status::OK();
+    case kOpAddRule:
+      decoded = AddRuleFields(io, slot, rule);
+      GLINT_RETURN_IF_ERROR(CheckRecord("AddRule", decoded, r, io, slot_ok()));
+      ApplyAddRule(slot, rule);
+      return Status::OK();
+    case kOpRemoveRule:
+      decoded = RemoveRuleFields(io, slot, rule_id);
+      GLINT_RETURN_IF_ERROR(
+          CheckRecord("RemoveRule", decoded, r, io, slot_ok()));
+      ApplyRemoveRule(slot, rule_id);
+      return Status::OK();
+    case kOpEvent:
+      decoded = EventFields(io, slot, event);
+      GLINT_RETURN_IF_ERROR(CheckRecord("Event", decoded, r, io, slot_ok()));
+      ApplyEvent(slot, event);
+      return Status::OK();
     default:
       return Status::InvalidArgument("WAL record: unknown op " +
                                      std::to_string(op));
   }
-  if (!r.exhausted()) {
-    return Status::InvalidArgument("WAL record: trailing bytes");
-  }
-  return Status::OK();
 }
 
 // ---- Deployment mutations ----------------------------------------------
@@ -215,28 +240,43 @@ Result<int> ServingEngine::RequireHome(const HomeId& id) const {
   return h;
 }
 
-Result<int> ServingEngine::TryAddHome(
-    const HomeId& id, const std::vector<rules::Rule>& deployed) {
+Status ServingEngine::CheckNewHome(const HomeId& id) const {
   if (id.empty()) {
     return Status::InvalidArgument("home id must be non-empty");
   }
   if (index_.count(id) != 0) {
     return Status::InvalidArgument("home id '" + id + "' already exists");
   }
-  if (journal_ != nullptr) {
-    util::ByteWriter w;
-    w.U8(kOpAddHome);
-    w.Str(id);
-    w.U32(static_cast<uint32_t>(deployed.size()));
-    for (const auto& rule : deployed) rules::WriteRule(&w, rule);
-    GLINT_RETURN_IF_ERROR(JournalAppend(w.buffer()));
-  } else {
-    ++seq_;
-  }
+  return Status::OK();
+}
+
+void ServingEngine::ApplyAddHome(HomeId id,
+                                 const std::vector<rules::Rule>& deployed) {
   auto session = MakeSession();
   for (const auto& rule : deployed) session->AddRule(rule);
-  RegisterHomeId(id);
+  RegisterHomeId(std::move(id));
   sessions_.push_back(std::move(session));
+}
+
+void ServingEngine::ApplyAddRule(uint32_t slot, const rules::Rule& rule) {
+  sessions_[slot]->AddRule(rule);
+}
+
+void ServingEngine::ApplyRemoveRule(uint32_t slot, int rule_id) {
+  sessions_[slot]->RemoveRule(rule_id);
+}
+
+void ServingEngine::ApplyEvent(uint32_t slot, const graph::Event& e) {
+  sessions_[slot]->OnEvent(e);
+}
+
+Result<int> ServingEngine::TryAddHome(
+    const HomeId& id, const std::vector<rules::Rule>& deployed) {
+  GLINT_RETURN_IF_ERROR(CheckNewHome(id));
+  GLINT_RETURN_IF_ERROR(JournalOp(kOpAddHome, [&](auto& io) {
+    return AddHomeFields(io, id, deployed);
+  }));
+  ApplyAddHome(id, deployed);
   GLINT_RETURN_IF_ERROR(MaybeAutoSnapshot());
   return static_cast<int>(sessions_.size()) - 1;
 }
@@ -244,16 +284,10 @@ Result<int> ServingEngine::TryAddHome(
 Status ServingEngine::TryAddRule(const HomeId& id, const rules::Rule& rule) {
   Result<int> h = RequireHome(id);
   GLINT_RETURN_IF_ERROR(h.status());
-  if (journal_ != nullptr) {
-    util::ByteWriter w;
-    w.U8(kOpAddRule);
-    w.U32(static_cast<uint32_t>(h.value()));
-    rules::WriteRule(&w, rule);
-    GLINT_RETURN_IF_ERROR(JournalAppend(w.buffer()));
-  } else {
-    ++seq_;
-  }
-  sessions_[static_cast<size_t>(h.value())]->AddRule(rule);
+  const uint32_t slot = static_cast<uint32_t>(h.value());
+  GLINT_RETURN_IF_ERROR(JournalOp(
+      kOpAddRule, [&](auto& io) { return AddRuleFields(io, slot, rule); }));
+  ApplyAddRule(slot, rule);
   return MaybeAutoSnapshot();
 }
 
@@ -261,11 +295,11 @@ Status ServingEngine::TryRemoveRule(const HomeId& id, int rule_id,
                                     bool* removed) {
   Result<int> h = RequireHome(id);
   GLINT_RETURN_IF_ERROR(h.status());
-  DeploymentSession& session = *sessions_[static_cast<size_t>(h.value())];
+  const uint32_t slot = static_cast<uint32_t>(h.value());
   // Probe first so a no-op removal does not pollute the WAL. CurrentRules
   // is node-ordered, so id lookup mirrors RemoveRule's scan.
   bool present = false;
-  for (const auto& rule : session.CurrentRules()) {
+  for (const auto& rule : sessions_[slot]->CurrentRules()) {
     if (rule.id == rule_id) {
       present = true;
       break;
@@ -273,33 +307,21 @@ Status ServingEngine::TryRemoveRule(const HomeId& id, int rule_id,
   }
   if (removed != nullptr) *removed = present;
   if (!present) return Status::OK();
-  if (journal_ != nullptr) {
-    util::ByteWriter w;
-    w.U8(kOpRemoveRule);
-    w.U32(static_cast<uint32_t>(h.value()));
-    w.I32(rule_id);
-    GLINT_RETURN_IF_ERROR(JournalAppend(w.buffer()));
-  } else {
-    ++seq_;
-  }
-  session.RemoveRule(rule_id);
+  GLINT_RETURN_IF_ERROR(JournalOp(kOpRemoveRule, [&](auto& io) {
+    return RemoveRuleFields(io, slot, rule_id);
+  }));
+  ApplyRemoveRule(slot, rule_id);
   return MaybeAutoSnapshot();
 }
 
 Status ServingEngine::TryOnEvent(const HomeId& id, const graph::Event& e) {
   Result<int> h = RequireHome(id);
   GLINT_RETURN_IF_ERROR(h.status());
-  if (journal_ != nullptr) {
-    util::ByteWriter w;
-    w.U8(kOpEvent);
-    w.U32(static_cast<uint32_t>(h.value()));
-    graph::WriteEvent(&w, e);
-    GLINT_RETURN_IF_ERROR(JournalAppend(w.buffer()));
-  } else {
-    ++seq_;
-  }
+  const uint32_t slot = static_cast<uint32_t>(h.value());
+  GLINT_RETURN_IF_ERROR(JournalOp(
+      kOpEvent, [&](auto& io) { return EventFields(io, slot, e); }));
   GLINT_OBS_COUNT("glint.serving.events", 1);
-  sessions_[static_cast<size_t>(h.value())]->OnEvent(e);
+  ApplyEvent(slot, e);
   Status st = MaybeAutoSnapshot();
   // Charge the apply stage of an in-flight fleet request trace (set by
   // the bus consumer around Apply — DESIGN.md §14). WAL append and any

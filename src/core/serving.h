@@ -154,10 +154,23 @@ class ServingEngine {
   void RegisterHomeId(HomeId id);
   /// Dense slot of `id`, or NotFound (with the id in the message).
   Result<int> RequireHome(const HomeId& id) const;
-  /// Appends `payload` as the next journaled op (no-op when not durable);
-  /// on success bumps seq_. The caller applies the op only on OK.
-  Status JournalAppend(const std::vector<char>& payload);
-  /// Decodes and applies one WAL record during recovery.
+  /// InvalidArgument when `id` is empty or already registered.
+  Status CheckNewHome(const HomeId& id) const;
+  /// Journals one op: the op byte, then what `fields` (the op's field
+  /// list, run with a util::LayoutWriter) writes. When not durable the
+  /// record is never encoded. On success bumps seq_; the caller applies
+  /// the op only on OK.
+  template <class Fields>
+  Status JournalOp(Op op, const Fields& fields);
+
+  // The one apply of each WAL op. The live Try* path runs it after the
+  // journal append, replay (ApplyRecord) after decoding the record.
+  void ApplyAddHome(HomeId id, const std::vector<rules::Rule>& deployed);
+  void ApplyAddRule(uint32_t slot, const rules::Rule& rule);
+  void ApplyRemoveRule(uint32_t slot, int rule_id);
+  void ApplyEvent(uint32_t slot, const graph::Event& e);
+
+  /// Decodes one WAL record and runs its op's apply (recovery).
   Status ApplyRecord(const std::vector<char>& payload);
   /// Serializes every session into a snapshot payload.
   std::vector<char> EncodeSnapshot() const;

@@ -49,10 +49,6 @@ DeploymentSession::CacheStats DeploymentSession::Stats() const {
   return s;
 }
 
-ThreatWarning DeploymentSession::Inspect(double now_hours) {
-  return Render(live_.RealTimeEdges(now_hours));
-}
-
 Status DeploymentSession::CheckInspectTime(double now_hours) const {
   if (!std::isfinite(now_hours)) {
     return Status::InvalidArgument("inspection time " +
@@ -70,7 +66,7 @@ Status DeploymentSession::CheckInspectTime(double now_hours) const {
 
 Result<ThreatWarning> DeploymentSession::TryInspect(double now_hours) {
   GLINT_RETURN_IF_ERROR(CheckInspectTime(now_hours));
-  ThreatWarning w = Inspect(now_hours);
+  ThreatWarning w = Render(live_.RealTimeEdges(now_hours));
   // Charge the inspect stage of an in-flight fleet request trace (set by
   // the bus consumer around RunOnShard tasks — DESIGN.md §14).
   if (obs::TraceContext* t = obs::CurrentTrace()) {

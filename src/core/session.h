@@ -19,7 +19,7 @@ namespace glint::core {
 ///   - a verdict cache, so a no-change Inspect skips straight to the
 ///     previously computed ThreatWarning.
 ///
-/// Determinism: Inspect(now) is bit-identical to the cold pipeline
+/// Determinism: TryInspect(now) is bit-identical to the cold pipeline
 ///   GraphBuilder::BuildRealTime(CurrentRules(), log, now) -> Analyze
 /// under the same edge predicate, and InspectStatic() to
 ///   BuildFromRules(CurrentRules()) -> Analyze.
@@ -52,20 +52,16 @@ class DeploymentSession {
   /// Ingests one event-log record.
   void OnEvent(const graph::Event& e);
 
-  /// Online inspection at time `now` (steps 4-6 of Fig. 2) over the
-  /// event-pruned live graph.
-  ThreatWarning Inspect(double now_hours);
-
   /// Split inspection for batched serving. BeginInspect runs everything up
   /// to (but excluding) the model analysis: counters, cache-key build,
   /// verdict-cache lookup, and on a miss the materialize + tensorize steps.
   /// The caller then analyzes `gg`/`graph` (alone or inside a batch) and
   /// hands the warning to FinishInspect, which records it in the verdict
   /// cache and returns it. Contract: no session mutation (AddRule /
-  /// RemoveRule / OnEvent / Inspect) may happen between the two calls, and
+  /// RemoveRule / OnEvent / TryInspect) may happen between the two calls, and
   /// every uncached BeginInspect must be finished before the next begins —
   /// the pair shares the session's key scratch and tensor-cache entry.
-  /// Inspect(now) == FinishInspect(Analyze(...BeginInspect(now)...)) by
+  /// TryInspect(now) == FinishInspect(Analyze(...BeginInspect(now)...)) by
   /// construction, so batched callers inherit the determinism contract.
   struct Pending {
     bool cached = false;       ///< verdict served straight from the cache
@@ -79,10 +75,11 @@ class DeploymentSession {
   /// Initial-setup inspection over the static (unpruned) graph.
   ThreatWarning InspectStatic();
 
-  /// Validating inspection: InvalidArgument (instead of the RealTimeEdges
-  /// monotonicity CHECK) when `now` is not finite or precedes the latest
-  /// ingested event — the untrusted-input variant for CLI / frontend
-  /// callers.
+  /// Online inspection at time `now` (steps 4-6 of Fig. 2) over the
+  /// event-pruned live graph. InvalidArgument (instead of the
+  /// RealTimeEdges monotonicity CHECK) when `now` is not finite or
+  /// precedes the latest ingested event, so no caller-supplied time can
+  /// abort the process.
   Result<ThreatWarning> TryInspect(double now_hours);
 
   /// Degraded-mode inspection (fleet overload path, DESIGN.md §16):
@@ -143,12 +140,13 @@ class DeploymentSession {
   /// The untrusted-time guard of TryInspect and TryInspectDegraded.
   Status CheckInspectTime(double now_hours) const;
 
-  /// Shared tail of Inspect / InspectStatic: cache lookups, then the
+  /// Shared tail of TryInspect / InspectStatic: cache lookups, then the
   /// materialize -> tensorize -> analyze pipeline on miss. Composed from
   /// Begin + Analyze + FinishInspect so the batched path is the same code.
   ThreatWarning Render(const std::vector<graph::Edge>& edges);
 
-  /// Edge-list flavour of BeginInspect (shared by Inspect/InspectStatic).
+  /// Edge-list flavour of BeginInspect (shared by TryInspect /
+  /// InspectStatic).
   Pending Begin(const std::vector<graph::Edge>& edges);
 
   struct Verdict {

@@ -14,7 +14,6 @@
 #include <utility>
 
 #include "obs/obs.h"
-#include "util/crc32c.h"
 #include "util/fault.h"
 
 namespace glint::fleet {
@@ -337,33 +336,25 @@ void FleetServer::ParseFrames(Conn* c) {
       break;
     }
     const size_t avail = c->in.size() - c->in_off;
-    if (avail < 8) break;
+    if (avail < wire::kFrameHeaderBytes) break;
     const char* base = c->in.data() + c->in_off;
-    uint32_t len = 0, crc = 0;
-    std::memcpy(&len, base, sizeof len);
-    std::memcpy(&crc, base + 4, sizeof crc);
-    if (len > wire::kMaxFramePayload) {
+    const wire::FrameHeader header = wire::FrameHeader::Parse(base);
+    const char* body = base + wire::kFrameHeaderBytes;
+    // An oversized prefix is refused before waiting for its bytes.
+    Status frame_st = header.CheckLength();
+    if (frame_st.ok()) {
+      if (avail - wire::kFrameHeaderBytes < header.len) break;  // partial
+      c->in_off += wire::kFrameHeaderBytes + header.len;
+      frame_st = header.CheckPayload(body);
+    }
+    if (!frame_st.ok()) {
       bad_frames_.fetch_add(1, std::memory_order_relaxed);
       GLINT_OBS_COUNT("glint.fleet.server.bad_frames", 1);
-      const std::vector<char> ack = wire::EncodeReply(wire::AckFor(
-          Status::InvalidArgument("wire: oversized frame (" +
-                                  std::to_string(len) + " bytes)")));
-      wire::AppendFrame(&c->out, ack);
+      wire::AppendFrame(&c->out, wire::EncodeReply(wire::AckFor(frame_st)));
       c->close_after_flush = true;  // the stream cannot be resynchronized
       break;
     }
-    if (avail - 8 < len) break;  // partial frame: wait for more bytes
-    std::vector<char> payload(base + 8, base + 8 + len);
-    c->in_off += 8 + len;
-    if (util::Crc32c(payload.data(), payload.size()) != crc) {
-      bad_frames_.fetch_add(1, std::memory_order_relaxed);
-      GLINT_OBS_COUNT("glint.fleet.server.bad_frames", 1);
-      const std::vector<char> ack = wire::EncodeReply(wire::AckFor(
-          Status::InvalidArgument("wire: frame checksum mismatch")));
-      wire::AppendFrame(&c->out, ack);
-      c->close_after_flush = true;
-      break;
-    }
+    std::vector<char> payload(body, body + header.len);
     // The request's trace is born at the read() that completed its frame
     // (idle keep-alive time between requests is nobody's latency; frames
     // that arrived together share a birth stamp).

@@ -74,409 +74,225 @@ void AppendFrame(std::vector<char>* out, const std::vector<char>& payload) {
   out->insert(out->end(), payload.begin(), payload.end());
 }
 
-Status DecodeFrame(util::ByteReader* r, std::vector<char>* payload) {
-  uint32_t len = 0, crc = 0;
-  if (!r->U32(&len) || !r->U32(&crc)) {
-    return Status::InvalidArgument("wire: truncated frame header");
-  }
+FrameHeader FrameHeader::Parse(const char* bytes) {
+  FrameHeader h;
+  std::memcpy(&h.len, bytes, sizeof h.len);
+  std::memcpy(&h.crc, bytes + sizeof h.len, sizeof h.crc);
+  return h;
+}
+
+Status FrameHeader::CheckLength() const {
   if (len > kMaxFramePayload) {
     return Status::InvalidArgument("wire: oversized frame (" +
                                    std::to_string(len) + " bytes)");
   }
-  if (len > r->remaining()) {
-    return Status::InvalidArgument("wire: truncated frame payload");
-  }
-  payload->resize(len);
-  if (len > 0 && !r->Raw(payload->data(), len)) {
-    return Status::InvalidArgument("wire: truncated frame payload");
-  }
-  const uint32_t actual = util::Crc32c(payload->data(), payload->size());
-  if (actual != crc) {
+  return Status::OK();
+}
+
+Status FrameHeader::CheckPayload(const char* payload) const {
+  if (util::Crc32c(payload, len) != crc) {
     return Status::InvalidArgument("wire: frame checksum mismatch");
   }
   return Status::OK();
 }
 
+Status DecodeFrame(util::ByteReader* r, std::vector<char>* payload) {
+  FrameHeader header;
+  if (!r->U32(&header.len) || !r->U32(&header.crc)) {
+    return Status::InvalidArgument("wire: truncated frame header");
+  }
+  GLINT_RETURN_IF_ERROR(header.CheckLength());
+  if (header.len > r->remaining()) {
+    return Status::InvalidArgument("wire: truncated frame payload");
+  }
+  payload->resize(header.len);
+  if (header.len > 0) r->Raw(payload->data(), header.len);
+  return header.CheckPayload(payload->data());
+}
+
 // ---- Message codecs -----------------------------------------------------
-
-std::vector<char> EncodeRequest(const Request& req) {
-  util::ByteWriter w;
-  w.U8(static_cast<uint8_t>(req.type));
-  switch (req.type) {
-    case MsgType::kPing:
-    case MsgType::kStats:
-    case MsgType::kStatsJson:
-    case MsgType::kHealth:
-      break;
-    case MsgType::kAddHome:
-      w.U32(req.deadline_ms);
-      w.Str(req.home);
-      w.U32(static_cast<uint32_t>(req.rules.size()));
-      for (const auto& rule : req.rules) rules::WriteRule(&w, rule);
-      break;
-    case MsgType::kAddRule:
-      w.U32(req.deadline_ms);
-      w.Str(req.home);
-      rules::WriteRule(&w, req.rule);
-      break;
-    case MsgType::kRemoveRule:
-      w.U32(req.deadline_ms);
-      w.Str(req.home);
-      w.I32(req.rule_id);
-      break;
-    case MsgType::kEventBatch:
-      GLINT_CHECK(!req.events.empty() &&
-                  req.events.size() <= kMaxBatchEvents);
-      w.U32(req.deadline_ms);
-      w.U64(req.seq);
-      w.Str(req.home);
-      w.U32(static_cast<uint32_t>(req.events.size()));
-      for (const auto& e : req.events) graph::WriteEvent(&w, e);
-      break;
-    case MsgType::kInspect:
-      w.U32(req.deadline_ms);
-      w.Str(req.home);
-      w.F64(req.now_hours);
-      break;
-    default:
-      GLINT_CHECK(false && "EncodeRequest: not a request type");
-  }
-  return w.TakeBuffer();
-}
-
-Status DecodeRequest(const std::vector<char>& payload, Request* req) {
-  util::ByteReader r(payload);
-  uint8_t type = 0;
-  if (!r.U8(&type)) {
-    return Status::InvalidArgument("wire request: missing type");
-  }
-  *req = Request();
-  req->type = static_cast<MsgType>(type);
-  switch (req->type) {
-    case MsgType::kPing:
-    case MsgType::kStats:
-    case MsgType::kStatsJson:
-    case MsgType::kHealth:
-      break;
-    case MsgType::kAddHome: {
-      uint32_t n = 0;
-      if (!r.U32(&req->deadline_ms) || !r.Str(&req->home) || !r.U32(&n) ||
-          n > r.remaining()) {
-        return Status::InvalidArgument("wire AddHome: truncated body");
-      }
-      req->rules.resize(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        if (!rules::ReadRule(&r, &req->rules[i])) {
-          return Status::InvalidArgument("wire AddHome: truncated rule");
-        }
-      }
-      break;
-    }
-    case MsgType::kAddRule:
-      if (!r.U32(&req->deadline_ms) || !r.Str(&req->home) ||
-          !rules::ReadRule(&r, &req->rule)) {
-        return Status::InvalidArgument("wire AddRule: truncated body");
-      }
-      break;
-    case MsgType::kRemoveRule:
-      if (!r.U32(&req->deadline_ms) || !r.Str(&req->home) ||
-          !r.I32(&req->rule_id)) {
-        return Status::InvalidArgument("wire RemoveRule: truncated body");
-      }
-      break;
-    case MsgType::kEventBatch: {
-      uint32_t n = 0;
-      if (!r.U32(&req->deadline_ms) || !r.U64(&req->seq) ||
-          !r.Str(&req->home) || !r.U32(&n)) {
-        return Status::InvalidArgument("wire EventBatch: truncated body");
-      }
-      if (n == 0) {
-        return Status::InvalidArgument("wire EventBatch: empty batch");
-      }
-      if (n > kMaxBatchEvents) {
-        return Status::InvalidArgument(
-            "wire EventBatch: " + std::to_string(n) + " events exceeds max " +
-            std::to_string(kMaxBatchEvents));
-      }
-      // The seq range first_seq..first_seq+n-1 must not wrap: a wrapped
-      // high-water mark would disable the home's dedup.
-      if (req->seq > UINT64_MAX - (n - 1)) {
-        return Status::InvalidArgument("wire EventBatch: seq range wraps");
-      }
-      // An Event is at least 28 bytes (f64 + 4×i32 + empty Str); a count
-      // the remaining payload cannot hold is malformed, never allocated.
-      if (n > r.remaining() / 28) {
-        return Status::InvalidArgument(
-            "wire EventBatch: event count exceeds payload");
-      }
-      req->events.resize(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        if (!graph::ReadEvent(&r, &req->events[i])) {
-          return Status::InvalidArgument("wire EventBatch: truncated event");
-        }
-      }
-      break;
-    }
-    case MsgType::kInspect:
-      if (!r.U32(&req->deadline_ms) || !r.Str(&req->home) ||
-          !r.F64(&req->now_hours)) {
-        return Status::InvalidArgument("wire Inspect: truncated body");
-      }
-      break;
-    default:
-      return Status::InvalidArgument("wire request: unknown type " +
-                                     std::to_string(type));
-  }
-  if (!r.exhausted()) {
-    return Status::InvalidArgument("wire request: trailing bytes");
-  }
-  return Status::OK();
-}
 
 namespace {
 
-// kStatsReply and kStatsJsonReply share the per-server counter block.
-void WriteServerCounters(util::ByteWriter* w, const Reply& reply) {
-  w->U64(reply.server_connections);
-  w->U64(reply.server_requests);
-  w->U64(reply.server_bad_frames);
-  w->U64(reply.server_bad_requests);
-  w->U64(reply.server_accept_backoffs);
-  w->U64(reply.server_overloaded);
+// List bounds: each element's smallest encoding caps a decoded count.
+constexpr util::ListBound kRuleList{"rule", rules::kMinRuleBytes};
+constexpr util::ListBound kEventBatchList{"event", graph::kMinEventBytes,
+                                          /*nonempty=*/true, kMaxBatchEvents};
+// u8 state + 4 u64.
+constexpr util::ListBound kShardHealthList{"shard block", 33};
+// 7 u64 + 7 f64 + u8 health + 3 u64.
+constexpr util::ListBound kShardStatList{"shard block", 137};
+// u64 id + i32 shard + u8 type + u32 events + u64 total + a u64 per stage.
+constexpr util::ListBound kSlowTraceList{"trace",
+                                         25 + 8 * obs::kNumTraceStages};
+
+// The one field list of every request body (after the type byte). Q is
+// const Request when encoding, Request when decoding; false for a type
+// that is not a request.
+template <class IO, class Q>
+bool RequestFields(IO& io, Q& q) {
+  auto rule = [&io](auto& r) { return rules::RuleFields(io, r); };
+  auto event = [&io](auto& e) { return graph::EventFields(io, e); };
+  switch (q.type) {
+    case MsgType::kPing:
+    case MsgType::kStats:
+    case MsgType::kStatsJson:
+    case MsgType::kHealth:
+      return true;
+    case MsgType::kAddHome:
+      return io.U32(q.deadline_ms) && io.Str(q.home) &&
+             io.List(q.rules, kRuleList, rule);
+    case MsgType::kAddRule:
+      return io.U32(q.deadline_ms) && io.Str(q.home) && rule(q.rule);
+    case MsgType::kRemoveRule:
+      return io.U32(q.deadline_ms) && io.Str(q.home) && io.I32(q.rule_id);
+    case MsgType::kEventBatch:
+      return io.U32(q.deadline_ms) && io.U64(q.seq) && io.Str(q.home) &&
+             io.List(q.events, kEventBatchList, event);
+    case MsgType::kInspect:
+      return io.U32(q.deadline_ms) && io.Str(q.home) && io.F64(q.now_hours);
+    default:
+      return false;
+  }
 }
 
-bool ReadServerCounters(util::ByteReader* r, Reply* reply) {
-  return r->U64(&reply->server_connections) &&
-         r->U64(&reply->server_requests) &&
-         r->U64(&reply->server_bad_frames) &&
-         r->U64(&reply->server_bad_requests) &&
-         r->U64(&reply->server_accept_backoffs) &&
-         r->U64(&reply->server_overloaded);
+// kStatsReply and kStatsJsonReply share the per-server counter block.
+template <class IO, class P>
+bool ServerCounterFields(IO& io, P& p) {
+  return io.U64(p.server_connections) && io.U64(p.server_requests) &&
+         io.U64(p.server_bad_frames) && io.U64(p.server_bad_requests) &&
+         io.U64(p.server_accept_backoffs) && io.U64(p.server_overloaded);
+}
+
+// The one field list of every reply body, as RequestFields.
+template <class IO, class P>
+bool ReplyFields(IO& io, P& p) {
+  auto health = [&io](auto& h) {
+    return io.U8(h.state) && io.U64(h.queue_depth) &&
+           io.U64(h.overload_shed) && io.U64(h.deadline_shed) &&
+           io.U64(h.restarts);
+  };
+  auto shard = [&io](auto& s) {
+    return io.U64(s.homes) && io.U64(s.rules) && io.U64(s.events) &&
+           io.U64(s.inspects) && io.U64(s.queue_depth) &&
+           io.U64(s.queue_high_water) && io.U64(s.applied) &&
+           io.F64(s.events_per_sec) && io.F64(s.queue_wait_p50_ms) &&
+           io.F64(s.queue_wait_p99_ms) && io.F64(s.apply_p50_ms) &&
+           io.F64(s.apply_p99_ms) && io.F64(s.inspect_p50_ms) &&
+           io.F64(s.inspect_p99_ms) && io.U8(s.health) &&
+           io.U64(s.overload_shed) && io.U64(s.deadline_shed) &&
+           io.U64(s.restarts);
+  };
+  auto trace = [&io](auto& t) {
+    bool ok = io.U64(t.id) && io.I32(t.shard) && io.U8(t.msg_type) &&
+              io.U32(t.events) && io.U64(t.total_us);
+    for (auto& us : t.stage_us) ok = ok && io.U64(us);
+    return ok;
+  };
+  switch (p.type) {
+    case MsgType::kPong:
+      return true;
+    case MsgType::kAck:
+      return io.I32(p.code) && io.Str(p.message) && io.U32(p.retry_after_ms);
+    case MsgType::kBatchAck:
+      return io.I32(p.code) && io.Str(p.message) && io.U32(p.batch_events) &&
+             io.U32(p.retry_after_ms);
+    case MsgType::kWarning:
+      return io.I32(p.code) && io.Str(p.message) &&
+             io.U32(p.retry_after_ms) && io.Bool8(p.threat) &&
+             io.Bool8(p.drifting) && io.Bool8(p.degraded) &&
+             io.F64(p.confidence) && io.Str(p.rendered);
+    case MsgType::kHealthReply:
+      return io.U8(p.fleet_health) && io.U32(p.retry_after_ms) &&
+             io.List(p.shard_health, kShardHealthList, health);
+    case MsgType::kStatsReply:
+      return io.U64(p.homes) && io.U64(p.rules) && io.U64(p.events) &&
+             io.U64(p.inspects) && io.U64(p.bus_rejected) &&
+             io.U64(p.bus_apply_errors) && ServerCounterFields(io, p);
+    case MsgType::kStatsJsonReply:
+      return io.Str(p.stats_json) && io.Str(p.series_json) &&
+             io.List(p.shard_stats, kShardStatList, shard) &&
+             io.U64(p.bus_rejected) && io.U64(p.bus_apply_errors) &&
+             ServerCounterFields(io, p) &&
+             io.List(p.slow_traces, kSlowTraceList, trace);
+    default:
+      return false;
+  }
+}
+
+/// Encodes `msg`'s type byte and body.
+template <class Msg, class Fields>
+std::vector<char> Encode(const Msg& msg, Fields fields) {
+  util::ByteWriter w;
+  w.U8(static_cast<uint8_t>(msg.type));
+  util::LayoutWriter io(&w);
+  GLINT_CHECK(fields(io, msg) && "not a type of this message kind");
+  return w.TakeBuffer();
+}
+
+/// Strict decode of a request (`reply` false) or reply: InvalidArgument
+/// for a missing or unknown type byte, a cut-off body, a refused count or
+/// trailing bytes. Requests have type bytes below kPong, replies from it
+/// up.
+template <class Msg, class Fields>
+Status Decode(const std::vector<char>& payload, bool reply, Msg* msg,
+              Fields fields) {
+  const char* kind = reply ? "wire reply: " : "wire request: ";
+  util::ByteReader r(payload);
+  uint8_t type = 0;
+  if (!r.U8(&type)) {
+    return Status::InvalidArgument(std::string(kind) + "missing type");
+  }
+  *msg = Msg();
+  msg->type = static_cast<MsgType>(type);
+  const char* name = MsgTypeName(msg->type);
+  if (name[0] == '?' ||
+      (type >= static_cast<uint8_t>(MsgType::kPong)) != reply) {
+    return Status::InvalidArgument(std::string(kind) + "unknown type " +
+                                   std::to_string(type));
+  }
+  util::LayoutReader io(&r);
+  if (!fields(io, *msg)) {
+    // "kAddHome" -> "wire AddHome: ..."
+    return Status::InvalidArgument(
+        std::string("wire ") + (name + 1) + ": " +
+        (io.error().empty() ? "truncated body" : io.error()));
+  }
+  if (!r.exhausted()) {
+    return Status::InvalidArgument(std::string(kind) + "trailing bytes");
+  }
+  return Status::OK();
 }
 
 }  // namespace
 
-std::vector<char> EncodeReply(const Reply& reply) {
-  util::ByteWriter w;
-  w.U8(static_cast<uint8_t>(reply.type));
-  switch (reply.type) {
-    case MsgType::kPong:
-      break;
-    case MsgType::kAck:
-      w.I32(reply.code);
-      w.Str(reply.message);
-      w.U32(reply.retry_after_ms);
-      break;
-    case MsgType::kBatchAck:
-      w.I32(reply.code);
-      w.Str(reply.message);
-      w.U32(reply.batch_events);
-      w.U32(reply.retry_after_ms);
-      break;
-    case MsgType::kWarning:
-      w.I32(reply.code);
-      w.Str(reply.message);
-      w.U32(reply.retry_after_ms);
-      w.U8(reply.threat ? 1 : 0);
-      w.U8(reply.drifting ? 1 : 0);
-      w.U8(reply.degraded ? 1 : 0);
-      w.F64(reply.confidence);
-      w.Str(reply.rendered);
-      break;
-    case MsgType::kHealthReply:
-      w.U8(reply.fleet_health);
-      w.U32(reply.retry_after_ms);
-      w.U32(static_cast<uint32_t>(reply.shard_health.size()));
-      for (const auto& h : reply.shard_health) {
-        w.U8(h.state);
-        w.U64(h.queue_depth);
-        w.U64(h.overload_shed);
-        w.U64(h.deadline_shed);
-        w.U64(h.restarts);
-      }
-      break;
-    case MsgType::kStatsReply:
-      w.U64(reply.homes);
-      w.U64(reply.rules);
-      w.U64(reply.events);
-      w.U64(reply.inspects);
-      w.U64(reply.bus_rejected);
-      w.U64(reply.bus_apply_errors);
-      WriteServerCounters(&w, reply);
-      break;
-    case MsgType::kStatsJsonReply: {
-      w.Str(reply.stats_json);
-      w.Str(reply.series_json);
-      w.U32(static_cast<uint32_t>(reply.shard_stats.size()));
-      for (const auto& s : reply.shard_stats) {
-        w.U64(s.homes);
-        w.U64(s.rules);
-        w.U64(s.events);
-        w.U64(s.inspects);
-        w.U64(s.queue_depth);
-        w.U64(s.queue_high_water);
-        w.U64(s.applied);
-        w.F64(s.events_per_sec);
-        w.F64(s.queue_wait_p50_ms);
-        w.F64(s.queue_wait_p99_ms);
-        w.F64(s.apply_p50_ms);
-        w.F64(s.apply_p99_ms);
-        w.F64(s.inspect_p50_ms);
-        w.F64(s.inspect_p99_ms);
-        w.U8(s.health);
-        w.U64(s.overload_shed);
-        w.U64(s.deadline_shed);
-        w.U64(s.restarts);
-      }
-      w.U64(reply.bus_rejected);
-      w.U64(reply.bus_apply_errors);
-      WriteServerCounters(&w, reply);
-      w.U32(static_cast<uint32_t>(reply.slow_traces.size()));
-      for (const auto& t : reply.slow_traces) {
-        w.U64(t.id);
-        w.I32(t.shard);
-        w.U8(t.msg_type);
-        w.U32(t.events);
-        w.U64(t.total_us);
-        for (int i = 0; i < obs::kNumTraceStages; ++i) w.U64(t.stage_us[i]);
-      }
-      break;
-    }
-    default:
-      GLINT_CHECK(false && "EncodeReply: not a reply type");
+std::vector<char> EncodeRequest(const Request& req) {
+  return Encode(req, [](auto& io, const Request& q) {
+    return RequestFields(io, q);
+  });
+}
+
+Status DecodeRequest(const std::vector<char>& payload, Request* req) {
+  GLINT_RETURN_IF_ERROR(
+      Decode(payload, /*reply=*/false, req,
+             [](auto& io, Request& q) { return RequestFields(io, q); }));
+  // The seq range first_seq..first_seq+n-1 must not wrap: a wrapped
+  // high-water mark would disable the home's dedup.
+  if (req->type == MsgType::kEventBatch &&
+      req->seq > UINT64_MAX - (req->events.size() - 1)) {
+    return Status::InvalidArgument("wire EventBatch: seq range wraps");
   }
-  return w.TakeBuffer();
+  return Status::OK();
+}
+
+std::vector<char> EncodeReply(const Reply& reply) {
+  return Encode(reply,
+                [](auto& io, const Reply& p) { return ReplyFields(io, p); });
 }
 
 Status DecodeReply(const std::vector<char>& payload, Reply* reply) {
-  util::ByteReader r(payload);
-  uint8_t type = 0;
-  if (!r.U8(&type)) {
-    return Status::InvalidArgument("wire reply: missing type");
-  }
-  *reply = Reply();
-  reply->type = static_cast<MsgType>(type);
-  uint8_t threat = 0, drifting = 0;
-  switch (reply->type) {
-    case MsgType::kPong:
-      break;
-    case MsgType::kAck:
-      if (!r.I32(&reply->code) || !r.Str(&reply->message) ||
-          !r.U32(&reply->retry_after_ms)) {
-        return Status::InvalidArgument("wire Ack: truncated body");
-      }
-      break;
-    case MsgType::kBatchAck:
-      if (!r.I32(&reply->code) || !r.Str(&reply->message) ||
-          !r.U32(&reply->batch_events) || !r.U32(&reply->retry_after_ms)) {
-        return Status::InvalidArgument("wire BatchAck: truncated body");
-      }
-      break;
-    case MsgType::kWarning: {
-      uint8_t degraded = 0;
-      if (!r.I32(&reply->code) || !r.Str(&reply->message) ||
-          !r.U32(&reply->retry_after_ms) || !r.U8(&threat) ||
-          !r.U8(&drifting) || !r.U8(&degraded) ||
-          !r.F64(&reply->confidence) || !r.Str(&reply->rendered)) {
-        return Status::InvalidArgument("wire Warning: truncated body");
-      }
-      reply->threat = threat != 0;
-      reply->drifting = drifting != 0;
-      reply->degraded = degraded != 0;
-      break;
-    }
-    case MsgType::kHealthReply: {
-      uint32_t n = 0;
-      if (!r.U8(&reply->fleet_health) || !r.U32(&reply->retry_after_ms) ||
-          !r.U32(&n)) {
-        return Status::InvalidArgument("wire HealthReply: truncated body");
-      }
-      // Each shard block is 1 + 4×8 = 33 bytes; a count the remaining
-      // payload cannot hold is malformed, never allocated.
-      if (n > r.remaining() / 33) {
-        return Status::InvalidArgument(
-            "wire HealthReply: shard count exceeds payload");
-      }
-      reply->shard_health.resize(n);
-      for (auto& h : reply->shard_health) {
-        if (!r.U8(&h.state) || !r.U64(&h.queue_depth) ||
-            !r.U64(&h.overload_shed) || !r.U64(&h.deadline_shed) ||
-            !r.U64(&h.restarts)) {
-          return Status::InvalidArgument(
-              "wire HealthReply: truncated shard block");
-        }
-      }
-      break;
-    }
-    case MsgType::kStatsReply:
-      if (!r.U64(&reply->homes) || !r.U64(&reply->rules) ||
-          !r.U64(&reply->events) || !r.U64(&reply->inspects) ||
-          !r.U64(&reply->bus_rejected) || !r.U64(&reply->bus_apply_errors) ||
-          !ReadServerCounters(&r, reply)) {
-        return Status::InvalidArgument("wire StatsReply: truncated body");
-      }
-      break;
-    case MsgType::kStatsJsonReply: {
-      uint32_t nshards = 0;
-      if (!r.Str(&reply->stats_json) || !r.Str(&reply->series_json) ||
-          !r.U32(&nshards)) {
-        return Status::InvalidArgument("wire StatsJsonReply: truncated body");
-      }
-      // Each ShardStat is 7 u64 + 7 f64 + u8 + 3 u64 = 137 bytes; a count
-      // the remaining payload cannot hold is malformed, never allocated.
-      if (nshards > r.remaining() / 137) {
-        return Status::InvalidArgument(
-            "wire StatsJsonReply: shard count exceeds payload");
-      }
-      reply->shard_stats.resize(nshards);
-      for (auto& s : reply->shard_stats) {
-        if (!r.U64(&s.homes) || !r.U64(&s.rules) || !r.U64(&s.events) ||
-            !r.U64(&s.inspects) || !r.U64(&s.queue_depth) ||
-            !r.U64(&s.queue_high_water) || !r.U64(&s.applied) ||
-            !r.F64(&s.events_per_sec) || !r.F64(&s.queue_wait_p50_ms) ||
-            !r.F64(&s.queue_wait_p99_ms) || !r.F64(&s.apply_p50_ms) ||
-            !r.F64(&s.apply_p99_ms) || !r.F64(&s.inspect_p50_ms) ||
-            !r.F64(&s.inspect_p99_ms) || !r.U8(&s.health) ||
-            !r.U64(&s.overload_shed) || !r.U64(&s.deadline_shed) ||
-            !r.U64(&s.restarts)) {
-          return Status::InvalidArgument(
-              "wire StatsJsonReply: truncated shard block");
-        }
-      }
-      uint32_t ntraces = 0;
-      if (!r.U64(&reply->bus_rejected) || !r.U64(&reply->bus_apply_errors) ||
-          !ReadServerCounters(&r, reply) || !r.U32(&ntraces)) {
-        return Status::InvalidArgument("wire StatsJsonReply: truncated body");
-      }
-      // Each SlowTrace is 8+4+1+4+8 + 8*stages bytes = 89.
-      if (ntraces > r.remaining() / (25 + 8 * obs::kNumTraceStages)) {
-        return Status::InvalidArgument(
-            "wire StatsJsonReply: trace count exceeds payload");
-      }
-      reply->slow_traces.resize(ntraces);
-      for (auto& t : reply->slow_traces) {
-        if (!r.U64(&t.id) || !r.I32(&t.shard) || !r.U8(&t.msg_type) ||
-            !r.U32(&t.events) || !r.U64(&t.total_us)) {
-          return Status::InvalidArgument(
-              "wire StatsJsonReply: truncated trace");
-        }
-        for (int i = 0; i < obs::kNumTraceStages; ++i) {
-          if (!r.U64(&t.stage_us[i])) {
-            return Status::InvalidArgument(
-                "wire StatsJsonReply: truncated trace");
-          }
-        }
-      }
-      break;
-    }
-    default:
-      return Status::InvalidArgument("wire reply: unknown type " +
-                                     std::to_string(type));
-  }
-  if (!r.exhausted()) {
-    return Status::InvalidArgument("wire reply: trailing bytes");
-  }
-  return Status::OK();
+  return Decode(payload, /*reply=*/true, reply,
+                [](auto& io, Reply& p) { return ReplyFields(io, p); });
 }
 
 Reply AckFor(const Status& st) {
@@ -546,9 +362,9 @@ Status RecvFrame(int fd, std::vector<char>* payload, uint64_t* arrival_ns,
                  bool* frame_timed_out) {
   GLINT_FAULT_POINT("fleet.wire.recv");
   if (frame_timed_out != nullptr) *frame_timed_out = false;
-  char header[8];
+  char bytes[kFrameHeaderBytes];
   bool timed_out = false;
-  const size_t got = ReadAll(fd, header, sizeof header, &timed_out);
+  const size_t got = ReadAll(fd, bytes, sizeof bytes, &timed_out);
   if (got == 0) {
     if (timed_out) {
       if (frame_timed_out != nullptr) *frame_timed_out = true;
@@ -560,29 +376,22 @@ Status RecvFrame(int fd, std::vector<char>* payload, uint64_t* arrival_ns,
   // now so traced accept time covers reading the frame, not connection
   // idle time between requests.
   if (arrival_ns != nullptr) *arrival_ns = obs::NowNs();
-  if (got < sizeof header) {
+  if (got < sizeof bytes) {
     if (timed_out && frame_timed_out != nullptr) *frame_timed_out = true;
     return Status::IOError(timed_out ? "wire recv: timed out inside header"
                                      : "wire: EOF inside frame header");
   }
-  uint32_t len = 0, crc = 0;
-  std::memcpy(&len, header, sizeof len);
-  std::memcpy(&crc, header + 4, sizeof crc);
-  if (len > kMaxFramePayload) {
-    return Status::InvalidArgument("wire: oversized frame (" +
-                                   std::to_string(len) + " bytes)");
-  }
-  payload->resize(len);
+  const FrameHeader header = FrameHeader::Parse(bytes);
+  GLINT_RETURN_IF_ERROR(header.CheckLength());
+  payload->resize(header.len);
   timed_out = false;
-  if (len > 0 && ReadAll(fd, payload->data(), len, &timed_out) < len) {
+  if (header.len > 0 &&
+      ReadAll(fd, payload->data(), header.len, &timed_out) < header.len) {
     if (timed_out && frame_timed_out != nullptr) *frame_timed_out = true;
     return Status::IOError(timed_out ? "wire recv: timed out inside payload"
                                      : "wire: EOF inside frame payload");
   }
-  if (util::Crc32c(payload->data(), payload->size()) != crc) {
-    return Status::InvalidArgument("wire: frame checksum mismatch");
-  }
-  return Status::OK();
+  return header.CheckPayload(payload->data());
 }
 
 // ---- Client -------------------------------------------------------------
@@ -767,48 +576,12 @@ Status Client::Call(const Request& req, Reply* reply) {
         "Call with " + std::to_string(pending()) +
         " pipelined requests in flight; drain with Recv first");
   }
-  const std::vector<char> payload = EncodeRequest(req);
-  Status st;
-  for (int attempt = 0;; ++attempt) {
-    st = fd_ >= 0 ? Status::OK() : RawConnect();
-    if (st.ok()) st = SendFrame(fd_, payload);
-    bool timed_out = false;
-    std::vector<char> in;
-    if (st.ok()) st = RecvFrame(fd_, &in, nullptr, &timed_out);
-    if (st.ok()) {
-      st = DecodeReply(in, reply);
-      if (!st.ok()) {
-        // Undecodable bytes mean the stream position is unknowable.
-        Poison("reply decode failed: " + st.message());
-        return st;
-      }
-      if (!ReplyMatchesRequest(req.type, reply->type)) {
-        st = Status::IOError(std::string("wire: reply ") +
-                             MsgTypeName(reply->type) + " does not answer " +
-                             MsgTypeName(req.type));
-        Poison(st.message());
-        return st;
-      }
-      return Status::OK();
-    }
-    if (timed_out) {
-      // The request may still be served late; a reconnect-and-resend here
-      // could double-apply and a later reply would mis-pair. Poison.
-      Poison("recv timed out after " +
-             std::to_string(options_.recv_timeout_ms) + "ms");
-      return st;
-    }
-    // Transport failure (reset/EOF/send error): reconnect and retry the
-    // whole exchange, bounded.
-    if (!options_.auto_reconnect || attempt >= options_.max_retries) {
-      return st;
-    }
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(BackoffMs(attempt)));
-  }
+  GLINT_RETURN_IF_ERROR(Send(req));
+  Status st = Recv(reply);
+  // A failed exchange leaves nothing in flight: the next Call starts a
+  // fresh one (a poisoned pipeline still refuses it until Connect).
+  if (!st.ok()) pending_.clear();
+  return st;
 }
 
 Status Client::CallRetrying(const Request& req, Reply* reply) {

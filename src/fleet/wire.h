@@ -9,7 +9,17 @@
 //
 //   frame:   u32 payload_len | u32 crc32c(payload) | payload
 //   payload: u8 MsgType | message body (rules/events reuse the rule_io /
-//            event_log codecs — one serialization per type, everywhere)
+//            event_log layouts — one serialization per type, everywhere)
+//
+// Each message body below is written once, as one field list in wire.cc
+// that EncodeX and DecodeX both run (util/binio.h), so the two directions
+// agree by construction and a valid decode re-encodes to the same bytes.
+// Every element count goes through one list helper: on decode it is
+// bounded by the element's smallest encoding (76 bytes a rule, 48 a
+// condition, 16 an action, 28 an event, 33 a health block, 137 a shard
+// stat, 25 + 8 × stages a slow trace), so a frame cannot make the decoder
+// allocate much more than the frame itself; on encode it enforces the
+// per-list maximums (kEventBatch: 1..kMaxBatchEvents).
 //
 // Requests (client → server). Every home-addressed request leads with a
 // u32 deadline_ms (0 = none): the client's patience budget. Only kInspect
@@ -238,6 +248,24 @@ struct Reply {
 
 // ---- Framing ------------------------------------------------------------
 
+constexpr size_t kFrameHeaderBytes = 8;
+
+/// A frame header and the one place its checks live: the length bound
+/// before any payload is buffered, then the CRC32C of the payload.
+/// DecodeFrame, RecvFrame and the server's frame parser all run both.
+struct FrameHeader {
+  uint32_t len = 0;
+  uint32_t crc = 0;
+
+  /// Reads the header from its kFrameHeaderBytes bytes.
+  static FrameHeader Parse(const char* bytes);
+  /// InvalidArgument ("wire: oversized frame ...") past kMaxFramePayload.
+  Status CheckLength() const;
+  /// InvalidArgument ("wire: frame checksum mismatch") unless the `len`
+  /// bytes at `payload` match `crc`.
+  Status CheckPayload(const char* payload) const;
+};
+
 /// Appends one frame (header + payload) to `out`.
 void AppendFrame(std::vector<char>* out, const std::vector<char>& payload);
 
@@ -340,10 +368,10 @@ class Client {
   bool connected() const { return fd_ >= 0; }
   void Close();
 
-  /// Sends `req` and blocks for the reply frame. Requires an empty
-  /// pipeline (pending() == 0) — mixing Call into a pipelined stream
-  /// would mis-attribute the replies. Transport failures reconnect and
-  /// retry up to max_retries times (backoff + jitter) before surfacing.
+  /// Send then Recv: one exchange, with their reconnect, retry and
+  /// poisoning rules. Requires an empty pipeline (pending() == 0) —
+  /// mixing Call into a pipelined stream would mis-attribute the replies.
+  /// A failed Call leaves nothing in flight.
   Status Call(const Request& req, Reply* reply);
 
   /// Call, additionally retrying (after the server's retry_after_ms hint,

@@ -78,26 +78,31 @@ bool EventFiresTrigger(const Event& e, const rules::Rule& r) {
   return false;
 }
 
+namespace {
+
+template <class IO, class E>  // E = const Event (encode) or Event (decode)
+bool Fields(IO& io, E& e) {
+  return io.F64(e.time_hours) && io.Enum32(e.device) &&
+         io.Enum32(e.location) && io.Str(e.state) && io.Enum32(e.platform) &&
+         io.I32(e.source_rule_id);
+}
+
+}  // namespace
+
+bool EventFields(util::LayoutWriter& io, const Event& e) {
+  return Fields(io, e);
+}
+
+bool EventFields(util::LayoutReader& io, Event& e) { return Fields(io, e); }
+
 void WriteEvent(util::ByteWriter* w, const Event& e) {
-  w->F64(e.time_hours);
-  w->I32(static_cast<int32_t>(e.device));
-  w->I32(static_cast<int32_t>(e.location));
-  w->Str(e.state);
-  w->I32(static_cast<int32_t>(e.platform));
-  w->I32(e.source_rule_id);
+  util::LayoutWriter io(w);
+  EventFields(io, e);
 }
 
 bool ReadEvent(util::ByteReader* r, Event* e) {
-  int32_t device, location, platform;
-  if (!r->F64(&e->time_hours) || !r->I32(&device) || !r->I32(&location) ||
-      !r->Str(&e->state) || !r->I32(&platform) ||
-      !r->I32(&e->source_rule_id)) {
-    return false;
-  }
-  e->device = static_cast<rules::DeviceType>(device);
-  e->location = static_cast<rules::Location>(location);
-  e->platform = static_cast<rules::Platform>(platform);
-  return true;
+  util::LayoutReader io(r);
+  return EventFields(io, *e);
 }
 
 }  // namespace glint::graph

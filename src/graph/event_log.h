@@ -48,8 +48,19 @@ class EventLog {
 /// in scope). Time-of-day triggers match when the event hour is in window.
 bool EventFiresTrigger(const Event& e, const rules::Rule& r);
 
-/// Binary codec for one Event (WAL records, serving snapshots). ReadEvent
-/// returns false on truncation.
+/// Binary layout of one Event (wire batches, WAL records, serving
+/// snapshots, replay logs):
+///   f64 time_hours | i32 device | i32 location | Str state |
+///   i32 platform | i32 source_rule_id
+/// The smallest encoding (empty state) is 28 bytes.
+inline constexpr size_t kMinEventBytes = 28;
+
+/// The Event's one field list (util/binio.h), run in each direction, out
+/// of line like rules::RuleFields.
+bool EventFields(util::LayoutWriter& io, const Event& e);
+bool EventFields(util::LayoutReader& io, Event& e);
+
+/// Encodes one Event; ReadEvent returns false on truncation.
 void WriteEvent(util::ByteWriter* w, const Event& e);
 bool ReadEvent(util::ByteReader* r, Event* e);
 

@@ -1,104 +1,54 @@
 #include "rules/rule_io.h"
 
 namespace glint::rules {
+namespace {
 
-void WriteTrigger(util::ByteWriter* w, const TriggerSpec& t) {
-  w->I32(static_cast<int32_t>(t.channel));
-  w->I32(static_cast<int32_t>(t.device));
-  w->I32(static_cast<int32_t>(t.cmp));
-  w->F64(t.lo);
-  w->F64(t.hi);
-  w->Str(t.state);
-  w->I32(t.direction);
-  w->I32(t.has_time ? 1 : 0);
-  w->I32(t.hour_lo);
-  w->I32(t.hour_hi);
+template <class IO, class R>  // R = const Rule (encode) or Rule (decode)
+bool Fields(IO& io, R& rule) {
+  // Triggers and conditions share one layout; a condition has no
+  // direction, so it writes 0 there and ignores the value on read.
+  auto trigger = [&io](auto& t) {
+    int32_t no_direction = 0;
+    auto& direction = [&]() -> auto& {
+      if constexpr (requires { t.direction; }) {
+        return t.direction;
+      } else {
+        return no_direction;
+      }
+    }();
+    return io.Enum32(t.channel) && io.Enum32(t.device) && io.Enum32(t.cmp) &&
+           io.F64(t.lo) && io.F64(t.hi) && io.Str(t.state) &&
+           io.I32(direction) && io.Bool32(t.has_time) && io.I32(t.hour_lo) &&
+           io.I32(t.hour_hi);
+  };
+  auto action = [&io](auto& a) {
+    return io.Enum32(a.device) && io.Enum32(a.command) && io.F64(a.level);
+  };
+  return io.I32(rule.id) && io.Enum32(rule.platform) &&
+         io.Enum32(rule.location) && trigger(rule.trigger) &&
+         io.List(rule.conditions, util::ListBound{"condition", 48}, trigger) &&
+         io.List(rule.actions, util::ListBound{"action", 16}, action) &&
+         io.Str(rule.text) && io.Bool32(rule.manual_mode_pin);
 }
 
-bool ReadTrigger(util::ByteReader* r, TriggerSpec* t) {
-  int32_t ch, dev, cmp, dir, ht, hlo, hhi;
-  if (!r->I32(&ch) || !r->I32(&dev) || !r->I32(&cmp) || !r->F64(&t->lo) ||
-      !r->F64(&t->hi) || !r->Str(&t->state) || !r->I32(&dir) ||
-      !r->I32(&ht) || !r->I32(&hlo) || !r->I32(&hhi)) {
-    return false;
-  }
-  t->channel = static_cast<Channel>(ch);
-  t->device = static_cast<DeviceType>(dev);
-  t->cmp = static_cast<Comparator>(cmp);
-  t->direction = dir;
-  t->has_time = ht != 0;
-  t->hour_lo = hlo;
-  t->hour_hi = hhi;
-  return true;
+}  // namespace
+
+bool RuleFields(util::LayoutWriter& io, const Rule& rule) {
+  return Fields(io, rule);
+}
+
+bool RuleFields(util::LayoutReader& io, Rule& rule) {
+  return Fields(io, rule);
 }
 
 void WriteRule(util::ByteWriter* w, const Rule& rule) {
-  w->I32(rule.id);
-  w->I32(static_cast<int32_t>(rule.platform));
-  w->I32(static_cast<int32_t>(rule.location));
-  WriteTrigger(w, rule.trigger);
-  w->U32(static_cast<uint32_t>(rule.conditions.size()));
-  for (const auto& c : rule.conditions) {
-    // Conditions share the trigger wire format (direction fixed at 0).
-    TriggerSpec t;
-    t.channel = c.channel;
-    t.device = c.device;
-    t.cmp = c.cmp;
-    t.lo = c.lo;
-    t.hi = c.hi;
-    t.state = c.state;
-    t.has_time = c.has_time;
-    t.hour_lo = c.hour_lo;
-    t.hour_hi = c.hour_hi;
-    WriteTrigger(w, t);
-  }
-  w->U32(static_cast<uint32_t>(rule.actions.size()));
-  for (const auto& a : rule.actions) {
-    w->I32(static_cast<int32_t>(a.device));
-    w->I32(static_cast<int32_t>(a.command));
-    w->F64(a.level);
-  }
-  w->Str(rule.text);
-  w->I32(rule.manual_mode_pin ? 1 : 0);
+  util::LayoutWriter io(w);
+  RuleFields(io, rule);
 }
 
 bool ReadRule(util::ByteReader* r, Rule* rule) {
-  int32_t platform, location, pin;
-  if (!r->I32(&rule->id) || !r->I32(&platform) || !r->I32(&location) ||
-      !ReadTrigger(r, &rule->trigger)) {
-    return false;
-  }
-  rule->platform = static_cast<Platform>(platform);
-  rule->location = static_cast<Location>(location);
-  uint32_t nc;
-  if (!r->U32(&nc) || nc > r->remaining()) return false;
-  rule->conditions.resize(nc);
-  for (auto& c : rule->conditions) {
-    TriggerSpec t;
-    if (!ReadTrigger(r, &t)) return false;
-    c.channel = t.channel;
-    c.device = t.device;
-    c.cmp = t.cmp;
-    c.lo = t.lo;
-    c.hi = t.hi;
-    c.state = t.state;
-    c.has_time = t.has_time;
-    c.hour_lo = t.hour_lo;
-    c.hour_hi = t.hour_hi;
-  }
-  uint32_t na;
-  if (!r->U32(&na) || na > r->remaining()) return false;
-  rule->actions.resize(na);
-  for (auto& a : rule->actions) {
-    int32_t dev, cmd;
-    if (!r->I32(&dev) || !r->I32(&cmd) || !r->F64(&a.level)) return false;
-    a.device = static_cast<DeviceType>(dev);
-    a.command = static_cast<Command>(cmd);
-  }
-  if (!r->Str(&rule->text)) return false;
-  if (!r->I32(&pin)) return false;
-  rule->manual_mode_pin = pin != 0;
-  return true;
+  util::LayoutReader io(r);
+  return RuleFields(io, *rule);
 }
 
 }  // namespace glint::rules

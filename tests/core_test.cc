@@ -167,7 +167,7 @@ TEST_F(GlintTest, InspectRealTimeRunsEndToEnd) {
   DeploymentSession session(detector_);
   for (const auto& r : table1) session.AddRule(r);
   for (const auto& e : log.events()) session.OnEvent(e);
-  auto warning = session.Inspect(20.5);
+  auto warning = session.TryInspect(20.5).ValueOrDie();
   // End-to-end smoke: produces a decision and renderable output.
   EXPECT_FALSE(warning.Render().empty());
 }
@@ -320,13 +320,13 @@ TEST_F(GlintTest, SessionMatchesColdPipelineUnderRandomOps) {
       session.OnEvent(e);
       log.Append(e);
     }
-    auto warm = session.Inspect(now);
+    auto warm = session.TryInspect(now).ValueOrDie();
     auto cold = detector_->AnalyzeGraph(
         cold_builder->BuildRealTime(session.CurrentRules(), log, now));
     ExpectSameWarning(warm, cold, step);
     // A repeated no-change Inspect is a verdict-cache hit and must still
     // equal the cold result.
-    auto warm_again = session.Inspect(now);
+    auto warm_again = session.TryInspect(now).ValueOrDie();
     ExpectSameWarning(warm_again, cold, step);
   }
   EXPECT_GT(session.verdict_hits(), 0u);

@@ -413,7 +413,7 @@ HomeTrace RunHome(const std::vector<rules::Rule>& rules, uint64_t seed) {
       e.state = rules::CommandResultState(a.command);
     }
     session.OnEvent(e);
-    auto w = session.Inspect(now);
+    auto w = session.TryInspect(now).ValueOrDie();
     trace.renders.push_back(w.Render());
     trace.confidences.push_back(w.confidence);
   }

@@ -13,11 +13,15 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "codec_fixtures.h"
 #include "core/detector.h"
 #include "core/serving.h"
+#include "util/crc32c.h"
 #include "util/fault.h"
 #include "util/thread_pool.h"
 
@@ -504,6 +508,187 @@ TEST_F(RecoveryTest, CorruptSnapshotIsRefusedNotGuessed) {
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kIOError);
   EXPECT_NE(st.message().find("corrupt snapshot"), std::string::npos);
+}
+
+// ---- Golden WAL records -------------------------------------------------
+
+// One fixture per WAL op, journaled by a live engine. Their record bytes
+// were recorded as hex (below) before each op became one field list and
+// one apply; the tests require the same bytes, a recovery from the
+// recorded records that re-encodes (snapshots) to exactly what the live
+// engine snapshots, and InvalidArgument (never an abort) for every strict
+// prefix of a record.
+std::vector<Op> GoldenWalOps() {
+  std::vector<Op> ops(4);
+  ops[0].kind = Op::kAddHome;
+  ops[0].home = "home-golden";
+  ops[0].deployed = {fixtures::Rule(21), fixtures::Rule(22)};
+  ops[1].kind = Op::kAddRule;
+  ops[1].home = "home-golden";
+  ops[1].rule = fixtures::Rule(23);
+  ops[2].kind = Op::kRemoveRule;
+  ops[2].home = "home-golden";
+  ops[2].rule_id = 22;
+  ops[3].kind = Op::kEvent;
+  ops[3].home = "home-golden";
+  ops[3].event = fixtures::Event(1.25, 21);
+  return ops;
+}
+
+// GoldenWalOps()[i]'s record (op bytes after the u64 seq), journaled by
+// the engine as it was before the rewrite.
+const char* const kGoldenWalHex[] = {
+    "010b000000686f6d652d676f6c64656e02000000150000000400000003000000"
+    "0100000006000000010000000000000000803a40000000000000f4bf03000000"
+    "686f74ffffffff01000000070000001500000002000000090000001400000004"
+    "000000000000000000f03f000000000000000004000000686f6d650000000001"
+    "00000012000000170000000200000014000000030000000000000000003e4000"
+    "00000000404e4000000000000000000000000000000000180000000200000007"
+    "0000000000000000000000000000000000000006000000000000000000d83f3a"
+    "0000005768656e20746865206b69746368656e20697320686f7420616e642073"
+    "6f6d656f6e6520697320686f6d652c20636f6f6c20697420646f776e2e010000"
+    "001600000004000000030000000100000006000000010000000000000000803a"
+    "40000000000000f4bf03000000686f74ffffffff010000000700000015000000"
+    "02000000090000001400000004000000000000000000f03f0000000000000000"
+    "04000000686f6d65000000000100000012000000170000000200000014000000"
+    "030000000000000000003e400000000000404e40000000000000000000000000"
+    "0000000018000000020000000700000000000000000000000000000000000000"
+    "06000000000000000000d83f3a0000005768656e20746865206b69746368656e"
+    "20697320686f7420616e6420736f6d656f6e6520697320686f6d652c20636f6f"
+    "6c20697420646f776e2e01000000",
+    "0200000000170000000400000003000000010000000600000001000000000000"
+    "0000803a40000000000000f4bf03000000686f74ffffffff0100000007000000"
+    "1500000002000000090000001400000004000000000000000000f03f00000000"
+    "0000000004000000686f6d650000000001000000120000001700000002000000"
+    "14000000030000000000000000003e400000000000404e400000000000000000"
+    "0000000000000000180000000200000007000000000000000000000000000000"
+    "0000000006000000000000000000d83f3a0000005768656e20746865206b6974"
+    "6368656e20697320686f7420616e6420736f6d656f6e6520697320686f6d652c"
+    "20636f6f6c20697420646f776e2e01000000",
+    "030000000016000000",
+    "0400000000000000000000f43f0200000002000000040000006f70656e020000"
+    "0015000000",
+};
+
+std::vector<char> Unhex(const std::string& hex) {
+  std::vector<char> out(hex.size() / 2);
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<char>(std::stoi(hex.substr(2 * i, 2), nullptr, 16));
+  }
+  return out;
+}
+
+std::vector<char> ReadFile(const std::string& path) {
+  std::vector<char> out;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return out;
+  char buf[4096];
+  size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
+    out.insert(out.end(), buf, buf + n);
+  }
+  std::fclose(f);
+  return out;
+}
+
+/// The op bytes of every record in the WAL at `path` (seq stripped).
+std::vector<std::vector<char>> WalRecords(const std::string& path) {
+  const std::vector<char> wal = ReadFile(path);
+  std::vector<std::vector<char>> out;
+  size_t pos = 8;  // WAL header
+  while (pos + 8 <= wal.size()) {
+    uint32_t len = 0;
+    std::memcpy(&len, wal.data() + pos, sizeof len);
+    pos += 8;
+    out.emplace_back(wal.begin() + static_cast<long>(pos + 8),
+                     wal.begin() + static_cast<long>(pos + len));
+    pos += len;
+  }
+  return out;
+}
+
+/// Writes a WAL at `path`: `header` (the 8-byte magic + version of a real
+/// WAL) then one correctly framed record per element of `records`, with
+/// seqs 1, 2, ...
+void WriteWal(const std::string& path, const std::vector<char>& header,
+              const std::vector<std::vector<char>>& records) {
+  std::vector<char> wal = header;
+  uint64_t seq = 0;
+  for (const auto& rec : records) {
+    ++seq;
+    std::vector<char> body(sizeof seq);
+    std::memcpy(body.data(), &seq, sizeof seq);
+    body.insert(body.end(), rec.begin(), rec.end());
+    const uint32_t len = static_cast<uint32_t>(body.size());
+    const uint32_t crc = util::Crc32c(body.data(), body.size());
+    const char* lp = reinterpret_cast<const char*>(&len);
+    const char* cp = reinterpret_cast<const char*>(&crc);
+    wal.insert(wal.end(), lp, lp + sizeof len);
+    wal.insert(wal.end(), cp, cp + sizeof crc);
+    wal.insert(wal.end(), body.begin(), body.end());
+  }
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(wal.data(), 1, wal.size(), f), wal.size());
+  std::fclose(f);
+}
+
+TEST_F(RecoveryTest, WalOpsKeepTheirRecordedBytes) {
+  const std::vector<Op> ops = GoldenWalOps();
+  ASSERT_EQ(ops.size(), std::size(kGoldenWalHex));
+  const std::string live_dir = Dir("golden-live");
+  ServingEngine live(detector_);
+  ASSERT_TRUE(live.Recover(live_dir).ok());
+  for (const Op& op : ops) ASSERT_TRUE(ApplyOp(&live, op).ok());
+  const std::vector<std::vector<char>> records =
+      WalRecords(live_dir + "/wal.log");
+  ASSERT_EQ(records.size(), ops.size());
+  for (size_t i = 0; i < ops.size(); ++i) {
+    EXPECT_EQ(fixtures::Hex(records[i]), kGoldenWalHex[i]) << "op " << i;
+  }
+
+  // Decode the recorded records, then re-encode the state they rebuild:
+  // the snapshot is byte-identical to the live engine's.
+  const std::string replay_dir = Dir("golden-replay");
+  ServingEngine empty(detector_);
+  ASSERT_TRUE(empty.Recover(replay_dir).ok());  // writes a fresh WAL header
+  std::vector<std::vector<char>> golden;
+  for (const char* hex : kGoldenWalHex) golden.push_back(Unhex(hex));
+  const std::vector<char> header = ReadFile(replay_dir + "/wal.log");
+  ASSERT_EQ(header.size(), 8u);
+  WriteWal(replay_dir + "/wal.log", header, golden);
+  ServingEngine replayed(detector_);
+  ASSERT_TRUE(replayed.Recover(replay_dir).ok());
+  EXPECT_EQ(replayed.journal_seq(), ops.size());
+  EXPECT_EQ(Fingerprint(&replayed), Fingerprint(&live));
+  ASSERT_TRUE(live.Snapshot().ok());
+  ASSERT_TRUE(replayed.Snapshot().ok());
+  EXPECT_EQ(ReadFile(replay_dir + "/snapshot.bin"),
+            ReadFile(live_dir + "/snapshot.bin"));
+}
+
+TEST_F(RecoveryTest, EveryStrictPrefixOfAWalRecordIsInvalidArgument) {
+  const std::string dir = Dir("golden-prefix");
+  {
+    ServingEngine empty(detector_);
+    ASSERT_TRUE(empty.Recover(dir).ok());
+  }
+  const std::vector<char> header = ReadFile(dir + "/wal.log");
+  ASSERT_EQ(header.size(), 8u);
+  std::vector<std::vector<char>> records;
+  for (const char* hex : kGoldenWalHex) {
+    const std::vector<char> golden = Unhex(hex);
+    for (size_t keep = 0; keep < golden.size(); ++keep) {
+      records.emplace_back(golden.begin(),
+                           golden.begin() + static_cast<long>(keep));
+      WriteWal(dir + "/wal.log", header, records);
+      records.pop_back();
+      ServingEngine engine(detector_);
+      EXPECT_EQ(engine.Recover(dir).code(), StatusCode::kInvalidArgument)
+          << hex << " cut to " << keep;
+    }
+    records.push_back(golden);
+  }
 }
 
 }  // namespace

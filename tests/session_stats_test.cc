@@ -103,27 +103,27 @@ TEST_F(SessionStatsTest, ScriptedSequenceHitsExactCounts) {
   const double now = 1.0;
 
   // 1) A: verdict miss, tensor miss.        verdict LRU {A}, tensor {A}
-  const auto wa = session.Inspect(now);
+  const auto wa = session.TryInspect(now).ValueOrDie();
   // 2) B: verdict miss, tensor miss.        verdict {A,B}, tensor {A,B}
   ASSERT_TRUE(session.RemoveRule(rules[4].id));
-  const auto wb = session.Inspect(now);
+  const auto wb = session.TryInspect(now).ValueOrDie();
   // 3) A again: verdict HIT (refreshes A in the verdict LRU only — the
   //    tensor cache is never consulted on a verdict hit, so its recency
   //    order still says A is oldest).       verdict {B,A}, tensor {A,B}
   session.AddRule(rules[4]);
-  const auto wa2 = session.Inspect(now);
+  const auto wa2 = session.TryInspect(now).ValueOrDie();
   EXPECT_EQ(wa2.Render(), wa.Render());
   // 4) C: verdict miss, tensor miss; both caches are full, so the verdict
   //    LRU evicts B (oldest there) while the tensor cache evicts A.
   //                                         verdict {A,C}, tensor {B,C}
   ASSERT_TRUE(session.RemoveRule(rules[4].id));
   ASSERT_TRUE(session.RemoveRule(rules[3].id));
-  const auto wc = session.Inspect(now);
+  const auto wc = session.TryInspect(now).ValueOrDie();
   // 5) B again: verdict miss (B was evicted in step 4) but tensor HIT —
   //    the divergent recency orders are exactly what the two counters are
   //    supposed to make visible.
   session.AddRule(rules[3]);
-  const auto wb2 = session.Inspect(now);
+  const auto wb2 = session.TryInspect(now).ValueOrDie();
   EXPECT_EQ(wb2.Render(), wb.Render());  // hit path == recompute path
 
   const auto s = session.Stats();
@@ -142,14 +142,14 @@ TEST_F(SessionStatsTest, EventsAreCountedAndChangeTheKey) {
   auto rules = HomeRules(4);
   DeploymentSession session(detector_);
   for (const auto& r : rules) session.AddRule(r);
-  (void)session.Inspect(1.0);
+  (void)session.TryInspect(1.0).ValueOrDie();
   session.OnEvent(EventFor(rules[0], 1.1));
   session.OnEvent(EventFor(rules[1], 1.2));
   const auto s = session.Stats();
   EXPECT_EQ(s.events, 2u);
   // Counters stay internally consistent whatever the events did to edges.
   const auto s2 = session.Stats();
-  (void)session.Inspect(1.3);
+  (void)session.TryInspect(1.3).ValueOrDie();
   const auto s3 = session.Stats();
   EXPECT_EQ(s3.inspects, s2.inspects + 1);
   EXPECT_EQ(s3.verdict_hits + s3.verdict_misses, s3.inspects);

@@ -11,13 +11,67 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "codec_fixtures.h"
 #include "fleet/wire.h"
 #include "util/binio.h"
+
+// Global heap-byte counter: every operator new in this binary adds its
+// size, so a measured region's delta is the bytes it asked the heap for
+// (the count-amplification cases bound a decode by it).
+namespace {
+std::atomic<size_t> g_alloc_bytes{0};
+}  // namespace
+
+__attribute__((noinline)) void* operator new(std::size_t n) {
+  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void* operator new[](std::size_t n) {
+  return ::operator new(n);
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p,
+                                                 std::size_t) noexcept {
+  std::free(p);
+}
+// Nothrow forms too (libstdc++ temporary buffers use them): with every
+// variant funneled through malloc/free, ASan sees matched pairs.
+__attribute__((noinline)) void* operator new(std::size_t n,
+                                             const std::nothrow_t&) noexcept {
+  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
+  return std::malloc(n ? n : 1);
+}
+__attribute__((noinline)) void* operator new[](
+    std::size_t n, const std::nothrow_t&) noexcept {
+  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
+  return std::malloc(n ? n : 1);
+}
+__attribute__((noinline)) void operator delete(
+    void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](
+    void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace glint::fleet::wire {
 namespace {
@@ -589,6 +643,370 @@ TEST(WireCodec, EventBatchSeqRangeMustNotWrap) {
   // Unsequenced batches (seq 0) stay legal at any size.
   wrap.seq = 0;
   EXPECT_TRUE(DecodeRequest(EncodeRequest(wrap), &req).ok());
+}
+
+// ---- Golden encodings ---------------------------------------------------
+
+// One fixture per request and reply type. Their encodings were recorded as
+// hex (below) before the codecs became one field list per message; the
+// tests require the same bytes, a byte-exact re-encode of every decode,
+// and InvalidArgument (never an abort) for every strict prefix.
+std::vector<Request> GoldenRequests() {
+  std::vector<Request> out;
+  Request r;
+  r.type = MsgType::kPing;
+  out.push_back(r);
+  r = Request();
+  r.type = MsgType::kAddHome;
+  r.deadline_ms = 1500;
+  r.home = "home-golden";
+  r.rules = {fixtures::Rule(11), fixtures::Rule(-12)};
+  r.rules[1].conditions.clear();
+  r.rules[1].text.clear();
+  out.push_back(r);
+  r = Request();
+  r.type = MsgType::kAddRule;
+  r.deadline_ms = 7;
+  r.home = "home-golden";
+  r.rule = fixtures::Rule(13);
+  out.push_back(r);
+  r = Request();
+  r.type = MsgType::kRemoveRule;
+  r.deadline_ms = 9;
+  r.home = "home-golden";
+  r.rule_id = -13;
+  out.push_back(r);
+  r = Request();
+  r.type = MsgType::kInspect;
+  r.deadline_ms = 250;
+  r.home = "home-golden";
+  r.now_hours = 41.625;
+  out.push_back(r);
+  r = Request();
+  r.type = MsgType::kStats;
+  out.push_back(r);
+  r = Request();
+  r.type = MsgType::kStatsJson;
+  out.push_back(r);
+  r = Request();
+  r.type = MsgType::kEventBatch;
+  r.deadline_ms = 100;
+  r.seq = 0x0102030405060708ull;
+  r.home = "home-golden";
+  r.events = {fixtures::Event(40.5, 11), fixtures::Event(40.75, 0),
+              fixtures::Event(41.0, -3)};
+  r.events[1].state = "";
+  out.push_back(r);
+  r = Request();
+  r.type = MsgType::kHealth;
+  out.push_back(r);
+  return out;
+}
+
+std::vector<Reply> GoldenReplies() {
+  std::vector<Reply> out;
+  Reply r;
+  r.type = MsgType::kPong;
+  out.push_back(r);
+  r = Reply();
+  r.type = MsgType::kAck;
+  r.code = static_cast<int32_t>(StatusCode::kOverloaded);
+  r.message = "shard 1 is degraded";
+  r.retry_after_ms = 75;
+  out.push_back(r);
+  r = Reply();
+  r.type = MsgType::kWarning;
+  r.code = 0;
+  r.message = "";
+  r.retry_after_ms = 40;
+  r.threat = true;
+  r.drifting = false;
+  r.degraded = true;
+  r.confidence = 0.8125;
+  r.rendered = "THREAT WARNING\nchain: #11 -> #13";
+  out.push_back(r);
+  r = Reply();
+  r.type = MsgType::kStatsReply;
+  r.homes = 10000;
+  r.rules = 30000;
+  r.events = 1u << 20;
+  r.inspects = 77;
+  r.bus_rejected = 5;
+  r.bus_apply_errors = 1;
+  r.server_connections = 12;
+  r.server_requests = 999;
+  r.server_bad_frames = 2;
+  r.server_bad_requests = 3;
+  r.server_accept_backoffs = 4;
+  r.server_overloaded = 11;
+  out.push_back(r);
+  r = Reply();
+  r.type = MsgType::kStatsJsonReply;
+  r.stats_json = R"({"counters":{"a":1}})";
+  r.series_json = R"({"s":[[1.0,2.0]]})";
+  for (int k = 0; k < 2; ++k) {
+    ShardStat s;
+    const uint64_t base = 100u * static_cast<uint64_t>(k + 1);
+    s.homes = base + 1;
+    s.rules = base + 2;
+    s.events = base + 3;
+    s.inspects = base + 4;
+    s.queue_depth = base + 5;
+    s.queue_high_water = base + 6;
+    s.applied = base + 7;
+    s.events_per_sec = 1.5 * static_cast<double>(base);
+    s.queue_wait_p50_ms = 0.125;
+    s.queue_wait_p99_ms = 0.25;
+    s.apply_p50_ms = 0.5;
+    s.apply_p99_ms = 1.0;
+    s.inspect_p50_ms = 2.0;
+    s.inspect_p99_ms = 4.0;
+    s.health = static_cast<uint8_t>(k);
+    s.overload_shed = base + 8;
+    s.deadline_shed = base + 9;
+    s.restarts = base + 10;
+    r.shard_stats.push_back(s);
+  }
+  r.bus_rejected = 9;
+  r.bus_apply_errors = 8;
+  r.server_connections = 7;
+  r.server_requests = 6;
+  r.server_bad_frames = 5;
+  r.server_bad_requests = 4;
+  r.server_accept_backoffs = 3;
+  r.server_overloaded = 2;
+  for (int k = 0; k < 2; ++k) {
+    SlowTrace t;
+    t.id = 1000u + static_cast<uint64_t>(k);
+    t.shard = k - 1;
+    t.msg_type = static_cast<uint8_t>(MsgType::kEventBatch);
+    t.events = 64u + static_cast<uint32_t>(k);
+    t.total_us = 5000u + static_cast<uint64_t>(k);
+    for (int s = 0; s < obs::kNumTraceStages; ++s) {
+      t.stage_us[s] = static_cast<uint64_t>(10 * s + k);
+    }
+    r.slow_traces.push_back(t);
+  }
+  out.push_back(r);
+  r = Reply();
+  r.type = MsgType::kBatchAck;
+  r.code = static_cast<int32_t>(StatusCode::kInvalidArgument);
+  r.message = "wire EventBatch: seq range wraps";
+  r.batch_events = 3;
+  r.retry_after_ms = 0;
+  out.push_back(r);
+  r = Reply();
+  r.type = MsgType::kHealthReply;
+  r.fleet_health = static_cast<uint8_t>(ShardHealth::kDegraded);
+  r.retry_after_ms = 125;
+  for (int k = 0; k < 3; ++k) {
+    ShardHealthStat h;
+    h.state = static_cast<uint8_t>(k == 1 ? ShardHealth::kDegraded
+                                          : ShardHealth::kHealthy);
+    h.queue_depth = 10u + static_cast<uint64_t>(k);
+    h.overload_shed = 20u + static_cast<uint64_t>(k);
+    h.deadline_shed = 30u + static_cast<uint64_t>(k);
+    h.restarts = static_cast<uint64_t>(k);
+    r.shard_health.push_back(h);
+  }
+  out.push_back(r);
+  return out;
+}
+
+// GoldenRequests()[i] encoded by the codecs as they were before the rewrite.
+const char* const kGoldenRequestHex[] = {
+    "01",
+    "02dc0500000b000000686f6d652d676f6c64656e020000000b00000004000000"
+    "030000000100000006000000010000000000000000803a40000000000000f4bf"
+    "03000000686f74ffffffff010000000700000015000000020000000900000014"
+    "00000004000000000000000000f03f000000000000000004000000686f6d6500"
+    "0000000100000012000000170000000200000014000000030000000000000000"
+    "003e400000000000404e40000000000000000000000000000000001800000002"
+    "0000000700000000000000000000000000000000000000060000000000000000"
+    "00d83f3a0000005768656e20746865206b69746368656e20697320686f742061"
+    "6e6420736f6d656f6e6520697320686f6d652c20636f6f6c20697420646f776e"
+    "2e01000000f4ffffff0400000003000000010000000600000001000000000000"
+    "0000803a40000000000000f4bf03000000686f74ffffffff0100000007000000"
+    "1500000000000000020000000700000000000000000000000000000000000000"
+    "06000000000000000000d83f0000000001000000",
+    "03070000000b000000686f6d652d676f6c64656e0d0000000400000003000000"
+    "0100000006000000010000000000000000803a40000000000000f4bf03000000"
+    "686f74ffffffff01000000070000001500000002000000090000001400000004"
+    "000000000000000000f03f000000000000000004000000686f6d650000000001"
+    "00000012000000170000000200000014000000030000000000000000003e4000"
+    "00000000404e4000000000000000000000000000000000180000000200000007"
+    "0000000000000000000000000000000000000006000000000000000000d83f3a"
+    "0000005768656e20746865206b69746368656e20697320686f7420616e642073"
+    "6f6d656f6e6520697320686f6d652c20636f6f6c20697420646f776e2e010000"
+    "00",
+    "04090000000b000000686f6d652d676f6c64656ef3ffffff",
+    "06fa0000000b000000686f6d652d676f6c64656e0000000000d04440",
+    "07",
+    "08",
+    "096400000008070605040302010b000000686f6d652d676f6c64656e03000000"
+    "00000000004044400200000002000000040000006f70656e020000000b000000"
+    "0000000000604440020000000200000000000000020000000000000000000000"
+    "008044400200000002000000040000006f70656e02000000fdffffff",
+    "0a",
+};
+
+// GoldenReplies()[i] encoded by the codecs as they were before the rewrite.
+const char* const kGoldenReplyHex[] = {
+    "40",
+    "410600000013000000736861726420312069732064656772616465644b000000",
+    "42000000000000000028000000010001000000000000ea3f2000000054485245"
+    "4154205741524e494e470a636861696e3a20233131202d3e20233133",
+    "431027000000000000307500000000000000001000000000004d000000000000"
+    "00050000000000000001000000000000000c00000000000000e7030000000000"
+    "000200000000000000030000000000000004000000000000000b000000000000"
+    "00",
+    "44140000007b22636f756e74657273223a7b2261223a317d7d110000007b2273"
+    "223a5b5b312e302c322e305d5d7d020000006500000000000000660000000000"
+    "00006700000000000000680000000000000069000000000000006a0000000000"
+    "00006b000000000000000000000000c06240000000000000c03f000000000000"
+    "d03f000000000000e03f000000000000f03f0000000000000040000000000000"
+    "1040006c000000000000006d000000000000006e00000000000000c900000000"
+    "000000ca00000000000000cb00000000000000cc00000000000000cd00000000"
+    "000000ce00000000000000cf000000000000000000000000c072400000000000"
+    "00c03f000000000000d03f000000000000e03f000000000000f03f0000000000"
+    "000040000000000000104001d000000000000000d100000000000000d2000000"
+    "0000000009000000000000000800000000000000070000000000000006000000"
+    "0000000005000000000000000400000000000000030000000000000002000000"
+    "0000000002000000e803000000000000ffffffff094000000088130000000000"
+    "0000000000000000000a0000000000000014000000000000001e000000000000"
+    "00280000000000000032000000000000003c0000000000000046000000000000"
+    "00e9030000000000000000000009410000008913000000000000010000000000"
+    "00000b0000000000000015000000000000001f00000000000000290000000000"
+    "000033000000000000003d000000000000004700000000000000",
+    "45010000002000000077697265204576656e7442617463683a20736571207261"
+    "6e67652077726170730300000000000000",
+    "46017d00000003000000000a0000000000000014000000000000001e00000000"
+    "0000000000000000000000010b0000000000000015000000000000001f000000"
+    "000000000100000000000000000c000000000000001600000000000000200000"
+    "00000000000200000000000000",
+};
+
+std::vector<char> Unhex(const std::string& hex) {
+  std::vector<char> out(hex.size() / 2);
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<char>(std::stoi(hex.substr(2 * i, 2), nullptr, 16));
+  }
+  return out;
+}
+
+TEST(WireGolden, RequestsKeepTheirRecordedBytes) {
+  const std::vector<Request> reqs = GoldenRequests();
+  ASSERT_EQ(reqs.size(), std::size(kGoldenRequestHex));
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    SCOPED_TRACE(MsgTypeName(reqs[i].type));
+    EXPECT_EQ(fixtures::Hex(EncodeRequest(reqs[i])), kGoldenRequestHex[i]);
+    // Decode then re-encode: the same bytes.
+    const std::vector<char> golden = Unhex(kGoldenRequestHex[i]);
+    Request back;
+    ASSERT_TRUE(DecodeRequest(golden, &back).ok());
+    EXPECT_EQ(EncodeRequest(back), golden);
+  }
+}
+
+TEST(WireGolden, RepliesKeepTheirRecordedBytes) {
+  const std::vector<Reply> replies = GoldenReplies();
+  ASSERT_EQ(replies.size(), std::size(kGoldenReplyHex));
+  for (size_t i = 0; i < replies.size(); ++i) {
+    SCOPED_TRACE(MsgTypeName(replies[i].type));
+    EXPECT_EQ(fixtures::Hex(EncodeReply(replies[i])), kGoldenReplyHex[i]);
+    const std::vector<char> golden = Unhex(kGoldenReplyHex[i]);
+    Reply back;
+    ASSERT_TRUE(DecodeReply(golden, &back).ok());
+    EXPECT_EQ(EncodeReply(back), golden);
+  }
+}
+
+TEST(WireGolden, EveryStrictPrefixIsInvalidArgument) {
+  for (const char* hex : kGoldenRequestHex) {
+    const std::vector<char> golden = Unhex(hex);
+    for (size_t keep = 0; keep < golden.size(); ++keep) {
+      const std::vector<char> cut(golden.begin(),
+                                  golden.begin() + static_cast<long>(keep));
+      Request req;
+      EXPECT_EQ(DecodeRequest(cut, &req).code(), StatusCode::kInvalidArgument)
+          << hex << " cut to " << keep;
+    }
+  }
+  for (const char* hex : kGoldenReplyHex) {
+    const std::vector<char> golden = Unhex(hex);
+    for (size_t keep = 0; keep < golden.size(); ++keep) {
+      const std::vector<char> cut(golden.begin(),
+                                  golden.begin() + static_cast<long>(keep));
+      Reply reply;
+      EXPECT_EQ(DecodeReply(cut, &reply).code(), StatusCode::kInvalidArgument)
+          << hex << " cut to " << keep;
+    }
+  }
+}
+
+// ---- Count amplification ------------------------------------------------
+
+// A count is bounded by the smallest encoding of its element, so a frame
+// can never make the decoder allocate much more than the frame itself.
+// Each case is a full-size (kMaxFramePayload) payload whose count claims
+// one element per remaining byte — the most a bare `n > remaining` check
+// lets through — followed by zero bytes (which decode as minimal rules,
+// conditions or actions, so the decoder would get deep into the list).
+
+/// Pads `w` with zero bytes up to kMaxFramePayload.
+std::vector<char> PadToFrameCap(util::ByteWriter* w) {
+  std::vector<char> payload = w->TakeBuffer();
+  payload.resize(kMaxFramePayload, 0);
+  return payload;
+}
+
+/// Decodes `payload`, expecting InvalidArgument within 4x its size in
+/// heap bytes.
+void ExpectRejectedWithinBudget(const std::vector<char>& payload) {
+  Request req;
+  const size_t before = g_alloc_bytes.load(std::memory_order_relaxed);
+  const Status st = DecodeRequest(payload, &req);
+  const size_t allocated =
+      g_alloc_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_LE(allocated, 4 * payload.size())
+      << "decode allocated " << allocated << " bytes for a "
+      << payload.size() << "-byte payload";
+}
+
+TEST(WireCountBounds, AddHomeRuleCountCannotAmplify) {
+  util::ByteWriter w;
+  w.U8(static_cast<uint8_t>(MsgType::kAddHome));
+  w.U32(0);  // deadline_ms
+  w.Str("home-a");
+  w.U32(static_cast<uint32_t>(kMaxFramePayload - w.size() - 4));
+  ExpectRejectedWithinBudget(PadToFrameCap(&w));
+}
+
+/// An AddRule body up to and including its trigger: id, platform,
+/// location, then the 48-byte trigger (all zero).
+util::ByteWriter AddRuleUpToTrigger() {
+  util::ByteWriter w;
+  w.U8(static_cast<uint8_t>(MsgType::kAddRule));
+  w.U32(0);  // deadline_ms
+  w.Str("home-a");
+  for (int i = 0; i < 3; ++i) w.I32(0);
+  const std::vector<char> trigger(48, 0);
+  w.Raw(trigger.data(), trigger.size());
+  return w;
+}
+
+TEST(WireCountBounds, RuleConditionCountCannotAmplify) {
+  util::ByteWriter w = AddRuleUpToTrigger();
+  w.U32(static_cast<uint32_t>(kMaxFramePayload - w.size() - 4));
+  ExpectRejectedWithinBudget(PadToFrameCap(&w));
+}
+
+TEST(WireCountBounds, RuleActionCountCannotAmplify) {
+  util::ByteWriter w = AddRuleUpToTrigger();
+  w.U32(0);  // no conditions
+  w.U32(static_cast<uint32_t>(kMaxFramePayload - w.size() - 4));
+  ExpectRejectedWithinBudget(PadToFrameCap(&w));
 }
 
 // ---- Buffer-level framing ----------------------------------------------

@@ -259,6 +259,20 @@ GLINT_THREADS=2 ./build/tools/glint fleet-serve \
 GLINT_THREADS=2 ./build/tools/glint fleet-serve \
   --model-dir "${FAULT_SMOKE_DIR}/models" \
   --state-dir "${FAULT_SMOKE_DIR}/fleet-state" --shards 3 --homes 6 --hours 2
+# The snapshots the pair leaves pin the rule and event codecs end to end:
+# their sha256 digests were recorded before the codecs became one field
+# list per layout (snapshot content does not depend on the trained models).
+# Never re-record them to make a codec change pass.
+if ! (cd "${FAULT_SMOKE_DIR}/fleet-state" && sha256sum --check --quiet \
+    <<'DIGESTS'
+a91cd61b52e34b52610e5e716b60b459d161601837b564281779480234651756  shard-0/snapshot.bin
+f422c487956819e7bdea448988f4581f9a43e01ef73b92993b740c8cd3bc8b8c  shard-1/snapshot.bin
+31185904e3c539e60c5460bdcfea678ba584a3beb91c21c657c0bc910451be2e  shard-2/snapshot.bin
+DIGESTS
+); then
+  echo "check.sh: fleet-serve snapshots differ from the recorded digests" >&2
+  exit 1
+fi
 
 # Tracing stage (DESIGN.md §14), end-to-end through the CLI surface: serve
 # the recovered fleet state over the wire in the background, poll it once
