@@ -1,5 +1,6 @@
 #include "core/serving.h"
 
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -133,6 +134,16 @@ bool EventFields(IO& io, Slot& slot, E& e) {
   return io.U32(slot) && graph::EventFields(io, e);
 }
 
+/// An event at a non-finite time would pin the home's watermark (inf) or
+/// unsort its retained events (NaN), so neither the live path nor replay
+/// takes one.
+Status CheckEventTime(const graph::Event& e) {
+  if (std::isfinite(e.time_hours)) return Status::OK();
+  return Status::InvalidArgument("event time " +
+                                 std::to_string(e.time_hours) +
+                                 "h is not a finite number");
+}
+
 /// Replay's verdict on one decoded record: InvalidArgument naming the op
 /// when its field list failed, bytes trail it, or `valid` (the op's own
 /// precondition) is not OK.
@@ -169,12 +180,13 @@ Status ServingEngine::JournalOp(Op op, const Fields& fields) {
   return Status::OK();
 }
 
+bool ServingEngine::SnapshotDue() const {
+  return journal_ != nullptr && config_.snapshot_every_ops != 0 &&
+         ops_since_snapshot_ >= config_.snapshot_every_ops;
+}
+
 Status ServingEngine::MaybeAutoSnapshot() {
-  if (journal_ == nullptr || config_.snapshot_every_ops == 0 ||
-      ops_since_snapshot_ < config_.snapshot_every_ops) {
-    return Status::OK();
-  }
-  return Snapshot();
+  return SnapshotDue() ? Snapshot() : Status::OK();
 }
 
 Status ServingEngine::ApplyRecord(const std::vector<char>& payload) {
@@ -215,8 +227,10 @@ Status ServingEngine::ApplyRecord(const std::vector<char>& payload) {
       return Status::OK();
     case kOpEvent:
       decoded = EventFields(io, slot, event);
-      GLINT_RETURN_IF_ERROR(CheckRecord("Event", decoded, r, io, slot_ok()));
-      ApplyEvent(slot, event);
+      GLINT_RETURN_IF_ERROR(CheckRecord(
+          "Event", decoded, r, io,
+          slot_ok().ok() ? CheckEventTime(event) : slot_ok()));
+      ApplyEvents(slot, &event, 1);
       return Status::OK();
     default:
       return Status::InvalidArgument("WAL record: unknown op " +
@@ -266,8 +280,9 @@ void ServingEngine::ApplyRemoveRule(uint32_t slot, int rule_id) {
   sessions_[slot]->RemoveRule(rule_id);
 }
 
-void ServingEngine::ApplyEvent(uint32_t slot, const graph::Event& e) {
-  sessions_[slot]->OnEvent(e);
+void ServingEngine::ApplyEvents(uint32_t slot, const graph::Event* events,
+                                size_t n) {
+  sessions_[slot]->OnEvents(events, n);
 }
 
 Result<int> ServingEngine::TryAddHome(
@@ -315,21 +330,56 @@ Status ServingEngine::TryRemoveRule(const HomeId& id, int rule_id,
 }
 
 Status ServingEngine::TryOnEvent(const HomeId& id, const graph::Event& e) {
+  return TryOnEvents(id, &e, 1);
+}
+
+Status ServingEngine::TryOnEvents(const HomeId& id,
+                                  const graph::Event* events, size_t n,
+                                  size_t* applied_end) {
+  if (applied_end != nullptr) *applied_end = 0;
+  if (n == 0) return Status::OK();
   Result<int> h = RequireHome(id);
   GLINT_RETURN_IF_ERROR(h.status());
   const uint32_t slot = static_cast<uint32_t>(h.value());
-  GLINT_RETURN_IF_ERROR(JournalOp(
-      kOpEvent, [&](auto& io) { return EventFields(io, slot, e); }));
-  GLINT_OBS_COUNT("glint.serving.events", 1);
-  ApplyEvent(slot, e);
-  Status st = MaybeAutoSnapshot();
+  Status first;
+  size_t run = 0;  // first journaled event not yet applied
+  size_t applied = 0;
+  auto apply_through = [&](size_t end) {  // applies the run [run, end)
+    if (end == run) return;
+    ApplyEvents(slot, events + run, end - run);
+    applied += end - run;
+    if (applied_end != nullptr) *applied_end = end;
+    run = end;
+  };
+  for (size_t i = 0; i < n; ++i) {
+    const graph::Event& e = events[i];
+    Status st = CheckEventTime(e);
+    if (st.ok()) {
+      st = JournalOp(kOpEvent,
+                     [&](auto& io) { return EventFields(io, slot, e); });
+    }
+    if (!st.ok()) {
+      // This event takes no effect; the journaled run before it applies.
+      apply_through(i);
+      run = i + 1;
+      if (first.ok()) first = st;
+      continue;
+    }
+    if (SnapshotDue()) {
+      apply_through(i + 1);
+      st = Snapshot();
+      if (!st.ok() && first.ok()) first = st;
+    }
+  }
+  apply_through(n);
+  GLINT_OBS_COUNT("glint.serving.events", static_cast<int64_t>(applied));
   // Charge the apply stage of an in-flight fleet request trace (set by
-  // the bus consumer around Apply — DESIGN.md §14). WAL append and any
+  // the bus consumer around Apply — DESIGN.md §14). WAL appends and any
   // auto-snapshot are part of what the operator sees as apply latency.
   if (obs::TraceContext* t = obs::CurrentTrace()) {
     t->Mark(obs::TraceStage::kApply);
   }
-  return st;
+  return first;
 }
 
 // ---- Inspection --------------------------------------------------------

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -34,11 +35,12 @@ using HomeId = std::string;
 ///
 /// Durability (optional): Recover(dir) attaches a write-ahead log. Every
 /// state-changing operation (TryAddHome / TryAddRule / TryRemoveRule /
-/// TryOnEvent) is appended to the WAL *before* it is applied; Snapshot()
-/// serializes every session and truncates the log. After a crash, a fresh
-/// engine calling Recover(dir) replays snapshot + tail and reaches a state
-/// whose InspectAll output is bit-identical to the uninterrupted run's (the
-/// recovery extension of the session-vs-cold determinism proof).
+/// TryOnEvents, one record per event) is appended to the WAL *before* it
+/// is applied; Snapshot() serializes every session and truncates the
+/// log. After a crash, a fresh engine calling Recover(dir) replays
+/// snapshot + tail and reaches a state whose InspectAll output is
+/// bit-identical to the uninterrupted run's (the recovery extension of
+/// the session-vs-cold determinism proof).
 class ServingEngine {
  public:
   struct Config {
@@ -93,8 +95,22 @@ class ServingEngine {
   /// journaled.
   Status TryRemoveRule(const HomeId& id, int rule_id,
                        bool* removed = nullptr);
-  /// Routes one event to home `id`'s session (journaled).
+  /// Routes one event to home `id`'s session: TryOnEvents(id, &e, 1).
   Status TryOnEvent(const HomeId& id, const graph::Event& e);
+  /// Routes `n` events, in order, to home `id`'s session with one home
+  /// lookup, one `glint.serving.events` add and one apply trace mark. Each
+  /// event is journaled on its own (one kOpEvent record, the bytes
+  /// TryOnEvent writes), and each run of journaled events is applied with
+  /// one DeploymentSession::OnEvents. An event whose time is not finite
+  /// (InvalidArgument, nothing journaled) or whose WAL append fails
+  /// (IOError) takes no effect, and the rest still apply. An auto-snapshot
+  /// falls due after the same event as with per-event calls: the events
+  /// up to it are applied first. Returns the first failure.
+  /// `*applied_end` (when non-null) is one past the index of the last
+  /// event that took effect, 0 when none did. n == 0 is OK and looks
+  /// nothing up.
+  Status TryOnEvents(const HomeId& id, const graph::Event* events, size_t n,
+                     size_t* applied_end = nullptr);
 
   // ---- Inspection ------------------------------------------------------
 
@@ -168,13 +184,16 @@ class ServingEngine {
   void ApplyAddHome(HomeId id, const std::vector<rules::Rule>& deployed);
   void ApplyAddRule(uint32_t slot, const rules::Rule& rule);
   void ApplyRemoveRule(uint32_t slot, int rule_id);
-  void ApplyEvent(uint32_t slot, const graph::Event& e);
+  void ApplyEvents(uint32_t slot, const graph::Event* events, size_t n);
 
   /// Decodes one WAL record and runs its op's apply (recovery).
   Status ApplyRecord(const std::vector<char>& payload);
   /// Serializes every session into a snapshot payload.
   std::vector<char> EncodeSnapshot() const;
   Status ApplySnapshot(const std::vector<char>& payload);
+  /// True when a durable engine has journaled snapshot_every_ops ops
+  /// since its last snapshot.
+  bool SnapshotDue() const;
   Status MaybeAutoSnapshot();
 
   const TrainedDetector* detector_;

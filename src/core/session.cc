@@ -32,9 +32,9 @@ bool DeploymentSession::RemoveRule(int rule_id) {
   return live_.RemoveRule(rule_id);
 }
 
-void DeploymentSession::OnEvent(const graph::Event& e) {
-  ++events_;
-  live_.OnEvent(e);
+void DeploymentSession::OnEvents(const graph::Event* events, size_t n) {
+  events_ += n;
+  live_.OnEvents(events, n);
 }
 
 DeploymentSession::CacheStats DeploymentSession::Stats() const {

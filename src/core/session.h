@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -49,8 +50,11 @@ class DeploymentSession {
   /// Retires the rule with this id. Returns false if absent.
   bool RemoveRule(int rule_id);
 
-  /// Ingests one event-log record.
-  void OnEvent(const graph::Event& e);
+  /// Ingests `n` event-log records in order with one LiveGraph::OnEvents
+  /// (one prune for the lot).
+  void OnEvents(const graph::Event* events, size_t n);
+  /// Ingests one event-log record: OnEvents(&e, 1).
+  void OnEvent(const graph::Event& e) { OnEvents(&e, 1); }
 
   /// Split inspection for batched serving. BeginInspect runs everything up
   /// to (but excluding) the model analysis: counters, cache-key build,

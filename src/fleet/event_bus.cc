@@ -179,10 +179,11 @@ Status EventBus::Apply(int k, BusMessage& msg) {
     case BusMessage::Kind::kRemoveRule:
       return engine.TryRemoveRule(msg.home, msg.rule_id);
     case BusMessage::Kind::kEventBatch: {
-      // Events apply in vector order — the batch is the home's FIFO
-      // segment. A failing event does not abort the rest (same
-      // keep-going contract as separate messages); the first failure is
-      // the message's apply outcome, counted once by the caller.
+      // Events apply in vector order with one engine call — the batch is
+      // the home's FIFO segment. A failing event does not abort the rest
+      // (same keep-going contract as separate messages); the first
+      // failure is the message's apply outcome, counted once by the
+      // caller.
       // Exactly-once apply over an at-least-once transport: sequenced
       // batches (seq = first event's number, rest consecutive) skip the
       // prefix at or below the home's high-water mark — events applied
@@ -202,13 +203,13 @@ Status EventBus::Apply(int k, BusMessage& msg) {
                           static_cast<int64_t>(skip));
         }
       }
-      Status first;
-      for (size_t i = skip; i < msg.events.size(); ++i) {
-        Status st = engine.TryOnEvent(msg.home, msg.events[i]);
-        if (!st.ok() && first.ok()) first = st;
-        if (st.ok() && hw != nullptr) *hw = msg.seq + i;
+      size_t applied_end = 0;
+      Status st = engine.TryOnEvents(msg.home, msg.events.data() + skip,
+                                     msg.events.size() - skip, &applied_end);
+      if (applied_end > 0 && hw != nullptr) {
+        *hw = msg.seq + skip + applied_end - 1;
       }
-      return first;
+      return st;
     }
     case BusMessage::Kind::kTask:
       msg.task();

@@ -43,6 +43,21 @@ void SerializeDataset(const GraphDataset& ds, Writer* w) {
   }
 }
 
+// Smallest encodings, for bounding decoded counts by the bytes left (as
+// util::ListBound does): a graph is five u32/i32 counts and flags, a node
+// a rule plus its type and feature count.
+constexpr size_t kMinGraphBytes = 5 * 4;
+constexpr size_t kMinNodeBytes = rules::kMinRuleBytes + 2 * 4;
+
+// InvalidArgument unless `n` elements of at least `min_bytes` each fit in
+// what `r` has left, so a corrupt count is refused before it allocates.
+Status CheckCount(const Reader& r, uint32_t n, size_t min_bytes,
+                  const char* what) {
+  if (uint64_t{n} * min_bytes <= r.remaining()) return Status::OK();
+  return Status::InvalidArgument(std::string(what) +
+                                 " count exceeds file size");
+}
+
 }  // namespace
 
 Status DatasetStore::Save(const GraphDataset& ds, const std::string& path) {
@@ -79,11 +94,13 @@ Result<GraphDataset> DatasetStore::Load(const std::string& path) {
   }
   if (!r.U32(&num_graphs)) return Status::InvalidArgument("truncated header");
 
+  GLINT_RETURN_IF_ERROR(CheckCount(r, num_graphs, kMinGraphBytes, "graph"));
   GraphDataset ds;
   ds.graphs.reserve(num_graphs);
   for (uint32_t gi = 0; gi < num_graphs; ++gi) {
     uint32_t num_nodes;
     if (!r.U32(&num_nodes)) return Status::InvalidArgument("truncated graph");
+    GLINT_RETURN_IF_ERROR(CheckCount(r, num_nodes, kMinNodeBytes, "node"));
     InteractionGraph g;
     for (uint32_t ni = 0; ni < num_nodes; ++ni) {
       Node node;
@@ -94,6 +111,7 @@ Result<GraphDataset> DatasetStore::Load(const std::string& path) {
       if (!r.I32(&node.type) || !r.U32(&feat_len)) {
         return Status::InvalidArgument("truncated node");
       }
+      GLINT_RETURN_IF_ERROR(CheckCount(r, feat_len, 4, "feature"));
       node.features.resize(feat_len);
       for (auto& f : node.features) {
         if (!r.F32(&f)) return Status::InvalidArgument("truncated features");
@@ -115,6 +133,7 @@ Result<GraphDataset> DatasetStore::Load(const std::string& path) {
       return Status::InvalidArgument("truncated label");
     }
     g.set_vulnerable(vul != 0);
+    GLINT_RETURN_IF_ERROR(CheckCount(r, nt, 4, "threat type"));
     std::vector<ThreatType> types(nt);
     for (auto& t : types) {
       int32_t v;
@@ -123,6 +142,7 @@ Result<GraphDataset> DatasetStore::Load(const std::string& path) {
     }
     g.set_threat_types(std::move(types));
     if (!r.U32(&nculprit)) return Status::InvalidArgument("truncated culprits");
+    GLINT_RETURN_IF_ERROR(CheckCount(r, nculprit, 4, "culprit"));
     std::vector<int> culprits(nculprit);
     for (auto& c : culprits) {
       if (!r.I32(&c)) return Status::InvalidArgument("truncated culprit");

@@ -101,26 +101,34 @@ bool LiveGraph::RemoveRule(int rule_id) {
   return true;
 }
 
-void LiveGraph::OnEvent(const Event& e) {
-  GLINT_OBS_COUNT("glint.live.events", 1);
-  auto it = retained_.end();
-  while (it != retained_.begin() && (it - 1)->time_hours > e.time_hours) --it;
-  retained_.insert(it, e);
-  latest_ = std::max(latest_, e.time_hours);
-
-  for (auto& entry : entries_) {
-    if (EventFiresTrigger(e, entry.rule)) {
-      InsertTime(&entry.trigger_times, e.time_hours);
+void LiveGraph::OnEvents(const Event* events, size_t n) {
+  GLINT_OBS_COUNT("glint.live.events", static_cast<int64_t>(n));
+  for (size_t i = 0; i < n; ++i) {
+    latest_ = std::max(latest_, events[i].time_hours);
+  }
+  Prune();
+  const double horizon = latest_ - config_.window_hours;
+  for (size_t i = 0; i < n; ++i) {
+    const Event& e = events[i];
+    if (e.time_hours < horizon) continue;  // already outside every window
+    auto it = retained_.end();
+    while (it != retained_.begin() && (it - 1)->time_hours > e.time_hours) {
+      --it;
     }
-    for (const auto& a : entry.rule.actions) {
-      if (e.device == a.device &&
-          rules::CommandAssertsState(a.command, e.state)) {
-        InsertTime(&entry.effect_times, e.time_hours);
-        break;
+    retained_.insert(it, e);
+    for (auto& entry : entries_) {
+      if (EventFiresTrigger(e, entry.rule)) {
+        InsertTime(&entry.trigger_times, e.time_hours);
+      }
+      for (const auto& a : entry.rule.actions) {
+        if (e.device == a.device &&
+            rules::CommandAssertsState(a.command, e.state)) {
+          InsertTime(&entry.effect_times, e.time_hours);
+          break;
+        }
       }
     }
   }
-  Prune();
 }
 
 void LiveGraph::Prune() {

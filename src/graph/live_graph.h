@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -55,10 +56,21 @@ class LiveGraph {
   /// pair matrices and its observation times). Returns false if absent.
   bool RemoveRule(int rule_id);
 
-  /// Ingests one event: updates the matching rules' trigger/effect time
-  /// lists and prunes observations that have slid out of every possible
-  /// future window. Events must arrive (approximately) chronologically.
-  void OnEvent(const Event& e);
+  /// Ingests `n` events in order: raises the watermark to the largest
+  /// time among them, prunes observations that have slid out of every
+  /// possible future window once, then inserts each event at or after the
+  /// new horizon into the retained events and the matching rules'
+  /// trigger/effect time lists (a sorted insert from the back: events
+  /// must arrive approximately chronologically, and an event tied with a
+  /// retained one goes after it). The state afterwards equals n single
+  /// OnEvent calls: an event one of those calls would insert and a later
+  /// one prune lies below the final horizon, and pruning drops a prefix,
+  /// so it never reorders what stays. Pruning before inserting keeps
+  /// retained_events() from growing past the window's contents.
+  /// Event times must be finite (ServingEngine refuses the others).
+  void OnEvents(const Event* events, size_t n);
+  /// One event: OnEvents(&e, 1).
+  void OnEvent(const Event& e) { OnEvents(&e, 1); }
 
   int num_rules() const { return static_cast<int>(entries_.size()); }
 

@@ -1,5 +1,11 @@
 #include "util/crc32c.h"
 
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 namespace glint::util {
 namespace {
 
@@ -33,7 +39,7 @@ const Tables& tables() {
 
 }  // namespace
 
-uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t n) {
+uint32_t Crc32cExtendTable(uint32_t crc, const void* data, size_t n) {
   const Tables& tb = tables();
   const unsigned char* p = static_cast<const unsigned char*>(data);
   crc = ~crc;
@@ -50,6 +56,45 @@ uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t n) {
     crc = (crc >> 8) ^ tb.t[0][(crc ^ *p++) & 0xff];
   }
   return ~crc;
+}
+
+#if defined(__x86_64__)
+
+// The SSE4.2 `crc32` instruction computes the reflected Castagnoli CRC
+// without the initial and final inversion, so it folds into the same
+// running value the table path keeps.
+__attribute__((target("sse4.2"))) uint32_t Crc32cExtendHardware(
+    uint32_t crc, const void* data, size_t n) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  uint64_t c = ~crc;
+  while (n >= 8) {
+    uint64_t word = 0;
+    std::memcpy(&word, p, sizeof word);
+    c = _mm_crc32_u64(c, word);
+    p += 8;
+    n -= 8;
+  }
+  uint32_t c32 = static_cast<uint32_t>(c);
+  while (n-- > 0) c32 = _mm_crc32_u8(c32, *p++);
+  return ~c32;
+}
+
+bool Crc32cHardwareAvailable() { return __builtin_cpu_supports("sse4.2"); }
+
+#else
+
+uint32_t Crc32cExtendHardware(uint32_t crc, const void* data, size_t n) {
+  return Crc32cExtendTable(crc, data, n);
+}
+
+bool Crc32cHardwareAvailable() { return false; }
+
+#endif
+
+uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t n) {
+  static const auto impl = Crc32cHardwareAvailable() ? &Crc32cExtendHardware
+                                                     : &Crc32cExtendTable;
+  return impl(crc, data, n);
 }
 
 }  // namespace glint::util

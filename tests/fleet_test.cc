@@ -616,6 +616,67 @@ TEST_F(FleetTest, ApplyErrorsAreCountedNotThrown) {
   bus.Stop();
 }
 
+// A sequenced batch meets a failed WAL append: the bus applies it with one
+// engine call, the failed event takes no effect and the others do. The
+// home's seq mark is the last event that took effect, so after a failure
+// mid-batch a retransmit is dropped whole, and after a failure on the
+// batch's last event a retransmit applies only that event.
+TEST_F(FleetTest, FailedAppendInABatchMovesTheSeqMarkPastAppliedEvents) {
+  FleetConfig cfg;
+  cfg.num_shards = 2;
+  cfg.state_dir = Dir("batch-append-fault");
+  ShardedFleet fleet(detector_, cfg);
+  ASSERT_TRUE(fleet.Recover().ok());
+  const HomeId home = "wal-home";
+  const auto pool = RulePool(2);
+  ASSERT_TRUE(fleet.TryAddHome(home, pool).ok());
+  EventBus::Config bc;
+  bc.manual_drain = true;
+  EventBus bus(&fleet, bc);
+  const int k = fleet.ShardOf(home);
+  auto events_applied = [&] {
+    const core::ServingEngine& engine = fleet.shard(k);
+    return engine.home_view(engine.ResolveHome(home)).Stats().events;
+  };
+  auto batch = [&](uint64_t seq, double t0) {
+    BusMessage m;
+    m.kind = BusMessage::Kind::kEventBatch;
+    m.home = home;
+    m.seq = seq;
+    for (int i = 0; i < 4; ++i) {
+      m.events.push_back(EventFor(pool[static_cast<size_t>(i) % 2],
+                                  t0 + 0.1 * i));
+    }
+    return m;
+  };
+  auto post = [&](const BusMessage& m) {
+    ASSERT_TRUE(bus.PostBatch(m).ok());
+    EXPECT_EQ(bus.DrainOnce(k), 1u);
+  };
+
+  fault::Registry::Global().Arm("wal.append.write", fault::Mode::kFail, 2);
+  const BusMessage first = batch(1, 0.5);
+  post(first);
+  EXPECT_EQ(bus.apply_errors(), 1u);
+  EXPECT_EQ(bus.FirstError(k).code(), StatusCode::kIOError);
+  EXPECT_EQ(events_applied(), 3u);
+  post(first);  // the mark is at seq 4: nothing re-applies
+  EXPECT_EQ(bus.dedup_dropped(), 4u);
+  EXPECT_EQ(events_applied(), 3u);
+
+  fault::Registry::Global().Arm("wal.append.write", fault::Mode::kFail, 4);
+  const BusMessage second = batch(5, 1.0);
+  post(second);
+  EXPECT_EQ(bus.apply_errors(), 2u);
+  EXPECT_EQ(events_applied(), 6u);
+  post(second);  // the mark is at seq 7: only seq 8 applies
+  EXPECT_EQ(bus.dedup_dropped(), 4u + 3u);
+  EXPECT_EQ(bus.apply_errors(), 2u);
+  EXPECT_EQ(events_applied(), 7u);
+  EXPECT_EQ(fleet.shard(k).journal_seq(), 1u + 7u);
+  bus.Stop();
+}
+
 // ---- RunOnShard: the race-free read path --------------------------------
 
 TEST_F(FleetTest, RunOnShardRunsBehindEverythingAccepted) {
@@ -891,6 +952,59 @@ TEST_F(FleetTest, NonFiniteInspectTimeIsRefusedOverTheWire) {
   req.now_hours = 1.0;
   ASSERT_TRUE(client.Call(req, &reply).ok());
   EXPECT_EQ(reply.code, 0) << reply.message;
+  client.Close();
+  server.Stop();
+}
+
+// An event time from the client that is not finite is refused at apply:
+// the rest of its batch applies, and the home keeps answering finite
+// inspections (an event at +inf used to make every later inspection
+// "precede the latest ingested event").
+TEST_F(FleetTest, NonFiniteEventTimeIsRefusedOverTheWire) {
+  FleetConfig cfg;
+  cfg.num_shards = 2;
+  ShardedFleet fleet(detector_, cfg);
+  FleetServer server(&fleet, {});
+  ASSERT_TRUE(server.Start().ok());
+  wire::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+
+  auto pool = RulePool(2);
+  wire::Request req;
+  wire::Reply reply;
+  req.type = wire::MsgType::kAddHome;
+  req.home = "inf-a";
+  req.rules = {pool[0], pool[1]};
+  ASSERT_TRUE(client.Call(req, &reply).ok());
+  EXPECT_EQ(reply.code, 0) << reply.message;
+
+  req = wire::Request();
+  req.type = wire::MsgType::kEventBatch;
+  req.home = "inf-a";
+  req.events = {EventFor(pool[0], 0.5),
+                EventFor(pool[1], std::numeric_limits<double>::infinity()),
+                EventFor(pool[1], std::numeric_limits<double>::quiet_NaN()),
+                EventFor(pool[0], 0.7)};
+  ASSERT_TRUE(client.Call(req, &reply).ok());
+  EXPECT_EQ(reply.code, 0) << reply.message;  // acked at enqueue
+
+  for (double now : {5.0, 1e300}) {
+    req = wire::Request();
+    req.type = wire::MsgType::kInspect;
+    req.home = "inf-a";
+    req.now_hours = now;
+    ASSERT_TRUE(client.Call(req, &reply).ok()) << now;
+    ASSERT_EQ(reply.type, wire::MsgType::kWarning) << now;
+    EXPECT_EQ(reply.code, 0) << now << ": " << reply.message;
+  }
+  req = wire::Request();
+  req.type = wire::MsgType::kStats;
+  ASSERT_TRUE(client.Call(req, &reply).ok());
+  ASSERT_EQ(reply.type, wire::MsgType::kStatsReply);
+  EXPECT_EQ(reply.events, 2u);
+  EXPECT_EQ(reply.bus_apply_errors, 1u);
+  EXPECT_EQ(server.bus().FirstError(fleet.ShardOf("inf-a")).code(),
+            StatusCode::kInvalidArgument);
   client.Close();
   server.Stop();
 }

@@ -7,6 +7,8 @@
 #include "graph/threat_analyzer.h"
 #include "nlp/embedding.h"
 #include "rules/corpus.h"
+#include "rules/rule_io.h"
+#include "util/binio.h"
 
 namespace glint::graph {
 namespace {
@@ -588,6 +590,40 @@ TEST(DatasetStoreTest, LoadRejectsGarbage) {
   fclose(f);
   auto r = DatasetStore::Load(path);
   EXPECT_FALSE(r.ok());
+  std::remove(path.c_str());
+}
+
+// Counts are bounded by the bytes left before anything is allocated for
+// them: a 12-byte file claiming 2^32-1 graphs, and a one-graph file whose
+// node claims 2^32-1 features, are InvalidArgument, not std::bad_alloc.
+TEST(DatasetStoreTest, LoadRefusesCountsTheFileCannotHold) {
+  const std::string path = "/tmp/glint_store_counts.bin";
+  auto load = [&](const util::ByteWriter& w) {
+    FILE* f = fopen(path.c_str(), "wb");
+    fwrite(w.buffer().data(), 1, w.buffer().size(), f);
+    fclose(f);
+    return DatasetStore::Load(path);
+  };
+  util::ByteWriter graphs;
+  graphs.U32(0x474c4e54);  // "GLNT"
+  graphs.U32(2);
+  graphs.U32(0xFFFFFFFFu);
+  ASSERT_EQ(graphs.buffer().size(), 12u);
+  auto r = load(graphs);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+
+  util::ByteWriter features;
+  features.U32(0x474c4e54);
+  features.U32(2);
+  features.U32(1);  // one graph
+  features.U32(1);  // one node
+  rules::WriteRule(&features, rules::Rule{});
+  features.I32(0);            // node type
+  features.U32(0xFFFFFFFFu);  // feature count
+  r = load(features);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
 }
 

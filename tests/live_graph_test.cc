@@ -4,6 +4,8 @@
 // GraphBuilder::BuildFromRules / BuildRealTime over the same rules and
 // events (same node order, same edge insertion order, same labels).
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include "graph/event_log.h"
 #include "graph/live_graph.h"
 #include "rules/corpus.h"
+#include "util/binio.h"
 #include "util/rng.h"
 
 namespace glint::graph {
@@ -193,6 +196,79 @@ TEST(LiveGraphTest, EdgesMatchMaterializedGraph) {
   for (size_t k = 0; k < edges.size(); ++k) {
     EXPECT_EQ(edges[k].src, g.edges()[k].src);
     EXPECT_EQ(edges[k].dst, g.edges()[k].dst);
+  }
+}
+
+std::vector<char> Serialized(const LiveGraph& g) {
+  util::ByteWriter w;
+  g.SerializeTo(&w);
+  return w.TakeBuffer();
+}
+
+// OnEvents(batch) is n OnEvent calls: over seeded homes and event streams
+// with stale (older than the window), out-of-order and tied times, fed in
+// batches of 1-64 events, the serialized state and the real-time edges
+// match per-event ingestion at every batch boundary. Pruning before the
+// inserts also keeps the retained events' allocation no larger than
+// per-event ingestion leaves it.
+TEST(LiveGraphTest, BatchedEventsMatchPerEventIngestion) {
+  const auto pool = Pool();
+  constexpr double kWindow = 3.0;
+  constexpr size_t kEvents = 400;
+  Rng rng(53);
+  for (int home = 0; home < 300; ++home) {
+    SCOPED_TRACE("home " + std::to_string(home));
+    LiveGraph single = MakeLive(kWindow);
+    LiveGraph batched = MakeLive(kWindow);
+    LiveGraph batched64 = MakeLive(kWindow);
+    const size_t n_rules = 2 + rng.Below(5);
+    const size_t first = rng.Below(pool.size() - n_rules);
+    for (size_t i = 0; i < n_rules; ++i) {
+      single.AddRule(pool[first + i]);
+      batched.AddRule(pool[first + i]);
+      batched64.AddRule(pool[first + i]);
+    }
+    const auto rules = single.CurrentRules();
+    std::vector<Event> events;
+    double clock = rng.Uniform(0.0, 10.0);
+    while (events.size() < kEvents) {
+      const double r = rng.Uniform();
+      double t = clock;  // r < 0.45: tied with the newest event
+      if (r < 0.1) {
+        t = clock - kWindow - rng.Uniform(0.0, 2.0);  // stale
+      } else if (r < 0.3) {
+        t = clock - rng.Uniform(0.0, 1.0);  // out of order
+      } else if (r >= 0.45) {
+        clock += rng.Uniform(0.0, 0.3);
+        t = clock;
+      }
+      const auto& rule = rules[rng.Below(rules.size())];
+      events.push_back(
+          (rng.Chance(0.5) || rule.actions.empty())
+              ? TriggerEvent(rule, t)
+              : EffectEvent(rule, rng.Below(rule.actions.size()), t));
+    }
+    for (size_t i = 0; i < kEvents;) {
+      const size_t n = std::min<size_t>(1 + rng.Below(64), kEvents - i);
+      for (size_t k = i; k < i + n; ++k) single.OnEvent(events[k]);
+      batched.OnEvents(&events[i], n);
+      i += n;
+      ASSERT_EQ(Serialized(batched), Serialized(single)) << "after " << i;
+      const double now = single.latest_event_hours();
+      const auto want = single.RealTimeEdges(now);
+      const auto got = batched.RealTimeEdges(now);
+      ASSERT_EQ(got.size(), want.size()) << "after " << i;
+      for (size_t k = 0; k < want.size(); ++k) {
+        ASSERT_EQ(got[k].src, want[k].src) << "after " << i;
+        ASSERT_EQ(got[k].dst, want[k].dst) << "after " << i;
+      }
+    }
+    for (size_t i = 0; i < kEvents; i += 64) {
+      batched64.OnEvents(&events[i], std::min<size_t>(64, kEvents - i));
+    }
+    ASSERT_EQ(Serialized(batched64), Serialized(single));
+    EXPECT_LE(batched64.retained_events().capacity(),
+              single.retained_events().capacity());
   }
 }
 

@@ -15,7 +15,9 @@
 #include <cstdio>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "codec_fixtures.h"
@@ -689,6 +691,118 @@ TEST_F(RecoveryTest, EveryStrictPrefixOfAWalRecordIsInvalidArgument) {
     }
     records.push_back(golden);
   }
+}
+
+// Replay refuses an event record at a non-finite time, as the live path
+// refuses the event: it would pin the home's watermark at infinity.
+TEST_F(RecoveryTest, WalEventAtNonFiniteTimeIsInvalidArgument) {
+  const std::string dir = Dir("golden-inf");
+  {
+    ServingEngine empty(detector_);
+    ASSERT_TRUE(empty.Recover(dir).ok());
+  }
+  const std::vector<char> header = ReadFile(dir + "/wal.log");
+  ASSERT_EQ(header.size(), 8u);
+  std::vector<char> event = Unhex(kGoldenWalHex[3]);
+  ASSERT_EQ(event[0], 4);  // kOpEvent | u32 slot | f64 time | ...
+  const double inf = std::numeric_limits<double>::infinity();
+  std::memcpy(event.data() + 5, &inf, sizeof inf);
+  WriteWal(dir + "/wal.log", header, {Unhex(kGoldenWalHex[0]), event});
+  ServingEngine engine(detector_);
+  Status st = engine.Recover(dir);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("not a finite number"), std::string::npos)
+      << st.ToString();
+}
+
+// One engine call per batch writes what one call per event writes: a
+// durable engine fed runs of events through TryOnEvents leaves wal.log and
+// snapshot.bin byte-identical, after every run, to one fed the same events
+// through TryOnEvent. The snapshot cadence (7 ops) falls due inside
+// batches; one batch carries an event at +inf (refused, nothing journaled)
+// and meets a failed WAL append on its fourth event: the events before it
+// apply, the failed one does not, the ones after it do.
+TEST_F(RecoveryTest, BatchedEventsWriteThePerEventBytes) {
+  ServingEngine::Config cfg;
+  cfg.snapshot_every_ops = 7;
+  const auto rules = HomeRules(6);
+  const HomeId ids[2] = {"batch-a", "batch-b"};
+  const size_t sizes[] = {1, 5, 3, 8, 2, 6, 1, 9, 4};
+  constexpr size_t kFaultRun = 3;  // sizes[3] == 8
+  constexpr double kFailedAt = 1.5;
+  const std::string single_dir = Dir("batch-single");
+  const std::string batch_dir = Dir("batch-batched");
+  ServingEngine single(detector_, cfg);
+  ServingEngine batched(detector_, cfg);
+  for (auto [engine, dir] : {std::pair{&single, single_dir},
+                             std::pair{&batched, batch_dir}}) {
+    ASSERT_TRUE(engine->Recover(dir).ok());
+    ASSERT_TRUE(engine->TryAddHome(ids[0], {rules[0], rules[1]}).ok());
+    ASSERT_TRUE(engine->TryAddHome(ids[1], {rules[3], rules[4]}).ok());
+  }
+  double t = 0.0;
+  size_t snapshots_seen = 0;
+  std::vector<char> last_snapshot;
+  for (size_t r = 0; r < std::size(sizes); ++r) {
+    SCOPED_TRACE("run " + std::to_string(r));
+    const HomeId& home = ids[r % 2];
+    std::vector<graph::Event> run;
+    for (size_t k = 0; k < sizes[r]; ++k) {
+      t += 0.03;
+      run.push_back(EventFor(rules[(r + k) % rules.size()], t));
+    }
+    if (r == kFaultRun) {
+      run[1].time_hours = std::numeric_limits<double>::infinity();
+      run[3].time_hours = kFailedAt;  // the 3rd append of the run fails
+      fault::Registry::Global().Arm("wal.append.write", fault::Mode::kFail,
+                                    3);
+    }
+    for (size_t k = 0; k < run.size(); ++k) {
+      const Status st = single.TryOnEvent(home, run[k]);
+      if (r == kFaultRun && k == 1) {
+        EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+      } else if (r == kFaultRun && k == 3) {
+        EXPECT_EQ(st.code(), StatusCode::kIOError);
+      } else {
+        EXPECT_TRUE(st.ok()) << "event " << k << ": " << st.ToString();
+      }
+    }
+    if (r == kFaultRun) {
+      fault::Registry::Global().Arm("wal.append.write", fault::Mode::kFail,
+                                    3);
+    }
+    size_t applied_end = 0;
+    const Status st =
+        batched.TryOnEvents(home, run.data(), run.size(), &applied_end);
+    EXPECT_EQ(applied_end, run.size());
+    if (r == kFaultRun) {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);  // first failure
+    } else {
+      EXPECT_TRUE(st.ok()) << st.ToString();
+    }
+    fault::Registry::Global().Clear();
+
+    EXPECT_EQ(batched.journal_seq(), single.journal_seq());
+    const std::vector<char> wal = ReadFile(single_dir + "/wal.log");
+    const std::vector<char> snapshot = ReadFile(single_dir + "/snapshot.bin");
+    ASSERT_GE(wal.size(), 8u);
+    ASSERT_EQ(ReadFile(batch_dir + "/wal.log"), wal);
+    ASSERT_EQ(ReadFile(batch_dir + "/snapshot.bin"), snapshot);
+    if (snapshot != last_snapshot) ++snapshots_seen;
+    last_snapshot = snapshot;
+  }
+  EXPECT_GE(snapshots_seen, 4u);
+  // Neither refused event took effect; every other one did.
+  size_t events = 0;
+  for (size_t n : sizes) events += n;
+  EXPECT_EQ(batched.journal_seq(), 2 + events - 2);
+  const auto& live = batched.home_view(1).live();
+  for (const auto& e : live.retained_events()) {
+    EXPECT_NE(e.time_hours, kFailedAt);
+  }
+  // A finite inspection still succeeds after the +inf event.
+  EXPECT_TRUE(batched.TryInspect(ids[1], kInspectHour).ok());
+  EXPECT_EQ(Fingerprint(&batched), Fingerprint(&single));
 }
 
 }  // namespace

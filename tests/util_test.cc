@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "util/binio.h"
 #include "util/crc32c.h"
@@ -242,6 +243,30 @@ TEST(Crc32cTest, ExtendMatchesOneShot) {
     uint32_t crc = Crc32cExtend(0, data, split);
     crc = Crc32cExtend(crc, data + split, n - split);
     EXPECT_EQ(crc, whole) << "split at " << split;
+  }
+}
+
+TEST(Crc32cTest, HardwareMatchesTableAtEveryLengthAndAlignment) {
+  EXPECT_EQ(util::Crc32cExtendTable(0, "123456789", 9), 0xE3069283u);
+  if (!util::Crc32cHardwareAvailable()) {
+    GTEST_SKIP() << "no SSE4.2 crc32 on this CPU";
+  }
+  EXPECT_EQ(util::Crc32cExtendHardware(0, "123456789", 9), 0xE3069283u);
+  std::vector<unsigned char> buf(8 + 300);
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<unsigned char>(i * 131 + 7);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; n <= 300; ++n) {
+      const unsigned char* p = buf.data() + offset;
+      ASSERT_EQ(util::Crc32cExtendHardware(0, p, n),
+                util::Crc32cExtendTable(0, p, n))
+          << "offset " << offset << " length " << n;
+      // A running checksum continues the same way on both paths.
+      ASSERT_EQ(util::Crc32cExtendHardware(0x12345678u, p, n),
+                util::Crc32cExtendTable(0x12345678u, p, n))
+          << "offset " << offset << " length " << n;
+    }
   }
 }
 
