@@ -88,67 +88,91 @@ Status Journal::OpenWal(bool truncate) {
     if (std::fflush(wal_) != 0) {
       return ErrnoStatus("cannot flush WAL header", wal_path());
     }
+    size += static_cast<long>(sizeof header);
   }
+  // Appends advance the end by what they write; no append asks the file.
+  end_ = static_cast<size_t>(size);
   return Status::OK();
 }
 
-Status Journal::Append(uint64_t seq, const std::vector<char>& payload) {
+util::ByteWriter& Journal::StartRecord(uint64_t seq) {
   GLINT_CHECK(recovered_);  // Recover() opens the WAL
-  if (wal_ == nullptr) {
-    // A previous post-snapshot reopen failed; refuse instead of writing
-    // through a dead handle.
-    return Status::IOError("WAL not open: " + wal_path());
+  CloseRecord();
+  open_record_ = run_.size();
+  run_.U32(0);  // body length and checksum, written by CloseRecord
+  run_.U32(0);
+  run_.U64(seq);
+  ++run_records_;
+  return run_;
+}
+
+void Journal::CloseRecord() {
+  if (open_record_ == kNoRecord) return;
+  const size_t body = open_record_ + kRecordFrameBytes;
+  const size_t len = run_.size() - body;
+  run_.U32At(open_record_, static_cast<uint32_t>(len));
+  run_.U32At(open_record_ + sizeof(uint32_t),
+             util::Crc32c(run_.buffer().data() + body, len));
+  last_record_ = open_record_;
+  open_record_ = kNoRecord;
+}
+
+Status Journal::WriteRun() {
+  const std::vector<char>& bytes = run_.buffer();
+  GLINT_FAULT_POINT("wal.append.write");
+  size_t written = 0;
+  if (fault::Registry::Armed()) {
+    // Push every record of the run but the last, and the last one's frame
+    // without its body, to the OS before the tear point, so a crash here
+    // leaves whole records followed by a torn one: the shape recovery
+    // must cut back to a record boundary. Unarmed appends stay one
+    // buffered write + one flush.
+    written = last_record_ + kRecordFrameBytes;
+    if (std::fwrite(bytes.data(), 1, written, wal_) != written) {
+      return ErrnoStatus("cannot append WAL run", wal_path());
+    }
+    std::fflush(wal_);
+    GLINT_FAULT_POINT("wal.append.tear");
   }
-  GLINT_OBS_COUNT("glint.journal.appends", 1);
-  util::ByteWriter frame;
-  const uint32_t body_len =
-      static_cast<uint32_t>(sizeof(uint64_t) + payload.size());
-  util::ByteWriter body;
-  body.U64(seq);
-  body.Raw(payload.data(), payload.size());
-  frame.U32(body_len);
-  frame.U32(util::Crc32c(body.buffer().data(), body.buffer().size()));
+  const size_t rest = bytes.size() - written;
+  if (std::fwrite(bytes.data() + written, 1, rest, wal_) != rest) {
+    return ErrnoStatus("cannot append WAL run", wal_path());
+  }
+  GLINT_FAULT_POINT("wal.append.flush");
+  if (std::fflush(wal_) != 0) {
+    return ErrnoStatus("cannot flush WAL", wal_path());
+  }
+  return config_.sync_each_append ? Sync() : Status::OK();
+}
 
-  // The stdio buffer is empty here (every append ends with a flush), so
-  // ftell is the true record boundary; a failed append is rolled back to
-  // it so the next append cannot emit a duplicate-seq or interleaved
-  // record after a transient failure.
-  const long start_off = std::ftell(wal_);
-
-  Status st = [&]() -> Status {
-    GLINT_FAULT_POINT("wal.append.write");
-    if (std::fwrite(frame.buffer().data(), 1, frame.size(), wal_) !=
-        frame.size()) {
-      return ErrnoStatus("cannot append WAL frame", wal_path());
-    }
-    if (fault::Registry::Armed()) {
-      // Push the frame to the OS before the tear point so a crash here
-      // leaves a frame-without-body torn record on disk — the torn-write
-      // shape recovery must detect and truncate. Unarmed appends stay one
-      // buffered write + one flush.
-      std::fflush(wal_);
-      GLINT_FAULT_POINT("wal.append.tear");
-    }
-    if (std::fwrite(body.buffer().data(), 1, body.size(), wal_) !=
-        body.size()) {
-      return ErrnoStatus("cannot append WAL record", wal_path());
-    }
-    GLINT_FAULT_POINT("wal.append.flush");
-    if (std::fflush(wal_) != 0) {
-      return ErrnoStatus("cannot flush WAL", wal_path());
-    }
-    return Status::OK();
-  }();
+Status Journal::AppendRun() {
+  GLINT_CHECK(run_records_ > 0);
+  CloseRecord();
+  const size_t records = run_records_;
+  const size_t bytes = run_.size();
+  // With no WAL open (a post-snapshot reopen failed, or a rollback did),
+  // refuse instead of writing through a dead handle.
+  Status st = wal_ == nullptr ? Status::IOError("WAL not open: " + wal_path())
+                              : WriteRun();
+  run_.Clear();
+  run_records_ = 0;
   if (!st.ok()) {
-    if (start_off >= 0) {
+    if (wal_ != nullptr) {
+      // Nothing of the failed run may stay in the file. If the file
+      // cannot be cut back to the last run's end, close it: the next
+      // append is refused rather than written after a torn run.
       std::fflush(wal_);
-      if (::ftruncate(fileno(wal_), static_cast<off_t>(start_off)) == 0) {
+      if (::ftruncate(fileno(wal_), static_cast<off_t>(end_)) == 0) {
         std::fseek(wal_, 0, SEEK_END);
+      } else {
+        CloseWal();
       }
     }
     return st;
   }
-  if (config_.sync_each_append) return Sync();
+  end_ += bytes;
+  GLINT_OBS_COUNT("glint.journal.appends", static_cast<int64_t>(records));
+  GLINT_OBS_COUNT("glint.journal.writes", 1);
   return Status::OK();
 }
 

@@ -15,8 +15,11 @@
 //   u32 crc32c(payload) | payload
 //
 // Durability contract:
-//   - Append writes the full record then flushes to the OS; a crash can
-//     lose or tear only the *tail* record, never a middle one.
+//   - AppendRun writes a run of n >= 1 records with one write and one
+//     flush to the OS; a crash can lose or tear only the *tail* run (a
+//     prefix of its records may survive whole), never a middle one. A
+//     failed append truncates the file back to the end of the last run
+//     written, so none of the failed run's records survive.
 //   - WriteSnapshot stages to snapshot.bin.tmp, fsyncs, renames over the
 //     old snapshot (atomic on POSIX), fsyncs the directory, and only then
 //     truncates the WAL — a crash at any step leaves either the old
@@ -36,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "util/binio.h"
 #include "util/status.h"
 
 namespace glint::core {
@@ -43,9 +47,9 @@ namespace glint::core {
 class Journal {
  public:
   struct Config {
-    /// fsync the WAL after every Append. Off by default: the torn-tail
-    /// detection already bounds loss to the final record, and serving
-    /// workloads append per event.
+    /// fsync the WAL after every AppendRun. Off by default: the torn-tail
+    /// detection already bounds loss to the final run, and serving
+    /// workloads append per event batch.
     bool sync_each_append = false;
   };
 
@@ -73,23 +77,28 @@ class Journal {
   /// Creates the state directory if needed, loads the snapshot (if one
   /// exists) through `apply_snapshot`, replays the WAL tail through
   /// `apply_record` (already filtered to seq > snapshot seq), truncates a
-  /// torn/corrupt tail, and leaves the WAL open for Append. Must be called
-  /// exactly once, before any Append/WriteSnapshot.
+  /// torn/corrupt tail, and leaves the WAL open for appends. Must be
+  /// called exactly once, before any StartRecord/WriteSnapshot.
   Status Recover(
       const std::function<Status(const std::vector<char>&)>& apply_snapshot,
       const std::function<Status(uint64_t, const std::vector<char>&)>&
           apply_record,
       RecoveryInfo* info);
 
-  /// Appends one operation record. On any error (including an injected
-  /// fault) the record is not considered durable, the file is rolled back
-  /// to the previous record boundary (so a later append after a transient
-  /// failure cannot leave a duplicate or interleaved record), and the
-  /// caller must not apply the operation.
-  Status Append(uint64_t seq, const std::vector<char>& payload);
+  /// Starts record `seq` of the pending run and returns the writer that
+  /// takes its operation bytes. The journal frames the record (length and
+  /// checksum) when the next one starts or the run is appended. Records
+  /// are framed in place in one buffer the journal keeps, so a run
+  /// allocates nothing once that buffer has grown.
+  util::ByteWriter& StartRecord(uint64_t seq);
 
-  /// fsyncs the WAL (no-op if nothing appended since the last sync).
-  Status Sync();
+  /// Appends the pending run (at least one record) with one write and
+  /// one flush, then empties it. On any error (including an injected
+  /// fault) no record of the run is durable: the file is truncated back
+  /// to the end of the last run written (so a later append after a
+  /// transient failure cannot leave a duplicate or interleaved record),
+  /// and the caller must apply none of the run's operations.
+  Status AppendRun();
 
   /// Atomically replaces the snapshot with `payload` (covering every op up
   /// to and including `seq`) and truncates the WAL.
@@ -98,11 +107,30 @@ class Journal {
  private:
   Status OpenWal(bool truncate);
   Status CloseWal();
+  /// Writes the open record's length and checksum into its frame.
+  void CloseRecord();
+  /// Writes the pending run to the file (the fault points, the write,
+  /// the flush and the optional fsync); AppendRun rolls back on failure.
+  Status WriteRun();
+  /// fsyncs the WAL.
+  Status Sync();
+
+  static constexpr size_t kNoRecord = SIZE_MAX;
 
   std::string dir_;
   Config config_;
   std::FILE* wal_ = nullptr;
   bool recovered_ = false;
+  /// File offset one past the last record written: where a failed run
+  /// is truncated back to.
+  size_t end_ = 0;
+  /// The pending run, framed records back to back.
+  util::ByteWriter run_;
+  size_t run_records_ = 0;
+  /// Offset in run_ of the record StartRecord opened (kNoRecord once it is
+  /// framed) and of the run's last record.
+  size_t open_record_ = kNoRecord;
+  size_t last_record_ = 0;
 };
 
 }  // namespace glint::core

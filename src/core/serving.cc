@@ -1,5 +1,6 @@
 #include "core/serving.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -164,29 +165,35 @@ Status CheckRecord(const char* op, bool decoded, const util::ByteReader& r,
 }  // namespace
 
 template <class Fields>
-Status ServingEngine::JournalOp(Op op, const Fields& fields) {
+Status ServingEngine::JournalRun(Op op, size_t n, const Fields& fields) {
   if (journal_ == nullptr) {
-    ++seq_;
+    seq_ += n;
     return Status::OK();
   }
-  util::ByteWriter w;
-  w.U8(op);
-  util::LayoutWriter io(&w);
-  fields(io);
+  for (size_t i = 0; i < n; ++i) {
+    util::ByteWriter& w = journal_->StartRecord(seq_ + 1 + i);
+    w.U8(op);
+    util::LayoutWriter io(&w);
+    fields(io, i);
+  }
   GLINT_OBS_TIMER(timer, "glint.serving.wal_append_ms");
-  GLINT_RETURN_IF_ERROR(journal_->Append(seq_ + 1, w.buffer()));
-  ++seq_;
-  ++ops_since_snapshot_;
+  GLINT_RETURN_IF_ERROR(journal_->AppendRun());
+  seq_ += n;
+  ops_since_snapshot_ += n;
   return Status::OK();
 }
 
-bool ServingEngine::SnapshotDue() const {
-  return journal_ != nullptr && config_.snapshot_every_ops != 0 &&
-         ops_since_snapshot_ >= config_.snapshot_every_ops;
+uint64_t ServingEngine::OpsUntilSnapshot() const {
+  if (journal_ == nullptr || config_.snapshot_every_ops == 0) {
+    return UINT64_MAX;
+  }
+  return ops_since_snapshot_ >= config_.snapshot_every_ops
+             ? 0
+             : config_.snapshot_every_ops - ops_since_snapshot_;
 }
 
 Status ServingEngine::MaybeAutoSnapshot() {
-  return SnapshotDue() ? Snapshot() : Status::OK();
+  return OpsUntilSnapshot() == 0 ? Snapshot() : Status::OK();
 }
 
 Status ServingEngine::ApplyRecord(const std::vector<char>& payload) {
@@ -288,7 +295,7 @@ void ServingEngine::ApplyEvents(uint32_t slot, const graph::Event* events,
 Result<int> ServingEngine::TryAddHome(
     const HomeId& id, const std::vector<rules::Rule>& deployed) {
   GLINT_RETURN_IF_ERROR(CheckNewHome(id));
-  GLINT_RETURN_IF_ERROR(JournalOp(kOpAddHome, [&](auto& io) {
+  GLINT_RETURN_IF_ERROR(JournalRun(kOpAddHome, 1, [&](auto& io, size_t) {
     return AddHomeFields(io, id, deployed);
   }));
   ApplyAddHome(id, deployed);
@@ -300,8 +307,9 @@ Status ServingEngine::TryAddRule(const HomeId& id, const rules::Rule& rule) {
   Result<int> h = RequireHome(id);
   GLINT_RETURN_IF_ERROR(h.status());
   const uint32_t slot = static_cast<uint32_t>(h.value());
-  GLINT_RETURN_IF_ERROR(JournalOp(
-      kOpAddRule, [&](auto& io) { return AddRuleFields(io, slot, rule); }));
+  GLINT_RETURN_IF_ERROR(JournalRun(kOpAddRule, 1, [&](auto& io, size_t) {
+    return AddRuleFields(io, slot, rule);
+  }));
   ApplyAddRule(slot, rule);
   return MaybeAutoSnapshot();
 }
@@ -322,7 +330,7 @@ Status ServingEngine::TryRemoveRule(const HomeId& id, int rule_id,
   }
   if (removed != nullptr) *removed = present;
   if (!present) return Status::OK();
-  GLINT_RETURN_IF_ERROR(JournalOp(kOpRemoveRule, [&](auto& io) {
+  GLINT_RETURN_IF_ERROR(JournalRun(kOpRemoveRule, 1, [&](auto& io, size_t) {
     return RemoveRuleFields(io, slot, rule_id);
   }));
   ApplyRemoveRule(slot, rule_id);
@@ -342,36 +350,39 @@ Status ServingEngine::TryOnEvents(const HomeId& id,
   GLINT_RETURN_IF_ERROR(h.status());
   const uint32_t slot = static_cast<uint32_t>(h.value());
   Status first;
-  size_t run = 0;  // first journaled event not yet applied
   size_t applied = 0;
-  auto apply_through = [&](size_t end) {  // applies the run [run, end)
-    if (end == run) return;
-    ApplyEvents(slot, events + run, end - run);
-    applied += end - run;
-    if (applied_end != nullptr) *applied_end = end;
-    run = end;
-  };
-  for (size_t i = 0; i < n; ++i) {
-    const graph::Event& e = events[i];
-    Status st = CheckEventTime(e);
-    if (st.ok()) {
-      st = JournalOp(kOpEvent,
-                     [&](auto& io) { return EventFields(io, slot, e); });
-    }
+  for (size_t i = 0; i < n;) {
+    Status st = CheckEventTime(events[i]);
     if (!st.ok()) {
-      // This event takes no effect; the journaled run before it applies.
-      apply_through(i);
-      run = i + 1;
+      // A refused event takes no effect; the next run starts after it.
       if (first.ok()) first = st;
+      ++i;
       continue;
     }
-    if (SnapshotDue()) {
-      apply_through(i + 1);
-      st = Snapshot();
-      if (!st.ok() && first.ok()) first = st;
+    // The run: every event up to the next refused one, cut where the
+    // snapshot cadence falls due so the snapshot lands at the same seq
+    // as with per-event calls.
+    const size_t cap =
+        i + static_cast<size_t>(std::min<uint64_t>(
+                n - i, std::max<uint64_t>(1, OpsUntilSnapshot())));
+    size_t end = i + 1;
+    while (end < cap && std::isfinite(events[end].time_hours)) ++end;
+    st = JournalRun(kOpEvent, end - i, [&](auto& io, size_t k) {
+      return EventFields(io, slot, events[i + k]);
+    });
+    if (!st.ok()) {
+      // Nothing from this run on takes effect, so what applied is a
+      // prefix and a retransmit of the batch applies exactly the rest.
+      if (first.ok()) first = st;
+      break;
     }
+    ApplyEvents(slot, events + i, end - i);
+    applied += end - i;
+    if (applied_end != nullptr) *applied_end = end;
+    i = end;
+    st = MaybeAutoSnapshot();
+    if (!st.ok() && first.ok()) first = st;
   }
-  apply_through(n);
   GLINT_OBS_COUNT("glint.serving.events", static_cast<int64_t>(applied));
   // Charge the apply stage of an in-flight fleet request trace (set by
   // the bus consumer around Apply — DESIGN.md §14). WAL appends and any

@@ -35,12 +35,12 @@ using HomeId = std::string;
 ///
 /// Durability (optional): Recover(dir) attaches a write-ahead log. Every
 /// state-changing operation (TryAddHome / TryAddRule / TryRemoveRule /
-/// TryOnEvents, one record per event) is appended to the WAL *before* it
-/// is applied; Snapshot() serializes every session and truncates the
-/// log. After a crash, a fresh engine calling Recover(dir) replays
-/// snapshot + tail and reaches a state whose InspectAll output is
-/// bit-identical to the uninterrupted run's (the recovery extension of
-/// the session-vs-cold determinism proof).
+/// TryOnEvents, one record per event and one write per run) is appended
+/// to the WAL *before* it is applied; Snapshot() serializes every session
+/// and truncates the log. After a crash, a fresh engine calling
+/// Recover(dir) replays snapshot + tail and reaches a state whose
+/// InspectAll output is bit-identical to the uninterrupted run's (the
+/// recovery extension of the session-vs-cold determinism proof).
 class ServingEngine {
  public:
   struct Config {
@@ -98,17 +98,19 @@ class ServingEngine {
   /// Routes one event to home `id`'s session: TryOnEvents(id, &e, 1).
   Status TryOnEvent(const HomeId& id, const graph::Event& e);
   /// Routes `n` events, in order, to home `id`'s session with one home
-  /// lookup, one `glint.serving.events` add and one apply trace mark. Each
-  /// event is journaled on its own (one kOpEvent record, the bytes
-  /// TryOnEvent writes), and each run of journaled events is applied with
-  /// one DeploymentSession::OnEvents. An event whose time is not finite
-  /// (InvalidArgument, nothing journaled) or whose WAL append fails
-  /// (IOError) takes no effect, and the rest still apply. An auto-snapshot
-  /// falls due after the same event as with per-event calls: the events
-  /// up to it are applied first. Returns the first failure.
+  /// lookup, one `glint.serving.events` add and one apply trace mark. The
+  /// batch is cut into runs at refused events and where an auto-snapshot
+  /// falls due; each run is journaled with one WAL write (one kOpEvent
+  /// record per event, the bytes TryOnEvent writes) and applied with one
+  /// DeploymentSession::OnEvents. An event whose time is not finite
+  /// (InvalidArgument, nothing journaled) takes no effect and the next
+  /// run starts after it. A run whose WAL append fails (IOError) stops
+  /// the batch: that run and every event after it take no effect. An
+  /// auto-snapshot falls due after the same event as with per-event
+  /// calls: the run up to it is applied first. Returns the first failure.
   /// `*applied_end` (when non-null) is one past the index of the last
-  /// event that took effect, 0 when none did. n == 0 is OK and looks
-  /// nothing up.
+  /// event that took effect, 0 when none did; every event before it that
+  /// was not refused took effect. n == 0 is OK and looks nothing up.
   Status TryOnEvents(const HomeId& id, const graph::Event* events, size_t n,
                      size_t* applied_end = nullptr);
 
@@ -172,12 +174,13 @@ class ServingEngine {
   Result<int> RequireHome(const HomeId& id) const;
   /// InvalidArgument when `id` is empty or already registered.
   Status CheckNewHome(const HomeId& id) const;
-  /// Journals one op: the op byte, then what `fields` (the op's field
-  /// list, run with a util::LayoutWriter) writes. When not durable the
-  /// record is never encoded. On success bumps seq_; the caller applies
-  /// the op only on OK.
+  /// Journals `n` ops of kind `op` as one run (one WAL write): record i
+  /// is the op byte, then what `fields(io, i)` (the op's field list, run
+  /// with a util::LayoutWriter) writes. When not durable nothing is
+  /// encoded. On success advances seq_ by n; the caller applies the ops
+  /// only on OK, and on an error applies none of them.
   template <class Fields>
-  Status JournalOp(Op op, const Fields& fields);
+  Status JournalRun(Op op, size_t n, const Fields& fields);
 
   // The one apply of each WAL op. The live Try* path runs it after the
   // journal append, replay (ApplyRecord) after decoding the record.
@@ -191,9 +194,9 @@ class ServingEngine {
   /// Serializes every session into a snapshot payload.
   std::vector<char> EncodeSnapshot() const;
   Status ApplySnapshot(const std::vector<char>& payload);
-  /// True when a durable engine has journaled snapshot_every_ops ops
-  /// since its last snapshot.
-  bool SnapshotDue() const;
+  /// Ops a durable engine may still journal before its auto-snapshot
+  /// falls due: 0 when it is due, UINT64_MAX without a cadence.
+  uint64_t OpsUntilSnapshot() const;
   Status MaybeAutoSnapshot();
 
   const TrainedDetector* detector_;

@@ -180,17 +180,18 @@ Status EventBus::Apply(int k, BusMessage& msg) {
       return engine.TryRemoveRule(msg.home, msg.rule_id);
     case BusMessage::Kind::kEventBatch: {
       // Events apply in vector order with one engine call — the batch is
-      // the home's FIFO segment. A failing event does not abort the rest
-      // (same keep-going contract as separate messages); the first
-      // failure is the message's apply outcome, counted once by the
-      // caller.
+      // the home's FIFO segment. A refused event (non-finite time) is
+      // skipped and the rest go on; a failed WAL append stops the batch
+      // there (TryOnEvents). The first failure is the message's apply
+      // outcome, counted once by the caller.
       // Exactly-once apply over an at-least-once transport: sequenced
       // batches (seq = first event's number, rest consecutive) skip the
       // prefix at or below the home's high-water mark — events applied
-      // before the client's reconnect replayed them. A failed apply does
-      // not advance the mark: the event never took effect, so a
-      // retransmit legitimately retries it (a later event of the same
-      // batch that applies still moves the mark past it).
+      // before the client's reconnect replayed them. The mark moves to
+      // the end of what applied, which is a prefix of the batch: nothing
+      // after a failed append took effect, so a retransmit applies
+      // exactly that tail. (A refused event inside the prefix is passed
+      // too; its retransmit would be refused again.)
       size_t skip = 0;
       uint64_t* hw = nullptr;
       if (msg.seq != 0) {

@@ -6,20 +6,18 @@ namespace {
 template <class IO, class R>  // R = const Rule (encode) or Rule (decode)
 bool Fields(IO& io, R& rule) {
   // Triggers and conditions share one layout; a condition has no
-  // direction, so it writes 0 there and ignores the value on read.
+  // direction, so its slot is reserved: written 0, refused unless 0.
   auto trigger = [&io](auto& t) {
-    int32_t no_direction = 0;
-    auto& direction = [&]() -> auto& {
+    auto direction = [&] {
       if constexpr (requires { t.direction; }) {
-        return t.direction;
+        return io.I32(t.direction);
       } else {
-        return no_direction;
+        return io.Zero32();
       }
-    }();
+    };
     return io.Enum32(t.channel) && io.Enum32(t.device) && io.Enum32(t.cmp) &&
-           io.F64(t.lo) && io.F64(t.hi) && io.Str(t.state) &&
-           io.I32(direction) && io.Bool32(t.has_time) && io.I32(t.hour_lo) &&
-           io.I32(t.hour_hi);
+           io.F64(t.lo) && io.F64(t.hi) && io.Str(t.state) && direction() &&
+           io.Bool32(t.has_time) && io.I32(t.hour_lo) && io.I32(t.hour_hi);
   };
   auto action = [&io](auto& a) {
     return io.Enum32(a.device) && io.Enum32(a.command) && io.F64(a.level);

@@ -53,6 +53,13 @@ class ByteWriter {
     buf_.insert(buf_.end(), c, c + n);
   }
 
+  /// Overwrites the u32 at byte `pos` (already written), e.g. a length
+  /// reserved before the bytes it counts were appended.
+  void U32At(size_t pos, uint32_t v) {
+    GLINT_CHECK(pos + sizeof v <= buf_.size());
+    std::memcpy(buf_.data() + pos, &v, sizeof v);
+  }
+
   const std::vector<char>& buffer() const { return buf_; }
   std::vector<char> TakeBuffer() { return std::move(buf_); }
   size_t size() const { return buf_.size(); }
@@ -125,6 +132,8 @@ class LayoutWriter {
   bool Bool8(bool v) { return U8(v ? 1 : 0); }
   /// bool as an i32 0/1.
   bool Bool32(bool v) { return I32(v ? 1 : 0); }
+  /// A reserved i32 slot, always 0.
+  bool Zero32() { return I32(0); }
   /// Enum as its i32 value.
   template <class E>
   bool Enum32(E v) {
@@ -160,16 +169,27 @@ class LayoutReader {
   [[gnu::always_inline]] bool I32(int32_t& v) { return r_->I32(&v); }
   [[gnu::always_inline]] bool F64(double& v) { return r_->F64(&v); }
   [[gnu::always_inline]] bool Str(std::string& s) { return r_->Str(&s); }
+  /// A bool is 0 or 1; any other value is refused, so every accepted
+  /// encoding is the one the writer produces.
   [[gnu::always_inline]] bool Bool8(bool& v) {
     uint8_t b = 0;
     if (!r_->U8(&b)) return false;
+    if (b > 1) return Refuse("bool byte", b);
     v = b != 0;
     return true;
   }
   [[gnu::always_inline]] bool Bool32(bool& v) {
     int32_t b = 0;
     if (!r_->I32(&b)) return false;
+    if (b != 0 && b != 1) return Refuse("bool", b);
     v = b != 0;
+    return true;
+  }
+  /// A reserved i32 slot: anything but 0 is refused.
+  [[gnu::always_inline]] bool Zero32() {
+    int32_t b = 0;
+    if (!r_->I32(&b)) return false;
+    if (b != 0) return Refuse("reserved field", b);
     return true;
   }
   template <class E>
@@ -210,6 +230,10 @@ class LayoutReader {
   bool Fail(std::string why) {
     if (error_.empty()) error_ = std::move(why);
     return false;
+  }
+  /// Fails on a field that decoded to a value its layout never writes.
+  [[gnu::cold]] bool Refuse(const char* field, int64_t value) {
+    return Fail(std::string(field) + " is " + std::to_string(value));
   }
 
   ByteReader* r_;

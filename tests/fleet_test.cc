@@ -616,12 +616,14 @@ TEST_F(FleetTest, ApplyErrorsAreCountedNotThrown) {
   bus.Stop();
 }
 
-// A sequenced batch meets a failed WAL append: the bus applies it with one
-// engine call, the failed event takes no effect and the others do. The
-// home's seq mark is the last event that took effect, so after a failure
-// mid-batch a retransmit is dropped whole, and after a failure on the
-// batch's last event a retransmit applies only that event.
-TEST_F(FleetTest, FailedAppendInABatchMovesTheSeqMarkPastAppliedEvents) {
+// A sequenced batch meets a failed WAL write: the bus applies it with one
+// engine call, which stops at the failed run, so what applied is a prefix
+// of the batch and the home's seq mark sits at its end. A retransmit
+// applies exactly the tail: all of a batch whose only run failed, and
+// after a refused event and a failed second run, the events past the
+// first run (the refused ones are refused again), the third run
+// included. A third send is dropped whole.
+TEST_F(FleetTest, FailedAppendInABatchLeavesTheTailForTheRetransmit) {
   FleetConfig cfg;
   cfg.num_shards = 2;
   cfg.state_dir = Dir("batch-append-fault");
@@ -638,12 +640,12 @@ TEST_F(FleetTest, FailedAppendInABatchMovesTheSeqMarkPastAppliedEvents) {
     const core::ServingEngine& engine = fleet.shard(k);
     return engine.home_view(engine.ResolveHome(home)).Stats().events;
   };
-  auto batch = [&](uint64_t seq, double t0) {
+  auto batch = [&](uint64_t seq, double t0, int n) {
     BusMessage m;
     m.kind = BusMessage::Kind::kEventBatch;
     m.home = home;
     m.seq = seq;
-    for (int i = 0; i < 4; ++i) {
+    for (int i = 0; i < n; ++i) {
       m.events.push_back(EventFor(pool[static_cast<size_t>(i) % 2],
                                   t0 + 0.1 * i));
     }
@@ -654,26 +656,36 @@ TEST_F(FleetTest, FailedAppendInABatchMovesTheSeqMarkPastAppliedEvents) {
     EXPECT_EQ(bus.DrainOnce(k), 1u);
   };
 
-  fault::Registry::Global().Arm("wal.append.write", fault::Mode::kFail, 2);
-  const BusMessage first = batch(1, 0.5);
+  // The batch is one run; its write fails, so nothing applies and the
+  // mark stays at 0.
+  fault::Registry::Global().Arm("wal.append.write", fault::Mode::kFail, 1);
+  const BusMessage first = batch(1, 0.5, 4);
   post(first);
   EXPECT_EQ(bus.apply_errors(), 1u);
   EXPECT_EQ(bus.FirstError(k).code(), StatusCode::kIOError);
-  EXPECT_EQ(events_applied(), 3u);
-  post(first);  // the mark is at seq 4: nothing re-applies
-  EXPECT_EQ(bus.dedup_dropped(), 4u);
-  EXPECT_EQ(events_applied(), 3u);
+  EXPECT_EQ(events_applied(), 0u);
+  post(first);
+  EXPECT_EQ(bus.dedup_dropped(), 0u);
+  EXPECT_EQ(events_applied(), 4u);
+  EXPECT_EQ(bus.apply_errors(), 1u);
 
-  fault::Registry::Global().Arm("wal.append.write", fault::Mode::kFail, 4);
-  const BusMessage second = batch(5, 1.0);
+  // Runs {0}, {2, 3} and {5} around the +inf events 1 and 4; the second
+  // run's write fails, so seq 5 alone applies and the mark stays there.
+  BusMessage second = batch(5, 1.0, 6);
+  second.events[1].time_hours = std::numeric_limits<double>::infinity();
+  second.events[4].time_hours = std::numeric_limits<double>::infinity();
+  fault::Registry::Global().Arm("wal.append.write", fault::Mode::kFail, 2);
   post(second);
   EXPECT_EQ(bus.apply_errors(), 2u);
-  EXPECT_EQ(events_applied(), 6u);
-  post(second);  // the mark is at seq 7: only seq 8 applies
-  EXPECT_EQ(bus.dedup_dropped(), 4u + 3u);
-  EXPECT_EQ(bus.apply_errors(), 2u);
-  EXPECT_EQ(events_applied(), 7u);
-  EXPECT_EQ(fleet.shard(k).journal_seq(), 1u + 7u);
+  EXPECT_EQ(events_applied(), 5u);
+  post(second);  // seq 5 is dropped, 6 and 9 refused again, 7, 8, 10 apply
+  EXPECT_EQ(bus.dedup_dropped(), 1u);
+  EXPECT_EQ(bus.apply_errors(), 3u);
+  EXPECT_EQ(events_applied(), 8u);
+  post(second);
+  EXPECT_EQ(bus.dedup_dropped(), 1u + 6u);
+  EXPECT_EQ(events_applied(), 8u);
+  EXPECT_EQ(fleet.shard(k).journal_seq(), 1u + 8u);
   bus.Stop();
 }
 

@@ -1,11 +1,12 @@
 // Crash-safety proof for the durable ServingEngine: a scripted workload of
-// AddHome / AddRule / RemoveRule / OnEvent ops (plus a mid-run snapshot) is
-// run against a write-ahead-logged engine while fault injection kills or
-// fails the process at every registered I/O fault point; after each
-// interruption a fresh engine recovers from the state directory, the
-// not-yet-durable tail of the script is reapplied, and the resulting
-// InspectAll output must be BIT-IDENTICAL to an uninterrupted reference
-// run. Plus: torn-tail truncation, flipped-byte checksum detection, and
+// AddHome / AddRule / RemoveRule / OnEvent ops and one multi-event batch
+// (plus a mid-run snapshot) is run against a write-ahead-logged engine
+// while fault injection kills or fails the process at every registered
+// I/O fault point; after each interruption a fresh engine recovers from
+// the state directory, the not-yet-durable tail of the script is
+// reapplied record by record, and the resulting InspectAll output must be
+// BIT-IDENTICAL to an uninterrupted reference run. Plus: torn-tail and
+// torn-run truncation, flipped-byte checksum detection, and
 // corrupt-snapshot refusal.
 
 #include <gtest/gtest.h>
@@ -33,13 +34,22 @@ namespace {
 /// One scripted engine mutation. The script below is the ground truth both
 /// the reference run and every recovery replays.
 struct Op {
-  enum Kind { kAddHome, kAddRule, kRemoveRule, kEvent } kind;
+  enum Kind { kAddHome, kAddRule, kRemoveRule, kEvent, kEvents } kind;
   HomeId home;                        // stable id (rides the WAL for kAddHome)
   std::vector<rules::Rule> deployed;  // kAddHome
   rules::Rule rule;                   // kAddRule
   int rule_id = 0;                    // kRemoveRule
   graph::Event event;                 // kEvent
+  std::vector<graph::Event> events;   // kEvents: one TryOnEvents batch
+
+  /// WAL records the op writes: one per event of a batch, else one.
+  size_t records() const { return kind == kEvents ? events.size() : 1; }
 };
+
+/// Script index of the multi-event batch. Every op before it writes one
+/// WAL run, so the batch's run is hit kBatchOp + 1 of each wal.append.*
+/// point.
+constexpr size_t kBatchOp = 14;
 
 class RecoveryTest : public ::testing::Test {
  protected:
@@ -136,6 +146,13 @@ class RecoveryTest : public ::testing::Test {
       op.event = EventFor(r, t);
       script_->push_back(std::move(op));
     };
+    auto batch = [&](int h, std::vector<graph::Event> events) {
+      Op op;
+      op.kind = Op::kEvents;
+      op.home = ids[h];
+      op.events = std::move(events);
+      script_->push_back(std::move(op));
+    };
 
     add_home(ids[0], {rules[0], rules[1], rules[2]});
     add_home(ids[1], {rules[3], rules[4]});
@@ -151,6 +168,10 @@ class RecoveryTest : public ::testing::Test {
     event(0, rules[2], 2.0);
     add_rule(0, rules[7]);
     event(0, rules[7], 2.3);
+    ASSERT_EQ(script_->size(), kBatchOp);
+    // One run of 4 records: the crash matrix tears it mid-run.
+    batch(0, {EventFor(rules[0], 2.35), EventFor(rules[2], 2.4),
+              EventFor(rules[5], 2.45), EventFor(rules[7], 2.5)});
     event(1, rules[3], 2.6);
     remove_rule(1, 9004);  // retire rules[4]
     event(0, rules[0], 2.9);
@@ -167,22 +188,55 @@ class RecoveryTest : public ::testing::Test {
         return engine->TryRemoveRule(op.home, op.rule_id);
       case Op::kEvent:
         return engine->TryOnEvent(op.home, op.event);
+      case Op::kEvents:
+        return engine->TryOnEvents(op.home, op.events.data(),
+                                   op.events.size());
     }
     return Status::Internal("unreachable");
   }
 
-  /// Applies script ops [from, end), snapshotting after op index
+  /// WAL records the whole script writes.
+  static size_t ScriptRecords() {
+    size_t n = 0;
+    for (const Op& op : *script_) n += op.records();
+    return n;
+  }
+
+  /// Applies the script from WAL record `from` on (a batch the record
+  /// falls inside resumes at that event), snapshotting after op index
   /// `snapshot_after` when the engine is durable (-1 = never). Stops at
   /// the first error.
   static Status RunScript(ServingEngine* engine, size_t from,
                           int snapshot_after) {
-    for (size_t i = from; i < script_->size(); ++i) {
-      GLINT_RETURN_IF_ERROR(ApplyOp(engine, (*script_)[i]));
-      if (static_cast<int>(i) == snapshot_after && engine->durable()) {
+    size_t record = 0;  // first record of op i
+    for (size_t i = 0; i < script_->size(); ++i) {
+      const Op& op = (*script_)[i];
+      const size_t next = record + op.records();
+      if (next > from) {
+        if (op.kind == Op::kEvents && from > record) {
+          const size_t skip = from - record;
+          GLINT_RETURN_IF_ERROR(engine->TryOnEvents(
+              op.home, op.events.data() + skip, op.events.size() - skip));
+        } else {
+          GLINT_RETURN_IF_ERROR(ApplyOp(engine, op));
+        }
+      }
+      record = next;
+      if (static_cast<int>(i) == snapshot_after && engine->durable() &&
+          next > from) {
         GLINT_RETURN_IF_ERROR(engine->Snapshot());
       }
     }
     return Status::OK();
+  }
+
+  /// The durable workload the crash and fail matrices interrupt: recovery
+  /// of `dir`, the script with a mid-run snapshot, a final snapshot.
+  static Status RunDurableWorkload(ServingEngine* engine,
+                                   const std::string& dir) {
+    GLINT_RETURN_IF_ERROR(engine->Recover(dir));
+    GLINT_RETURN_IF_ERROR(RunScript(engine, 0, kSnapshotAfter));
+    return engine->Snapshot();
   }
 
   /// Full-precision serialization of the engine's observable state: the
@@ -243,7 +297,7 @@ class RecoveryTest : public ::testing::Test {
     Status st = engine.Recover(dir);
     ASSERT_TRUE(st.ok()) << context << ": " << st.ToString();
     const uint64_t seq = engine.journal_seq();
-    ASSERT_LE(seq, script_->size()) << context;
+    ASSERT_LE(seq, ScriptRecords()) << context;
     st = RunScript(&engine, static_cast<size_t>(seq), -1);
     ASSERT_TRUE(st.ok()) << context << ": " << st.ToString();
     EXPECT_EQ(Fingerprint(&engine), *reference_) << context;
@@ -269,7 +323,7 @@ TEST_F(RecoveryTest, DurableUninterruptedMatchesReference) {
   ASSERT_TRUE(engine.Recover(dir).ok());
   EXPECT_TRUE(engine.durable());
   ASSERT_TRUE(RunScript(&engine, 0, kSnapshotAfter).ok());
-  EXPECT_EQ(engine.journal_seq(), script_->size());
+  EXPECT_EQ(engine.journal_seq(), ScriptRecords());
   EXPECT_EQ(Fingerprint(&engine), *reference_);
 
   // A clean restart (snapshot + WAL tail, nothing torn) is also identical.
@@ -326,25 +380,40 @@ std::vector<std::string> MatrixPoints() {
   return out;
 }
 
+/// The hits of `point` the matrices interrupt: the first two, and for the
+/// append points also the multi-event batch's run.
+std::vector<int> MatrixHits(const std::string& point) {
+  std::vector<int> out = {1, 2};
+  if (point.rfind("wal.append.", 0) == 0) {
+    out.push_back(static_cast<int>(kBatchOp) + 1);
+  }
+  return out;
+}
+
 TEST_F(RecoveryTest, CrashMatrixRecoversBitIdentical) {
   // The DurableUninterruptedMatchesReference workload above has already
   // executed every reachable point at least once in this process; running
   // it first is also what makes gtest ordering a requirement here, so
   // re-run a throwaway durable workload to guarantee registration even if
   // this test runs alone.
+  // An unrelated armed point makes the registry count hits: the workload
+  // writes one WAL run per op, the batch included.
   {
     const std::string dir = Dir("enumerate");
+    fault::Registry::Global().Arm("recovery_test.unreached",
+                                  fault::Mode::kFail);
     ServingEngine engine(detector_);
-    ASSERT_TRUE(engine.Recover(dir).ok());
-    ASSERT_TRUE(RunScript(&engine, 0, kSnapshotAfter).ok());
-    ASSERT_TRUE(engine.Snapshot().ok());
+    ASSERT_TRUE(RunDurableWorkload(&engine, dir).ok());
+    EXPECT_EQ(fault::Registry::Global().hits("wal.append.write"),
+              script_->size());
+    fault::Registry::Global().Clear();
   }
 
   const auto points = MatrixPoints();
   ASSERT_GE(points.size(), 10u) << "fault-point enumeration looks broken";
   int crashes = 0;
   for (const auto& point : points) {
-    for (int nth = 1; nth <= 2; ++nth) {
+    for (const int nth : MatrixHits(point)) {
       const std::string context =
           "crash @ " + point + " hit " + std::to_string(nth);
       const std::string dir =
@@ -359,10 +428,7 @@ TEST_F(RecoveryTest, CrashMatrixRecoversBitIdentical) {
         fault::Registry::Global().Clear();
         fault::Registry::Global().Arm(point, fault::Mode::kCrash, nth);
         ServingEngine engine(detector_);
-        Status st = engine.Recover(dir);
-        if (st.ok()) st = RunScript(&engine, 0, kSnapshotAfter);
-        if (st.ok()) st = engine.Snapshot();
-        _exit(st.ok() ? 0 : 3);
+        _exit(RunDurableWorkload(&engine, dir).ok() ? 0 : 3);
       }
 
       int wstatus = 0;
@@ -388,26 +454,62 @@ TEST_F(RecoveryTest, FailMatrixRecoversBitIdentical) {
   const auto points = MatrixPoints();
   ASSERT_GE(points.size(), 10u);
   for (const auto& point : points) {
-    const std::string context = "fail @ " + point;
-    const std::string dir = Dir("fail_" + point);
-    {
-      fault::Registry::Global().Clear();
-      fault::Registry::Global().Arm(point, fault::Mode::kFail, 1);
-      ServingEngine engine(detector_);
-      Status st = engine.Recover(dir);
-      // An injected failure during initial recovery leaves the engine
-      // non-durable; the workload then runs in-memory only and recovery
-      // below replays nothing — the reapply covers the whole script.
-      if (st.ok()) {
-        st = RunScript(&engine, 0, kSnapshotAfter);
-        if (st.ok()) st = engine.Snapshot();
+    for (const int nth : MatrixHits(point)) {
+      const std::string context =
+          "fail @ " + point + " hit " + std::to_string(nth);
+      const std::string dir =
+          Dir("fail_" + point + "_" + std::to_string(nth));
+      {
+        fault::Registry::Global().Clear();
+        fault::Registry::Global().Arm(point, fault::Mode::kFail, nth);
+        ServingEngine engine(detector_);
+        // An injected failure during initial recovery leaves the engine
+        // non-durable and the rest of the workload unrun; recovery below
+        // replays nothing and the reapply covers the whole script. Any
+        // other failure stops the workload at the op it refused: the
+        // engine never applied a non-durable op, and the WAL is still at
+        // a record boundary (a failed batch run left none of its records).
+        (void)RunDurableWorkload(&engine, dir);
+        fault::Registry::Global().Clear();
       }
-      // Whatever the injected failure aborted, the engine never applied a
-      // non-durable op; the WAL is still at a record boundary.
-      fault::Registry::Global().Clear();
+      RecoverAndVerify(dir, context);
     }
-    RecoverAndVerify(dir, context);
   }
+}
+
+// A crash at the tear point of the batch's 4-record run leaves its first
+// three records whole and the fourth torn after its frame. Recovery cuts
+// the file back to the record boundary, replays the three, and the
+// script resumes at the batch's last event.
+TEST_F(RecoveryTest, TornRunRecoversToARecordBoundary) {
+  const std::string dir = Dir("torn-run");
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    fault::Registry::Global().Clear();
+    fault::Registry::Global().Arm("wal.append.tear", fault::Mode::kCrash,
+                                  static_cast<int>(kBatchOp) + 1);
+    ServingEngine engine(detector_);
+    _exit(RunDurableWorkload(&engine, dir).ok() ? 0 : 3);
+  }
+  int wstatus = 0;
+  ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
+  ASSERT_TRUE(WIFEXITED(wstatus));
+  ASSERT_EQ(WEXITSTATUS(wstatus), fault::kCrashExitCode);
+
+  size_t before_batch = 0;
+  for (size_t i = 0; i < kBatchOp; ++i) {
+    before_batch += (*script_)[i].records();
+  }
+  const size_t batch = (*script_)[kBatchOp].records();
+  ASSERT_EQ(batch, 4u);
+  ServingEngine engine(detector_);
+  ASSERT_TRUE(engine.Recover(dir).ok());
+  EXPECT_TRUE(engine.recovery_info().tail_torn);
+  EXPECT_EQ(engine.recovery_info().truncated_bytes, 8u);  // one frame
+  EXPECT_EQ(engine.journal_seq(), before_batch + batch - 1);
+  ASSERT_TRUE(RunScript(&engine, engine.journal_seq(), -1).ok());
+  EXPECT_EQ(Fingerprint(&engine), *reference_);
 }
 
 TEST_F(RecoveryTest, TornTailIsDetectedAndTruncated) {
@@ -433,7 +535,7 @@ TEST_F(RecoveryTest, TornTailIsDetectedAndTruncated) {
     ASSERT_TRUE(engine.Recover(dir).ok());
     EXPECT_TRUE(engine.recovery_info().tail_torn);
     EXPECT_EQ(engine.recovery_info().truncated_bytes, 13u);
-    EXPECT_EQ(engine.journal_seq(), script_->size());
+    EXPECT_EQ(engine.journal_seq(), ScriptRecords());
     EXPECT_EQ(Fingerprint(&engine), *reference_);
   }
   // The truncation repaired the file: a second recovery sees a clean log.
@@ -459,8 +561,8 @@ TEST_F(RecoveryTest, FlippedByteEndsReplayAtLastValidRecord) {
   ASSERT_NE(f, nullptr);
   std::fseek(f, 8, SEEK_SET);  // WAL header
   long corrupt_at = -1;
-  size_t target = script_->size() / 2;
-  for (size_t rec = 0; rec < script_->size(); ++rec) {
+  size_t target = ScriptRecords() / 2;
+  for (size_t rec = 0; rec < ScriptRecords(); ++rec) {
     uint32_t len = 0, crc = 0;
     ASSERT_EQ(std::fread(&len, sizeof len, 1, f), 1u);
     ASSERT_EQ(std::fread(&crc, sizeof crc, 1, f), 1u);
@@ -719,9 +821,12 @@ TEST_F(RecoveryTest, WalEventAtNonFiniteTimeIsInvalidArgument) {
 // durable engine fed runs of events through TryOnEvents leaves wal.log and
 // snapshot.bin byte-identical, after every run, to one fed the same events
 // through TryOnEvent. The snapshot cadence (7 ops) falls due inside
-// batches; one batch carries an event at +inf (refused, nothing journaled)
-// and meets a failed WAL append on its fourth event: the events before it
-// apply, the failed one does not, the ones after it do.
+// batches; one batch carries two events at +inf (refused, nothing
+// journaled) and is cut into four runs (at the +inf events and where the
+// snapshot falls due) whose third meets a failed WAL write: the first two
+// runs apply, with the snapshot after them taken, and nothing from the
+// failed run on does, the fourth run included. The per-event engine is
+// fed only the events before `applied_end`.
 TEST_F(RecoveryTest, BatchedEventsWriteThePerEventBytes) {
   ServingEngine::Config cfg;
   cfg.snapshot_every_ops = 7;
@@ -751,36 +856,33 @@ TEST_F(RecoveryTest, BatchedEventsWriteThePerEventBytes) {
       t += 0.03;
       run.push_back(EventFor(rules[(r + k) % rules.size()], t));
     }
+    size_t applied_end = 0;
+    Status st;
     if (r == kFaultRun) {
       run[1].time_hours = std::numeric_limits<double>::infinity();
-      run[3].time_hours = kFailedAt;  // the 3rd append of the run fails
+      run[5].time_hours = kFailedAt;
+      run[6].time_hours = std::numeric_limits<double>::infinity();
+      // The runs are events {0}, {2, 3} (the snapshot falls due after 3),
+      // {4, 5}, whose write fails, and {7}.
       fault::Registry::Global().Arm("wal.append.write", fault::Mode::kFail,
                                     3);
+      st = batched.TryOnEvents(home, run.data(), run.size(), &applied_end);
+      fault::Registry::Global().Clear();
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);  // first failure
+      EXPECT_EQ(applied_end, 4u);
+    } else {
+      st = batched.TryOnEvents(home, run.data(), run.size(), &applied_end);
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      EXPECT_EQ(applied_end, run.size());
     }
-    for (size_t k = 0; k < run.size(); ++k) {
-      const Status st = single.TryOnEvent(home, run[k]);
+    for (size_t k = 0; k < applied_end; ++k) {
+      st = single.TryOnEvent(home, run[k]);
       if (r == kFaultRun && k == 1) {
         EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-      } else if (r == kFaultRun && k == 3) {
-        EXPECT_EQ(st.code(), StatusCode::kIOError);
       } else {
         EXPECT_TRUE(st.ok()) << "event " << k << ": " << st.ToString();
       }
     }
-    if (r == kFaultRun) {
-      fault::Registry::Global().Arm("wal.append.write", fault::Mode::kFail,
-                                    3);
-    }
-    size_t applied_end = 0;
-    const Status st =
-        batched.TryOnEvents(home, run.data(), run.size(), &applied_end);
-    EXPECT_EQ(applied_end, run.size());
-    if (r == kFaultRun) {
-      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);  // first failure
-    } else {
-      EXPECT_TRUE(st.ok()) << st.ToString();
-    }
-    fault::Registry::Global().Clear();
 
     EXPECT_EQ(batched.journal_seq(), single.journal_seq());
     const std::vector<char> wal = ReadFile(single_dir + "/wal.log");
@@ -792,10 +894,11 @@ TEST_F(RecoveryTest, BatchedEventsWriteThePerEventBytes) {
     last_snapshot = snapshot;
   }
   EXPECT_GE(snapshots_seen, 4u);
-  // Neither refused event took effect; every other one did.
+  // Of the fault run, events 1 and 4 to 7 took no effect; every other
+  // event did.
   size_t events = 0;
   for (size_t n : sizes) events += n;
-  EXPECT_EQ(batched.journal_seq(), 2 + events - 2);
+  EXPECT_EQ(batched.journal_seq(), 2 + events - 5);
   const auto& live = batched.home_view(1).live();
   for (const auto& e : live.retained_events()) {
     EXPECT_NE(e.time_hours, kFailedAt);
@@ -803,6 +906,47 @@ TEST_F(RecoveryTest, BatchedEventsWriteThePerEventBytes) {
   // A finite inspection still succeeds after the +inf event.
   EXPECT_TRUE(batched.TryInspect(ids[1], kInspectHour).ok());
   EXPECT_EQ(Fingerprint(&batched), Fingerprint(&single));
+}
+
+// A batch is journaled with one WAL write per run. An unrelated armed
+// point makes the registry count hits of wal.append.write: an 8-event
+// batch is one write, a batch the snapshot cadence cuts is two, and so is
+// a batch with a refused event in the middle.
+TEST_F(RecoveryTest, EventBatchWritesOncePerRun) {
+  ServingEngine::Config cfg;
+  cfg.snapshot_every_ops = 12;
+  const auto rules = HomeRules(4);
+  ServingEngine engine(detector_, cfg);
+  ASSERT_TRUE(engine.Recover(Dir("write-count")).ok());
+  ASSERT_TRUE(engine.TryAddHome("count-home", rules).ok());  // op 1
+  double t = 0.0;
+  auto writes_for = [&](std::vector<graph::Event> batch) {
+    fault::Registry::Global().Clear();
+    fault::Registry::Global().Arm("recovery_test.unreached",
+                                  fault::Mode::kFail);
+    EXPECT_TRUE(engine.TryOnEvents("count-home", batch.data(), batch.size())
+                    .code() != StatusCode::kIOError);
+    const uint64_t writes =
+        fault::Registry::Global().hits("wal.append.write");
+    fault::Registry::Global().Clear();
+    return writes;
+  };
+  auto events = [&](size_t n) {
+    std::vector<graph::Event> out;
+    for (size_t k = 0; k < n; ++k) {
+      t += 0.01;
+      out.push_back(EventFor(rules[k % rules.size()], t));
+    }
+    return out;
+  };
+  EXPECT_EQ(writes_for(events(8)), 1u);  // ops 2..9
+  const uint64_t seq = engine.journal_seq();
+  EXPECT_EQ(writes_for(events(8)), 2u);  // the snapshot falls due at op 12
+  EXPECT_EQ(engine.journal_seq(), seq + 8);
+  std::vector<graph::Event> refused = events(8);
+  refused[3].time_hours = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(writes_for(refused), 2u);
+  EXPECT_EQ(engine.journal_seq(), seq + 8 + 7);
 }
 
 }  // namespace

@@ -944,6 +944,54 @@ TEST(WireGolden, EveryStrictPrefixIsInvalidArgument) {
   }
 }
 
+// Every encoding a decoder accepts is the one the encoder writes: a bool
+// other than 0 or 1, or a non-zero condition direction (a slot conditions
+// reserve), is refused.
+TEST(WireGolden, NonCanonicalValuesAreInvalidArgument) {
+  std::vector<char> warning = Unhex(kGoldenReplyHex[2]);
+  ASSERT_EQ(warning[0], static_cast<char>(MsgType::kWarning));
+  constexpr size_t kThreat = 13;  // type, code, empty message, retry-after
+  ASSERT_EQ(warning[kThreat], 1);
+  warning[kThreat] = 2;
+  Reply reply;
+  EXPECT_EQ(DecodeReply(warning, &reply).code(), StatusCode::kInvalidArgument);
+
+  const Request add = GoldenRequests()[2];
+  ASSERT_EQ(add.type, MsgType::kAddRule);
+  const std::vector<char> golden = EncodeRequest(add);
+  // The offset of the field `clear` sets to false: the first byte where
+  // the two encodings differ.
+  auto offset_of = [&](auto clear) {
+    Request r = add;
+    clear(r.rule);
+    const std::vector<char> bytes = EncodeRequest(r);
+    size_t at = 0;
+    while (at < bytes.size() && bytes[at] == golden[at]) ++at;
+    return at;
+  };
+  const size_t has_time =
+      offset_of([](rules::Rule& r) { r.trigger.has_time = false; });
+  const size_t pin =
+      offset_of([](rules::Rule& r) { r.manual_mode_pin = false; });
+  // A condition's direction slot is the i32 before its has_time.
+  const size_t direction =
+      offset_of([](rules::Rule& r) { r.conditions[0].has_time = false; }) -
+      sizeof(int32_t);
+  auto decode_with = [&](size_t at, int32_t v) {
+    std::vector<char> bytes = golden;
+    std::memcpy(bytes.data() + at, &v, sizeof v);
+    Request req;
+    return DecodeRequest(bytes, &req).code();
+  };
+  EXPECT_EQ(decode_with(has_time, 2), StatusCode::kInvalidArgument);
+  EXPECT_EQ(decode_with(pin, -1), StatusCode::kInvalidArgument);
+  EXPECT_EQ(decode_with(direction, 1), StatusCode::kInvalidArgument);
+  // The offsets are the fields': their canonical values decode.
+  EXPECT_EQ(decode_with(has_time, 0), StatusCode::kOk);
+  EXPECT_EQ(decode_with(pin, 0), StatusCode::kOk);
+  EXPECT_EQ(decode_with(direction, 0), StatusCode::kOk);
+}
+
 // ---- Count amplification ------------------------------------------------
 
 // A count is bounded by the smallest encoding of its element, so a frame

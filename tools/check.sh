@@ -273,6 +273,32 @@ DIGESTS
   echo "check.sh: fleet-serve snapshots differ from the recorded digests" >&2
   exit 1
 fi
+# The WAL bytes end to end: a fresh durable run killed at its drain
+# snapshot's WAL truncate (exit 112) keeps every record each shard
+# journaled, and driver mode posts multi-event batches, so each
+# shard-K/wal.log holds what the batched append path wrote. The digests
+# were recorded before a batch's records were appended with one write
+# per run; never re-record them to make a change pass.
+WAL_STATUS=0
+GLINT_FAULTS='wal.truncate=crash' GLINT_THREADS=2 ./build/tools/glint \
+  fleet-serve --model-dir "${FAULT_SMOKE_DIR}/models" \
+  --state-dir "${FAULT_SMOKE_DIR}/wal-state" --shards 3 --homes 6 \
+  --hours 2 >/dev/null || WAL_STATUS=$?
+if [ "${WAL_STATUS}" -ne 112 ]; then
+  echo "check.sh: fleet-serve with wal.truncate=crash exited" \
+    "${WAL_STATUS}, not 112" >&2
+  exit 1
+fi
+if ! (cd "${FAULT_SMOKE_DIR}/wal-state" && sha256sum --check --quiet \
+    <<'DIGESTS'
+547de3bc3a7372e034b5e65424ab84b182caaf7bd4516ffb77ca01a803361bc6  shard-0/wal.log
+1dd6f5337dd2aae6bc54687220773855c8836ac6944e2cf212926f0c7af8d49f  shard-1/wal.log
+7ba7138f985234ade195ab4dd1897db0c5252852bf7c930e82b6f37c7284ee90  shard-2/wal.log
+DIGESTS
+); then
+  echo "check.sh: fleet-serve WALs differ from the recorded digests" >&2
+  exit 1
+fi
 
 # Tracing stage (DESIGN.md §14), end-to-end through the CLI surface: serve
 # the recovered fleet state over the wire in the background, poll it once

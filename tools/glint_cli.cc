@@ -1083,7 +1083,7 @@ int CmdStats() {
       "  glint.detector.*    end-to-end Analyze verdicts\n"
       "  glint.session.*     per-home Inspect + verdict LRU\n"
       "  glint.serving.*     fleet event routing + InspectAll + WAL append\n"
-      "  glint.journal.*     WAL appends, snapshot writes (durable serving)\n"
+      "  glint.journal.*     WAL records + writes, snapshots (durable)\n"
       "  glint.recovery.*    snapshots loaded, records replayed, torn tails\n"
       "                      truncated + bytes dropped (glint\n"
       "                      fleet-serve --state-dir DIR)\n"
