@@ -51,6 +51,7 @@ Status ServingEngine::Recover(const std::string& dir) {
     ids_.clear();
     index_.clear();
     seq_ = 0;
+    totals_ = Totals();
     return st;
   }
   if (info.snapshot_loaded && info.tail_records == 0) {
@@ -99,6 +100,8 @@ Status ServingEngine::ApplySnapshot(const std::vector<char>& payload) {
     }
     auto session = MakeSession();
     GLINT_RETURN_IF_ERROR(session->RestoreFrom(&r));
+    // A restored session starts with zero event and inspect counts.
+    totals_.rules += static_cast<uint64_t>(session->num_rules());
     RegisterHomeId(std::move(id));
     sessions_.push_back(std::move(session));
   }
@@ -275,21 +278,24 @@ void ServingEngine::ApplyAddHome(HomeId id,
                                  const std::vector<rules::Rule>& deployed) {
   auto session = MakeSession();
   for (const auto& rule : deployed) session->AddRule(rule);
+  totals_.rules += deployed.size();
   RegisterHomeId(std::move(id));
   sessions_.push_back(std::move(session));
 }
 
 void ServingEngine::ApplyAddRule(uint32_t slot, const rules::Rule& rule) {
   sessions_[slot]->AddRule(rule);
+  ++totals_.rules;
 }
 
 void ServingEngine::ApplyRemoveRule(uint32_t slot, int rule_id) {
-  sessions_[slot]->RemoveRule(rule_id);
+  if (sessions_[slot]->RemoveRule(rule_id)) --totals_.rules;
 }
 
 void ServingEngine::ApplyEvents(uint32_t slot, const graph::Event* events,
                                 size_t n) {
   sessions_[slot]->OnEvents(events, n);
+  totals_.events += n;
 }
 
 Result<int> ServingEngine::TryAddHome(
@@ -399,7 +405,11 @@ Result<ThreatWarning> ServingEngine::TryInspect(const HomeId& id,
                                                 double now_hours) {
   Result<int> h = RequireHome(id);
   if (!h.ok()) return h.status();
-  return sessions_[static_cast<size_t>(h.value())]->TryInspect(now_hours);
+  Result<ThreatWarning> w =
+      sessions_[static_cast<size_t>(h.value())]->TryInspect(now_hours);
+  // A session counts an inspect exactly when it answers one.
+  if (w.ok()) ++totals_.inspects;
+  return w;
 }
 
 Result<ThreatWarning> ServingEngine::TryInspectDegraded(const HomeId& id,
@@ -407,8 +417,11 @@ Result<ThreatWarning> ServingEngine::TryInspectDegraded(const HomeId& id,
   Result<int> h = RequireHome(id);
   if (!h.ok()) return h.status();
   GLINT_OBS_COUNT("glint.serving.degraded_inspects", 1);
-  return sessions_[static_cast<size_t>(h.value())]->TryInspectDegraded(
-      now_hours);
+  Result<ThreatWarning> w =
+      sessions_[static_cast<size_t>(h.value())]->TryInspectDegraded(
+          now_hours);
+  if (w.ok()) ++totals_.inspects;
+  return w;
 }
 
 std::vector<ThreatWarning> ServingEngine::InspectAll(double now_hours,
@@ -426,6 +439,7 @@ std::vector<ThreatWarning> ServingEngine::InspectAll(double now_hours,
           sessions_[static_cast<size_t>(h)]->BeginInspect(now_hours);
     }
   });
+  totals_.inspects += n;  // one BeginInspect per home
   // Stage 2 (serial, home order): pack the verdict-cache misses into
   // super-graphs and analyze each with one batched forward. Serial
   // assembly keeps batch composition — and therefore every float — a pure
@@ -470,12 +484,6 @@ int ServingEngine::ResolveHome(const HomeId& id) const {
 const DeploymentSession& ServingEngine::home_view(int h) const {
   GLINT_CHECK(h >= 0 && h < static_cast<int>(sessions_.size()));
   return *sessions_[static_cast<size_t>(h)];
-}
-
-size_t ServingEngine::total_rules() const {
-  size_t n = 0;
-  for (const auto& s : sessions_) n += static_cast<size_t>(s->num_rules());
-  return n;
 }
 
 DeploymentSession::CacheStats ServingEngine::AggregateStats() const {

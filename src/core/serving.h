@@ -151,12 +151,30 @@ class ServingEngine {
   const DeploymentSession& home_view(int h) const;
 
   /// Total rules deployed across all homes.
-  size_t total_rules() const;
+  size_t total_rules() const { return totals_.rules; }
 
   /// Sum of every home's per-session counters (cache hit/miss, inspects,
   /// events) — the fleet-level half of a `--stats` report; pair it with
-  /// obs::Registry::Global().TakeSnapshot() for stage latencies.
+  /// obs::Registry::Global().TakeSnapshot() for stage latencies. Walks
+  /// every session; totals() is the O(1) read of three of its fields.
   DeploymentSession::CacheStats AggregateStats() const;
+
+  /// Running totals of three per-session counters, moved wherever a
+  /// session's counter moves (the live path and WAL replay alike), so
+  /// they always equal AggregateStats()'s fields of the same names.
+  struct Totals {
+    uint64_t rules = 0;
+    uint64_t events = 0;
+    uint64_t inspects = 0;
+
+    Totals& operator+=(const Totals& o) {
+      rules += o.rules;
+      events += o.events;
+      inspects += o.inspects;
+      return *this;
+    }
+  };
+  const Totals& totals() const { return totals_; }
 
  private:
   /// WAL record operation tags (payload byte 0).
@@ -210,6 +228,7 @@ class ServingEngine {
   uint64_t seq_ = 0;
   uint64_t ops_since_snapshot_ = 0;
   Journal::RecoveryInfo recovery_info_;
+  Totals totals_;
 };
 
 }  // namespace glint::core

@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <span>
 #include <utility>
 
 #include "obs/obs.h"
@@ -25,8 +26,9 @@ namespace {
 constexpr uint64_t kListenerTag = 0;
 constexpr uint64_t kWakeTag = 1;
 
-/// Read granularity. One recv() per chunk; a short read means the socket
-/// is drained, so the loop rarely pays a trailing EAGAIN.
+/// Read granularity. One recv() per chunk into the worker's read buffer;
+/// a short read means the socket is drained, so the loop rarely pays a
+/// trailing EAGAIN.
 constexpr size_t kReadChunk = 64 * 1024;
 
 /// Unparsed input high water: big enough that the largest legal frame
@@ -37,6 +39,13 @@ constexpr size_t kMaxBufferedInput = wire::kMaxFramePayload + 8 + kReadChunk;
 
 // A backpressured connection must still be able to buffer one whole reply.
 static_assert(FleetServer::kMaxWriteBuffer >= wire::kMaxFramePayload + 8);
+
+/// Requests served by a blocking hop onto a shard consumer (RunOnShard):
+/// the replies a round already owes are flushed before one is dispatched.
+bool WaitsOnShard(wire::MsgType t) {
+  return t == wire::MsgType::kInspect || t == wire::MsgType::kStats ||
+         t == wire::MsgType::kStatsJson;
+}
 
 }  // namespace
 
@@ -164,6 +173,8 @@ void FleetServer::Stop() {
 
 void FleetServer::WorkerLoop() {
   epoll_event evs[64];
+  // Reused by every round this worker serves; never zero-filled.
+  const auto read_buf = std::make_unique_for_overwrite<char[]>(kReadChunk);
   for (;;) {
     const int n = ::epoll_wait(epoll_fd_, evs, 64, -1);
     if (n < 0) {
@@ -179,7 +190,7 @@ void FleetServer::WorkerLoop() {
         AcceptReady();
         continue;
       }
-      HandleConn(reinterpret_cast<Conn*>(tag));
+      HandleConn(reinterpret_cast<Conn*>(tag), read_buf.get());
     }
   }
 }
@@ -256,7 +267,7 @@ void FleetServer::AcceptReady() {
   }
 }
 
-void FleetServer::HandleConn(Conn* c) {
+void FleetServer::HandleConn(Conn* c, char* read_buf) {
   // Acquire the previous owner's writes (see Conn::handoff).
   c->handoff.load(std::memory_order_acquire);
   // Flush first: an EPOLLOUT wakeup means queued replies can move, and a
@@ -278,27 +289,25 @@ void FleetServer::HandleConn(Conn* c) {
         peer_eof = torn = true;
         break;
       }
-      const size_t old = c->in.size();
-      c->in.resize(old + kReadChunk);
-      const ssize_t r = ::recv(c->fd, c->in.data() + old, kReadChunk, 0);
+      const ssize_t r = ::recv(c->fd, read_buf, kReadChunk, 0);
       if (r < 0) {
-        c->in.resize(old);
         if (errno == EINTR) continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK) break;
         peer_eof = torn = true;  // reset/err: stream integrity is gone
         break;
       }
-      c->in.resize(old + static_cast<size_t>(r));
       if (r == 0) {
         peer_eof = true;
         break;
       }
+      c->in.insert(c->in.end(), read_buf, read_buf + r);
       if (obs::Enabled()) c->last_read_ns = obs::NowNs();
       if (static_cast<size_t>(r) < kReadChunk) break;  // socket drained
     }
   }
   // Serve every complete frame that arrived (pipelined peers batch many
-  // per read), including everything a closing peer flushed before FIN.
+  // per read), including everything a closing peer flushed before FIN;
+  // their replies collect in c->out for the one send below.
   ParseFrames(c);
   if (draining_.load(std::memory_order_acquire)) {
     // Graceful drain: everything this connection already sent has just
@@ -318,7 +327,8 @@ void FleetServer::HandleConn(Conn* c) {
     }
     c->close_after_flush = true;
   }
-  if (!FlushOut(c)) {
+  // The round's send: every reply still owed leaves in one write.
+  if (!FlushRound(c)) {
     CloseConn(c);
     return;
   }
@@ -328,12 +338,20 @@ void FleetServer::HandleConn(Conn* c) {
 void FleetServer::ParseFrames(Conn* c) {
   while (!c->close_after_flush && !stopping_.load(std::memory_order_acquire)) {
     if (Backpressured(c)) {
-      // A slow reader's replies are piling up: stop parsing (and
-      // implicitly stop reading — RearmOrClose drops EPOLLIN) until the
-      // peer drains. TCP flow control propagates the stall to the
-      // sender; per-connection memory stays bounded.
-      GLINT_OBS_COUNT("glint.fleet.conn.read_backpressure", 1);
-      break;
+      // The round's replies reached the high water: send them now, and
+      // keep parsing if the socket takes them.
+      if (!FlushRound(c)) {
+        c->close_after_flush = true;
+        break;
+      }
+      if (Backpressured(c)) {
+        // A slow reader's replies are piling up: stop parsing (and
+        // implicitly stop reading — RearmOrClose drops EPOLLIN) until
+        // the peer drains. TCP flow control propagates the stall to the
+        // sender; per-connection memory stays bounded.
+        GLINT_OBS_COUNT("glint.fleet.conn.read_backpressure", 1);
+        break;
+      }
     }
     const size_t avail = c->in.size() - c->in_off;
     if (avail < wire::kFrameHeaderBytes) break;
@@ -354,7 +372,16 @@ void FleetServer::ParseFrames(Conn* c) {
       c->close_after_flush = true;  // the stream cannot be resynchronized
       break;
     }
-    std::vector<char> payload(body, body + header.len);
+    const std::span<const char> payload(body, header.len);
+    // A request that parks this worker on a shard consumer must not hold
+    // the replies already owed (earlier acks) behind a queue drain or an
+    // inspect: send them first. A dead peer ends the round.
+    if (!payload.empty() &&
+        WaitsOnShard(static_cast<wire::MsgType>(payload[0])) &&
+        !FlushRound(c)) {
+      c->close_after_flush = true;
+      break;
+    }
     // The request's trace is born at the read() that completed its frame
     // (idle keep-alive time between requests is nobody's latency; frames
     // that arrived together share a birth stamp).
@@ -390,15 +417,9 @@ void FleetServer::ParseFrames(Conn* c) {
     }
     wire::AppendFrame(&c->out, wire::EncodeReply(reply));
     ctx.Mark(obs::TraceStage::kEncode);
-    // Hand the reply to the kernel now (replies overlap the parsing of
-    // later pipelined frames); what the socket refuses waits for
-    // EPOLLOUT. The reply stage ends when the bytes leave this server's
-    // hands, queued or sent.
-    if (!FlushOut(c)) c->close_after_flush = true;
-    if (ctx.active()) {
-      ctx.Mark(obs::TraceStage::kReply);
-      recorder_->Finish(ctx);
-    }
+    // The reply waits in c->out for the round's send (FlushRound), which
+    // ends this trace's reply stage.
+    if (ctx.active()) c->replied.push_back(ctx);
   }
   // Compact: drop the consumed prefix so a long-lived connection's input
   // buffer tracks its unparsed backlog, not its history.
@@ -412,10 +433,26 @@ void FleetServer::ParseFrames(Conn* c) {
   }
 }
 
+bool FleetServer::FlushRound(Conn* c) {
+  const bool alive = FlushOut(c);
+  // The reply stage ends when the bytes leave this server's hands, sent
+  // or queued for EPOLLOUT; one clock read serves every trace.
+  if (!c->replied.empty()) {
+    const uint64_t now = obs::NowNs();
+    for (obs::TraceContext& t : c->replied) {
+      t.MarkAt(obs::TraceStage::kReply, now);
+      recorder_->Finish(t);
+    }
+    c->replied.clear();
+  }
+  return alive;
+}
+
 bool FleetServer::FlushOut(Conn* c) {
   static const bool fault_registered =
       fault::Registry::Global().RegisterPoint("fleet.server.send");
   (void)fault_registered;
+  const size_t start = c->out_off;
   while (c->out_off < c->out.size()) {
     if (fault::Registry::Armed() &&
         !fault::Registry::Global().Hit("fleet.server.send").ok()) {
@@ -430,6 +467,9 @@ bool FleetServer::FlushOut(Conn* c) {
         return true;  // kernel buffer full; EPOLLOUT resumes us
       }
       return false;  // peer is gone
+    }
+    if (c->out_off == start) {
+      GLINT_OBS_COUNT("glint.fleet.server.reply_writes", 1);
     }
     c->out_off += static_cast<size_t>(w);
   }
@@ -671,16 +711,18 @@ wire::Reply FleetServer::Dispatch(wire::Request& req,
       // Read each shard on its own consumer thread (same discipline as
       // kInspect — a fleet-wide Flush is not a barrier against clients
       // still posting), then aggregate here. Shards are visited one at a
-      // time, so the accumulators need no locking.
-      core::DeploymentSession::CacheStats agg;
+      // time, so the accumulators need no locking; each visit reads the
+      // engine's running totals, O(1) in its homes.
+      core::ServingEngine::Totals agg;
       uint64_t homes = 0;
       for (int k = 0; k < fleet_->num_shards(); ++k) {
         // A down shard's consumer may be gone or wedged — skip rather
         // than park this worker on its task timeout.
         if (bus_->health(k) == ShardHealth::kDown) continue;
         (void)bus_->RunOnShard(k, [&, k] {
-          homes += fleet_->shard(k).num_homes();
-          agg += fleet_->shard(k).AggregateStats();
+          const core::ServingEngine& shard = fleet_->shard(k);
+          homes += shard.num_homes();
+          agg += shard.totals();
           fleet_->PublishShardGauges(k);
         });  // only fails once Stop() has begun: report what we have
       }
@@ -736,11 +778,11 @@ wire::Reply FleetServer::BuildStatsJsonReply() {
     // shard's consumer may be gone — report its atomics only.
     if (h != ShardHealth::kDown) {
       (void)bus_->RunOnShard(k, [&, k] {
-        s.homes = fleet_->shard(k).num_homes();
-        const auto agg = fleet_->shard(k).AggregateStats();
-        s.rules = agg.rules;
-        s.events = agg.events;
-        s.inspects = agg.inspects;
+        const core::ServingEngine& shard = fleet_->shard(k);
+        s.homes = shard.num_homes();
+        s.rules = shard.totals().rules;
+        s.events = shard.totals().events;
+        s.inspects = shard.totals().inspects;
         fleet_->PublishShardGauges(k);
       });  // only fails once Stop() has begun: report what we have
     }

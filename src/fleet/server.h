@@ -14,12 +14,20 @@
 // bytes, never threads. Each connection is non-blocking with explicit
 // read/write buffers:
 //
-//   read side    bytes accumulate in an input buffer; complete frames
-//                are peeled off the front (partial-frame reassembly —
-//                a frame may arrive across many reads, or many frames
-//                in one), decoded, and dispatched in arrival order.
+//   read side    each recv() lands in the worker's reused read buffer
+//                and only the bytes received are appended to the
+//                connection's input buffer; complete frames are peeled
+//                off its front (partial-frame reassembly — a frame may
+//                arrive across many reads, or many frames in one),
+//                decoded where they sit, and dispatched in arrival order.
 //   write side   replies append to an output buffer flushed as far as
 //                the socket accepts; the remainder waits for EPOLLOUT.
+//                A service round is one read, parse-and-dispatch of
+//                every complete frame, then ONE send of all the round's
+//                replies — except that the replies already owed are sent
+//                before a request that waits on a shard consumer
+//                (kInspect, kStats, kStatsJson), so earlier acks never
+//                wait behind a queue drain or an inspect.
 //                When a slow reader's output buffer passes
 //                kMaxWriteBuffer, the server stops PARSING that
 //                connection (and stops reading once the input buffer is
@@ -175,6 +183,10 @@ class FleetServer {
     size_t in_off = 0;
     std::vector<char> out;  ///< reply bytes; [out_off, size) unsent
     size_t out_off = 0;
+    /// Active traces whose replies were appended to `out` this round;
+    /// FlushRound marks their reply stage and finishes them after the
+    /// send that carries the replies. Empty between rounds.
+    std::vector<obs::TraceContext> replied;
     /// Close once `out` drains (EOF seen, or a fatal frame error was
     /// answered); no further reads or parses.
     bool close_after_flush = false;
@@ -194,11 +206,19 @@ class FleetServer {
   void WorkerLoop();
   /// Accepts until EAGAIN, then re-arms the listener.
   void AcceptReady();
-  /// One service round: flush pending replies, read, parse/dispatch
-  /// complete frames, flush again, then close or re-arm.
-  void HandleConn(Conn* c);
-  /// Peels complete frames off c->in and serves them in order.
+  /// One service round: flush replies left from the last round, read
+  /// into `read_buf` (the worker's kReadChunk bytes) until the socket is
+  /// drained, parse/dispatch every complete frame, send the round's
+  /// replies in one FlushRound, then close or re-arm.
+  void HandleConn(Conn* c, char* read_buf);
+  /// Peels complete frames off c->in, decodes each in place and serves
+  /// them in order, appending every reply to c->out without sending it.
+  /// Sends early only before a request that waits on a shard consumer,
+  /// or when the owed replies reach kMaxWriteBuffer.
   void ParseFrames(Conn* c);
+  /// FlushOut, then ends the reply stage of every trace in c->replied
+  /// and finishes it. False on a dead socket.
+  bool FlushRound(Conn* c);
   /// Writes c->out as far as the socket accepts. False on a dead socket.
   bool FlushOut(Conn* c);
   bool Backpressured(const Conn* c) const {

@@ -58,6 +58,10 @@ ShardedFleet::ShardedFleet(const core::TrainedDetector* detector,
     // the knobs, so shards cannot diverge.
     shards_.push_back(
         std::make_unique<core::ServingEngine>(detector, config_.engine));
+    const std::string prefix = "glint.fleet.shard" + std::to_string(k);
+    auto& reg = obs::Registry::Global();
+    gauges_.push_back(
+        {reg.GetGauge(prefix + ".homes"), reg.GetGauge(prefix + ".rules")});
     for (int v = 0; v < kVirtualNodes; ++v) {
       const std::string point =
           "shard-" + std::to_string(k) + "#" + std::to_string(v);
@@ -234,13 +238,10 @@ void ShardedFleet::PublishShardGauges() const {
 
 void ShardedFleet::PublishShardGauges(int k) const {
   GLINT_CHECK(k >= 0 && k < num_shards());
-  auto& reg = obs::Registry::Global();
   const auto& shard = *shards_[static_cast<size_t>(k)];
-  const std::string prefix = "glint.fleet.shard" + std::to_string(k);
-  reg.GetGauge(prefix + ".homes")
-      ->Set(static_cast<int64_t>(shard.num_homes()));
-  reg.GetGauge(prefix + ".rules")
-      ->Set(static_cast<int64_t>(shard.total_rules()));
+  const ShardGauges& g = gauges_[static_cast<size_t>(k)];
+  g.homes->Set(static_cast<int64_t>(shard.num_homes()));
+  g.rules->Set(static_cast<int64_t>(shard.total_rules()));
 }
 
 }  // namespace glint::fleet

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "core/serving.h"
+#include "obs/registry.h"
 
 namespace glint::fleet {
 
@@ -144,6 +145,7 @@ class ShardedFleet {
   void PublishShardGauges() const;
   /// Publishes shard `k`'s gauges only — touches no other shard, so it is
   /// safe from shard `k`'s bus consumer thread (EventBus::RunOnShard).
+  /// O(1): reads the shard's running totals.
   void PublishShardGauges(int k) const;
 
   const FleetConfig& config() const { return config_; }
@@ -161,6 +163,12 @@ class ShardedFleet {
   /// Kept for RestartShard: fresh engines share the same detector.
   const core::TrainedDetector* detector_;
   std::vector<std::unique_ptr<core::ServingEngine>> shards_;
+  /// glint.fleet.shard<K>.homes / .rules, resolved once per shard.
+  struct ShardGauges {
+    obs::Gauge* homes;
+    obs::Gauge* rules;
+  };
+  std::vector<ShardGauges> gauges_;
   /// Sorted hash ring; built once (shard count is fixed per fleet).
   std::vector<RingPoint> ring_;
 };

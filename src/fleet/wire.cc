@@ -235,10 +235,10 @@ std::vector<char> Encode(const Msg& msg, Fields fields) {
 /// trailing bytes. Requests have type bytes below kPong, replies from it
 /// up.
 template <class Msg, class Fields>
-Status Decode(const std::vector<char>& payload, bool reply, Msg* msg,
+Status Decode(std::span<const char> payload, bool reply, Msg* msg,
               Fields fields) {
   const char* kind = reply ? "wire reply: " : "wire request: ";
-  util::ByteReader r(payload);
+  util::ByteReader r(payload.data(), payload.size());
   uint8_t type = 0;
   if (!r.U8(&type)) {
     return Status::InvalidArgument(std::string(kind) + "missing type");
@@ -272,7 +272,7 @@ std::vector<char> EncodeRequest(const Request& req) {
   });
 }
 
-Status DecodeRequest(const std::vector<char>& payload, Request* req) {
+Status DecodeRequest(std::span<const char> payload, Request* req) {
   GLINT_RETURN_IF_ERROR(
       Decode(payload, /*reply=*/false, req,
              [](auto& io, Request& q) { return RequestFields(io, q); }));
@@ -290,7 +290,7 @@ std::vector<char> EncodeReply(const Reply& reply) {
                 [](auto& io, const Reply& p) { return ReplyFields(io, p); });
 }
 
-Status DecodeReply(const std::vector<char>& payload, Reply* reply) {
+Status DecodeReply(std::span<const char> payload, Reply* reply) {
   return Decode(payload, /*reply=*/true, reply,
                 [](auto& io, Reply& p) { return ReplyFields(io, p); });
 }

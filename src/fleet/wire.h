@@ -88,6 +88,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -278,12 +279,14 @@ Status DecodeFrame(util::ByteReader* r, std::vector<char>* payload);
 // ---- Message codecs -----------------------------------------------------
 
 std::vector<char> EncodeRequest(const Request& req);
-/// Strict decode: unknown type, truncated body, or trailing bytes are
-/// InvalidArgument.
-Status DecodeRequest(const std::vector<char>& payload, Request* req);
+/// Strict decode of one frame payload: unknown type, truncated body, or
+/// trailing bytes are InvalidArgument. The payload is borrowed, so the
+/// server decodes a frame where it sits in its input buffer; a
+/// std::vector<char> converts implicitly.
+Status DecodeRequest(std::span<const char> payload, Request* req);
 
 std::vector<char> EncodeReply(const Reply& reply);
-Status DecodeReply(const std::vector<char>& payload, Reply* reply);
+Status DecodeReply(std::span<const char> payload, Reply* reply);
 
 /// Builds the standard error/ok acknowledgement for `st`.
 Reply AckFor(const Status& st);

@@ -82,8 +82,10 @@ namespace {
 
 template <class IO, class E>  // E = const Event (encode) or Event (decode)
 bool Fields(IO& io, E& e) {
-  return io.F64(e.time_hours) && io.Enum32(e.device) &&
-         io.Enum32(e.location) && io.Str(e.state) && io.Enum32(e.platform) &&
+  return io.F64(e.time_hours) &&
+         io.Enum32(e.device, rules::kNumDeviceTypes) &&
+         io.Enum32(e.location, rules::kNumLocations) && io.Str(e.state) &&
+         io.Enum32(e.platform, rules::kNumPlatforms) &&
          io.I32(e.source_rule_id);
 }
 

@@ -14,6 +14,7 @@ enum class Platform {
   kHomeAssistant,
 };
 constexpr int kNumPlatforms = 5;
+static_assert(static_cast<int>(Platform::kHomeAssistant) + 1 == kNumPlatforms);
 
 const char* PlatformName(Platform p);
 
@@ -60,6 +61,8 @@ enum class DeviceType {
   kSpreadsheet,
 };
 constexpr int kNumDeviceTypes = 36;
+static_assert(static_cast<int>(DeviceType::kSpreadsheet) + 1 ==
+              kNumDeviceTypes);
 
 /// Lexicon word for a device type (e.g. kAc -> "ac").
 const char* DeviceWord(DeviceType d);
@@ -84,6 +87,7 @@ enum class Channel {
   kDigital,    ///< web-service events (email, posts, calendar, weather)
 };
 constexpr int kNumChannels = 16;
+static_assert(static_cast<int>(Channel::kDigital) + 1 == kNumChannels);
 
 const char* ChannelName(Channel c);
 
@@ -106,6 +110,8 @@ enum class Command {
   kStartClean,
   kSetLevel,   ///< set an attribute to a fixed value (e.g. brightness 100%)
 };
+constexpr int kNumCommands = 16;
+static_assert(static_cast<int>(Command::kSetLevel) + 1 == kNumCommands);
 
 /// True when the two commands drive the same attribute in opposite
 /// directions (on/off, open/close, lock/unlock, dim/brighten, ...).

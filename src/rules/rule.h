@@ -24,6 +24,7 @@ enum class Location {
   kGarden,
 };
 constexpr int kNumLocations = 7;
+static_assert(static_cast<int>(Location::kGarden) + 1 == kNumLocations);
 
 const char* LocationWord(Location l);
 
@@ -41,6 +42,8 @@ enum class Comparator {
   kBetween,
   kEquals,    ///< state equality ("door is open", "mode == manual")
 };
+constexpr int kNumComparators = 5;
+static_assert(static_cast<int>(Comparator::kEquals) + 1 == kNumComparators);
 
 /// Trigger specification: what event starts the rule.
 struct TriggerSpec {

@@ -15,15 +15,18 @@ bool Fields(IO& io, R& rule) {
         return io.Zero32();
       }
     };
-    return io.Enum32(t.channel) && io.Enum32(t.device) && io.Enum32(t.cmp) &&
-           io.F64(t.lo) && io.F64(t.hi) && io.Str(t.state) && direction() &&
+    return io.Enum32(t.channel, kNumChannels) &&
+           io.Enum32(t.device, kNumDeviceTypes) &&
+           io.Enum32(t.cmp, kNumComparators) && io.F64(t.lo) &&
+           io.F64(t.hi) && io.Str(t.state) && direction() &&
            io.Bool32(t.has_time) && io.I32(t.hour_lo) && io.I32(t.hour_hi);
   };
   auto action = [&io](auto& a) {
-    return io.Enum32(a.device) && io.Enum32(a.command) && io.F64(a.level);
+    return io.Enum32(a.device, kNumDeviceTypes) &&
+           io.Enum32(a.command, kNumCommands) && io.F64(a.level);
   };
-  return io.I32(rule.id) && io.Enum32(rule.platform) &&
-         io.Enum32(rule.location) && trigger(rule.trigger) &&
+  return io.I32(rule.id) && io.Enum32(rule.platform, kNumPlatforms) &&
+         io.Enum32(rule.location, kNumLocations) && trigger(rule.trigger) &&
          io.List(rule.conditions, util::ListBound{"condition", 48}, trigger) &&
          io.List(rule.actions, util::ListBound{"action", 16}, action) &&
          io.Str(rule.text) && io.Bool32(rule.manual_mode_pin);

@@ -134,10 +134,13 @@ class LayoutWriter {
   bool Bool32(bool v) { return I32(v ? 1 : 0); }
   /// A reserved i32 slot, always 0.
   bool Zero32() { return I32(0); }
-  /// Enum as its i32 value.
+  /// Enum as its i32 value, one of the enum's `count` values [0, count).
+  /// A value outside them is the caller's contract broken: it aborts.
   template <class E>
-  bool Enum32(E v) {
-    return I32(static_cast<int32_t>(v));
+  bool Enum32(E v, int count) {
+    const int32_t i = static_cast<int32_t>(v);
+    GLINT_CHECK(i >= 0 && i < count);
+    return I32(i);
   }
   /// Writes the count, then `each` element. The bound's limits are the
   /// caller's contract: a list outside them aborts.
@@ -192,10 +195,13 @@ class LayoutReader {
     if (b != 0) return Refuse("reserved field", b);
     return true;
   }
+  /// An enum of `count` values [0, count); any other i32 is refused, so
+  /// a decoded enum always names one of its enumerators.
   template <class E>
-  [[gnu::always_inline]] bool Enum32(E& v) {
+  [[gnu::always_inline]] bool Enum32(E& v, int count) {
     int32_t i = 0;
     if (!r_->I32(&i)) return false;
+    if (i < 0 || i >= count) return Refuse("enum", i);
     v = static_cast<E>(i);
     return true;
   }

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -58,6 +59,8 @@ struct Op {
 class FleetTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
+    // Derived fixtures' suites share the one trained detector and script.
+    if (detector_ != nullptr) return;
     // Crash-matrix tests fork; a forked child must not depend on pool
     // worker threads that do not survive fork.
     ThreadPool::SetGlobalThreads(1);
@@ -1107,6 +1110,161 @@ TEST_F(FleetTest, ServerSurvivesMalformedFramesAndKeepsServing) {
   ASSERT_TRUE(client.Call(req, &reply).ok());
   EXPECT_EQ(reply.type, wire::MsgType::kPong);
   server.Stop();
+}
+
+// ---- The service round: one send per round ------------------------------
+//
+// A round reads what the socket holds, serves every complete frame, and
+// sends all their replies in one write; the replies already owed go out
+// before a request that waits on a shard consumer. Sends are counted as
+// hits of the fleet.server.send fault point, which counts only while some
+// point is armed, so each test arms one its workload never reaches.
+
+class ServiceRoundTest : public FleetTest {
+ protected:
+  void SetUp() override {
+    FleetTest::SetUp();
+    FleetConfig cfg;
+    cfg.num_shards = 2;
+    fleet_ = std::make_unique<ShardedFleet>(detector_, cfg);
+    server_ = std::make_unique<FleetServer>(fleet_.get(),
+                                            FleetServer::Config{});
+    ASSERT_TRUE(server_->Start().ok());
+    pool_ = RulePool(4);
+    wire::Client client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+    wire::Request req;
+    wire::Reply reply;
+    req.type = wire::MsgType::kAddHome;
+    req.home = kHome;
+    req.rules = {pool_[0], pool_[1]};
+    ASSERT_TRUE(client.Call(req, &reply).ok());
+    ASSERT_EQ(reply.code, 0) << reply.message;
+    client.Close();
+    fd_ = RawConnect(server_->port());
+    ASSERT_GE(fd_, 0);
+    // A lost reply fails the test instead of hanging it.
+    timeval tv{};
+    tv.tv_sec = 5;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    fault::Registry::Global().Arm("fleet_test.unreached", fault::Mode::kFail);
+  }
+
+  void TearDown() override {
+    if (fd_ >= 0) ::close(fd_);
+    server_->Stop();
+    FleetTest::TearDown();
+  }
+
+  /// Appends the frame of a kEventBatch of `n` events starting at seq
+  /// `seq`, so the ack's batch_events names the frame it answers.
+  void AppendBatch(std::vector<char>* bytes, uint64_t seq, size_t n) {
+    wire::Request req;
+    req.type = wire::MsgType::kEventBatch;
+    req.home = kHome;
+    req.seq = seq;
+    for (size_t i = 0; i < n; ++i) {
+      t_ += 0.01;
+      req.events.push_back(EventFor(pool_[i % pool_.size()], t_));
+    }
+    wire::AppendFrame(bytes, wire::EncodeRequest(req));
+  }
+
+  void SendAll(const std::vector<char>& bytes) {
+    ASSERT_EQ(::send(fd_, bytes.data(), bytes.size(), 0),
+              static_cast<ssize_t>(bytes.size()));
+  }
+
+  wire::Reply Recv() {
+    std::vector<char> payload;
+    wire::Reply reply;
+    const Status st = wire::RecvFrame(fd_, &payload);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    if (st.ok()) EXPECT_TRUE(wire::DecodeReply(payload, &reply).ok());
+    return reply;
+  }
+
+  /// Receives one kBatchAck and checks it accepted `n` events.
+  void ExpectBatchAck(uint32_t n) {
+    const wire::Reply ack = Recv();
+    EXPECT_EQ(ack.type, wire::MsgType::kBatchAck);
+    EXPECT_EQ(ack.code, 0) << ack.message;
+    EXPECT_EQ(ack.batch_events, n);
+  }
+
+  static uint64_t Sends() {
+    return fault::Registry::Global().hits("fleet.server.send");
+  }
+
+  static inline const HomeId kHome = "round-home";
+  std::unique_ptr<ShardedFleet> fleet_;
+  std::unique_ptr<FleetServer> server_;
+  std::vector<rules::Rule> pool_;
+  int fd_ = -1;
+  double t_ = 0.1;
+};
+
+TEST_F(ServiceRoundTest, SixteenBatchesInOneWriteAreAckedInOneSend) {
+  std::vector<char> bytes;
+  uint64_t seq = 1;
+  for (size_t i = 0; i < 16; ++i) {
+    AppendBatch(&bytes, seq, i % 4 + 1);
+    seq += i % 4 + 1;
+  }
+  SendAll(bytes);
+  // FIFO: each ack carries its frame's event count.
+  for (uint32_t i = 0; i < 16; ++i) ExpectBatchAck(i % 4 + 1);
+  EXPECT_EQ(Sends(), 1u);
+}
+
+TEST_F(ServiceRoundTest, OwedAcksLeaveBeforeAnInspectWaitsOnItsShard) {
+  // Park the home's shard consumer, so the inspect waits on it.
+  const int k = fleet_->ShardOf(kHome);
+  std::atomic<bool> parked{false}, release{false};
+  std::thread holder([&] {
+    (void)server_->bus().RunOnShard(k, [&] {
+      parked = true;
+      while (!release) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  });
+  while (!parked) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::vector<char> bytes;
+  AppendBatch(&bytes, 1, 2);
+  AppendBatch(&bytes, 3, 3);
+  wire::Request inspect;
+  inspect.type = wire::MsgType::kInspect;
+  inspect.home = kHome;
+  inspect.now_hours = 1.0;
+  wire::AppendFrame(&bytes, wire::EncodeRequest(inspect));
+  SendAll(bytes);
+  // Both acks arrive while the inspect is still parked.
+  ExpectBatchAck(2);
+  ExpectBatchAck(3);
+  EXPECT_EQ(Sends(), 1u);
+  release = true;
+  holder.join();
+  const wire::Reply warning = Recv();
+  EXPECT_EQ(warning.type, wire::MsgType::kWarning);
+  EXPECT_EQ(warning.code, 0) << warning.message;
+  EXPECT_EQ(Sends(), 2u);
+}
+
+TEST_F(ServiceRoundTest, ARoundEndingInAPartialFrameSendsItsCompleteReplies) {
+  std::vector<char> bytes;
+  AppendBatch(&bytes, 1, 1);
+  AppendBatch(&bytes, 2, 2);
+  const size_t complete = bytes.size();
+  AppendBatch(&bytes, 4, 3);
+  const size_t cut = complete + (bytes.size() - complete) / 2;
+  SendAll(std::vector<char>(bytes.begin(), bytes.begin() + cut));
+  ExpectBatchAck(1);
+  ExpectBatchAck(2);
+  EXPECT_EQ(Sends(), 1u);
+  SendAll(std::vector<char>(bytes.begin() + cut, bytes.end()));
+  ExpectBatchAck(3);
+  EXPECT_EQ(Sends(), 2u);
 }
 
 // The reviewer-found race this pins down: one connection inspecting a

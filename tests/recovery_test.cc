@@ -17,6 +17,7 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -815,6 +816,134 @@ TEST_F(RecoveryTest, WalEventAtNonFiniteTimeIsInvalidArgument) {
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(st.message().find("not a finite number"), std::string::npos)
       << st.ToString();
+}
+
+// Replay refuses an enum field outside its enumerators, as the wire
+// decoder does: an AddRule record whose rule platform is 99, and an event
+// record whose location is kNumLocations.
+TEST_F(RecoveryTest, WalEnumOutOfRangeIsInvalidArgument) {
+  const std::string dir = Dir("golden-enum");
+  {
+    ServingEngine empty(detector_);
+    ASSERT_TRUE(empty.Recover(dir).ok());
+  }
+  const std::vector<char> header = ReadFile(dir + "/wal.log");
+  ASSERT_EQ(header.size(), 8u);
+  auto recover_with = [&](std::vector<char> record, size_t at, int32_t v) {
+    std::memcpy(record.data() + at, &v, sizeof v);
+    WriteWal(dir + "/wal.log", header, {Unhex(kGoldenWalHex[0]), record});
+    ServingEngine engine(detector_);
+    return engine.Recover(dir);
+  };
+  const std::vector<char> add_rule = Unhex(kGoldenWalHex[1]);
+  ASSERT_EQ(add_rule[0], 2);  // kOpAddRule | u32 slot | i32 id | i32 platform
+  const std::vector<char> event = Unhex(kGoldenWalHex[3]);
+  ASSERT_EQ(event[0], 4);  // kOpEvent | u32 slot | f64 time | i32 device |
+                           // i32 location
+  Status st = recover_with(add_rule, 9, 99);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("enum is 99"), std::string::npos)
+      << st.ToString();
+  st = recover_with(event, 17, rules::kNumLocations);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("enum is 7"), std::string::npos)
+      << st.ToString();
+  // The offsets are the fields': their last enumerators recover.
+  EXPECT_TRUE(recover_with(add_rule, 9, rules::kNumPlatforms - 1).ok());
+  EXPECT_TRUE(recover_with(event, 17, rules::kNumLocations - 1).ok());
+}
+
+// The engine's running totals (the O(1) read behind kStats) equal
+// AggregateStats()'s fields after a seeded mix of every operation that
+// moves a session counter — refused events and inspects included — and
+// again after recovering from the state dir, snapshot plus WAL tail.
+TEST_F(RecoveryTest, RunningTotalsMatchAggregateStats) {
+  ServingEngine::Config cfg;
+  cfg.snapshot_every_ops = 23;  // snapshots fall inside the mix
+  const std::string dir = Dir("totals");
+  const std::vector<rules::Rule> pool = HomeRules(8);
+  auto expect_totals = [](const ServingEngine& e) {
+    const DeploymentSession::CacheStats agg = e.AggregateStats();
+    EXPECT_EQ(e.totals().rules, agg.rules);
+    EXPECT_EQ(e.totals().events, agg.events);
+    EXPECT_EQ(e.totals().inspects, agg.inspects);
+  };
+  std::mt19937 rng(27);
+  std::vector<HomeId> homes;
+  double t = 0.0;
+  int next_rule_id = 9100;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // `steps` ops of the mix on `e`; ops that cannot apply (no homes, an
+  // absent rule, a refused time) still run, as real callers send them.
+  auto mix = [&](ServingEngine* e, int steps) {
+    for (int step = 0; step < steps; ++step) {
+      const uint32_t kind = homes.empty() ? 0 : rng() % 8;
+      const HomeId home =
+          homes.empty() ? HomeId() : homes[rng() % homes.size()];
+      // A refused time a quarter of the time, else the latest time.
+      auto now = [&] { return rng() % 4 == 0 ? nan : t; };
+      switch (kind) {
+        case 0: {
+          std::vector<rules::Rule> deployed;
+          for (uint32_t i = rng() % 4; i > 0; --i) {
+            deployed.push_back(pool[rng() % pool.size()]);
+          }
+          homes.push_back("totals-" + std::to_string(homes.size()));
+          ASSERT_TRUE(e->TryAddHome(homes.back(), deployed).ok());
+          break;
+        }
+        case 1: {
+          rules::Rule rule = pool[rng() % pool.size()];
+          rule.id = next_rule_id++;
+          ASSERT_TRUE(e->TryAddRule(home, rule).ok());
+          break;
+        }
+        case 2: {
+          const int id = rng() % 2 == 0
+                             ? 9000 + static_cast<int>(rng() % pool.size())
+                             : 9100 + static_cast<int>(rng() % 16);
+          ASSERT_TRUE(e->TryRemoveRule(home, id).ok());
+          break;
+        }
+        case 3:
+        case 4: {
+          std::vector<graph::Event> batch;
+          for (uint32_t i = 1 + rng() % 6; i > 0; --i) {
+            t += 0.05;
+            batch.push_back(EventFor(pool[rng() % pool.size()], t));
+            if (rng() % 5 == 0) batch.back().time_hours = nan;
+          }
+          (void)e->TryOnEvents(home, batch.data(), batch.size());
+          break;
+        }
+        case 5:
+          (void)e->TryInspect(home, now());
+          break;
+        case 6:
+          (void)e->TryInspectDegraded(home, now());
+          break;
+        default:
+          (void)e->InspectAll(t, 4);
+          break;
+      }
+    }
+  };
+  {
+    ServingEngine engine(detector_, cfg);
+    ASSERT_TRUE(engine.Recover(dir).ok());
+    mix(&engine, 160);
+    expect_totals(engine);
+    // The mix moved every total.
+    EXPECT_GT(engine.totals().rules, 0u);
+    EXPECT_GT(engine.totals().events, 0u);
+    EXPECT_GT(engine.totals().inspects, 0u);
+  }
+  ServingEngine recovered(detector_, cfg);
+  ASSERT_TRUE(recovered.Recover(dir).ok());
+  ASSERT_TRUE(recovered.recovery_info().snapshot_loaded);
+  expect_totals(recovered);
+  mix(&recovered, 60);
+  expect_totals(recovered);
 }
 
 // One engine call per batch writes what one call per event writes: a

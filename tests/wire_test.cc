@@ -958,16 +958,21 @@ TEST(WireGolden, NonCanonicalValuesAreInvalidArgument) {
 
   const Request add = GoldenRequests()[2];
   ASSERT_EQ(add.type, MsgType::kAddRule);
-  const std::vector<char> golden = EncodeRequest(add);
-  // The offset of the field `clear` sets to false: the first byte where
+  const Request batch = GoldenRequests()[7];
+  ASSERT_EQ(batch.type, MsgType::kEventBatch);
+  // The offset of the field `change` moves in `base`: the first byte where
   // the two encodings differ.
-  auto offset_of = [&](auto clear) {
-    Request r = add;
-    clear(r.rule);
+  auto offset_in = [](const Request& base, auto change) {
+    const std::vector<char> golden = EncodeRequest(base);
+    Request r = base;
+    change(r);
     const std::vector<char> bytes = EncodeRequest(r);
     size_t at = 0;
     while (at < bytes.size() && bytes[at] == golden[at]) ++at;
     return at;
+  };
+  auto offset_of = [&](auto change) {
+    return offset_in(add, [&](Request& r) { change(r.rule); });
   };
   const size_t has_time =
       offset_of([](rules::Rule& r) { r.trigger.has_time = false; });
@@ -977,19 +982,40 @@ TEST(WireGolden, NonCanonicalValuesAreInvalidArgument) {
   const size_t direction =
       offset_of([](rules::Rule& r) { r.conditions[0].has_time = false; }) -
       sizeof(int32_t);
-  auto decode_with = [&](size_t at, int32_t v) {
-    std::vector<char> bytes = golden;
+  // Enums: each changed to another enumerator whose low byte differs.
+  const size_t platform =
+      offset_of([](rules::Rule& r) { r.platform = rules::Platform::kIFTTT; });
+  const size_t action_device = offset_of([](rules::Rule& r) {
+    r.actions[0].device = static_cast<rules::DeviceType>(
+        (static_cast<int>(r.actions[0].device) + 1) % rules::kNumDeviceTypes);
+  });
+  const size_t location = offset_in(batch, [](Request& r) {
+    r.events[0].location = rules::Location::kAny;
+  });
+  auto decode_in = [](const Request& base, size_t at, int32_t v) {
+    std::vector<char> bytes = EncodeRequest(base);
     std::memcpy(bytes.data() + at, &v, sizeof v);
     Request req;
     return DecodeRequest(bytes, &req).code();
   };
+  auto decode_with = [&](size_t at, int32_t v) {
+    return decode_in(add, at, v);
+  };
   EXPECT_EQ(decode_with(has_time, 2), StatusCode::kInvalidArgument);
   EXPECT_EQ(decode_with(pin, -1), StatusCode::kInvalidArgument);
   EXPECT_EQ(decode_with(direction, 1), StatusCode::kInvalidArgument);
+  EXPECT_EQ(decode_with(platform, 99), StatusCode::kInvalidArgument);
+  EXPECT_EQ(decode_with(action_device, -1), StatusCode::kInvalidArgument);
+  EXPECT_EQ(decode_in(batch, location, rules::kNumLocations),
+            StatusCode::kInvalidArgument);
   // The offsets are the fields': their canonical values decode.
   EXPECT_EQ(decode_with(has_time, 0), StatusCode::kOk);
   EXPECT_EQ(decode_with(pin, 0), StatusCode::kOk);
   EXPECT_EQ(decode_with(direction, 0), StatusCode::kOk);
+  EXPECT_EQ(decode_with(platform, rules::kNumPlatforms - 1), StatusCode::kOk);
+  EXPECT_EQ(decode_with(action_device, 0), StatusCode::kOk);
+  EXPECT_EQ(decode_in(batch, location, rules::kNumLocations - 1),
+            StatusCode::kOk);
 }
 
 // ---- Count amplification ------------------------------------------------

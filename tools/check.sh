@@ -353,6 +353,20 @@ if ! printf '%s\n' "${REPLAY_TOP_JSON}" | \
   printf '%s\n' "${REPLAY_TOP_JSON}" >&2
   exit 1
 fi
+# One send per service round: the replay's pipelined frames share sends,
+# so the server's reply writes are nonzero and at most its requests.
+counter_of() {
+  printf '%s\n' "${REPLAY_TOP_JSON}" | { grep -o "\"$1\":[0-9]*" || true; } |
+    head -n 1 | cut -d: -f2
+}
+REPLY_WRITES="$(counter_of glint.fleet.server.reply_writes)"
+REQUESTS="$(counter_of glint.fleet.server.requests)"
+if [ -z "${REPLY_WRITES}" ] || [ -z "${REQUESTS}" ] ||
+    [ "${REPLY_WRITES}" -eq 0 ] || [ "${REPLY_WRITES}" -gt "${REQUESTS}" ]; then
+  echo "check.sh: reply_writes (${REPLY_WRITES:-missing}) not in" \
+    "[1, requests (${REQUESTS:-missing})]" >&2
+  exit 1
+fi
 if ! printf '%s\n' "${FLEET_TOP_OUT}" | grep -q '3 shards'; then
   echo "check.sh: fleet-top --once did not render the shard summary" >&2
   printf '%s\n' "${FLEET_TOP_OUT}" >&2

@@ -1104,6 +1104,11 @@ int CmdStats() {
       "  glint.fleet.server.batch_frames / .batch_events\n"
       "                      kEventBatch frames accepted and the events\n"
       "                      they carried (events/frame = amortization)\n"
+      "  glint.fleet.server.reply_writes\n"
+      "                      flushes that sent reply bytes: one per\n"
+      "                      service round, plus one before each request\n"
+      "                      that waits on a shard (requests/reply_writes\n"
+      "                      = replies coalesced per send)\n"
       "  glint.fleet.bus.posted / .posted_events\n"
       "                      bus messages enqueued vs events they span\n"
       "                      (posted_events > posted ⇔ batching active)\n"
