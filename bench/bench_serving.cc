@@ -3,7 +3,10 @@
 // correlation pipeline), plus ServingEngine whole-fleet throughput
 // (rules/sec) at 1, 2, and hardware-concurrency threads. Emits one
 // machine-readable JSON line (prefix BENCH_JSON) with the p50/p95
-// latencies, the cold/warm speedup, and the per-thread-count rates.
+// latencies, the cold/warm speedup, and the per-thread-count rates. A
+// correlation section scores the deployed home by rows
+// (CorrelationDiscovery::CorrelateRow) and pair by pair, and fails the
+// run if any verdict differs; its per-pair times are report-only.
 //
 // Usage: bench_serving [--smoke]
 //   --smoke  tiny home / fewer reps and a {1, current} thread sweep; used
@@ -111,6 +114,36 @@ int Run(bool smoke) {
 
   Banner("Serving: cold full rebuild vs warm incremental Inspect",
          "the Sec. 5 deployment regime");
+
+  // Correlation rows: score the home rule by rule as LiveGraph::AddRule
+  // does (rule k against rules 0..k-1 in both directions), once with one
+  // CorrelateRow call per rule and once pair by pair through Correlated.
+  // Neither uses the verdict memo, so both time real scoring. A verdict
+  // that differs between the two is an equivalence bug.
+  const correlation::CorrelationDiscovery& discovery = detector.discovery();
+  std::vector<double> row_us_per_pair, pair_us;
+  bool corr_row_equivalent = true;
+  for (size_t k = 1; k < deployed.size(); ++k) {
+    std::vector<const rules::Rule*> others;
+    for (size_t i = 0; i < k; ++i) others.push_back(&deployed[i]);
+    std::vector<char> from, to;
+    auto t0 = std::chrono::steady_clock::now();
+    discovery.CorrelateRow(deployed[k], others, &from, &to);
+    row_us_per_pair.push_back(Seconds(t0) * 1e6 / (2.0 * k));
+    for (size_t i = 0; i < k; ++i) {
+      t0 = std::chrono::steady_clock::now();
+      const bool f = discovery.Correlated(deployed[i], deployed[k]);
+      pair_us.push_back(Seconds(t0) * 1e6);
+      t0 = std::chrono::steady_clock::now();
+      const bool t = discovery.Correlated(deployed[k], deployed[i]);
+      pair_us.push_back(Seconds(t0) * 1e6);
+      if (f != (from[i] != 0) || t != (to[i] != 0)) {
+        corr_row_equivalent = false;
+      }
+    }
+  }
+  const double corr_row_us_p50 = Percentile(row_us_per_pair, 0.50);
+  const double corr_pair_us_p50 = Percentile(pair_us, 0.50);
 
   // Cold: the pre-split pipeline — every Inspect re-runs the O(n^2)
   // learned-correlation scan and rebuilds the graph from scratch. The cold
@@ -285,6 +318,10 @@ int Run(bool smoke) {
               durable_gate_ok ? "ok" : "FAIL (>10% warm-path regression)");
   std::printf("wal 8-record runs p50: %.2f us per record\n",
               wal_run8_us_per_record_p50);
+  std::printf("correlation p50: %.1f us per pair by rows, %.1f us by "
+              "pairs   rows==pairs: %s\n",
+              corr_row_us_p50, corr_pair_us_p50,
+              corr_row_equivalent ? "yes" : "NO — EQUIVALENCE BUG");
 
   // Fleet throughput: ServingEngine with `homes` sessions, one 1-rule
   // delta per home per round, an InspectAll sweep across the thread sweep.
@@ -411,6 +448,9 @@ int Run(bool smoke) {
   json.Num("wal_append_us_p95", wal_append_us_p95, 1);
   json.Num("wal_run8_us_per_record_p50", wal_run8_us_per_record_p50, 2);
   json.Bool("durable_gate_ok", durable_gate_ok);
+  json.Num("corr_row_us_per_pair_p50", corr_row_us_p50, 1);
+  json.Num("corr_pair_us_p50", corr_pair_us_p50, 1);
+  json.Bool("corr_row_equivalent", corr_row_equivalent);
   json.Ints("threads", sweep);
   json.Nums("rules_per_sec", rates);
   json.Num("fleet_seq_p50_ms", seq_fleet_p50);
@@ -420,6 +460,7 @@ int Run(bool smoke) {
   std::printf("BENCH_JSON %s\n", json.Render().c_str());
   if (!durable_gate_ok) return 1;
   if (!batched_equivalent) return 1;
+  if (!corr_row_equivalent) return 1;
   return equivalent ? 0 : 1;
 }
 

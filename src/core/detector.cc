@@ -86,13 +86,32 @@ void TrainedDetector::TrainOffline() {
   ready_ = true;
 }
 
+bool TrainedDetector::learned_correlation() const {
+  return options_.use_learned_correlation && discovery_ != nullptr &&
+         discovery_->trained();
+}
+
 bool TrainedDetector::Correlated(const rules::Rule& src,
                                  const rules::Rule& dst) const {
-  if (options_.use_learned_correlation && discovery_ != nullptr &&
-      discovery_->trained()) {
+  if (learned_correlation()) {
     return discovery_->Correlated(src, dst, &corr_cache_);
   }
   return rules::RuleTriggersRule(src, dst);
+}
+
+void TrainedDetector::CorrelateRow(
+    const rules::Rule& rule, const std::vector<const rules::Rule*>& others,
+    std::vector<char>* from, std::vector<char>* to) const {
+  if (learned_correlation()) {
+    discovery_->CorrelateRow(rule, others, from, to, &corr_cache_);
+    return;
+  }
+  from->assign(others.size(), 0);
+  to->assign(others.size(), 0);
+  for (size_t i = 0; i < others.size(); ++i) {
+    (*from)[i] = rules::RuleTriggersRule(*others[i], rule);
+    (*to)[i] = rules::RuleTriggersRule(rule, *others[i]);
+  }
 }
 
 graph::Node TrainedDetector::MakeNode(const rules::Rule& rule) const {

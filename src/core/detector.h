@@ -72,6 +72,14 @@ class TrainedDetector {
   /// CorrelationCache), else the semantic oracle.
   bool Correlated(const rules::Rule& src, const rules::Rule& dst) const;
 
+  /// The same predicate over one rule's row: (*from)[i] is
+  /// Correlated(*others[i], rule) and (*to)[i] is Correlated(rule,
+  /// *others[i]). The learned path parses each rule once for the whole row
+  /// (CorrelationDiscovery::CorrelateRow).
+  void CorrelateRow(const rules::Rule& rule,
+                    const std::vector<const rules::Rule*>& others,
+                    std::vector<char>* from, std::vector<char>* to) const;
+
   /// Embeds one rule into a graph node (memoized by rule text).
   graph::Node MakeNode(const rules::Rule& rule) const;
 
@@ -129,6 +137,9 @@ class TrainedDetector {
   /// session served by this detector).
   mutable correlation::CorrelationCache corr_cache_;
   bool ready_ = false;
+
+  /// True when edges come from the trained ensemble, not the oracle.
+  bool learned_correlation() const;
 
   /// The one analysis body behind Analyze and AnalyzeBatch.
   std::vector<ThreatWarning> AnalyzeAll(

@@ -16,8 +16,10 @@ DeploymentSession::DeploymentSession(const TrainedDetector* detector,
           graph::LiveGraph::Config{
               config.window_hours,
               detector->options().builder.device_edges},
-          [detector](const rules::Rule& a, const rules::Rule& b) {
-            return detector->Correlated(a, b);
+          [detector](const rules::Rule& rule,
+                     const std::vector<const rules::Rule*>& others,
+                     std::vector<char>* from, std::vector<char>* to) {
+            detector->CorrelateRow(rule, others, from, to);
           },
           [detector](const rules::Rule& r) { return detector->MakeNode(r); }),
       tensor_cache_(config.cache_capacity) {

@@ -54,21 +54,17 @@ double CorrelationDiscovery::VoteShare(const rules::Rule& src,
   return votes / 3.0;
 }
 
-bool CorrelationDiscovery::Correlated(const rules::Rule& src,
-                                      const rules::Rule& dst,
-                                      CorrelationCache* cache) const {
-  GLINT_CHECK(trained_);
-  uint64_t hs = 0;
-  uint64_t hd = 0;
+template <typename Features>
+bool CorrelationDiscovery::Decide(CorrelationCache* cache, uint64_t hs,
+                                  uint64_t hd,
+                                  const Features& features) const {
   if (cache != nullptr) {
-    hs = rules::RuleContentHash(src);
-    hd = rules::RuleContentHash(dst);
     if (auto hit = cache->Lookup(hs, hd)) return *hit;
   }
   bool verdict;
   {
     GLINT_OBS_TIMER(timer, "glint.correlation.predict_ms");
-    const FloatVec f = extractor_.ExtractPair(src, dst);
+    const FloatVec f = features();
     // 2-of-3 majority: when MLP and forest agree, KNN's vote cannot change
     // the outcome, so the KNN scan (the costliest voter) runs only to break
     // their tie. Equal to VoteShare(src, dst) >= 0.5 by construction.
@@ -80,6 +76,49 @@ bool CorrelationDiscovery::Correlated(const rules::Rule& src,
   }
   if (cache != nullptr) cache->Insert(hs, hd, verdict);
   return verdict;
+}
+
+bool CorrelationDiscovery::Correlated(const rules::Rule& src,
+                                      const rules::Rule& dst,
+                                      CorrelationCache* cache) const {
+  GLINT_CHECK(trained_);
+  const uint64_t hs = cache != nullptr ? rules::RuleContentHash(src) : 0;
+  const uint64_t hd = cache != nullptr ? rules::RuleContentHash(dst) : 0;
+  return Decide(cache, hs, hd,
+                [&] { return extractor_.ExtractPair(src, dst); });
+}
+
+void CorrelationDiscovery::CorrelateRow(
+    const rules::Rule& rule, const std::vector<const rules::Rule*>& others,
+    std::vector<char>* from, std::vector<char>* to,
+    CorrelationCache* cache) const {
+  GLINT_CHECK(trained_);
+  const size_t n = others.size();
+  from->assign(n, 0);
+  to->assign(n, 0);
+  // Terms live for this call only: built on a rule's first uncached pair,
+  // so a fully cached row parses nothing.
+  std::optional<FeatureExtractor::RuleTerms> rule_terms;
+  const auto terms_of_rule = [&]() -> const FeatureExtractor::RuleTerms& {
+    if (!rule_terms) rule_terms.emplace(extractor_.Terms(rule));
+    return *rule_terms;
+  };
+  const uint64_t hr = cache != nullptr ? rules::RuleContentHash(rule) : 0;
+  for (size_t i = 0; i < n; ++i) {
+    const rules::Rule& other = *others[i];
+    const uint64_t ho = cache != nullptr ? rules::RuleContentHash(other) : 0;
+    std::optional<FeatureExtractor::RuleTerms> other_terms;
+    const auto terms_of_other = [&]() -> const FeatureExtractor::RuleTerms& {
+      if (!other_terms) other_terms.emplace(extractor_.Terms(other));
+      return *other_terms;
+    };
+    (*from)[i] = Decide(cache, ho, hr, [&] {
+      return extractor_.PairFeatures(terms_of_other(), terms_of_rule());
+    });
+    (*to)[i] = Decide(cache, hr, ho, [&] {
+      return extractor_.PairFeatures(terms_of_rule(), terms_of_other());
+    });
+  }
 }
 
 }  // namespace glint::correlation

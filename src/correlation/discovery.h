@@ -5,6 +5,7 @@
 #include <mutex>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "correlation/features.h"
 #include "ml/decision_tree.h"
@@ -72,6 +73,18 @@ class CorrelationDiscovery {
   bool Correlated(const rules::Rule& src, const rules::Rule& dst,
                   CorrelationCache* cache = nullptr) const;
 
+  /// Scores `rule` against each of `others` in both directions:
+  /// (*from)[i] = Correlated(*others[i], rule, cache) and
+  /// (*to)[i] = Correlated(rule, *others[i], cache), probed and filled in
+  /// that order. Each rule's terms are built at most once, on its first
+  /// uncached pair, so a row of n parses n + 1 texts at most instead of 4n;
+  /// every uncached pair still records one glint.correlation.predict_ms
+  /// sample.
+  void CorrelateRow(const rules::Rule& rule,
+                    const std::vector<const rules::Rule*>& others,
+                    std::vector<char>* from, std::vector<char>* to,
+                    CorrelationCache* cache = nullptr) const;
+
   /// Majority-vote probability in {0, 1/3, 2/3, 1}. Kept for the tests:
   /// the full three-model vote they check Correlated's short circuit against.
   double VoteShare(const rules::Rule& src, const rules::Rule& dst) const;
@@ -82,6 +95,13 @@ class CorrelationDiscovery {
   bool trained() const { return trained_; }
 
  private:
+  /// The one verdict body of Correlated and CorrelateRow: a cache probe
+  /// under (hs, hd) when `cache` is given, else (or on a miss) the 2-of-3
+  /// vote over `features()`, timed as one predict_ms sample.
+  template <typename Features>
+  bool Decide(CorrelationCache* cache, uint64_t hs, uint64_t hd,
+              const Features& features) const;
+
   FeatureExtractor extractor_;
   ml::Mlp mlp_;
   ml::RandomForest forest_;

@@ -1,8 +1,8 @@
 #include "correlation/features.h"
 
 #include "nlp/dep_parser.h"
-#include "nlp/dtw.h"
 #include "nlp/lexicon.h"
+#include "obs/obs.h"
 #include "util/status.h"
 
 namespace glint::correlation {
@@ -79,41 +79,53 @@ bool SharedChannel(const std::vector<std::string>& a,
 
 }  // namespace
 
-FloatVec FeatureExtractor::ExtractPair(const rules::Rule& src,
-                                       const rules::Rule& dst) const {
-  const nlp::ParsedRule ps = nlp::DepParser::Parse(src.text);
-  const nlp::ParsedRule pd = nlp::DepParser::Parse(dst.text);
+FeatureExtractor::RuleTerms FeatureExtractor::Terms(
+    const rules::Rule& rule) const {
+  GLINT_OBS_COUNT("glint.correlation.rule_terms", 1);
+  const nlp::ParsedRule parsed = nlp::DepParser::Parse(rule.text);
+  RuleTerms terms;
+  ActionNounsVerbs(parsed, &terms.action.nouns, &terms.action.verbs);
+  TriggerNounsVerbs(parsed, &terms.trigger.nouns, &terms.trigger.verbs);
+  for (Side* side : {&terms.action, &terms.trigger}) {
+    side->all = side->nouns;
+    side->all.insert(side->all.end(), side->verbs.begin(), side->verbs.end());
+    side->noun_words = nlp::PrepareWords(side->nouns, *model_);
+    side->verb_words = nlp::PrepareWords(side->verbs, *model_);
+    side->average = model_->Average(side->all);
+  }
+  return terms;
+}
 
-  std::vector<std::string> a_nouns, a_verbs, t_nouns, t_verbs;
-  ActionNounsVerbs(ps, &a_nouns, &a_verbs);   // PoS(A), line 3
-  TriggerNounsVerbs(pd, &t_nouns, &t_verbs);  // PoS(T), line 2
+FloatVec FeatureExtractor::PairFeatures(const RuleTerms& src,
+                                        const RuleTerms& dst) const {
+  const Side& a = src.action;   // PoS(A), line 3
+  const Side& t = dst.trigger;  // PoS(T), line 2
 
   FloatVec out;
   out.reserve(Dim());
   // V1 — DTW similarities (line 4).
-  out.push_back(static_cast<float>(nlp::DtwWordDistance(a_verbs, t_verbs,
-                                                        *model_)));
-  out.push_back(static_cast<float>(nlp::DtwWordDistance(a_nouns, t_nouns,
-                                                        *model_)));
+  out.push_back(static_cast<float>(
+      nlp::DtwWordDistance(a.verb_words, t.verb_words)));
+  out.push_back(static_cast<float>(
+      nlp::DtwWordDistance(a.noun_words, t.noun_words)));
   // V2 — binary verb relations (line 5).
-  out.push_back(AnySynonym(a_verbs, t_verbs) ? 1.f : 0.f);
-  out.push_back(AnyHypernym(a_verbs, t_verbs) ? 1.f : 0.f);
+  out.push_back(AnySynonym(a.verbs, t.verbs) ? 1.f : 0.f);
+  out.push_back(AnyHypernym(a.verbs, t.verbs) ? 1.f : 0.f);
   // V3 — binary object relations (line 6).
-  out.push_back(AnySynonym(a_nouns, t_nouns) ? 1.f : 0.f);
-  out.push_back(AnyMeronym(a_nouns, t_nouns) ? 1.f : 0.f);
-  std::vector<std::string> a_all(a_nouns);
-  a_all.insert(a_all.end(), a_verbs.begin(), a_verbs.end());
-  std::vector<std::string> t_all(t_nouns);
-  t_all.insert(t_all.end(), t_verbs.begin(), t_verbs.end());
-  out.push_back(SharedChannel(a_all, t_all) ? 1.f : 0.f);
+  out.push_back(AnySynonym(a.nouns, t.nouns) ? 1.f : 0.f);
+  out.push_back(AnyMeronym(a.nouns, t.nouns) ? 1.f : 0.f);
+  out.push_back(SharedChannel(a.all, t.all) ? 1.f : 0.f);
   // V4 — E_T + E_A (line 7).
-  FloatVec ea = model_->Average(a_all);
-  FloatVec et = model_->Average(t_all);
-  if (ea.empty()) ea.assign(model_->dim(), 0.f);
-  if (et.empty()) et.assign(model_->dim(), 0.f);
-  for (size_t i = 0; i < ea.size(); ++i) out.push_back(ea[i] + et[i]);
+  for (size_t i = 0; i < a.average.size(); ++i) {
+    out.push_back(a.average[i] + t.average[i]);
+  }
   GLINT_CHECK(out.size() == Dim());
   return out;
+}
+
+FloatVec FeatureExtractor::ExtractPair(const rules::Rule& src,
+                                       const rules::Rule& dst) const {
+  return PairFeatures(Terms(src), Terms(dst));
 }
 
 ml::Dataset BuildPairDataset(const std::vector<rules::Rule>& corpus,

@@ -28,16 +28,37 @@ void InsertTime(std::vector<double>* times, double t) {
   times->insert(it, t);
 }
 
+// A row predicate that asks `pred` pair by pair.
+LiveGraph::RowPredicate RowOfPairs(EdgePredicate pred) {
+  GLINT_CHECK(pred != nullptr);
+  return [pred = std::move(pred)](const rules::Rule& rule,
+                                  const std::vector<const rules::Rule*>& others,
+                                  std::vector<char>* from,
+                                  std::vector<char>* to) {
+    from->assign(others.size(), 0);
+    to->assign(others.size(), 0);
+    for (size_t i = 0; i < others.size(); ++i) {
+      (*from)[i] = pred(*others[i], rule) ? 1 : 0;
+      (*to)[i] = pred(rule, *others[i]) ? 1 : 0;
+    }
+  };
+}
+
 }  // namespace
+
+LiveGraph::LiveGraph(Config config, RowPredicate row_pred,
+                     NodeFactory make_node)
+    : config_(config),
+      row_pred_(std::move(row_pred)),
+      make_node_(std::move(make_node)) {
+  GLINT_CHECK(row_pred_ != nullptr);
+  GLINT_CHECK(make_node_ != nullptr);
+}
 
 LiveGraph::LiveGraph(Config config, EdgePredicate edge_pred,
                      NodeFactory make_node)
-    : config_(config),
-      edge_pred_(std::move(edge_pred)),
-      make_node_(std::move(make_node)) {
-  GLINT_CHECK(edge_pred_ != nullptr);
-  GLINT_CHECK(make_node_ != nullptr);
-}
+    : LiveGraph(config, RowOfPairs(std::move(edge_pred)),
+                std::move(make_node)) {}
 
 void LiveGraph::ReplayEvents(Entry* entry) const {
   entry->trigger_times.clear();
@@ -66,11 +87,16 @@ int LiveGraph::AddRule(const rules::Rule& rule) {
   ReplayEvents(&entry);
 
   const size_t n = entries_.size();
-  std::vector<char> sem_row(n + 1, 0);
+  std::vector<const rules::Rule*> others(n);
+  for (size_t i = 0; i < n; ++i) others[i] = &entries_[i].rule;
+  std::vector<char> sem_col;
+  std::vector<char> sem_row;
+  row_pred_(rule, others, &sem_col, &sem_row);
+  GLINT_CHECK(sem_col.size() == n && sem_row.size() == n);
+  sem_row.push_back(0);
   std::vector<char> share_row(n + 1, 0);
   for (size_t i = 0; i < n; ++i) {
-    sem_[i].push_back(edge_pred_(entries_[i].rule, rule) ? 1 : 0);
-    sem_row[i] = edge_pred_(rule, entries_[i].rule) ? 1 : 0;
+    sem_[i].push_back(sem_col[i]);
     const char sh = ShareDevice(entries_[i].rule, rule) ? 1 : 0;
     share_[i].push_back(sh);
     share_row[i] = sh;

@@ -46,10 +46,24 @@ class LiveGraph {
   /// Builds a Node (features) for a rule; typically GraphBuilder::MakeNode.
   using NodeFactory = std::function<Node(const rules::Rule&)>;
 
+  /// The edge predicate over one rule's row: sets (*from)[i] to the verdict
+  /// for the edge others[i] -> rule and (*to)[i] to the verdict for
+  /// rule -> others[i], as EdgePredicate would give them; typically
+  /// TrainedDetector::CorrelateRow.
+  using RowPredicate = std::function<void(
+      const rules::Rule& rule, const std::vector<const rules::Rule*>& others,
+      std::vector<char>* from, std::vector<char>* to)>;
+
+  LiveGraph(Config config, RowPredicate row_pred, NodeFactory make_node);
+
+  /// A graph whose row predicate asks `edge_pred` pair by pair, in the
+  /// order others[i] -> rule, then rule -> others[i]. Kept because
+  /// perfbench's traced replay times each pair through it.
   LiveGraph(Config config, EdgePredicate edge_pred, NodeFactory make_node);
 
   /// Adds a rule: embeds it once and evaluates its O(n) pair row/column
-  /// against the existing rules. Returns the rule's node index.
+  /// against the existing rules with one row-predicate call. Returns the
+  /// rule's node index.
   int AddRule(const rules::Rule& rule);
 
   /// Removes the first rule with this id (erasing its row/column from the
@@ -145,7 +159,7 @@ class LiveGraph {
   void Prune();
 
   Config config_;
-  EdgePredicate edge_pred_;
+  RowPredicate row_pred_;
   NodeFactory make_node_;
   std::vector<Entry> entries_;
   /// sem_[i][j]: edge predicate verdict for the ordered pair (i, j).

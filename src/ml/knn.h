@@ -27,7 +27,12 @@ class Knn : public Classifier {
 
   Params params_;
   StandardScaler scaler_;
-  Dataset train_;
+  /// The standardized training set, feature-major: feature f of point p is
+  /// train_x_[f * train_y_.size() + p]. Votes accumulates every point's
+  /// squared distance at once, one feature at a time, so each point's sum
+  /// keeps EuclideanDistance's ascending-feature order.
+  FloatVec train_x_;
+  std::vector<int> train_y_;
   std::vector<double> class_weights_;
   int num_classes_ = 2;
 };

@@ -37,7 +37,15 @@ class Mlp : public Classifier {
     FloatVec b;
     std::vector<FloatVec> mw, vw;
     FloatVec mb, vb;
+    // [in][out] copy of w, widened to double, that Forward reads: it
+    // accumulates every output at once, one input at a time, so each
+    // output's sum keeps the row-major loop's order. Rewritten whenever w
+    // changes.
+    std::vector<double> wt;
   };
+
+  /// Rewrites layer->wt from layer->w.
+  static void Transpose(Layer* layer);
 
   std::vector<double> Forward(const FloatVec& x,
                               std::vector<FloatVec>* activations) const;

@@ -25,7 +25,8 @@ FloatVec EmbeddingModel::UnitGaussian(uint64_t seed) const {
   return v;
 }
 
-const FloatVec& EmbeddingModel::WordVector(const std::string& word) const {
+const EmbeddingModel::Word& EmbeddingModel::WordEntry(
+    const std::string& word) const {
   {
     std::lock_guard<std::mutex> lk(cache_mu_);
     auto it = cache_.find(word);
@@ -45,12 +46,16 @@ const FloatVec& EmbeddingModel::WordVector(const std::string& word) const {
 
   const float wc = static_cast<float>(std::sqrt(1.0 - noise_share_));
   const float wn = static_cast<float>(std::sqrt(noise_share_));
-  FloatVec v(dim_);
-  for (size_t i = 0; i < dim_; ++i) v[i] = wc * centroid[i] + wn * noise[i];
+  Word w;
+  w.vector.resize(dim_);
+  for (size_t i = 0; i < dim_; ++i) {
+    w.vector[i] = wc * centroid[i] + wn * noise[i];
+  }
+  w.norm = Norm(w.vector);
   // try_emplace keeps the first insertion if another thread raced us here;
-  // both candidates are identical (the vector is a pure function of `word`).
+  // both candidates are identical (the entry is a pure function of `word`).
   std::lock_guard<std::mutex> lk(cache_mu_);
-  return cache_.try_emplace(word, std::move(v)).first->second;
+  return cache_.try_emplace(word, std::move(w)).first->second;
 }
 
 FloatVec EmbeddingModel::Average(const std::vector<std::string>& tokens) const {

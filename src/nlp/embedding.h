@@ -28,8 +28,20 @@ class EmbeddingModel {
   explicit EmbeddingModel(size_t dim = 300, uint64_t seed = 17,
                           double noise_share = 0.25);
 
-  /// Embedding of one word (cached; deterministic across calls/processes).
-  const FloatVec& WordVector(const std::string& word) const;
+  /// One word's embedding and its Norm, computed together on first use.
+  struct Word {
+    FloatVec vector;
+    double norm = 0;
+  };
+
+  /// The cached entry of one word (deterministic across calls/processes).
+  /// The reference stays valid for the model's lifetime.
+  const Word& WordEntry(const std::string& word) const;
+
+  /// Embedding of one word: WordEntry(word).vector.
+  const FloatVec& WordVector(const std::string& word) const {
+    return WordEntry(word).vector;
+  }
 
   /// Averaged embedding of the content words in `tokens` (stop words and
   /// named entities excluded); this is the paper's rule-level embedding.
@@ -56,10 +68,10 @@ class EmbeddingModel {
   uint64_t seed_;
   double noise_share_;
   /// Guards cache_ lookups/inserts; the graph builder embeds rule text from
-  /// pool workers. References returned by WordVector stay valid because
+  /// pool workers. References returned by WordEntry stay valid because
   /// unordered_map nodes are stable and entries are never erased.
   mutable std::mutex cache_mu_;
-  mutable std::unordered_map<std::string, FloatVec> cache_;
+  mutable std::unordered_map<std::string, Word> cache_;
   /// Sentence-level memoization for EmbedSentence / EncodeSentence. Entries
   /// are pure functions of the sentence, so a racing double-insert is
   /// harmless (both candidates are identical).

@@ -24,6 +24,9 @@ inline double Dot(const FloatVec& a, const FloatVec& b) {
 
 inline double Norm(const FloatVec& a) { return std::sqrt(Dot(a, a)); }
 
+/// Cosine of the angle between a and b; 0 if either is zero. Kept for the
+/// tests: the reference that nlp::DtwWordDistance's cost cells and the
+/// embedding geometry are checked against.
 inline double CosineSimilarity(const FloatVec& a, const FloatVec& b) {
   double na = Norm(a);
   double nb = Norm(b);

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/explain.h"
 #include "core/detector.h"
@@ -149,6 +150,40 @@ TEST_F(GlintTest, LearnedCorrelationGraphApproximatesOracle) {
     shared += learned.HasEdge(e.src, e.dst) ? 1 : 0;
   }
   EXPECT_GT(shared * 2, oracle.num_edges());
+}
+
+TEST_F(GlintTest, CorrelateRowMatchesCorrelatedOnBothPaths) {
+  // The row a DeploymentSession scores a new rule with gives the pair
+  // predicate's verdicts: on the learned path (through the detector's
+  // shared verdict memo) and on the oracle path that a detector without a
+  // trained ensemble falls back to.
+  std::vector<rules::Rule> home = rules::CorpusGenerator::Table1Rules();
+  for (size_t i = 0; i < 10; ++i) {
+    home.push_back(detector_->corpus()[i * 61]);
+  }
+  for (size_t i = 0; i < home.size(); ++i) {
+    home[i].id = 7000 + static_cast<int>(i);
+  }
+  const TrainedDetector* trained = detector_;
+  const TrainedDetector untrained;
+  for (const TrainedDetector* d : {trained, &untrained}) {
+    for (size_t k = 0; k < home.size(); ++k) {
+      std::vector<const rules::Rule*> others;
+      for (size_t i = 0; i < home.size(); ++i) {
+        if (i != k) others.push_back(&home[i]);
+      }
+      std::vector<char> from, to;
+      d->CorrelateRow(home[k], others, &from, &to);
+      ASSERT_EQ(from.size(), others.size());
+      ASSERT_EQ(to.size(), others.size());
+      for (size_t i = 0; i < others.size(); ++i) {
+        EXPECT_EQ(from[i] != 0, d->Correlated(*others[i], home[k]))
+            << others[i]->text << " -> " << home[k].text;
+        EXPECT_EQ(to[i] != 0, d->Correlated(home[k], *others[i]))
+            << home[k].text << " -> " << others[i]->text;
+      }
+    }
+  }
 }
 
 TEST_F(GlintTest, InspectRealTimeRunsEndToEnd) {

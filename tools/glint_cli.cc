@@ -1069,7 +1069,14 @@ int CmdStats() {
       "  (others)   plain event counters or gauges (value + peak)\n\n"
       "subsystems:\n"
       "  glint.nlp.*         sentence embedding + encode cache\n"
-      "  glint.correlation.* rule-pair correlation model + verdict memo\n"
+      "  glint.correlation.* rule-pair correlation model + verdict memo:\n"
+      "                      .predict_ms — one sample per uncached pair\n"
+      "                      .tiebreaks — KNN runs (MLP and forest split)\n"
+      "                      .rule_terms — rules parsed for Algorithm 1\n"
+      "                        (rule_terms / predict_ms samples = parses\n"
+      "                        per scored pair: 2 pair by pair, at most\n"
+      "                        (n + 1) / 2n for a rule scored against n\n"
+      "                        others by rows)\n"
       "  glint.graph.*       interaction-graph build + node-feature memo\n"
       "  glint.live.*        LiveGraph incremental deltas / materialize\n"
       "  glint.gnn.*         tensorization, ITGNN forward (sequential +\n"
