@@ -28,6 +28,19 @@ inline double Seconds(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// Resident set size in KiB (/proc/self/status VmRSS), 0 if unreadable.
+inline long RssKb() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  long kb = 0;
+  char line[256];
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    if (std::sscanf(line, "VmRSS: %ld kB", &kb) == 1) break;
+  }
+  std::fclose(f);
+  return kb;
+}
+
 /// Nearest-rank percentile of an unsorted sample; `p` in [0, 1].
 inline double Percentile(std::vector<double> xs, double p) {
   if (xs.empty()) return 0;

@@ -77,19 +77,6 @@ graph::Event EventAt(const std::vector<rules::Rule>& pool, int i, int r) {
   return EventFor(rule, 0.4 + 0.01 * (kEventRounds * i + r));
 }
 
-/// Resident set size in KiB (/proc/self/status VmRSS), 0 if unreadable.
-long RssKb() {
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return 0;
-  long kb = 0;
-  char line[256];
-  while (std::fgets(line, sizeof line, f) != nullptr) {
-    if (std::sscanf(line, "VmRSS: %ld kB", &kb) == 1) break;
-  }
-  std::fclose(f);
-  return kb;
-}
-
 int Run(int homes, int shards, bool smoke) {
   core::TrainedDetector::Options opts;
   opts.corpus.ifttt = 200;

@@ -6,7 +6,9 @@
 // latencies, the cold/warm speedup, and the per-thread-count rates. A
 // correlation section scores the deployed home by rows
 // (CorrelationDiscovery::CorrelateRow) and pair by pair, and fails the
-// run if any verdict differs; its per-pair times are report-only.
+// run if any verdict differs; its per-pair times are report-only. A home
+// state section registers a fleet of copies of the home and reports the
+// resident memory each one adds (report-only).
 //
 // Usage: bench_serving [--smoke]
 //   --smoke  tiny home / fewer reps and a {1, current} thread sweep; used
@@ -414,9 +416,7 @@ int Run(bool smoke) {
     const auto ss = eng_seq.AggregateStats();
     const auto sb = eng_bat.AggregateStats();
     if (ss.inspects != sb.inspects || ss.verdict_hits != sb.verdict_hits ||
-        ss.verdict_misses != sb.verdict_misses ||
-        ss.tensor_hits != sb.tensor_hits ||
-        ss.tensor_misses != sb.tensor_misses) {
+        ss.verdict_misses != sb.verdict_misses) {
       batched_equivalent = false;
     }
   }
@@ -431,6 +431,25 @@ int Run(bool smoke) {
   std::printf("batched fleet speedup: %.2fx   batched==per-home: %s\n",
               batched_speedup,
               batched_equivalent ? "yes" : "NO — EQUIVALENCE BUG");
+
+  // Home state: the resident memory one registered home adds (its live
+  // graph: rules, features shared with every other home of the same
+  // texts, pair matrices, retained events). Report-only.
+  const int state_homes = smoke ? 64 : 256;
+  double home_state_kb = 0;
+  {
+    const long rss_before = RssKb();
+    core::ServingEngine state_engine(&detector);
+    BuildFleet(&state_engine, state_homes, deployed, log);
+    const long rss_after = RssKb();
+    if (rss_after > rss_before) {
+      home_state_kb = static_cast<double>(rss_after - rss_before) /
+                      static_cast<double>(state_homes);
+    }
+  }
+  std::printf("%-34s %10.1f  (%d homes of %d rules)\n",
+              "home state KiB RSS each", home_state_kb, state_homes,
+              home_rules);
 
   JsonWriter json;
   json.Str("bench", "serving");
@@ -457,6 +476,7 @@ int Run(bool smoke) {
   json.Num("fleet_batched_p50_ms", bat_fleet_p50);
   json.Num("batched_speedup", batched_speedup, 2);
   json.Bool("batched_equivalent", batched_equivalent);
+  json.Num("home_state_kb", home_state_kb, 1);
   std::printf("BENCH_JSON %s\n", json.Render().c_str());
   if (!durable_gate_ok) return 1;
   if (!batched_equivalent) return 1;

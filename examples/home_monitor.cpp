@@ -200,10 +200,8 @@ int main() {
 
   const auto stats = engine.AggregateStats();
   std::printf(
-      "session stats: %llu inspections, %llu verdict-cache hits, "
-      "%llu tensor-cache hits\n",
+      "session stats: %llu inspections, %llu verdict-cache hits\n",
       static_cast<unsigned long long>(stats.inspects),
-      static_cast<unsigned long long>(stats.verdict_hits),
-      static_cast<unsigned long long>(stats.tensor_hits));
+      static_cast<unsigned long long>(stats.verdict_hits));
   return identical ? 0 : 1;
 }

@@ -461,7 +461,7 @@ std::vector<ThreatWarning> ServingEngine::InspectAll(double now_hours,
     members.clear();
     while (i < todo.size() && members.size() < static_cast<size_t>(max_batch)) {
       const size_t h = todo[i++];
-      ggs.push_back(pending[h].gg);
+      ggs.push_back(pending[h].gg.get());
       gs.push_back(&pending[h].graph);
       members.push_back(h);
     }

@@ -21,8 +21,7 @@ DeploymentSession::DeploymentSession(const TrainedDetector* detector,
                      std::vector<char>* from, std::vector<char>* to) {
             detector->CorrelateRow(rule, others, from, to);
           },
-          [detector](const rules::Rule& r) { return detector->MakeNode(r); }),
-      tensor_cache_(config.cache_capacity) {
+          [detector](const rules::Rule& r) { return detector->MakeNode(r); }) {
   GLINT_CHECK(detector_ != nullptr);
 }
 
@@ -46,8 +45,7 @@ DeploymentSession::CacheStats DeploymentSession::Stats() const {
   s.rules = static_cast<uint64_t>(live_.num_rules());
   s.verdict_hits = verdict_hits_;
   s.verdict_misses = inspects_ - verdict_hits_;
-  s.tensor_hits = tensor_cache_.hits();
-  s.tensor_misses = tensor_cache_.misses();
+  s.tensor_misses = s.verdict_misses;
   return s;
 }
 
@@ -105,7 +103,7 @@ DeploymentSession::Pending DeploymentSession::Begin(
     const std::vector<graph::Edge>& edges) {
   ++inspects_;
   Pending pending;
-  gnn::GnnGraphCache::Key& key = key_scratch_;
+  Key& key = key_scratch_;
   live_.IdentityHashesInto(&key.node_ids);
   key.edges.clear();
   key.edges.reserve(edges.size());
@@ -126,10 +124,8 @@ DeploymentSession::Pending DeploymentSession::Begin(
   GLINT_OBS_COUNT("glint.session.verdict_cache.misses", 1);
 
   pending.graph = live_.Materialize(edges);
-  pending.gg = tensor_cache_.Find(key);
-  if (pending.gg == nullptr) {
-    pending.gg = tensor_cache_.Insert(key, gnn::ToGnnGraph(pending.graph));
-  }
+  pending.gg =
+      std::make_unique<const gnn::GnnGraph>(gnn::ToGnnGraph(pending.graph));
   return pending;
 }
 

@@ -2,6 +2,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/detector.h"
@@ -13,12 +15,11 @@ namespace glint::core {
 /// Per-home mutable serving state: the online half of the Glint split.
 ///
 /// A session owns a LiveGraph (incrementally maintained rules, pairwise
-/// correlations, and event-window edge liveness) plus two caches keyed by
-/// the exact graph structure (rule identity hashes + directed edge list):
-///   - a tensorization cache (GnnGraphCache), so an Inspect whose graph
-///     matches a recent one skips ToGnnGraph;
-///   - a verdict cache, so a no-change Inspect skips straight to the
-///     previously computed ThreatWarning.
+/// correlations, and event-window edge liveness) plus a verdict cache keyed
+/// by the exact graph structure (rule identity hashes + directed edge
+/// list), so a no-change Inspect skips straight to the previously computed
+/// ThreatWarning. A verdict miss materializes and tensorizes afresh; the
+/// tensorization is dropped once the verdict is recorded.
 ///
 /// Determinism: TryInspect(now) is bit-identical to the cold pipeline
 ///   GraphBuilder::BuildRealTime(CurrentRules(), log, now) -> Analyze
@@ -35,7 +36,7 @@ class DeploymentSession {
     /// Sliding event window (Sec. 3.2.2 chronological pruning); matches the
     /// BuildRealTime default.
     double window_hours = 3.0;
-    /// Entries kept in the tensorization / verdict caches.
+    /// Entries kept in the verdict cache.
     size_t cache_capacity = 4;
   };
 
@@ -64,14 +65,14 @@ class DeploymentSession {
   /// cache and returns it. Contract: no session mutation (AddRule /
   /// RemoveRule / OnEvent / TryInspect) may happen between the two calls, and
   /// every uncached BeginInspect must be finished before the next begins —
-  /// the pair shares the session's key scratch and tensor-cache entry.
+  /// the pair shares the session's key scratch.
   /// TryInspect(now) == FinishInspect(Analyze(...BeginInspect(now)...)) by
   /// construction, so batched callers inherit the determinism contract.
   struct Pending {
     bool cached = false;       ///< verdict served straight from the cache
     ThreatWarning warning;     ///< valid when `cached`
-    graph::InteractionGraph graph;      ///< materialized graph (uncached)
-    const gnn::GnnGraph* gg = nullptr;  ///< tensor-cache entry (uncached)
+    graph::InteractionGraph graph;            ///< materialized (uncached)
+    std::unique_ptr<const gnn::GnnGraph> gg;  ///< its tensorization (uncached)
   };
   Pending BeginInspect(double now_hours);
   ThreatWarning FinishInspect(const ThreatWarning& warning);
@@ -113,7 +114,6 @@ class DeploymentSession {
 
   // Cache observability (bench / test instrumentation).
   size_t verdict_hits() const { return verdict_hits_; }
-  size_t tensor_hits() const { return tensor_cache_.hits(); }
 
   /// Per-home counter snapshot (the per-session half of glint::obs: these
   /// are plain members, not registry instruments, so one home's activity is
@@ -124,6 +124,11 @@ class DeploymentSession {
     uint64_t rules = 0;
     uint64_t verdict_hits = 0;
     uint64_t verdict_misses = 0;
+    /// There is no tensorization cache: tensor_hits is always 0, and
+    /// tensor_misses counts tensorizations, one per uncached BeginInspect
+    /// (so it equals verdict_misses). Both stay only because perfbench's
+    /// traced replay reads them for its session.tensor_hit_ratio; they go
+    /// with that metric (ROADMAP, perfbench debt).
     uint64_t tensor_hits = 0;
     uint64_t tensor_misses = 0;
 
@@ -153,8 +158,16 @@ class DeploymentSession {
   /// InspectStatic).
   Pending Begin(const std::vector<graph::Edge>& edges);
 
+  /// Verdict-cache key: the exact graph structure, compared exactly, so a
+  /// hit always describes the same graph (no hash-collision risk).
+  struct Key {
+    /// Rule identity hashes in node order (LiveGraph::IdentityHashesInto).
+    std::vector<uint64_t> node_ids;
+    std::vector<std::pair<int, int>> edges;
+    bool operator==(const Key& o) const = default;
+  };
   struct Verdict {
-    gnn::GnnGraphCache::Key key;
+    Key key;
     ThreatWarning warning;
     uint64_t tick = 0;
   };
@@ -162,10 +175,9 @@ class DeploymentSession {
   const TrainedDetector* detector_;
   Config config_;
   graph::LiveGraph live_;
-  gnn::GnnGraphCache tensor_cache_;
   /// Cache-key scratch reused across Render calls: a warm no-change Inspect
   /// rebuilds the key into retained storage instead of allocating one.
-  gnn::GnnGraphCache::Key key_scratch_;
+  Key key_scratch_;
   std::vector<Verdict> verdicts_;
   uint64_t tick_ = 0;
   size_t inspects_ = 0;

@@ -1,5 +1,6 @@
 #include "gnn/ggraph.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 
@@ -121,10 +122,10 @@ GnnGraph ToGnnGraph(const graph::InteractionGraph& g) {
     out.typed_features[t] = Matrix(static_cast<int>(rows.size()), dim);
     for (size_t k = 0; k < rows.size(); ++k) {
       const auto& feat = g.nodes()[static_cast<size_t>(rows[k])].features;
-      GLINT_CHECK(static_cast<int>(feat.size()) == dim);
-      for (int j = 0; j < dim; ++j) {
-        out.typed_features[t].At(static_cast<int>(k), j) = feat[static_cast<size_t>(j)];
-      }
+      GLINT_CHECK(feat != nullptr && static_cast<int>(feat->size()) == dim);
+      std::copy(feat->begin(), feat->end(),
+                out.typed_features[t].data.begin() +
+                    static_cast<ptrdiff_t>(k) * dim);
     }
   }
 
@@ -226,36 +227,6 @@ GnnBatch MakeGnnBatch(const std::vector<const GnnGraph*>& graphs) {
   out.adj_norm.BuildCsrCache();
   out.adj_raw.BuildCsrCache();
   return batch;
-}
-
-const GnnGraph* GnnGraphCache::Find(const Key& key) {
-  for (auto& slot : slots_) {
-    if (slot->key == key) {
-      slot->tick = ++tick_;
-      ++hits_;
-      GLINT_OBS_COUNT("glint.gnn.tensor_cache.hits", 1);
-      return &slot->graph;
-    }
-  }
-  ++misses_;
-  GLINT_OBS_COUNT("glint.gnn.tensor_cache.misses", 1);
-  return nullptr;
-}
-
-const GnnGraph* GnnGraphCache::Insert(Key key, GnnGraph g) {
-  if (slots_.size() >= capacity_ && !slots_.empty()) {
-    size_t oldest = 0;
-    for (size_t i = 1; i < slots_.size(); ++i) {
-      if (slots_[i]->tick < slots_[oldest]->tick) oldest = i;
-    }
-    slots_.erase(slots_.begin() + static_cast<ptrdiff_t>(oldest));
-  }
-  auto slot = std::make_unique<Slot>();
-  slot->key = std::move(key);
-  slot->graph = std::move(g);
-  slot->tick = ++tick_;
-  slots_.push_back(std::move(slot));
-  return &slots_.back()->graph;
 }
 
 }  // namespace glint::gnn

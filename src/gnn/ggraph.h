@@ -140,50 +140,6 @@ GnnGraph ToGnnGraph(const graph::InteractionGraph& g);
 /// Converts a whole dataset.
 std::vector<GnnGraph> ToGnnGraphs(const graph::GraphDataset& ds);
 
-/// Small exact-key LRU cache over ToGnnGraph tensorizations, used by
-/// DeploymentSession so a no-change Inspect (same rules, same live edges)
-/// reuses the typed feature blocks and adjacency matrices instead of
-/// re-tensorizing. Keys are compared exactly (node identity hashes + the
-/// directed edge list), so a hit is guaranteed to describe the same graph
-/// structure — no hash-collision risk to the determinism contract. Not
-/// thread-safe; each session owns one.
-class GnnGraphCache {
- public:
-  struct Key {
-    /// Rule identity hashes in node order (graph::LiveGraph::IdentityHashesInto).
-    std::vector<uint64_t> node_ids;
-    std::vector<std::pair<int, int>> edges;
-    bool operator==(const Key& o) const {
-      return node_ids == o.node_ids && edges == o.edges;
-    }
-  };
-
-  explicit GnnGraphCache(size_t capacity = 4) : capacity_(capacity) {}
-
-  /// Cached tensorization for the key, or nullptr. The pointer stays valid
-  /// until the entry is evicted (capacity_ inserts later at worst).
-  const GnnGraph* Find(const Key& key);
-
-  /// Inserts (evicting the least recently used entry if full) and returns
-  /// the stored copy.
-  const GnnGraph* Insert(Key key, GnnGraph g);
-
-  size_t hits() const { return hits_; }
-  size_t misses() const { return misses_; }
-
- private:
-  struct Slot {
-    Key key;
-    GnnGraph graph;
-    uint64_t tick = 0;
-  };
-  size_t capacity_;
-  uint64_t tick_ = 0;
-  size_t hits_ = 0;
-  size_t misses_ = 0;
-  std::vector<std::unique_ptr<Slot>> slots_;
-};
-
 /// Builds the normalized adjacency for an explicit edge set over n nodes
 /// (CSR mirror built).
 SparseMatrix NormalizedAdjacency(int n,

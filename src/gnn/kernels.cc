@@ -13,7 +13,7 @@
 #include "util/status.h"
 
 // This translation unit is compiled with -ffp-contract=off (see
-// src/gnn/CMakeLists.txt): the scalar loops below must round every mul and
+// src/CMakeLists.txt): the scalar loops below must round every mul and
 // add separately to stay bit-identical to the explicit mul-then-add vector
 // backends.
 

@@ -1,5 +1,6 @@
-// AVX2 kernel backend. Compiled as its own translation unit with -mavx2 and
-// -ffp-contract=off (see src/gnn/CMakeLists.txt); nothing here executes
+// AVX2 kernel backend. Compiled as its own translation unit with -mavx2
+// (see src/gnn/CMakeLists.txt) and, like every library TU,
+// -ffp-contract=off (src/CMakeLists.txt); nothing here executes
 // unless dispatch confirmed AVX2 via __builtin_cpu_supports.
 //
 // Bit-identity with the scalar backend (see kernels.h):

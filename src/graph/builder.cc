@@ -64,18 +64,39 @@ Node GraphBuilder::MakeNode(const rules::Rule& rule) const {
   {
     std::lock_guard<std::mutex> lk(feature_mu_);
     auto it = feature_cache_.find(key);
-    if (it != feature_cache_.end()) {
-      GLINT_OBS_COUNT("glint.graph.feature_cache.hits", 1);
-      node.features = it->second;
-      return node;
-    }
+    if (it != feature_cache_.end()) node.features = it->second.lock();
+  }
+  if (node.features != nullptr) {
+    GLINT_OBS_COUNT("glint.graph.feature_cache.hits", 1);
+    return node;
   }
   GLINT_OBS_COUNT("glint.graph.feature_cache.misses", 1);
-  node.features = node.type == 1 ? sentence_model_->EncodeSentence(rule.text)
-                                 : word_model_->EmbedSentence(rule.text);
+  auto fresh = std::make_shared<const FloatVec>(
+      node.type == 1 ? sentence_model_->EncodeSentence(rule.text)
+                     : word_model_->EmbedSentence(rule.text));
   std::lock_guard<std::mutex> lk(feature_mu_);
-  feature_cache_.try_emplace(key, node.features);
+  auto it = feature_cache_.find(key);
+  if (it == feature_cache_.end()) {
+    if (feature_cache_.size() >= 2 * feature_swept_size_) {
+      std::erase_if(feature_cache_,
+                    [](const auto& kv) { return kv.second.expired(); });
+      feature_swept_size_ = feature_cache_.size();
+    }
+    it = feature_cache_.try_emplace(key).first;
+  }
+  // A racing MakeNode of the same text may have published its vector
+  // first; share that one.
+  node.features = it->second.lock();
+  if (node.features == nullptr) {
+    it->second = fresh;
+    node.features = std::move(fresh);
+  }
   return node;
+}
+
+size_t GraphBuilder::feature_memo_size() const {
+  std::lock_guard<std::mutex> lk(feature_mu_);
+  return feature_cache_.size();
 }
 
 InteractionGraph GraphBuilder::BuildGraphWith(

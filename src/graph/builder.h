@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -78,11 +79,16 @@ class GraphBuilder {
                                  double window_hours = 3.0);
 
   /// Node features for a rule (selects embedding model by platform).
-  /// Feature vectors are memoized by (node type, rule text): a rule that
-  /// recurs across graphs, datasets, or deployment sessions is embedded
-  /// once. Thread-safe; the vector is a pure function of the key, so the
-  /// cache cannot change results.
+  /// The vector is a pure function of (node type, rule text), so it is made
+  /// once and shared: every node of that text that is alive at the same
+  /// time (across graphs, datasets and deployment sessions) points at one
+  /// vector. The memo holds each vector weakly; a text whose last node is
+  /// gone is embedded afresh, bit-equal, on its next use. Thread-safe.
   Node MakeNode(const rules::Rule& rule) const;
+
+  /// Entries in the feature memo, expired ones included. Kept for the
+  /// tests: they check the memo's bound under rule churn with it.
+  size_t feature_memo_size() const;
 
  private:
   /// Builds one dataset graph from an explicit RNG stream. BuildDataset
@@ -99,9 +105,15 @@ class GraphBuilder {
   const nlp::EmbeddingModel* word_model_;
   const nlp::EmbeddingModel* sentence_model_;
   EdgePredicate edge_pred_;
-  /// MakeNode feature memo, keyed by type-salted text hash.
+  /// MakeNode feature memo, keyed by type-salted text hash. The nodes own
+  /// the vectors; an entry expires with the last node of its text. Expired
+  /// entries are erased in one pass whenever the map has doubled since the
+  /// last pass, so it holds at most twice the texts that were alive then.
   mutable std::mutex feature_mu_;
-  mutable std::unordered_map<uint64_t, FloatVec> feature_cache_;
+  mutable std::unordered_map<uint64_t, std::weak_ptr<const FloatVec>>
+      feature_cache_;
+  /// feature_cache_.size() after the last pass over it.
+  mutable size_t feature_swept_size_ = 0;
 };
 
 }  // namespace glint::graph

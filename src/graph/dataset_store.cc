@@ -1,11 +1,13 @@
 #include "graph/dataset_store.h"
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "rules/rule_io.h"
 #include "util/binio.h"
+#include "util/status.h"
 
 namespace glint::graph {
 namespace {
@@ -27,8 +29,9 @@ void SerializeDataset(const GraphDataset& ds, Writer* w) {
     for (const auto& node : g.nodes()) {
       WriteRule(w, node.rule);
       w->I32(node.type);
-      w->U32(static_cast<uint32_t>(node.features.size()));
-      for (float f : node.features) w->F32(f);
+      GLINT_CHECK(node.features != nullptr);
+      w->U32(static_cast<uint32_t>(node.features->size()));
+      for (float f : *node.features) w->F32(f);
     }
     w->U32(static_cast<uint32_t>(g.edges().size()));
     for (const auto& e : g.edges()) {
@@ -112,10 +115,11 @@ Result<GraphDataset> DatasetStore::Load(const std::string& path) {
         return Status::InvalidArgument("truncated node");
       }
       GLINT_RETURN_IF_ERROR(CheckCount(r, feat_len, 4, "feature"));
-      node.features.resize(feat_len);
-      for (auto& f : node.features) {
+      FloatVec features(feat_len);
+      for (auto& f : features) {
         if (!r.F32(&f)) return Status::InvalidArgument("truncated features");
       }
+      node.features = std::make_shared<const FloatVec>(std::move(features));
       g.AddNode(std::move(node));
     }
     uint32_t num_edges;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,9 +35,14 @@ const char* ThreatTypeName(ThreatType t);
 /// dimension depends on the platform family — text platforms use the 300-d
 /// word-vector space, voice platforms the 512-d sentence-encoder space —
 /// which is what makes cross-platform graphs *heterogeneous*.
+///
+/// The embedding is immutable and shared: GraphBuilder::MakeNode makes one
+/// vector per (type, text), and every node of that text (its memo entry,
+/// live-graph entries, materialized and dataset graphs) points at it, so
+/// copying a node copies a pointer, not the vector.
 struct Node {
   rules::Rule rule;
-  FloatVec features;
+  std::shared_ptr<const FloatVec> features;
   /// Node type for metapath learning: 0 = text-rule platforms (IFTTT,
   /// SmartThings, Home Assistant), 1 = voice platforms (Alexa, Google
   /// Assistant).

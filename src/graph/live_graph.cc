@@ -63,11 +63,12 @@ LiveGraph::LiveGraph(Config config, EdgePredicate edge_pred,
 void LiveGraph::ReplayEvents(Entry* entry) const {
   entry->trigger_times.clear();
   entry->effect_times.clear();
+  const rules::Rule& rule = entry->node.rule;
   for (const Event& e : retained_) {
-    if (EventFiresTrigger(e, entry->rule)) {
+    if (EventFiresTrigger(e, rule)) {
       entry->trigger_times.push_back(e.time_hours);
     }
-    for (const auto& a : entry->rule.actions) {
+    for (const auto& a : rule.actions) {
       if (e.device == a.device &&
           rules::CommandAssertsState(a.command, e.state)) {
         entry->effect_times.push_back(e.time_hours);
@@ -81,14 +82,14 @@ int LiveGraph::AddRule(const rules::Rule& rule) {
   GLINT_OBS_TIMER(timer, "glint.live.add_rule_ms");
   GLINT_OBS_COUNT("glint.live.rule_deltas", 1);
   Entry entry;
-  entry.rule = rule;
   entry.node = make_node_(rule);
+  GLINT_CHECK(entry.node.rule.id == rule.id);
   entry.identity_hash = IdentityHashOf(rule);
   ReplayEvents(&entry);
 
   const size_t n = entries_.size();
   std::vector<const rules::Rule*> others(n);
-  for (size_t i = 0; i < n; ++i) others[i] = &entries_[i].rule;
+  for (size_t i = 0; i < n; ++i) others[i] = &entries_[i].node.rule;
   std::vector<char> sem_col;
   std::vector<char> sem_row;
   row_pred_(rule, others, &sem_col, &sem_row);
@@ -97,7 +98,7 @@ int LiveGraph::AddRule(const rules::Rule& rule) {
   std::vector<char> share_row(n + 1, 0);
   for (size_t i = 0; i < n; ++i) {
     sem_[i].push_back(sem_col[i]);
-    const char sh = ShareDevice(entries_[i].rule, rule) ? 1 : 0;
+    const char sh = ShareDevice(entries_[i].node.rule, rule) ? 1 : 0;
     share_[i].push_back(sh);
     share_row[i] = sh;
   }
@@ -110,7 +111,7 @@ int LiveGraph::AddRule(const rules::Rule& rule) {
 bool LiveGraph::RemoveRule(int rule_id) {
   size_t idx = entries_.size();
   for (size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].rule.id == rule_id) {
+    if (entries_[i].node.rule.id == rule_id) {
       idx = i;
       break;
     }
@@ -143,10 +144,10 @@ void LiveGraph::OnEvents(const Event* events, size_t n) {
     }
     retained_.insert(it, e);
     for (auto& entry : entries_) {
-      if (EventFiresTrigger(e, entry.rule)) {
+      if (EventFiresTrigger(e, entry.node.rule)) {
         InsertTime(&entry.trigger_times, e.time_hours);
       }
-      for (const auto& a : entry.rule.actions) {
+      for (const auto& a : entry.node.rule.actions) {
         if (e.device == a.device &&
             rules::CommandAssertsState(a.command, e.state)) {
           InsertTime(&entry.effect_times, e.time_hours);
@@ -196,7 +197,7 @@ bool LiveGraph::EdgeLive(size_t i, size_t j, double now_hours) const {
 std::vector<rules::Rule> LiveGraph::CurrentRules() const {
   std::vector<rules::Rule> out;
   out.reserve(entries_.size());
-  for (const auto& e : entries_) out.push_back(e.rule);
+  for (const auto& e : entries_) out.push_back(e.node.rule);
   return out;
 }
 
@@ -281,7 +282,7 @@ InteractionGraph LiveGraph::MaterializeRealTime(double now_hours) const {
 
 void LiveGraph::SerializeTo(util::ByteWriter* w) const {
   w->U32(static_cast<uint32_t>(entries_.size()));
-  for (const auto& e : entries_) rules::WriteRule(w, e.rule);
+  for (const auto& e : entries_) rules::WriteRule(w, e.node.rule);
   w->U32(static_cast<uint32_t>(retained_.size()));
   for (const auto& e : retained_) WriteEvent(w, e);
   w->F64(latest_);

@@ -19,7 +19,8 @@ namespace glint::graph {
 ///
 /// Instead of re-running the edge predicate over all O(n²) pairs and
 /// re-embedding every rule on each inspection, LiveGraph keeps:
-///   - one Node (features) per rule, computed once on AddRule;
+///   - one Node per rule, made once on AddRule: the deployed rule and its
+///     features, which it shares with every other node of the same text;
 ///   - the pairwise semantic-correlation and shared-device matrices, where
 ///     adding or removing a rule touches only that rule's O(n) row/column;
 ///   - per-rule trigger/effect observation times, appended on OnEvent and
@@ -44,6 +45,8 @@ class LiveGraph {
   };
 
   /// Builds a Node (features) for a rule; typically GraphBuilder::MakeNode.
+  /// The node's rule must be the given rule, id included: it is the
+  /// deployed rule the graph keeps, serializes and removes by id.
   using NodeFactory = std::function<Node(const rules::Rule&)>;
 
   /// The edge predicate over one rule's row: sets (*from)[i] to the verdict
@@ -137,8 +140,7 @@ class LiveGraph {
 
  private:
   struct Entry {
-    rules::Rule rule;
-    Node node;
+    Node node;  ///< node.rule is the deployed rule
     uint64_t identity_hash = 0;
     /// Sorted observation times within the retained horizon.
     std::vector<double> trigger_times;

@@ -72,31 +72,11 @@ FloatVec EmbeddingModel::Average(const std::vector<std::string>& tokens) const {
 }
 
 FloatVec EmbeddingModel::EmbedSentence(const std::string& sentence) const {
-  {
-    std::lock_guard<std::mutex> lk(sentence_mu_);
-    auto it = embed_cache_.find(sentence);
-    if (it != embed_cache_.end()) {
-      GLINT_OBS_COUNT("glint.nlp.sentence_cache.hits", 1);
-      return it->second;
-    }
-  }
-  GLINT_OBS_COUNT("glint.nlp.sentence_cache.misses", 1);
   GLINT_OBS_TIMER(timer, "glint.nlp.embed_ms");
-  FloatVec v = Average(Tokenizer::Words(sentence));
-  std::lock_guard<std::mutex> lk(sentence_mu_);
-  return embed_cache_.try_emplace(sentence, std::move(v)).first->second;
+  return Average(Tokenizer::Words(sentence));
 }
 
 FloatVec EmbeddingModel::EncodeSentence(const std::string& sentence) const {
-  {
-    std::lock_guard<std::mutex> lk(sentence_mu_);
-    auto it = encode_cache_.find(sentence);
-    if (it != encode_cache_.end()) {
-      GLINT_OBS_COUNT("glint.nlp.sentence_cache.hits", 1);
-      return it->second;
-    }
-  }
-  GLINT_OBS_COUNT("glint.nlp.sentence_cache.misses", 1);
   GLINT_OBS_TIMER(timer, "glint.nlp.embed_ms");
   const Lexicon& lex = Lexicon::Instance();
   auto tokens = Tokenizer::Words(sentence);
@@ -119,8 +99,7 @@ FloatVec EmbeddingModel::EncodeSentence(const std::string& sentence) const {
     ++count;
   }
   if (count > 0) ScaleInPlace(&out, 1.0f / static_cast<float>(count));
-  std::lock_guard<std::mutex> lk(sentence_mu_);
-  return encode_cache_.try_emplace(sentence, std::move(out)).first->second;
+  return out;
 }
 
 }  // namespace glint::nlp

@@ -47,16 +47,16 @@ class EmbeddingModel {
   /// named entities excluded); this is the paper's rule-level embedding.
   FloatVec Average(const std::vector<std::string>& tokens) const;
 
-  /// Averaged embedding of a raw sentence (tokenizes internally). Memoized
-  /// per sentence: rule texts recur across pairs, graphs, and sessions, and
-  /// the embedding is a pure function of the sentence.
+  /// Averaged embedding of a raw sentence (tokenizes internally). Not
+  /// memoized here: its one serving caller, GraphBuilder::MakeNode, shares
+  /// one vector per live rule text.
   FloatVec EmbedSentence(const std::string& sentence) const;
 
   /// Sentence encoding with positional mixing — the USE substitute: each
   /// token vector is rotated by a position-dependent permutation before
   /// averaging, so word order perturbs the code slightly (as a transformer
   /// encoder would) while keeping the semantic geometry dominant.
-  /// Memoized like EmbedSentence.
+  /// Not memoized, like EmbedSentence.
   FloatVec EncodeSentence(const std::string& sentence) const;
 
   size_t dim() const { return dim_; }
@@ -72,12 +72,6 @@ class EmbeddingModel {
   /// unordered_map nodes are stable and entries are never erased.
   mutable std::mutex cache_mu_;
   mutable std::unordered_map<std::string, Word> cache_;
-  /// Sentence-level memoization for EmbedSentence / EncodeSentence. Entries
-  /// are pure functions of the sentence, so a racing double-insert is
-  /// harmless (both candidates are identical).
-  mutable std::mutex sentence_mu_;
-  mutable std::unordered_map<std::string, FloatVec> embed_cache_;
-  mutable std::unordered_map<std::string, FloatVec> encode_cache_;
 };
 
 }  // namespace glint::nlp

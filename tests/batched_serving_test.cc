@@ -116,14 +116,11 @@ class BatchedServingTest : public ::testing::Test {
   static std::string StatsFp(const DeploymentSession::CacheStats& s) {
     char buf[160];
     std::snprintf(buf, sizeof buf,
-                  "inspects=%llu events=%llu rules=%llu vh=%llu vm=%llu "
-                  "th=%llu tm=%llu",
+                  "inspects=%llu events=%llu rules=%llu vh=%llu vm=%llu",
                   (unsigned long long)s.inspects, (unsigned long long)s.events,
                   (unsigned long long)s.rules,
                   (unsigned long long)s.verdict_hits,
-                  (unsigned long long)s.verdict_misses,
-                  (unsigned long long)s.tensor_hits,
-                  (unsigned long long)s.tensor_misses);
+                  (unsigned long long)s.verdict_misses);
     return buf;
   }
 

@@ -377,6 +377,28 @@ TEST_F(GlintTest, SessionStaticMatchesColdBuildGraph) {
   ExpectSameWarning(warm, cold, 0);
 }
 
+// Two homes that deploy the same rule text point at one feature vector,
+// the one the detector's memo hands out for that text; a cold builder with
+// a memo of its own embeds the same bits.
+TEST_F(GlintTest, SessionsDeployingOneTextShareItsVector) {
+  const auto table1 = rules::CorpusGenerator::Table1Rules();
+  DeploymentSession a(detector_);
+  DeploymentSession b(detector_);
+  a.AddRule(table1[0]);
+  a.AddRule(table1[1]);
+  rules::Rule same = table1[1];
+  same.id = 777;
+  b.AddRule(same);
+  const auto ga = a.live().MaterializeStatic();
+  const auto gb = b.live().MaterializeStatic();
+  const FloatVec* shared = gb.nodes()[0].features.get();
+  EXPECT_EQ(ga.nodes()[1].features.get(), shared);
+  EXPECT_NE(ga.nodes()[0].features.get(), shared);
+  EXPECT_EQ(detector_->MakeNode(table1[1]).features.get(), shared);
+  EXPECT_EQ(*ColdBuilder(/*learned=*/false)->MakeNode(same).features,
+            *shared);
+}
+
 TEST_F(GlintTest, FineTuneAdaptsToUserFeedback) {
   // Take a vulnerable graph the user declares a false alarm; after
   // fine-tuning the confidence for that exact graph should not increase.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 
 #include "graph/builder.h"
 #include "graph/dataset_store.h"
@@ -72,7 +73,8 @@ InteractionGraph GraphOf(const std::vector<Rule>& rs) {
     Node n;
     n.rule = r;
     n.type = NodeTypeOf(r.platform);
-    n.features.assign(n.type == 1 ? 512 : 300, 0.1f);
+    n.features = std::make_shared<const FloatVec>(n.type == 1 ? 512 : 300,
+                                                  0.1f);
     g.AddNode(std::move(n));
   }
   for (int i = 0; i < g.num_nodes(); ++i) {
@@ -94,7 +96,7 @@ TEST(InteractionGraphTest, EdgesAndNeighbors) {
   InteractionGraph g;
   for (int i = 0; i < 3; ++i) {
     Node n;
-    n.features = {1.f};
+    n.features = std::make_shared<const FloatVec>(FloatVec{1.f});
     g.AddNode(n);
   }
   g.AddEdge(0, 1);
@@ -477,9 +479,9 @@ TEST_F(BuilderTest, NodeFeatureDimsByPlatform) {
   auto g = builder.BuildFromRules(table1);
   for (const auto& node : g.nodes()) {
     if (node.type == 1) {
-      EXPECT_EQ(node.features.size(), 512u);
+      EXPECT_EQ(node.features->size(), 512u);
     } else {
-      EXPECT_EQ(node.features.size(), 300u);
+      EXPECT_EQ(node.features->size(), 300u);
     }
   }
   EXPECT_TRUE(g.IsHeterogeneous());  // Alexa rule 9 is a voice node
@@ -576,8 +578,8 @@ TEST_F(BuilderTest, DatasetStoreRoundTrip) {
     for (int v = 0; v < a.num_nodes(); ++v) {
       EXPECT_EQ(a.nodes()[static_cast<size_t>(v)].rule.text,
                 b.nodes()[static_cast<size_t>(v)].rule.text);
-      EXPECT_EQ(a.nodes()[static_cast<size_t>(v)].features,
-                b.nodes()[static_cast<size_t>(v)].features);
+      EXPECT_EQ(*a.nodes()[static_cast<size_t>(v)].features,
+                *b.nodes()[static_cast<size_t>(v)].features);
     }
   }
   std::remove(path.c_str());

@@ -5,6 +5,7 @@
 // events (same node order, same edge insertion order, same labels).
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -88,7 +89,7 @@ void ExpectSameGraph(const InteractionGraph& warm,
     const auto& b = cold.nodes()[static_cast<size_t>(i)];
     ASSERT_EQ(a.rule.id, b.rule.id) << "step " << step << " node " << i;
     ASSERT_EQ(a.type, b.type) << "step " << step << " node " << i;
-    ASSERT_EQ(a.features, b.features) << "step " << step << " node " << i;
+    ASSERT_EQ(*a.features, *b.features) << "step " << step << " node " << i;
   }
   for (int k = 0; k < warm.num_edges(); ++k) {
     const auto& a = warm.edges()[static_cast<size_t>(k)];
@@ -197,6 +198,76 @@ TEST(LiveGraphTest, EdgesMatchMaterializedGraph) {
     EXPECT_EQ(edges[k].src, g.edges()[k].src);
     EXPECT_EQ(edges[k].dst, g.edges()[k].dst);
   }
+}
+
+// A graph over its own builder, so the builder's feature memo sees only
+// this graph's rules.
+LiveGraph MakeLiveOn(const GraphBuilder& builder) {
+  return LiveGraph(
+      {3.0, true},
+      [](const rules::Rule& a, const rules::Rule& b) {
+        return rules::RuleTriggersRule(a, b);
+      },
+      [&builder](const rules::Rule& r) { return builder.MakeNode(r); });
+}
+
+// One vector per live text: the entry's features, the memo's entry (what
+// MakeNode hands out for that text) and every materialized node of that
+// text are one object, held by the nodes only.
+TEST(LiveGraphTest, EntryMemoAndMaterializedNodesShareOneVector) {
+  const auto pool = Pool();
+  GraphBuilder builder({}, &WordModel(), &SentenceModel());
+  LiveGraph live = MakeLiveOn(builder);
+  rules::Rule twin = pool[0];
+  twin.id = 1;  // the same text deployed twice
+  live.AddRule(pool[0]);
+  live.AddRule(pool[1]);
+  live.AddRule(twin);
+
+  const Node probe = builder.MakeNode(pool[0]);
+  // The entries of pool[0] and its twin, and the probe; the memo is weak.
+  EXPECT_EQ(probe.features.use_count(), 3);
+  const InteractionGraph g = live.MaterializeStatic();
+  EXPECT_EQ(g.nodes()[0].features.get(), probe.features.get());
+  EXPECT_EQ(g.nodes()[2].features.get(), probe.features.get());
+  EXPECT_NE(g.nodes()[1].features.get(), probe.features.get());
+  EXPECT_EQ(probe.features.use_count(), 5);
+}
+
+// Under rule churn the memo stays within twice the live texts, and a text
+// whose vector was dropped gets bit-equal features when it comes back.
+TEST(LiveGraphTest, FeatureMemoStaysBoundedUnderRuleChurn) {
+  const auto pool = Pool();
+  GraphBuilder builder({}, &WordModel(), &SentenceModel());
+  LiveGraph live = MakeLiveOn(builder);
+  for (size_t i = 0; i < 8; ++i) live.AddRule(pool[i]);
+  FloatVec before;
+  std::weak_ptr<const FloatVec> dropped;
+  {
+    const InteractionGraph g0 = live.MaterializeStatic();
+    before = *g0.nodes()[0].features;
+    dropped = g0.nodes()[0].features;
+  }
+  ASSERT_TRUE(live.RemoveRule(pool[0].id));
+  EXPECT_TRUE(dropped.expired());  // its entry held the only reference
+
+  const rules::Rule base = pool[8];
+  for (int c = 0; c < 1000; ++c) {
+    rules::Rule fresh = base;
+    fresh.id = 100000 + c;
+    fresh.text = base.text + " churn" + std::to_string(c);
+    live.AddRule(fresh);
+    ASSERT_TRUE(live.RemoveRule(fresh.id));
+  }
+  EXPECT_EQ(live.num_rules(), 7);
+  EXPECT_LE(builder.feature_memo_size(),
+            2 * static_cast<size_t>(live.num_rules()));
+
+  live.AddRule(pool[0]);
+  const InteractionGraph g = live.MaterializeStatic();
+  EXPECT_EQ(*g.nodes()[7].features, before);
+  EXPECT_LE(builder.feature_memo_size(),
+            2 * static_cast<size_t>(live.num_rules()));
 }
 
 std::vector<char> Serialized(const LiveGraph& g) {

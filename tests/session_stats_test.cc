@@ -1,7 +1,7 @@
 // Ground-truth property test for the per-session cache counters surfaced
 // through DeploymentSession::Stats() / ServingEngine::AggregateStats(): a
-// scripted AddRule / OnEvent / Inspect sequence whose verdict-LRU and
-// GnnGraphCache hit counts are derivable by hand, plus the unknown-id
+// scripted AddRule / OnEvent / Inspect sequence whose verdict-LRU hit
+// counts are derivable by hand, plus the unknown-id
 // contract of ServingEngine's id-addressed Try* API (NotFound, nothing
 // journaled, no session counter moved).
 
@@ -91,7 +91,7 @@ TEST_F(SessionStatsTest, FreshSessionCountsRulesOnly) {
 }
 
 TEST_F(SessionStatsTest, ScriptedSequenceHitsExactCounts) {
-  // Capacity 2 on both caches. The script walks three graph structures:
+  // Capacity 2. The script walks three graph structures:
   //   A = rules {0..4}, B = {0..3}, C = {0..2}
   // (removing the *last* rule, so re-adding it restores the exact node
   // order and therefore the exact cache key).
@@ -102,26 +102,21 @@ TEST_F(SessionStatsTest, ScriptedSequenceHitsExactCounts) {
   for (const auto& r : rules) session.AddRule(r);
   const double now = 1.0;
 
-  // 1) A: verdict miss, tensor miss.        verdict LRU {A}, tensor {A}
+  // 1) A: verdict miss.                     verdict LRU {A}
   const auto wa = session.TryInspect(now).ValueOrDie();
-  // 2) B: verdict miss, tensor miss.        verdict {A,B}, tensor {A,B}
+  // 2) B: verdict miss.                     verdict {A,B}
   ASSERT_TRUE(session.RemoveRule(rules[4].id));
   const auto wb = session.TryInspect(now).ValueOrDie();
-  // 3) A again: verdict HIT (refreshes A in the verdict LRU only — the
-  //    tensor cache is never consulted on a verdict hit, so its recency
-  //    order still says A is oldest).       verdict {B,A}, tensor {A,B}
+  // 3) A again: verdict HIT (refreshes A).  verdict {B,A}
   session.AddRule(rules[4]);
   const auto wa2 = session.TryInspect(now).ValueOrDie();
   EXPECT_EQ(wa2.Render(), wa.Render());
-  // 4) C: verdict miss, tensor miss; both caches are full, so the verdict
-  //    LRU evicts B (oldest there) while the tensor cache evicts A.
-  //                                         verdict {A,C}, tensor {B,C}
+  // 4) C: verdict miss; the LRU is full and evicts B, the oldest.
+  //                                         verdict {A,C}
   ASSERT_TRUE(session.RemoveRule(rules[4].id));
   ASSERT_TRUE(session.RemoveRule(rules[3].id));
   const auto wc = session.TryInspect(now).ValueOrDie();
-  // 5) B again: verdict miss (B was evicted in step 4) but tensor HIT —
-  //    the divergent recency orders are exactly what the two counters are
-  //    supposed to make visible.
+  // 5) B again: verdict miss (B was evicted in step 4).
   session.AddRule(rules[3]);
   const auto wb2 = session.TryInspect(now).ValueOrDie();
   EXPECT_EQ(wb2.Render(), wb.Render());  // hit path == recompute path
@@ -130,10 +125,9 @@ TEST_F(SessionStatsTest, ScriptedSequenceHitsExactCounts) {
   EXPECT_EQ(s.inspects, 5u);
   EXPECT_EQ(s.verdict_hits, 1u);
   EXPECT_EQ(s.verdict_misses, 4u);
-  EXPECT_EQ(s.tensor_hits, 1u);
-  EXPECT_EQ(s.tensor_misses, 3u);
-  // Every verdict miss does exactly one tensor lookup.
-  EXPECT_EQ(s.tensor_hits + s.tensor_misses, s.verdict_misses);
+  // No tensorization cache: every verdict miss tensorizes once.
+  EXPECT_EQ(s.tensor_hits, 0u);
+  EXPECT_EQ(s.tensor_misses, s.verdict_misses);
   EXPECT_EQ(s.rules, 4u);  // ended at structure B
   (void)wc;
 }

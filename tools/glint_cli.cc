@@ -249,19 +249,16 @@ int CmdInspect(const std::map<std::string, std::string>& flags) {
 ///  "histograms":{...}} — see `glint stats` for the schema.
 std::string StatsJson(size_t homes,
                       const core::DeploymentSession::CacheStats& agg) {
-  char buf[320];
+  char buf[256];
   std::snprintf(
       buf, sizeof(buf),
       "{\"serving\":{\"homes\":%zu,\"rules\":%llu,\"inspects\":%llu,"
-      "\"events\":%llu,\"verdict_hits\":%llu,\"verdict_misses\":%llu,"
-      "\"tensor_hits\":%llu,\"tensor_misses\":%llu},",
+      "\"events\":%llu,\"verdict_hits\":%llu,\"verdict_misses\":%llu},",
       homes, static_cast<unsigned long long>(agg.rules),
       static_cast<unsigned long long>(agg.inspects),
       static_cast<unsigned long long>(agg.events),
       static_cast<unsigned long long>(agg.verdict_hits),
-      static_cast<unsigned long long>(agg.verdict_misses),
-      static_cast<unsigned long long>(agg.tensor_hits),
-      static_cast<unsigned long long>(agg.tensor_misses));
+      static_cast<unsigned long long>(agg.verdict_misses));
   // Splice the registry object in after the serving section.
   std::string registry = obs::Registry::Global().TakeSnapshot().RenderJson();
   return std::string(buf) + registry.substr(1);
@@ -286,11 +283,6 @@ void PrintFleetStatsReport(const core::TrainedDetector& detector,
               static_cast<unsigned long long>(agg.verdict_hits),
               static_cast<unsigned long long>(agg.verdict_hits +
                                               agg.verdict_misses));
-  std::printf("  %-44s %6.1f%%  (%llu/%llu)\n", "tensorization (GnnGraph)",
-              HitRate(agg.tensor_hits, agg.tensor_misses),
-              static_cast<unsigned long long>(agg.tensor_hits),
-              static_cast<unsigned long long>(agg.tensor_hits +
-                                              agg.tensor_misses));
   std::printf("  %-44s %6.1f%%  (%zu/%zu)\n", "correlation verdict memo",
               HitRate(corr.hits(), corr.misses()), corr.hits(),
               corr.hits() + corr.misses());
@@ -1068,7 +1060,8 @@ int CmdStats() {
       "  *.hits / *.misses   cache counters (hit rate = hits/(hits+misses))\n"
       "  (others)   plain event counters or gauges (value + peak)\n\n"
       "subsystems:\n"
-      "  glint.nlp.*         sentence embedding + encode cache\n"
+      "  glint.nlp.*         sentence embedding (embed_ms per rule text\n"
+      "                      embedded)\n"
       "  glint.correlation.* rule-pair correlation model + verdict memo:\n"
       "                      .predict_ms — one sample per uncached pair\n"
       "                      .tiebreaks — KNN runs (MLP and forest split)\n"
@@ -1078,9 +1071,11 @@ int CmdStats() {
       "                        (n + 1) / 2n for a rule scored against n\n"
       "                        others by rows)\n"
       "  glint.graph.*       interaction-graph build + node-feature memo\n"
+      "                      (.feature_cache.misses = vectors embedded;\n"
+      "                      every node of a live text shares one vector)\n"
       "  glint.live.*        LiveGraph incremental deltas / materialize\n"
       "  glint.gnn.*         tensorization, ITGNN forward (sequential +\n"
-      "                      batched), GnnGraph cache\n"
+      "                      batched)\n"
       "  glint.kernel.*      selected SIMD kernel backend (gauge: the\n"
       "                      kernels::Backend code; GLINT_KERNEL overrides)\n"
       "  glint.batch.*       block-diagonal super-graph sizes per batched\n"
@@ -1131,8 +1126,7 @@ int CmdStats() {
       "`glint fleet-serve` ends with one machine-readable line (after a\n"
       "human-readable report when --stats is given):\n\n"
       "  STATS_JSON {\"serving\":{\"homes\":N,\"rules\":N,\"inspects\":N,\n"
-      "    \"events\":N,\"verdict_hits\":N,\"verdict_misses\":N,\n"
-      "    \"tensor_hits\":N,\"tensor_misses\":N},\n"
+      "    \"events\":N,\"verdict_hits\":N,\"verdict_misses\":N},\n"
       "   \"counters\":{\"name\":N,...},\n"
       "   \"gauges\":{\"name\":{\"value\":N,\"peak\":N},...},\n"
       "   \"histograms\":{\"name\":{\"count\":N,\"sum_ms\":X,\"mean\":X,\n"
