@@ -28,18 +28,25 @@ inline double Seconds(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Resident set size in KiB (/proc/self/status VmRSS), 0 if unreadable.
-inline long RssKb() {
+/// One KiB field of /proc/self/status (`format` like "VmRSS: %ld kB"), 0
+/// if unreadable.
+inline long StatusKb(const char* format) {
   std::FILE* f = std::fopen("/proc/self/status", "r");
   if (f == nullptr) return 0;
   long kb = 0;
   char line[256];
   while (std::fgets(line, sizeof line, f) != nullptr) {
-    if (std::sscanf(line, "VmRSS: %ld kB", &kb) == 1) break;
+    if (std::sscanf(line, format, &kb) == 1) break;
   }
   std::fclose(f);
   return kb;
 }
+
+/// Resident set size in KiB (VmRSS).
+inline long RssKb() { return StatusKb("VmRSS: %ld kB"); }
+
+/// Peak resident set size so far in KiB (VmHWM).
+inline long HwmKb() { return StatusKb("VmHWM: %ld kB"); }
 
 /// Nearest-rank percentile of an unsorted sample; `p` in [0, 1].
 inline double Percentile(std::vector<double> xs, double p) {

@@ -15,6 +15,9 @@
 //            by tools/check.sh under GLINT_THREADS=2.
 
 #include <unistd.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include <algorithm>
 #include <chrono>
@@ -93,6 +96,12 @@ int Run(bool smoke) {
   core::TrainedDetector detector(opts);
   std::printf("training the detector (offline stage)...\n");
   detector.TrainOffline();
+  // Training's memory: the process peak so far (training sets it) and
+  // what stays resident once TrainOffline has returned. Report-only.
+  const double train_hwm_mb = static_cast<double>(HwmKb()) / 1024.0;
+  const double trained_rss_mb = static_cast<double>(RssKb()) / 1024.0;
+  std::printf("training peak %.1f MB RSS, %.1f MB after TrainOffline\n",
+              train_hwm_mb, trained_rss_mb);
 
   // The deployed home: home_rules corpus rules re-id'd, plus an event
   // stream so real-time edges are actually live.
@@ -438,6 +447,11 @@ int Run(bool smoke) {
   const int state_homes = smoke ? 64 : 256;
   double home_state_kb = 0;
   {
+#ifdef __GLIBC__
+    // Hand the free heap back first: homes placed in pages that earlier
+    // phases freed but kept resident would add no VmRSS at all.
+    malloc_trim(0);
+#endif
     const long rss_before = RssKb();
     core::ServingEngine state_engine(&detector);
     BuildFleet(&state_engine, state_homes, deployed, log);
@@ -477,6 +491,8 @@ int Run(bool smoke) {
   json.Num("batched_speedup", batched_speedup, 2);
   json.Bool("batched_equivalent", batched_equivalent);
   json.Num("home_state_kb", home_state_kb, 1);
+  json.Num("train_hwm_mb", train_hwm_mb, 1);
+  json.Num("trained_rss_mb", trained_rss_mb, 1);
   std::printf("BENCH_JSON %s\n", json.Render().c_str());
   if (!durable_gate_ok) return 1;
   if (!batched_equivalent) return 1;

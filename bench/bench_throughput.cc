@@ -91,7 +91,7 @@ TapeStats MeasureTapeStats(const std::vector<gnn::GnnGraph>& graphs) {
 
   // Same-call-shape difference: allocs(3 epochs) - allocs(1 epoch) is two
   // epochs of steady-state work — per-call setup (Adam state, sinks,
-  // oversampled copies) cancels, and the first call doubles as the tape
+  // oversampled index list) cancels, and the first call doubles as the tape
   // warm-up. The residual is data-dependent graph work (VIPool coarsening
   // rebuilds pooled adjacencies whose structure depends on learned
   // scores); the tape itself allocates nothing (see gnn_tape_reuse_test).

@@ -1,6 +1,9 @@
 #include "core/detector.h"
 
 #include <sys/stat.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include <cerrno>
 #include <cstring>
@@ -49,41 +52,51 @@ void TrainedDetector::TrainOffline() {
     discovery->Train(pairs);
   });
 
-  // 3. Interaction graph dataset, labeled by the analyzer (Sec. 3.2.2).
-  graph::GraphDataset ds =
-      builder_->BuildDataset(corpus_rules_, options_.num_training_graphs);
-  train_graphs_ = gnn::ToGnnGraphs(ds);
+  // 3. Interaction graph dataset, labeled by the analyzer (Sec. 3.2.2),
+  // tensorized at once; the dataset dies with this statement. The graphs
+  // are a local too: nothing after TrainOffline reads them (FineTune
+  // rebuilds them).
+  std::vector<gnn::GnnGraph> graphs = gnn::ToGnnGraphs(
+      builder_->BuildDataset(corpus_rules_, options_.num_training_graphs));
   // Build each graph's lazily cached type operators up front, so the two
-  // trainings below (and the graph copies ITGNN-S oversamples) only ever
-  // read train_graphs_ instead of racing to publish the cache.
-  ParallelFor(0, static_cast<int64_t>(train_graphs_.size()), 16,
-              [this](int64_t lo, int64_t hi) {
+  // trainings below only ever read the graphs instead of racing to publish
+  // the cache.
+  ParallelFor(0, static_cast<int64_t>(graphs.size()), 16,
+              [&graphs](int64_t lo, int64_t hi) {
                 for (int64_t i = lo; i < hi; ++i) {
-                  train_graphs_[static_cast<size_t>(i)].TypeMetaView();
+                  graphs[static_cast<size_t>(i)].TypeMetaView();
                 }
               });
 
   // 4. ITGNN-S (classification) beside ITGNN-C (contrastive); both only
-  // read train_graphs_.
+  // read the graphs.
   classifier_ = std::make_unique<gnn::ItgnnModel>(options_.model);
   gnn::ItgnnModel::Config c_cfg = options_.model;
   c_cfg.seed ^= 0xc0;
   contrastive_ = std::make_unique<gnn::ItgnnModel>(c_cfg);
   std::future<void> supervised_done = std::async(beside, [&] {
-    gnn::Trainer(options_.train).TrainSupervised(classifier_.get(),
-                                                 train_graphs_);
+    gnn::Trainer(options_.train).TrainSupervised(classifier_.get(), graphs);
   });
-  gnn::Trainer(options_.train).TrainContrastive(contrastive_.get(),
-                                                train_graphs_);
+  gnn::Trainer(options_.train).TrainContrastive(contrastive_.get(), graphs);
 
   // 5. Drift detector over the contrastive latent space (Alg. 3).
   drift_ = gnn::DriftDetector({options_.t_mad});
-  drift_.FitFromModel(contrastive_.get(), train_graphs_);
+  drift_.FitFromModel(contrastive_.get(), graphs);
 
   supervised_done.get();
   correlation_done.get();
   discovery_ = std::move(discovery);
   ready_ = true;
+
+  // Free the graphs, then hand training's heap back. Its garbage (graphs,
+  // tape growth, pair features) is spread over one malloc arena per thread
+  // that trained, and glibc returns a fragmented arena to the system only
+  // when asked; serving would otherwise carry training's peak for the life
+  // of the process.
+  std::vector<gnn::GnnGraph>().swap(graphs);
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
 }
 
 bool TrainedDetector::learned_correlation() const {
@@ -222,15 +235,23 @@ void TrainedDetector::FineTune(
     const std::vector<bool>& is_threat) {
   GLINT_CHECK(ready_);
   GLINT_CHECK(feedback.size() == is_threat.size());
-  std::vector<gnn::GnnGraph> extra = train_graphs_;
+  // The training graphs, rebuilt: BuildDataset gives graph i its own
+  // seed ^ i stream and the builder's edge predicate is the default, so
+  // these are the graphs TrainOffline trained on. A detector restored by
+  // LoadModels has no corpus and fine-tunes on the feedback alone.
+  std::vector<gnn::GnnGraph> extra;
+  if (!corpus_rules_.empty()) {
+    extra = gnn::ToGnnGraphs(
+        builder_->BuildDataset(corpus_rules_, options_.num_training_graphs));
+  }
+  // User-confirmed cases are weighted by replication so a handful of
+  // feedback graphs can move the decision against hundreds of training
+  // graphs.
+  const int copies =
+      std::max<int>(12, static_cast<int>(extra.size() / 40));
   for (size_t i = 0; i < feedback.size(); ++i) {
     gnn::GnnGraph g = gnn::ToGnnGraph(feedback[i]);
     g.label = is_threat[i] ? 1 : 0;
-    // User-confirmed cases are weighted by replication so a handful of
-    // feedback graphs can move the decision against hundreds of training
-    // graphs.
-    const int copies = std::max<int>(
-        12, static_cast<int>(train_graphs_.size() / 40));
     for (int k = 0; k < copies; ++k) extra.push_back(g);
   }
   gnn::TransferConfig tc;

@@ -58,7 +58,9 @@ class TrainedDetector {
   Status LoadModels(const std::string& dir);
 
   /// Step 7-8 of Fig. 2: fine-tunes the classifier head on user-marked
-  /// feedback graphs. Offline only — must not overlap live sessions.
+  /// feedback graphs beside the training graphs, which it rebuilds from
+  /// the corpus (none is kept). Offline only — must not overlap live
+  /// sessions.
   void FineTune(const std::vector<graph::InteractionGraph>& feedback,
                 const std::vector<bool>& is_threat);
 
@@ -132,7 +134,6 @@ class TrainedDetector {
   std::unique_ptr<gnn::ItgnnModel> classifier_;   ///< ITGNN-S
   std::unique_ptr<gnn::ItgnnModel> contrastive_;  ///< ITGNN-C
   gnn::DriftDetector drift_;
-  std::vector<gnn::GnnGraph> train_graphs_;
   /// Shared pairwise-correlation memo (one entry per rule pair across every
   /// session served by this detector).
   mutable correlation::CorrelationCache corr_cache_;

@@ -23,40 +23,40 @@ void SplitGraphs(const std::vector<GnnGraph>& all, double train_frac,
   }
 }
 
-std::vector<GnnGraph> OversampleGraphs(const std::vector<GnnGraph>& train,
-                                       double factor, Rng* rng) {
-  std::vector<GnnGraph> out = train;
+std::vector<size_t> OversampleIndices(const std::vector<GnnGraph>& train,
+                                      double factor, Rng* rng) {
+  std::vector<size_t> out(train.size());
   std::vector<size_t> minority;
   for (size_t i = 0; i < train.size(); ++i) {
+    out[i] = i;
     if (train[i].label == 1) minority.push_back(i);
   }
   if (minority.empty()) return out;
   const size_t extra = static_cast<size_t>(
       (factor - 1.0) * static_cast<double>(minority.size()));
   for (size_t k = 0; k < extra; ++k) {
-    out.push_back(train[minority[rng->Below(minority.size())]]);
+    out.push_back(minority[rng->Below(minority.size())]);
   }
   return out;
 }
 
 void Trainer::TrainSupervised(GraphModel* model,
-                              const std::vector<GnnGraph>& train_in) {
+                              const std::vector<GnnGraph>& train) {
   Rng rng(config_.seed);
-  std::vector<GnnGraph> train =
-      OversampleGraphs(train_in, config_.oversample_factor, &rng);
+  // The oversampled training set as indices into `train`, so no graph is
+  // copied; each epoch shuffles the list in place.
+  std::vector<size_t> order =
+      OversampleIndices(train, config_.oversample_factor, &rng);
 
   // Class weights inversely proportional to frequency (Eq. 2's w_y).
   double n1 = 0;
-  for (const auto& g : train) n1 += g.label;
-  const double n = static_cast<double>(train.size());
+  for (size_t i : order) n1 += train[i].label;
+  const double n = static_cast<double>(order.size());
   float w[2] = {static_cast<float>(n / (2.0 * std::max(1.0, n - n1))),
                 static_cast<float>(n / (2.0 * std::max(1.0, n1)))};
 
   Adam adam({config_.lr, 0.9, 0.999, 1e-8, config_.weight_decay});
   auto params = model->Parameters();
-
-  std::vector<size_t> order(train.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
 
   const int kBatch = 8;  // gradient accumulation window
   std::vector<Tape::GradSink> sinks(kBatch);
@@ -110,7 +110,7 @@ void Trainer::TrainSupervised(GraphModel* model,
     if (config_.verbose) {
       std::fprintf(stderr, "[%s] epoch %d loss %.4f\n",
                    model->Name().c_str(), epoch,
-                   total_loss / static_cast<double>(train.size()));
+                   total_loss / n);
     }
   }
 }

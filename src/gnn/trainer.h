@@ -62,8 +62,9 @@ class Trainer {
 void SplitGraphs(const std::vector<GnnGraph>& all, double train_frac, Rng* rng,
                  std::vector<GnnGraph>* train, std::vector<GnnGraph>* test);
 
-/// Class-1 oversampling for graph lists.
-std::vector<GnnGraph> OversampleGraphs(const std::vector<GnnGraph>& train,
-                                       double factor, Rng* rng);
+/// Class-1 oversampling by index: every index of `train` in order, then
+/// (factor - 1) x #minority draws of class-1 indices.
+std::vector<size_t> OversampleIndices(const std::vector<GnnGraph>& train,
+                                      double factor, Rng* rng);
 
 }  // namespace glint::gnn

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -399,15 +401,72 @@ TEST_F(GlintTest, SessionsDeployingOneTextShareItsVector) {
             *shared);
 }
 
+/// FNV-1a over the bits of every ITGNN-S parameter: values and both Adam
+/// moments, in registration order.
+uint64_t ClassifierDigest(const TrainedDetector& detector) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (gnn::Parameter* p : detector.classifier()->Parameters()) {
+    for (const gnn::Matrix* x : {&p->value, &p->m, &p->v}) {
+      for (float f : x->data) {
+        uint32_t bits;
+        std::memcpy(&bits, &f, sizeof bits);
+        for (int b = 0; b < 4; ++b) {
+          h ^= (bits >> (8 * b)) & 0xffu;
+          h *= 0x100000001b3ull;
+        }
+      }
+    }
+  }
+  return h;
+}
+
+/// The shared detector fine-tuned once per process on Table 1's oracle
+/// graph marked a false alarm, with that graph's confidence before and
+/// after. Both FineTune tests read it, so whichever runs (alone or with
+/// the other) sees one FineTune call.
+struct FineTuned {
+  double before = 0;
+  double after = 0;
+  uint64_t digest = 0;
+};
+
+const FineTuned& FineTuneOnce(TrainedDetector* detector,
+                              const graph::InteractionGraph& g) {
+  static const FineTuned tuned = [&] {
+    FineTuned t;
+    t.before = detector->AnalyzeGraph(g).confidence;
+    detector->FineTune({g}, {false});
+    t.after = detector->AnalyzeGraph(g).confidence;
+    t.digest = ClassifierDigest(*detector);
+    return t;
+  }();
+  return tuned;
+}
+
 TEST_F(GlintTest, FineTuneAdaptsToUserFeedback) {
   // Take a vulnerable graph the user declares a false alarm; after
   // fine-tuning the confidence for that exact graph should not increase.
-  auto table1 = rules::CorpusGenerator::Table1Rules();
-  auto g = OracleGraph(table1);
-  auto before = detector_->AnalyzeGraph(g);
-  detector_->FineTune({g}, {false});
-  auto after = detector_->AnalyzeGraph(g);
-  EXPECT_LE(after.confidence, before.confidence + 1e-6);
+  const auto& tuned = FineTuneOnce(
+      detector_, OracleGraph(rules::CorpusGenerator::Table1Rules()));
+  EXPECT_LE(tuned.after, tuned.before + 1e-6);
+}
+
+// FineTune's bits, recorded while the detector still kept its training
+// graphs: FineTune now rebuilds them from the corpus, and must fine-tune
+// on exactly the graphs TrainOffline trained on. Never re-record these to
+// make a change pass.
+TEST_F(GlintTest, FineTuneMatchesRecordedGolden) {
+  constexpr uint64_t kDigest = 0x4174bfd2618c735full;
+  const char* const kConfidence = "0x1.b8698403dea4ep-1";
+  const auto& tuned = FineTuneOnce(
+      detector_, OracleGraph(rules::CorpusGenerator::Table1Rules()));
+  char digest[24];
+  std::snprintf(digest, sizeof digest, "0x%016llx",
+                static_cast<unsigned long long>(tuned.digest));
+  char confidence[40];
+  std::snprintf(confidence, sizeof confidence, "%a", tuned.after);
+  EXPECT_EQ(tuned.digest, kDigest) << "digest " << digest;
+  EXPECT_STREQ(confidence, kConfidence);
 }
 
 }  // namespace

@@ -233,12 +233,19 @@ TEST_F(ModelTest, ContrastiveSeparatesClasses) {
 }
 
 TEST_F(ModelTest, OversampleGraphsGrowsMinority) {
+  // Oversampling is by index: every original graph once, in order, then
+  // one extra index per minority graph (factor 2), each a class-1 graph.
   Rng rng(31);
-  auto over = OversampleGraphs(*homo_, 2.0, &rng);
-  int before = 0, after = 0;
-  for (const auto& g : *homo_) before += g.label;
-  for (const auto& g : over) after += g.label;
-  EXPECT_EQ(after, 2 * before);
+  const auto over = OversampleIndices(*homo_, 2.0, &rng);
+  int minority = 0;
+  for (const auto& g : *homo_) minority += g.label;
+  ASSERT_GT(minority, 0);
+  ASSERT_EQ(over.size(), homo_->size() + static_cast<size_t>(minority));
+  for (size_t i = 0; i < homo_->size(); ++i) EXPECT_EQ(over[i], i);
+  for (size_t k = homo_->size(); k < over.size(); ++k) {
+    ASSERT_LT(over[k], homo_->size());
+    EXPECT_EQ((*homo_)[over[k]].label, 1) << "extra index " << over[k];
+  }
 }
 
 TEST_F(ModelTest, SplitGraphsPartitions) {

@@ -4,6 +4,7 @@
 // Reset() tape performs no heap allocation at all.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -20,16 +21,19 @@
 #include "util/thread_pool.h"
 
 // ---------------------------------------------------------------------------
-// Global allocation counter: every operator new in this binary bumps the
-// counter, so a measured region's delta is its exact heap-allocation count.
+// Global allocation counters: every operator new in this binary bumps
+// them, so a measured region's deltas are its exact heap-allocation count
+// and requested bytes.
 // ---------------------------------------------------------------------------
 
 namespace {
 std::atomic<size_t> g_allocs{0};
+std::atomic<size_t> g_bytes{0};
 }  // namespace
 
 __attribute__((noinline)) void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(n, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
@@ -43,11 +47,13 @@ __attribute__((noinline)) void operator delete[](void* p, std::size_t) noexcept 
 __attribute__((noinline)) void* operator new(std::size_t n,
                                              const std::nothrow_t&) noexcept {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(n, std::memory_order_relaxed);
   return std::malloc(n ? n : 1);
 }
 __attribute__((noinline)) void* operator new[](
     std::size_t n, const std::nothrow_t&) noexcept {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(n, std::memory_order_relaxed);
   return std::malloc(n ? n : 1);
 }
 __attribute__((noinline)) void operator delete(
@@ -56,6 +62,54 @@ __attribute__((noinline)) void operator delete(
 }
 __attribute__((noinline)) void operator delete[](
     void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+// Over-aligned forms too (Matrix storage allocates through them), on
+// posix_memalign so they pair with free like the rest.
+__attribute__((noinline)) void* operator new(
+    std::size_t n, std::align_val_t a, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(n, std::memory_order_relaxed);
+  void* p = nullptr;
+  const std::size_t align =
+      std::max(static_cast<std::size_t>(a), sizeof(void*));
+  return posix_memalign(&p, align, n ? n : 1) == 0 ? p : nullptr;
+}
+__attribute__((noinline)) void* operator new(std::size_t n,
+                                             std::align_val_t a) {
+  if (void* p = ::operator new(n, a, std::nothrow)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void* operator new[](std::size_t n,
+                                               std::align_val_t a) {
+  return ::operator new(n, a);
+}
+__attribute__((noinline)) void* operator new[](
+    std::size_t n, std::align_val_t a, const std::nothrow_t&) noexcept {
+  return ::operator new(n, a, std::nothrow);
+}
+__attribute__((noinline)) void operator delete(void* p,
+                                               std::align_val_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t,
+                                               std::align_val_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p,
+                                                 std::align_val_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p, std::size_t,
+                                                 std::align_val_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(
+    void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](
+    void* p, std::align_val_t, const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -288,6 +342,46 @@ TEST_F(TapeReuseTest, SecondIdenticalPassAllocatesNothing) {
   EXPECT_EQ(warm2.growth_allocs, warm_stats.growth_allocs)
       << "arena capacity must not grow on an identical replay";
   EXPECT_EQ(warm2.nodes, warm_stats.nodes);
+}
+
+TEST_F(TapeReuseTest, SupervisedTrainingCopiesNoGraph) {
+  // One TrainSupervised epoch over 2N graphs against one over N. GCN's
+  // forward/backward allocates nothing on a warm tape, and N fills more
+  // than one 8-sample batch, so both runs fill every grad sink: what grows
+  // with the sample count is the oversampled index list. A copied training
+  // set would allocate the extra N graphs again, typed features included.
+  ThreadPool::SetGlobalThreads(1);  // one tape: warm-up covers every graph
+  std::vector<GnnGraph> homo;  // GCN reads single-type 300-d graphs only
+  for (const auto& g : *graphs_) {
+    if (!g.IsHeterogeneous() && g.type_rows[1].empty()) homo.push_back(g);
+  }
+  ASSERT_FALSE(homo.empty());
+  std::vector<GnnGraph> once;
+  while (once.size() < 10) once.insert(once.end(), homo.begin(), homo.end());
+  std::vector<GnnGraph> twice = once;
+  twice.insert(twice.end(), once.begin(), once.end());
+  size_t extra_feature_bytes = 0;
+  for (const auto& g : once) {
+    for (const auto& m : g.typed_features) {
+      extra_feature_bytes += m.data.size() * sizeof(float);
+    }
+  }
+
+  TrainConfig tc;
+  tc.epochs = 1;
+  const auto epoch_bytes = [&](const std::vector<GnnGraph>& train) {
+    GcnModel model(300, 16, 2, 31);
+    const size_t before = g_bytes.load(std::memory_order_relaxed);
+    Trainer(tc).TrainSupervised(&model, train);
+    return g_bytes.load(std::memory_order_relaxed) - before;
+  };
+  epoch_bytes(twice);  // warm-up: tape arena and graph caches
+  const size_t n_bytes = epoch_bytes(once);
+  const size_t two_n_bytes = epoch_bytes(twice);
+  EXPECT_LT(two_n_bytes, n_bytes + extra_feature_bytes)
+      << "N graphs: " << n_bytes << " B, 2N graphs: " << two_n_bytes
+      << " B, extra N graphs' typed features: " << extra_feature_bytes
+      << " B";
 }
 
 TEST_F(TapeReuseTest, ScopedTapeReusesThreadLocalTape) {
