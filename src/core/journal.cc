@@ -5,16 +5,18 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 
 #include "obs/obs.h"
 #include "util/binio.h"
 #include "util/crc32c.h"
 #include "util/fault.h"
+#include "util/file_io.h"
 
 namespace glint::core {
 
 namespace {
+
+using util::ErrnoStatus;
 
 constexpr uint32_t kWalMagic = 0x4c415747;   // "GWAL"
 constexpr uint32_t kSnapMagic = 0x504e5347;  // "GSNP"
@@ -26,8 +28,12 @@ constexpr size_t kRecordFrameBytes = 2 * sizeof(uint32_t);
 /// multi-gigabyte allocation.
 constexpr uint32_t kMaxRecordBytes = 64u << 20;
 
-Status ErrnoStatus(const std::string& what, const std::string& path) {
-  return Status::IOError(what + " " + path + ": " + std::strerror(errno));
+/// The snapshot header: magic | version | seq | payload_len |
+/// crc32c(payload).
+template <class IO, class U64, class U32>
+bool SnapshotHeaderFields(IO& io, U64& seq, U32& len, U32& crc) {
+  return io.Const32(kSnapMagic, "magic") && io.Const32(kVersion, "version") &&
+         io.U64(seq) && io.U32(len) && io.U32(crc);
 }
 
 Status FsyncFile(std::FILE* f, const std::string& path) {
@@ -193,17 +199,14 @@ Status Journal::WriteSnapshot(uint64_t seq,
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return ErrnoStatus("cannot open snapshot", tmp);
 
-  util::ByteWriter header;
-  header.U32(kSnapMagic);
-  header.U32(kVersion);
-  header.U64(seq);
-  header.U32(static_cast<uint32_t>(payload.size()));
-  header.U32(util::Crc32c(payload.data(), payload.size()));
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  const uint32_t crc = util::Crc32c(payload.data(), payload.size());
+  const std::vector<char> header = util::EncodeAll(
+      [&](auto& io) { return SnapshotHeaderFields(io, seq, len, crc); });
 
   auto write_all = [&]() -> Status {
     GLINT_FAULT_POINT("snapshot.write");
-    if (std::fwrite(header.buffer().data(), 1, header.size(), f) !=
-            header.size() ||
+    if (std::fwrite(header.data(), 1, header.size(), f) != header.size() ||
         std::fwrite(payload.data(), 1, payload.size(), f) != payload.size()) {
       return ErrnoStatus("cannot write snapshot", tmp);
     }
@@ -246,37 +249,28 @@ Status Journal::Recover(
   }
 
   // ---- Snapshot --------------------------------------------------------
-  {
-    GLINT_FAULT_POINT("snapshot.read");
-    std::FILE* f = std::fopen(snapshot_path().c_str(), "rb");
-    if (f != nullptr) {
-      uint32_t magic = 0, version = 0, len = 0, crc = 0;
-      uint64_t seq = 0;
-      std::vector<char> payload;
-      bool ok = std::fread(&magic, sizeof magic, 1, f) == 1 &&
-                magic == kSnapMagic &&
-                std::fread(&version, sizeof version, 1, f) == 1 &&
-                version == kVersion &&
-                std::fread(&seq, sizeof seq, 1, f) == 1 &&
-                std::fread(&len, sizeof len, 1, f) == 1 &&
-                std::fread(&crc, sizeof crc, 1, f) == 1 &&
-                len <= kMaxRecordBytes;
-      if (ok) {
-        payload.resize(len);
-        ok = std::fread(payload.data(), 1, len, f) == len &&
-             util::Crc32c(payload.data(), len) == crc;
-      }
-      std::fclose(f);
-      if (!ok) {
-        // A snapshot is replaced atomically, so a bad one means external
-        // corruption of the authoritative state — refuse to guess.
-        return Status::IOError("corrupt snapshot: " + snapshot_path());
-      }
-      GLINT_RETURN_IF_ERROR(apply_snapshot(payload));
-      info->snapshot_loaded = true;
-      info->snapshot_seq = seq;
-      GLINT_OBS_COUNT("glint.recovery.snapshots_loaded", 1);
+  GLINT_FAULT_POINT("snapshot.read");
+  Result<std::vector<char>> snapshot = util::ReadFile(snapshot_path());
+  if (snapshot.ok()) {
+    std::vector<char>& bytes = snapshot.value();
+    util::ByteReader r(bytes);
+    util::LayoutReader io(&r);
+    uint64_t seq = 0;
+    uint32_t len = 0, crc = 0;
+    // The payload must fill the rest of the file exactly.
+    if (!SnapshotHeaderFields(io, seq, len, crc) || len != r.remaining() ||
+        util::Crc32c(bytes.data() + r.pos(), len) != crc) {
+      // A snapshot is replaced atomically, so a bad one means external
+      // corruption of the authoritative state — refuse to guess.
+      return Status::IOError("corrupt snapshot: " + snapshot_path());
     }
+    bytes.erase(bytes.begin(), bytes.begin() + static_cast<ptrdiff_t>(r.pos()));
+    GLINT_RETURN_IF_ERROR(apply_snapshot(bytes));
+    info->snapshot_loaded = true;
+    info->snapshot_seq = seq;
+    GLINT_OBS_COUNT("glint.recovery.snapshots_loaded", 1);
+  } else if (snapshot.status().code() != StatusCode::kNotFound) {
+    return snapshot.status();
   }
 
   // ---- WAL tail --------------------------------------------------------

@@ -10,9 +10,10 @@
 //   record: u32 payload_len | u32 crc32c(payload) | payload
 //   payload: u64 seq | operation bytes (opaque to the journal)
 //
-// Snapshot layout:
+// Snapshot layout (one field list for the header, read and written):
 //   u32 magic 'GSNP' | u32 version | u64 seq | u32 payload_len |
 //   u32 crc32c(payload) | payload
+// Recover reads the file whole; the payload must fill the rest of it.
 //
 // Durability contract:
 //   - AppendRun writes a run of n >= 1 records with one write and one

@@ -73,40 +73,66 @@ Status ServingEngine::Snapshot() {
   return Status::OK();
 }
 
+namespace {
+
+/// One home of a snapshot.
+struct HomeSnapshot {
+  HomeId id;
+  graph::LiveGraph::State state;
+};
+
+/// The snapshot payload's one field list: u32 count, then per home its id
+/// and its LiveGraph state.
+template <class IO, class Homes>
+bool SnapshotFields(IO& io, Homes& homes) {
+  return io.List(homes,
+                 util::ListBound{"home", sizeof(uint32_t) +
+                                             graph::LiveGraph::kMinStateBytes},
+                 [&io](auto& h) {
+                   return io.Str(h.id) && graph::LiveStateFields(io, h.state);
+                 });
+}
+
+/// A non-finite event time would pin the home's watermark (inf) or
+/// unsort its retained events (NaN), so neither the live path, replay nor
+/// a snapshot takes one.
+Status CheckTime(double hours) {
+  if (std::isfinite(hours)) return Status::OK();
+  return Status::InvalidArgument("event time " + std::to_string(hours) +
+                                 "h is not a finite number");
+}
+
+}  // namespace
+
 std::vector<char> ServingEngine::EncodeSnapshot() const {
-  util::ByteWriter w;
-  w.U32(static_cast<uint32_t>(sessions_.size()));
+  std::vector<HomeSnapshot> homes;
+  homes.reserve(sessions_.size());
   for (size_t h = 0; h < sessions_.size(); ++h) {
-    w.Str(ids_[h]);
-    sessions_[h]->SerializeTo(&w);
+    homes.push_back({ids_[h], sessions_[h]->live().SaveState()});
   }
-  return w.TakeBuffer();
+  return util::EncodeAll([&](auto& io) { return SnapshotFields(io, homes); });
 }
 
 Status ServingEngine::ApplySnapshot(const std::vector<char>& payload) {
-  util::ByteReader r(payload);
-  uint32_t homes = 0;
-  if (!r.U32(&homes)) {
-    return Status::InvalidArgument("snapshot: truncated home count");
-  }
-  for (uint32_t h = 0; h < homes; ++h) {
-    HomeId id;
-    if (!r.Str(&id)) {
-      return Status::InvalidArgument("snapshot: truncated home id");
-    }
-    if (index_.count(id) != 0) {
-      return Status::InvalidArgument("snapshot: duplicate home id '" + id +
+  std::vector<HomeSnapshot> homes;
+  GLINT_RETURN_IF_ERROR(util::DecodeAll(payload, "snapshot", [&](auto& io) {
+    return SnapshotFields(io, homes);
+  }));
+  for (HomeSnapshot& h : homes) {
+    if (index_.count(h.id) != 0) {
+      return Status::InvalidArgument("snapshot: duplicate home id '" + h.id +
                                      "'");
     }
+    GLINT_RETURN_IF_ERROR(CheckTime(h.state.watermark));
+    for (const graph::Event& e : h.state.events) {
+      GLINT_RETURN_IF_ERROR(CheckTime(e.time_hours));
+    }
     auto session = MakeSession();
-    GLINT_RETURN_IF_ERROR(session->RestoreFrom(&r));
+    session->Restore(h.state);
     // A restored session starts with zero event and inspect counts.
     totals_.rules += static_cast<uint64_t>(session->num_rules());
-    RegisterHomeId(std::move(id));
+    RegisterHomeId(std::move(h.id));
     sessions_.push_back(std::move(session));
-  }
-  if (!r.exhausted()) {
-    return Status::InvalidArgument("snapshot: trailing bytes");
   }
   return Status::OK();
 }
@@ -136,16 +162,6 @@ bool RemoveRuleFields(IO& io, Slot& slot, Id& rule_id) {
 template <class IO, class Slot, class E>
 bool EventFields(IO& io, Slot& slot, E& e) {
   return io.U32(slot) && graph::EventFields(io, e);
-}
-
-/// An event at a non-finite time would pin the home's watermark (inf) or
-/// unsort its retained events (NaN), so neither the live path nor replay
-/// takes one.
-Status CheckEventTime(const graph::Event& e) {
-  if (std::isfinite(e.time_hours)) return Status::OK();
-  return Status::InvalidArgument("event time " +
-                                 std::to_string(e.time_hours) +
-                                 "h is not a finite number");
 }
 
 /// Replay's verdict on one decoded record: InvalidArgument naming the op
@@ -239,7 +255,7 @@ Status ServingEngine::ApplyRecord(const std::vector<char>& payload) {
       decoded = EventFields(io, slot, event);
       GLINT_RETURN_IF_ERROR(CheckRecord(
           "Event", decoded, r, io,
-          slot_ok().ok() ? CheckEventTime(event) : slot_ok()));
+          slot_ok().ok() ? CheckTime(event.time_hours) : slot_ok()));
       ApplyEvents(slot, &event, 1);
       return Status::OK();
     default:
@@ -358,7 +374,7 @@ Status ServingEngine::TryOnEvents(const HomeId& id,
   Status first;
   size_t applied = 0;
   for (size_t i = 0; i < n;) {
-    Status st = CheckEventTime(events[i]);
+    Status st = CheckTime(events[i].time_hours);
     if (!st.ok()) {
       // A refused event takes no effect; the next run starts after it.
       if (first.ok()) first = st;

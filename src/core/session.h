@@ -96,14 +96,10 @@ class DeploymentSession {
   /// in TryInspect.
   Result<ThreatWarning> TryInspectDegraded(double now_hours);
 
-  /// Serializes the session's logical state (the LiveGraph: deployed rules
-  /// in node order, retained events, watermark) into a snapshot payload.
-  void SerializeTo(util::ByteWriter* w) const { live_.SerializeTo(w); }
-
-  /// Rebuilds a fresh session from a SerializeTo payload. Inspect output
-  /// after restore is bit-identical to the serialized session's (caches
-  /// start cold, but they are exact-key and cannot change verdicts).
-  Status RestoreFrom(util::ByteReader* r) { return live_.Restore(r); }
+  /// Rebuilds a fresh session from live().SaveState(). Inspect output is
+  /// then bit-identical to the saved session's (caches start cold, but
+  /// they are exact-key and cannot change verdicts).
+  void Restore(const graph::LiveGraph::State& state) { live_.Restore(state); }
 
   int num_rules() const { return live_.num_rules(); }
   std::vector<rules::Rule> CurrentRules() const {

@@ -40,9 +40,9 @@ class DriftDetector {
   /// Convenience: fit from a trained model and labeled graphs.
   void FitFromModel(GraphModel* model, const std::vector<GnnGraph>& train);
 
-  /// Appends the fitted statistics (centroids, medians, MADs) to `w` in the
-  /// layout RestoreFrom reads back. The t_mad threshold is configuration,
-  /// not fitted state, and is not serialized.
+  /// Appends the fitted statistics to `w` (u32 classes | per class: u32 dim
+  /// | dim f32 centroid | f64 median | f64 MAD). The t_mad threshold is
+  /// configuration, not fitted state, and is not serialized.
   void SerializeTo(util::ByteWriter* w) const;
 
   /// Restores statistics written by SerializeTo. Returns false on a
@@ -51,15 +51,21 @@ class DriftDetector {
   bool RestoreFrom(util::ByteReader* r);
 
   /// True once Fit/FitFromModel/RestoreFrom has populated the statistics.
-  bool fitted() const { return !centroids_.empty(); }
+  bool fitted() const { return !classes_.empty(); }
 
-  const FloatVec& centroid(int cls) const { return centroids_[static_cast<size_t>(cls)]; }
+  const FloatVec& centroid(int cls) const {
+    return classes_[static_cast<size_t>(cls)].centroid;
+  }
 
  private:
+  struct ClassStats {
+    FloatVec centroid;         ///< mean embedding
+    double median_dist = 0.0;  ///< median distance to the centroid
+    double mad = 1.0;          ///< MAD of those distances
+  };
+
   Params params_;
-  std::vector<FloatVec> centroids_;      ///< per-class mean embedding
-  std::vector<double> median_dist_;      ///< per-class median distance
-  std::vector<double> mad_;              ///< per-class MAD
+  std::vector<ClassStats> classes_;
 };
 
 }  // namespace glint::gnn

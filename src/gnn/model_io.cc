@@ -1,61 +1,76 @@
 #include "gnn/model_io.h"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "util/binio.h"
 #include "util/crc32c.h"
 #include "util/fault.h"
+#include "util/file_io.h"
 
 namespace glint::gnn {
 
 namespace {
 
+using util::ErrnoStatus;
+
 constexpr uint32_t kModelMagic = 0x474d444cu;  // "GMDL"
 constexpr uint32_t kDriftMagic = 0x46524447u;  // "GDRF"
 constexpr uint32_t kVersion = 2;
-// magic | version | payload_len | crc32c(payload)
-constexpr size_t kHeaderBytes = 4 * sizeof(uint32_t);
-/// Reject corrupt length fields before they drive a huge allocation.
-constexpr uint32_t kMaxPayloadBytes = 1u << 30;
 
-Status ErrnoStatus(const std::string& what, const std::string& path) {
-  return Status::IOError(what + " " + path + ": " + std::strerror(errno));
+/// magic | version | payload_len | crc32c(payload)
+template <class IO, class U32>
+bool HeaderFields(IO& io, uint32_t magic, U32& version, U32& len, U32& crc) {
+  return io.Const32(magic, "magic") && io.U32(version) && io.U32(len) &&
+         io.U32(crc);
 }
 
-void EncodeParams(GraphModel* model, util::ByteWriter* w) {
-  auto params = model->Parameters();
-  w->U32(static_cast<uint32_t>(params.size()));
-  for (Parameter* p : params) {
-    w->I32(p->value.rows);
-    w->I32(p->value.cols);
-    w->Raw(p->value.data.data(), sizeof(float) * p->value.data.size());
-  }
+const Matrix& Value(const Parameter* p) { return p->value; }
+Matrix& Value(Matrix& m) { return m; }
+
+/// The model payload: the parameter count, then each parameter's
+/// i32 rows | i32 cols | rows * cols f32. Encoded from the model's
+/// parameters, decoded into matrices that LoadModel checks against them.
+template <class IO, class Params>
+bool ParamFields(IO& io, Params& params) {
+  return io.List(params, util::ListBound{"parameter", 2 * sizeof(int32_t)},
+                 [&io](auto& p) {
+                   auto& m = Value(p);
+                   return io.I32(m.rows) && io.I32(m.cols) &&
+                          io.F32s(m.data, int64_t{m.rows} * m.cols);
+                 });
+}
+
+std::vector<char> EncodeParams(GraphModel* model) {
+  const std::vector<Parameter*> params = model->Parameters();
+  return util::EncodeAll([&](auto& io) { return ParamFields(io, params); });
+}
+
+/// The file's bytes: the header, then `payload`.
+std::vector<char> EncodeContainer(uint32_t magic,
+                                  const std::vector<char>& payload) {
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  const uint32_t crc = util::Crc32c(payload.data(), payload.size());
+  std::vector<char> bytes = util::EncodeAll(
+      [&](auto& io) { return HeaderFields(io, magic, kVersion, len, crc); });
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  return bytes;
 }
 
 /// Writes `payload` under the magic/version/len/crc header, staged to a
 /// temp file and renamed so a crash mid-save never leaves a half-written
 /// file where a good one used to be.
-Status SaveContainer(uint32_t magic, const util::ByteWriter& payload,
+Status SaveContainer(uint32_t magic, const std::vector<char>& payload,
                      const std::string& path) {
-  util::ByteWriter header;
-  header.U32(magic);
-  header.U32(kVersion);
-  header.U32(static_cast<uint32_t>(payload.size()));
-  header.U32(util::Crc32c(payload.buffer().data(), payload.size()));
-
+  const std::vector<char> bytes = EncodeContainer(magic, payload);
   const std::string tmp = path + ".tmp";
   GLINT_FAULT_POINT("model.save.open");
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return ErrnoStatus("cannot open for write", tmp);
   auto write_all = [&]() -> Status {
     GLINT_FAULT_POINT("model.save.write");
-    if (std::fwrite(header.buffer().data(), 1, header.size(), f) !=
-            header.size() ||
-        std::fwrite(payload.buffer().data(), 1, payload.size(), f) !=
-            payload.size()) {
+    if (std::fwrite(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
       return ErrnoStatus("cannot write model", tmp);
     }
     GLINT_FAULT_POINT("model.save.flush");
@@ -76,42 +91,35 @@ Status SaveContainer(uint32_t magic, const util::ByteWriter& payload,
   return Status::OK();
 }
 
-/// Reads and authenticates a container written by SaveContainer. On OK the
-/// payload bytes passed the CRC; structural validation is the caller's.
+/// Reads a container written by SaveContainer whole and authenticates it.
+/// On OK `*payload` holds the payload bytes, which passed the CRC;
+/// structural validation is the caller's.
 Status LoadContainer(uint32_t magic, const std::string& path,
                      std::vector<char>* payload) {
   GLINT_FAULT_POINT("model.load.open");
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return ErrnoStatus("cannot open for read", path);
-
-  uint32_t file_magic = 0, version = 0, len = 0, crc = 0;
   GLINT_FAULT_POINT("model.load.read");
-  bool header_ok = std::fread(&file_magic, sizeof file_magic, 1, f) == 1 &&
-                   std::fread(&version, sizeof version, 1, f) == 1 &&
-                   std::fread(&len, sizeof len, 1, f) == 1 &&
-                   std::fread(&crc, sizeof crc, 1, f) == 1;
-  if (!header_ok || file_magic != magic) {
-    std::fclose(f);
+  Result<std::vector<char>> file = util::ReadFile(path);
+  if (!file.ok()) return Status::IOError(file.status().message());
+  *payload = std::move(file).value();
+
+  util::ByteReader r(*payload);
+  util::LayoutReader io(&r);
+  uint32_t version = 0, len = 0, crc = 0;
+  if (!HeaderFields(io, magic, version, len, crc)) {
     return Status::IOError("bad model file magic: " + path);
   }
   if (version != kVersion) {
-    std::fclose(f);
     return Status::FailedPrecondition(
         "model format version " + std::to_string(version) + " (want " +
         std::to_string(kVersion) + "): " + path);
   }
-  if (len > kMaxPayloadBytes) {
-    std::fclose(f);
-    return Status::IOError("absurd model payload length: " + path);
-  }
-  payload->resize(len);
-  const bool body_ok = std::fread(payload->data(), 1, len, f) == len;
-  // A trailing byte means the file is not what SaveContainer wrote.
-  const bool at_eof = std::fgetc(f) == EOF;
-  std::fclose(f);
-  if (!body_ok || !at_eof) {
+  // A byte more or less than the header declares means the file is not
+  // what SaveContainer wrote.
+  if (len != r.remaining()) {
     return Status::IOError("truncated or oversized model file: " + path);
   }
+  payload->erase(payload->begin(),
+                 payload->begin() + static_cast<ptrdiff_t>(r.pos()));
   if (util::Crc32c(payload->data(), payload->size()) != crc) {
     return Status::IOError("model checksum mismatch: " + path);
   }
@@ -121,48 +129,45 @@ Status LoadContainer(uint32_t magic, const std::string& path,
 }  // namespace
 
 Status SaveModel(GraphModel* model, const std::string& path) {
-  util::ByteWriter payload;
-  EncodeParams(model, &payload);
-  return SaveContainer(kModelMagic, payload, path);
+  return SaveContainer(kModelMagic, EncodeParams(model), path);
 }
 
 Status LoadModel(GraphModel* model, const std::string& path) {
   std::vector<char> payload;
   GLINT_RETURN_IF_ERROR(LoadContainer(kModelMagic, path, &payload));
 
-  // The bytes are authentic; shape errors from here are a model/file
-  // architecture disagreement, not corruption.
+  // The bytes are authentic: a payload the field list cannot decode is
+  // corrupt, and a decoded one that does not fit the model is a
+  // model/file architecture disagreement.
   util::ByteReader r(payload);
-  auto params = model->Parameters();
-  uint32_t count = 0;
-  if (!r.U32(&count) || count != params.size()) {
-    return Status::FailedPrecondition(
-        "model architecture mismatch (" + std::to_string(count) + " vs " +
-        std::to_string(params.size()) + " parameters): " + path);
+  util::LayoutReader io(&r);
+  std::vector<Matrix> values;
+  if (!ParamFields(io, values)) {
+    return Status::IOError("truncated model payload: " + path);
   }
-  for (Parameter* p : params) {
-    int32_t rows = 0, cols = 0;
-    if (!r.I32(&rows) || !r.I32(&cols) || rows != p->value.rows ||
-        cols != p->value.cols) {
+  const std::vector<Parameter*> params = model->Parameters();
+  if (values.size() != params.size()) {
+    return Status::FailedPrecondition(
+        "model architecture mismatch (" + std::to_string(values.size()) +
+        " vs " + std::to_string(params.size()) + " parameters): " + path);
+  }
+  for (size_t i = 0; i < params.size(); ++i) {
+    if (values[i].rows != params[i]->value.rows ||
+        values[i].cols != params[i]->value.cols) {
       return Status::FailedPrecondition("parameter shape mismatch: " + path);
-    }
-    if (!r.Raw(p->value.data.data(),
-               sizeof(float) * p->value.data.size())) {
-      return Status::IOError("truncated model payload: " + path);
     }
   }
   if (!r.exhausted()) {
     return Status::FailedPrecondition("trailing model payload bytes: " + path);
   }
+  for (size_t i = 0; i < params.size(); ++i) {
+    params[i]->value.data = std::move(values[i].data);
+  }
   return Status::OK();
 }
 
 size_t ModelBytes(GraphModel* model) {
-  size_t bytes = kHeaderBytes + sizeof(uint32_t);  // header + param count
-  for (Parameter* p : model->Parameters()) {
-    bytes += sizeof(int32_t) * 2 + sizeof(float) * p->value.size();
-  }
-  return bytes;
+  return EncodeContainer(kModelMagic, EncodeParams(model)).size();
 }
 
 Status SaveDriftStats(const DriftDetector& drift, const std::string& path) {
@@ -171,7 +176,7 @@ Status SaveDriftStats(const DriftDetector& drift, const std::string& path) {
   }
   util::ByteWriter payload;
   drift.SerializeTo(&payload);
-  return SaveContainer(kDriftMagic, payload, path);
+  return SaveContainer(kDriftMagic, payload.buffer(), path);
 }
 
 Status LoadDriftStats(DriftDetector* drift, const std::string& path) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "util/file_io.h"
 #include "util/string_utils.h"
 
 namespace glint::graph {
@@ -102,9 +103,40 @@ void WriteEvent(util::ByteWriter* w, const Event& e) {
   EventFields(io, e);
 }
 
-bool ReadEvent(util::ByteReader* r, Event* e) {
-  util::LayoutReader io(r);
-  return EventFields(io, *e);
+namespace {
+
+constexpr uint32_t kReplayMagic = 0x4c524c47;  // "GLRL"
+constexpr uint32_t kReplayVersion = 1;
+
+template <class IO, class Records>
+bool ReplayLogFields(IO& io, Records& records) {
+  return io.Const32(kReplayMagic, "magic") &&
+         io.Const32(kReplayVersion, "version") &&
+         io.List(records,
+                 util::ListBound{"replay record",
+                                 sizeof(uint32_t) + kMinEventBytes},
+                 [&io](auto& rec) {
+                   return io.Str(rec.home) && EventFields(io, rec.event);
+                 });
+}
+
+}  // namespace
+
+Status WriteReplayLog(const std::string& path,
+                      const std::vector<ReplayRecord>& records) {
+  return util::WriteFile(path, util::EncodeAll([&](auto& io) {
+                           return ReplayLogFields(io, records);
+                         }));
+}
+
+Result<std::vector<ReplayRecord>> ReadReplayLog(const std::string& path) {
+  Result<std::vector<char>> bytes = util::ReadFile(path);
+  if (!bytes.ok()) return bytes.status();
+  std::vector<ReplayRecord> records;
+  GLINT_RETURN_IF_ERROR(util::DecodeAll(
+      bytes.value(), "replay log " + path,
+      [&](auto& io) { return ReplayLogFields(io, records); }));
+  return records;
 }
 
 }  // namespace glint::graph

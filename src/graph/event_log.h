@@ -5,6 +5,7 @@
 
 #include "rules/rule.h"
 #include "util/binio.h"
+#include "util/status.h"
 
 namespace glint::graph {
 
@@ -60,8 +61,19 @@ inline constexpr size_t kMinEventBytes = 28;
 bool EventFields(util::LayoutWriter& io, const Event& e);
 bool EventFields(util::LayoutReader& io, Event& e);
 
-/// Encodes one Event; ReadEvent returns false on truncation.
+/// Encodes one Event (EventFields run by a LayoutWriter).
 void WriteEvent(util::ByteWriter* w, const Event& e);
-bool ReadEvent(util::ByteReader* r, Event* e);
+
+/// A replay log (a recorded fleet workload), one field list both ways:
+///   u32 magic 'GLRL' | u32 version | u32 count | count x (Str home | Event)
+struct ReplayRecord {
+  std::string home;
+  Event event;
+};
+Status WriteReplayLog(const std::string& path,
+                      const std::vector<ReplayRecord>& records);
+/// Reads a replay log whole: NotFound or IOError when the file cannot be
+/// read, InvalidArgument when the field list cannot decode it exactly.
+Result<std::vector<ReplayRecord>> ReadReplayLog(const std::string& path);
 
 }  // namespace glint::graph

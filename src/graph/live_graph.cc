@@ -5,7 +5,6 @@
 
 #include "graph/threat_analyzer.h"
 #include "obs/obs.h"
-#include "rules/rule_io.h"
 #include "util/status.h"
 
 namespace glint::graph {
@@ -280,48 +279,19 @@ InteractionGraph LiveGraph::MaterializeRealTime(double now_hours) const {
   return Materialize(RealTimeEdges(now_hours));
 }
 
-void LiveGraph::SerializeTo(util::ByteWriter* w) const {
-  w->U32(static_cast<uint32_t>(entries_.size()));
-  for (const auto& e : entries_) rules::WriteRule(w, e.node.rule);
-  w->U32(static_cast<uint32_t>(retained_.size()));
-  for (const auto& e : retained_) WriteEvent(w, e);
-  w->F64(latest_);
+LiveGraph::State LiveGraph::SaveState() const {
+  return State{CurrentRules(), retained_, latest_};
 }
 
-Status LiveGraph::Restore(util::ByteReader* r) {
+void LiveGraph::Restore(const State& state) {
   GLINT_CHECK(entries_.empty());  // restore targets a fresh graph
-  uint32_t num_rules = 0;
-  if (!r->U32(&num_rules) || num_rules > r->remaining()) {
-    return Status::InvalidArgument("live graph snapshot: truncated header");
-  }
-  for (uint32_t i = 0; i < num_rules; ++i) {
-    rules::Rule rule;
-    if (!rules::ReadRule(r, &rule)) {
-      return Status::InvalidArgument("live graph snapshot: truncated rule");
-    }
-    AddRule(rule);
-  }
-  uint32_t num_events = 0;
-  if (!r->U32(&num_events) || num_events > r->remaining()) {
-    return Status::InvalidArgument("live graph snapshot: truncated events");
-  }
-  for (uint32_t i = 0; i < num_events; ++i) {
-    Event e;
-    if (!ReadEvent(r, &e)) {
-      return Status::InvalidArgument("live graph snapshot: truncated event");
-    }
-    OnEvent(e);
-  }
-  double latest = 0;
-  if (!r->F64(&latest)) {
-    return Status::InvalidArgument("live graph snapshot: missing watermark");
-  }
-  // The serialized watermark can exceed the retained events' maximum only
-  // if pruning already ran at that watermark, so re-pruning here converges
-  // to the exact serialized state.
-  latest_ = std::max(latest_, latest);
+  for (const rules::Rule& rule : state.rules) AddRule(rule);
+  for (const Event& e : state.events) OnEvent(e);
+  // The saved watermark can exceed the retained events' maximum only if
+  // pruning already ran at that watermark, so re-pruning here converges
+  // to the exact saved state.
+  latest_ = std::max(latest_, state.watermark);
   Prune();
-  return Status::OK();
 }
 
 }  // namespace glint::graph

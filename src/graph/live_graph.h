@@ -9,8 +9,8 @@
 #include "graph/event_log.h"
 #include "graph/interaction_graph.h"
 #include "rules/rule.h"
+#include "rules/rule_io.h"
 #include "util/binio.h"
-#include "util/status.h"
 
 namespace glint::graph {
 
@@ -127,16 +127,23 @@ class LiveGraph {
   /// tests: they check window pruning and recovery with it.
   const std::vector<Event>& retained_events() const { return retained_; }
 
-  /// Serializes the logical state (deployed rules in node order, retained
-  /// events, watermark) — the serving snapshot payload of one home.
-  void SerializeTo(util::ByteWriter* w) const;
+  /// The logical state (one home of a serving snapshot): everything else
+  /// is derived from it, given the same edge predicate and node factory.
+  struct State {
+    std::vector<rules::Rule> rules;  ///< deployed rules, node order
+    std::vector<Event> events;       ///< retained events, chronological
+    double watermark = 0;            ///< latest_event_hours()
+  };
+  /// Smallest encoding of a State: two empty counts and the watermark.
+  static constexpr size_t kMinStateBytes = 2 * sizeof(uint32_t) + 8;
 
-  /// Rebuilds this graph from a SerializeTo payload by replaying AddRule /
-  /// OnEvent, restoring state bit-identical to the serialized instance
-  /// (same node order, same pair matrices, same observation times) given
-  /// the same edge predicate and node factory. Requires an empty graph;
-  /// returns InvalidArgument on a malformed payload.
-  Status Restore(util::ByteReader* r);
+  State SaveState() const;
+
+  /// Rebuilds this graph from `state` by replaying AddRule / OnEvent,
+  /// restoring state bit-identical to the saved instance (same node order,
+  /// same pair matrices, same observation times). Requires an empty graph
+  /// and finite times.
+  void Restore(const State& state);
 
  private:
   struct Entry {
@@ -172,5 +179,16 @@ class LiveGraph {
   std::vector<Event> retained_;
   double latest_ = 0;
 };
+
+/// The State's one field list (S is State, or const State to encode):
+///   u32 n | n rules | u32 m | m events | f64 watermark
+template <class IO, class S>
+bool LiveStateFields(IO& io, S& s) {
+  return io.List(s.rules, util::ListBound{"rule", rules::kMinRuleBytes},
+                 [&io](auto& r) { return rules::RuleFields(io, r); }) &&
+         io.List(s.events, util::ListBound{"event", kMinEventBytes},
+                 [&io](auto& e) { return EventFields(io, e); }) &&
+         io.F64(s.watermark);
+}
 
 }  // namespace glint::graph

@@ -20,7 +20,7 @@ class KMeans {
   KMeans() : KMeans(Params()) {}
   explicit KMeans(Params params) : params_(params) {}
 
-  /// Clusters `xs`; afterwards centroids() and Assign() are valid.
+  /// Clusters `xs`; afterwards labels() and Assign() are valid.
   void Fit(const std::vector<FloatVec>& xs);
 
   /// Nearest-centroid assignment for one point.
@@ -28,8 +28,6 @@ class KMeans {
 
   /// Assignments for the training data.
   const std::vector<int>& labels() const { return labels_; }
-
-  const std::vector<FloatVec>& centroids() const { return centroids_; }
 
  private:
   Params params_;

@@ -47,9 +47,4 @@ void WriteRule(util::ByteWriter* w, const Rule& rule) {
   RuleFields(io, rule);
 }
 
-bool ReadRule(util::ByteReader* r, Rule* rule) {
-  util::LayoutReader io(r);
-  return RuleFields(io, *rule);
-}
-
 }  // namespace glint::rules

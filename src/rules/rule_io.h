@@ -13,8 +13,8 @@
 //   condition: the trigger layout, direction written as 0    (48+ bytes)
 //   action:    i32 device | i32 command | f64 level          (16 bytes)
 //
-// Readers return false on truncation; callers convert to Status at the
-// file-format boundary.
+// Decoding returns false on truncation or a refused field; callers convert
+// to Status at the file-format boundary.
 
 #include "rules/rule.h"
 #include "util/binio.h"
@@ -31,7 +31,7 @@ inline constexpr size_t kMinRuleBytes = 76;
 bool RuleFields(util::LayoutWriter& io, const Rule& rule);
 bool RuleFields(util::LayoutReader& io, Rule& rule);
 
+/// Encodes one rule (RuleFields run by a LayoutWriter).
 void WriteRule(util::ByteWriter* w, const Rule& rule);
-bool ReadRule(util::ByteReader* r, Rule* rule);
 
 }  // namespace glint::rules

@@ -1,7 +1,8 @@
 #pragma once
 
 // Shared little-endian binary codec for Glint's on-disk formats (dataset
-// store, model files, WAL records, snapshots). ByteWriter appends into a
+// store, model files, drift statistics, WAL records, snapshots, replay
+// logs) and wire frames. ByteWriter appends into a
 // growable buffer; ByteReader consumes a borrowed buffer and reports
 // truncation via bool returns (callers convert to Status at the format
 // boundary). Neither owns a file: I/O and checksumming live with the
@@ -126,8 +127,18 @@ class LayoutWriter {
   bool U32(uint32_t v) { w_->U32(v); return true; }
   bool U64(uint64_t v) { w_->U64(v); return true; }
   bool I32(int32_t v) { w_->I32(v); return true; }
+  bool F32(float v) { w_->F32(v); return true; }
   bool F64(double v) { w_->F64(v); return true; }
   bool Str(const std::string& s) { w_->Str(s); return true; }
+  /// A u32 the layout fixes (a magic number, a format version).
+  bool Const32(uint32_t v, const char* /*what*/) { return U32(v); }
+  /// `n` f32s with no count of their own (another field implies it).
+  template <class V>
+  bool F32s(const V& v, int64_t n) {
+    GLINT_CHECK(v.size() == static_cast<uint64_t>(n));
+    w_->Raw(v.data(), sizeof(float) * v.size());
+    return true;
+  }
   /// bool as one byte 0/1.
   bool Bool8(bool v) { return U8(v ? 1 : 0); }
   /// bool as an i32 0/1.
@@ -170,8 +181,28 @@ class LayoutReader {
   [[gnu::always_inline]] bool U32(uint32_t& v) { return r_->U32(&v); }
   [[gnu::always_inline]] bool U64(uint64_t& v) { return r_->U64(&v); }
   [[gnu::always_inline]] bool I32(int32_t& v) { return r_->I32(&v); }
+  [[gnu::always_inline]] bool F32(float& v) { return r_->F32(&v); }
   [[gnu::always_inline]] bool F64(double& v) { return r_->F64(&v); }
   [[gnu::always_inline]] bool Str(std::string& s) { return r_->Str(&s); }
+  /// A u32 the layout fixes: any other value is refused.
+  bool Const32(uint32_t v, const char* what) {
+    uint32_t got = 0;
+    if (!r_->U32(&got)) return false;
+    if (got != v) return Refuse(what, got);
+    return true;
+  }
+  /// `n` f32s; a negative `n`, or more than the bytes left can hold, is
+  /// refused before anything is allocated for them.
+  template <class V>
+  bool F32s(V& v, int64_t n) {
+    if (n < 0 || static_cast<uint64_t>(n) > r_->remaining() / sizeof(float)) {
+      return Fail(std::to_string(n) + " floats exceed payload");
+    }
+    v.resize(static_cast<size_t>(n));
+    // No copy for none: memcpy's pointers may not be null, and an empty
+    // vector's data() can be.
+    return n == 0 || r_->Raw(v.data(), sizeof(float) * v.size());
+  }
   /// A bool is 0 or 1; any other value is refused, so every accepted
   /// encoding is the one the writer produces.
   [[gnu::always_inline]] bool Bool8(bool& v) {
@@ -245,5 +276,30 @@ class LayoutReader {
   ByteReader* r_;
   std::string error_;
 };
+
+/// Decodes all of `bytes` with `fields`, a callable run on a LayoutReader:
+/// InvalidArgument "`what`: why" when the field list fails or bytes are
+/// left over.
+template <class Fields>
+Status DecodeAll(const std::vector<char>& bytes, const std::string& what,
+                 Fields&& fields) {
+  ByteReader r(bytes);
+  LayoutReader io(&r);
+  if (!fields(io)) {
+    return Status::InvalidArgument(
+        what + ": " + (io.error().empty() ? "truncated" : io.error()));
+  }
+  if (!r.exhausted()) return Status::InvalidArgument(what + ": trailing bytes");
+  return Status::OK();
+}
+
+/// Encodes with `fields`, a callable run on a LayoutWriter.
+template <class Fields>
+std::vector<char> EncodeAll(Fields&& fields) {
+  ByteWriter w;
+  LayoutWriter io(&w);
+  fields(io);
+  return w.TakeBuffer();
+}
 
 }  // namespace glint::util

@@ -1,12 +1,15 @@
 #pragma once
 
 // Fixtures whose encodings are pinned as hex in wire_test (the 9 request
-// and 7 reply types) and recovery_test (the 4 WAL ops). Every field is set
-// to a non-default value, so a codec that drops, reorders or resizes a
-// field changes the bytes. The recorded hex was produced by the codecs
-// before they were rewritten as one field list per layout; never
-// re-record it to make a codec change pass.
+// and 7 reply types), recovery_test (the 4 WAL ops and a snapshot),
+// gnn_model_test (a model and drift-statistics file) and graph_test (a
+// dataset and a replay log). Every field is set to a non-default value, so
+// a codec that drops, reorders or resizes a field changes the bytes. The
+// recorded bytes were produced by the codecs before they were rewritten as
+// one field list per layout; never re-record them to make a codec change
+// pass.
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -25,6 +28,24 @@ inline std::string Hex(const std::vector<char>& bytes) {
     out += buf;
   }
   return out;
+}
+
+inline std::vector<char> Unhex(const std::string& hex) {
+  std::vector<char> out(hex.size() / 2);
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<char>(std::stoi(hex.substr(2 * i, 2), nullptr, 16));
+  }
+  return out;
+}
+
+/// 64-bit FNV-1a of `bytes`: pins a recording too long to keep as hex.
+inline uint64_t Fnv1a(const std::vector<char>& bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
 }
 
 /// A rule exercising every field: a directed, timed trigger, two

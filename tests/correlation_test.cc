@@ -357,9 +357,10 @@ TEST_F(CorrelationTest, LiveGraphFedByRowsMatchesPairAdapter) {
       },
       make_node);
   const auto serialized = [](const graph::LiveGraph& g) {
-    util::ByteWriter w;
-    g.SerializeTo(&w);
-    return w.TakeBuffer();
+    const graph::LiveGraph::State state = g.SaveState();
+    return util::EncodeAll([&](util::LayoutWriter& io) {
+      return graph::LiveStateFields(io, state);
+    });
   };
 
   // Seeded adds and removes over corpus rules; ids are re-assigned so a

@@ -3,12 +3,17 @@
 #include <cstdio>
 #include <memory>
 
+#include "codec_fixtures.h"
+#include "counting_new.h"
 #include "gnn/drift.h"
 #include "gnn/model_io.h"
 #include "gnn/trainer.h"
 #include "gnn/transfer.h"
 #include "graph/builder.h"
 #include "rules/corpus.h"
+#include "util/binio.h"
+#include "util/crc32c.h"
+#include "util/file_io.h"
 
 namespace glint::gnn {
 namespace {
@@ -18,8 +23,10 @@ namespace {
 class ModelTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    nlp::EmbeddingModel* wm = new nlp::EmbeddingModel(300, 17);
-    nlp::EmbeddingModel* sm = new nlp::EmbeddingModel(512, 18);
+    const nlp::EmbeddingModel wm_model(300, 17);
+    const nlp::EmbeddingModel sm_model(512, 18);
+    const nlp::EmbeddingModel* wm = &wm_model;
+    const nlp::EmbeddingModel* sm = &sm_model;
     {
       rules::CorpusConfig cc;
       cc.ifttt = 400;
@@ -556,6 +563,132 @@ TEST_F(ModelTest, DriftPipelineOnGraphs) {
     drifting += dd.IsDrifting(Trainer::Embed(&model, g)) ? 1 : 0;
   }
   EXPECT_LT(drifting, static_cast<int>(train.size()) / 4);
+}
+
+// ---------------------------------------------------------------------------
+// Golden files: the smallest model the constructors allow and a fitted
+// drift detector, as SaveModel / SaveDriftStats wrote them before each
+// container became one field list. Each is checked three ways: the bytes,
+// decode-then-re-encode identity, and refusal of every strict prefix.
+// ---------------------------------------------------------------------------
+
+constexpr uint32_t kModelMagic = 0x474d444cu;  // "GMDL"
+constexpr uint32_t kDriftMagic = 0x46524447u;  // "GDRF"
+
+const char kGoldenModelHex[] =
+    "4c444d470200000044000000eced47c404000000010000000100000033805bbe"
+    "0100000001000000000000000200000002000000284c163f777ac13dbf09f03f"
+    "be79473f01000000020000000000000000000000";
+
+const char kGoldenDriftHex[] =
+    "47445246020000003c0000007b0861570200000002000000000000400000504000"
+    "ff9f99cc9cf93f669859b828bcce3f02000000abaa6abf0000003fd655a9462617"
+    "f33fcd33cb5494e8c63f";
+
+std::vector<char> FileBytes(const std::string& path) {
+  auto bytes = util::ReadFile(path);
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  return bytes.ok() ? bytes.value() : std::vector<char>();
+}
+
+/// `payload` under a valid container header, so what refuses it is the
+/// payload's field list, not the length or checksum check.
+std::vector<char> Container(uint32_t magic, const std::vector<char>& payload) {
+  util::ByteWriter w;
+  w.U32(magic);
+  w.U32(2);  // format version
+  w.U32(static_cast<uint32_t>(payload.size()));
+  w.U32(util::Crc32c(payload.data(), payload.size()));
+  w.Raw(payload.data(), payload.size());
+  return w.TakeBuffer();
+}
+
+/// Every strict prefix of the golden file at `hex` makes `load` fail with
+/// IOError; every strict prefix of its payload, re-wrapped by Container,
+/// with `payload_code`.
+template <class Load>
+void ExpectPrefixesRefused(const std::string& path, const char* hex,
+                           uint32_t magic, StatusCode payload_code,
+                           Load load) {
+  const std::vector<char> golden = fixtures::Unhex(hex);
+  const std::vector<char> payload(golden.begin() + 16, golden.end());
+  for (size_t keep = 0; keep < golden.size(); ++keep) {
+    const std::vector<char> cut(golden.begin(),
+                                golden.begin() + static_cast<long>(keep));
+    ASSERT_TRUE(util::WriteFile(path, cut).ok());
+    EXPECT_EQ(load().code(), StatusCode::kIOError) << "file cut to " << keep;
+  }
+  for (size_t keep = 0; keep < payload.size(); ++keep) {
+    const std::vector<char> cut(payload.begin(),
+                                payload.begin() + static_cast<long>(keep));
+    ASSERT_TRUE(util::WriteFile(path, Container(magic, cut)).ok());
+    EXPECT_EQ(load().code(), payload_code) << "payload cut to " << keep;
+  }
+}
+
+TEST(ModelFileGolden, SmallestModelKeepsItsRecordedBytes) {
+  const std::string path = "/tmp/glint_golden_model.bin";
+  GcnModel model(1, 1, 1, 7);
+  ASSERT_TRUE(SaveModel(&model, path).ok());
+  EXPECT_EQ(fixtures::Hex(FileBytes(path)), kGoldenModelHex);
+  EXPECT_EQ(ModelBytes(&model), fixtures::Unhex(kGoldenModelHex).size());
+
+  // A model of another seed loads the recorded bytes and saves them back.
+  ASSERT_TRUE(
+      util::WriteFile(path, fixtures::Unhex(kGoldenModelHex)).ok());
+  GcnModel other(1, 1, 1, 8);
+  ASSERT_TRUE(LoadModel(&other, path).ok());
+  ASSERT_TRUE(SaveModel(&other, path).ok());
+  EXPECT_EQ(fixtures::Hex(FileBytes(path)), kGoldenModelHex);
+
+  ExpectPrefixesRefused(path, kGoldenModelHex, kModelMagic,
+                        StatusCode::kIOError,
+                        [&] { return LoadModel(&other, path); });
+  std::remove(path.c_str());
+}
+
+TEST(ModelFileGolden, DriftStatsKeepTheirRecordedBytes) {
+  const std::string path = "/tmp/glint_golden_drift.bin";
+  DriftDetector fitted;
+  fitted.Fit({{1.f, 2.f}, {3.f, 4.5f}, {-1.f, 0.5f}, {0.25f, 0.f},
+              {-2.f, 1.f}},
+             {0, 0, 1, 1, 1});
+  ASSERT_TRUE(SaveDriftStats(fitted, path).ok());
+  EXPECT_EQ(fixtures::Hex(FileBytes(path)), kGoldenDriftHex);
+
+  ASSERT_TRUE(
+      util::WriteFile(path, fixtures::Unhex(kGoldenDriftHex)).ok());
+  DriftDetector restored;
+  ASSERT_TRUE(LoadDriftStats(&restored, path).ok());
+  ASSERT_TRUE(SaveDriftStats(restored, path).ok());
+  EXPECT_EQ(fixtures::Hex(FileBytes(path)), kGoldenDriftHex);
+
+  ExpectPrefixesRefused(path, kGoldenDriftHex, kDriftMagic,
+                        StatusCode::kFailedPrecondition, [&] {
+                          DriftDetector target;
+                          return LoadDriftStats(&target, path);
+                        });
+  std::remove(path.c_str());
+}
+
+// A 16-byte model file whose header declares a 2^30-1 byte payload is
+// IOError, and the load allocates nothing near that size for it: the file
+// is read whole, and its size bounds the declared length.
+TEST(ModelFileGolden, DeclaredLengthBeyondTheFileAllocatesNothing) {
+  const std::string path = "/tmp/glint_model_huge_len.bin";
+  util::ByteWriter w;
+  w.U32(kModelMagic);
+  w.U32(2);
+  w.U32((1u << 30) - 1);
+  w.U32(0);
+  ASSERT_TRUE(util::WriteFile(path, w.buffer()).ok());
+  GcnModel model(1, 1, 1, 7);
+  const size_t before = g_bytes.load(std::memory_order_relaxed);
+  const Status st = LoadModel(&model, path);
+  const size_t allocated = g_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
+  EXPECT_LT(allocated, size_t{64} << 10);
+  std::remove(path.c_str());
 }
 
 }  // namespace

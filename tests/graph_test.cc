@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "codec_fixtures.h"
 #include "graph/builder.h"
 #include "graph/dataset_store.h"
 #include "graph/threat_analyzer.h"
@@ -10,6 +11,7 @@
 #include "rules/corpus.h"
 #include "rules/rule_io.h"
 #include "util/binio.h"
+#include "util/file_io.h"
 
 namespace glint::graph {
 namespace {
@@ -648,6 +650,146 @@ TEST_F(BuilderTest, SerializedBytesMatchesFileSize) {
   const long size = ftell(f);
   fclose(f);
   EXPECT_EQ(static_cast<size_t>(size), DatasetStore::SerializedBytes(ds));
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Golden files: a two-graph dataset and a three-record replay log, as the
+// store and the CLI wrote them before each became one field list. Each is
+// checked three ways: the bytes (the dataset's as length and digest),
+// decode-then-re-encode identity, and refusal of every strict prefix.
+// ---------------------------------------------------------------------------
+
+std::vector<char> FileBytes(const std::string& path) {
+  auto bytes = util::ReadFile(path);
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  return bytes.ok() ? bytes.value() : std::vector<char>();
+}
+
+/// Writes each strict prefix of `bytes` to `path` and requires `load` to
+/// refuse it with InvalidArgument.
+template <class Load>
+void ExpectPrefixesRefused(const std::string& path,
+                           const std::vector<char>& bytes, Load load) {
+  for (size_t keep = 0; keep < bytes.size(); ++keep) {
+    const std::vector<char> cut(bytes.begin(),
+                                bytes.begin() + static_cast<long>(keep));
+    ASSERT_TRUE(util::WriteFile(path, cut).ok());
+    EXPECT_EQ(load().code(), StatusCode::kInvalidArgument)
+        << "cut to " << keep;
+  }
+}
+
+GraphDataset GoldenDataset() {
+  InteractionGraph a;
+  a.AddNode({fixtures::Rule(1),
+             std::make_shared<const FloatVec>(FloatVec{0.5f, -1.25f}), 0});
+  a.AddNode(
+      {fixtures::Rule(2), std::make_shared<const FloatVec>(FloatVec{3.f}), 1});
+  a.AddEdge(0, 1);
+  a.AddEdge(1, 0);
+  a.set_vulnerable(true);
+  a.set_threat_types(
+      {ThreatType::kActionLoop, ThreatType::kConditionDuplicate});
+  a.set_culprit_nodes({1, 0});
+  InteractionGraph b;
+  b.AddNode({fixtures::Rule(3),
+             std::make_shared<const FloatVec>(FloatVec{0.25f, 0.125f, -2.f}),
+             0});
+  GraphDataset ds;
+  ds.graphs = {a, b};
+  return ds;
+}
+
+TEST(DatasetStoreTest, GoldenDatasetKeepsItsRecordedBytes) {
+  const std::string path = "/tmp/glint_golden_dataset.bin";
+  ASSERT_TRUE(DatasetStore::Save(GoldenDataset(), path).ok());
+  const std::vector<char> bytes = FileBytes(path);
+  EXPECT_EQ(bytes.size(), 939u);
+  EXPECT_EQ(fixtures::Fnv1a(bytes), 0xe5172d41e6b440d1ull);
+
+  auto loaded = DatasetStore::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_TRUE(DatasetStore::Save(loaded.value(), path).ok());
+  EXPECT_EQ(FileBytes(path), bytes);
+
+  ExpectPrefixesRefused(path, bytes,
+                        [&] { return DatasetStore::Load(path).status(); });
+  std::remove(path.c_str());
+}
+
+const char kGoldenReplayLogHex[] =
+    "474c524c010000000300000006000000686f6d652d61000000000000f83f0200"
+    "000002000000040000006f70656e020000000700000006000000686f6d652d62"
+    "00000000000002400200000002000000040000006f70656e0200000000000000"
+    "06000000686f6d652d6100000000000004400200000002000000040000006f70"
+    "656e0200000003000000";
+
+TEST(ReplayLogTest, GoldenLogKeepsItsRecordedBytes) {
+  const std::string path = "/tmp/glint_golden_replay.bin";
+  const std::vector<ReplayRecord> records = {
+      {"home-a", fixtures::Event(1.5, 7)},
+      {"home-b", fixtures::Event(2.25, 0)},
+      {"home-a", fixtures::Event(2.5, 3)}};
+  ASSERT_TRUE(WriteReplayLog(path, records).ok());
+  EXPECT_EQ(fixtures::Hex(FileBytes(path)), kGoldenReplayLogHex);
+
+  ASSERT_TRUE(
+      util::WriteFile(path, fixtures::Unhex(kGoldenReplayLogHex)).ok());
+  auto read = ReadReplayLog(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ASSERT_EQ(read.value().size(), records.size());
+  EXPECT_EQ(read.value()[1].home, "home-b");
+  EXPECT_EQ(read.value()[2].event.time_hours, 2.5);
+  ASSERT_TRUE(WriteReplayLog(path, read.value()).ok());
+  EXPECT_EQ(fixtures::Hex(FileBytes(path)), kGoldenReplayLogHex);
+
+  ExpectPrefixesRefused(path, fixtures::Unhex(kGoldenReplayLogHex),
+                        [&] { return ReadReplayLog(path).status(); });
+  std::remove(path.c_str());
+}
+
+// A 12-byte log claiming 2^32-1 records is InvalidArgument: the count is
+// bounded by the bytes left before anything is reserved for it.
+TEST(ReplayLogTest, CountBeyondTheFileIsInvalidArgument) {
+  const std::string path = "/tmp/glint_replay_huge_count.bin";
+  util::ByteWriter w;
+  w.U32(0x4c524c47);  // "GLRL"
+  w.U32(1);
+  w.U32(0xFFFFFFFFu);
+  ASSERT_TRUE(util::WriteFile(path, w.buffer()).ok());
+  EXPECT_EQ(ReadReplayLog(path).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ReadReplayLog("/tmp/definitely_missing_glint.glrl")
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  std::remove(path.c_str());
+}
+
+// An edge endpoint outside its graph's nodes is InvalidArgument, checked
+// before AddEdge (whose bounds CHECK would abort): a 40-byte file with one
+// graph of zero nodes and the edge (0, 0).
+TEST(DatasetStoreTest, EdgeOutsideItsGraphIsInvalidArgument) {
+  const std::string path = "/tmp/glint_store_bad_edge.bin";
+  util::ByteWriter w;
+  w.U32(0x474c4e54);  // "GLNT"
+  w.U32(2);
+  w.U32(1);  // one graph
+  w.U32(0);  // no nodes
+  w.U32(1);  // one edge
+  w.I32(0);
+  w.I32(0);
+  w.I32(0);  // not vulnerable
+  w.U32(0);  // no threat types
+  w.U32(0);  // no culprits
+  ASSERT_EQ(w.size(), 40u);
+  ASSERT_TRUE(util::WriteFile(path, w.buffer()).ok());
+  auto r = DatasetStore::Load(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("edge (0, 0)"), std::string::npos)
+      << r.status().ToString();
   std::remove(path.c_str());
 }
 

@@ -271,9 +271,9 @@ TEST(LiveGraphTest, FeatureMemoStaysBoundedUnderRuleChurn) {
 }
 
 std::vector<char> Serialized(const LiveGraph& g) {
-  util::ByteWriter w;
-  g.SerializeTo(&w);
-  return w.TakeBuffer();
+  const LiveGraph::State state = g.SaveState();
+  return util::EncodeAll(
+      [&](util::LayoutWriter& io) { return LiveStateFields(io, state); });
 }
 
 // OnEvents(batch) is n OnEvent calls: over seeded homes and event streams

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <ostream>
 
@@ -324,13 +325,20 @@ TEST(KMeansTest, SeparatesTwoBlobs) {
 }
 
 TEST(KMeansTest, InertiaDecreasesWithMoreClusters) {
-  // Inertia: the within-cluster sum of squared distances of the fit.
+  // Inertia: the within-cluster sum of squared distances to each
+  // cluster's mean (a converged fit's centroid).
   auto inertia = [](const KMeans& km, const std::vector<FloatVec>& xs) {
+    std::map<int, std::vector<FloatVec>> clusters;
+    for (size_t i = 0; i < xs.size(); ++i) {
+      clusters[km.labels()[i]].push_back(xs[i]);
+    }
     double total = 0;
-    for (const auto& x : xs) {
-      const double d = EuclideanDistance(
-          x, km.centroids()[static_cast<size_t>(km.Assign(x))]);
-      total += d * d;
+    for (const auto& [label, members] : clusters) {
+      const FloatVec mean = Mean(members);
+      for (const auto& x : members) {
+        const double d = EuclideanDistance(x, mean);
+        total += d * d;
+      }
     }
     return total;
   };

@@ -25,8 +25,10 @@
 #include "codec_fixtures.h"
 #include "core/detector.h"
 #include "core/serving.h"
+#include "rules/rule_io.h"
 #include "util/crc32c.h"
 #include "util/fault.h"
+#include "util/file_io.h"
 #include "util/thread_pool.h"
 
 namespace glint::core {
@@ -617,6 +619,8 @@ TEST_F(RecoveryTest, CorruptSnapshotIsRefusedNotGuessed) {
 
 // ---- Golden WAL records -------------------------------------------------
 
+using fixtures::Unhex;
+
 // One fixture per WAL op, journaled by a live engine. Their record bytes
 // were recorded as hex (below) before each op became one field list and
 // one apply; the tests require the same bytes, a recovery from the
@@ -674,14 +678,6 @@ const char* const kGoldenWalHex[] = {
     "0400000000000000000000f43f0200000002000000040000006f70656e020000"
     "0015000000",
 };
-
-std::vector<char> Unhex(const std::string& hex) {
-  std::vector<char> out(hex.size() / 2);
-  for (size_t i = 0; i < out.size(); ++i) {
-    out[i] = static_cast<char>(std::stoi(hex.substr(2 * i, 2), nullptr, 16));
-  }
-  return out;
-}
 
 std::vector<char> ReadFile(const std::string& path) {
   std::vector<char> out;
@@ -1076,6 +1072,110 @@ TEST_F(RecoveryTest, EventBatchWritesOncePerRun) {
   refused[3].time_hours = std::numeric_limits<double>::quiet_NaN();
   EXPECT_EQ(writes_for(refused), 2u);
   EXPECT_EQ(engine.journal_seq(), seq + 8 + 7);
+}
+
+// ---- Golden snapshot ----------------------------------------------------
+
+/// A snapshot file around `payload`: the header with a recomputed CRC, so
+/// what refuses a crafted payload is its field list or the restore.
+std::vector<char> SnapshotFile(uint64_t seq, const std::vector<char>& payload) {
+  util::ByteWriter w;
+  w.U32(0x504e5347);  // "GSNP"
+  w.U32(1);           // format version
+  w.U64(seq);
+  w.U32(static_cast<uint32_t>(payload.size()));
+  w.U32(util::Crc32c(payload.data(), payload.size()));
+  w.Raw(payload.data(), payload.size());
+  return w.TakeBuffer();
+}
+
+void WriteBytes(const std::string& path, const std::vector<char>& bytes) {
+  ASSERT_TRUE(util::WriteFile(path, bytes).ok()) << path;
+}
+
+// A two-home snapshot with rules and retained events, as the engine wrote
+// it before the payload became one field list (length and FNV-1a digest
+// recorded then). Recovering from it and snapshotting again gives the same
+// bytes; every strict prefix of the file is a corrupt snapshot, and every
+// strict prefix of its payload under a valid header is InvalidArgument.
+TEST_F(RecoveryTest, SnapshotKeepsItsRecordedBytes) {
+  const std::string dir = Dir("golden-snap");
+  {
+    ServingEngine engine(detector_);
+    ASSERT_TRUE(engine.Recover(dir).ok());
+    ASSERT_TRUE(
+        engine.TryAddHome("alpha", {fixtures::Rule(1), fixtures::Rule(2)})
+            .ok());
+    ASSERT_TRUE(engine.TryAddHome("beta", {fixtures::Rule(3)}).ok());
+    ASSERT_TRUE(engine.TryOnEvent("alpha", fixtures::Event(1.0, 1)).ok());
+    ASSERT_TRUE(engine.TryOnEvent("beta", fixtures::Event(4.0, 0)).ok());
+    ASSERT_TRUE(engine.TryOnEvent("alpha", fixtures::Event(2.5, 2)).ok());
+    ASSERT_TRUE(engine.Snapshot().ok());
+  }
+  const std::vector<char> bytes = ReadFile(dir + "/snapshot.bin");
+  EXPECT_EQ(bytes.size(), 980u);
+  EXPECT_EQ(fixtures::Fnv1a(bytes), 0xe0e2ab0d74da7b80ull);
+
+  const std::string replay = Dir("golden-snap-replay");
+  {
+    ServingEngine empty(detector_);
+    ASSERT_TRUE(empty.Recover(replay).ok());
+  }
+  WriteBytes(replay + "/snapshot.bin", bytes);
+  {
+    ServingEngine recovered(detector_);
+    ASSERT_TRUE(recovered.Recover(replay).ok());
+    EXPECT_EQ(recovered.num_homes(), 2u);
+    ASSERT_TRUE(recovered.Snapshot().ok());
+  }
+  EXPECT_EQ(ReadFile(replay + "/snapshot.bin"), bytes);
+
+  const size_t kHeaderBytes = 24;
+  const std::vector<char> payload(bytes.begin() + kHeaderBytes, bytes.end());
+  for (size_t keep = 0; keep < bytes.size(); ++keep) {
+    WriteBytes(replay + "/snapshot.bin",
+               {bytes.begin(), bytes.begin() + static_cast<long>(keep)});
+    ServingEngine engine(detector_);
+    Status st = engine.Recover(replay);
+    EXPECT_EQ(st.code(), StatusCode::kIOError) << "file cut to " << keep;
+  }
+  for (size_t keep = 0; keep < payload.size(); ++keep) {
+    WriteBytes(replay + "/snapshot.bin",
+               SnapshotFile(5, {payload.begin(),
+                                payload.begin() + static_cast<long>(keep)}));
+    ServingEngine engine(detector_);
+    EXPECT_EQ(engine.Recover(replay).code(), StatusCode::kInvalidArgument)
+        << "payload cut to " << keep;
+  }
+}
+
+// Restore refuses a non-finite time, as WAL replay does: a snapshot with a
+// valid CRC whose one home retains an event at +inf, or whose watermark
+// is +inf, would pin that home's watermark and refuse every later inspect.
+TEST_F(RecoveryTest, SnapshotAtNonFiniteTimeIsInvalidArgument) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const bool inf_event : {true, false}) {
+    util::ByteWriter w;
+    w.U32(1);  // one home
+    w.Str("home-inf");
+    w.U32(1);  // one rule
+    rules::WriteRule(&w, fixtures::Rule(1));
+    w.U32(1);  // one retained event
+    graph::WriteEvent(&w, fixtures::Event(inf_event ? inf : 1.0, 1));
+    w.F64(inf_event ? 1.0 : inf);  // watermark
+    const std::string dir =
+        Dir(inf_event ? "snap-inf-event" : "snap-inf-watermark");
+    {
+      ServingEngine empty(detector_);
+      ASSERT_TRUE(empty.Recover(dir).ok());
+    }
+    WriteBytes(dir + "/snapshot.bin", SnapshotFile(1, w.buffer()));
+    ServingEngine engine(detector_);
+    Status st = engine.Recover(dir);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_NE(st.message().find("finite"), std::string::npos)
+        << st.ToString();
+  }
 }
 
 }  // namespace

@@ -647,6 +647,8 @@ TEST(WireCodec, EventBatchSeqRangeMustNotWrap) {
 
 // ---- Golden encodings ---------------------------------------------------
 
+using fixtures::Unhex;
+
 // One fixture per request and reply type. Their encodings were recorded as
 // hex (below) before the codecs became one field list per message; the
 // tests require the same bytes, a byte-exact re-encode of every decode,
@@ -885,14 +887,6 @@ const char* const kGoldenReplyHex[] = {
     "000000000100000000000000000c000000000000001600000000000000200000"
     "00000000000200000000000000",
 };
-
-std::vector<char> Unhex(const std::string& hex) {
-  std::vector<char> out(hex.size() / 2);
-  for (size_t i = 0; i < out.size(); ++i) {
-    out[i] = static_cast<char>(std::stoi(hex.substr(2 * i, 2), nullptr, 16));
-  }
-  return out;
-}
 
 TEST(WireGolden, RequestsKeepTheirRecordedBytes) {
   const std::vector<Request> reqs = GoldenRequests();

@@ -85,6 +85,7 @@ cmake --build build-tsan -j"${JOBS}" --target parallel_determinism_test
 GLINT_THREADS=4 ./build-tsan/tests/parallel_determinism_test \
   --gtest_filter='*TrainingIdenticalAcrossThreadCounts:*TrainOffline*'
 
+# The ASan build has UBSan too: a report from either aborts the test.
 # Arena lifetime / aliasing check: the tape tests under ASan. Guards the
 # bump-pointer arena (slot reuse after Reset, offset-based pools whose
 # growth moves storage) and MatMulRows' tail arithmetic (row tails below a
@@ -117,6 +118,11 @@ GLINT_THREADS=2 ./build-asan/tests/batched_serving_test
 cmake --build build-asan -j"${JOBS}" --target fault_test recovery_test
 ./build-asan/tests/fault_test
 GLINT_THREADS=1 ./build-asan/tests/recovery_test
+# The file formats' golden, truncated and crafted files under ASan: model
+# and drift files (gnn_model_test), datasets and replay logs (graph_test).
+cmake --build build-asan -j"${JOBS}" --target graph_test gnn_model_test
+./build-asan/tests/graph_test
+GLINT_THREADS=2 ./build-asan/tests/gnn_model_test
 
 # Env-spec smoke through the real CLI surface (GLINT_FAULTS is what an
 # operator arms against a production binary). Train a tiny model (also
@@ -128,6 +134,22 @@ GLINT_THREADS=1 ./build-asan/tests/recovery_test
 # durable).
 FAULT_SMOKE_DIR="$(mktemp -d /tmp/glint_check_fault_XXXXXX)"
 trap 'rm -rf "${FAULT_SMOKE_DIR}"' EXIT
+
+# Crafted files through the CLI (a 12-byte replay log claiming 2^32-1
+# records; a 40-byte dataset whose one graph has no nodes but the edge
+# (0, 0)) must exit 1 with a message, not die on a signal.
+printf 'GLRL\1\0\0\0\377\377\377\377' >"${FAULT_SMOKE_DIR}/crafted.glrl"
+{ printf 'TNLG\2\0\0\0\1\0\0\0\0\0\0\0\1\0\0\0'; head -c 20 /dev/zero; } \
+  >"${FAULT_SMOKE_DIR}/crafted.glnt"
+for crafted in "fleet-replay --port 1 --log ${FAULT_SMOKE_DIR}/crafted.glrl" \
+    "dataset-info ${FAULT_SMOKE_DIR}/crafted.glnt"; do
+  # shellcheck disable=SC2086  # the subcommand and its flags split here
+  ERR="$(./build/tools/glint ${crafted} 2>&1 >/dev/null)" && RC=0 || RC=$?
+  if [ "${RC}" -ne 1 ] || [ -z "${ERR}" ]; then
+    echo "check.sh: glint ${crafted} exited ${RC}, not 1 with a message" >&2
+    exit 1
+  fi
+done
 
 # Full-size bit-identity through the CLI: the default-size offline training
 # natively at 4 threads and on the scalar kernels at 1 thread must save

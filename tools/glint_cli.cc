@@ -703,62 +703,8 @@ int CmdFleetTop(const std::map<std::string, std::string>& flags) {
 // load. Pure wire client — no model is loaded, so it starts instantly
 // and measures the serving plane, not inference warmup. Events are
 // synthesized deterministically (or loaded with --log FILE) and can be
-// recorded with --record FILE for replayable workloads.
-
-/// Replay log format: "GLRL" | u32 version | u32 count | count × (Str
-/// home | event). Little-endian by construction (util/binio).
-constexpr uint32_t kReplayLogVersion = 1;
-
-struct ReplayRecord {
-  std::string home;
-  graph::Event event;
-};
-
-bool WriteReplayLog(const std::string& path,
-                    const std::vector<ReplayRecord>& records) {
-  util::ByteWriter w;
-  w.Raw("GLRL", 4);
-  w.U32(kReplayLogVersion);
-  w.U32(static_cast<uint32_t>(records.size()));
-  for (const auto& rec : records) {
-    w.Str(rec.home);
-    graph::WriteEvent(&w, rec.event);
-  }
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool ok =
-      std::fwrite(w.buffer().data(), 1, w.size(), f) == w.size();
-  return std::fclose(f) == 0 && ok;
-}
-
-bool ReadReplayLog(const std::string& path,
-                   std::vector<ReplayRecord>* records) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  std::vector<char> bytes;
-  char buf[1 << 16];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  std::fclose(f);
-  util::ByteReader r(bytes);
-  char magic[4];
-  uint32_t version = 0, count = 0;
-  if (!r.Raw(magic, 4) || std::memcmp(magic, "GLRL", 4) != 0 ||
-      !r.U32(&version) || version != kReplayLogVersion || !r.U32(&count)) {
-    return false;
-  }
-  records->reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    ReplayRecord rec;
-    if (!r.Str(&rec.home) || !graph::ReadEvent(&r, &rec.event)) {
-      return false;
-    }
-    records->push_back(std::move(rec));
-  }
-  return r.exhausted();
-}
+// recorded with --record FILE for replayable workloads (the GLRL replay
+// log, graph/event_log.h).
 
 // Replay driver against a running fleet-serve: M connections pipeline
 // kEventBatch frames (window D, B events per frame) while an extra
@@ -789,17 +735,21 @@ int CmdFleetReplay(const std::map<std::string, std::string>& flags) {
 
   // The workload: either a recorded log (per-home order = file order) or
   // a deterministic synthetic stream over --homes homes.
-  std::vector<ReplayRecord> records;
+  std::vector<graph::ReplayRecord> records;
   if (!log_path.empty()) {
-    if (!ReadReplayLog(log_path, &records) || records.empty()) {
-      std::fprintf(stderr, "fleet-replay: cannot read replay log %s\n",
-                   log_path.c_str());
+    auto log = graph::ReadReplayLog(log_path);
+    if (!log.ok() || log.value().empty()) {
+      std::fprintf(stderr, "fleet-replay: %s\n",
+                   (log.ok() ? "no events in " + log_path
+                             : log.status().ToString())
+                       .c_str());
       return 1;
     }
+    records = std::move(log).value();
   } else {
     records.reserve(static_cast<size_t>(total_events));
     for (int i = 0; i < total_events; ++i) {
-      ReplayRecord rec;
+      graph::ReplayRecord rec;
       rec.home = prefix + std::to_string(i % num_homes);
       rec.event.time_hours = 0.1 + 0.01 * (i / num_homes);
       rec.event.location = rules::Location::kHallway;
@@ -808,10 +758,12 @@ int CmdFleetReplay(const std::map<std::string, std::string>& flags) {
       records.push_back(std::move(rec));
     }
   }
-  if (!record_path.empty() && !WriteReplayLog(record_path, records)) {
-    std::fprintf(stderr, "fleet-replay: cannot write %s\n",
-                 record_path.c_str());
-    return 1;
+  if (!record_path.empty()) {
+    Status st = graph::WriteReplayLog(record_path, records);
+    if (!st.ok()) {
+      std::fprintf(stderr, "fleet-replay: %s\n", st.ToString().c_str());
+      return 1;
+    }
   }
 
   // Group into per-home FIFO sequences; home -> one owning connection,
