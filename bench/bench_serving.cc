@@ -8,7 +8,9 @@
 // (CorrelationDiscovery::CorrelateRow) and pair by pair, and fails the
 // run if any verdict differs; its per-pair times are report-only. A home
 // state section registers a fleet of copies of the home and reports the
-// resident memory each one adds (report-only).
+// resident memory each one adds, and a window section the heap one home's
+// retained events hold after a burst and after the window slid past it
+// (both report-only).
 //
 // Usage: bench_serving [--smoke]
 //   --smoke  tiny home / fewer reps and a {1, current} thread sweep; used
@@ -100,8 +102,12 @@ int Run(bool smoke) {
   // what stays resident once TrainOffline has returned. Report-only.
   const double train_hwm_mb = static_cast<double>(HwmKb()) / 1024.0;
   const double trained_rss_mb = static_cast<double>(RssKb()) / 1024.0;
-  std::printf("training peak %.1f MB RSS, %.1f MB after TrainOffline\n",
-              train_hwm_mb, trained_rss_mb);
+  // Pooled tape bytes left on every thread: TrainOffline frees them.
+  const double pooled_tape_kb =
+      static_cast<double>(gnn::TapeArena::TotalBytesRetained()) / 1024.0;
+  std::printf("training peak %.1f MB RSS, %.1f MB after TrainOffline, "
+              "%.1f KiB of pooled tapes\n",
+              train_hwm_mb, trained_rss_mb, pooled_tape_kb);
 
   // The deployed home: home_rules corpus rules re-id'd, plus an event
   // stream so real-time edges are actually live.
@@ -465,6 +471,44 @@ int Run(bool smoke) {
               "home state KiB RSS each", home_state_kb, state_homes,
               home_rules);
 
+  // Window memory: one home's retained events after a burst of 5,000
+  // events within its 3 h window, then after a trickle slid the window
+  // past the burst (heap in use, glibc only). Report-only.
+  double burst_events_kb = 0;
+  double slid_events_kb = 0;
+#ifdef __GLIBC__
+  {
+    const auto heap_in_use = [] {
+      const struct mallinfo2 mi = mallinfo2();
+      return static_cast<double>(mi.uordblks + mi.hblkhd);
+    };
+    const double before = heap_in_use();
+    graph::LiveGraph live(
+        {3.0, true},
+        [](const rules::Rule&, const rules::Rule&) { return false; },
+        [](const rules::Rule& r) {
+          graph::Node n;
+          n.rule = r;
+          return n;
+        });
+    graph::Event e;
+    e.device = rules::DeviceType::kMotionSensor;
+    e.state = "active";
+    for (int i = 0; i < 5000; ++i) {
+      e.time_hours = 3.0 * i / 5000;
+      live.OnEvent(e);
+    }
+    burst_events_kb = (heap_in_use() - before) / 1024.0;
+    for (int i = 0; i <= 24; ++i) {
+      e.time_hours = 3.0 + 0.25 * i;
+      live.OnEvent(e);
+    }
+    slid_events_kb = (heap_in_use() - before) / 1024.0;
+  }
+#endif
+  std::printf("%-34s %10.1f  (%.1f after the 5000-event burst)\n",
+              "slid window events KiB", slid_events_kb, burst_events_kb);
+
   JsonWriter json;
   json.Str("bench", "serving");
   json.Int("home_rules", home_rules);
@@ -493,6 +537,9 @@ int Run(bool smoke) {
   json.Num("home_state_kb", home_state_kb, 1);
   json.Num("train_hwm_mb", train_hwm_mb, 1);
   json.Num("trained_rss_mb", trained_rss_mb, 1);
+  json.Num("pooled_tape_kb", pooled_tape_kb, 1);
+  json.Num("burst_events_kb", burst_events_kb, 1);
+  json.Num("slid_events_kb", slid_events_kb, 1);
   std::printf("BENCH_JSON %s\n", json.Render().c_str());
   if (!durable_gate_ok) return 1;
   if (!batched_equivalent) return 1;

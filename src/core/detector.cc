@@ -88,12 +88,14 @@ void TrainedDetector::TrainOffline() {
   discovery_ = std::move(discovery);
   ready_ = true;
 
-  // Free the graphs, then hand training's heap back. Its garbage (graphs,
-  // tape growth, pair features) is spread over one malloc arena per thread
-  // that trained, and glibc returns a fragmented arena to the system only
-  // when asked; serving would otherwise carry training's peak for the life
-  // of the process.
+  // Free the graphs and every thread's pooled tapes (sized by training's
+  // largest pass; serving threads grow their own on first use), then hand
+  // training's heap back. Its garbage (graphs, tapes, pair features) is
+  // spread over one malloc arena per thread that trained, and glibc returns
+  // a fragmented arena to the system only when asked; serving would
+  // otherwise carry training's peak for the life of the process.
   std::vector<gnn::GnnGraph>().swap(graphs);
+  gnn::ReleasePooledTapes();
 #ifdef __GLIBC__
   malloc_trim(0);
 #endif

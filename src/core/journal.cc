@@ -277,6 +277,11 @@ Status Journal::Recover(
   GLINT_FAULT_POINT("wal.recover.read");
   std::FILE* f = std::fopen(wal_path().c_str(), "rb");
   if (f != nullptr) {
+    // The file's size bounds every frame: one that claims more bytes than
+    // are left is a torn tail, refused before anything is allocated for it.
+    std::fseek(f, 0, SEEK_END);
+    const long file_size = std::ftell(f);
+    std::rewind(f);
     size_t valid_end = 0;  // file offset after the last valid record
     uint32_t header[2] = {0, 0};
     if (std::fread(header, sizeof header, 1, f) == 1 &&
@@ -289,7 +294,11 @@ Status Journal::Recover(
             std::fread(&crc, sizeof crc, 1, f) != 1) {
           break;  // clean end or torn frame
         }
-        if (len < sizeof(uint64_t) || len > kMaxRecordBytes) break;
+        if (len < sizeof(uint64_t) || len > kMaxRecordBytes ||
+            valid_end + kRecordFrameBytes + len >
+                static_cast<size_t>(file_size)) {
+          break;
+        }
         body.resize(len);
         if (std::fread(body.data(), 1, len, f) != len) break;  // torn body
         if (util::Crc32c(body.data(), len) != crc) break;      // corrupt
@@ -313,8 +322,6 @@ Status Journal::Recover(
         valid_end += kRecordFrameBytes + len;
       }
     }
-    std::fseek(f, 0, SEEK_END);
-    const long file_size = std::ftell(f);
     std::fclose(f);
     if (file_size > 0 && static_cast<size_t>(file_size) > valid_end) {
       info->truncated_bytes = static_cast<size_t>(file_size) - valid_end;

@@ -29,7 +29,8 @@
 //   - Recover validates every record checksum; the first torn or corrupt
 //     record ends the replay and the file is truncated to the last valid
 //     boundary (graceful degradation — corruption is never silently
-//     replayed and never a crash).
+//     replayed and never a crash). A frame longer than the rest of the
+//     file is torn: the file's size bounds what recovery allocates.
 //
 // Every fopen / fwrite / fsync / rename in this file sits behind a
 // GLINT_FAULT_POINT, so the crash-matrix tests can kill or fail the

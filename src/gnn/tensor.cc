@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 
 #include "gnn/kernels.h"
 #include "obs/obs.h"
@@ -247,10 +248,42 @@ Tape::Stats Tape::stats() const {
 
 namespace {
 
+/// One thread's idle tapes; a leased tape belongs to its ScopedTape. The
+/// mutex is uncontended on a lease (only ReleasePooledTapes takes it from
+/// another thread), and a lease spans a whole forward, so one lock per
+/// lease costs nothing measurable.
 struct TapePool {
-  std::vector<std::unique_ptr<Tape>> owned;
-  std::vector<Tape*> free_list;
+  TapePool();
+  ~TapePool();
+  std::mutex mu;
+  std::vector<std::unique_ptr<Tape>> free_list;
 };
+
+/// Every live thread's pool, so ReleasePooledTapes can reach them all.
+/// Leaked on purpose: the global ThreadPool's workers destroy their
+/// thread-local pools while static destructors run, after a function-local
+/// registry could already be gone.
+struct PoolRegistry {
+  std::mutex mu;
+  std::vector<TapePool*> pools;
+};
+
+PoolRegistry& Registry() {
+  static PoolRegistry* registry = new PoolRegistry;
+  return *registry;
+}
+
+TapePool::TapePool() {
+  PoolRegistry& r = Registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  r.pools.push_back(this);
+}
+
+TapePool::~TapePool() {
+  PoolRegistry& r = Registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  r.pools.erase(std::find(r.pools.begin(), r.pools.end(), this));
+}
 
 TapePool& LocalTapePool() {
   thread_local TapePool pool;
@@ -261,18 +294,33 @@ TapePool& LocalTapePool() {
 
 ScopedTape::ScopedTape() {
   auto& pool = LocalTapePool();
+  std::lock_guard<std::mutex> lock(pool.mu);
   if (pool.free_list.empty()) {
-    pool.owned.push_back(std::make_unique<Tape>());
-    tape_ = pool.owned.back().get();
+    tape_ = std::make_unique<Tape>();
   } else {
-    tape_ = pool.free_list.back();
+    tape_ = std::move(pool.free_list.back());
     pool.free_list.pop_back();
   }
 }
 
 ScopedTape::~ScopedTape() {
   tape_->Reset();
-  LocalTapePool().free_list.push_back(tape_);
+  auto& pool = LocalTapePool();
+  std::lock_guard<std::mutex> lock(pool.mu);
+  pool.free_list.push_back(std::move(tape_));
+}
+
+void ReleasePooledTapes() {
+  PoolRegistry& r = Registry();
+  {
+    std::lock_guard<std::mutex> registry_lock(r.mu);
+    for (TapePool* pool : r.pools) {
+      std::lock_guard<std::mutex> lock(pool->mu);
+      pool->free_list.clear();
+    }
+  }
+  GLINT_OBS_GAUGE_SET("glint.tape.arena_bytes_retained",
+                      static_cast<int64_t>(TapeArena::TotalBytesRetained()));
 }
 
 // ---- Backward dispatch ---------------------------------------------------

@@ -381,7 +381,9 @@ class Tape {
 /// exit. Stack-ordered acquire/release makes nesting safe (e.g. the
 /// explainer opening a tape while the detector's is live). This is how the
 /// trainer, detector, session and explainer get zero-malloc tapes after
-/// each worker thread's first pass.
+/// each worker thread's first pass. A pooled tape keeps the capacity of
+/// the largest pass it ran until ReleasePooledTapes() frees it; every
+/// thread's pool is registered, so that call reaches them all.
 class ScopedTape {
  public:
   ScopedTape();
@@ -389,13 +391,20 @@ class ScopedTape {
   ScopedTape(const ScopedTape&) = delete;
   ScopedTape& operator=(const ScopedTape&) = delete;
 
-  Tape* get() const { return tape_; }
-  Tape* operator->() const { return tape_; }
+  Tape* get() const { return tape_.get(); }
+  Tape* operator->() const { return tape_.get(); }
   Tape& operator*() const { return *tape_; }
 
  private:
-  Tape* tape_;
+  std::unique_ptr<Tape> tape_;  ///< back to this thread's pool on exit
 };
+
+/// Frees every pooled tape no ScopedTape holds, in every thread's pool, and
+/// publishes the new glint.tape.arena_bytes_retained. A held lease is left
+/// alone and returns to its pool as usual. TrainOffline calls it so
+/// training-sized tapes do not outlive training; the next lease on each
+/// thread grows a fresh tape to what that thread runs.
+void ReleasePooledTapes();
 
 // ---- Ops (all append to the tape; gradients flow where inputs track) -----
 

@@ -280,7 +280,9 @@ InteractionGraph LiveGraph::MaterializeRealTime(double now_hours) const {
 }
 
 LiveGraph::State LiveGraph::SaveState() const {
-  return State{CurrentRules(), retained_, latest_};
+  return State{CurrentRules(),
+               std::vector<Event>(retained_.begin(), retained_.end()),
+               latest_};
 }
 
 void LiveGraph::Restore(const State& state) {

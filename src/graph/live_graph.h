@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -125,7 +126,7 @@ class LiveGraph {
   /// together with CurrentRules() and latest_event_hours(), the complete
   /// logical state of the graph (everything else is derived). Kept for the
   /// tests: they check window pruning and recovery with it.
-  const std::vector<Event>& retained_events() const { return retained_; }
+  const std::deque<Event>& retained_events() const { return retained_; }
 
   /// The logical state (one home of a serving snapshot): everything else
   /// is derived from it, given the same edge predicate and node factory.
@@ -175,8 +176,15 @@ class LiveGraph {
   std::vector<std::vector<char>> sem_;
   /// share_[i][j]: symmetric shared-device relation.
   std::vector<std::vector<char>> share_;
-  /// Chronologically sorted events within the retained horizon.
-  std::vector<Event> retained_;
+  /// Chronologically sorted events within the retained horizon. A deque,
+  /// because Prune drops a prefix: the blocks that prefix filled are freed,
+  /// so the memory follows the window's current contents rather than the
+  /// busiest window the home ever saw (a vector keeps that capacity).
+  /// Only its map of block pointers, about one byte per event, keeps the
+  /// size of the busiest window. The per-rule time lists stay vectors:
+  /// they are short, and an empty deque already costs about 576 bytes
+  /// (its map and one block).
+  std::deque<Event> retained_;
   double latest_ = 0;
 };
 

@@ -65,6 +65,7 @@ class GlintTest : public ::testing::Test {
     opts.seed = 101;
     detector_ = new TrainedDetector(opts);
     detector_->TrainOffline();
+    tape_bytes_after_training_ = gnn::TapeArena::TotalBytesRetained();
   }
 
   /// A cold graph builder of the test's own over the detector's embedding
@@ -96,11 +97,20 @@ class GlintTest : public ::testing::Test {
   }
 
   static TrainedDetector* detector_;
+  /// Tape bytes retained process-wide right after TrainOffline returned.
+  static size_t tape_bytes_after_training_;
 };
 
 TrainedDetector* GlintTest::detector_ = nullptr;
+size_t GlintTest::tape_bytes_after_training_ = 0;
 
 TEST_F(GlintTest, ReadyAfterTraining) { EXPECT_TRUE(detector_->ready()); }
+
+// Training's pooled tapes, the pool workers' and the caller's alike, die
+// with TrainOffline: serving grows its own on first use.
+TEST_F(GlintTest, TrainOfflineLeavesNoPooledTape) {
+  EXPECT_EQ(tape_bytes_after_training_, 0u);
+}
 
 TEST_F(GlintTest, Table1IsFlaggedAsThreat) {
   auto table1 = rules::CorpusGenerator::Table1Rules();

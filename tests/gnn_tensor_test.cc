@@ -584,6 +584,39 @@ TEST(AdamTest, FusedStepMatchesSerialMergeThenAdam) {
   ThreadPool::SetGlobalThreads(ThreadPool::ConfiguredThreads());
 }
 
+// ReleasePooledTapes frees the idle tapes of every thread's pool, and
+// leaves a tape some ScopedTape still holds to its holder until it is
+// returned.
+TEST(TapeTest, ReleasePooledTapesFreesEveryIdleTape) {
+  const Matrix x = RandMatrix(32, 32, 7);
+  const auto forward = [&x](Tape* tape) {
+    Tensor* a = tape->Constant(x);
+    return SumAll(tape, Relu(tape, MatMul(tape, a, a)));
+  };
+  ParallelFor(0, 64, 1, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      ScopedTape lease;
+      forward(lease.get());
+    }
+  });
+  EXPECT_GT(TapeArena::TotalBytesRetained(), 0u);
+  ReleasePooledTapes();
+  EXPECT_EQ(TapeArena::TotalBytesRetained(), 0u);
+
+  {
+    ScopedTape held;
+    forward(held.get());
+    const size_t held_bytes = held->stats().bytes_retained;
+    ASSERT_GT(held_bytes, 0u);
+    ReleasePooledTapes();
+    EXPECT_EQ(TapeArena::TotalBytesRetained(), held_bytes);
+    EXPECT_EQ(forward(held.get())->value.rows, 1);
+  }
+  EXPECT_GT(TapeArena::TotalBytesRetained(), 0u);  // back in its pool
+  ReleasePooledTapes();
+  EXPECT_EQ(TapeArena::TotalBytesRetained(), 0u);
+}
+
 TEST(TapeTest, ParameterOpsAccumulateIntoParameter) {
   Parameter w(Matrix(1, 2, 1.f));
   w.grad.data = {0.5f, -2.f};  // accumulated onto, not overwritten

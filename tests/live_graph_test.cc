@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "counting_new.h"
 #include "graph/builder.h"
 #include "graph/event_log.h"
 #include "graph/live_graph.h"
@@ -270,6 +271,22 @@ TEST(LiveGraphTest, FeatureMemoStaysBoundedUnderRuleChurn) {
             2 * static_cast<size_t>(live.num_rules()));
 }
 
+// One block of the retained events' deque: libstdc++ allocates a deque in
+// 512-byte blocks of whole elements.
+static_assert(sizeof(Event) <= 512);
+constexpr ptrdiff_t kEventBlockBytes = 512 / sizeof(Event) * sizeof(Event);
+
+// Heap bytes `fn` leaves allocated, by counting_new.h's live-byte
+// counter: for an ingestion call, what the graph's event state grew (or,
+// negative, shrank) by.
+template <class Fn>
+ptrdiff_t HeldBy(Fn&& fn) {
+  const size_t before = g_live_bytes.load(std::memory_order_relaxed);
+  fn();
+  return static_cast<ptrdiff_t>(g_live_bytes.load(std::memory_order_relaxed) -
+                                before);
+}
+
 std::vector<char> Serialized(const LiveGraph& g) {
   const LiveGraph::State state = g.SaveState();
   return util::EncodeAll(
@@ -280,8 +297,10 @@ std::vector<char> Serialized(const LiveGraph& g) {
 // with stale (older than the window), out-of-order and tied times, fed in
 // batches of 1-64 events, the serialized state and the real-time edges
 // match per-event ingestion at every batch boundary. Pruning before the
-// inserts also keeps the retained events' allocation no larger than
-// per-event ingestion leaves it.
+// inserts also keeps the heap that batch-64 ingestion leaves allocated
+// (retained events and observation times) no larger than what per-event
+// ingestion leaves, up to one block of the events' deque: the same events
+// can straddle one block more, depending on where the deque's front sits.
 TEST(LiveGraphTest, BatchedEventsMatchPerEventIngestion) {
   const auto pool = Pool();
   constexpr double kWindow = 3.0;
@@ -319,9 +338,12 @@ TEST(LiveGraphTest, BatchedEventsMatchPerEventIngestion) {
               ? TriggerEvent(rule, t)
               : EffectEvent(rule, rng.Below(rule.actions.size()), t));
     }
+    ptrdiff_t single_held = 0;
     for (size_t i = 0; i < kEvents;) {
       const size_t n = std::min<size_t>(1 + rng.Below(64), kEvents - i);
-      for (size_t k = i; k < i + n; ++k) single.OnEvent(events[k]);
+      single_held += HeldBy([&] {
+        for (size_t k = i; k < i + n; ++k) single.OnEvent(events[k]);
+      });
       batched.OnEvents(&events[i], n);
       i += n;
       ASSERT_EQ(Serialized(batched), Serialized(single)) << "after " << i;
@@ -334,13 +356,50 @@ TEST(LiveGraphTest, BatchedEventsMatchPerEventIngestion) {
         ASSERT_EQ(got[k].dst, want[k].dst) << "after " << i;
       }
     }
-    for (size_t i = 0; i < kEvents; i += 64) {
-      batched64.OnEvents(&events[i], std::min<size_t>(64, kEvents - i));
-    }
+    const ptrdiff_t batched64_held = HeldBy([&] {
+      for (size_t i = 0; i < kEvents; i += 64) {
+        batched64.OnEvents(&events[i], std::min<size_t>(64, kEvents - i));
+      }
+    });
     ASSERT_EQ(Serialized(batched64), Serialized(single));
-    EXPECT_LE(batched64.retained_events().capacity(),
-              single.retained_events().capacity());
+    EXPECT_LE(batched64_held, single_held + kEventBlockBytes);
   }
+}
+
+// The retained events' memory follows the window, not the busiest window
+// the home ever saw: after a burst of 5,000 events within 3 h, a trickle
+// that slides the window past the burst leaves the events' allocation
+// within a small constant of size() * sizeof(Event). The home has no
+// rules, so the retained events are all its event state. The constant is
+// the deque's map of block pointers, which keeps the burst's size (about
+// one byte per event, 5 KiB here), and its partly filled end blocks.
+TEST(LiveGraphTest, RetainedEventsShrinkWithTheWindow) {
+  constexpr double kWindow = 3.0;
+  constexpr int kBurst = 5000;
+  Event e;
+  e.device = rules::DeviceType::kMotionSensor;
+  e.state = "active";
+  MakeLive(kWindow).OnEvent(e);  // registers the ingestion counters first
+  LiveGraph live = MakeLive(kWindow);
+  const ptrdiff_t burst_held = HeldBy([&] {
+    for (int i = 0; i < kBurst; ++i) {
+      e.time_hours = kWindow * i / kBurst;
+      live.OnEvent(e);
+    }
+  });
+  ASSERT_EQ(live.retained_events().size(), static_cast<size_t>(kBurst));
+  EXPECT_GE(burst_held, static_cast<ptrdiff_t>(kBurst * sizeof(Event)));
+
+  const ptrdiff_t slide_held = HeldBy([&] {
+    for (int i = 0; i <= 24; ++i) {
+      e.time_hours = kWindow + 0.25 * i;  // 3 h to 9 h
+      live.OnEvent(e);
+    }
+  });
+  const size_t kept = live.retained_events().size();
+  EXPECT_EQ(kept, 13u);  // 6 h to 9 h
+  EXPECT_LE(burst_held + slide_held,
+            static_cast<ptrdiff_t>(kept * sizeof(Event) + (16u << 10)));
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "codec_fixtures.h"
+#include "counting_new.h"
 #include "core/detector.h"
 #include "core/serving.h"
 #include "rules/rule_io.h"
@@ -766,6 +767,38 @@ TEST_F(RecoveryTest, WalOpsKeepTheirRecordedBytes) {
   ASSERT_TRUE(replayed.Snapshot().ok());
   EXPECT_EQ(ReadFile(replay_dir + "/snapshot.bin"),
             ReadFile(live_dir + "/snapshot.bin"));
+}
+
+// A 16-byte WAL (the header, then a frame claiming 2^26 bytes, the largest
+// record the journal accepts) is a torn tail found from the file's size:
+// recovery truncates it back to the header without allocating the claimed
+// body first.
+TEST_F(RecoveryTest, FrameLongerThanTheFileIsTornWithoutAllocatingIt) {
+  const std::string dir = Dir("huge_frame");
+  {
+    ServingEngine engine(detector_);
+    ASSERT_TRUE(engine.Recover(dir).ok());  // writes the WAL header
+  }
+  const std::string wal = dir + "/wal.log";
+  const std::vector<char> header = ReadFile(wal);
+  ASSERT_EQ(header.size(), 8u);
+  {
+    std::FILE* f = std::fopen(wal.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    const uint32_t len = 1u << 26, crc = 0;
+    std::fwrite(&len, sizeof len, 1, f);
+    std::fwrite(&crc, sizeof crc, 1, f);
+    std::fclose(f);
+  }
+  ServingEngine engine(detector_);
+  const size_t before = g_bytes.load(std::memory_order_relaxed);
+  ASSERT_TRUE(engine.Recover(dir).ok());
+  const size_t allocated = g_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_LT(allocated, size_t{1} << 20);
+  EXPECT_TRUE(engine.recovery_info().tail_torn);
+  EXPECT_EQ(engine.recovery_info().truncated_bytes, 8u);
+  EXPECT_EQ(engine.recovery_info().tail_records, 0u);
+  EXPECT_EQ(ReadFile(wal), header);
 }
 
 TEST_F(RecoveryTest, EveryStrictPrefixOfAWalRecordIsInvalidArgument) {

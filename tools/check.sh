@@ -84,6 +84,15 @@ GLINT_THREADS=4 ./build-tsan/tests/batched_serving_test \
 cmake --build build-tsan -j"${JOBS}" --target parallel_determinism_test
 GLINT_THREADS=4 ./build-tsan/tests/parallel_determinism_test \
   --gtest_filter='*TrainingIdenticalAcrossThreadCounts:*TrainOffline*'
+# Releasing pooled tapes under TSAN: ReleasePooledTapes reaches into every
+# thread's pool (each behind its own mutex) while leases come and go, and
+# TrainOffline ends with it, so core_test checks that no tape outlives
+# training.
+cmake --build build-tsan -j"${JOBS}" --target gnn_tensor_test core_test
+GLINT_THREADS=4 ./build-tsan/tests/gnn_tensor_test \
+  --gtest_filter='TapeTest.ReleasePooledTapesFreesEveryIdleTape'
+GLINT_THREADS=4 ./build-tsan/tests/core_test \
+  --gtest_filter='GlintTest.TrainOfflineLeavesNoPooledTape'
 
 # The ASan build has UBSan too: a report from either aborts the test.
 # Arena lifetime / aliasing check: the tape tests under ASan. Guards the
